@@ -60,15 +60,10 @@ def per_request_cost(art: ModelArtifact) -> dict:
     enc = art.model
     ev = CountingEvaluator(enc.ev)
     batch = enc.max_batch
-    if enc.sharded:
-        dim = sum(enc.input_splits or [enc.size])
-        cts = enc.encrypt_batch_shards([np.zeros(dim)] * batch, ev=ev)
-        ev.reset()
-        out = enc.forward_shards(cts, encoded=art.encoded_linear, ev=ev)[0]
-    else:
-        ct = enc.encrypt_batch([np.zeros(enc.size)] * batch, ev=ev)
-        ev.reset()
-        out = enc.forward(ct, encoded=art.encoded_linear, ev=ev)
+    dim = sum(enc.input_splits or [enc.size])
+    cts = enc.encrypt_batch_shards([np.zeros(dim)] * batch, ev=ev)
+    ev.reset()
+    out = enc.forward_shards(cts, encoded=art.encoded_linear, ev=ev)[0]
     enc.decrypt_logits(out, 3, batch=batch, ev=ev)
     cost = cost_from_counts(ev.counts, REFERENCE_MICROS)
     return {

@@ -5,10 +5,9 @@ hot-path rotation/keyswitch/nonscalar-mult budget at a glance:
 
     PYTHONPATH=src python benchmarks/opcount_summary.py [outfile] [--json PATH]
 
-Prints (and optionally writes) the per-layer BSGS matvec plans of the
-two pinned serving models — the toy MLP and the trained toy CNN — the
-measured op counts of one encrypted forward on each (reference and
-planned paths for the MLP, planned for the CNN), and the
+Prints (and optionally writes) the per-block BSGS matvec plans of the
+pinned models — toy MLP, trained toy CNN, toy ResNet, toy transformer —
+the measured op counts of one encrypted forward on each, and the
 per-registry-PAF activation nonscalar-mult table (ladder vs
 Paterson–Stockmeyer, from ``bench_paf_eval``).
 
@@ -50,28 +49,10 @@ from repro.obs import TracingEvaluator
 
 
 def plan_table(enc, title: str) -> str:
-    rows = [
-        [
-            i,
-            p.num_diagonals,
-            f"{p.n1}x{p.n2}",
-            p.naive_keyswitches,
-            p.bsgs_keyswitches,
-            "bsgs" if p.use_bsgs else "naive",
-        ]
-        for i, p in sorted(enc.matvec_plans.items())
-    ]
-    return format_table(
-        ["layer", "diagonals", "n1 x n2", "naive ks", "bsgs ks", "chosen"],
-        rows,
-        title=title,
-    )
-
-
-def shard_plan_table(enc, title: str) -> str:
-    """Per-block matvec plans of a sharded (multi-ciphertext) network."""
+    """Per-block matvec plans: every linear layer / merge projection is a
+    ``K_out x K_in`` grid (1 x 1 for a single-ciphertext layer)."""
     rows = []
-    for li, grid in sorted(enc.shard_plans.items()):
+    for li, grid in sorted(enc.matvec_plans.items()):
         kind = enc.layers[li].kind
         for j, row in enumerate(grid):
             for i, p in enumerate(row):
@@ -103,24 +84,9 @@ def _trace_to(trace_dir: str | None, model: str) -> str | None:
 
 
 def measure_forward(
-    enc, in_dim: int, mode: str = "plan", trace_path: str | None = None
-) -> CountingEvaluator:
-    """Op counts of one encrypted forward on a zero input."""
-    counting = CountingEvaluator(enc.ev)
-    ev = TracingEvaluator(counting) if trace_path else counting
-    ct = enc.encrypt_batch([np.zeros(in_dim)])
-    counting.reset()
-    enc.forward(ct, ev=ev, mode=mode)
-    if trace_path:
-        model = os.path.basename(trace_path)[len("trace_") : -len(".json")]
-        ev.tracer.write_json(trace_path, meta={"model": model})
-    return counting
-
-
-def measure_forward_shards(
     enc, in_dim: int, trace_path: str | None = None
 ) -> CountingEvaluator:
-    """Op counts of one sharded encrypted forward on a zero input."""
+    """Op counts of one encrypted forward on a zero input."""
     counting = CountingEvaluator(enc.ev)
     ev = TracingEvaluator(counting) if trace_path else counting
     cts = enc.encrypt_batch_shards([np.zeros(in_dim)])
@@ -193,19 +159,20 @@ def build_summary(trace_dir: str | None = None, check_backends: bool = False) ->
     sections = []
     models: dict = {}
 
-    # --- toy MLP: both paths (reference keys are cheap at this size) ---
-    mlp = compiled_toy(reference_keys=True)
+    # --- toy MLP (the naive-matvec + ladder-PAF reference costs 22
+    # keyswitches against these 15; tests/fhe/test_op_counts.py measures
+    # it on the test-side oracle) ---
+    mlp = compiled_toy()
     sections.append(
         plan_table(mlp, "Per-layer matvec plans (toy 8-6-3 MLP serving model)")
     )
     planned = measure_forward(mlp, 8, trace_path=_trace_to(trace_dir, "toy_mlp"))
-    reference = measure_forward(mlp, 8, mode="reference")
     sections.append(
         format_table(
             _FORWARD_HEADER,
-            [forward_row("reference", reference), forward_row("planned", planned)],
+            [forward_row("planned", planned)],
             title="Measured op counts: one encrypted MLP forward "
-            "(reference = naive matvec + ladder PAF)",
+            "(BSGS matvecs + Paterson–Stockmeyer PAF)",
         )
     )
     models["toy_mlp"] = gate_metrics(planned)
@@ -244,13 +211,13 @@ def build_summary(trace_dir: str | None = None, check_backends: bool = False) ->
     # blocks, stride-2 projection skip, channels across 2 ciphertexts) ---
     resnet = compiled_toy_resnet()
     sections.append(
-        shard_plan_table(
+        plan_table(
             resnet,
             "Per-block matvec plans (toy 2-block ResNet: stem-block-block-"
             "pool-dense on 1x8x8, 2 shards)",
         )
     )
-    resnet_planned = measure_forward_shards(
+    resnet_planned = measure_forward(
         resnet, 64, trace_path=_trace_to(trace_dir, "toy_resnet")
     )
     sections.append(
@@ -266,7 +233,7 @@ def build_summary(trace_dir: str | None = None, check_backends: bool = False) ->
         verify_backend_invariance(
             "toy_resnet",
             resnet.ctx,
-            lambda: measure_forward_shards(resnet, 64),
+            lambda: measure_forward(resnet, 64),
             models["toy_resnet"],
         )
 
@@ -275,13 +242,13 @@ def build_summary(trace_dir: str | None = None, check_backends: bool = False) ->
     # reciprocal normaliser, dense GELU) ---
     transformer = compiled_toy_transformer()
     sections.append(
-        shard_plan_table(
+        plan_table(
             transformer,
             "Per-block matvec plans (toy transformer: single-head attention "
             "+ GELU MLP over 4 token shards, dim 8)",
         )
     )
-    tfm_planned = measure_forward_shards(
+    tfm_planned = measure_forward(
         transformer, 32, trace_path=_trace_to(trace_dir, "toy_transformer")
     )
     sections.append(
@@ -297,7 +264,7 @@ def build_summary(trace_dir: str | None = None, check_backends: bool = False) ->
         verify_backend_invariance(
             "toy_transformer",
             transformer.ctx,
-            lambda: measure_forward_shards(transformer, 32),
+            lambda: measure_forward(transformer, 32),
             models["toy_transformer"],
         )
 
@@ -307,7 +274,7 @@ def build_summary(trace_dir: str | None = None, check_backends: bool = False) ->
     # recrypt refresh at the block boundary); its decrypt/encrypt counts
     # are the refresh's client-boundary cost, gated like everything else ---
     stacked = compiled_toy_transformer_stacked()
-    stacked_planned = measure_forward_shards(
+    stacked_planned = measure_forward(
         stacked, 32, trace_path=_trace_to(trace_dir, "toy_transformer_stacked")
     )
     sections.append(
@@ -323,7 +290,7 @@ def build_summary(trace_dir: str | None = None, check_backends: bool = False) ->
         verify_backend_invariance(
             "toy_transformer_stacked",
             stacked.ctx,
-            lambda: measure_forward_shards(stacked, 32),
+            lambda: measure_forward(stacked, 32),
             models["toy_transformer_stacked"],
         )
 

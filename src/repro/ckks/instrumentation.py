@@ -59,7 +59,7 @@ def span(ev, name: str, kind: str = "span", **attrs):
     The instrumented executors (``repro.fhe.network``, ``repro.fhe.linear``,
     ``repro.ckks.poly_eval``) call this at their boundaries::
 
-        with span(ev, "matvec:bsgs", kind="matvec") as sp:
+        with span(ev, "matvec:shards", kind="matvec") as sp:
             sp.ct_entry(ct)
             ...
             sp.ct_exit(out)

@@ -375,7 +375,6 @@ def compile_cnn(
     input_shape: tuple,
     params: CkksParams,
     seed: int = 0,
-    reference_keys: bool = False,
     fold_bn: bool = True,
     policy=None,
 ) -> EncryptedNetwork:
@@ -395,12 +394,10 @@ def compile_cnn(
     running :class:`~repro.fhe.packing.GridLayout` and compiled to a
     :class:`~repro.fhe.linear.MatvecPlan` by the shared
     :class:`EncryptedNetwork` machinery; pools become rotate-and-sum
-    plans.  ``reference_keys`` additionally generates the naive-path
-    Galois keys (differential testing), exactly like :func:`compile_mlp`.
+    plans.
     """
     if policy is not None:
-        seed, reference_keys = policy.seed, policy.reference_keys
-        fold_bn = policy.fold_bn
+        seed, fold_bn = policy.seed, policy.fold_bn
     if len(input_shape) != 3:
         raise ValueError(f"input_shape must be (C, H, W), got {input_shape}")
     ops = _op_sequence(model)
@@ -503,11 +500,7 @@ def compile_cnn(
             padded[: layer.weight.shape[0], : layer.weight.shape[1]] = layer.weight
             layer.weight = padded
     return EncryptedNetwork(
-        Graph(layers, size=size),
-        params=params,
-        seed=seed,
-        reference_keys=reference_keys,
-        policy=policy,
+        Graph(layers, size=size), params=params, seed=seed, policy=policy
     )
 
 
@@ -517,12 +510,11 @@ def compile_resnet(
     params: CkksParams,
     num_shards: int = 2,
     seed: int = 0,
-    reference_keys: bool = False,
     policy=None,
 ) -> EncryptedNetwork:
     """Compile a (PAF-approximated) residual CNN to multi-ciphertext FHE.
 
-    The sharded twin of :func:`compile_cnn`: activations are channel-
+    The channel-sharded sibling of :func:`compile_cnn`: activations are channel-
     sharded across up to ``num_shards`` ciphertexts
     (:class:`~repro.fhe.packing.MultiGridLayout` — never more shards than
     channels, so a 1-channel input still enters as one ciphertext), every
@@ -550,7 +542,7 @@ def compile_resnet(
     a matvec re-establishes the replica-zero invariant taps rely on.
     """
     if policy is not None:
-        seed, reference_keys = policy.seed, policy.reference_keys
+        seed = policy.seed
     if len(input_shape) != 3:
         raise ValueError(f"input_shape must be (C, H, W), got {input_shape}")
     if num_shards < 1:
@@ -748,6 +740,5 @@ def compile_resnet(
         ),
         params=params,
         seed=seed,
-        reference_keys=reference_keys,
         policy=policy,
     )

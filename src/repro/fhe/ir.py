@@ -22,10 +22,10 @@ Node taxonomy (see ``docs/graph-ir.md``):
 ========================  ======  ======================================
 node                      levels  executes as
 ========================  ======  ======================================
-:class:`MatvecNode`       1       Halevi-Shoup matvec (BSGS or naive per
-                                  its :class:`~repro.fhe.linear.MatvecPlan`);
-                                  carries a ``K_out x K_in`` block grid
-                                  instead of a single weight when sharded
+:class:`MatvecNode`       1       Halevi-Shoup matvec over a ``K_out x
+                                  K_in`` block grid (grouped per each
+                                  block's :class:`~repro.fhe.linear.MatvecPlan`);
+                                  a single ``weight`` is the 1 x 1 grid
 :class:`ConvNode`         1       a :class:`MatvecNode` whose matrix was
                                   lowered from a Conv2d at compile time —
                                   same executor, extra conv provenance
@@ -75,7 +75,6 @@ corrections and consume zero.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -142,9 +141,10 @@ class IRNode:
 
 @dataclass
 class MatvecNode(IRNode):
-    """A Halevi-Shoup matvec: single square ``weight`` or, when sharded,
-    a ``K_out x K_in`` grid of slot-space ``blocks`` (``None`` marks an
-    all-zero block) with per-output-shard ``bias_shards``."""
+    """A Halevi-Shoup matvec: a ``K_out x K_in`` grid of slot-space
+    ``blocks`` (``None`` marks an all-zero block) with per-output-shard
+    ``bias_shards`` — or a single square ``weight`` with its ``bias``,
+    which compiles and executes as the 1 x 1 grid."""
 
     kind = "linear"
     source = "linear"
@@ -376,7 +376,13 @@ class Graph:
 
     @property
     def sharded(self) -> bool:
-        """True when execution must go through ``forward_shards``."""
+        """True for multi-ciphertext / branching (deep residual) graphs.
+
+        Derived; its one reader is the activation planners'
+        ``exact_scales=`` (the sub-percent scale drift the ladder
+        tolerates compounds past ~20 levels on these graphs).  Execution
+        does not fork on it: every graph runs the same ``forward_shards``
+        loop, which checks the shard count against ``input_shards``."""
         return self.input_shards > 1 or any(
             isinstance(n, (ResidualTapNode, MergeNode, ReduceNode, AttentionNode))
             or getattr(n, "blocks", None) is not None
@@ -574,11 +580,10 @@ class CompilePolicy:
     """Everything a compile decides beyond the model and the CKKS params.
 
     The single policy object accepted by :func:`compile_network` and
-    :meth:`repro.serve.artifact.ModelArtifact.compile` — it replaces the
-    former pile of loose keyword arguments (``input_shape`` /
-    ``num_shards`` / ``seed`` / ``reference_keys`` / ``fold_bn``), and
-    adds the refresh policy that decides how a model deeper than the
-    prime chain still compiles (``docs/bootstrapping.md``):
+    :meth:`repro.serve.artifact.ModelArtifact.compile`: packing geometry
+    (``input_shape`` / ``num_shards``), ``seed``, BatchNorm folding, and
+    the refresh policy that decides how a model deeper than the prime
+    chain still compiles (``docs/bootstrapping.md``):
 
     * ``refresh="auto"`` (default) — if the graph's required depth
       exceeds the schedule, search insertion points greedily by level
@@ -602,7 +607,6 @@ class CompilePolicy:
     input_shape: tuple | None = None
     num_shards: int | None = None
     seed: int = 0
-    reference_keys: bool = False
     fold_bn: bool = True
 
     def __post_init__(self):
@@ -733,20 +737,7 @@ def apply_refresh_policy(
 # ----------------------------------------------------------------------
 # the single compile entrypoint
 # ----------------------------------------------------------------------
-_UNSET = object()
-
-
-def compile_network(
-    model,
-    params,
-    *,
-    policy: CompilePolicy | None = None,
-    input_shape=_UNSET,
-    num_shards=_UNSET,
-    seed=_UNSET,
-    reference_keys=_UNSET,
-    fold_bn=_UNSET,
-):
+def compile_network(model, params, *, policy: CompilePolicy | None = None):
     """Compile any supported ``repro.nn`` model for encrypted inference.
 
     The single entrypoint of the FHE compilation pipeline: inspects the
@@ -761,40 +752,12 @@ def compile_network(
       attention + MLP blocks) -> the token-sharded transformer lowering.
 
     Everything beyond the model and params rides in ``policy``
-    (:class:`CompilePolicy`) — packing geometry, seeds, reference keys,
-    BatchNorm folding, and the refresh policy that lets a model deeper
-    than the prime chain compile by inserting
-    :class:`RefreshNode`\\ s.  The loose keyword spellings
-    (``input_shape=``, ``num_shards=``, ``seed=``, ``reference_keys=``,
-    ``fold_bn=``) are deprecated shims for one release — they fold into
-    a policy and warn.
+    (:class:`CompilePolicy`) — packing geometry, seed, BatchNorm
+    folding, and the refresh policy that lets a model deeper than the
+    prime chain compile by inserting :class:`RefreshNode`\\ s.
 
     Returns the compiled :class:`~repro.fhe.network.EncryptedNetwork`.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("input_shape", input_shape),
-            ("num_shards", num_shards),
-            ("seed", seed),
-            ("reference_keys", reference_keys),
-            ("fold_bn", fold_bn),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        names = ", ".join(f"{k}=" for k in legacy)
-        warnings.warn(
-            f"compile_network({names}) is deprecated; pass "
-            f"policy=CompilePolicy({names}...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if policy is not None:
-            raise ValueError(
-                "pass either policy= or the deprecated loose kwargs, not both"
-            )
-        policy = CompilePolicy(**legacy)
     if policy is None:
         policy = CompilePolicy()
     if policy.backend is not None and policy.backend != params.backend:

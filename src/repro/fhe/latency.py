@@ -68,13 +68,16 @@ _SHARED: dict = {}
 
 
 def shared_runtime(params: CkksParams, seed: int = 0):
-    """Context+keys+evaluator cache (keygen dominates small benchmarks)."""
-    key = (params.n, params.scale_bits, params.depth)
-    if key not in _SHARED:
+    """Context+keys+evaluator cache (keygen dominates small benchmarks).
+
+    Keyed on the frozen ``params`` itself: two parameter sets that differ
+    in backend, scale tracking or prime widths never share an evaluator.
+    """
+    if params not in _SHARED:
         ctx = CkksContext(params)
         keys = keygen(ctx, seed=seed)
-        _SHARED[key] = (ctx, keys, CkksEvaluator(ctx, keys))
-    return _SHARED[key]
+        _SHARED[params] = (ctx, keys, CkksEvaluator(ctx, keys))
+    return _SHARED[params]
 
 
 def measure_relu_latency(

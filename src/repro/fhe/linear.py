@@ -4,9 +4,9 @@
 ``x`` is computed as ``Σ_d diag_d(W) ⊙ rot(x, d)`` over the generalised
 diagonals — the standard CKKS technique the FHE-inference literature
 builds on.  The *naive* path (:func:`encrypted_matvec`, kept as the
-reference implementation) pays one full keyswitch per nonzero diagonal
-beyond the first: ``O(D)`` keyswitches dominate every encrypted forward
-pass.
+op-level reference implementation the differential tests compare
+against — no compiled network executes it) pays one full keyswitch per
+nonzero diagonal beyond the first: ``O(D)`` keyswitches.
 
 Baby-step/giant-step (BSGS) decomposition cuts that to ``O(√D)``.  Factor
 every diagonal index ``d = g·n1 + b`` with baby step ``b ∈ [0, n1)`` and
@@ -242,9 +242,9 @@ def grouped_diagonals(diagonals: dict, plan: MatvecPlan) -> dict:
     BSGS plans regroup via :func:`bsgs_diagonals`; naive plans become the
     single giant-step-0 group ``{0: diagonals}`` — every diagonal is its
     own "baby" step, so a grouped executor rotates once per diagonal but
-    shares one hoisted decomposition (the multi-ciphertext executor
-    :func:`encrypted_matvec_shards` runs every block in this uniform
-    form, which is never more keyswitches than the plan predicts).
+    shares one hoisted decomposition (:func:`encrypted_matvec_shards`
+    runs every block in this uniform form, which is never more
+    keyswitches than the plan predicts).
     """
     if plan.use_bsgs:
         return bsgs_diagonals(diagonals, plan)
@@ -285,8 +285,9 @@ def encrypted_matvec_shards(
     every output shard that reads it; cross-shard accumulation is plain
     ct-ct addition at matching level and scale, and each output shard
     rescales exactly once (the canonical-scale invariant holds shard by
-    shard).  With ``K_in = K_out = 1`` and a BSGS plan this performs the
-    identical operation sequence to :func:`encrypted_matvec_bsgs`.
+    shard).  This is the one grouped inner loop: a single-ciphertext
+    layer is the ``K_in = K_out = 1`` grid
+    (:func:`encrypted_matvec_bsgs` is exactly that wrap).
 
     ``bias_slots[j]`` (raw vector or pre-encoded post-rescale
     :class:`~repro.ckks.encoder.Plaintext`) is added to output shard
@@ -367,9 +368,7 @@ def encrypted_matvec(
 
     ``diagonals`` short-circuits the per-call :func:`diagonals_of`
     recomputation: a mapping ``d -> slot vector`` *or* ``d -> Plaintext``
-    (pre-encoded at the ciphertext's level and scale, e.g. by
-    :class:`repro.serve.artifact.ModelArtifact`) — the steady-state
-    serving path does zero plaintext encoding here.  ``bias_slots`` is the
+    (pre-encoded at the ciphertext's level and scale).  ``bias_slots`` is the
     full-slot (optionally block-tiled) bias, again raw or pre-encoded at
     the *post-rescale* level and scale; when omitted, ``bias`` is padded
     into the leading slots as before.
@@ -391,18 +390,20 @@ def encrypted_matvec(
             term = ev.mul_plain(rotated, vec)
             acc = term if acc is None else ev.add(acc, term)
         acc = ev.rescale(acc)
-        acc = _add_bias(ev, acc, ct_x.c0.ctx.slots, bias, bias_slots)
+        bias_slots = _bias_slots(ct_x.c0.ctx.slots, bias, bias_slots)
+        if bias_slots is not None:
+            acc = ev.add_plain(acc, bias_slots)
         sp.ct_exit(acc)
     return acc
 
 
-def _add_bias(ev, acc, slots, bias, bias_slots):
+def _bias_slots(slots: int, bias, bias_slots):
+    """The full-slot bias: ``bias_slots`` as given, else ``bias`` padded
+    into the leading slots (``None`` when there is neither)."""
     if bias_slots is None and bias is not None:
         bias_slots = np.zeros(slots)
         bias_slots[: len(bias)] = bias
-    if bias_slots is not None:
-        acc = ev.add_plain(acc, bias_slots)
-    return acc
+    return bias_slots
 
 
 def encrypted_matvec_bsgs(
@@ -423,13 +424,13 @@ def encrypted_matvec_bsgs(
     sums are formed with plaintext multiplies against the pre-rotated
     diagonals, and only the per-*giant*-step accumulated sums are rotated
     individually.  One rescale at the end, exactly like the naive path.
+    This is the ``1 × 1`` grid of :func:`encrypted_matvec_shards`, which
+    holds the one grouped inner loop.
 
     ``groups`` short-circuits planning and regrouping: a mapping
     ``giant_step -> {baby_step -> slot vector | Plaintext}`` as produced
-    by :func:`bsgs_diagonals` (raw) or
-    :meth:`repro.serve.artifact.ModelArtifact.encoded_linear`
-    (pre-encoded — the steady-state serving path does zero plaintext
-    encoding here).
+    by :func:`bsgs_diagonals` (raw) or pre-encoded at the ciphertext's
+    level and scale.
     """
     if groups is None:
         if w is None:
@@ -441,25 +442,5 @@ def encrypted_matvec_bsgs(
         groups = bsgs_diagonals(diagonals, plan)
     if not groups:
         raise ValueError("matrix has no nonzero diagonals")
-    baby_steps = sorted({b for inner in groups.values() for b in inner if b})
-    with trace_span(
-        ev, "matvec:bsgs", kind="matvec",
-        babies=len(baby_steps), giants=len(groups),
-        backend=ct_x.c0.ctx.backend.name,
-    ) as sp:
-        sp.ct_entry(ct_x)
-        rotated = ev.rotate_many(ct_x, baby_steps)
-        rotated[0] = ct_x  # baby step 0 needs no rotation (and no defensive copy)
-        acc = None
-        for g in sorted(groups):
-            inner = None
-            for b in sorted(groups[g]):
-                term = ev.mul_plain(rotated[b], groups[g][b])
-                inner = term if inner is None else ev.add(inner, term)
-            if g:
-                inner = ev.rotate(inner, g)
-            acc = inner if acc is None else ev.add(acc, inner)
-        acc = ev.rescale(acc)
-        acc = _add_bias(ev, acc, ct_x.c0.ctx.slots, bias, bias_slots)
-        sp.ct_exit(acc)
-    return acc
+    bias_slots = _bias_slots(ct_x.c0.ctx.slots, bias, bias_slots)
+    return encrypted_matvec_shards(ev, [ct_x], [[groups]], bias_slots=[bias_slots])[0]

@@ -18,27 +18,26 @@ Diagonals are tiled across all blocks once at compile time; rotation
 steps (and hence the Galois key set) are identical to the
 single-request layout.
 
-Wide CNNs overflow a single request block, so the network also supports
-**multi-ciphertext channel-parallel packing**: activations are sharded
-across ``K`` ciphertexts (:class:`~repro.fhe.packing.MultiGridLayout`),
-linear layers become ``K_out × K_in`` grids of per-shard-pair matvec
-blocks executed by :func:`~repro.fhe.linear.encrypted_matvec_shards`
-(per-input-shard hoisted baby rotations, cross-shard accumulation via
-ct-ct adds, one rescale per output shard), and pools / activations /
-affines apply shard-by-shard.  :meth:`EncryptedNetwork.forward_shards`
-is the sharded executor; the single-ciphertext :meth:`forward` path is
-unchanged for networks compiled without sharding.
+Wide CNNs overflow a single request block, so activations live in a
+**list of ``K`` ciphertexts** (channel-parallel packing,
+:class:`~repro.fhe.packing.MultiGridLayout`): linear layers are
+``K_out × K_in`` grids of per-shard-pair matvec blocks executed by
+:func:`~repro.fhe.linear.encrypted_matvec_shards` (per-input-shard
+hoisted baby rotations, cross-shard accumulation via ct-ct adds, one
+rescale per output shard), and pools / activations apply
+shard-by-shard.  A single-ciphertext network is the ``K = 1`` case —
+its plain ``weight`` the ``1 × 1`` grid, its ``bias`` the one-element
+bias list — so :meth:`EncryptedNetwork.forward_shards` is the one
+executor and :meth:`forward` its list-wrap for one ciphertext.
 
-Networks are **typed node sequences** from :mod:`repro.fhe.ir` — the
-string-``kind`` layer records of earlier versions are gone.  The
+Networks are **typed node sequences** from :mod:`repro.fhe.ir`.  The
 executor dispatches on node *type*: each :class:`~repro.fhe.ir.IRNode`
 subclass has one compile handler (builds the per-node caches: matvec
-plans, pre-rotated diagonal groups, activation plans, masks) and one
-execution handler per path (single-ciphertext / sharded); see
-``docs/graph-ir.md`` for the taxonomy, the level/scale metadata
-contract, and how to add an op.  :func:`repro.fhe.ir.compile_network`
-is the single compile entrypoint; :func:`compile_mlp` is the
-Linear/PAF-stack lowering it dispatches to.
+plan grids, pre-rotated diagonal groups, activation plans, masks) and
+one execution handler; see ``docs/graph-ir.md`` for the taxonomy, the
+level/scale metadata contract, and how to add an op.
+:func:`repro.fhe.ir.compile_network` is the single compile entrypoint;
+:func:`compile_mlp` is the Linear/PAF-stack lowering it dispatches to.
 """
 
 from __future__ import annotations
@@ -73,10 +72,7 @@ from repro.fhe.ir import (
     apply_refresh_policy,
 )
 from repro.fhe.linear import (
-    bsgs_diagonals,
     diagonals_of,
-    encrypted_matvec,
-    encrypted_matvec_bsgs,
     encrypted_matvec_shards,
     grouped_diagonals,
     plan_matvec,
@@ -87,20 +83,6 @@ from repro.nn.layers import Linear, ReLU
 from repro.nn.module import Module
 
 __all__ = ["EncryptedNetwork", "compile_mlp"]
-
-
-def _resolve_mode(mode: str | None) -> bool:
-    """Validate ``mode=`` and return True for the reference paths.
-
-    ``mode`` must be ``None`` / ``"plan"`` (compiled BSGS /
-    Paterson-Stockmeyer paths) or ``"reference"`` (naive diagonals,
-    per-step rotations, the activation ladder).
-    """
-    if mode is None:
-        return False
-    if mode not in ("plan", "reference"):
-        raise ValueError(f'mode must be "plan" or "reference", got {mode!r}')
-    return mode == "reference"
 
 
 def _dispatch(table: dict, node: IRNode):
@@ -128,7 +110,6 @@ class EncryptedNetwork:
         size: int | None = None,
         params: CkksParams | None = None,
         seed: int = 0,
-        reference_keys: bool = False,
         input_shards: int = 1,
         policy: CompilePolicy | None = None,
     ):
@@ -139,7 +120,7 @@ class EncryptedNetwork:
         if size is not None and size != self.graph.size:
             raise ValueError(f"size {size} != graph size {self.graph.size}")
         self.size = self.graph.size
-        #: ciphertexts per request on the sharded path (1 = single-ct)
+        #: ciphertexts per request (1 = single-ciphertext network)
         self.num_input_shards = self.graph.input_shards
         if self.graph.input_splits is not None:
             self.input_splits = list(self.graph.input_splits)
@@ -152,9 +133,6 @@ class EncryptedNetwork:
         if policy is not None:
             self._place_refreshes(policy)
         self.layers = self.graph.nodes
-        #: True when any node is sharded / branching — forward must go
-        #: through :meth:`forward_shards`
-        self.sharded = self.graph.sharded
         depth_needed = self.graph.validate()
         if params.depth < depth_needed:
             raise ValueError(
@@ -180,17 +158,16 @@ class EncryptedNetwork:
         # Diagonals / biases are tiled across *all* blocks once; a partial
         # batch leaves trailing blocks at zero input, which just compute
         # f(0) in-range — so every batch size shares these plaintexts (and,
-        # downstream, the serve artifact's encoding cache).  BSGS layers
-        # keep only their pre-rotated groups: the flat diagonals are
-        # retained just where something can actually read them (naive-plan
-        # layers, or every layer when ``reference_keys`` enables the
-        # reference path) — holding both would double plaintext memory.
-        self.linear_diagonals: dict[int, dict] = {}
-        self.linear_bias_slots: dict[int, np.ndarray] = {}
-        #: per-node matvec execution plan (BSGS vs naive reference)
-        self.matvec_plans: dict = {}
-        #: pre-rotated giant-step diagonal groups for the BSGS layers
-        self.linear_groups: dict[int, dict] = {}
+        # downstream, the serve artifact's encoding cache).
+        #: per linear / merge-projection node: the ``K_out × K_in`` grid
+        #: of :class:`~repro.fhe.linear.MatvecPlan` (``None`` = all-zero
+        #: block; a single-ciphertext layer is the ``1 × 1`` grid)
+        self.matvec_plans: dict[int, list] = {}
+        #: the matching grids of grouped ``{giant: {baby: vector}}``
+        #: diagonal payloads, pre-rotated per each block's plan
+        self.matvec_groups: dict[int, list] = {}
+        #: per-output-shard tiled biases (no entry = the node has no bias)
+        self.matvec_bias_slots: dict[int, list] = {}
         #: per-activation :class:`~repro.ckks.poly_plan.ReluPlan`
         #: (Paterson–Stockmeyer vs ladder chosen per component, with the
         #: static scale and the ReLU ½ already folded into coefficients)
@@ -204,12 +181,6 @@ class EncryptedNetwork:
         #: affine (unfolded BN) slot vectors, tiled like the biases
         self.affine_scale_slots: dict[int, np.ndarray] = {}
         self.affine_shift_slots: dict[int, np.ndarray] = {}
-        #: sharded linear / merge-projection nodes: K_out x K_in grids of
-        #: MatvecPlans (None = all-zero block), grouped diagonal payloads
-        #: and per-output-shard tiled biases
-        self.shard_plans: dict[int, list] = {}
-        self.shard_groups: dict[int, list] = {}
-        self.shard_bias_slots: dict[int, list] = {}
         #: merge node index -> matching residual tap index
         self.merge_taps: dict[int, int] = {}
         #: per-AttentionNode compiled state (projection plans/groups,
@@ -217,27 +188,20 @@ class EncryptedNetwork:
         self.attention_states: dict = {}
         #: per-RefreshNode :class:`~repro.ckks.bootstrap.RefreshPlan`
         self.refresh_plans: dict = {}
-        self._reference_keys = reference_keys
-        self._pool_steps: set = set()
-        self._shard_steps: set = set()
+        # Galois keys cover exactly the planned rotation steps: baby +
+        # giant for BSGS blocks, per-diagonal for naive ones, pool shifts,
+        # the attention dance and the refresh pipelines — every compile
+        # handler registers its own here.
+        self._galois_steps: set = set()
         self._needs_conj = False
         for i, node in enumerate(self.layers):
             _dispatch(self._COMPILE, node)(self, i, node)
-        # Galois keys cover exactly the planned rotation steps (baby +
-        # giant for BSGS layers, per-diagonal for naive ones);
-        # ``reference_keys`` additionally covers the naive path of every
-        # layer so the reference implementation can run side by side.
-        steps = {s for plan in self.matvec_plans.values() for s in plan.rotation_steps()}
-        steps |= self._pool_steps
-        steps |= self._shard_steps
-        if reference_keys:
-            steps |= {d for plan in self.matvec_plans.values() for d in plan.diag_steps}
         # right-rotation by `size` restores the wraparound replica block
         # before each linear layer (the matvec zeroes slots >= size within
         # each block, so the shifted-in neighbour-block slots are zero)
         self._replicate_step = slots - self.size
-        steps.add(self._replicate_step)
-        galois: tuple = tuple(sorted(steps))
+        self._galois_steps.add(self._replicate_step)
+        galois: tuple = tuple(sorted(self._galois_steps))
         if self._needs_conj:
             # evalmod refreshes separate conjugate halves homomorphically
             galois = galois + ("conj",)
@@ -288,13 +252,20 @@ class EncryptedNetwork:
     # ------------------------------------------------------------------
     # per-node-type compilation
     # ------------------------------------------------------------------
-    def _compile_block_grid(self, i: int, node) -> None:
-        """Compile a ``K_out × K_in`` grid of matvec blocks (sharded
-        linear layers and merge projections share this)."""
+    def _plan_grid(self, i: int, blocks: list, bias_shards: list | None) -> tuple:
+        """Plan a ``K_out × K_in`` grid of matvec blocks.
+
+        Shared by linear layers, merge projections and the attention
+        projections: returns ``(plans, groups, bias slots)`` — the
+        per-block :class:`~repro.fhe.linear.MatvecPlan` grid (``None``
+        where a block is all zero), the matching grouped-diagonal
+        payloads, and the per-output-shard tiled biases (``None`` without
+        any) — and registers every planned rotation step for keygen.
+        """
         slots = self.ctx.slots
         plans_grid: list = []
         groups_grid: list = []
-        for row in node.blocks:
+        for row in blocks:
             plan_row: list = []
             group_row: list = []
             for mat in row:
@@ -311,22 +282,19 @@ class EncryptedNetwork:
                 plan = plan_matvec(diags.keys(), self.size)
                 plan_row.append(plan)
                 group_row.append(grouped_diagonals(diags, plan))
-                self._shard_steps.update(plan.rotation_steps())
+                self._galois_steps.update(plan.rotation_steps())
             if not any(g is not None for g in group_row):
-                # fail at compile like the single-ct path's
-                # all-zero-weight rejection, not at forward time
+                # fail at compile, not at forward time
                 raise ValueError(
                     f"layer {i}: output shard {len(plans_grid)} reads "
                     "no nonzero block (all-zero weight row)"
                 )
             plans_grid.append(plan_row)
             groups_grid.append(group_row)
-        self.shard_plans[i] = plans_grid
-        self.shard_groups[i] = groups_grid
-        if node.bias_shards is not None:
-            slots = self.ctx.slots
+        tiled = None
+        if bias_shards is not None:
             tiled = []
-            for vec in node.bias_shards:
+            for vec in bias_shards:
                 if vec is None:
                     tiled.append(None)
                     continue
@@ -335,35 +303,27 @@ class EncryptedNetwork:
                 tiled.append(
                     tile_blocks(base, slots, self.max_batch, self.block_stride)
                 )
-            self.shard_bias_slots[i] = tiled
+        return plans_grid, groups_grid, tiled
+
+    def _compile_grid(self, i: int, blocks: list, bias_shards: list | None) -> None:
+        plans, groups, biases = self._plan_grid(i, blocks, bias_shards)
+        self.matvec_plans[i] = plans
+        self.matvec_groups[i] = groups
+        if biases is not None:
+            self.matvec_bias_slots[i] = biases
 
     def _compile_matvec(self, i: int, node: MatvecNode) -> None:
         if node.blocks is not None:
-            self._compile_block_grid(i, node)
-            return
-        slots = self.ctx.slots
-        diags = diagonals_of(
-            node.weight,
-            slots,
-            num_blocks=self.max_batch,
-            block_stride=self.block_stride,
-        )
-        plan = plan_matvec(diags.keys(), self.size)
-        self.matvec_plans[i] = plan
-        if plan.use_bsgs:
-            self.linear_groups[i] = bsgs_diagonals(diags, plan)
-        if not plan.use_bsgs or self._reference_keys:
-            self.linear_diagonals[i] = diags
-        if node.bias is not None:
-            bias = np.zeros(self.size)
-            bias[: len(node.bias)] = node.bias
-            self.linear_bias_slots[i] = tile_blocks(
-                bias, slots, self.max_batch, self.block_stride
+            self._compile_grid(i, node.blocks, node.bias_shards)
+        else:
+            # a plain weight is the 1 x 1 grid, its bias the one-element list
+            self._compile_grid(
+                i, [[node.weight]], None if node.bias is None else [node.bias]
             )
 
     def _compile_merge(self, i: int, node: MergeNode) -> None:
         if node.blocks is not None:
-            self._compile_block_grid(i, node)
+            self._compile_grid(i, node.blocks, node.bias_shards)
         if node.tap is None:
             raise ValueError(f"merge layer {i} has no matching residual tap")
         self.merge_taps[i] = node.tap
@@ -373,17 +333,19 @@ class EncryptedNetwork:
         # ladder-tolerated sub-percent drift doubles per rescale
         # and overflows the modulus past ~20 levels
         self.paf_plans[i] = plan_paf_relu(
-            node.paf, node.scale, exact_scales=self.sharded
+            node.paf, node.scale, exact_scales=self.graph.sharded
         )
 
     def _compile_poly(self, i: int, node: PolyNode) -> None:
         from repro.ckks.poly_plan import plan_dense_poly
 
-        self.poly_plans[i] = plan_dense_poly(node.poly, exact_scales=self.sharded)
+        self.poly_plans[i] = plan_dense_poly(
+            node.poly, exact_scales=self.graph.sharded
+        )
 
     def _compile_pool(self, i: int, node: PoolNode) -> None:
         for stage in node.shifts:
-            self._pool_steps.update(s for s in stage if s)
+            self._galois_steps.update(s for s in stage if s)
         self.pool_masks[i] = tile_blocks(
             np.full(self.size, node.pool_scale),
             self.ctx.slots,
@@ -426,7 +388,7 @@ class EncryptedNetwork:
             if step == "conj":
                 self._needs_conj = True
             else:
-                self._shard_steps.add(step)
+                self._galois_steps.add(step)
 
     _COMPILE = {
         MatvecNode: _compile_matvec,
@@ -444,6 +406,10 @@ class EncryptedNetwork:
     # ------------------------------------------------------------------
     # packing
     # ------------------------------------------------------------------
+    #: element counts per input shard (set by the sharded compilers); the
+    #: flat input splits contiguously into these
+    input_splits: list | None = None
+
     def pack_batch(self, xs) -> np.ndarray:
         """Pack up to ``max_batch`` input vectors into one slot vector.
 
@@ -452,31 +418,23 @@ class EncryptedNetwork:
         """
         return pack_batch(xs, self.layout)
 
-    def encrypt_batch(self, xs, ev: CkksEvaluator | None = None) -> Ciphertext:
-        """Pack + encrypt a batch of input vectors into one ciphertext."""
-        return (ev or self.ev).encrypt(self.pack_batch(xs))
-
-    def encrypt_input(self, x: np.ndarray) -> Ciphertext:
-        """Pack + encrypt one input vector (block 0 of the batched layout)."""
-        return self.encrypt_batch([x])
-
-    # ------------------------------------------------------------------
-    # sharded packing
-    # ------------------------------------------------------------------
-    #: element counts per input shard (set by the sharded compilers); the
-    #: flat input splits contiguously into these
-    input_splits: list | None = None
-
     def split_input(self, x) -> list:
-        """Split one flat input vector into per-shard flat vectors."""
+        """Split one flat input vector into per-shard flat vectors.
+
+        Also the width check the server runs at its door: a network
+        that records ``input_splits`` takes exactly their total, any
+        other one anything up to its layer size (zero-padded).
+        """
         x = np.asarray(x, dtype=np.float64).ravel()
-        if self.num_input_shards == 1:
-            return [x]
         if self.input_splits is None:
-            raise ValueError("sharded network has no input_splits recorded")
+            if len(x) > self.size:
+                raise ValueError(
+                    f"input dim {len(x)} exceeds layer size {self.size}"
+                )
+            return [x]
         if len(x) != sum(self.input_splits):
             raise ValueError(
-                f"input dim {len(x)} != sharded total {sum(self.input_splits)}"
+                f"input dim {len(x)} != sharded input dim {sum(self.input_splits)}"
             )
         return list(np.split(x, np.cumsum(self.input_splits)[:-1]))
 
@@ -498,6 +456,15 @@ class EncryptedNetwork:
         """Pack + encrypt one input as a list of shard ciphertexts."""
         return self.encrypt_batch_shards([x])
 
+    def encrypt_batch(self, xs, ev: CkksEvaluator | None = None) -> Ciphertext:
+        """Pack + encrypt a batch of a single-ciphertext network's inputs."""
+        (ct,) = self.encrypt_batch_shards(xs, ev=ev)
+        return ct
+
+    def encrypt_input(self, x: np.ndarray) -> Ciphertext:
+        """Pack + encrypt one input vector (block 0 of the batched layout)."""
+        return self.encrypt_batch([x])
+
     # ------------------------------------------------------------------
     # encrypted forward
     # ------------------------------------------------------------------
@@ -505,214 +472,47 @@ class EncryptedNetwork:
         """Restore every block's replica half: out[i+size] = in[i]."""
         return ev.add(ct, ev.rotate(ct, self._replicate_step))
 
-    def forward(
-        self,
-        ct: Ciphertext,
-        *,
-        encoded=None,
-        ev: CkksEvaluator | None = None,
-        mode: str | None = None,
-    ) -> Ciphertext:
-        """Encrypted forward pass over all packed blocks at once.
-
-        The single-ciphertext IR executor: each node type has one
-        handler.  Matvec nodes (Linear weights and compile-time-lowered
-        convs alike) follow their compiled :class:`MatvecPlan` — BSGS
-        with hoisted baby rotations where that is strictly cheaper, the
-        naive diagonal loop otherwise.  PAF activations follow their
-        compiled :class:`~repro.ckks.poly_plan.ReluPlan` —
-        Paterson–Stockmeyer per component where strictly fewer
-        nonscalar mults, the term-by-term ladder otherwise.  Pool nodes
-        run their rotate-and-sum plan (:meth:`_pool_forward`); affine
-        nodes one slot-wise multiply + shift.  ``mode="reference"``
-        forces the reference implementations everywhere: the naive
-        diagonal loop for every linear layer (compile with
-        ``reference_keys=True`` so its Galois keys exist), per-step
-        rotations instead of hoisted batches for every pool, *and* the
-        ladder for every activation — the differential-testing
-        baseline.  ``mode="plan"`` (the default) runs the compiled
-        plans.
-
-        ``encoded`` is an optional provider of pre-encoded plaintexts for
-        the linear layers — ``encoded(layer_index, level, scale)`` must
-        return ``(payload, bias_slots)`` as :class:`~repro.ckks.Plaintext`
-        values, where ``payload`` matches the layer's plan (grouped
-        ``{giant: {baby: pt}}`` for BSGS layers, flat ``{d: pt}`` for
-        naive ones — see :class:`repro.serve.artifact.ModelArtifact`);
-        without it the cached raw diagonal vectors are encoded on the
-        fly.  ``ev`` overrides the evaluator (worker pools run one
-        evaluator per thread against the shared keys).
-        """
-        reference = _resolve_mode(mode)
-        if self.sharded:
-            raise ValueError(
-                "this network is compiled for multi-ciphertext execution — "
-                "use forward_shards(encrypt_batch_shards(...))"
-            )
-        if reference and encoded is not None:
-            raise ValueError(
-                "pre-encoded payloads follow the per-layer plans; the "
-                "reference path takes raw diagonals only"
-            )
-        ev = ev or self.ev
-        with trace_span(
-            ev,
-            "forward",
-            kind="forward",
-            layers=len(self.layers),
-            backend=self.ctx.backend.name,
-        ) as root:
-            root.ct_entry(ct)
-            for i, node in enumerate(self.layers):
-                with self._layer_span(ev, i, node) as sp:
-                    sp.ct_entry(ct)
-                    handler = _dispatch(self._EXEC_SINGLE, node)
-                    ct = handler(self, i, node, ct, ev, reference, encoded)
-                    sp.ct_exit(ct, level_slack=ct.level - self._depth_after[i])
-            root.ct_exit(ct)
-        return ct
-
-    # --- single-ciphertext node handlers -------------------------------
-    def _exec_matvec(self, i, node, ct, ev, reference, encoded):
-        if i > 0:
-            ct = self._replicate(ct, ev)
-        bsgs = self.matvec_plans[i].use_bsgs and not reference
-        if not bsgs and i not in self.linear_diagonals:
-            raise ValueError(
-                "naive reference path unavailable: compile with "
-                "reference_keys=True to retain flat diagonals and keys"
-            )
-        if encoded is not None:
-            payload, bias_slots = encoded(i, ct.level, ct.scale)
-        else:
-            payload = self.linear_groups[i] if bsgs else self.linear_diagonals[i]
-            bias_slots = self.linear_bias_slots.get(i)
-        if bsgs:
-            return encrypted_matvec_bsgs(ev, ct, groups=payload, bias_slots=bias_slots)
-        return encrypted_matvec(ev, ct, diagonals=payload, bias_slots=bias_slots)
-
-    def _exec_pool(self, i, node, ct, ev, reference, encoded):
-        return self._pool_forward(ct, i, ev, reference=reference)
-
-    def _exec_affine(self, i, node, ct, ev, reference, encoded):
-        ct = ev.rescale(ev.mul_plain(ct, self.affine_scale_slots[i]))
-        return ev.add_plain(ct, self.affine_shift_slots[i])
-
-    def _exec_paf(self, i, node, ct, ev, reference, encoded):
-        return eval_paf_relu(
-            ev,
-            ct,
-            node.paf,
-            scale=node.scale,
-            plan=self.paf_plans[i],
-            reference=reference,
-        )
-
-    def _exec_poly(self, i, node, ct, ev, reference, encoded):
-        from repro.ckks.poly_eval import eval_dense_poly
-
-        return eval_dense_poly(
-            ev, ct, node.poly, plan=self.poly_plans[i], reference=reference
-        )
-
-    def _exec_refresh(self, i, node, ct, ev, reference, encoded):
-        from repro.ckks.bootstrap import refresh
-
-        return refresh(ev, ct, self.refresh_plans[i])
-
-    _EXEC_SINGLE = {
-        MatvecNode: _exec_matvec,
-        PoolNode: _exec_pool,
-        AffineNode: _exec_affine,
-        PafNode: _exec_paf,
-        PolyNode: _exec_poly,
-        RefreshNode: _exec_refresh,
-    }
-
-    def _layer_span(self, ev: CkksEvaluator, i: int, node: IRNode):
-        """Per-layer tracing span (a shared no-op when ``ev`` has no tracer)."""
-        return trace_span(
-            ev, f"layer{i:02d}:{node.kind}", kind="layer", layer=i, op=node.kind
-        )
-
-    def _pool_forward(
-        self, ct: Ciphertext, i: int, ev: CkksEvaluator, reference: bool = False
-    ) -> Ciphertext:
-        """Average pool: rotate-and-sum per axis, then one masked scalar mult.
-
-        Stage 1 sums the window columns (``k-1`` hoisted rotations by the
-        column stride), stage 2 the window rows — separable, so ``2(k-1)``
-        keyswitches instead of ``k²-1``.  Each stage's rotations act on
-        one ciphertext and share a hoisted decomposition
-        (``reference`` mode rotates one by one instead).  Valid sums land
-        at the window-corner slots of the input grid (the compile-time
-        :class:`~repro.fhe.packing.GridLayout` the next layer's matrix is
-        lowered against); everything else — including the replica halves
-        and the neighbour-block spill the full-slot rotations produce —
-        is garbage, and the final ``1/window`` multiply is *masked* to
-        ``[0, size)`` of each block so the replica halves leave this
-        layer exactly zero again, preserving the invariant
-        :meth:`_replicate` relies on.  One rescale: the pool consumes one
-        level, like a linear layer.
-        """
-        stages = [
-            [s for s in stage if s] for stage in self.layers[i].shifts
-        ]
-        with trace_span(
-            ev, "pool:reduce", kind="exec", stages=sum(1 for s in stages if s)
-        ) as sp:
-            sp.ct_entry(ct)
-            for stage in stages:
-                if not stage:
-                    continue
-                if reference:
-                    rotated = {s: ev.rotate(ct, s) for s in stage}
-                else:
-                    rotated = ev.rotate_many(ct, stage)
-                for s in stage:
-                    ct = ev.add(ct, rotated[s])
-            ct = ev.rescale(ev.mul_plain(ct, self.pool_masks[i]))
-            sp.ct_exit(ct)
-        return ct
-
-    # ------------------------------------------------------------------
-    # sharded encrypted forward
-    # ------------------------------------------------------------------
     def forward_shards(
         self,
         cts,
         *,
         encoded=None,
         ev: CkksEvaluator | None = None,
-        mode: str | None = None,
         executor=None,
     ) -> list:
-        """Encrypted forward over a channel-sharded ciphertext list.
+        """Encrypted forward over the ciphertext list — the one executor.
 
-        The multi-ciphertext twin of :meth:`forward`: ``cts`` is one
-        ciphertext per input shard (``encrypt_batch_shards``), and the
-        return value one per output shard of the last layer (a compiled
-        classifier head always lands on a single shard).  Matvec nodes
-        run :func:`~repro.fhe.linear.encrypted_matvec_shards` over their
-        ``K_out × K_in`` grouped-diagonal blocks; ``residual`` taps push
-        the live shard list onto a branch stack; ``merge`` pops it,
-        applies the projection blocks (if any) to the *saved* branch at
-        its own — higher — level, aligns the skip to the main branch's
-        exact (level, scale) via ``align_to`` and adds shard-wise.  PAF,
-        pool, dense-poly and attention nodes apply per shard / per the
-        node's own dance; ``reduce`` sums the live shards into one.
+        ``cts`` is one ciphertext per input shard
+        (``encrypt_batch_shards``; a single-ciphertext network's list
+        has one element), and the return value one per output shard of
+        the last layer (a compiled classifier head always lands on a
+        single shard).  One loop over the typed nodes, one handler per
+        node type: matvec nodes (Linear weights and compile-time-lowered
+        convs alike) run :func:`~repro.fhe.linear.encrypted_matvec_shards`
+        over their ``K_out × K_in`` grouped-diagonal blocks — BSGS with
+        hoisted baby rotations where that is strictly cheaper per block;
+        ``residual`` taps push the live shard list onto a branch stack;
+        ``merge`` pops it, applies the projection blocks (if any) to the
+        *saved* branch at its own — higher — level, aligns the skip to
+        the main branch's exact (level, scale) via ``align_to`` and adds
+        shard-wise.  PAF activations follow their compiled
+        :class:`~repro.ckks.poly_plan.ReluPlan` (Paterson–Stockmeyer per
+        component where strictly fewer nonscalar mults), pools their
+        rotate-and-sum plan (:meth:`_pool_forward`), dense polynomials
+        and refreshes their plans — each per shard; attention runs its
+        own dance; ``reduce`` sums the live shards into one.
 
-        ``encoded`` is the same pre-encoded-plaintext provider contract
-        as :meth:`forward`, extended to sharded layers: for a sharded
-        linear or merge layer ``encoded(i, level, scale)`` must return
-        ``(blocks, biases)`` with the grid/list structure of
-        ``shard_groups[i]`` / ``shard_bias_slots.get(i)`` but holding
-        :class:`~repro.ckks.Plaintext` values; merges are queried at the
-        *saved branch's* (level, scale).  ``mode="reference"`` selects
-        the per-step rotation pool path and the ladder activation path,
-        as in :meth:`forward` (sharded matvecs have a single, grouped
-        execution — their plan already names the cheaper path per
-        block).
+        ``encoded`` is an optional provider of pre-encoded plaintexts
+        for the linear layers and merge projections:
+        ``encoded(i, level, scale)`` must return ``(blocks, biases)``
+        with the grid / list structure of ``matvec_groups[i]`` /
+        ``matvec_bias_slots.get(i)`` but holding
+        :class:`~repro.ckks.Plaintext` values (see
+        :class:`repro.serve.artifact.ModelArtifact`); merges are queried
+        at the *saved branch's* (level, scale).  Without it the cached
+        raw diagonal vectors are encoded on the fly.  ``ev`` overrides
+        the evaluator (worker pools run one evaluator per thread against
+        the shared keys).
 
         ``executor`` is an optional
         :class:`~repro.serve.executor.BlockExecutor` scheduling the
@@ -722,13 +522,17 @@ class EncryptedNetwork:
         Deterministic ops make executor choice invisible in the
         ciphertexts; it only buys wall time on multi-shard models.
         """
-        reference = _resolve_mode(mode)
         ev = ev or self.ev
         cts = list(cts)
+        if len(cts) != self.num_input_shards:
+            raise ValueError(
+                f"this network takes {self.num_input_shards} input "
+                f"ciphertext(s) (encrypt_batch_shards), got {len(cts)}"
+            )
         stack: list = []
         with trace_span(
             ev,
-            "forward_shards",
+            "forward",
             kind="forward",
             layers=len(self.layers),
             shards=len(cts),
@@ -736,50 +540,50 @@ class EncryptedNetwork:
         ) as root:
             root.ct_entry(cts)
             for i, node in enumerate(self.layers):
-                with self._layer_span(ev, i, node) as sp:
+                with trace_span(
+                    ev, f"layer{i:02d}:{node.kind}", kind="layer", layer=i, op=node.kind
+                ) as sp:
                     sp.ct_entry(cts)
-                    handler = _dispatch(self._EXEC_SHARDED, node)
-                    cts = handler(
-                        self, i, node, cts, ev, reference, encoded, executor, stack
-                    )
+                    handler = _dispatch(self._EXEC, node)
+                    cts = handler(self, i, node, cts, ev, encoded, executor, stack)
                     sp.ct_exit(cts, level_slack=cts[0].level - self._depth_after[i])
             root.ct_exit(cts)
         return cts
 
-    # --- sharded node handlers ----------------------------------------
-    def _exec_matvec_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
-        if node.blocks is None:
-            raise ValueError(
-                f"layer {i}: single-ciphertext linear inside a sharded "
-                "network (compile it with shard blocks)"
-            )
-        if i > 0:
-            cts = [self._replicate(ct, ev) for ct in cts]
+    def forward(
+        self, ct: Ciphertext, *, encoded=None, ev: CkksEvaluator | None = None
+    ) -> Ciphertext:
+        """:meth:`forward_shards` for a single-ciphertext network: one
+        ciphertext in, one out."""
+        (out,) = self.forward_shards([ct], encoded=encoded, ev=ev)
+        return out
+
+    # --- node handlers -------------------------------------------------
+    def _grid_matvec(self, i, cts, ev, encoded, executor) -> list:
+        """Node ``i``'s block-grid matvec over replicated shards."""
         if encoded is not None:
             payload, biases = encoded(i, cts[0].level, cts[0].scale)
         else:
-            payload = self.shard_groups[i]
-            biases = self.shard_bias_slots.get(i)
+            payload = self.matvec_groups[i]
+            biases = self.matvec_bias_slots.get(i)
         return encrypted_matvec_shards(
             ev, cts, payload, bias_slots=biases, executor=executor
         )
 
-    def _exec_residual_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
+    def _exec_matvec(self, i, node, cts, ev, encoded, executor, stack):
+        if i > 0:
+            cts = [self._replicate(ct, ev) for ct in cts]
+        return self._grid_matvec(i, cts, ev, encoded, executor)
+
+    def _exec_residual(self, i, node, cts, ev, encoded, executor, stack):
         stack.append(cts)
         return cts
 
-    def _exec_merge_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
+    def _exec_merge(self, i, node, cts, ev, encoded, executor, stack):
         skip = stack.pop()
         if node.blocks is not None:
             skip = [self._replicate(ct, ev) for ct in skip]
-            if encoded is not None:
-                payload, biases = encoded(i, skip[0].level, skip[0].scale)
-            else:
-                payload = self.shard_groups[i]
-                biases = self.shard_bias_slots.get(i)
-            skip = encrypted_matvec_shards(
-                ev, skip, payload, bias_slots=biases, executor=executor
-            )
+            skip = self._grid_matvec(i, skip, ev, encoded, executor)
         if len(skip) != len(cts):
             raise ValueError(
                 f"merge layer {i}: skip branch has {len(skip)} shards, "
@@ -801,41 +605,37 @@ class EncryptedNetwork:
             msp.ct_exit(cts)
         return cts
 
-    def _exec_pool_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
+    def _exec_pool(self, i, node, cts, ev, encoded, executor, stack):
         return self._map_shards(
-            executor,
-            [
-                lambda ct=ct, i=i: self._pool_forward(ct, i, ev, reference=reference)
-                for ct in cts
-            ],
+            executor, lambda ct: self._pool_forward(ct, i, ev), cts
         )
 
-    def _exec_paf_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
+    def _exec_affine(self, i, node, cts, ev, encoded, executor, stack):
+        if len(cts) > 1:
+            raise ValueError(
+                f"layer {i} kind {node.kind!r} has no sharded execution "
+                "(BatchNorm must be folded into a conv when sharding)"
+            )
+        ct = ev.rescale(ev.mul_plain(cts[0], self.affine_scale_slots[i]))
+        return [ev.add_plain(ct, self.affine_shift_slots[i])]
+
+    def _exec_paf(self, i, node, cts, ev, encoded, executor, stack):
+        plan = self.paf_plans[i]
         return self._map_shards(
             executor,
-            [
-                lambda ct=ct, i=i: eval_paf_relu(
-                    ev, ct, node.paf, scale=node.scale,
-                    plan=self.paf_plans[i], reference=reference,
-                )
-                for ct in cts
-            ],
+            lambda ct: eval_paf_relu(ev, ct, node.paf, scale=node.scale, plan=plan),
+            cts,
         )
 
-    def _exec_poly_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
+    def _exec_poly(self, i, node, cts, ev, encoded, executor, stack):
         from repro.ckks.poly_eval import eval_dense_poly
 
+        plan = self.poly_plans[i]
         return self._map_shards(
-            executor,
-            [
-                lambda ct=ct, i=i: eval_dense_poly(
-                    ev, ct, node.poly, plan=self.poly_plans[i], reference=reference
-                )
-                for ct in cts
-            ],
+            executor, lambda ct: eval_dense_poly(ev, ct, node.poly, plan=plan), cts
         )
 
-    def _exec_reduce_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
+    def _exec_reduce(self, i, node, cts, ev, encoded, executor, stack):
         with trace_span(ev, "reduce:shards", kind="exec", shards=len(cts)) as sp:
             sp.ct_entry(cts)
             acc = cts[0]
@@ -844,50 +644,69 @@ class EncryptedNetwork:
             sp.ct_exit(acc)
         return [acc]
 
-    def _exec_attention_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
+    def _exec_attention(self, i, node, cts, ev, encoded, executor, stack):
         from repro.fhe.transformer import attention_forward
 
-        return attention_forward(
-            self, i, node, cts, ev, reference=reference, executor=executor
-        )
+        return attention_forward(self, i, node, cts, ev, executor=executor)
 
-    def _exec_affine_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
-        raise ValueError(
-            f"layer {i} kind {node.kind!r} has no sharded execution "
-            "(BatchNorm must be folded into a conv when sharding)"
-        )
-
-    def _exec_refresh_shards(self, i, node, cts, ev, reference, encoded, executor, stack):
+    def _exec_refresh(self, i, node, cts, ev, encoded, executor, stack):
         from repro.ckks.bootstrap import refresh
 
         plan = self.refresh_plans[i]
-        return self._map_shards(
-            executor, [lambda ct=ct: refresh(ev, ct, plan) for ct in cts]
-        )
+        return self._map_shards(executor, lambda ct: refresh(ev, ct, plan), cts)
 
-    _EXEC_SHARDED = {
-        MatvecNode: _exec_matvec_shards,
-        ResidualTapNode: _exec_residual_shards,
-        MergeNode: _exec_merge_shards,
-        PoolNode: _exec_pool_shards,
-        PafNode: _exec_paf_shards,
-        PolyNode: _exec_poly_shards,
-        ReduceNode: _exec_reduce_shards,
-        AttentionNode: _exec_attention_shards,
-        AffineNode: _exec_affine_shards,
-        RefreshNode: _exec_refresh_shards,
+    _EXEC = {
+        MatvecNode: _exec_matvec,
+        ResidualTapNode: _exec_residual,
+        MergeNode: _exec_merge,
+        PoolNode: _exec_pool,
+        AffineNode: _exec_affine,
+        PafNode: _exec_paf,
+        PolyNode: _exec_poly,
+        ReduceNode: _exec_reduce,
+        AttentionNode: _exec_attention,
+        RefreshNode: _exec_refresh,
     }
 
-    def _map_shards(self, executor, fns) -> list:
-        """Run per-shard closures, optionally on a block executor."""
-        if executor is None or len(fns) <= 1:
-            return [fn() for fn in fns]
-        return executor.map_blocks(fns, ctx=self.ctx)
+    def _map_shards(self, executor, fn, cts) -> list:
+        """Apply ``fn`` to every shard, optionally on a block executor."""
+        if executor is None or len(cts) <= 1:
+            return [fn(ct) for ct in cts]
+        return executor.map_blocks([lambda ct=ct: fn(ct) for ct in cts], ctx=self.ctx)
 
-    def predict_shards(self, x: np.ndarray, num_classes: int) -> int:
-        """Sharded round trip: encrypt shards -> forward -> decrypt -> argmax."""
-        out = self.forward_shards(self.encrypt_input_shards(x))
-        return int(np.argmax(self.decrypt_logits(out[0], num_classes)))
+    def _pool_forward(self, ct: Ciphertext, i: int, ev: CkksEvaluator) -> Ciphertext:
+        """Average pool: rotate-and-sum per axis, then one masked scalar mult.
+
+        Stage 1 sums the window columns (``k-1`` hoisted rotations by the
+        column stride), stage 2 the window rows — separable, so ``2(k-1)``
+        keyswitches instead of ``k²-1``.  Each stage's rotations act on
+        one ciphertext and share a hoisted decomposition.  Valid sums land
+        at the window-corner slots of the input grid (the compile-time
+        :class:`~repro.fhe.packing.GridLayout` the next layer's matrix is
+        lowered against); everything else — including the replica halves
+        and the neighbour-block spill the full-slot rotations produce —
+        is garbage, and the final ``1/window`` multiply is *masked* to
+        ``[0, size)`` of each block so the replica halves leave this
+        layer exactly zero again, preserving the invariant
+        :meth:`_replicate` relies on.  One rescale: the pool consumes one
+        level, like a linear layer.
+        """
+        stages = [
+            [s for s in stage if s] for stage in self.layers[i].shifts
+        ]
+        with trace_span(
+            ev, "pool:reduce", kind="exec", stages=sum(1 for s in stages if s)
+        ) as sp:
+            sp.ct_entry(ct)
+            for stage in stages:
+                if not stage:
+                    continue
+                rotated = ev.rotate_many(ct, stage)
+                for s in stage:
+                    ct = ev.add(ct, rotated[s])
+            ct = ev.rescale(ev.mul_plain(ct, self.pool_masks[i]))
+            sp.ct_exit(ct)
+        return ct
 
     # ------------------------------------------------------------------
     # static schedule
@@ -936,23 +755,21 @@ class EncryptedNetwork:
         values = ev.decrypt(ct, num_values=span)
         return unpack_blocks(values, self.layout, num_classes, batch)
 
-    def predict(self, x: np.ndarray, num_classes: int) -> int:
-        """Full round trip: encrypt -> encrypted forward -> decrypt -> argmax."""
-        logits = self.decrypt_logits(self.forward(self.encrypt_input(x)), num_classes)
-        return int(np.argmax(logits))
-
     def predict_batch(self, xs, num_classes: int) -> np.ndarray:
         """One SIMD round trip for up to ``max_batch`` inputs; argmax per row."""
-        ct = self.forward(self.encrypt_batch(xs))
+        (ct,) = self.forward_shards(self.encrypt_batch_shards(xs))
         logits = self.decrypt_logits(ct, num_classes, batch=len(xs))
         return logits.argmax(axis=1)
+
+    def predict(self, x: np.ndarray, num_classes: int) -> int:
+        """Full round trip: encrypt -> encrypted forward -> decrypt -> argmax."""
+        return int(self.predict_batch([x], num_classes)[0])
 
 
 def compile_mlp(
     model: Module,
     params: CkksParams,
     seed: int = 0,
-    reference_keys: bool = False,
     policy: CompilePolicy | None = None,
 ) -> EncryptedNetwork:
     """Compile a (PAF-approximated) ``repro.nn`` MLP for encrypted inference.
@@ -963,13 +780,12 @@ def compile_mlp(
     ``repro.nn.models.MLP`` after SMART-PAF replacement), and lowers
     them to :class:`~repro.fhe.ir.MatvecNode` / PafNode sequences.
     Exact ReLU layers are rejected — replace them first; that is the whole
-    point of the paper.  ``reference_keys`` additionally generates the
-    Galois keys the naive reference path needs (differential testing).
-    A ``policy`` (:class:`~repro.fhe.ir.CompilePolicy`) overrides
-    ``seed`` / ``reference_keys`` and carries the refresh policy.
+    point of the paper.  A ``policy``
+    (:class:`~repro.fhe.ir.CompilePolicy`) overrides ``seed`` and
+    carries the refresh policy.
     """
     if policy is not None:
-        seed, reference_keys = policy.seed, policy.reference_keys
+        seed = policy.seed
     nodes: list[IRNode] = []
     widths: list[int] = []
     for name, mod in model.named_modules():
@@ -995,9 +811,5 @@ def compile_mlp(
             padded[: node.weight.shape[0], : node.weight.shape[1]] = node.weight
             node.weight = padded
     return EncryptedNetwork(
-        Graph(nodes, size=size),
-        params=params,
-        seed=seed,
-        reference_keys=reference_keys,
-        policy=policy,
+        Graph(nodes, size=size), params=params, seed=seed, policy=policy
     )

@@ -77,14 +77,10 @@ TOY_RESNET_SHARDS = 2
 TOY_TRANSFORMER_PARAMS = CkksParams(n=512, scale_bits=27, depth=33, scale_tracking=True)
 
 
-def compiled_toy(
-    reference_keys: bool = False, with_model: bool = False
-) -> EncryptedNetwork | tuple:
+def compiled_toy(with_model: bool = False) -> EncryptedNetwork | tuple:
     """Build, PAF-replace, calibrate and compile the toy MLP.
 
-    ``reference_keys`` additionally generates the naive-path Galois keys
-    (differential / op-count testing); ``with_model`` also returns the
-    plaintext model (in eval mode).
+    ``with_model`` also returns the plaintext model (in eval mode).
     """
     # imported here: repro.core pulls in the full training stack, which
     # ordinary repro.fhe users (and its import time) should not pay for
@@ -97,7 +93,7 @@ def compiled_toy(
     replace_all(model, get_paf("f1g2"), np.zeros((1, 8)))
     calibrate_static_scales(model, [rng.normal(size=(64, 8))])
     convert_to_static(model)
-    enc = compile_mlp(model, TOY_PARAMS, seed=0, reference_keys=reference_keys)
+    enc = compile_mlp(model, TOY_PARAMS, seed=0)
     model.eval()
     return (model, enc) if with_model else enc
 
@@ -258,7 +254,6 @@ def toy_transformer_model(epochs: int = 2, seed: int = 0):
 
 
 def compiled_toy_transformer(
-    reference_keys: bool = False,
     with_model: bool = False,
     params: CkksParams | None = None,
 ) -> EncryptedNetwork | tuple:
@@ -292,7 +287,7 @@ def compiled_toy_transformer(
     enc = compile_network(
         model,
         params or TOY_TRANSFORMER_PARAMS,
-        policy=CompilePolicy(seed=0, reference_keys=reference_keys),
+        policy=CompilePolicy(seed=0),
     )
     return (model, enc) if with_model else enc
 
@@ -332,7 +327,6 @@ def toy_transformer_stacked_model(epochs: int = 2, seed: int = 0):
 
 
 def compiled_toy_transformer_stacked(
-    reference_keys: bool = False,
     with_model: bool = False,
     params: CkksParams | None = None,
 ) -> EncryptedNetwork | tuple:
@@ -364,14 +358,12 @@ def compiled_toy_transformer_stacked(
         refresh_method="recrypt",
         rtol=1e-3,
         seed=0,
-        reference_keys=reference_keys,
     )
     enc = compile_network(model, params or TOY_TRANSFORMER_PARAMS, policy=policy)
     return (model, enc) if with_model else enc
 
 
 def compiled_toy_cnn(
-    reference_keys: bool = False,
     with_model: bool = False,
     fold_bn: bool = True,
     params: CkksParams | None = None,
@@ -379,8 +371,7 @@ def compiled_toy_cnn(
     """Train, PAF-replace, calibrate and compile the toy CNN.
 
     The shared fixture behind the CNN differential tests, the serving
-    suite and the CI op-count gate.  ``reference_keys`` additionally
-    generates the naive-path Galois keys; ``fold_bn=False`` keeps
+    suite and the CI op-count gate.  ``fold_bn=False`` keeps
     BatchNorm as a standalone affine layer (one extra level — pass
     ``params`` with ``depth >= 11``); ``with_model`` also returns the
     plaintext model (in eval mode).
@@ -399,7 +390,6 @@ def compiled_toy_cnn(
         TOY_CNN_INPUT_SHAPE,
         params or TOY_CNN_PARAMS,
         seed=0,
-        reference_keys=reference_keys,
         fold_bn=fold_bn,
     )
     return (model, enc) if with_model else enc

@@ -36,14 +36,7 @@ import numpy as np
 from repro.ckks.instrumentation import span as trace_span
 from repro.ckks.poly_eval import eval_dense_poly
 from repro.ckks.poly_plan import plan_dense_poly
-from repro.fhe.linear import (
-    bsgs_diagonals,
-    diagonals_of,
-    encrypted_matvec,
-    encrypted_matvec_bsgs,
-    plan_matvec,
-    tile_blocks,
-)
+from repro.fhe.linear import encrypted_matvec_shards, tile_blocks
 
 __all__ = [
     "compile_attention_state",
@@ -89,25 +82,11 @@ def compile_attention_state(net, i: int, node) -> dict:
         ("v", node.wv, node.bv),
         ("o", node.wo, node.bo),
     ):
-        diags = diagonals_of(
-            _pad_square(w, size),
-            slots,
-            num_blocks=net.max_batch,
-            block_stride=net.block_stride,
+        # each projection is a 1 x 1 grid applied to every token shard
+        _, groups, biases = net._plan_grid(
+            i, [[_pad_square(w, size)]], None if b is None else [b]
         )
-        plan = plan_matvec(diags.keys(), size)
-        net._shard_steps.update(plan.rotation_steps())
-        if net._reference_keys:
-            net._shard_steps.update(plan.diag_steps)
-        groups = bsgs_diagonals(diags, plan) if plan.use_bsgs else None
-        if plan.use_bsgs and not net._reference_keys:
-            diags = None
-        bias_slots = None
-        if b is not None:
-            base = np.zeros(size)
-            base[: len(b)] = b
-            bias_slots = tile_blocks(base, slots, net.max_batch, net.block_stride)
-        state["proj"][name] = (plan, groups, diags, bias_slots)
+        state["proj"][name] = (groups, biases)
 
     score_scale = node.score_scale or 1.0 / np.sqrt(dim)
     place, extract = [], []
@@ -135,24 +114,16 @@ def compile_attention_state(net, i: int, node) -> dict:
     steps |= {slots - j for j in range(1, seq)}
     steps |= set(range(1, seq))
     steps |= {slots - s for s in _doubling_steps(net.block_stride)}
-    net._shard_steps.update(steps)
+    net._galois_steps.update(steps)
 
     state["exp_plan"] = plan_dense_poly(node.exp_poly, exact_scales=True)
     return state
 
 
-def _proj_matvec(net, ev, state: dict, name: str, ct, reference: bool):
-    """One Q/K/V/O projection: per-shard matvec following its plan."""
-    plan, groups, diags, bias_slots = state["proj"][name]
-    bsgs = plan.use_bsgs and not reference
-    if not bsgs and diags is None:
-        raise ValueError(
-            "naive reference path unavailable: compile with "
-            "reference_keys=True to retain flat diagonals and keys"
-        )
-    if bsgs:
-        return encrypted_matvec_bsgs(ev, ct, groups=groups, bias_slots=bias_slots)
-    return encrypted_matvec(ev, ct, diagonals=diags, bias_slots=bias_slots)
+def _proj_matvec(ev, state: dict, name: str, ct):
+    """One Q/K/V/O projection of one token shard."""
+    groups, biases = state["proj"][name]
+    return encrypted_matvec_shards(ev, [ct], groups, bias_slots=biases)[0]
 
 
 def _rotate_sum(ev, ct, steps: list):
@@ -169,16 +140,13 @@ def _broadcast_right(ev, ct, steps: list, slots: int):
     return ct
 
 
-def attention_forward(
-    net, i: int, node, cts, ev, *, reference: bool = False, executor=None
-) -> list:
+def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
     """Execute one attention node over the per-token ciphertext shards.
 
     Returns one output shard per token, ``level_cost()`` levels below
     the input, with zeroed replica halves (the output projection's
     masked matvec restores the block invariant the next layer relies
-    on).  ``reference`` selects the naive matvec and ladder-``exp``
-    paths, as everywhere else.
+    on).
     """
     state = net.attention_states[i]
     seq, dim = node.seq, node.dim
@@ -194,26 +162,11 @@ def attention_forward(
     with trace_span(ev, "attention:qkv", kind="exec", shards=seq) as sp:
         sp.ct_entry(cts)
         xs = [net._replicate(ct, ev) for ct in cts]
-        qs = net._map_shards(
-            executor,
-            [
-                lambda x=x: _proj_matvec(net, ev, state, "q", x, reference)
-                for x in xs
-            ],
-        )
-        ks = net._map_shards(
-            executor,
-            [
-                lambda x=x: _proj_matvec(net, ev, state, "k", x, reference)
-                for x in xs
-            ],
-        )
-        vs = net._map_shards(
-            executor,
-            [
-                lambda x=x: _proj_matvec(net, ev, state, "v", x, reference)
-                for x in xs
-            ],
+        qs, ks, vs = (
+            net._map_shards(
+                executor, lambda x, name=name: _proj_matvec(ev, state, name, x), xs
+            )
+            for name in "qkv"
         )
         sp.ct_exit(qs)
 
@@ -239,9 +192,7 @@ def attention_forward(
         z = ev.sub(scores, mean)
 
         # softmax PAF: range-reduced exp, window sum, Newton reciprocal
-        e = eval_dense_poly(
-            ev, z, node.exp_poly, plan=state["exp_plan"], reference=reference
-        )
+        e = eval_dense_poly(ev, z, node.exp_poly, plan=state["exp_plan"])
         for _ in range(node.exp_squarings):
             e = ev.rescale(ev.square(e))
         total = _rotate_sum(ev, e, seq_steps)
@@ -269,19 +220,16 @@ def attention_forward(
             )
             mix = term if mix is None else ev.add(mix, term)
         out = net._replicate(mix, ev)
-        return _proj_matvec(net, ev, state, "o", out, reference)
+        return _proj_matvec(ev, state, "o", out)
 
     with trace_span(ev, "attention:mix", kind="exec", shards=seq) as sp:
         sp.ct_entry(cts)
-        outs = net._map_shards(
-            executor, [lambda q=q: one_query(q) for q in qs]
-        )
+        outs = net._map_shards(executor, one_query, qs)
         sp.ct_exit(outs)
     return outs
 
 
-def compile_transformer(model, params, *, seed: int = 0, reference_keys: bool = False,
-                        policy=None):
+def compile_transformer(model, params, *, seed: int = 0, policy=None):
     """Lower a :class:`~repro.nn.models.transformer.ToyTransformer`.
 
     One ciphertext shard per token.  The lowering opens with an
@@ -318,7 +266,7 @@ def compile_transformer(model, params, *, seed: int = 0, reference_keys: bool = 
     from repro.fhe.network import EncryptedNetwork
 
     if policy is not None:
-        seed, reference_keys = policy.seed, policy.reference_keys
+        seed = policy.seed
     blocks = getattr(model, "blocks", None) or [model]
     for blk in blocks:
         if not isinstance(blk.softmax, PAFSoftmax) or not isinstance(
@@ -390,7 +338,4 @@ def compile_transformer(model, params, *, seed: int = 0, reference_keys: bool = 
         input_splits=[dim] * seq,
         metadata={"model": name, "num_blocks": len(blocks)},
     )
-    return EncryptedNetwork(
-        graph, params=params, seed=seed, reference_keys=reference_keys,
-        policy=policy,
-    )
+    return EncryptedNetwork(graph, params=params, seed=seed, policy=policy)

@@ -14,10 +14,10 @@ Attach a tracer by wrapping any evaluator in :class:`TracingEvaluator`
 and passing it where an evaluator goes::
 
     tev = TracingEvaluator(enc.ev)
-    out = enc.forward(ct, ev=tev)
+    outs = enc.forward_shards(cts, ev=tev)
     trace = tev.tracer.to_dict()            # JSON-ready span tree
 
-The instrumented executors discover the tracer through the ``tracer``
+The instrumented executor discovers the tracer through the ``tracer``
 attribute via :func:`repro.ckks.instrumentation.span`; an evaluator
 without one costs a single failed attribute lookup per span site and
 nothing else — tracing is provably non-perturbing (the tracer only ever

@@ -15,12 +15,13 @@ activation-constant cache below — with two caches keyed on
 ``(value digest, level, scale)``:
 
 * the explicit diagonal/bias path — :meth:`ModelArtifact.encoded_linear`
-  hands the matvec executors ready-made :class:`~repro.ckks.Plaintext`
-  objects following each layer's :class:`~repro.fhe.linear.MatvecPlan`:
-  pre-rotated giant-step groups for BSGS layers
-  (:func:`repro.fhe.linear.encrypted_matvec_bsgs`), flat tiled diagonals
-  for naive ones, and the bias encoded at the *post-rescale* level and
-  scale, so it lands exactly where the matvec adds it;
+  hands the matvec executor
+  (:func:`repro.fhe.linear.encrypted_matvec_shards`) ready-made
+  :class:`~repro.ckks.Plaintext` objects in the shape of each layer's
+  ``K_out × K_in`` grid of grouped diagonals (``1 × 1`` for a
+  single-ciphertext layer), and the per-output-shard biases encoded at
+  the *post-rescale* level and scale, so they land exactly where the
+  matvec adds them;
 * the activation-constant path — :meth:`ModelArtifact.prewarm_activations`
   walks each PAF layer's compiled :class:`~repro.ckks.poly_plan.ReluPlan`
   and pre-encodes every coefficient leaf and the ReLU gate constant at
@@ -37,9 +38,9 @@ encoding — every encode is a dictionary hit.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import pickle
-import warnings
 from collections import OrderedDict
 from threading import Lock
 
@@ -58,6 +59,26 @@ _CACHE_FORMAT = "repro-artifact-cache-v1"
 
 class ArtifactMismatchError(RuntimeError):
     """A persisted cache was built for a different compiled model."""
+
+
+def _feed_digest(h, value) -> None:
+    """Feed one node payload value into ``h``: arrays by their bytes,
+    PAFs / polynomials by their coefficients, containers element-wise,
+    scalars and strings by ``repr``."""
+    if isinstance(value, np.ndarray):
+        h.update(repr(value.shape).encode())
+        h.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+    elif isinstance(value, (list, tuple)):
+        h.update(b"[")
+        for item in value:
+            _feed_digest(h, item)
+        h.update(b"]")
+    elif hasattr(value, "components"):  # CompositePAF
+        _feed_digest(h, value.components)
+    elif hasattr(value, "coeffs"):  # OddPolynomial / Polynomial
+        _feed_digest(h, value.coeffs)
+    else:
+        h.update(repr(value).encode() + b";")
 
 
 class PlaintextCache:
@@ -195,19 +216,7 @@ class ModelArtifact:
             model.ev.encoder = CachingEncoder(base_encoder, self.cache)
 
     @classmethod
-    def compile(
-        cls,
-        nn_model,
-        params,
-        seed: int | None = None,
-        *,
-        policy=None,
-        input_shape: tuple | None = None,
-        num_shards: int | None = None,
-        reference_keys: bool | None = None,
-        fold_bn: bool | None = None,
-        **kwargs,
-    ) -> "ModelArtifact":
+    def compile(cls, nn_model, params, *, policy=None, **kwargs) -> "ModelArtifact":
         """:func:`repro.fhe.ir.compile_network` + wrap, in one step.
 
         The single serving-side compile entry: all compile options ride
@@ -217,55 +226,30 @@ class ModelArtifact:
         Linear/PAF stacks to the MLP lowering, conv stacks to the CNN
         lowering (policy ``input_shape``), residual nets to the sharded
         ResNet lowering, transformers to the token-sharded attention
-        lowering.  A sharded compile yields an artifact whose
-        :meth:`forward` takes and returns shard *lists*, with every
-        per-shard-pair diagonal block (including merge projections,
-        keyed at the skip branch's level) pre-encoded through the same
-        cache.  Remaining ``kwargs`` go to the :class:`ModelArtifact`
-        constructor.  The loose kwargs (``seed=``, ``input_shape=``,
-        ``num_shards=``, ``reference_keys=``, ``fold_bn=``) are a
-        deprecated spelling folded into a policy for one release.
+        lowering.  Every per-shard-pair diagonal block (including merge
+        projections, keyed at the skip branch's level) pre-encodes
+        through the same cache.  Remaining ``kwargs`` go to the
+        :class:`ModelArtifact` constructor.
         """
-        from repro.fhe.ir import CompilePolicy, compile_network
+        from repro.fhe.ir import compile_network
 
-        legacy = {
-            name: value
-            for name, value in [
-                ("seed", seed),
-                ("input_shape", input_shape),
-                ("num_shards", num_shards),
-                ("reference_keys", reference_keys),
-                ("fold_bn", fold_bn),
-            ]
-            if value is not None
-        }
-        if legacy:
-            if policy is not None:
-                raise ValueError(
-                    "pass either policy= or the deprecated loose kwargs, "
-                    f"not both: {sorted(legacy)}"
-                )
-            names = ", ".join(f"{k}=" for k in sorted(legacy))
-            warnings.warn(
-                f"ModelArtifact.compile({names}) is deprecated; pass "
-                "policy=CompilePolicy(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = CompilePolicy(**legacy)
         return cls(compile_network(nn_model, params, policy=policy), **kwargs)
 
     # ------------------------------------------------------------------
     def encoded_linear(self, layer_index: int, level: int, scale: float):
-        """Pre-encoded ``(payload, bias)`` for one linear layer.
+        """Pre-encoded ``(blocks, biases)`` for one linear layer or merge
+        projection — the ``encoded`` provider of
+        :meth:`~repro.fhe.network.EncryptedNetwork.forward_shards`.
 
-        The payload follows the layer's :class:`~repro.fhe.linear.MatvecPlan`:
-        pre-rotated giant-step groups ``{giant: {baby: Plaintext}}`` for
-        BSGS layers, flat ``{d: Plaintext}`` diagonals for naive ones.
-        Everything is encoded at the incoming ciphertext's ``(level,
-        scale)`` (the default ``mul_plain`` choice, preserving the
-        canonical-scale invariant); the bias at ``(level-1, scale²/q_level)``
-        — exactly where the ciphertext sits after the matvec's rescale.
+        ``blocks`` mirrors the layer's ``K_out × K_in`` grid of grouped
+        ``{giant: {baby: Plaintext}}`` diagonals (``None`` where a block
+        is all zero), every diagonal encoded at the incoming
+        ciphertext's ``(level, scale)`` (the default ``mul_plain``
+        choice, preserving the canonical-scale invariant) — the *skip
+        branch's* coordinates for a merge projection, which the forward
+        passes in; ``biases`` the per-output-shard bias list at
+        ``(level-1, scale²/q_level)`` — exactly where each shard sits
+        after the matvec's rescale — or ``None`` without any.
 
         A fixed network meets each layer at one deterministic ``(level,
         scale)``, so the assembled tuple is memoised per layer — the
@@ -276,38 +260,6 @@ class ModelArtifact:
         memo = self._linear_memo.get(key)
         if memo is not None:
             return memo
-        if layer_index in self.model.shard_groups:
-            return self._encode_sharded(key, layer_index, level, scale)
-        if self.model.matvec_plans[layer_index].use_bsgs:
-            diags = {
-                g: {
-                    b: self.cache.encode(vec, level, scale)
-                    for b, vec in inner.items()
-                }
-                for g, inner in self.model.linear_groups[layer_index].items()
-            }
-        else:
-            diags = {
-                d: self.cache.encode(vec, level, scale)
-                for d, vec in self.model.linear_diagonals[layer_index].items()
-            }
-        bias_pt = None
-        bias_vec = self.model.linear_bias_slots.get(layer_index)
-        if bias_vec is not None:
-            q_top = self.model.ctx.q_chain[level]
-            bias_pt = self.cache.encode(bias_vec, level - 1, scale * scale / q_top)
-        self._linear_memo[key] = (diags, bias_pt)
-        return diags, bias_pt
-
-    def _encode_sharded(self, key, layer_index: int, level: int, scale: float):
-        """Pre-encode one sharded linear layer or merge projection.
-
-        Mirrors :meth:`encoded_linear` for the ``K_out × K_in`` grouped
-        block grid: every block's diagonals encode at the incoming
-        ``(level, scale)`` — the *skip branch's* coordinates for a merge
-        projection, which the sharded forward passes in — and the
-        per-output-shard biases at the post-rescale coordinates.
-        """
         blocks = [
             [
                 {
@@ -321,10 +273,10 @@ class ModelArtifact:
                 else None
                 for groups in row
             ]
-            for row in self.model.shard_groups[layer_index]
+            for row in self.model.matvec_groups[layer_index]
         ]
         bias_pts = None
-        bias_list = self.model.shard_bias_slots.get(layer_index)
+        bias_list = self.model.matvec_bias_slots.get(layer_index)
         if bias_list is not None:
             q_top = self.model.ctx.q_chain[level]
             post_scale = scale * scale / q_top
@@ -372,14 +324,15 @@ class ModelArtifact:
     def forward(self, ct, ev=None, executor=None):
         """Encrypted forward using the pre-encoded linear layers.
 
-        For a sharded model ``ct`` is the shard ciphertext *list*
-        (``encrypt_batch_shards``) and the return value the output shard
-        list — the pre-encoded path covers every block and merge
-        projection too.  ``executor`` (sharded models only) schedules
-        the independent shard-grid blocks on a
+        ``ct`` is the shard ciphertext *list* (``encrypt_batch_shards``)
+        and the return value the output shard list — the pre-encoded
+        path covers every block and merge projection; a bare ciphertext
+        (a single-ciphertext model's ``encrypt_batch``) comes back as a
+        bare ciphertext.  ``executor`` schedules the independent
+        shard-grid blocks on a
         :class:`~repro.serve.executor.BlockExecutor`.
         """
-        if self.model.sharded:
+        if isinstance(ct, (list, tuple)):
             return self.model.forward_shards(
                 ct, encoded=self.encoded_linear, ev=ev, executor=executor
             )
@@ -401,13 +354,9 @@ class ModelArtifact:
         After this, serving any batch size hits only cached plaintexts
         (all batch sizes share the max-batch-tiled diagonals).
         """
-        if self.model.sharded:
-            dim = sum(self.model.input_splits or [self.model.size])
-            xs = [np.zeros(dim)] * (batch or 1)
-            self.forward(self.model.encrypt_batch_shards(xs))
-        else:
-            xs = [np.zeros(self.model.size)] * (batch or 1)
-            self.forward(self.model.encrypt_batch(xs))
+        dim = sum(self.model.input_splits or [self.model.size])
+        xs = [np.zeros(dim)] * (batch or 1)
+        self.forward(self.model.encrypt_batch_shards(xs))
         return self
 
     def stats(self) -> dict:
@@ -420,28 +369,28 @@ class ModelArtifact:
         """Digest of everything a cache entry's validity depends on.
 
         Covers the CKKS arithmetic (ring degree, full prime ladder,
-        canonical scale) and the compiled layer stack (kinds, weights,
-        biases, shard blocks, pool/affine constants) — the exact inputs
-        that determine which ``(value, level, scale)`` keys a forward
-        encodes.  A persisted cache from a different compile must be
-        rejected, not silently half-hit.
+        canonical scale) and the compiled node stack — *every* payload
+        field of every node (weights, biases, shard blocks, PAF and
+        polynomial coefficients, attention projections, pool/affine
+        constants, refresh method, ...), read generically off the node
+        dataclasses so a new node type or field is covered the day it is
+        added.  These are the inputs that determine which ``(value,
+        level, scale)`` keys a forward encodes.  A persisted cache from
+        a different compile must be rejected, not silently half-hit.
         """
         h = hashlib.sha256()
         ctx = self.model.ctx
         h.update(f"{ctx.n}|{float(ctx.scale)}|".encode())
         h.update(",".join(str(int(p)) for p in ctx.all_primes).encode())
-        for layer in self.model.layers:
-            h.update(f"|{layer.kind}|{layer.scale}|{layer.pool_scale}".encode())
-            for arr in (layer.weight, layer.bias, layer.affine_scale, layer.affine_shift):
-                if arr is not None:
-                    h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-            if layer.blocks is not None:
-                for row in layer.blocks:
-                    for mat in row:
-                        h.update(
-                            b"0" if mat is None
-                            else np.ascontiguousarray(mat, dtype=np.float64).tobytes()
-                        )
+        for node in self.model.layers:
+            h.update(f"|{node.kind}".encode())
+            for f in dataclasses.fields(node):
+                # analysis metadata, not payload: intervals are (re)set by
+                # propagate_intervals after compile, layouts describe the
+                # lowering whose result is already in the weights
+                if f.name not in ("interval", "layout"):
+                    h.update(f"|{f.name}=".encode())
+                    _feed_digest(h, getattr(node, f.name))
         return h.hexdigest()
 
     def save_cache(self, path) -> int:
@@ -485,13 +434,11 @@ class ModelArtifact:
         levels = self.model.layer_input_levels()
         branch_levels = self.model.merge_branch_levels()
         ctx = self.model.ctx
-        for i, layer in enumerate(self.model.layers):
-            if layer.kind == "linear" or (
-                layer.kind == "merge" and i in self.model.shard_groups
-            ):
-                level = branch_levels[i] if layer.kind == "merge" else levels[i]
-                scale = ctx.scale
-                for lvl in range(ctx.max_level, level, -1):
-                    scale = scale * scale / ctx.q_chain[lvl]
-                self.encoded_linear(i, level, scale)
+        for i in self.model.matvec_groups:
+            # a merge projection reads its saved branch's coordinates
+            level = branch_levels.get(i, levels[i])
+            scale = ctx.scale
+            for lvl in range(ctx.max_level, level, -1):
+                scale = scale * scale / ctx.q_chain[lvl]
+            self.encoded_linear(i, level, scale)
         return count

@@ -127,7 +127,7 @@ class InferenceServer:
         deterministic failure-mode harness.
     shard_executor:
         Optional :class:`~repro.serve.executor.BlockExecutor` scheduling
-        sharded models' block grids across threads/processes.  Ignored
+        multi-shard models' block grids across threads/processes.  Ignored
         while tracing (the tracer's span stack is per-thread).
     integrity_tol:
         Ciphertext integrity bound: after a forward whose final layer is
@@ -317,7 +317,7 @@ class InferenceServer:
     # ------------------------------------------------------------------
     # client API
     # ------------------------------------------------------------------
-    def _resolve_model(self, model: str | None) -> str:
+    def _model_name(self, model: str | None) -> str:
         if model is None:
             if len(self.artifacts) == 1:
                 return next(iter(self.artifacts))
@@ -350,19 +350,10 @@ class InferenceServer:
         """
         if not self._started:
             raise RuntimeError("server not started (use start() or a with-block)")
-        name = self._resolve_model(model)
+        name = self._model_name(model)
         net = self.artifacts[name].model
         x = np.asarray(x, dtype=np.float64).ravel()
-        if net.sharded:
-            expected = sum(net.input_splits or [net.size])
-            if x.size != expected:
-                raise ValueError(
-                    f"input dim {x.size} != sharded input dim {expected}"
-                )
-        elif x.size > net.size:
-            raise ValueError(
-                f"input dim {x.size} exceeds layer size {net.size}"
-            )
+        net.split_input(x)  # raises on a width the packing cannot take
         if not np.all(np.isfinite(x)):
             raise ValueError("input contains non-finite values")
         if client_id != DEFAULT_CLIENT and client_id not in self.key_registry:
@@ -477,14 +468,10 @@ class InferenceServer:
             encrypt_ev = ev
             if "key_mismatch" in directives:
                 encrypt_ev = self._mismatch_evaluator(model_name)
-            if net.sharded:
-                cts = net.encrypt_batch_shards(xs, ev=encrypt_ev)
-                ct = net.forward_shards(
-                    cts, encoded=art.encoded_linear, ev=ev, executor=executor
-                )[0]
-            else:
-                ct = net.encrypt_batch(xs, ev=encrypt_ev)
-                ct = net.forward(ct, encoded=art.encoded_linear, ev=ev)
+            cts = net.encrypt_batch_shards(xs, ev=encrypt_ev)
+            ct = net.forward_shards(
+                cts, encoded=art.encoded_linear, ev=ev, executor=executor
+            )[0]
             logits = net.decrypt_logits(
                 ct, self._num_classes[model_name], batch=len(batch), ev=ev
             )

@@ -1,15 +1,31 @@
-"""Shared fixtures: the compiled toy models for the fhe suite.
+"""Shared fixtures: the compiled toy models for the fhe suite, and the
+test-side reference oracle.
 
 The canonical 8 -> 6 -> 3 MLP and the trained 2-conv CNN builds live in
 :mod:`repro.fhe.toy` (shared with ``tests/serve`` and the benchmarks).
-The MLP is compiled twice — with ``reference_keys=True`` (BSGS *and*
-naive Galois keys, for differential / op-count tests) and in production
-form (BSGS keys only); the CNN once, in production form, session-scoped
-because keygen plus one encrypted forward is seconds, not milliseconds.
+All are compiled in production form; session-scoped because keygen plus
+one encrypted forward is seconds, not milliseconds.
+
+:func:`oracle_forward` is the network-level differential baseline that
+used to live inside the executor as ``mode="reference"``: a
+straight-line interpreter over the IR's own weights that takes the
+naive op-level path everywhere — one rotation per diagonal
+(:func:`~repro.fhe.linear.encrypted_matvec`), one per pool shift, the
+term-by-term ladder for every activation — and shares nothing with the
+compiled plans.  The naive Galois keys it needs are minted on a private
+copy of the network's key chain.
 """
 
+import dataclasses
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from repro.ckks import CkksEvaluator
+from repro.ckks.poly_eval import eval_dense_poly, eval_paf_relu
+from repro.fhe.ir import AffineNode, MatvecNode, PafNode, PolyNode, PoolNode
+from repro.fhe.linear import diagonals_of, encrypted_matvec, tile_blocks
 from repro.fhe.toy import (
     compiled_toy,
     compiled_toy_cnn,
@@ -19,15 +35,78 @@ from repro.fhe.toy import (
 )
 
 
+def _tiled(enc, vec) -> np.ndarray:
+    base = np.zeros(enc.size)
+    base[: len(vec)] = vec
+    return tile_blocks(base, enc.ctx.slots, enc.max_batch, enc.block_stride)
+
+
+def oracle_evaluator(enc) -> CkksEvaluator:
+    """An evaluator over ``enc``'s keys plus every naive rotation step.
+
+    The Galois families are grown on a *copy* of the chain
+    (``ensure_galois_steps`` derives each family from the chain's own
+    seed, so shared elements stay bit-identical), which keeps the
+    session-scoped network's production key set untouched.
+    """
+    steps = {enc._replicate_step}
+    for node in enc.layers:
+        if isinstance(node, MatvecNode):
+            steps.update(diagonals_of(node.weight, enc.ctx.slots))
+        steps.update(s for stage in node.shifts for s in stage)
+    keys = dataclasses.replace(enc.keys, galois=dict(enc.keys.galois))
+    keys.ensure_galois_steps(enc.ctx, sorted(steps - {0}))
+    return CkksEvaluator(enc.ctx, keys)
+
+
+def oracle_forward(enc, ct, ev):
+    """Naive-everything forward of a single-ciphertext network.
+
+    ``ev`` must hold the naive keys (:func:`oracle_evaluator`, optionally
+    wrapped in a ``CountingEvaluator``).  Reads only the IR nodes — never
+    the compiled plans, groups or masks it is the oracle for.
+    """
+    for i, node in enumerate(enc.layers):
+        if isinstance(node, MatvecNode):
+            if i > 0:
+                ct = ev.add(ct, ev.rotate(ct, enc._replicate_step))
+            diags = diagonals_of(
+                node.weight,
+                enc.ctx.slots,
+                num_blocks=enc.max_batch,
+                block_stride=enc.block_stride,
+            )
+            bias = None if node.bias is None else _tiled(enc, node.bias)
+            ct = encrypted_matvec(ev, ct, diagonals=diags, bias_slots=bias)
+        elif isinstance(node, PafNode):
+            ct = eval_paf_relu(ev, ct, node.paf, scale=node.scale, reference=True)
+        elif isinstance(node, PolyNode):
+            ct = eval_dense_poly(ev, ct, node.poly, reference=True)
+        elif isinstance(node, PoolNode):
+            for stage in node.shifts:
+                rotated = [ev.rotate(ct, s) for s in stage if s]
+                for r in rotated:
+                    ct = ev.add(ct, r)
+            mask = _tiled(enc, np.full(enc.size, node.pool_scale))
+            ct = ev.rescale(ev.mul_plain(ct, mask))
+        elif isinstance(node, AffineNode):
+            ct = ev.rescale(ev.mul_plain(ct, _tiled(enc, node.affine_scale)))
+            ct = ev.add_plain(ct, _tiled(enc, node.affine_shift))
+        else:
+            raise AssertionError(f"oracle has no {type(node).__name__} rule")
+    return ct
+
+
 @pytest.fixture(scope="session")
-def toy_reference_enc():
-    """Compiled toy with Galois keys for both matvec paths."""
-    return compiled_toy(reference_keys=True)
+def oracle():
+    """The reference interpreter: ``oracle.evaluator(enc)`` builds the
+    naive-key evaluator, ``oracle.forward(enc, ct, ev)`` runs it."""
+    return SimpleNamespace(evaluator=oracle_evaluator, forward=oracle_forward)
 
 
 @pytest.fixture(scope="session")
 def toy_plain_enc():
-    """Compiled toy in production form (BSGS plans/keys only)."""
+    """Compiled toy MLP (production form: BSGS plans/keys only)."""
     return compiled_toy()
 
 
@@ -40,9 +119,8 @@ def toy_cnn():
 @pytest.fixture(scope="session")
 def toy_transformer():
     """(PAF-approximated plain model, compiled EncryptedNetwork) — the
-    trained single-block toy transformer, with naive Galois keys for
-    the reference differential."""
-    return compiled_toy_transformer(with_model=True, reference_keys=True)
+    trained single-block toy transformer."""
+    return compiled_toy_transformer(with_model=True)
 
 
 @pytest.fixture(scope="session")

@@ -154,42 +154,35 @@ class TestHypothesisRandomMatrices:
 
 class TestEndToEndNetwork:
     @pytest.fixture(scope="class")
-    def compiled(self, toy_reference_enc):
-        return toy_reference_enc
+    def compiled(self, toy_plain_enc):
+        return toy_plain_enc
 
     @pytest.mark.parametrize("batch", [1, 2, 3])
-    def test_logits_equal_across_batch_sizes(self, compiled, batch):
+    def test_logits_equal_across_batch_sizes(self, compiled, oracle, batch):
         enc = compiled
         rng = np.random.default_rng(batch)
         xs = rng.normal(size=(batch, 8))
         ct = enc.encrypt_batch(xs)
         bsgs = enc.decrypt_logits(enc.forward(ct), 3, batch=batch)
-        naive = enc.decrypt_logits(enc.forward(ct, mode="reference"), 3, batch=batch)
-        # mode="reference" also swaps the activation path (ladder instead of
+        naive_ct = oracle.forward(enc, ct, oracle.evaluator(enc))
+        naive = enc.decrypt_logits(naive_ct, 3, batch=batch)
+        # the oracle also swaps the activation path (ladder instead of
         # Paterson–Stockmeyer), whose noise differs slightly — the bar is
         # wider than the matvec-only 1e-3 (activation differentials are
         # pinned tightly in tests/fhe/test_paf_eval.py)
         np.testing.assert_allclose(bsgs, naive, atol=5e-3)
 
     def test_all_layers_planned_bsgs(self, compiled):
-        for plan in compiled.matvec_plans.values():
+        for ((plan,),) in compiled.matvec_plans.values():
             assert plan.use_bsgs
             assert plan.bsgs_keyswitches < plan.naive_keyswitches
 
-    def test_reference_with_encoded_provider_rejected(self, compiled):
+    def test_compile_keeps_only_grouped_diagonals(self, compiled):
+        """One payload store per layer: the 1 x 1 grid of pre-rotated
+        groups — no duplicate flat diagonals, no naive Galois keys."""
         enc = compiled
-        ct = enc.encrypt_batch([np.zeros(8)])
-        with pytest.raises(ValueError):
-            enc.forward(ct, encoded=lambda *a: None, mode="reference")
-
-    def test_production_compile_drops_reference_diagonals(self, toy_plain_enc):
-        """Without reference_keys, BSGS layers keep only their pre-rotated
-        groups (no duplicate flat diagonals) and the reference path fails
-        with a clear error instead of a missing-key KeyError."""
-        enc = toy_plain_enc
-        for i, plan in enc.matvec_plans.items():
-            assert plan.use_bsgs
-            assert i in enc.linear_groups
-            assert i not in enc.linear_diagonals
-        with pytest.raises(ValueError, match="reference_keys"):
-            enc.forward(enc.encrypt_batch([np.zeros(8)]), mode="reference")
+        assert set(enc.matvec_groups) == set(enc.matvec_plans)
+        naive_steps = {
+            d for ((p,),) in enc.matvec_plans.values() for d in p.diag_steps
+        }
+        assert len(enc.keys.galois) < len(naive_steps)

@@ -334,19 +334,19 @@ class TestEncryptedDifferentials:
         got = enc.decrypt_logits(enc.forward(enc.encrypt_input(x.ravel())), 3)
         np.testing.assert_allclose(got, ref, atol=2e-3)
 
-    def test_reference_pool_path_matches_planned(self):
-        """mode="reference" rotates one by one — same values, same sums."""
+    def test_reference_pool_path_matches_planned(self, oracle):
+        """The oracle rotates one by one — same values, same sums."""
         rng = np.random.default_rng(3)
         model = _mini_paf_net(
             Conv2d(1, 1, 3, padding=1, rng=rng), AvgPool2d(2),
             Flatten(), Linear(4, 2, rng=rng),
         )
         model.eval()
-        enc = compile_cnn(model, (1, 4, 4), MINI_PARAMS, seed=0, reference_keys=True)
+        enc = compile_cnn(model, (1, 4, 4), MINI_PARAMS, seed=0)
         x = rng.normal(size=16)
         planned = enc.decrypt_logits(enc.forward(enc.encrypt_input(x)), 2)
         reference = enc.decrypt_logits(
-            enc.forward(enc.encrypt_input(x), mode="reference"), 2
+            oracle.forward(enc, enc.encrypt_input(x), oracle.evaluator(enc)), 2
         )
         np.testing.assert_allclose(planned, reference, atol=1e-4)
 
@@ -459,5 +459,7 @@ class TestToyCnnEndToEnd:
         """Compiled Galois key set suffices — forward raised no KeyError —
         and stays far below one key per naive diagonal."""
         _, enc = toy_cnn
-        naive_steps = {d for p in enc.matvec_plans.values() for d in p.diag_steps}
+        naive_steps = {
+            d for ((p,),) in enc.matvec_plans.values() for d in p.diag_steps
+        }
         assert len(enc.keys.galois) < len(naive_steps)

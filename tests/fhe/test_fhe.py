@@ -214,3 +214,20 @@ class TestLatencyHarness:
         # sitting well below a standalone rotate; assert with a wide margin
         # so a CI scheduler hiccup cannot flip a wall-clock inequality
         assert micros["rotate_hoisted"] < 2 * micros["rotate"]
+
+    def test_shared_runtime_is_keyed_on_the_whole_parameter_set(self):
+        """Params differing only in ``backend`` must not share the first
+        one's evaluator — ``measure_op_micros`` would time the wrong
+        kernels (the cache used to key on ``(n, scale_bits, depth)``)."""
+        from repro.fhe.latency import shared_runtime
+
+        base = dict(n=256, scale_bits=25, depth=2)
+        evs = {
+            name: shared_runtime(CkksParams(**base, backend=name))[2]
+            for name in ("reference", "vectorized")
+        }
+        assert evs["reference"] is not evs["vectorized"]
+        for name, ev in evs.items():
+            assert ev.ctx.backend.name == name
+        again = shared_runtime(CkksParams(**base, backend="vectorized"))[2]
+        assert again is evs["vectorized"]  # still a cache

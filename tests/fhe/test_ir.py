@@ -1,4 +1,4 @@
-"""The typed graph IR: structure validation, intervals, round-trip.
+"""The typed graph IR: structure validation, intervals, the oracle.
 
 The api_redesign contract in three parts:
 
@@ -6,29 +6,26 @@ The api_redesign contract in three parts:
   brackets, projection merges need a main-branch level gap;
 * **domain-interval propagation**: the bounds each polynomial planner
   checks its declared approximation domain against;
-* **round-trip equivalence**: the typed-IR executor against a pinned
-  straight-line twin of the pre-redesign string-``kind`` loop — same
-  caches, same primitives, same order.  Ciphertexts must be
-  bit-identical and :class:`CountingEvaluator` totals equal, in both
-  plan and reference modes: the redesign moved *dispatch*, not math.
+* **executor vs oracle**: the one IR executor against the straight-line
+  naive interpreter in ``conftest.py`` (per-diagonal matvecs, ladder
+  activations, nothing shared with the compiled plans) — decrypted
+  logits must agree.  That the executor's *bytes* did not move when
+  dispatch was redesigned is pinned separately by
+  ``test_golden_forward.py``.
 
 Plus the :class:`CompilePolicy` surface the refresh redesign added —
-validation, refresh placement, and the one-release loose-kwarg shim on
-``compile_network``.
+validation and refresh placement.
 """
 
 import numpy as np
 import pytest
 
-from repro.ckks.instrumentation import CountingEvaluator
-from repro.ckks.poly_eval import eval_paf_relu
 from repro.fhe.ir import (
     AttentionNode,
     CompilePolicy,
     Graph,
     MatvecNode,
     MergeNode,
-    PafNode,
     PolyNode,
     RefreshNode,
     ResidualTapNode,
@@ -36,7 +33,6 @@ from repro.fhe.ir import (
     compile_network,
     propagate_intervals,
 )
-from repro.fhe.linear import encrypted_matvec, encrypted_matvec_bsgs
 from repro.paf.polynomial import Polynomial
 
 
@@ -112,87 +108,36 @@ class TestIntervalPropagation:
 
 
 # ----------------------------------------------------------------------
-# round-trip equivalence vs the pre-redesign execution order
+# the IR executor vs the test-side naive oracle
 # ----------------------------------------------------------------------
-def _legacy_forward(enc, ct, ev, reference=False):
-    """Straight-line twin of the pre-redesign string-``kind`` loop.
-
-    Pinned copy of the old ``EncryptedNetwork.forward`` body for
-    linear/paf stacks (the only kinds the pre-IR MLP path executed):
-    replicate-then-matvec per linear layer, ``eval_paf_relu`` per
-    activation, reading the same compiled caches the IR executor reads.
-    """
-    for i, node in enumerate(enc.graph.nodes):
-        if isinstance(node, MatvecNode):
-            if i > 0:
-                ct = enc._replicate(ct, ev)
-            bsgs = enc.matvec_plans[i].use_bsgs and not reference
-            bias_slots = enc.linear_bias_slots.get(i)
-            if bsgs:
-                ct = encrypted_matvec_bsgs(
-                    ev, ct, groups=enc.linear_groups[i], bias_slots=bias_slots
-                )
-            else:
-                ct = encrypted_matvec(
-                    ev, ct, diagonals=enc.linear_diagonals[i], bias_slots=bias_slots
-                )
-        elif isinstance(node, PafNode):
-            ct = eval_paf_relu(
-                ev,
-                ct,
-                node.paf,
-                scale=node.scale,
-                plan=enc.paf_plans[i],
-                reference=reference,
-            )
-        else:  # pragma: no cover - the MLP graph has no other kinds
-            raise AssertionError(f"unexpected node {type(node).__name__}")
-    return ct
-
-
-def _assert_bit_identical(a, b):
-    assert a.level == b.level and a.scale == b.scale
-    assert np.array_equal(a.c0.data, b.c0.data)
-    assert np.array_equal(a.c1.data, b.c1.data)
-
-
-class TestRoundTripEquivalence:
-    @pytest.mark.parametrize("mode", ["plan", "reference"])
-    def test_ir_executor_bit_identical_to_legacy(self, toy_reference_enc, mode):
-        enc = toy_reference_enc
-        rng = np.random.default_rng(7)
-        ct = enc.encrypt_input(rng.normal(0.0, 1.0, 8))
-        reference = mode == "reference"
-
-        counting_ir = CountingEvaluator(enc.ev)
-        out_ir = enc.forward(ct, ev=counting_ir, mode=mode)
-
-        counting_legacy = CountingEvaluator(enc.ev)
-        out_legacy = _legacy_forward(enc, ct, counting_legacy, reference=reference)
-
-        _assert_bit_identical(out_ir, out_legacy)
-        assert counting_ir.counts == counting_legacy.counts
-
-    def test_decrypted_logits_agree_across_modes(self, toy_reference_enc):
-        enc = toy_reference_enc
+class TestExecutorVsOracle:
+    def test_decrypted_logits_agree_with_oracle(self, toy_plain_enc, oracle):
+        enc = toy_plain_enc
         rng = np.random.default_rng(8)
-        x = rng.normal(0.0, 1.0, 8)
-        ct = enc.encrypt_input(x)
-        lp = enc.ev.decrypt(enc.forward(ct, mode="plan"), num_values=3)
-        lr = enc.ev.decrypt(enc.forward(ct, mode="reference"), num_values=3)
-        np.testing.assert_allclose(lp, lr, rtol=1e-3, atol=1e-3)
+        ct = enc.encrypt_input(rng.normal(0.0, 1.0, 8))
+        got = enc.ev.decrypt(enc.forward(ct), num_values=3)
+        ref_ct = oracle.forward(enc, ct, oracle.evaluator(enc))
+        want = enc.ev.decrypt(ref_ct, num_values=3)
+        np.testing.assert_allclose(got, want, rtol=1e-3, atol=1e-3)
+
+    def test_single_ciphertext_forward_is_the_one_shard_list(self, toy_plain_enc):
+        """``forward(ct)`` is ``forward_shards([ct])`` unwrapped — same
+        loop, same bytes; a wrong shard count is a typed error."""
+        enc = toy_plain_enc
+        ct = enc.encrypt_input(np.random.default_rng(9).normal(0.0, 1.0, 8))
+        a = enc.forward(ct)
+        (b,) = enc.forward_shards([ct])
+        assert a.level == b.level and a.scale == b.scale
+        assert np.array_equal(a.c0.data, b.c0.data)
+        assert np.array_equal(a.c1.data, b.c1.data)
+        with pytest.raises(ValueError, match="takes 1 input ciphertext"):
+            enc.forward_shards([ct, ct])
 
 
 # ----------------------------------------------------------------------
-# compile policy: validation, refresh placement, loose-kwarg shim
+# compile policy: validation, refresh placement
 # ----------------------------------------------------------------------
 class TestCompilePolicy:
-    def test_unknown_mode_rejected(self, toy_reference_enc):
-        enc = toy_reference_enc
-        ct = enc.encrypt_input(np.zeros(8))
-        with pytest.raises(ValueError, match="mode must be"):
-            enc.forward(ct, mode="naive")
-
     def test_bad_refresh_string_rejected(self):
         with pytest.raises(ValueError, match="refresh must be"):
             CompilePolicy(refresh="sometimes")
@@ -208,23 +153,7 @@ class TestCompilePolicy:
     def test_refresh_list_normalised_to_tuple(self):
         assert CompilePolicy(refresh=[3, 1]).refresh == (3, 1)
 
-    def test_loose_kwargs_warn_and_fold_into_policy(self, paf_mlp_model):
-        from repro.fhe.toy import TOY_PARAMS
-
-        with pytest.warns(DeprecationWarning, match="policy=CompilePolicy"):
-            enc = compile_network(paf_mlp_model, TOY_PARAMS, seed=1)
-        assert enc.policy.seed == 1
-
-    def test_loose_kwargs_and_policy_together_rejected(self, paf_mlp_model):
-        from repro.fhe.toy import TOY_PARAMS
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                compile_network(
-                    paf_mlp_model, TOY_PARAMS, seed=1, policy=CompilePolicy()
-                )
-
-    def test_policy_compile_matches_explicit_kwargs(self, paf_mlp_model):
+    def test_policy_seed_reaches_the_compile(self, paf_mlp_model):
         from repro.fhe.toy import TOY_PARAMS
 
         enc = compile_network(

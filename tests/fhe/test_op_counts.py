@@ -138,14 +138,21 @@ class TestNetworkOpCounts:
     (8 -> 6 -> 3 with one f1∘g2 PAF): two dense 8x8-padded linears."""
 
     @pytest.fixture(scope="class")
-    def compiled(self, toy_reference_enc):
-        return toy_reference_enc
+    def compiled(self, toy_plain_enc):
+        return toy_plain_enc
 
-    def _forward_counts(self, enc, **kw):
+    def _forward_counts(self, enc):
         counting = CountingEvaluator(enc.ev)
         ct = enc.encrypt_batch([np.zeros(8)])
         counting.reset()
-        enc.forward(ct, ev=counting, **kw)
+        enc.forward(ct, ev=counting)
+        return counting
+
+    def _oracle_counts(self, enc, oracle):
+        """The naive-matvec + ladder-PAF reference (tests/fhe/conftest.py)."""
+        counting = CountingEvaluator(oracle.evaluator(enc))
+        ct = enc.encrypt_batch([np.zeros(8)])
+        oracle.forward(enc, ct, counting)
         return counting
 
     def test_planned_forward_exact_counts(self, compiled):
@@ -166,9 +173,9 @@ class TestNetworkOpCounts:
         assert counting.keyswitch_count == 15
         assert counting.nonscalar_mult_count == 6
 
-    def test_naive_forward_exact_counts(self, compiled):
+    def test_naive_forward_exact_counts(self, compiled, oracle):
         """Reference everywhere: naive diagonal loop + ladder activation."""
-        counting = self._forward_counts(compiled, mode="reference")
+        counting = self._oracle_counts(compiled, oracle)
         assert dict(counting.counts) == {
             "rotate": 15,           # 7 per dense 8-wide layer + 1 replication
             "mul_plain": 21,
@@ -181,9 +188,9 @@ class TestNetworkOpCounts:
         assert counting.keyswitch_count == 22
         assert counting.nonscalar_mult_count == 7
 
-    def test_planned_forward_saves_keyswitches_end_to_end(self, compiled):
+    def test_planned_forward_saves_keyswitches_end_to_end(self, compiled, oracle):
         bsgs = self._forward_counts(compiled)
-        naive = self._forward_counts(compiled, mode="reference")
+        naive = self._oracle_counts(compiled, oracle)
         # BSGS cuts rotations AND the PS activation cuts relin keyswitches
         assert bsgs.keyswitch_count < naive.keyswitch_count
         assert bsgs.nonscalar_mult_count < naive.nonscalar_mult_count
@@ -194,7 +201,7 @@ class TestNetworkOpCounts:
     def test_key_set_smaller_than_reference(self, compiled):
         """BSGS shrinks the Galois key set: baby+giant+replicate steps
         are fewer than one key per nonzero diagonal."""
-        plans = compiled.matvec_plans.values()
+        plans = [p for ((p,),) in compiled.matvec_plans.values()]
         bsgs_steps = set().union(*(p.rotation_steps() for p in plans))
         naive_steps = set().union(*(p.diag_steps for p in plans))
         assert len(bsgs_steps) < len(naive_steps)
@@ -225,7 +232,7 @@ class TestCnnOpCounts:
     def test_per_layer_plans_pinned(self, compiled):
         assert set(compiled.matvec_plans) == set(self.CNN_PLANS)
         for i, (diags, naive, bsgs) in self.CNN_PLANS.items():
-            plan = compiled.matvec_plans[i]
+            ((plan,),) = compiled.matvec_plans[i]
             assert plan.use_bsgs
             assert (plan.num_diagonals, plan.naive_keyswitches, plan.bsgs_keyswitches) \
                 == (diags, naive, bsgs)
@@ -251,11 +258,13 @@ class TestCnnOpCounts:
         assert counting.nonscalar_mult_count == 6
 
     def test_bsgs_beats_naive_on_every_conv_layer(self, compiled):
-        for plan in compiled.matvec_plans.values():
+        for ((plan,),) in compiled.matvec_plans.values():
             assert plan.bsgs_keyswitches < plan.naive_keyswitches
 
     def test_galois_key_set_far_below_naive(self, compiled):
-        naive_steps = {d for p in compiled.matvec_plans.values() for d in p.diag_steps}
+        naive_steps = {
+            d for ((p,),) in compiled.matvec_plans.values() for d in p.diag_steps
+        }
         assert len(compiled.keys.galois) < len(naive_steps) // 3
 
 
@@ -297,7 +306,7 @@ class TestResnetOpCounts:
         assert counting.nonscalar_mult_count == 48
 
     def test_every_conv_block_plans_bsgs(self, compiled):
-        for plans in compiled.shard_plans.values():
+        for plans in compiled.matvec_plans.values():
             for row in plans:
                 for plan in row:
                     if plan is not None:

@@ -27,8 +27,9 @@ from repro.ckks import (
     plan_odd_poly,
     plan_paf_relu,
 )
+from repro.ckks.poly_eval import eval_dense_poly
 from repro.paf import PAF_REGISTRY, get_paf
-from repro.paf.polynomial import OddPolynomial
+from repro.paf.polynomial import OddPolynomial, Polynomial
 from repro.paf.relu import paf_relu, relu_mult_depth
 
 ALL_FORMS = sorted(PAF_REGISTRY)
@@ -176,3 +177,30 @@ class TestHypothesisRandomPolynomials:
         assert abs(out_ps.scale - out_ladder.scale) < 0.011 * out_ladder.scale
         plan = plan_odd_poly(poly)
         assert ctx.max_level - out_ps.level == plan.mult_depth
+
+
+class TestDensePolynomial:
+    """The dense (exp / GELU tier) evaluator: Paterson–Stockmeyer plan vs
+    the term-by-term ladder — the op-level pair behind ``PolyNode`` and
+    the attention softmax, which the executor only ever runs planned."""
+
+    @pytest.mark.parametrize("degree", [5, 8, 12])
+    def test_ps_matches_ladder_and_plaintext(self, rt, degree):
+        ctx, ev = rt
+        rng = np.random.default_rng(degree)
+        coeffs = rng.uniform(-1, 1, degree + 1)
+        coeffs[-1] = 0.5  # nonzero leading coefficient
+        poly = Polynomial(coeffs)
+        x = rng.uniform(-1, 1, ctx.slots)
+        ct = ev.encrypt(x)
+        out_ps = eval_dense_poly(ev, ct, poly)
+        out_ladder = eval_dense_poly(ev, ct, poly, reference=True)
+        np.testing.assert_allclose(
+            ev.decrypt(out_ps), ev.decrypt(out_ladder), atol=5e-2
+        )
+        np.testing.assert_allclose(ev.decrypt(out_ps), poly(x), atol=5e-2)
+        # both paths consume exactly ceil(log2(d+1)) levels and land on
+        # the canonical scale of the target level
+        assert out_ps.level == out_ladder.level
+        assert ctx.max_level - out_ps.level == int(np.ceil(np.log2(degree + 1)))
+        assert out_ps.scale == out_ladder.scale

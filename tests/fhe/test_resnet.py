@@ -383,7 +383,7 @@ class TestCompilerRejections:
 # analytic cost model consistency
 # ----------------------------------------------------------------------
 class TestShardedCostModel:
-    def test_predict_shards_round_trip(self):
+    def test_predict_round_trip(self):
         """encrypt shards -> forward -> decrypt -> argmax matches the
         plaintext prediction on a fast PAF-free mini net."""
         rng = np.random.default_rng(5)
@@ -397,7 +397,7 @@ class TestShardedCostModel:
         enc = compile_resnet(model, (2, 4, 4), MINI_PARAMS, num_shards=2, seed=0)
         x = rng.normal(size=32)
         ref = model(Tensor(x.reshape(1, 2, 4, 4))).data.ravel()
-        assert enc.predict_shards(x, 3) == int(np.argmax(ref))
+        assert enc.predict(x, 3) == int(np.argmax(ref))
 
     def test_sharded_counts_match_measured_mini_net(self):
         """The analytic per-layer sharded-matvec counts reproduce the
@@ -418,7 +418,7 @@ class TestShardedCostModel:
         enc.forward_shards(cts, ev=counting)
         expected = {"rotate": 0, "rotate_hoisted": 0, "hoist_decompose": 0,
                     "pt_mult": 0, "rescale": 0}
-        for plans in enc.shard_plans.values():
+        for plans in enc.matvec_plans.values():
             c = sharded_matvec_op_counts(plans)
             for k in expected:
                 expected[k] += c[k]
@@ -480,10 +480,10 @@ class TestToyResnetEndToEnd:
         merges = [layer for layer in enc.layers if layer.kind == "merge"]
         assert sum(1 for m in merges if m.blocks is not None) == 1
         widest = max(
-            len(plans) for plans in enc.shard_plans.values()
+            len(plans) for plans in enc.matvec_plans.values()
         )
         assert widest >= 2  # some layer writes >= 2 output shards
-        assert enc.sharded
+        assert enc.graph.sharded
 
     def test_single_request_matches_plaintext_logits(self, toy_resnet):
         model, enc = toy_resnet
@@ -544,7 +544,7 @@ class TestToyResnetEndToEnd:
         _, enc = toy_resnet
         naive_steps = {
             d
-            for plans in enc.shard_plans.values()
+            for plans in enc.matvec_plans.values()
             for row in plans
             for p in row
             if p is not None

@@ -44,7 +44,7 @@ def single_run(toy_transformer):
     data = _val_data()
     x = data.x_val[0]
     cts = enc.encrypt_input_shards(x.ravel())
-    out = enc.forward_shards(cts, mode="plan")[0]
+    out = enc.forward_shards(cts)[0]
     logits = enc.decrypt_logits(out, model.num_classes)
     return model, enc, x, out, logits
 
@@ -109,21 +109,10 @@ class TestEncryptedForward:
         batch = enc.max_batch
         xs = data.x_val[:batch]
         cts = enc.encrypt_batch_shards([x.ravel() for x in xs])
-        out = enc.forward_shards(cts, mode="plan")[0]
+        out = enc.forward_shards(cts)[0]
         got = enc.decrypt_logits(out, model.num_classes, batch=batch)
         want = model(Tensor(xs)).data
         assert _rel(got, want) < RTOL
         np.testing.assert_array_equal(
             got.argmax(axis=1), want.argmax(axis=1)
         )
-
-    @pytest.mark.slow
-    def test_reference_path_matches_plan(self, single_run):
-        model, enc, x, _, plan_logits = single_run
-        cts = enc.encrypt_input_shards(x.ravel())
-        out = enc.forward_shards(cts, mode="reference")[0]
-        ref_logits = enc.decrypt_logits(out, model.num_classes)
-        assert out.level == 0
-        # naive diagonals + term ladders vs BSGS + Paterson–Stockmeyer:
-        # same schedule, independent op sequences
-        assert _rel(ref_logits, plan_logits) < 5e-4

@@ -41,7 +41,7 @@ def single_run(toy_transformer_stacked):
     model, enc = toy_transformer_stacked
     x = _val_data().x_val[0]
     cts = enc.encrypt_input_shards(x.ravel())
-    out = enc.forward_shards(cts, mode="plan")[0]
+    out = enc.forward_shards(cts)[0]
     logits = enc.decrypt_logits(out, model.num_classes)
     return model, enc, x, out, logits
 
@@ -96,7 +96,7 @@ class TestEncryptedForward:
         batch = enc.max_batch
         xs = _val_data().x_val[:batch]
         cts = enc.encrypt_batch_shards([x.ravel() for x in xs])
-        out = enc.forward_shards(cts, mode="plan")[0]
+        out = enc.forward_shards(cts)[0]
         got = enc.decrypt_logits(out, model.num_classes, batch=batch)
         want = model(Tensor(xs)).data
         assert _rel(got, want) < RTOL

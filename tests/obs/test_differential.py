@@ -128,7 +128,7 @@ class TestResnetDifferential:
             assert_bit_identical(b, t)
         assert_span_tree_balances(tev.tracer, tev.counting)
         (root,) = tev.tracer.roots
-        assert root.name == "forward_shards"
+        assert root.name == "forward"  # the one executor, one root name
         # one input shard at entry; the stem fans channels out to 2
         assert root.attrs["shards"] == len(cts)
         # merges and residual taps traced as layers of the sharded plan

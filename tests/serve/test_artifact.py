@@ -90,23 +90,27 @@ class TestModelArtifact:
         _, enc = toy
         art = ModelArtifact(enc, cache_activations=False).warm()
         n_diags = sum(
-            len(inner) for g in enc.linear_groups.values() for inner in g.values()
-        ) + sum(len(d) for d in enc.linear_diagonals.values())
-        n_bias = len(enc.linear_bias_slots)
+            len(inner)
+            for ((groups,),) in enc.matvec_groups.values()
+            for inner in groups.values()
+        )
+        n_bias = len(enc.matvec_bias_slots)
         assert len(art.cache) == n_diags + n_bias
 
     def test_encoded_payload_follows_matvec_plan(self, toy):
-        """BSGS layers get grouped {giant: {baby: Plaintext}} payloads
-        whose shape mirrors the pre-rotated raw groups."""
+        """Every layer gets a grid of grouped {giant: {baby: Plaintext}}
+        payloads (1 x 1 here) whose shape mirrors the pre-rotated raw
+        groups, plus the one-element bias list."""
         _, enc = toy
         art = ModelArtifact(enc, cache_activations=False)
-        i = next(iter(enc.linear_groups))
+        i = next(iter(enc.matvec_groups))
         ct = enc.encrypt_batch([np.zeros(8)])
-        payload, _ = art.encoded_linear(i, ct.level, ct.scale)
-        raw = enc.linear_groups[i]
+        ((payload,),), (bias,) = art.encoded_linear(i, ct.level, ct.scale)
+        ((raw,),) = enc.matvec_groups[i]
         assert {g: set(inner) for g, inner in payload.items()} == {
             g: set(inner) for g, inner in raw.items()
         }
+        assert isinstance(bias, Plaintext)
         for inner in payload.values():
             for pt in inner.values():
                 assert isinstance(pt, Plaintext)
@@ -127,7 +131,7 @@ class TestActivationPrewarm:
         _, enc = toy
         levels = enc.layer_input_levels()
         level = enc.ctx.max_level
-        for i, plan in sorted(enc.matvec_plans.items() | enc.paf_plans.items()):
+        for i in sorted(enc.matvec_plans.keys() | enc.paf_plans.keys()):
             assert levels[i] == level
             level -= 1 if i in enc.matvec_plans else relu_mult_depth(
                 enc.layers[i].paf
@@ -246,6 +250,36 @@ class TestPersistence:
         with pytest.raises(ArtifactMismatchError, match="different compiled model"):
             other.load_cache(path)
 
+    def test_load_rejects_same_weights_different_paf(self, toy, tmp_path):
+        """The paper's sweep axis: the same MLP (same weights, same static
+        scale, same CKKS parameters) compiled with f1∘g2 and with f2∘g2
+        encodes different activation constants — the fingerprint covers
+        every node payload, so the f1∘g2 cache is refused."""
+        from repro.core import calibrate_static_scales, convert_to_static, replace_all
+        from repro.fhe.network import compile_mlp
+        from repro.fhe.toy import TOY_PARAMS
+        from repro.nn.models import mlp
+        from repro.paf import get_paf
+        from repro.serve import ArtifactMismatchError
+
+        _, enc = toy
+        art = ModelArtifact(enc)
+        art.warm()
+        path = tmp_path / "toy_f1g2.cache"
+        art.save_cache(path)
+
+        model = mlp(8, hidden=(6,), num_classes=3, seed=0)
+        replace_all(model, get_paf("f2g2"), np.zeros((1, 8)))
+        calibrate_static_scales(model, [np.random.default_rng(0).normal(size=(64, 8))])
+        convert_to_static(model)
+        other = compile_mlp(model, TOY_PARAMS, seed=0)
+        for a, b in zip(enc.layers, other.layers):  # only the PAF differs
+            assert a.kind == b.kind and a.scale == b.scale
+            if a.kind == "linear":
+                np.testing.assert_array_equal(a.weight, b.weight)
+        with pytest.raises(ArtifactMismatchError, match="different compiled model"):
+            ModelArtifact(other).load_cache(path)
+
     def test_load_rejects_foreign_format(self, toy, tmp_path):
         import pickle
 
@@ -278,27 +312,6 @@ class TestUnifiedCompile:
         # independent compile -> fresh keys and encryption randomness;
         # only the approximation, not the bits, is shared
         np.testing.assert_allclose(got, want, atol=1e-3)
-
-    def test_loose_kwargs_warn_and_fold_into_policy(self, toy):
-        from repro.fhe.toy import TOY_PARAMS
-
-        model, _ = toy
-        with pytest.warns(DeprecationWarning, match="policy=CompilePolicy"):
-            art = ModelArtifact.compile(
-                model, TOY_PARAMS, seed=1, cache_activations=False
-            )
-        assert isinstance(art, ModelArtifact)
-        assert art.model.policy.seed == 1
-
-    def test_policy_and_loose_kwargs_together_rejected(self, toy):
-        from repro.fhe.ir import CompilePolicy
-        from repro.fhe.toy import TOY_PARAMS
-
-        model, _ = toy
-        with pytest.raises(ValueError, match="not both"):
-            ModelArtifact.compile(
-                model, TOY_PARAMS, seed=1, policy=CompilePolicy()
-            )
 
     def test_policy_carries_compile_options(self, toy):
         from repro.fhe.ir import CompilePolicy

@@ -43,7 +43,6 @@ class StubNetwork:
     ``decrypt_logits`` returns each request's own payload and the tests
     can match every response to the exact request that produced it."""
 
-    sharded = False
     input_splits = None
 
     def __init__(self, backend="stub", size=8, max_batch=4, delay=0.0):
@@ -56,13 +55,18 @@ class StubNetwork:
     def fresh_evaluator(self, seed=1):
         return SimpleNamespace(encoder=self.ev.encoder)
 
-    def encrypt_batch(self, xs, ev=None):
-        return [np.asarray(x) for x in xs]
+    def split_input(self, x):
+        if len(x) > self.size:  # the door check is the network's
+            raise ValueError(f"input dim {len(x)} exceeds layer size {self.size}")
+        return [x]
 
-    def forward(self, xs, encoded=None, ev=None):
+    def encrypt_batch_shards(self, xs, ev=None):
+        return [[np.asarray(x) for x in xs]]  # one "shard" holding the batch
+
+    def forward_shards(self, cts, encoded=None, ev=None, executor=None):
         if self.delay:
             time.sleep(self.delay)
-        return xs
+        return cts
 
     def decrypt_logits(self, xs, num_classes, batch=1, ev=None):
         return np.stack([x[:num_classes] for x in xs])

@@ -15,13 +15,13 @@ checked-in snapshot:
 * a new name is an **addition** — fine, but the snapshot must be
   refreshed (``--update``) so the next accidental removal is caught.
 
-Deprecation shims are part of the surface too (currently the loose
-compile kwargs folded into ``CompilePolicy`` by ``compile_network`` /
-``ModelArtifact.compile``): deleting a shim before its deprecation
-cycle ends is exactly the removal this gate exists to catch — removing
-one *at* end of cycle is a deliberate snapshot refresh (``--update``),
-as with ``EncryptedMLP`` and ``ModelArtifact.compile_cnn`` /
-``compile_resnet`` last cycle.  Needs the runtime deps
+Deprecation shims are part of the surface too (none are live right
+now): deleting a shim before its deprecation cycle ends is exactly the
+removal this gate exists to catch — removing one *at* end of cycle is a
+deliberate snapshot refresh (``--update``), as with ``EncryptedMLP``,
+``ModelArtifact.compile_cnn`` / ``compile_resnet`` and the loose
+compile kwargs of ``compile_network`` / ``ModelArtifact.compile``.
+Needs the runtime deps
 (numpy, networkx) since it imports the package for real — what users'
 ``import`` statements see is the surface that matters, not what the AST
 suggests.

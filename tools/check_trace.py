@@ -12,10 +12,10 @@ as artifacts:
 * **timing** — non-negative durations, every child's interval nested
   inside its parent's;
 * **op accounting** — a parent's HE-op deltas cover the sum of its
-  children's (spans accumulate ops while open), and on ``forward`` /
-  ``forward_shards`` roots the per-layer deltas add up *exactly* to the
-  root's totals — the tracer's books must balance against the
-  ``CountingEvaluator`` aggregate;
+  children's (spans accumulate ops while open), and on the executor's
+  ``forward`` root (``kind == "forward"``) the per-layer deltas add up
+  *exactly* to the root's totals — the tracer's books must balance
+  against the ``CountingEvaluator`` aggregate;
 * **levels** — rescaling only consumes modulus levels, so no span may
   exit at a higher level than it entered.  The one legitimate exception
   is a level refresh: spans named ``refresh:*`` (and any span containing
