@@ -86,12 +86,28 @@ def _trace_to(trace_dir: str | None, model: str) -> str | None:
 def measure_forward(
     enc, in_dim: int, trace_path: str | None = None
 ) -> CountingEvaluator:
-    """Op counts of one encrypted forward on a zero input."""
+    """Op counts of one encrypted forward on a zero input.
+
+    Exits non-zero unless the shadow-forward cost model
+    (``enc.op_counts()``) equals the measured counts key for key:
+    modeled == measured is checked on every model, every CI run.
+    """
     counting = CountingEvaluator(enc.ev)
     ev = TracingEvaluator(counting) if trace_path else counting
     cts = enc.encrypt_batch_shards([np.zeros(in_dim)])
     counting.reset()
     enc.forward_shards(cts, ev=ev)
+    modeled, measured = enc.op_counts(), dict(counting.counts)
+    if modeled != measured:
+        diff = {
+            op: (modeled.get(op), measured.get(op))
+            for op in sorted(modeled.keys() | measured.keys())
+            if modeled.get(op) != measured.get(op)
+        }
+        raise SystemExit(
+            "shadow op counts diverge from the measured forward; "
+            f"(modeled, measured) per op: {diff}"
+        )
     if trace_path:
         model = os.path.basename(trace_path)[len("trace_") : -len(".json")]
         ev.tracer.write_json(trace_path, meta={"model": model})

@@ -47,6 +47,7 @@ from repro.ckks.poly_plan import (
 from repro.ckks.primes import generate_primes, is_prime
 from repro.ckks.rns import RnsPoly, crt_compose_centered, fast_base_convert
 from repro.ckks.security import SecurityReport, security_report
+from repro.ckks.shadow import ShadowCiphertext, ShadowEvaluator
 
 __all__ = [
     "KernelBackend",
@@ -91,4 +92,6 @@ __all__ = [
     "plan_refresh",
     "refresh",
     "slot_to_coeff",
+    "ShadowCiphertext",
+    "ShadowEvaluator",
 ]

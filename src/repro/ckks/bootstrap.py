@@ -59,11 +59,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ckks.context import CkksContext
-from repro.ckks.encoder import Plaintext
+from repro.ckks.encoder import CkksEncoder
 from repro.ckks.evaluator import Ciphertext, CkksEvaluator
 from repro.ckks.instrumentation import span as trace_span
 from repro.ckks.poly_plan import plan_dense_poly
-from repro.ckks.rns import RnsPoly
 from repro.paf.polynomial import Polynomial
 
 __all__ = [
@@ -98,16 +97,9 @@ class RefreshPrecisionError(ArithmeticError):
 
 
 def canonical_scale(ctx: CkksContext, level: int) -> float:
-    """The canonical scale of ``level``: ``S_{l-1} = S_l² / q_l`` from the top.
-
-    Every compiled executor keeps ciphertexts on this per-level schedule
-    (it is what lets plaintexts pre-encode at deterministic scales); a
-    refresh must hand its output back *on* the schedule.
-    """
-    s = ctx.scale
-    for lvl in range(ctx.max_level, level, -1):
-        s = s * s / ctx.q_chain[lvl]
-    return s
+    """:meth:`CkksContext.canonical_scale` — the schedule a refresh must
+    hand its output back *on*."""
+    return ctx.canonical_scale(level)
 
 
 # ----------------------------------------------------------------------
@@ -122,43 +114,7 @@ def mod_raise(ev: CkksEvaluator, ct: Ciphertext, target_level: int) -> Ciphertex
     the base prime (``|I|`` is bounded by the secret key's Hamming
     weight).  EvalMod's job is to remove the ``q0·I`` part.
     """
-    ct = ev.mod_switch_to(ct, 0)
-    ctx = ev.ctx
-    q0 = ctx.q_chain[0]
-    half = q0 // 2
-    chain = list(range(target_level + 1))
-
-    def lift(poly: RnsPoly) -> RnsPoly:
-        residues = poly.to_coeff().data[0]
-        centred = ((residues + half) % q0) - half
-        return RnsPoly.from_small_coeffs(ctx, centred, chain).to_ntt()
-
-    return Ciphertext(lift(ct.c0), lift(ct.c1), ct.scale, target_level)
-
-
-def _mul_by_i(ev: CkksEvaluator, ct: Ciphertext) -> Ciphertext:
-    """Multiply every slot by ``i`` — exactly and for free.
-
-    In this packing ``ζ_j^{N/2} = i`` for every slot ``j``, so the
-    monomial product ``X^{N/2}·c(X)`` (a negacyclic coefficient rotation:
-    the wrapped half negates) multiplies all slot values by ``i`` with no
-    level, scale or noise cost.
-    """
-    ctx = ev.ctx
-    m = ctx.n // 2
-
-    def rot(poly: RnsPoly) -> RnsPoly:
-        coeff = poly.to_coeff()
-        rows = coeff.data
-        primes = np.array(
-            [ctx.all_primes[i] for i in coeff.prime_indices], dtype=np.int64
-        )[:, None]
-        out = np.empty_like(rows)
-        out[:, m:] = rows[:, :m]
-        out[:, :m] = (primes - rows[:, m:]) % primes
-        return RnsPoly(ctx, out, coeff.prime_indices, is_ntt=False).to_ntt()
-
-    return Ciphertext(rot(ct.c0), rot(ct.c1), ct.scale, ct.level)
+    return ev._mod_raise(ev.mod_switch_to(ct, 0), target_level)
 
 
 # ----------------------------------------------------------------------
@@ -235,15 +191,17 @@ class RefreshPlan:
 
     # -- encoded complex diagonals, memoised per consumption point -----
     def _encoded_groups(
-        self, ev: CkksEvaluator, stage: str, level: int, pt_scale: float,
-        factor: float,
+        self, stage: str, level: int, pt_scale: float, factor: float
     ) -> dict:
         """``factor`` folds the *message scale* into the matrix values.
 
         The base matrices are scale-free; the refreshed ciphertext's
         actual scale (canonical-with-drift, only known at run time)
         multiplies in here, keyed into the memo alongside the encode
-        coordinates.
+        coordinates.  The plan encodes against its own context, never
+        through the running evaluator, so every memo entry is a real
+        :class:`~repro.ckks.encoder.Plaintext` whichever evaluator —
+        real or shadow — asked first.
         """
         key = (stage, level, pt_scale, factor)
         cached = self._encoded.get(key)
@@ -264,35 +222,13 @@ class RefreshPlan:
                 groups.setdefault(g, {})[b] = np.roll(vec, g)
         else:
             groups = {0: diagonals}
+        encode = CkksEncoder(self.ctx).encode
         encoded = {
-            g: {
-                b: _encode_complex(ev, vec, level, pt_scale)
-                for b, vec in inner.items()
-            }
+            g: {b: encode(vec, level, pt_scale) for b, vec in inner.items()}
             for g, inner in groups.items()
         }
         self._encoded[key] = encoded
         return encoded
-
-
-def _encode_complex(
-    ev: CkksEvaluator, values: np.ndarray, level: int, scale: float
-) -> Plaintext:
-    """Encode a *complex* slot vector as a plaintext.
-
-    ``CkksEncoder.encode`` coerces to float64 (real slot data);
-    the embedding itself is complex-capable — a real coefficient vector
-    evaluating to any complex slot assignment always exists — so the CtS
-    and StC diagonals encode through :meth:`CkksEncoder.embed` directly.
-    """
-    coeffs = ev.encoder.embed(np.asarray(values, dtype=np.complex128))
-    if np.max(np.abs(coeffs)) * scale >= 2.0**61:
-        raise ValueError(
-            f"refresh diagonal encode overflows int64 at scale {scale:.3g}"
-        )
-    scaled = np.rint(coeffs * scale).astype(np.int64)
-    poly = RnsPoly.from_small_coeffs(ev.ctx, scaled, list(range(level + 1)))
-    return Plaintext(poly.to_ntt(), scale)
 
 
 def plan_refresh(
@@ -406,11 +342,11 @@ def coeff_to_slot(
     s_next = canonical_scale(ev.ctx, ct.level - 2)
     q_chain = ev.ctx.q_chain
     pt_scale = s_next * q_chain[ct.level] * q_chain[ct.level - 1] / ct.scale
-    groups = plan._encoded_groups(ev, "cts", ct.level, pt_scale, ct.scale)
+    groups = plan._encoded_groups("cts", ct.level, pt_scale, ct.scale)
     w = ev.rescale(encrypted_matvec_bsgs(ev, ct, groups=groups))
     wc = ev.conjugate(w)
     ct_a = ev.add(w, wc)
-    ct_b = _mul_by_i(ev, ev.sub(wc, w))
+    ct_b = ev._mul_by_i(ev.sub(wc, w))
     return ct_a, ct_b
 
 
@@ -451,10 +387,10 @@ def slot_to_coeff(
     """
     from repro.fhe.linear import encrypted_matvec_bsgs
 
-    y = ev.add(ct_a, _mul_by_i(ev, ct_b))
+    y = ev.add(ct_a, ev._mul_by_i(ct_b))
     s_tgt = canonical_scale(ev.ctx, y.level - 1)
     pt_scale = s_tgt * ev.ctx.q_chain[y.level] / y.scale
-    groups = plan._encoded_groups(ev, "stc", y.level, pt_scale, 1.0 / msg_scale)
+    groups = plan._encoded_groups("stc", y.level, pt_scale, 1.0 / msg_scale)
     out = encrypted_matvec_bsgs(ev, y, groups=groups)
     out.scale = s_tgt  # exact by construction (up to encode rounding)
     return out
@@ -484,12 +420,7 @@ def refresh(ev: CkksEvaluator, ct: Ciphertext, plan: RefreshPlan) -> Ciphertext:
         reference = ev.decrypt(ct)
         if plan.method == "recrypt":
             target = plan.target_level
-            scale = canonical_scale(ctx, target)
-            pt = ev.encoder.encode(reference, target, scale)
-            chain = list(range(target + 1))
-            out = Ciphertext(
-                pt.poly, RnsPoly.zero(ctx, chain, is_ntt=True), scale, target
-            )
+            out = ev._trivial_encrypt(reference, target, canonical_scale(ctx, target))
         else:
             raised = mod_raise(ev, ct, ctx.max_level)
             ct_a, ct_b = coeff_to_slot(ev, raised, plan)

@@ -118,6 +118,12 @@ class CkksContext:
         # (c) Galois automorphisms as NTT-domain permutations (lazy per g)
         self._galois_perms: dict = {}
         self._bitrev = _bit_reverse_indices(n)
+        # (d) the canonical per-level scale schedule, from Δ at the top
+        s = self.scale
+        self._canonical_scales = {self.max_level: s}
+        for level in range(self.max_level, 0, -1):
+            s = s * s / self.q_chain[level]
+            self._canonical_scales[level - 1] = s
         # kernel backend last: it reads the tables built above
         self.backend = resolve_backend(params.backend, self)
 
@@ -134,6 +140,16 @@ class CkksContext:
     def max_level(self) -> int:
         """Fresh ciphertexts start here (number of rescales available)."""
         return len(self.q_chain) - 1
+
+    def canonical_scale(self, level: int) -> float:
+        """The canonical scale of ``level``: ``S_{l-1} = S_l² / q_l`` from the top.
+
+        Every compiled executor keeps ciphertexts on this per-level schedule
+        (it is what lets plaintexts pre-encode at deterministic scales, and
+        what a refresh must hand its output back *on*); the tracer reports
+        scale drift against it.
+        """
+        return self._canonical_scales[level]
 
     def primes_at_level(self, level: int) -> list:
         """Chain primes active at ``level`` (q_0..q_level)."""

@@ -108,10 +108,17 @@ class CkksEncoder:
 
     # ------------------------------------------------------------------
     def encode(self, values, level: int, scale: float | None = None) -> Plaintext:
-        """Encode a slot vector (or scalar broadcast) at a chain level."""
+        """Encode a slot vector (or scalar broadcast) at a chain level.
+
+        Complex slot vectors (the refresh CtS/StC diagonals) embed as they
+        are — a real coefficient vector evaluating to any complex slot
+        assignment always exists; everything else is coerced to float64.
+        """
         scale = float(scale if scale is not None else self.ctx.scale)
         prime_indices = list(range(level + 1))
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        if not np.iscomplexobj(values):
+            values = values.astype(np.float64, copy=False)
         if values.ndim == 0:
             # scalar broadcast: constant polynomial — O(1), no embedding
             coeffs = np.zeros(self.ctx.n)

@@ -128,11 +128,14 @@ class CkksEvaluator:
         must already carry a matching scale.
         """
         pt = self._as_plaintext(value, a.level, a.scale)
-        if abs(pt.scale - a.scale) > _SCALE_RTOL * max(pt.scale, a.scale):
-            raise ValueError(
-                f"plaintext scale {pt.scale:.3g} != ciphertext scale {a.scale:.3g}"
-            )
+        self._check_add_plain(a, pt.scale)
         return Ciphertext(a.c0 + pt.poly, a.c1.copy(), a.scale, a.level)
+
+    def _check_add_plain(self, a: Ciphertext, pt_scale: float) -> None:
+        if abs(pt_scale - a.scale) > _SCALE_RTOL * max(pt_scale, a.scale):
+            raise ValueError(
+                f"plaintext scale {pt_scale:.3g} != ciphertext scale {a.scale:.3g}"
+            )
 
     # ------------------------------------------------------------------
     # multiplicative ops
@@ -223,15 +226,60 @@ class CkksEvaluator:
             raise ValueError(f"cannot align upward ({a.level} -> {level})")
         mismatch = abs(a.scale - scale) / scale
         if a.level == level or mismatch <= rtol:
-            return Ciphertext(
-                *(c.drop_rows(level + 1) for c in (a.c0, a.c1)), a.scale, level
-            ) if a.level != level else a
+            return self.mod_switch_to(a, level)
         a = self.mod_switch_to(a, level + 1)
         q_next = self.ctx.q_chain[level + 1]
         correction = scale * q_next / a.scale
         out = self.rescale(self.mul_plain(a, 1.0, scale=correction))
         out.scale = scale  # exact by construction (up to encode rounding)
         return out
+
+    # ------------------------------------------------------------------
+    # refresh primitives (``repro.ckks.bootstrap`` is the only caller)
+    # ------------------------------------------------------------------
+    def _trivial_encrypt(self, values, level: int, scale: float) -> Ciphertext:
+        """Noiseless encryption ``(encode(values), 0)`` — recrypt's re-entry."""
+        pt = self.encoder.encode(values, level, scale)
+        zero = RnsPoly.zero(self.ctx, list(range(level + 1)), is_ntt=True)
+        return Ciphertext(pt.poly, zero, scale, level)
+
+    def _mod_raise(self, a: Ciphertext, level: int) -> Ciphertext:
+        """Lift the centred ``q0`` residues of ``a`` onto the chain up to ``level``."""
+        ctx = self.ctx
+        q0 = ctx.q_chain[0]
+        half = q0 // 2
+        chain = list(range(level + 1))
+
+        def lift(poly: RnsPoly) -> RnsPoly:
+            residues = poly.to_coeff().data[0]
+            centred = ((residues + half) % q0) - half
+            return RnsPoly.from_small_coeffs(ctx, centred, chain).to_ntt()
+
+        return Ciphertext(lift(a.c0), lift(a.c1), a.scale, level)
+
+    def _mul_by_i(self, a: Ciphertext) -> Ciphertext:
+        """Multiply every slot by ``i`` — exactly and for free.
+
+        In this packing ``ζ_j^{N/2} = i`` for every slot ``j``, so the
+        monomial product ``X^{N/2}·c(X)`` (a negacyclic coefficient rotation:
+        the wrapped half negates) multiplies all slot values by ``i`` with no
+        level, scale or noise cost.
+        """
+        ctx = self.ctx
+        m = ctx.n // 2
+
+        def rot(poly: RnsPoly) -> RnsPoly:
+            coeff = poly.to_coeff()
+            rows = coeff.data
+            primes = np.array(
+                [ctx.all_primes[i] for i in coeff.prime_indices], dtype=np.int64
+            )[:, None]
+            out = np.empty_like(rows)
+            out[:, m:] = rows[:, :m]
+            out[:, :m] = (primes - rows[:, m:]) % primes
+            return RnsPoly(ctx, out, coeff.prime_indices, is_ntt=False).to_ntt()
+
+        return Ciphertext(rot(a.c0), rot(a.c1), a.scale, a.level)
 
     # ------------------------------------------------------------------
     # keyswitching (RNS-digit hybrid, single special prime)

@@ -21,10 +21,11 @@ over polynomial terms) shares the high bits of the exponents across terms:
   so CKKS parameters never grow.
 
 The plan is symbolic (no ciphertexts, no numpy): compiling is cheap enough
-to do per network layer at build time, and the plan doubles as the analytic
-cost model (``repro.fhe.latency.activation_op_counts``) and as the
+to do per network layer at build time, and the plan doubles as the
 enumeration of coefficient plaintexts that ``repro.serve.artifact``
-pre-encodes at their exact ``(level, scale)``.
+pre-encodes at their exact ``(level, scale)``.  Its op counts are not
+restated anywhere: the cost model runs the plan's executor over shadow
+ciphertexts (:class:`repro.ckks.shadow.ShadowEvaluator`).
 
 Mirroring :class:`repro.fhe.linear.MatvecPlan`, the choice is *strictly
 fewer nonscalar mults* — ties fall back to the ladder (``use_ps=False``).

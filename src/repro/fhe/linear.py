@@ -306,7 +306,7 @@ def encrypted_matvec_shards(
         )
     with trace_span(
         ev, "matvec:shards", kind="matvec", k_in=len(cts), k_out=len(blocks),
-        backend=cts[0].c0.ctx.backend.name,
+        backend=ev.ctx.backend.name,
     ) as sp:
         sp.ct_entry(cts)
         rotated = []
@@ -343,7 +343,7 @@ def encrypted_matvec_shards(
         if executor is None or len(tasks) <= 1:
             outs = [task() for task in tasks]
         else:
-            outs = executor.map_blocks(tasks, ctx=cts[0].c0.ctx)
+            outs = executor.map_blocks(tasks, ctx=ev.ctx)
         sp.ct_exit(outs)
     return outs
 
@@ -376,12 +376,12 @@ def encrypted_matvec(
     if diagonals is None:
         if w is None:
             raise ValueError("need either a weight matrix or precomputed diagonals")
-        diagonals = diagonals_of(w, ct_x.c0.ctx.slots)
+        diagonals = diagonals_of(w, ev.ctx.slots)
     if not diagonals:
         raise ValueError("matrix has no nonzero diagonals")
     with trace_span(
         ev, "matvec:naive", kind="matvec", diagonals=len(diagonals),
-        backend=ct_x.c0.ctx.backend.name,
+        backend=ev.ctx.backend.name,
     ) as sp:
         sp.ct_entry(ct_x)
         acc = None
@@ -390,7 +390,7 @@ def encrypted_matvec(
             term = ev.mul_plain(rotated, vec)
             acc = term if acc is None else ev.add(acc, term)
         acc = ev.rescale(acc)
-        bias_slots = _bias_slots(ct_x.c0.ctx.slots, bias, bias_slots)
+        bias_slots = _bias_slots(ev.ctx.slots, bias, bias_slots)
         if bias_slots is not None:
             acc = ev.add_plain(acc, bias_slots)
         sp.ct_exit(acc)
@@ -435,12 +435,12 @@ def encrypted_matvec_bsgs(
     if groups is None:
         if w is None:
             raise ValueError("need either a weight matrix or precomputed groups")
-        diagonals = diagonals_of(w, ct_x.c0.ctx.slots)
+        diagonals = diagonals_of(w, ev.ctx.slots)
         if not diagonals:
             raise ValueError("matrix has no nonzero diagonals")
         plan = plan_matvec(diagonals.keys(), max(w.shape))
         groups = bsgs_diagonals(diagonals, plan)
     if not groups:
         raise ValueError("matrix has no nonzero diagonals")
-    bias_slots = _bias_slots(ct_x.c0.ctx.slots, bias, bias_slots)
+    bias_slots = _bias_slots(ev.ctx.slots, bias, bias_slots)
     return encrypted_matvec_shards(ev, [ct_x], [[groups]], bias_slots=[bias_slots])[0]

@@ -49,10 +49,12 @@ from repro.ckks import (
     CkksContext,
     CkksEvaluator,
     CkksParams,
+    ShadowEvaluator,
     eval_paf_relu,
     keygen,
     plan_paf_relu,
 )
+from repro.ckks.instrumentation import CountingEvaluator
 from repro.ckks.instrumentation import span as trace_span
 from repro.core.paf_layer import PAFReLU
 from repro.fhe.ir import (
@@ -709,8 +711,26 @@ class EncryptedNetwork:
         return ct
 
     # ------------------------------------------------------------------
-    # static schedule
+    # cost model / static schedule
     # ------------------------------------------------------------------
+    def op_counts(self) -> dict:
+        """HE-op counts of one forward — the cost model.
+
+        Runs :meth:`forward_shards` itself over
+        :class:`~repro.ckks.shadow.ShadowEvaluator` ciphertexts under a
+        :class:`~repro.ckks.instrumentation.CountingEvaluator`: no keys,
+        no encryption, no ring arithmetic, milliseconds per model — and
+        equal to the counts of a measured forward by construction, since
+        the executor, its handlers and the counter are the ones a real
+        forward runs.  Dot the result with per-op seconds
+        (:func:`repro.fhe.latency.cost_from_counts`) to price it.
+        """
+        shadow = ShadowEvaluator(self.ctx)
+        counting = CountingEvaluator(shadow)
+        cts = [shadow.encrypt(None) for _ in range(self.num_input_shards)]
+        self.forward_shards(cts, ev=counting)
+        return dict(counting.counts)
+
     def layer_input_levels(self) -> dict:
         """Chain level at which the ciphertext enters each layer.
 

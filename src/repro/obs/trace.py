@@ -150,7 +150,6 @@ class Tracer:
     def __init__(self, ctx=None, counts=None):
         self.ctx = ctx
         self._counts = counts
-        self._sched: dict | None = None
         self.reset()
 
     def reset(self) -> None:
@@ -199,14 +198,7 @@ class Tracer:
         the top of the chain); ``None`` without a context."""
         if self.ctx is None:
             return None
-        if self._sched is None:
-            sched = {self.ctx.max_level: self.ctx.scale}
-            s = self.ctx.scale
-            for lvl in range(self.ctx.max_level, 0, -1):
-                s = s * s / self.ctx.q_chain[lvl]
-                sched[lvl - 1] = s
-            self._sched = sched
-        return self._sched.get(level)
+        return self.ctx.canonical_scale(level)
 
     def ct_state(self, ct) -> dict:
         """Level / scale observation of a ciphertext (or shard list)."""

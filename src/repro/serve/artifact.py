@@ -300,10 +300,9 @@ class ModelArtifact:
         plan = self.model.paf_plans[layer_index]
         level = self.model.layer_input_levels()[layer_index]
         ctx = self.model.ctx
-        scale = ctx.scale
-        for lvl in range(ctx.max_level, level, -1):
-            scale = scale * scale / ctx.q_chain[lvl]
-        return plan.constant_encodings(ctx.q_chain, level, scale)
+        return plan.constant_encodings(
+            ctx.q_chain, level, ctx.canonical_scale(level)
+        )
 
     def prewarm_activations(self) -> int:
         """Pre-encode every PAF layer's coefficient plaintexts.
@@ -433,12 +432,8 @@ class ModelArtifact:
         self._linear_memo.clear()
         levels = self.model.layer_input_levels()
         branch_levels = self.model.merge_branch_levels()
-        ctx = self.model.ctx
         for i in self.model.matvec_groups:
             # a merge projection reads its saved branch's coordinates
             level = branch_levels.get(i, levels[i])
-            scale = ctx.scale
-            for lvl in range(ctx.max_level, level, -1):
-                scale = scale * scale / ctx.q_chain[lvl]
-            self.encoded_linear(i, level, scale)
+            self.encoded_linear(i, level, self.model.ctx.canonical_scale(level))
         return count

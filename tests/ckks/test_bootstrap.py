@@ -170,10 +170,10 @@ class TestRefreshEndToEnd:
 class TestRefreshCostModel:
     """The latency model's refresh pricing must match measured counts.
 
-    ``refresh_op_counts`` is what ``analytic_refresh_cost`` dots with the
-    pinned per-op timings; if it drifts from what :func:`refresh`
-    actually executes, the compile-time refresh-vs-deepen tradeoff is
-    priced on fiction.
+    ``refresh_op_counts`` runs :func:`refresh` itself over shadow
+    ciphertexts and is what ``cost_from_counts`` dots with the pinned
+    per-op timings; if it drifted from what a real refresh executes, the
+    compile-time refresh-vs-deepen tradeoff would be priced on fiction.
     """
 
     def _measure(self, n, method):
@@ -204,13 +204,47 @@ class TestRefreshCostModel:
         assert refresh_op_counts(plan) == {"decrypt": 2, "encrypt": 1}
 
     def test_evalmod_refresh_costs_more_than_recrypt(self):
-        from repro.fhe.latency import REFERENCE_MICROS, analytic_refresh_cost
+        from repro.fhe.latency import (
+            REFERENCE_MICROS,
+            cost_from_counts,
+            refresh_op_counts,
+        )
 
         ctx, _, evalmod = runtime(32, "evalmod")
         _, _, recrypt = runtime(32, "recrypt")
-        assert analytic_refresh_cost(evalmod, REFERENCE_MICROS) > 10 * (
-            analytic_refresh_cost(recrypt, REFERENCE_MICROS)
+        assert cost_from_counts(refresh_op_counts(evalmod), REFERENCE_MICROS) > 10 * (
+            cost_from_counts(refresh_op_counts(recrypt), REFERENCE_MICROS)
         )
+
+    def test_shadow_run_leaves_the_plan_memo_real(self):
+        """The plan memoises encoded diagonals per consumption point; a
+        shadow run must leave nothing there a real refresh could choke
+        on.  The plan encodes against its own context, so whatever a
+        shadow run leaves is a real plaintext — and a real refresh
+        afterwards is bit-identical to one on a plan no shadow touched."""
+        from repro.ckks.encoder import Plaintext
+        from repro.ckks.rns import RnsPoly
+        from repro.fhe.latency import refresh_op_counts
+
+        ctx, ev, _ = runtime(32)
+        plan = plan_refresh(ctx, method="evalmod")
+        refresh_op_counts(plan)
+        leaves = [
+            pt
+            for groups in plan._encoded.values()
+            for inner in groups.values()
+            for pt in inner.values()
+        ]
+        assert all(
+            isinstance(pt, Plaintext) and isinstance(pt.poly, RnsPoly) for pt in leaves
+        )
+        v = np.random.default_rng(8).uniform(-1.0, 1.0, ctx.slots)
+        low = ev.mod_switch_to(ev.encrypt(v), 1)
+        out = refresh(ev, low, plan)  # passes its precision gate
+        clean = refresh(ev, low, plan_refresh(ctx, method="evalmod"))
+        assert (out.level, out.scale) == (clean.level, clean.scale)
+        assert np.array_equal(out.c0.data, clean.c0.data)
+        assert np.array_equal(out.c1.data, clean.c1.data)
 
 
 class TestRefreshBackendConformance:

@@ -1,16 +1,24 @@
 """Tests for the op-counting evaluator + cost-model consistency.
 
 The key assertion: the *measured* op counts of the depth-optimal encrypted
-ReLU equal the counts predicted by ``repro.fhe.latency.paf_op_counts`` —
-the analytic cost model and the implementation cannot drift apart.
+ReLU equal the counts of the same executor run over
+:class:`~repro.ckks.ShadowEvaluator` ciphertexts — the cost model *is*
+the implementation, so the two cannot drift apart.
 """
 
 import numpy as np
 import pytest
 
-from repro.ckks import CkksContext, CkksEvaluator, CkksParams, eval_paf_relu, keygen
+from repro.ckks import (
+    CkksContext,
+    CkksEvaluator,
+    CkksParams,
+    ShadowEvaluator,
+    eval_paf_relu,
+    keygen,
+    plan_paf_relu,
+)
 from repro.ckks.instrumentation import CountingEvaluator
-from repro.fhe.latency import activation_op_counts, paf_op_counts
 from repro.paf import get_paf
 
 
@@ -48,27 +56,29 @@ class TestCountingEvaluator:
         assert counting.ctx is ctx
         assert counting.encoder is ev.encoder
 
-    @pytest.mark.parametrize("form", ["f1g2", "f2g2", "f1f1g1g1"])
+    @pytest.mark.parametrize("form", ["f1g2", "f2g2", "f2g3", "f1f1g1g1"])
     @pytest.mark.parametrize("reference", [False, True])
-    def test_relu_matches_cost_model_counts(self, rt, form, reference):
-        """Measured ct-mult / pt-mult counts == the analytic model's,
+    def test_relu_shadow_counts_equal_measured(self, rt, form, reference):
+        """The cost model is the executor run over shadows: its full op
+        tally equals the measured one — alignment corrections included —
         on the Paterson–Stockmeyer path and the ladder reference alike."""
         ctx, ev = rt
         paf = get_paf(form)
-        counting = CountingEvaluator(ev)
-        ct = counting.encrypt(np.linspace(-1, 1, ctx.slots))
-        counting.reset()
-        eval_paf_relu(counting, ct, paf, reference=reference)
-        predicted = activation_op_counts(paf, reference=reference)
-        assert counting.counts["mul"] == predicted["ct_mult"]
-        assert counting.nonscalar_mult_count == predicted["ct_mult"]
-        # pt-mults: the model's leaf products; alignment corrections are
-        # extra pt-mults the model books under rescale-noise, so measured
-        # pt_mult >= predicted and the difference equals align corrections.
-        extra = counting.counts["align_correction"]
-        assert counting.counts["mul_plain"] == predicted["pt_mult"] + extra
-
-    def test_ladder_model_alias(self):
-        """``paf_op_counts`` is the reference model behind the new API."""
-        paf = get_paf("f2g3")
-        assert activation_op_counts(paf, reference=True) == paf_op_counts(paf)
+        measured = CountingEvaluator(ev)
+        modeled = CountingEvaluator(ShadowEvaluator(ctx))
+        for counting in (measured, modeled):
+            ct = counting.encrypt(np.linspace(-1, 1, ctx.slots))
+            counting.reset()
+            eval_paf_relu(counting, ct, paf, reference=reference)
+        assert dict(modeled.counts) == dict(measured.counts)
+        # and both are what the plan promises: its nonscalar mults, and
+        # one plaintext mult per coefficient leaf plus one per correction
+        plan = plan_paf_relu(paf)
+        leaves = sum(np.count_nonzero(c.coeffs) for c in paf.components)
+        assert leaves == plan.num_leaves
+        if not reference:
+            assert measured.nonscalar_mult_count == plan.nonscalar_mults
+        assert (
+            measured.counts["mul_plain"]
+            == leaves + measured.counts["align_correction"]
+        )

@@ -3,17 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.ckks import CkksContext, CkksEvaluator, CkksParams, keygen
+from repro.ckks import (
+    CkksContext,
+    CkksEvaluator,
+    CkksParams,
+    ShadowEvaluator,
+    eval_paf_relu,
+    keygen,
+)
+from repro.ckks.instrumentation import CountingEvaluator
 from repro.fhe import (
-    analytic_relu_cost,
     compile_mlp,
     diagonals_of,
     encrypted_matvec,
+    encrypted_matvec_shards,
     measure_op_micros,
     measure_relu_latency,
-    paf_op_counts,
+    plan_matvec,
     required_rotation_steps,
 )
+from repro.fhe.latency import REFERENCE_MICROS, cost_from_counts
+from repro.fhe.linear import grouped_diagonals
 from repro.nn.models import mlp
 from repro.paf import get_paf, paper_pafs
 
@@ -166,45 +176,83 @@ class TestLatencyHarness:
         shallow = measure_relu_latency(get_paf("f1g2"), params).seconds
         assert shallow < deep
 
+    @staticmethod
+    def _counts(ev, run) -> dict:
+        """Op tally of ``run(counting evaluator, fresh ciphertext)``."""
+        counting = CountingEvaluator(ev)
+        ct = counting.encrypt(np.zeros(ev.ctx.slots))
+        counting.reset()
+        run(counting, ct)
+        return dict(counting.counts)
+
     def test_op_counts_positive_and_ordered(self):
-        counts = {p.name: paf_op_counts(p) for p in paper_pafs(include_alpha10=True)}
-        assert counts["alpha=10"]["ct_mult"] > counts["f1 o g2"]["ct_mult"]
+        """Shadow counts == measured counts for every paper PAF (ladder
+        leg, alpha=10 baseline included), and the deep baseline costs
+        the most nonscalar mults."""
+        ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=12))
+        real, shadow = CkksEvaluator(ctx, keygen(ctx, seed=0)), ShadowEvaluator(ctx)
+        counts = {}
+        for paf in paper_pafs(include_alpha10=True):
+            def run(ev, ct, paf=paf):
+                eval_paf_relu(ev, ct, paf, reference=True)
+
+            counts[paf.name] = self._counts(shadow, run)
+            assert counts[paf.name] == self._counts(real, run), paf.name
+        assert counts["alpha=10"]["mul"] > counts["f1 o g2"]["mul"]
         for c in counts.values():
-            assert c["ct_mult"] > 0 and c["pt_mult"] > 0
+            assert c["mul"] > 0 and c["mul_plain"] > 0
 
     def test_cost_model_positive(self):
-        micros = {"ct_mult": 1e-3, "pt_mult": 1e-4, "rescale": 5e-4}
-        cost = analytic_relu_cost(get_paf("f2g2"), micros)
-        assert cost > 0
+        """The counting vocabulary is the pricing vocabulary: every op a
+        PAF-ReLU charges has a reference price (``align_correction``
+        rides its mul_plain + rescale)."""
+        ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=7))
+        counts = self._counts(
+            ShadowEvaluator(ctx), lambda ev, ct: eval_paf_relu(ev, ct, get_paf("f2g2"))
+        )
+        assert set(counts) - {"align_correction"} <= set(REFERENCE_MICROS)
+        assert cost_from_counts(counts, REFERENCE_MICROS) > 0
 
     def test_matvec_cost_model_counts(self):
-        from repro.fhe import analytic_matvec_cost, matvec_op_counts, plan_matvec
+        """Shadow counts == measured counts for the grouped matvec the
+        executor runs — a dense 16-diagonal BSGS block and a 2-diagonal
+        block BSGS cannot help, which still shares one hoisted
+        decomposition."""
+        ctx = CkksContext(CkksParams(n=128, scale_bits=25, depth=2))
+        rng = np.random.default_rng(0)
+        cases = {}
+        for size in (16, 2):
+            diags = diagonals_of(rng.normal(size=(size, size)), ctx.slots)
+            plan = plan_matvec(diags.keys(), size)
+            cases[size] = plan, [[grouped_diagonals(diags, plan)]]
+        steps = {s for plan, _ in cases.values() for s in plan.rotation_steps()}
+        real = CkksEvaluator(ctx, keygen(ctx, seed=0, galois_steps=tuple(steps)))
+        counts = {}
+        for size, (plan, blocks) in cases.items():
+            def run(ev, ct, blocks=blocks):
+                encrypted_matvec_shards(ev, [ct], blocks)
 
-        plan = plan_matvec(range(16), 16)
-        assert matvec_op_counts(plan) == {
-            "rotate": 3,            # giant steps
-            "rotate_hoisted": 3,    # baby steps sharing one decomposition
+            counts[size] = self._counts(ShadowEvaluator(ctx), run)
+            assert counts[size] == self._counts(real, run)
+        assert cases[16][0].use_bsgs and not cases[2][0].use_bsgs
+        assert counts[16] == {
             "hoist_decompose": 1,
-            "pt_mult": 16,
+            "rotate_hoisted": 3,    # baby steps sharing one decomposition
+            "rotate": 3,            # giant steps
+            "mul_plain": 16,
+            "add": 15,
             "rescale": 1,
         }
-        naive = plan_matvec([0, 1], 2)   # too small: BSGS cannot win
-        assert not naive.use_bsgs
-        assert matvec_op_counts(naive) == {
-            "rotate": 1,
-            "rotate_hoisted": 0,
-            "hoist_decompose": 0,
-            "pt_mult": 2,
+        assert counts[2] == {
+            "hoist_decompose": 1,
+            "rotate_hoisted": 1,    # the one diagonal step, hoisted too
+            "mul_plain": 2,
+            "add": 1,
             "rescale": 1,
         }
-        micros = {
-            "rotate": 1e-2,
-            "rotate_hoisted": 2e-3,
-            "hoist_decompose": 8e-3,
-            "pt_mult": 1e-4,
-            "rescale": 5e-4,
-        }
-        assert analytic_matvec_cost(plan, micros) > analytic_matvec_cost(naive, micros)
+        assert cost_from_counts(counts[16], REFERENCE_MICROS) > cost_from_counts(
+            counts[2], REFERENCE_MICROS
+        )
 
     def test_measure_op_micros_includes_rotations(self):
         micros = measure_op_micros(CkksParams(n=256, scale_bits=25, depth=4), repeats=1)

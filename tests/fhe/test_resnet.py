@@ -21,19 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckks import CkksParams
+from repro.ckks import CkksEvaluator, CkksParams, ShadowEvaluator
 from repro.fhe.cnn import (
     compile_cnn,
     compile_resnet,
     conv2d_shard_matrices,
     linear_shard_matrices,
 )
-from repro.fhe.latency import (
-    analytic_residual_merge_cost,
-    analytic_sharded_matvec_cost,
-    residual_merge_op_counts,
-    sharded_matvec_op_counts,
-)
+from repro.fhe.latency import REFERENCE_MICROS, cost_from_counts
 from repro.fhe.linear import grouped_diagonals, shard_hoist_steps
 from repro.fhe.ir import MatvecNode, MergeNode, PoolNode, ResidualTapNode
 from repro.fhe.network import EncryptedNetwork
@@ -49,6 +44,7 @@ from repro.nn.layers import (
 from repro.nn.models.resnet import BasicBlock, toy_resnet
 from repro.nn.module import Sequential
 from repro.nn.tensor import Tensor
+from repro.obs import TracingEvaluator
 from repro.serve.artifact import ModelArtifact
 
 # deep-chain contexts need the scale-tracking prime schedule
@@ -400,8 +396,8 @@ class TestShardedCostModel:
         assert enc.predict(x, 3) == int(np.argmax(ref))
 
     def test_sharded_counts_match_measured_mini_net(self):
-        """The analytic per-layer sharded-matvec counts reproduce the
-        measured rotation/decompose counts of the executor."""
+        """The shadow forward's op tally is the measured one, key for key
+        — replication rotations, cross-shard adds and all."""
         from repro.ckks.instrumentation import CountingEvaluator
 
         rng = np.random.default_rng(0)
@@ -416,55 +412,81 @@ class TestShardedCostModel:
         cts = enc.encrypt_batch_shards([np.zeros(32)])
         counting.reset()
         enc.forward_shards(cts, ev=counting)
-        expected = {"rotate": 0, "rotate_hoisted": 0, "hoist_decompose": 0,
-                    "pt_mult": 0, "rescale": 0}
-        for plans in enc.matvec_plans.values():
-            c = sharded_matvec_op_counts(plans)
-            for k in expected:
-                expected[k] += c[k]
-        # the only extra keyswitches are the head layer's per-shard
-        # replication rotations (the conv's 2 output shards)
-        assert counting.counts["rotate"] == expected["rotate"] + 2
-        assert counting.counts["rotate_hoisted"] == expected["rotate_hoisted"]
-        assert counting.counts["hoist_decompose"] == expected["hoist_decompose"]
-        assert counting.counts["mul_plain"] == expected["pt_mult"]
-        assert counting.counts["rescale"] == expected["rescale"]
+        assert enc.op_counts() == dict(counting.counts)
+        # the head layer replicates each of the conv's 2 output shards
+        standalone = sum(
+            sum(1 for g in plan.giant_steps if g)
+            for grid in enc.matvec_plans.values()
+            for row in grid
+            for plan in row
+            if plan is not None and plan.use_bsgs
+        )
+        assert counting.counts["rotate"] == standalone + 2
+
+    @staticmethod
+    def _merge_ops(gap: int, projection: bool = False) -> tuple:
+        """``(shadow ops, measured ops, projection plan grid)`` of the merge
+        layer of a 2-shard tap / ``gap`` level-eaters / merge net, from
+        traced forwards."""
+        size = 8
+        eye = np.eye(size)
+        proj = None
+        if projection:
+            w = np.random.default_rng(1).normal(size=(size, size))
+            proj = [[w, None], [None, w]]
+        layers = [MatvecNode(blocks=[[eye, None], [None, eye]]), ResidualTapNode()]
+        layers += [_eater() for _ in range(gap)]
+        layers.append(MergeNode(blocks=proj, tap=1))
+        enc = EncryptedNetwork(
+            layers, size=size, params=MINI_PARAMS, seed=0, input_shards=2
+        )
+        enc.input_splits = [size, size]
+        ops = []
+        for ev in (ShadowEvaluator(enc.ctx), CkksEvaluator(enc.ctx, enc.keys)):
+            tev = TracingEvaluator(ev)
+            cts = enc.encrypt_batch_shards([np.zeros(2 * size)], ev=tev)
+            enc.forward_shards(cts, ev=tev)
+            ops.append(tev.tracer.layer_spans()[-1].ops)
+        return ops[0], ops[1], enc.matvec_plans.get(len(layers) - 1)
 
     def test_merge_counts_identity_and_projection(self):
-        identity = residual_merge_op_counts(2)
-        assert identity == {
-            "rotate": 0, "rotate_hoisted": 0, "hoist_decompose": 0,
-            "pt_mult": 2, "rescale": 2, "add": 2,
+        identity, measured, _ = self._merge_ops(gap=1)
+        assert identity == measured == {
+            # one exact alignment correction and one add per shard
+            "align_correction": 2, "mul_plain": 2, "rescale": 2, "add": 2,
         }
-        gap0 = residual_merge_op_counts(2, level_gap=0)
-        assert gap0["pt_mult"] == 0 and gap0["add"] == 2
-        from repro.fhe.linear import diagonals_of, plan_matvec
-
-        w = np.random.default_rng(1).normal(size=(8, 8))
-        plan = plan_matvec(diagonals_of(w, 64).keys(), 8)
-        proj = residual_merge_op_counts(2, proj_plans=[[plan, None], [None, plan]])
+        gap0, measured, _ = self._merge_ops(gap=0)
+        assert gap0 == measured == {"add": 2}  # equal levels: adds only
+        # the projection's own rescale spends one level of the gap, so
+        # two eaters leave one level for the alignment to ride
+        proj, measured, grid = self._merge_ops(gap=2, projection=True)
+        assert proj == measured
+        plan = grid[0][0]
+        # per shard: the replication rotation plus the block's giant steps
         assert proj["rotate"] == 2 * sum(1 for g in plan.giant_steps if g) + 2
         assert proj["rescale"] == 2 + 2
+        assert proj["align_correction"] == 2
+        flush, measured, _ = self._merge_ops(gap=1, projection=True)
+        assert flush == measured and "align_correction" not in flush
 
-    def test_analytic_costs_price_every_charged_op(self):
-        """Unit-price micros make the cost equal the op-count total, and a
-        projection merge always costs more than an identity one."""
-        from repro.fhe.linear import diagonals_of, plan_matvec
-
-        micros = {k: 1.0 for k in (
-            "rotate", "rotate_hoisted", "hoist_decompose", "pt_mult",
-            "rescale", "add",
-        )}
-        w = np.random.default_rng(2).normal(size=(8, 8))
-        plan = plan_matvec(diagonals_of(w, 64).keys(), 8)
-        plans = [[plan, plan], [plan, plan]]
-        counts = sharded_matvec_op_counts(plans)
-        assert analytic_sharded_matvec_cost(plans, micros) == sum(counts.values())
-        identity_cost = analytic_residual_merge_cost(2, micros)
-        proj_cost = analytic_residual_merge_cost(2, micros, proj_plans=plans)
-        assert proj_cost > identity_cost > 0
-        # gap 0 drops the alignment ops but never the per-shard adds
-        assert analytic_residual_merge_cost(2, micros, level_gap=0) == 2
+    def test_costs_price_every_charged_op(self):
+        """Unit prices make the cost equal the op total, every op a merge
+        charges has a reference price, and a projection merge always
+        costs more than an identity one."""
+        identity, _, _ = self._merge_ops(gap=1)
+        proj, _, _ = self._merge_ops(gap=2, projection=True)
+        gap0, _, _ = self._merge_ops(gap=0)
+        for ops in (identity, proj, gap0):
+            assert cost_from_counts(ops, dict.fromkeys(ops, 1.0)) == sum(ops.values())
+            # align_correction is charged through its mul_plain + rescale
+            assert set(ops) - {"align_correction"} <= set(REFERENCE_MICROS)
+        assert (
+            cost_from_counts(proj, REFERENCE_MICROS)
+            > cost_from_counts(identity, REFERENCE_MICROS)
+            # gap 0 drops the alignment ops but never the per-shard adds
+            > cost_from_counts(gap0, REFERENCE_MICROS)
+            > 0
+        )
 
 
 # ----------------------------------------------------------------------

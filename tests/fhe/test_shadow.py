@@ -1,0 +1,133 @@
+"""Shadow forwards: the cost model is the executor.
+
+``EncryptedNetwork.op_counts()`` runs ``forward_shards`` itself over
+:class:`~repro.ckks.ShadowEvaluator` ciphertexts — ``(level, scale)``
+pairs, no keys, no ring data — under the same ``CountingEvaluator`` a
+measured forward uses.  Three things pin that the shadow run *is* the
+real run minus the arithmetic: its counts reproduce the checked-in
+op-count gate for every pinned model, its output lands on the real
+forward's exact ``(level, scale)``, and a ``TracingEvaluator`` around it
+reproduces the checked-in per-layer level slack.  A fourth: the shadow
+refuses what the real evaluator refuses, with the same ``ValueError``.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.ckks import (
+    CkksContext,
+    CkksEvaluator,
+    CkksParams,
+    ShadowEvaluator,
+    keygen,
+)
+from repro.obs import TracingEvaluator
+
+BENCH = Path(__file__).resolve().parents[2] / "benchmarks"
+OPCOUNTS = json.loads((BENCH / "opcount_baseline.json").read_text())["models"]
+SLACK = json.loads((BENCH / "slack_baseline.json").read_text())["models"]
+
+#: model -> (session fixture, flat input dim)
+MODELS = {
+    "toy_mlp": ("toy_plain_enc", 8),
+    "toy_cnn": ("toy_cnn", 64),
+    "toy_resnet": ("toy_resnet", 64),
+    "toy_transformer": ("toy_transformer", 32),
+    "toy_transformer_stacked": ("toy_transformer_stacked", 32),
+}
+
+
+def _enc(request, model: str):
+    # fetched lazily so selecting one model does not compile the others
+    got = request.getfixturevalue(MODELS[model][0])
+    return got[1] if isinstance(got, tuple) else got
+
+
+def _shadow_inputs(enc, ev) -> list:
+    return [ev.encrypt(None) for _ in range(enc.num_input_shards)]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_op_counts_reproduce_the_gate(request, monkeypatch, model):
+    """Full ``counts`` dict of the CI gate, zero-valued keys included —
+    the stacked transformer's recrypt refresh (``decrypt: 8``) too —
+    without one real ciphertext being built along the way."""
+    enc = _enc(request, model)
+
+    def no_ciphertexts(*args, **kwargs):
+        raise AssertionError("a shadow forward built a real ciphertext")
+
+    monkeypatch.setattr("repro.ckks.evaluator.Ciphertext", no_ciphertexts)
+    assert enc.op_counts() == OPCOUNTS[model]["counts"]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_traced_shadow_reproduces_the_slack_baseline(request, model):
+    """A shadow under ``TracingEvaluator`` is the predicted level trace."""
+    enc = _enc(request, model)
+    tev = TracingEvaluator(ShadowEvaluator(enc.ctx))
+    enc.forward_shards(_shadow_inputs(enc, tev), ev=tev)
+    slack = {sp.name: sp.attrs["level_slack"] for sp in tev.tracer.layer_spans()}
+    assert slack == SLACK[model]["layers"]
+
+
+@pytest.mark.parametrize(
+    "model", ["toy_mlp", "toy_cnn", "toy_resnet", "toy_transformer"]
+)
+def test_shadow_lands_on_the_real_forward_coordinates(request, model):
+    """Bit-equal output ``(level, scale)``: the shadow's scale arithmetic
+    is the evaluator's, float operation for float operation."""
+    enc = _enc(request, model)
+    shadow = ShadowEvaluator(enc.ctx)
+    (predicted,) = enc.forward_shards(_shadow_inputs(enc, shadow), ev=shadow)
+    cts = enc.encrypt_batch_shards([np.zeros(MODELS[model][1])])
+    orig = enc.ctx.backend.name
+    enc.ctx.set_backend("vectorized")  # bit-identical, and ~3x less waiting
+    try:
+        (real,) = enc.forward_shards(cts)
+    finally:
+        enc.ctx.set_backend(orig)
+    assert (predicted.level, predicted.scale) == (real.level, real.scale)
+
+
+class TestSameFailures:
+    """What the real evaluator rejects, the shadow rejects identically."""
+
+    @pytest.fixture(scope="class", params=["real", "shadow"])
+    def ev(self, request):
+        ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=2))
+        if request.param == "shadow":
+            return ShadowEvaluator(ctx)
+        return CkksEvaluator(ctx, keygen(ctx, seed=0))
+
+    def test_rescale_at_level_zero(self, ev):
+        bottom = ev.mod_switch_to(ev.encrypt(np.zeros(4)), 0)
+        with pytest.raises(ValueError, match="cannot rescale at level 0"):
+            ev.rescale(bottom)
+        with pytest.raises(ValueError, match="out of levels"):
+            ev.mul(bottom, bottom)
+
+    def test_level_mismatched_add(self, ev):
+        a = ev.encrypt(np.zeros(4))
+        b = ev.mod_switch_to(a, 1)
+        for op in (ev.add, ev.sub, ev.mul):
+            with pytest.raises(ValueError, match="level mismatch: 2 vs 1"):
+                op(a, b)
+
+    def test_scale_mismatched_add(self, ev):
+        a = ev.encrypt(np.zeros(4))
+        with pytest.raises(ValueError, match="scale mismatch"):
+            ev.add(a, ev.mul_plain(a, 1.0))
+
+    def test_mod_switch_up(self, ev):
+        low = ev.mod_switch_to(ev.encrypt(np.zeros(4)), 0)
+        with pytest.raises(ValueError, match=r"cannot mod-switch up \(0 -> 1\)"):
+            ev.mod_switch_to(low, 1)
+
+    def test_align_upward(self, ev):
+        low = ev.mod_switch_to(ev.encrypt(np.zeros(4)), 0)
+        with pytest.raises(ValueError, match=r"cannot align upward \(0 -> 2\)"):
+            ev.align_to(low, 2, low.scale)

@@ -119,10 +119,8 @@ class TestCtState:
         assert state["level"] == 2
 
     def test_scale_drift_against_schedule(self):
-        # S_2 = 2^40; q_2 = 2^40 exactly, so S_1 = S_2²/q_2 = 2^40 too
-        ctx = SimpleNamespace(
-            max_level=2, scale=2.0**40, q_chain=[None, 2**40, 2**40]
-        )
+        # the schedule is the context's (CkksContext.canonical_scale)
+        ctx = SimpleNamespace(canonical_scale={2: 2.0**40, 1: 2.0**40}.get)
         t = Tracer(ctx=ctx)
         assert t.scheduled_scale(2) == 2.0**40
         assert t.scheduled_scale(1) == 2.0**40

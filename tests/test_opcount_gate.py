@@ -1,12 +1,14 @@
 """The op-count gate's backend-invariance machinery, without crypto.
 
-Two halves, both stdlib-fast:
+Three parts, all stdlib-fast:
 
 * ``tools/check_opcounts.py --invariant`` — the CI-side byte-compare of
   two summaries' gate metrics;
 * ``benchmarks/opcount_summary.py``'s ``verify_backend_invariance`` —
   the producer-side re-measure-under-every-backend assertion (driven
-  here with fake contexts/counters so no model is compiled).
+  here with fake contexts/counters so no model is compiled);
+* its ``measure_forward`` — the modeled == measured assertion against
+  ``enc.op_counts()`` (driven with a fake network).
 """
 
 import importlib.util
@@ -127,3 +129,36 @@ class TestVerifyBackendInvariance:
         msg = str(exc.value)
         assert "toy" in msg and "vectorized" in msg and "backends.md" in msg
         assert ctx.backend.name == "reference"  # restored even on failure
+
+
+class _FakeNet:
+    """A 'network' whose forward books three rotations on the counter."""
+
+    ev = SimpleNamespace()
+
+    def __init__(self, modeled):
+        self.modeled = modeled
+
+    def encrypt_batch_shards(self, xs):
+        return []
+
+    def forward_shards(self, cts, ev):
+        ev.counts["rotate"] += 3
+
+    def op_counts(self):
+        return self.modeled
+
+
+class TestModeledEqualsMeasured:
+    """``measure_forward`` holds every measured forward equal to the
+    network's shadow-forward cost model."""
+
+    def test_agreeing_model_passes(self, opcount_summary):
+        counting = opcount_summary.measure_forward(_FakeNet({"rotate": 3}), 8)
+        assert counting.counts == {"rotate": 3}
+
+    def test_drifted_model_fails_loudly(self, opcount_summary):
+        with pytest.raises(SystemExit) as exc:
+            opcount_summary.measure_forward(_FakeNet({"rotate": 2, "mul": 1}), 8)
+        msg = str(exc.value)
+        assert "'rotate': (2, 3)" in msg and "'mul': (1, None)" in msg
