@@ -6,11 +6,11 @@ CKKS at a configurable ring size; *relative* latencies across PAF forms —
 which track multiplication count and depth — are the reproduced quantity.
 
 This module is the *measuring* half of the cost model: per-op wall-clock
-microbenchmarks (:func:`measure_op_micros`), the pinned reference prices
-(:data:`REFERENCE_MICROS`) and the dot product that turns op counts into
-seconds (:func:`cost_from_counts`).  The op counts themselves are never
-written down here: they come from running the real executors over
-:class:`~repro.ckks.shadow.ShadowEvaluator` ciphertexts
+microbenchmarks (:func:`measure_op_micros`, the one price list — taken
+from a clock on the box that runs it) and the dot product that turns op
+counts into seconds (:func:`cost_from_counts`).  The op counts
+themselves are never written down here: they come from running the real
+executors over :class:`~repro.ckks.shadow.ShadowEvaluator` ciphertexts
 (:meth:`repro.fhe.network.EncryptedNetwork.op_counts`,
 :func:`refresh_op_counts`), so modeled and measured counts cannot drift.
 """
@@ -39,7 +39,6 @@ from repro.paf.relu import relu_mult_depth
 
 __all__ = [
     "LatencyResult",
-    "REFERENCE_MICROS",
     "cost_from_counts",
     "measure_relu_latency",
     "measure_op_micros",
@@ -62,7 +61,7 @@ class LatencyResult:
 _SHARED: dict = {}
 
 
-def shared_runtime(params: CkksParams, seed: int = 0):
+def shared_runtime(params: CkksParams):
     """Context+keys+evaluator cache (keygen dominates small benchmarks).
 
     Keyed on the frozen ``params`` itself: two parameter sets that differ
@@ -70,7 +69,7 @@ def shared_runtime(params: CkksParams, seed: int = 0):
     """
     if params not in _SHARED:
         ctx = CkksContext(params)
-        keys = keygen(ctx, seed=seed)
+        keys = keygen(ctx, seed=0)
         _SHARED[params] = (ctx, keys, CkksEvaluator(ctx, keys))
     return _SHARED[params]
 
@@ -79,20 +78,8 @@ def measure_relu_latency(
     paf: CompositePAF,
     params: CkksParams | None = None,
     repeats: int = 1,
-    *,
-    mode: str | None = None,
 ) -> LatencyResult:
-    """Wall-clock encrypted PAF-ReLU latency (median of ``repeats``).
-
-    ``mode="reference"`` measures the term-by-term ladder path instead
-    of the default Paterson–Stockmeyer plan (same depth, more nonscalar
-    mults) — ``benchmarks/bench_paf_eval.py`` sweeps both.
-    """
-    if mode not in (None, "plan", "reference"):
-        raise ValueError(
-            f"measure_relu_latency mode must be 'plan' or 'reference', got {mode!r}"
-        )
-    reference = mode == "reference"
+    """Wall-clock encrypted PAF-ReLU latency (median of ``repeats``)."""
     params = params or CkksParams(n=2048, scale_bits=25, depth=relu_mult_depth(paf) + 1)
     if params.depth < relu_mult_depth(paf):
         raise ValueError(
@@ -102,12 +89,12 @@ def measure_relu_latency(
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, ctx.slots)
     ct = ev.encrypt(x)
-    plan = None if reference else plan_paf_relu(paf)
+    plan = plan_paf_relu(paf)
     times = []
     out = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = eval_paf_relu(ev, ct, paf, plan=plan, reference=reference)
+        out = eval_paf_relu(ev, ct, paf, plan=plan)
         times.append(time.perf_counter() - t0)
     got = ev.decrypt(out)
     ref = 0.5 * (x + paf(x) * x)
@@ -158,33 +145,6 @@ def measure_op_micros(params: CkksParams, repeats: int = 3) -> dict:
     return out
 
 
-#: Reference per-op seconds, measured once via
-#: :func:`measure_op_micros` on the baseline dev box and pinned so that
-#: model costs derived from op counts are machine-independent — the
-#: currency of the CI bench-trend gate (``bench_resnet_forward``) and of
-#: per-span modeled costs in trace reports.  ``align_correction`` is
-#: charged through its mul_plain + rescale (``CountingEvaluator`` books
-#: all three), so it carries no price itself.
-REFERENCE_MICROS = {
-    "mul": 0.1396,
-    "mul_plain": 0.0033,
-    "rescale": 0.0102,
-    "add": 0.00017,
-    "add_plain": 0.00017,
-    "sub": 0.00017,
-    "rotate": 0.1588,
-    "rotate_hoisted": 0.0304,
-    "hoist_decompose": 0.1167,
-    "mod_switch_to": 0.0005,
-    # client-boundary ops, priced for the refresh cost model (the
-    # precision gate decrypts twice; recrypt re-encodes once) — measured
-    # on the same baseline box, normalised through the pinned mul rate
-    "conjugate": 0.1735,
-    "encrypt": 0.0398,
-    "decrypt": 0.0176,
-}
-
-
 def cost_from_counts(counts: dict, micros: dict) -> float:
     """Shared dot product of op counts × per-op seconds.
 
@@ -205,7 +165,7 @@ def refresh_op_counts(plan) -> dict:
     refresh would use — ``tests/ckks/test_bootstrap.py`` holds the two
     equal.  Both methods pay the precision gate's two decryptions.
     ``recrypt``'s re-encode at the top of the chain is an encoder call no
-    evaluator proxy sees; it is priced here at the ``encrypt`` rate, which
+    evaluator proxy sees; it is booked here as one ``encrypt``, whose cost
     the canonical-embedding encode dominates.
     """
     ctx = plan.ctx

@@ -192,10 +192,10 @@ def compiled_toy_resnet(
     """Train, PAF-replace, calibrate and compile the toy ResNet.
 
     The shared fixture behind the residual differential tests, the
-    sharded op-count gate and ``bench_resnet_forward``.  Channels shard
-    across ``num_shards`` ciphertexts (2 by default — the acceptance
-    geometry); ``with_model`` also returns the plaintext model (in eval
-    mode).
+    sharded op-count gate and the ladder's ``resnet_forward`` workload
+    (``benchmarks/ladder``).  Channels shard across ``num_shards``
+    ciphertexts (2 by default — the acceptance geometry); ``with_model``
+    also returns the plaintext model (in eval mode).
     """
     from repro.core import calibrate_static_scales, convert_to_static, replace_all
     from repro.fhe.cnn import compile_resnet
@@ -260,8 +260,8 @@ def compiled_toy_transformer(
     """Train, PAF-replace, calibrate and compile the toy transformer.
 
     The shared fixture behind the encrypted-attention differential
-    tests, the transformer op-count gate and
-    ``bench_transformer_forward``: trains the plaintext model, swaps
+    tests, the transformer op-count gate and the ladder's
+    ``transformer_forward`` workload: trains the plaintext model, swaps
     its softmax / GELU for calibrated dense PAFs
     (:func:`repro.core.surgery.replace_transformer_nonpoly` on the
     training set), and lowers through the token-sharded transformer

@@ -59,8 +59,8 @@ Quickstart::
         results = srv.predict_many(client_inputs)
     print(srv.metrics.format())
 
-See ``benchmarks/bench_serve_throughput.py`` for the amortised-speedup
-measurement (batched vs sequential requests/sec).
+See the ``serve_mixed_open`` workload of ``benchmarks/ladder`` for the
+measured latency, capacity and batch fill of a two-tenant server.
 """
 
 from repro.serve.artifact import (

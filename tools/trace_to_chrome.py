@@ -4,7 +4,7 @@
 
 Takes the JSON written by :meth:`repro.obs.Tracer.write_json` (or
 ``benchmarks/opcount_summary.py --trace-dir`` /
-``bench_resnet_forward.py --trace``) and emits a Chrome
+``benchmarks/ladder/run.py --trace 1``) and emits a Chrome
 ``traceEvents`` file loadable in ``chrome://tracing`` or Perfetto
 (https://ui.perfetto.dev): one complete ("X") event per span, with the
 span kind as the category and the HE-op deltas, ciphertext levels and
