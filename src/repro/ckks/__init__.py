@@ -1,7 +1,7 @@
 """From-scratch leveled RNS-CKKS (the paper's FHE substrate).
 
 Negacyclic NTT ring arithmetic over 30-bit prime chains, canonical
-embedding encoder, public-key encryption, RNS-digit hybrid keyswitching,
+embedding encoder, public-key encryption, grouped hybrid keyswitching,
 rescaling, slot rotation, and depth-optimal PAF evaluation on ciphertexts.
 """
 
@@ -45,7 +45,7 @@ from repro.ckks.poly_plan import (
     plan_paf_relu,
 )
 from repro.ckks.primes import generate_primes, is_prime
-from repro.ckks.rns import RnsPoly, crt_compose_centered, fast_base_convert
+from repro.ckks.rns import RnsPoly, crt_compose_centered
 from repro.ckks.security import SecurityReport, security_report
 from repro.ckks.shadow import ShadowCiphertext, ShadowEvaluator
 
@@ -67,7 +67,6 @@ __all__ = [
     "NttPlan",
     "RnsPoly",
     "crt_compose_centered",
-    "fast_base_convert",
     "generate_primes",
     "is_prime",
     "eval_odd_poly",

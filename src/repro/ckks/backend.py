@@ -3,30 +3,36 @@
 Every homomorphic operation in this repo bottoms out in a handful of
 exact modular-integer kernels over the ``(limbs, n)`` residue matrix of
 an :class:`~repro.ckks.rns.RnsPoly`: negacyclic NTTs, pointwise modular
-arithmetic, the rescale descent and the hoisted-keyswitch digit
-pipeline.  :class:`KernelBackend` names that seam; everything above it
-(``rns``, ``evaluator``, ``fhe/linear``, ``fhe/network``) calls only the
-interface and never touches a butterfly.
+arithmetic, the centred approximate base conversion and the keyswitch
+digit/key inner product.  :class:`KernelBackend` names that seam and
+composes the kernels into the three pipelines everything above it calls
+— :meth:`~KernelBackend.rescale`, :meth:`~KernelBackend.hoist_decompose`
+and :meth:`~KernelBackend.apply_keyswitch` (grouped hybrid keyswitching:
+a digit is a group of α chain primes, lifted onto ``α+level+1`` basis
+rows; see :mod:`repro.ckks.keys`).  ``rns``, ``evaluator``,
+``fhe/linear`` and ``fhe/network`` call only the interface and never
+touch a butterfly.
 
 Two implementations ship:
 
-* :class:`ReferenceBackend` — the original per-limb code paths, moved
-  here verbatim: one :class:`~repro.ckks.ntt.NttPlan` transform per
-  residue row, one Python-loop iteration per keyswitch digit.
+* :class:`ReferenceBackend` — the spec: one
+  :class:`~repro.ckks.ntt.NttPlan` transform per residue row, one
+  Python-loop iteration per source prime of a base conversion and per
+  keyswitch digit, a reduction after every term.
 * :class:`VectorizedBackend` — the same arithmetic with the limb axis
   folded into the numpy kernels: twiddle tables stacked ``(limbs, n)``
   once per context, butterflies sweeping every limb (and every digit)
-  of a stack in one pass, and the keyswitch digit pipeline (decompose →
-  lift → NTT → key inner product → divide-by-P descent) fused into
-  whole-tensor batched operations.
+  of a stack in one pass, base conversion as one batched integer
+  matmul, inner products reduced once per chunk.
 
 The two are **bit-identical**, not merely numerically close: all kernels
-are exact integer arithmetic mod 30-bit primes, and batching identical
-elementwise operations across rows cannot change any residue.  The
-cross-backend conformance suite (``tests/fhe/test_backend_conformance``)
-pins this — same ``c0/c1`` coefficients, same op counts, same decrypted
-outputs — which is what lets benchmarks compare backends as pure
-wall-time experiments.
+are exact integer arithmetic mod 30-bit primes, the pipelines are one
+shared composition of them, and batching identical elementwise
+operations across rows cannot change any residue.  The cross-backend
+conformance suite (``tests/fhe/test_backend_conformance``) pins this —
+same kernel outputs at every level, same ``c0/c1`` coefficients, same
+op counts, same decrypted outputs — which is what lets benchmarks
+compare backends as pure wall-time experiments.
 
 Selection: ``CkksParams(backend="vectorized")`` explicitly, else the
 ``REPRO_BACKEND`` environment variable, else ``"reference"``.  A live
@@ -34,10 +40,10 @@ context can switch with :meth:`CkksContext.set_backend` (exactness makes
 mid-stream switching safe).
 
 Overflow discipline (int64 throughout): primes are < 2^30, so any
-product of two residues is < 2^60 < 2^63.  The keyswitch inner product
-reduces each digit·key product mod its prime *before* summing over
-digits — at most ~64 summands each < 2^30 keeps the accumulator under
-2^36, so no chunking is needed at any supported depth.
+product of two residues is < 2^60 < 2^63, and at most 8 such products
+are summed between reductions (:func:`_chunked_modsum`); a base
+conversion multiplies a *centred* residue (< 2^29) by a weight (< 2^30)
+and sums at most 15 of those (:data:`_CONVERT_CHUNK`).
 
 This module deliberately imports nothing from the rest of ``repro.ckks``
 (backends see only raw arrays, prime index lists and context
@@ -82,7 +88,6 @@ class KernelBackend:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._digit_inv_cache: dict = {}
 
     # ------------------------------------------------------------------
     # pointwise modular arithmetic — exact (rows, n) numpy in both
@@ -127,61 +132,102 @@ class KernelBackend:
         """Reduce one int64 coefficient vector into ``(limbs, n)`` rows."""
         raise NotImplementedError
 
-    def rescale(self, rows, level) -> np.ndarray:
-        """Rescale descent in coefficient domain: divide ``(level+1, n)``
-        chain rows by ``q_level`` with centred rounding, returning the
-        ``(level, n)`` rows of the level below."""
+    def base_convert(self, rows, conv) -> np.ndarray:
+        """Centred approximate base conversion, coefficient domain.
+
+        ``rows`` is ``(..., S, n)`` over ``conv.sources``; each group of
+        source primes converts independently onto ``conv.targets``
+        (:class:`~repro.ckks.context.BaseConversion` has the formula),
+        giving ``(..., G, T, n)``.  The keyswitch digit lift and the
+        divide-by-``P`` descent are its two callers.
+        """
         raise NotImplementedError
+
+    def inner_product(self, digits, key, prime_indices) -> np.ndarray:
+        """``Σ_k digits[k] · key[k]`` mod each basis prime: ``(d, T, n)``
+        tensors in, ``(T, n)`` out."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # the rescale and keyswitch pipelines — shared: each is a fixed
+    # composition of the kernels above, so every backend inherits the
+    # same integer formulas and differs only in how a kernel sweeps rows
+    # ------------------------------------------------------------------
+    def rescale(self, rows, level) -> np.ndarray:
+        """Rescale descent, NTT domain in and out: divide
+        ``(..., level+1, n)`` chain rows by ``q_level`` with centred
+        rounding, returning the ``(..., level, n)`` rows of the level
+        below.
+
+        Only the dropped row leaves the NTT domain: it is
+        inverse-transformed, centred, reduced onto ``q_0..q_{level-1}``
+        and forward-transformed, and the subtract-and-scale happens on
+        NTT residues (the transform is linear mod each prime, so this is
+        the coefficient-domain descent residue for residue).
+        """
+        q_last = self.ctx.q_chain[level]
+        chain = list(range(level))
+        last = self.ntt_inverse(rows[..., level : level + 1, :], [level])
+        centered = np.where(last > q_last // 2, last - q_last, last)
+        delta = self.ntt_forward(centered % self._primes_col(chain), chain)
+        return self.modscale(
+            self.modsub(rows[..., :level, :], delta, chain),
+            self.ctx.rescale_inverses(level),
+            chain,
+        )
 
     def hoist_decompose(self, rows, level) -> np.ndarray:
         """Keyswitch digits of coefficient-domain chain ``rows``, in NTT
-        form over the extended basis ``(q_0..q_level, P)``.
+        form over the extended basis (special primes, then
+        ``q_0..q_level`` — :meth:`CkksContext.keyswitch_basis`).
 
-        Returns shape ``(level+1 digits, level+2 basis rows, n)``.  This
-        is the Galois-independent half of a keyswitch (digit scaling,
-        centring, extended-basis lift, forward NTTs) — computed once and
-        reused per rotation under hoisting.
+        A digit is a group of α chain primes lifted onto the whole
+        basis, so the result is ``(ceil((level+1)/α), α+level+1, n)``.
+        This is the Galois-independent half of a keyswitch (one batched
+        base conversion, forward NTTs) — computed once and reused per
+        rotation under hoisting.
         """
-        raise NotImplementedError
+        ctx = self.ctx
+        lifted = self.base_convert(rows, ctx.digit_lift(level))
+        return self.ntt_forward(lifted, ctx.keyswitch_basis(level))
 
     def apply_keyswitch(self, digits, key_b, key_a, level, perm=None) -> tuple:
-        """Inner product of decomposed ``digits`` with stacked key
-        tensors (each ``(digits, level+2, n)``), then the divide-by-``P``
-        descent back onto the chain basis.
+        """Inner product of decomposed ``digits`` with the level's key
+        tensors (each ``(digits, α+level+1, n)``), then the
+        divide-by-``P`` descent back onto the chain basis.
 
         ``perm`` (an NTT-slot permutation) is applied to every digit
         first — the per-rotation half of a hoisted Galois application.
-        Returns NTT-domain ``(b_rows, a_rows)``, each ``(level+1, n)``.
+        Only the α special rows leave the NTT domain: ``[x]_P`` is base-
+        converted onto ``q_0..q_level``, forward-transformed, and
+        subtracted and scaled by ``P^{-1}`` on NTT residues.  Returns
+        NTT-domain ``(b_rows, a_rows)``, each ``(level+1, n)``.
         """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # shared keyswitch constants
-    # ------------------------------------------------------------------
-    def _extended_basis(self, level) -> list:
-        return list(range(level + 1)) + [len(self.ctx.all_primes) - 1]
-
-    def _digit_inverses(self, level) -> np.ndarray:
-        """``(Q_l/q_j)^{-1} mod q_j`` for every digit j — cached per level."""
-        inv = self._digit_inv_cache.get(level)
-        if inv is None:
-            q_primes = [int(p) for p in self.ctx.primes_at_level(level)]
-            q_l = 1
-            for p in q_primes:
-                q_l *= p
-            inv = np.array(
-                [pow((q_l // q_j) % q_j, q_j - 2, q_j) for q_j in q_primes],
-                dtype=np.int64,
-            )
-            self._digit_inv_cache[level] = inv
-        return inv
+        ctx = self.ctx
+        alpha = ctx.alpha
+        basis = ctx.keyswitch_basis(level)
+        chain = basis[alpha:]
+        if perm is not None:
+            digits = digits[:, :, perm]
+        # both halves ride one batched descent: stack -> (2, basis, n)
+        acc = np.stack(
+            [self.inner_product(digits, key, basis) for key in (key_b, key_a)]
+        )
+        special = self.ntt_inverse(acc[:, :alpha], basis[:alpha])
+        delta = self.base_convert(special, ctx.p_descent(level))[:, 0]
+        out = self.modscale(
+            self.modsub(acc[:, alpha:], self.ntt_forward(delta, chain), chain),
+            ctx.p_inverses(level),
+            chain,
+        )
+        return out[0], out[1]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(n={self.ctx.n})"
 
 
 class ReferenceBackend(KernelBackend):
-    """The original per-limb code paths, one row / one digit at a time."""
+    """The spec: one row, one source prime, one digit at a time."""
 
     name = "reference"
 
@@ -205,64 +251,28 @@ class ReferenceBackend(KernelBackend):
             rows[r] = coeffs % self.ctx.all_primes[idx]
         return rows
 
-    def rescale(self, rows, level):
-        ctx = self.ctx
-        q_last = ctx.q_chain[level]
-        inv = ctx.rescale_inverses(level)
-        last = rows[level]
-        # centre the dropped residue for correct rounding
-        centered = np.where(last > q_last // 2, last - q_last, last)
-        out = np.empty((level, ctx.n), dtype=np.int64)
-        for j in range(level):
-            p = ctx.q_chain[j]
-            out[j] = (rows[j] - centered) % p * inv[j] % p
+    def base_convert(self, rows, conv):
+        primes = self.ctx.all_primes
+        groups, _, size = conv.weights.shape
+        tcol = self._primes_col(conv.targets)
+        out = np.zeros(
+            rows.shape[:-2] + (groups, len(conv.targets), self.ctx.n), dtype=np.int64
+        )
+        for r, idx in enumerate(conv.sources):
+            q = primes[idx]
+            y = rows[..., r, :] * conv.inv[r] % q
+            y = np.where(y > q // 2, y - q, y)
+            g, pos = divmod(r, size)
+            term = y[..., None, :] * conv.weights[g, :, pos, None]
+            out[..., g, :, :] = (out[..., g, :, :] + term) % tcol
         return out
 
-    def hoist_decompose(self, rows, level):
-        ctx = self.ctx
-        basis = self._extended_basis(level)
-        basis_primes = np.array([ctx.all_primes[i] for i in basis], dtype=np.int64)
-        q_primes = [int(p) for p in ctx.primes_at_level(level)]
-        inv = self._digit_inverses(level)
-
-        digits = np.empty((len(q_primes), len(basis), ctx.n), dtype=np.int64)
-        for j, q_j in enumerate(q_primes):
-            digit = rows[j] * inv[j] % q_j
-            # centre the digit, then lift exactly onto the extended basis
-            digit_c = np.where(digit > q_j // 2, digit - q_j, digit)
-            digits[j] = self.ntt_forward(digit_c[None, :] % basis_primes[:, None], basis)
-        return digits
-
-    def apply_keyswitch(self, digits, key_b, key_a, level, perm=None):
-        ctx = self.ctx
-        basis = self._extended_basis(level)
-        basis_primes = np.array([ctx.all_primes[i] for i in basis], dtype=np.int64)
-        p_special = ctx.special_prime
-
-        if perm is not None:
-            digits = digits[:, :, perm]
-        acc_b = np.zeros((len(basis), ctx.n), dtype=np.int64)
-        acc_a = np.zeros((len(basis), ctx.n), dtype=np.int64)
-        for j in range(digits.shape[0]):
-            acc_b = (acc_b + digits[j] * key_b[j]) % basis_primes[:, None]
-            acc_a = (acc_a + digits[j] * key_a[j]) % basis_primes[:, None]
-
-        out = []
-        plan_p = ctx.plans[basis[-1]]
-        p_inv = ctx.p_inverses(level)
-        for acc in (acc_b, acc_a):
-            # divide by P with centred rounding: (x - [x]_P) * P^{-1} mod q_j
-            prod_p_coeff = plan_p.inverse(acc[-1])
-            centered = np.where(
-                prod_p_coeff > p_special // 2, prod_p_coeff - p_special, prod_p_coeff
-            )
-            rows = np.empty((level + 1, ctx.n), dtype=np.int64)
-            for j in range(level + 1):
-                q_j = ctx.q_chain[j]
-                coeff_j = ctx.plans[j].inverse(acc[j])
-                rows[j] = (coeff_j - centered) % q_j * p_inv[j] % q_j
-            out.append(self.ntt_forward(rows, list(range(level + 1))))
-        return out[0], out[1]
+    def inner_product(self, digits, key, prime_indices):
+        pcol = self._primes_col(prime_indices)
+        acc = np.zeros(digits.shape[1:], dtype=np.int64)
+        for k in range(digits.shape[0]):
+            acc = (acc + digits[k] * key[k]) % pcol
+        return acc
 
 
 def _stockham_forward_limb(x, w_tab, p, n):
@@ -339,8 +349,13 @@ def _stockham_forward_bcast(a, psi_rev, primes, n):
 
 
 #: leading-batch size from which the per-limb scalar-modulus path wins
-#: over the broadcast path (hoisting tensors, keyswitch descents)
-_LIMB_MAJOR_MIN_BATCH = 3
+#: over the broadcast path.  Measured on both toy rings (n=512 on 29/34/46
+#: limbs, n=2048 on 9/10/14 limbs, one BLAS thread): broadcast wins or ties
+#: through batch 10, the per-limb loop from batch 12 (16 on the 46-limb
+#: stack).  Grouped keyswitch tensors carry at most ``dnum`` digits, so the
+#: default parameters stay on the broadcast side; one-prime digits
+#: (``dnum = depth+1``, e.g. ``paper_grade``) reach the per-limb side.
+_LIMB_MAJOR_MIN_BATCH = 12
 
 
 def _batched_ntt_forward(a, psi_rev, primes, n):
@@ -348,9 +363,9 @@ def _batched_ntt_forward(a, psi_rev, primes, n):
 
     ``psi_rev`` is ``(limbs, n)`` and ``primes`` is ``(limbs,)``; each
     limb's butterflies run mod its own prime.  Dispatches between two
-    bit-identical Stockham kernels: large leading batches (hoisted digit
-    tensors) loop over limbs with a scalar modulus, small ones broadcast
-    the modulus across the limb axis.
+    bit-identical Stockham kernels: large leading batches (one-prime-
+    per-digit keyswitch tensors) loop over limbs with a scalar modulus,
+    small ones broadcast the modulus across the limb axis.
     """
     shape = a.shape
     limbs = shape[-2]
@@ -425,6 +440,11 @@ def _chunked_modsum(prods, pcol):
     return acc
 
 
+#: source primes one int64 accumulation of :meth:`base_convert` may span:
+#: centred residue (< 2^29) × weight (< 2^30) products, 15·2^59 + 2^30 < 2^63
+_CONVERT_CHUNK = 15
+
+
 class VectorizedBackend(KernelBackend):
     """Limb-batched kernels: the limb (and digit) axes live inside numpy.
 
@@ -433,8 +453,9 @@ class VectorizedBackend(KernelBackend):
     limbs — or of a whole ``(digits, basis, n)`` keyswitch tensor — is
     log2(n) butterfly stages of whole-tensor ops regardless of how many
     rows ride along.  The keyswitch pipeline never drops back to Python
-    per digit: decompose, centre, lift, NTT, key inner product and the
-    divide-by-P descent each run as a single batched pass.
+    per digit or per row: the digit lift and the divide-by-P descent
+    are each one batched integer matmul, the key inner product one
+    chunked sum.
     """
 
     name = "vectorized"
@@ -464,52 +485,30 @@ class VectorizedBackend(KernelBackend):
     def reduce_coeffs(self, coeffs, prime_indices):
         return coeffs[None, :] % self._primes_col(prime_indices)
 
-    def rescale(self, rows, level):
-        q = self._primes[: level + 1]
-        q_last = int(q[level])
-        inv = self.ctx.rescale_inverses(level)
-        last = rows[level]
-        centered = np.where(last > q_last // 2, last - q_last, last)
-        qcol = q[:level, None]
-        return (rows[:level] - centered[None, :]) % qcol * inv[:, None] % qcol
+    def base_convert(self, rows, conv):
+        groups, _, size = conv.weights.shape
+        q = self._primes_col(conv.sources)
+        y = rows * conv.inv[:, None] % q
+        y = np.where(y > q // 2, y - q, y)
+        lead = y.shape[:-2]
+        if y.shape[-2] != groups * size:  # a partial last group pads with zeros
+            padded = np.zeros(lead + (groups * size, self.ctx.n), dtype=np.int64)
+            padded[..., : y.shape[-2], :] = y
+            y = padded
+        y = y.reshape(lead + (groups, size, self.ctx.n))
+        tcol = self._primes_col(conv.targets)
+        # |y| < 2^29 times a weight < 2^30: fifteen summands plus the
+        # running residue stay below 2^63 — one reduction per chunk
+        acc = 0
+        for c in range(0, size, _CONVERT_CHUNK):
+            chunk = slice(c, c + _CONVERT_CHUNK)
+            acc = (acc + conv.weights[:, :, chunk] @ y[..., chunk, :]) % tcol
+        return acc
 
-    def hoist_decompose(self, rows, level):
-        basis = self._extended_basis(level)
-        q = self._primes[: level + 1, None]
-        inv = self._digit_inverses(level)
-        digits = rows * inv[:, None] % q
-        centered = np.where(digits > q // 2, digits - q, digits)
-        basis_primes = self._primes[self._idx(basis)]
-        # lift every centred digit onto the extended basis in one shot:
-        # (digits, 1, n) % (1, basis, 1) -> (digits, basis, n)
-        lifted = centered[:, None, :] % basis_primes[None, :, None]
-        return self.ntt_forward(lifted, basis)
-
-    def apply_keyswitch(self, digits, key_b, key_a, level, perm=None):
-        ctx = self.ctx
-        basis = self._extended_basis(level)
-        bp = self._primes[self._idx(basis)]
-        p_special = ctx.special_prime
-
-        if perm is not None:
-            digits = digits[:, :, perm]
-        # lazy inner product: raw digit·key products are < 2^60, so up to
-        # 8 of them sum exactly in int64 (< 2^63) — reduce once per chunk
-        # of 8 digits instead of once per product
-        acc_b = _chunked_modsum(digits * key_b, bp[:, None])
-        acc_a = _chunked_modsum(digits * key_a, bp[:, None])
-
-        # both halves ride one batched descent: stack -> (2, basis, n)
-        coeff = self.ntt_inverse(np.stack([acc_b, acc_a]), basis)
-        last = coeff[:, -1, :]
-        centered = np.where(last > p_special // 2, last - p_special, last)
-        q = self._primes[: level + 1]
-        qcol = q[None, :, None]
-        p_inv = ctx.p_inverses(level)
-        rows = (coeff[:, : level + 1, :] - centered[:, None, :]) % qcol
-        rows = rows * p_inv[None, :, None] % qcol
-        out = self.ntt_forward(rows, list(range(level + 1)))
-        return out[0], out[1]
+    def inner_product(self, digits, key, prime_indices):
+        # lazy sum: raw digit·key products are < 2^60, so up to 8 of them
+        # sum exactly in int64 — reduce once per chunk of 8 digits
+        return _chunked_modsum(digits * key, self._primes_col(prime_indices))
 
 
 # ----------------------------------------------------------------------

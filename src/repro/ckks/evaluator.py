@@ -9,8 +9,10 @@ Conventions
 * Every ciphertext-ciphertext or ciphertext-plaintext multiply doubles the
   scale; :meth:`rescale` divides by the level's top prime and drops it —
   one *level* consumed (the paper's multiplication-depth currency).
-* Relinearisation / rotation use single-special-prime hybrid keyswitching
-  with approximate RNS base conversion.
+* Relinearisation / rotation use grouped hybrid keyswitching (α chain
+  primes per digit, α special primes, approximate RNS base conversion —
+  :mod:`repro.ckks.keys`); rescale, rotation and the keyswitch descent
+  stay in the NTT domain except for the rows they drop.
 """
 
 from __future__ import annotations
@@ -183,14 +185,15 @@ class CkksEvaluator:
         level = a.level
         if level < 1:
             raise ValueError("cannot rescale at level 0")
-        q_last = self.ctx.q_chain[level]
-
-        def down(poly: RnsPoly) -> RnsPoly:
-            rows = self.ctx.backend.rescale(poly.to_coeff().data, level)
-            return RnsPoly(self.ctx, rows, list(range(level)), is_ntt=False).to_ntt()
-
+        ctx = self.ctx
+        # both polynomials ride one batched descent: stack -> (2, level+1, n)
+        rows = ctx.backend.rescale(np.stack([a.c0.data, a.c1.data]), level)
+        chain = list(range(level))
         return Ciphertext(
-            down(a.c0), down(a.c1), a.scale / q_last, level - 1
+            RnsPoly(ctx, rows[0], chain, is_ntt=True),
+            RnsPoly(ctx, rows[1], chain, is_ntt=True),
+            a.scale / ctx.q_chain[level],
+            level - 1,
         )
 
     def mod_switch_to(self, a: Ciphertext, level: int) -> Ciphertext:
@@ -282,15 +285,16 @@ class CkksEvaluator:
         return Ciphertext(rot(a.c0), rot(a.c1), a.scale, a.level)
 
     # ------------------------------------------------------------------
-    # keyswitching (RNS-digit hybrid, single special prime)
+    # keyswitching (grouped hybrid: α chain primes per digit)
     # ------------------------------------------------------------------
     def _keyswitch(self, d: RnsPoly, family, level: int) -> tuple:
         """Switch poly ``d`` (chain basis at ``level``) through a
         :class:`KeySwitchFamily`; returns the (c0, c1) contribution.
 
-        Digits ``D_j = [d_j · (Q_l/q_j)^{-1}]_{q_j}`` are small (< q_j), so
-        after multiplying by the per-digit keys and dividing by the special
-        prime the added noise is ``Σ_j D_j e_j / P`` — a few bits.
+        Digits ``D_k = [d]_{G_k}`` (one per group of α chain primes) are
+        smaller than ``P``, so after multiplying by the per-digit keys and
+        dividing by ``P`` the added noise is ``Σ_k D_k e_k / P`` — a few
+        bits.
         """
         return self._apply_keyswitch_keys(
             self._hoist_decompose(d, level), family, level
@@ -299,18 +303,19 @@ class CkksEvaluator:
     def _hoist_decompose(self, d: RnsPoly, level: int) -> np.ndarray:
         """Keyswitch digits of ``d`` in NTT form over the extended basis.
 
-        Returns shape ``(level+1 digits, level+2 basis rows, N)``.  This is
-        the expensive half of a keyswitch (inverse NTTs, digit scaling,
-        extended-basis lift, forward NTTs) and is *independent of the
-        Galois element*: digit decomposition commutes exactly with the
-        automorphism (both act coefficient-wise / by signed coefficient
-        permutation), and the automorphism is a pure NTT-slot permutation
+        Returns shape ``(ceil((level+1)/α) digits, α+level+1 basis rows,
+        N)``.  This is the expensive half of a keyswitch (inverse NTTs,
+        the digit lift's base conversion, forward NTTs) and is
+        *independent of the Galois element*: the centred digit
+        decomposition commutes exactly with the automorphism (both act
+        coefficient-wise / by signed coefficient permutation, and odd
+        primes make the centred range symmetric), and the automorphism
+        is a pure NTT-slot permutation
         (:meth:`CkksContext.galois_ntt_permutation`).  Computing it once
         and permuting per rotation is rotation *hoisting*.
 
-        The digit pipeline itself (decompose, centre, lift, forward
-        NTTs) is a kernel-backend concern — per-digit loops on the
-        reference backend, one fused batched pass on the vectorized one.
+        The digit pipeline itself is a kernel-backend concern
+        (:meth:`KernelBackend.hoist_decompose`).
         """
         return self.ctx.backend.hoist_decompose(d.to_coeff().data, level)
 
@@ -322,8 +327,8 @@ class CkksEvaluator:
 
         ``perm`` (an NTT-slot permutation) is applied to every digit first —
         this is the per-rotation half of a hoisted Galois application.
-        The arithmetic runs in the kernel backend against the family's
-        stacked key tensors.
+        The arithmetic runs in the kernel backend against the level's
+        slice of the family's key tensors.
         """
         ctx = self.ctx
         key_b, key_a = family.stacked_at_level(level)
@@ -349,43 +354,20 @@ class CkksEvaluator:
         The expensive digit decomposition of ``c1``
         (:meth:`_hoist_decompose`) is shared across all steps; each
         rotation then only permutes the NTT-form digits, takes the inner
-        product with its Galois keys and divides by the special prime —
-        the Halevi-Shoup hoisting structure.  Output is bit-identical to
-        calling :meth:`rotate` per step (the decomposition commutes
-        exactly with the automorphism).
+        product with its Galois keys and divides by ``P`` —
+        the Halevi-Shoup hoisting structure.  :meth:`rotate` is the
+        one-step case of the same path, so the two are bit-identical.
 
         Trivial steps (multiples of the slot count) come back as copies
         without touching the decomposition.
         """
-        two_n = 2 * self.ctx.n
-        out: dict = {}
-        nontrivial: list = []
-        for step in steps:
-            g = pow(5, step % self.ctx.slots, two_n)
-            if g == 1:
-                out[step] = a.copy()
-            else:
-                nontrivial.append((step, g))
-        if not nontrivial:
-            return out
-        for _, g in nontrivial:
-            if g not in self.keys.galois:
-                raise KeyError(
-                    f"no Galois key for element {g}; pass the step to "
-                    "keygen(galois_steps=...)"
-                )
-        c0_ntt = a.c0.to_ntt()
-        digits = self._hoist_decompose(a.c1, a.level)
-        for step, g in nontrivial:
-            perm = self.ctx.galois_ntt_permutation(g)
-            ks0, ks1 = self._apply_keyswitch_keys(
-                digits, self.keys.galois[g], a.level, perm=perm
-            )
-            c0g = RnsPoly(
-                self.ctx, c0_ntt.data[:, perm], c0_ntt.prime_indices, is_ntt=True
-            )
-            out[step] = Ciphertext(c0g + ks0, ks1, a.scale, a.level)
-        return out
+        steps = list(steps)
+        elements = [pow(5, step % self.ctx.slots, 2 * self.ctx.n) for step in steps]
+        rotated = iter(self._galois_many(a, [g for g in elements if g != 1]))
+        return {
+            step: a.copy() if g == 1 else next(rotated)
+            for step, g in zip(steps, elements)
+        }
 
     def conjugate(self, a: Ciphertext) -> Ciphertext:
         """Complex-conjugate the slots (element 2N-1)."""
@@ -394,14 +376,32 @@ class CkksEvaluator:
     def _apply_galois(self, a: Ciphertext, g: int) -> Ciphertext:
         if g == 1:
             return a.copy()
-        if g not in self.keys.galois:
-            raise KeyError(
-                f"no Galois key for element {g}; pass the step to keygen(galois_steps=...)"
+        return self._galois_many(a, [g])[0]
+
+    def _galois_many(self, a: Ciphertext, elements: list) -> list:
+        """``φ_g(a)`` for each nontrivial Galois element, entirely in the
+        NTT domain: ``c1`` is decomposed once, and each element permutes
+        ``c0`` and the digits by its NTT-slot permutation before the key
+        inner product."""
+        if not elements:
+            return []
+        for g in elements:
+            if g not in self.keys.galois:
+                raise KeyError(
+                    f"no Galois key for element {g}; pass the step to "
+                    "keygen(galois_steps=...)"
+                )
+        c0 = a.c0.to_ntt()
+        digits = self._hoist_decompose(a.c1, a.level)
+        out = []
+        for g in elements:
+            perm = self.ctx.galois_ntt_permutation(g)
+            ks0, ks1 = self._apply_keyswitch_keys(
+                digits, self.keys.galois[g], a.level, perm=perm
             )
-        c0g = a.c0.to_coeff().automorphism(g).to_ntt()
-        c1g = a.c1.to_coeff().automorphism(g).to_ntt()
-        ks0, ks1 = self._keyswitch(c1g, self.keys.galois[g], a.level)
-        return Ciphertext(c0g + ks0, ks1, a.scale, a.level)
+            c0g = RnsPoly(self.ctx, c0.data[:, perm], c0.prime_indices, is_ntt=True)
+            out.append(Ciphertext(c0g + ks0, ks1, a.scale, a.level))
+        return out
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -1,28 +1,35 @@
 """Key generation: secret, public, relinearisation and Galois keys.
 
-Keyswitching uses the RNS-digit hybrid construction (one digit per chain
-prime, one special prime ``P``): to switch a polynomial ``d`` known mod
-``Q_l = q_0···q_l`` from key ``w`` to key ``s``,
+Keyswitching uses grouped hybrid keyswitching over RNS digits: the chain
+primes are grouped ``α`` to a digit (``α = ceil((L+1)/dnum)``) and the
+chain carries ``α`` special primes, ``P = p_0···p_{α-1}``.  To switch a
+polynomial ``d`` known mod ``Q_l = q_0···q_l`` from key ``w`` to key
+``s``, write ``G_k`` for the product of group ``k``'s primes at level
+``l`` (the last group may be partial) and
 
-    d ≡ Σ_j D_j · W_j   (mod Q_l),
-    D_j = [ d_j · (Q_l/q_j)^{-1} ]_{q_j}   (small digits),
-    W_j = Q_l / q_j,
+    D_k = [d]_{G_k}              (one small digit per group, lifted onto
+                                  the extended basis (p_*, q_0..q_l)),
+    g_k ≡ 1 on group k's primes, ≡ 0 on every other chain prime,
 
-and the key for digit ``j`` is ``ksk_j = (-a_j·s + e_j + P·W_j·w, a_j)``
-over the extended basis ``(q_0..q_l, P)``.  The ciphertext side computes
-``Σ_j D_j · ksk_j`` and divides by ``P`` — noise is ``Σ_j D_j e_j / P``
-with digits bounded by the (30-bit) primes, so it stays tiny.
+so that ``Σ_k D_k·g_k ≡ d (mod Q_l)`` — on each chain row exactly one
+term survives, and it is the row's own residue.  The key for digit ``k``
+is ``ksk_k = (-a_k·s + e_k + P·g_k·w, a_k)``.  The ciphertext side
+computes ``Σ_k D_k · ksk_k`` and divides by ``P`` — noise is
+``Σ_k D_k e_k / P`` with ``|D_k| ≤ α·G_k/2 < P`` as long as a special
+prime is at least as wide as any chain prime (checked by
+:class:`~repro.ckks.context.CkksContext`), so it stays tiny.
 
-Because the weights ``W_j`` depend on the level, key components are
-generated lazily per level and cached (:class:`KeySwitchFamily`).  The
-secret stays inside the :class:`KeyChain` — acceptable for a simulator,
-called out in the docs.
+In RNS ``P·g_k`` is a 0/``P`` indicator per row — it does not depend on
+the level — so a family is **one** tensor pair over the full basis,
+built eagerly; level ``l`` uses the leading slice (digits
+``[:ceil((l+1)/α)]``, rows special + ``q_0..q_l``).  A family keeps no
+reference to the secret it was derived from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List
 
 import numpy as np
 
@@ -32,7 +39,6 @@ from repro.ckks.rns import RnsPoly
 __all__ = [
     "SecretKey",
     "PublicKey",
-    "KeySwitchKey",
     "KeySwitchFamily",
     "KeyChain",
     "keygen",
@@ -73,77 +79,51 @@ class PublicKey:
     a: RnsPoly
 
 
-@dataclass
-class KeySwitchKey:
-    """One digit's keyswitch component over ``(q_0..q_l, P)``."""
-
-    b: RnsPoly
-    a: RnsPoly
-
-
 class KeySwitchFamily:
-    """Per-level keyswitch key sets for one target polynomial ``w``.
+    """The keyswitch key for one target polynomial ``w``: one
+    ``(key_b, key_a)`` tensor pair, each ``(digits, α+L+1, n)`` in NTT
+    form with the special rows first — every level is a slice of it.
 
-    ``w`` is ``s²`` for relinearisation or ``s(X^g)`` for a Galois element;
-    stored in coefficient form so it can be reduced onto any basis.
+    ``w_coeffs`` is ``s²`` for relinearisation or ``s(X^g)`` for a Galois
+    element, as small integer coefficients.  The secret is read during
+    construction only; all randomness is drawn here, from ``seed``.
     """
 
     def __init__(self, ctx: CkksContext, secret: "SecretKey", w_coeffs: np.ndarray, seed: int):
         self.ctx = ctx
-        self._secret = secret
-        self._w_coeffs = w_coeffs      # big-int (object) or int64 coefficients
-        self._rng = np.random.default_rng(seed)
-        self._cache: Dict[int, List[KeySwitchKey]] = {}
-        self._stacked: Dict[int, tuple] = {}
+        rng = np.random.default_rng(seed)
+        alpha = ctx.alpha
+        basis = ctx.keyswitch_basis(ctx.max_level)
+        s_basis = RnsPoly(ctx, secret.poly.data[basis], basis, is_ntt=True)
+        w_basis = RnsPoly.from_small_coeffs(ctx, w_coeffs, basis).to_ntt()
+        # P mod each basis prime — zero on the special rows themselves
+        p_special = math.prod(ctx.special_primes)
+        p_mod = np.array([p_special % ctx.all_primes[i] for i in basis], dtype=np.int64)
 
-    def at_level(self, level: int) -> List[KeySwitchKey]:
-        if level in self._cache:
-            return self._cache[level]
-        ctx = self.ctx
-        basis = list(range(level + 1)) + [len(ctx.all_primes) - 1]
-        basis_primes = [ctx.all_primes[i] for i in basis]
-        p_special = ctx.special_prime
-        q_primes = [int(p) for p in ctx.primes_at_level(level)]
-        q_l = 1
-        for p in q_primes:
-            q_l *= p
-
-        s_rows = np.stack([self._secret.poly.data[i] for i in basis])
-        s_basis = RnsPoly(ctx, s_rows, basis, is_ntt=True)
-        if self._w_coeffs.dtype == object:
-            w_basis = RnsPoly.from_int_coeffs(ctx, self._w_coeffs, basis).to_ntt()
-        else:
-            w_basis = RnsPoly.from_small_coeffs(ctx, self._w_coeffs, basis).to_ntt()
-
-        keys = []
-        for j, q_j in enumerate(q_primes):
-            w_j = q_l // q_j                      # big int weight
-            factor = np.array(
-                [(p_special * (w_j % p)) % p for p in basis_primes], dtype=np.int64
-            )
-            a = _sample_uniform(ctx, basis, self._rng)
+        keys_b, keys_a = [], []
+        for k in range(ctx.num_digits(ctx.max_level)):
+            # P·g_k in RNS: P on group k's own chain rows, 0 everywhere else
+            gadget = np.zeros_like(p_mod)
+            group = slice(alpha * (k + 1), alpha * (k + 2))
+            gadget[group] = p_mod[group]
+            a = _sample_uniform(ctx, basis, rng)
             e = RnsPoly.from_small_coeffs(
-                ctx, _sample_error(ctx.n, ctx.params.error_std, self._rng), basis
+                ctx, _sample_error(ctx.n, ctx.params.error_std, rng), basis
             ).to_ntt()
-            b = -(a * s_basis) + e + w_basis.scalar_mul(factor)
-            keys.append(KeySwitchKey(b=b, a=a))
-        self._cache[level] = keys
-        return keys
+            b = -(a * s_basis) + e + w_basis.scalar_mul(gadget)
+            keys_b.append(b.data)
+            keys_a.append(a.data)
+        self.key_b = np.stack(keys_b)
+        self.key_a = np.stack(keys_a)
 
     def stacked_at_level(self, level: int) -> tuple:
-        """The level's key components as two ``(digits, level+2, n)``
-        tensors ``(b, a)`` — the layout the kernel backends consume for
-        the batched keyswitch inner product.  Stacked once per level and
-        cached alongside :meth:`at_level`'s key list."""
-        stacked = self._stacked.get(level)
-        if stacked is None:
-            keys = self.at_level(level)
-            stacked = (
-                np.stack([k.b.data for k in keys]),
-                np.stack([k.a.data for k in keys]),
-            )
-            self._stacked[level] = stacked
-        return stacked
+        """The level's ``(key_b, key_a)``: *views* of the family's one
+        tensor pair, each ``(ceil((level+1)/α), α+level+1, n)`` — the
+        layout the kernel backends consume for the keyswitch inner
+        product."""
+        digits = self.ctx.num_digits(level)
+        rows = self.ctx.alpha + level + 1
+        return self.key_b[:digits, :rows], self.key_a[:digits, :rows]
 
 
 @dataclass
@@ -174,15 +154,23 @@ class KeyChain:
         :func:`keygen` up front.  Include the string ``"conj"`` for the
         conjugation element.
         """
-        seed = self.galois_seed if seed is None else seed
         n = ctx.n
         for step in steps:
             g = 2 * n - 1 if step == "conj" else pow(5, int(step) % (n // 2), 2 * n)
-            if g in self.galois:
-                continue
-            s_g = _automorphism_int(self.secret.coeffs, g)
-            self.galois[g] = KeySwitchFamily(ctx, self.secret, s_g, seed=seed + 500 + g)
+            if g not in self.galois:
+                self.galois[g] = self.galois_family(ctx, g, seed)
         return self
+
+    def galois_family(
+        self, ctx: CkksContext, g: int, seed: int | None = None
+    ) -> KeySwitchFamily:
+        """Build (without installing) the family for Galois element ``g``:
+        target ``s(X^g)``, randomness from the chain's keygen seed and
+        ``g`` alone — so *when* or *where* it is built never shows in
+        its bytes."""
+        seed = self.galois_seed if seed is None else seed
+        s_g = _automorphism_int(self.secret.coeffs, g)
+        return KeySwitchFamily(ctx, self.secret, s_g, seed=seed + 500 + g)
 
 
 def keygen(

@@ -102,6 +102,7 @@ def generate_scale_tracking_primes(
     first_prime_bits: int = 29,
     special_prime_bits: int = 29,
     max_bits: int = 30,
+    num_special: int = 1,
 ) -> list:
     """Chain primes chosen to keep the *canonical scale* pinned at ``Δ``.
 
@@ -116,9 +117,10 @@ def generate_scale_tracking_primes(
     deviation each step and keeps every canonical scale within one prime
     spacing (``2N / Δ``) of ``Δ`` for *any* depth.
 
-    Returns ``[q_0, q_1, .., q_depth, P]`` in chain order (the rescale at
-    level ``l`` divides by ``q_l``; fresh ciphertexts start at level
-    ``depth``).
+    Returns ``[q_0, q_1, .., q_depth, p_0, .., p_{num_special-1}]`` in
+    chain order (the rescale at level ``l`` divides by ``q_l``; fresh
+    ciphertexts start at level ``depth``), the keyswitching special
+    primes last.
     """
     delta = float(2**scale_bits)
     taken: set[int] = set()
@@ -131,8 +133,11 @@ def generate_scale_tracking_primes(
         taken.add(q)
         scale_primes[lvl - 1] = q
         s = s * s / q
-    special = _nearest_ntt_prime(2**special_prime_bits, n_ring, taken, max_bits)
-    return [q0, *scale_primes, special]
+    special: list[int] = []
+    for _ in range(num_special):
+        special.append(_nearest_ntt_prime(2**special_prime_bits, n_ring, taken, max_bits))
+        taken.add(special[-1])
+    return [q0, *scale_primes, *special]
 
 
 def primitive_root_of_unity(order: int, p: int) -> int:

@@ -10,13 +10,11 @@ decode boundary (Python ints via object arrays).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.ckks.context import CkksContext
 
-__all__ = ["RnsPoly", "crt_compose_centered", "fast_base_convert"]
+__all__ = ["RnsPoly", "crt_compose_centered"]
 
 
 class RnsPoly:
@@ -193,24 +191,3 @@ def crt_compose_centered(poly: RnsPoly) -> np.ndarray:
     half = q // 2
     return np.where(acc > half, acc - q, acc)
 
-
-def fast_base_convert(poly: RnsPoly, target_index: int) -> np.ndarray:
-    """Approximate base conversion of ``poly`` (mod Q) to mod ``p_target``.
-
-    Standard Bajard/HPS approximate conversion: the result may be off by a
-    small multiple of Q, which keyswitching absorbs into noise (divided by
-    the special prime afterwards).  Returns an int64 row mod the target.
-    """
-    poly = poly.to_coeff()
-    primes = [int(p) for p in poly.primes()]
-    p_t = int(poly.ctx.all_primes[target_index])
-    q = 1
-    for p in primes:
-        q *= p
-    acc = np.zeros(poly.ctx.n, dtype=np.int64)
-    for r, p in enumerate(primes):
-        qi = q // p
-        inv = pow(qi % p, p - 2, p)
-        x_hat = poly.data[r] * inv % p
-        acc = (acc + x_hat * ((qi) % p_t)) % p_t
-    return acc

@@ -12,6 +12,7 @@ says so explicitly rather than pretending otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.ckks.context import CkksContext
@@ -40,9 +41,8 @@ class SecurityReport:
 
 def security_report(ctx: CkksContext) -> SecurityReport:
     """Classify a context against the HE-standard 128-bit table."""
-    import numpy as np
-
-    log_qp = ctx.modulus_bits() + float(np.log2(ctx.special_prime))
+    # every special prime counts: keyswitch keys live mod Q·P
+    log_qp = ctx.modulus_bits() + sum(math.log2(p) for p in ctx.special_primes)
     bound = MAX_LOGQP_128.get(ctx.n)
     if bound is None:
         return SecurityReport(

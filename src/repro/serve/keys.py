@@ -34,7 +34,7 @@ import hashlib
 from threading import Lock
 
 from repro.ckks.evaluator import CkksEvaluator
-from repro.ckks.keys import KeyChain, KeySwitchFamily, _automorphism_int, keygen
+from repro.ckks.keys import KeyChain, keygen
 
 __all__ = [
     "DEFAULT_CLIENT",
@@ -150,13 +150,15 @@ class ClientKeyRegistry:
         needed = sorted(int(g) for g in model.keys.galois)
         with self._lock:
             missing = [g for g in needed if g not in chain.galois]
-            self.galois_reused += len(needed) - len(missing)
-            self.galois_generated += len(missing)
-            for g in missing:
-                s_g = _automorphism_int(chain.secret.coeffs, g)
-                chain.galois[g] = KeySwitchFamily(
-                    model.ctx, chain.secret, s_g, seed=chain.galois_seed + 500 + g
-                )
+        # families build eagerly (every level at once); like keygen above
+        # that happens outside the lock, and a family's bytes depend only
+        # on (client seed, g), so a racing builder's duplicate is
+        # identical and setdefault just drops it
+        built = {g: chain.galois_family(model.ctx, g) for g in missing}
+        with self._lock:
+            generated = sum(chain.galois.setdefault(g, fam) is fam for g, fam in built.items())
+            self.galois_generated += generated
+            self.galois_reused += len(needed) - generated
 
     def evaluator_for(self, client_id: str, model, seed: int = 1) -> CkksEvaluator:
         """A fresh evaluator over the client's chain and the model's context.

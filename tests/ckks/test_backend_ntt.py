@@ -24,7 +24,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckks.backend import _batched_ntt_forward, _batched_ntt_inverse
+from repro.ckks.backend import (
+    _LIMB_MAJOR_MIN_BATCH,
+    _batched_ntt_forward,
+    _batched_ntt_inverse,
+)
 from repro.ckks.ntt import NttPlan
 from repro.ckks.primes import generate_primes
 
@@ -56,13 +60,13 @@ def random_rows(seed, batch, primes, n):
     return (raw % primes[None, :, None]).astype(np.int64)
 
 
-# ring size × per-limb prime bits × batch size × data seed.  Batch spans
-# 1..4 to cross the limb-major layout threshold; bit sizes straddle the
-# scale/special range the real parameter sets use.
+# ring size × per-limb prime bits × batch size × data seed.  Batch sizes
+# sit on both sides of the limb-major layout threshold; bit sizes straddle
+# the scale/special range the real parameter sets use.
 cases = st.tuples(
     st.sampled_from([8, 16, 32, 64]),
     st.lists(st.sampled_from([20, 24, 26, 28, 29]), min_size=1, max_size=3).map(tuple),
-    st.integers(1, 4),
+    st.sampled_from([1, 2, 3, _LIMB_MAJOR_MIN_BATCH - 1, _LIMB_MAJOR_MIN_BATCH + 1]),
     st.integers(0, 10_000),
 )
 

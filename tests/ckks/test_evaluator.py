@@ -13,6 +13,7 @@ from repro.ckks import (
     eval_paf_relu,
     keygen,
 )
+from repro.ckks.keys import SecretKey
 from repro.paf import get_paf
 from repro.paf.polynomial import OddPolynomial
 from repro.paf.relu import relu_mult_depth
@@ -168,6 +169,23 @@ class TestHoistedRotations:
         ref = ev.rotate(ct, 3)
         assert np.array_equal(got.c1.data, ref.c1.data)
 
+    def test_rotate_matches_coefficient_domain_oracle(self, rt, data):
+        """``rotate`` permutes NTT slots; the oracle is the textbook route
+        — ``X -> X^g`` on coefficients, then a plain keyswitch of the moved
+        ``c1``.  Byte-equal, because centred digits commute exactly with
+        the signed coefficient permutation."""
+        ctx, ev = rt
+        x, _ = data
+        ct = ev.rescale(ev.mul_plain(ev.encrypt(x), 0.5))
+        for step in (1, 3):
+            g = pow(5, step, 2 * ctx.n)
+            c0g = ct.c0.to_coeff().automorphism(g).to_ntt()
+            c1g = ct.c1.to_coeff().automorphism(g).to_ntt()
+            ks0, ks1 = ev._keyswitch(c1g, ev.keys.galois[g], ct.level)
+            got = ev.rotate(ct, step)
+            assert np.array_equal(got.c0.data, (c0g + ks0).data)
+            assert np.array_equal(got.c1.data, ks1.data)
+
     def test_missing_key_raises_before_decomposing(self, rt, data):
         ctx, ev = rt
         x, _ = data
@@ -209,11 +227,66 @@ class TestEnsureGaloisSteps:
         grown = keygen(ctx, seed=42, galois_steps=(1,))
         grown.ensure_galois_steps(ctx, (3,))
         upfront = keygen(ctx, seed=42, galois_steps=(1, 3))
-        g3 = upfront.galois_element_for_step(ctx.n, 3)
-        level = ctx.max_level
-        for a, b in zip(grown.galois[g3].at_level(level), upfront.galois[g3].at_level(level)):
-            assert np.array_equal(a.b.data, b.b.data)
-            assert np.array_equal(a.a.data, b.a.data)
+        assert set(grown.galois) == set(upfront.galois)
+        for g, family in upfront.galois.items():
+            assert np.array_equal(grown.galois[g].key_b, family.key_b)
+            assert np.array_equal(grown.galois[g].key_a, family.key_a)
+
+
+class TestKeySwitchFamily:
+    """One level-independent tensor pair per family, built eagerly."""
+
+    def test_holds_no_reference_to_the_secret(self, rt):
+        """Everything a family keeps is public key material: the secret
+        is read while building and never stored (nor is an RNG that
+        could re-derive it mid-forward)."""
+        _, ev = rt
+        family = ev.keys.relin
+        assert set(vars(family)) == {"ctx", "key_b", "key_a"}
+        assert not any(isinstance(v, SecretKey) for v in vars(family).values())
+
+    def test_level_slices_are_views_of_one_tensor_pair(self, rt):
+        ctx, ev = rt
+        family = ev.keys.galois[ev.keys.galois_element_for_step(ctx.n, 1)]
+        full = ctx.num_digits(ctx.max_level), ctx.alpha + ctx.max_level + 1, ctx.n
+        assert family.key_b.shape == family.key_a.shape == full
+        for level in range(ctx.max_level + 1):
+            key_b, key_a = family.stacked_at_level(level)
+            assert key_b.shape == key_a.shape == (
+                ctx.num_digits(level), ctx.alpha + level + 1, ctx.n
+            )
+            assert np.shares_memory(key_b, family.key_b)
+            assert np.shares_memory(key_a, family.key_a)
+            assert key_b.base is not None and key_a.base is not None  # no copy
+
+
+# dnum values putting α = ceil(8 / dnum) at 1, 2, 3 and 8 on a depth-7 chain:
+# one prime per digit, even groups, a partial last group, one digit in all
+@pytest.mark.parametrize("dnum,alpha", [(8, 1), (4, 2), (3, 3), (1, 8)])
+def test_keyswitch_exact_at_every_level(backend, dnum, alpha):
+    """Every keyswitch consumer decrypts correctly at *every* level —
+    including the levels whose last digit is a partial group — and the
+    NTT-domain rotation stays byte-equal to its hoisted twin."""
+    ctx = CkksContext(
+        CkksParams(n=256, scale_bits=25, depth=7, dnum=dnum, backend=backend)
+    )
+    assert ctx.alpha == alpha and len(ctx.special_primes) == alpha
+    ev = CkksEvaluator(ctx, keygen(ctx, seed=3, galois_steps=(1, 5, "conj")))
+    rng = np.random.default_rng(alpha)
+    x, y = rng.uniform(-1, 1, ctx.slots), rng.uniform(-1, 1, ctx.slots)
+    top_x, top_y = ev.encrypt(x), ev.encrypt(y)
+    for level in range(ctx.max_level, -1, -1):
+        cx, cy = ev.mod_switch_to(top_x, level), ev.mod_switch_to(top_y, level)
+        rotated = ev.rotate(cx, 5)
+        assert np.abs(ev.decrypt(rotated) - np.roll(x, -5)).max() < TOL, level
+        many = ev.rotate_many(cx, [1, 5])
+        assert np.abs(ev.decrypt(many[1]) - np.roll(x, -1)).max() < TOL, level
+        assert np.array_equal(many[5].c0.data, rotated.c0.data), level
+        assert np.array_equal(many[5].c1.data, rotated.c1.data), level
+        assert np.abs(ev.decrypt(ev.conjugate(cx)) - x).max() < TOL, level
+        if level:  # a product needs a level to rescale into
+            prod = ev.mul_rescale(cx, cy)
+            assert np.abs(ev.decrypt(prod) - x * y).max() < TOL, level
 
 
 class TestPolyEval:

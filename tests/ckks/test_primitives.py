@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
+from repro.ckks.backend import available_backends, resolve_backend
 from repro.ckks.context import CkksContext, CkksParams
 from repro.ckks.ntt import NttPlan
 from repro.ckks.primes import (
@@ -12,7 +12,7 @@ from repro.ckks.primes import (
     is_prime,
     primitive_root_of_unity,
 )
-from repro.ckks.rns import RnsPoly, crt_compose_centered, fast_base_convert
+from repro.ckks.rns import RnsPoly, crt_compose_centered
 
 
 class TestPrimes:
@@ -216,17 +216,22 @@ class TestRnsPoly:
         )
 
     def test_fast_base_convert_small_values(self, ctx):
-        """For |x| << Q the approximate conversion is exact or off by Q."""
+        """For |x| << Q the centred approximate conversion — the one
+        kernel behind the keyswitch digit lift and the divide-by-P
+        descent — is exact or off by ±Q, on every backend."""
         rng = np.random.default_rng(3)
         coeffs = rng.integers(-1000, 1000, ctx.n)
         a = RnsPoly.from_small_coeffs(ctx, coeffs, [0, 1])
         target = len(ctx.all_primes) - 1
         p_t = ctx.all_primes[target]
-        got = fast_base_convert(a, target)
+        conv = ctx.base_conversion([0, 1], [target], group_size=2)
         q = int(ctx.all_primes[0]) * int(ctx.all_primes[1])
-        diff = (got - coeffs) % p_t
-        allowed = {0} | {q % p_t, (2 * q) % p_t}
-        assert set(np.unique(diff)).issubset(allowed)
+        allowed = {0, q % p_t, -q % p_t}
+        for name in available_backends():
+            got = resolve_backend(name, ctx).base_convert(a.data, conv)
+            assert got.shape == (1, 1, ctx.n)  # one group, one target row
+            diff = (got[0, 0] - coeffs) % p_t
+            assert set(np.unique(diff)).issubset(allowed), name
 
     def test_automorphism_identity(self, ctx):
         rng = np.random.default_rng(4)
@@ -262,8 +267,9 @@ class TestContext:
         total_bits = (
             params.first_prime_bits
             + params.scale_bits * params.depth
-            + params.special_prime_bits
+            + params.special_prime_bits * params.alpha
         )
+        assert params.alpha == 1  # SEAL's single special prime
         assert abs(total_bits - 881) <= 15
 
     def test_security_report_flags_toy_params(self):
@@ -273,6 +279,25 @@ class TestContext:
         report = security_report(toy)
         assert not report.secure_128
         assert "NOT" in report.message
+
+    def test_security_report_counts_every_special_prime(self):
+        from repro.ckks.security import security_report
+
+        ctx = CkksContext(CkksParams(n=1024, scale_bits=25, depth=5))
+        assert len(ctx.special_primes) == ctx.alpha == 2
+        want = sum(np.log2(p) for p in ctx.all_primes)  # log2(Q·P), all of P
+        assert security_report(ctx).log_qp == pytest.approx(want)
+
+    def test_narrow_special_primes_rejected_when_grouping(self):
+        """A grouped digit reaches α·Q_group/2, so P must be as wide as a
+        full group: loud at construction, naming both widths."""
+        narrow = dict(n=128, scale_bits=25, depth=3, special_prime_bits=27)
+        with pytest.raises(ValueError, match=r"special_prime_bits=27.*29 bits"):
+            CkksContext(CkksParams(**narrow))
+        # one prime per digit (α = 1) needs no such margin
+        assert CkksContext(CkksParams(**narrow, dnum=4)).alpha == 1
+        with pytest.raises(ValueError, match="dnum"):
+            CkksContext(CkksParams(n=128, depth=3, dnum=0))
 
     def test_security_report_accepts_standard_row(self):
         from repro.ckks.security import MAX_LOGQP_128

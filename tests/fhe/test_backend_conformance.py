@@ -14,8 +14,10 @@ compared byte for byte.
 import numpy as np
 import pytest
 
-from repro.ckks.backend import available_backends
+from repro.ckks import CkksContext, CkksParams, keygen
+from repro.ckks.backend import VectorizedBackend, available_backends, resolve_backend
 from repro.ckks.instrumentation import CountingEvaluator
+from repro.fhe.toy import TOY_TRANSFORMER_PARAMS
 from repro.nn.tensor import Tensor
 
 
@@ -69,6 +71,71 @@ def assert_bit_identical(results):
                 a.c1.data, b.c1.data
             ), f"{name} vs {ref_name}: output shard {i} is not bit-identical"
             assert a.level == b.level and a.scale == b.scale
+
+
+class TestKeyswitchKernelConformance:
+    """The keyswitch and rescale kernels, byte for byte across backends
+    at *every* level (the ladder's kernel layer asserts this at the top
+    of the chain only).  Depth 7 with the default ``dnum`` groups the
+    chain three primes to a digit, so most levels end in a partial
+    group — where the conversion constants depend on the level."""
+
+    def test_every_level_bit_identical(self):
+        ctx = CkksContext(CkksParams(n=128, scale_bits=25, depth=7))
+        assert ctx.alpha == 3
+        relin = keygen(ctx, seed=5).relin
+        backends = [resolve_backend(name, ctx) for name in available_backends()]
+        assert len(backends) >= 2, "conformance needs at least two backends"
+        rng = np.random.default_rng(11)
+        for level in range(ctx.max_level + 1):
+            limbs = level + 1
+            primes = np.array(ctx.q_chain[:limbs], dtype=np.int64)[:, None]
+            rows, more = rng.integers(0, primes, size=(2, limbs, ctx.n))
+            key_b, key_a = relin.stacked_at_level(level)
+            perm = ctx.galois_ntt_permutation(5)
+            ref, *rest = (
+                (
+                    be.hoist_decompose(rows, level),
+                    be.apply_keyswitch(
+                        be.hoist_decompose(rows, level), key_b, key_a, level, perm=perm
+                    ),
+                    be.rescale(np.stack([rows, more]), level) if level else None,
+                )
+                for be in backends
+            )
+            digits = ctx.num_digits(level)
+            assert ref[0].shape == (digits, ctx.alpha + limbs, ctx.n)
+            for got in rest:
+                assert np.array_equal(got[0], ref[0]), f"hoist_decompose, level {level}"
+                assert np.array_equal(got[1][0], ref[1][0]), f"apply_keyswitch b, level {level}"
+                assert np.array_equal(got[1][1], ref[1][1]), f"apply_keyswitch a, level {level}"
+                if level:
+                    assert np.array_equal(got[2], ref[2]), f"rescale, level {level}"
+
+
+def test_decomposition_forward_ntt_rows_are_linear_in_dnum():
+    """O(L·dnum), counted: at every level of the toy transformer's chain
+    a decomposition forward-transforms ``ceil((l+1)/α)·(l+1+α)`` rows and
+    never more — ``(3, 46, 512)`` at the top, where one digit per chain
+    prime lifted 34 digits onto 35 rows."""
+
+    class RowCounting(VectorizedBackend):
+        forward_rows = 0
+
+        def ntt_forward(self, rows, prime_indices):
+            self.forward_rows += rows.size // self.ctx.n
+            return super().ntt_forward(rows, prime_indices)
+
+    ctx = CkksContext(TOY_TRANSFORMER_PARAMS)
+    be = RowCounting(ctx)
+    rng = np.random.default_rng(12)
+    for level in range(ctx.max_level + 1):
+        primes = np.array(ctx.q_chain[: level + 1], dtype=np.int64)[:, None]
+        be.forward_rows = 0
+        digits = be.hoist_decompose(rng.integers(0, primes, size=(level + 1, ctx.n)), level)
+        bound = -(-(level + 1) // ctx.alpha) * (level + 1 + ctx.alpha)
+        assert be.forward_rows == digits.shape[0] * digits.shape[1] <= bound
+    assert digits.shape == (3, 46, 512)
 
 
 class TestForwardConformance:

@@ -2,12 +2,15 @@
 
 ``golden_forward_digests.json`` holds one blake2b digest per toy model
 of the forward output's ``(level, scale, c0.data, c1.data)``, recorded
-at the commit *before* the single- and multi-ciphertext interpreters
-were collapsed into one (``python tests/fhe/test_golden_forward.py
---record`` wrote the file; nothing else may).  Any executor refactor
-that claims to move dispatch, not math, must reproduce these bytes —
-under every kernel backend, since backends are bit-identical by
-contract (``docs/backends.md``).
+at the commit that regrouped keyswitching (α chain primes per digit,
+level-independent keys) — the one deliberate re-keying since the
+digests were introduced; the NTT-domain rescale, rotation and descent
+that landed with it reproduced the *previous* digests first (``python
+tests/fhe/test_golden_forward.py --record`` wrote the file; nothing
+else may).  Any executor or kernel refactor that claims to move
+dispatch, not math, must reproduce these bytes — under every kernel
+backend, since backends are bit-identical by contract
+(``docs/backends.md``).
 
 Inputs are seeded rows encrypted with a *fresh* seeded evaluator over
 the network's own keys, so neither test order nor earlier draws from

@@ -110,11 +110,38 @@ class TestIntervalPropagation:
 # ----------------------------------------------------------------------
 # the IR executor vs the test-side naive oracle
 # ----------------------------------------------------------------------
+#: share of a sign PAF's static scale its pre-activation may reach — the
+#: ladder's plaintext ``in_domain`` rule (``benchmarks/ladder/workloads.py``)
+DOMAIN_SHARE = 0.65
+
+
+def _in_domain_input(enc, rng) -> np.ndarray:
+    """A N(0, 1) input the toy MLP's PAF was calibrated for, judged on the
+    plaintext side only: the pre-activation ``W·x + b`` stays within
+    ``DOMAIN_SHARE`` of the PAF node's static scale."""
+    first, paf = enc.layers[0], enc.layers[1]
+    while True:
+        x = rng.normal(0.0, 1.0, first.weight.shape[1])
+        pre = (first.weight @ x)[: len(first.bias)] + first.bias
+        if np.max(np.abs(pre)) <= DOMAIN_SHARE * paf.scale:
+            return x
+
+
 class TestExecutorVsOracle:
     def test_decrypted_logits_agree_with_oracle(self, toy_plain_enc, oracle):
+        """Planned and naive forwards decrypt alike — on an in-domain input.
+
+        The first ``default_rng(8)`` draw puts the PAF pre-activation at
+        0.78 of the layer's static scale: past the edge of the composite
+        sign PAF's accurate range, where the two evaluation orders amplify
+        keyswitch noise differently and whether they agree to rtol 1e-3
+        is decided by the key bytes (any re-keying can flip it), not by
+        the executor.  What this test compares is the executors, so it
+        draws until the input is inside the domain.
+        """
         enc = toy_plain_enc
         rng = np.random.default_rng(8)
-        ct = enc.encrypt_input(rng.normal(0.0, 1.0, 8))
+        ct = enc.encrypt_input(_in_domain_input(enc, rng))
         got = enc.ev.decrypt(enc.forward(ct), num_values=3)
         ref_ct = oracle.forward(enc, ct, oracle.evaluator(enc))
         want = enc.ev.decrypt(ref_ct, num_values=3)

@@ -567,3 +567,14 @@ class TestToyResnetEndToEnd:
             for d in p.diag_steps
         }
         assert len(enc.keys.galois) < len(naive_steps)
+
+    def test_key_material_is_one_small_tensor_pair_per_family(self, toy_resnet):
+        """Every family is one level-independent ``(key_b, key_a)`` pair
+        built at compile time: the whole compiled key set stays under
+        30 MB (per-(family, level) key sets reached 482 MB)."""
+        _, enc = toy_resnet
+        ctx = enc.ctx
+        families = [enc.keys.relin, *enc.keys.galois.values()]
+        shape = (ctx.params.dnum, ctx.alpha + ctx.max_level + 1, ctx.n)
+        assert all(f.key_b.shape == f.key_a.shape == shape for f in families)
+        assert sum(f.key_b.nbytes + f.key_a.nbytes for f in families) <= 30e6

@@ -1,8 +1,12 @@
 """Per-client key registry: isolation, dedup, deterministic derivation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.ckks import CkksContext, CkksParams
 from repro.serve.keys import (
     ClientKeyRegistry,
     UnknownClientError,
@@ -92,9 +96,60 @@ class TestChains:
             chains[0].secret.coeffs, chains[1].secret.coeffs
         )
 
+    def test_racing_workers_derive_the_sequential_key_bytes(self, toy):
+        """Workers reaching a client's chain together must not show in its
+        bytes: families are built eagerly from ``(client seed, element)``
+        alone and published under the lock, so six threads racing on a
+        cold registry end with one chain, every element counted once, and
+        tensors equal to a registry that was never raced."""
+        _, enc = toy
+        calm = ClientKeyRegistry()
+        calm.register("alice")
+        want = calm.chain_for("alice", enc)
+
+        reg = ClientKeyRegistry()
+        reg.register("alice")
+        start = threading.Barrier(6)
+        chains = []
+
+        def worker():
+            start.wait(timeout=30)
+            chains.append(reg.chain_for("alice", enc))
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(chains) == 6 and all(c is chains[0] for c in chains)
+        stats = reg.stats()
+        assert stats["chains"] == 1
+        assert stats["galois_generated"] == len(enc.keys.galois)
+        assert stats["galois_generated"] + stats["galois_reused"] == 6 * len(enc.keys.galois)
+        got = chains[0]
+        families = [(got.relin, want.relin)] + [
+            (got.galois[g], want.galois[g]) for g in want.galois
+        ]
+        assert set(got.galois) == set(want.galois)
+        for a, b in families:
+            assert np.array_equal(a.key_b, b.key_b) and np.array_equal(a.key_a, b.key_a)
+
     def test_context_signature_groups_compatible_models(self, toy):
         _, enc = toy
         assert context_signature(enc.ctx) == context_signature(enc.ctx)
+        # a different digit grouping is a different special-prime set: keys
+        # generated under one dnum must never be offered to the other
+        two, three = (
+            CkksContext(CkksParams(n=64, scale_bits=25, depth=5, dnum=dnum))
+            for dnum in (2, 3)
+        )
+        assert context_signature(two) != context_signature(three)
 
 
 class TestEvaluators:
