@@ -15,7 +15,7 @@ import time
 from repro.ckks import CkksParams
 from repro.core import SmartPAF, SmartPAFConfig, pretrain
 from repro.data.synthetic import Dataset, make_pattern_dataset
-from repro.fhe import compile_mlp
+from repro.fhe import compile_network
 from repro.nn.models import mlp
 from repro.paf import get_paf
 from repro.serve import InferenceServer, ModelArtifact
@@ -36,7 +36,7 @@ def main() -> None:
     runner.fit(model, ds)
 
     print("compiling + building serving artifact ...")
-    enc = compile_mlp(model, CkksParams(n=2048, scale_bits=25, depth=9), seed=0)
+    enc = compile_network(model, CkksParams(n=2048, scale_bits=25, depth=9))
     print(
         f"  SIMD capacity: {enc.max_batch} requests/ciphertext "
         f"({enc.ctx.slots} slots / {enc.block_stride} per request)"

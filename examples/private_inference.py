@@ -13,7 +13,7 @@ import time
 from repro.ckks import CkksParams
 from repro.core import SmartPAF, SmartPAFConfig, pretrain
 from repro.data.synthetic import Dataset, make_pattern_dataset
-from repro.fhe import compile_mlp
+from repro.fhe import compile_network
 from repro.nn import Tensor, no_grad
 from repro.nn.models import mlp
 from repro.paf import get_paf
@@ -41,7 +41,7 @@ def main() -> None:
     # Compile to CKKS. Depth: one linear (1) + PAF ReLU (8+1) + linear (1).
     print("compiling to CKKS ...")
     t0 = time.time()
-    enc = compile_mlp(model, CkksParams(n=2048, scale_bits=25, depth=12), seed=0)
+    enc = compile_network(model, CkksParams(n=2048, scale_bits=25, depth=12))
     print(f"  compiled in {time.time() - t0:.1f}s "
           f"(ring N={enc.ctx.n}, {len(enc.keys.galois)} rotation keys)")
 

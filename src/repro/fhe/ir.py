@@ -8,11 +8,8 @@ consumes/produces where one exists), its **level consumption** on the
 canonical CKKS scale schedule (:meth:`IRNode.level_cost`) and an
 optional **domain interval** (propagated by
 :func:`propagate_intervals`, consumed by the polynomial-approximation
-planners).  The model-family compilers (``compile_mlp`` in
-:mod:`repro.fhe.network`, ``compile_cnn`` / ``compile_resnet`` in
-:mod:`repro.fhe.cnn`, the transformer lowering here) all lower INTO
-this IR; :func:`compile_network` is the single entrypoint that
-dispatches on the model's module tree; and
+planners).  :func:`repro.fhe.lower.lower` is the one producer — every
+model family lowers INTO this IR through it — and
 :class:`~repro.fhe.network.EncryptedNetwork` executes the node list by
 *type* dispatch — one handler per node class — instead of string
 ``kind`` comparisons.
@@ -25,11 +22,9 @@ node                      levels  executes as
 :class:`MatvecNode`       1       Halevi-Shoup matvec over a ``K_out x
                                   K_in`` block grid (grouped per each
                                   block's :class:`~repro.fhe.linear.MatvecPlan`);
-                                  a single ``weight`` is the 1 x 1 grid
-:class:`ConvNode`         1       a :class:`MatvecNode` whose matrix was
-                                  lowered from a Conv2d at compile time —
-                                  same executor, extra conv provenance
-                                  and grid-layout metadata
+                                  Linear layers and compile-time-lowered
+                                  convs alike, one ciphertext is the
+                                  1 x 1 grid
 :class:`PoolNode`         1       rotate-and-sum average pool + masked
                                   ``1/window`` multiply
 :class:`PafNode`          d+1     composite sign-PAF ReLU via its
@@ -75,7 +70,7 @@ corrections and consume zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +80,6 @@ from repro.paf.relu import relu_mult_depth
 __all__ = [
     "IRNode",
     "MatvecNode",
-    "ConvNode",
     "PoolNode",
     "PafNode",
     "PolyNode",
@@ -98,36 +92,18 @@ __all__ = [
     "Graph",
     "CompilePolicy",
     "apply_refresh_policy",
-    "compile_network",
     "propagate_intervals",
 ]
 
 
 @dataclass
 class IRNode:
-    """Base class for graph-IR nodes.
-
-    Subclasses declare their own payload fields; the class-level
-    fallbacks below exist so cross-cutting readers (the serve
-    artifact's fingerprint, generic introspection) can ``getattr`` any
-    payload off any node without per-type special cases.
-    """
+    """Base class for graph-IR nodes; subclasses declare their payload
+    as dataclass fields."""
 
     #: span / schedule label (stable across the IR redesign: trace span
     #: names and slack-baseline keys are ``layer{i:02d}:{kind}``)
     kind = "node"
-    # class-level payload fallbacks (subclasses override as fields)
-    weight = None
-    bias = None
-    blocks = None
-    bias_shards = None
-    paf = None
-    scale = 1.0
-    shifts: tuple = ()
-    pool_scale = 1.0
-    affine_scale = None
-    affine_shift = None
-    tap = None
     #: optional domain interval ``(lo, hi)`` of this node's *output*
     #: values, set by :func:`propagate_intervals` or the compiler
     interval = None
@@ -141,35 +117,18 @@ class IRNode:
 
 @dataclass
 class MatvecNode(IRNode):
-    """A Halevi-Shoup matvec: a ``K_out x K_in`` grid of slot-space
-    ``blocks`` (``None`` marks an all-zero block) with per-output-shard
-    ``bias_shards`` — or a single square ``weight`` with its ``bias``,
-    which compiles and executes as the 1 x 1 grid."""
+    """A Halevi-Shoup matvec: a ``K_out x K_in`` grid of ``size x size``
+    slot-space ``blocks`` (``None`` marks an all-zero block) with
+    per-output-shard ``bias_shards`` (``None`` without any).  Linear
+    layers and convs (im2col at lowering time) both land here; a
+    single-ciphertext layer is the 1 x 1 grid.  ``layout`` is the
+    :class:`~repro.fhe.packing.MultiGridLayout` of the output."""
 
     kind = "linear"
-    source = "linear"
-    weight: np.ndarray | None = None
-    bias: np.ndarray | None = None
-    blocks: list | None = None
+    blocks: list
     bias_shards: list | None = None
     interval: tuple | None = None
     layout: object | None = None
-
-
-@dataclass
-class ConvNode(MatvecNode):
-    """A conv lowered to a matvec at compile time (im2col into slot
-    space); keeps the conv provenance and the activation grids so layout
-    and interval propagation can see through the lowering.  Executes
-    exactly as :class:`MatvecNode` — ``kind`` stays ``"linear"`` so span
-    names, the slack baseline and op-count gates are unchanged."""
-
-    source = "conv"
-    in_channels: int = 0
-    out_channels: int = 0
-    kernel_size: int = 0
-    stride: int = 1
-    padding: int = 0
 
 
 @dataclass
@@ -385,7 +344,6 @@ class Graph:
         loop, which checks the shard count against ``input_shards``."""
         return self.input_shards > 1 or any(
             isinstance(n, (ResidualTapNode, MergeNode, ReduceNode, AttentionNode))
-            or getattr(n, "blocks", None) is not None
             for n in self.nodes
         )
 
@@ -394,12 +352,22 @@ class Graph:
         return self.validate()
 
     def validate(self) -> int:
-        """Validate residual structure; return the required chain depth.
+        """Validate structure; return the required chain depth.
 
         Taps and merges must pair up like brackets, and a merge whose
         skip branch carries a projection needs a main-branch gap of at
         least one level (the projection's own rescale descends through
         it; the alignment correction needs no level of its own).
+
+        The packed input carries a *live* wraparound replica; a matvec,
+        a pool mask or an affine leaves the replica half zero, and the
+        executor's ``_replicate`` (before every matvec past node 0, every
+        merge projection and every attention block) relies on that — a
+        live replica reaching it is doubled and decrypts ~2x wrong.
+        Slot-wise nodes (PAF, poly) keep whatever replica they are
+        given, so one that runs before the first replica-zeroing node
+        hands the live input on; the consumer that would re-replicate it
+        is rejected here.
 
         A :class:`RefreshNode` resets the descent: the returned depth is
         the maximum over the segments between refreshes, each
@@ -413,21 +381,36 @@ class Graph:
         level = 0
         peak = 0
         offset = 0  # pipeline levels charged at the current segment's start
+        live = True  # the main branch still carries the input's replica half
         stack: list = []
+
+        def live_replica(i, node) -> ValueError:
+            return ValueError(
+                f"node {i} ({node.kind}) would re-replicate a live input "
+                "replica: only a matvec at node 0, a pool or an affine "
+                "zeroes the packed input's replica half — open the graph "
+                "with one (a stem conv, an identity embed)"
+            )
+
         for i, node in enumerate(self.nodes):
             if isinstance(node, ResidualTapNode):
-                stack.append(level)
+                stack.append((level, live))
             elif isinstance(node, MergeNode):
                 if not stack:
                     raise ValueError(f"merge node {i} has no open residual tap")
-                gap = level - stack.pop()
+                tap_level, skip_live = stack.pop()
+                gap = level - tap_level
                 if node.tap is None:
                     raise ValueError(f"merge node {i} has no matching residual tap")
-                if node.blocks is not None and gap < 1:
-                    raise ValueError(
-                        f"merge node {i}: projection skip needs a main-branch "
-                        f"depth of >= 1 level, got {gap}"
-                    )
+                if node.blocks is not None:
+                    if gap < 1:
+                        raise ValueError(
+                            f"merge node {i}: projection skip needs a main-branch "
+                            f"depth of >= 1 level, got {gap}"
+                        )
+                    if skip_live:
+                        raise live_replica(i, node)
+                live = live or skip_live
             elif isinstance(node, RefreshNode):
                 if stack:
                     raise ValueError(
@@ -438,6 +421,13 @@ class Graph:
                 level = 0
                 offset = node.pipeline_levels
             else:
+                replicates = isinstance(node, AttentionNode) or (
+                    isinstance(node, MatvecNode) and i > 0
+                )
+                if replicates and live:
+                    raise live_replica(i, node)
+                if isinstance(node, (MatvecNode, AttentionNode, PoolNode, AffineNode)):
+                    live = False
                 level += node.level_cost()
         if stack:
             raise ValueError(f"{len(stack)} residual tap(s) never merged")
@@ -485,6 +475,26 @@ def _poly_interval(poly, interval: tuple, n: int = 2001) -> tuple:
     return float(vals.min()), float(vals.max())
 
 
+def _grid_interval(blocks: list, bias_shards, interval: tuple) -> tuple:
+    """Block-row-wise output bound of a ``K_out x K_in`` matvec grid."""
+    lo, hi = 0.0, 0.0
+    for row in blocks:
+        row_lo, row_hi = 0.0, 0.0
+        for mat in row:
+            if mat is None:
+                continue
+            b_lo, b_hi = _matvec_interval(mat, None, interval)
+            row_lo += b_lo
+            row_hi += b_hi
+        lo = min(lo, row_lo)
+        hi = max(hi, row_hi)
+    biases = [b for b in (bias_shards or []) if b is not None]
+    if biases:
+        lo += min(min(float(np.min(b)) for b in biases), 0.0)
+        hi += max(max(float(np.max(b)) for b in biases), 0.0)
+    return lo, hi
+
+
 def propagate_intervals(graph: Graph, input_interval: tuple) -> list:
     """Propagate slot-value domain intervals through the node sequence.
 
@@ -492,8 +502,8 @@ def propagate_intervals(graph: Graph, input_interval: tuple) -> list:
     *output* values given ``input_interval`` on the network input, and
     returns the list of per-node intervals.  This is what lets the
     polynomial planners check their declared approximation domains
-    against the data a layer can actually see.  Sharded matvec grids
-    are bounded block-row-wise; attention outputs are bounded by the
+    against the data a layer can actually see.  Matvec grids are
+    bounded block-row-wise; attention outputs are bounded by the
     value interval (probabilities are near-convex weights, padded by
     the reciprocal's calibration slack recorded on the node).
     """
@@ -506,18 +516,7 @@ def propagate_intervals(graph: Graph, input_interval: tuple) -> list:
         elif isinstance(node, MergeNode):
             skip = stack.pop()
             if node.blocks is not None:
-                lo, hi = 0.0, 0.0
-                for row in node.blocks:
-                    row_lo, row_hi = 0.0, 0.0
-                    for mat in row:
-                        if mat is None:
-                            continue
-                        b_lo, b_hi = _matvec_interval(mat, None, skip)
-                        row_lo += b_lo
-                        row_hi += b_hi
-                    lo = min(lo, row_lo)
-                    hi = max(hi, row_hi)
-                skip = (lo, hi)
+                skip = _grid_interval(node.blocks, None, skip)
             cur = (cur[0] + min(skip[0], 0.0), cur[1] + max(skip[1], 0.0))
         elif isinstance(node, AttentionNode):
             # probabilities are an (approximately) convex combination of
@@ -525,28 +524,7 @@ def propagate_intervals(graph: Graph, input_interval: tuple) -> list:
             v_int = _matvec_interval(node.wv, node.bv, cur)
             cur = _matvec_interval(node.wo, node.bo, v_int)
         elif isinstance(node, MatvecNode):
-            if node.blocks is not None:
-                lo, hi = 0.0, 0.0
-                for row in node.blocks:
-                    row_lo, row_hi = 0.0, 0.0
-                    for mat in row:
-                        if mat is None:
-                            continue
-                        b_lo, b_hi = _matvec_interval(mat, None, cur)
-                        row_lo += b_lo
-                        row_hi += b_hi
-                    lo = min(lo, row_lo)
-                    hi = max(hi, row_hi)
-                biases = [
-                    b for b in (node.bias_shards or []) if b is not None
-                ]
-                if biases:
-                    b_lo = min(float(np.min(b)) for b in biases)
-                    b_hi = max(float(np.max(b)) for b in biases)
-                    lo, hi = lo + min(b_lo, 0.0), hi + max(b_hi, 0.0)
-                cur = (lo, hi)
-            else:
-                cur = _matvec_interval(node.weight, node.bias, cur)
+            cur = _grid_interval(node.blocks, node.bias_shards, cur)
         elif isinstance(node, PafNode):
             # a calibrated sign-PAF ReLU maps into ~[min(lo,0), hi]
             cur = (min(cur[0], 0.0), max(cur[1], 0.0))
@@ -579,7 +557,8 @@ def propagate_intervals(graph: Graph, input_interval: tuple) -> list:
 class CompilePolicy:
     """Everything a compile decides beyond the model and the CKKS params.
 
-    The single policy object accepted by :func:`compile_network` and
+    The single policy object accepted by :func:`repro.fhe.lower.lower`,
+    :func:`repro.fhe.network.compile_network` and
     :meth:`repro.serve.artifact.ModelArtifact.compile`: packing geometry
     (``input_shape`` / ``num_shards``), ``seed``, BatchNorm folding, and
     the refresh policy that decides how a model deeper than the prime
@@ -596,14 +575,12 @@ class CompilePolicy:
       *before* the node at each listed index of the lowered graph.
 
     ``rtol=None`` leaves the precision gate at the refresh method's
-    default (1e-3 for ``recrypt``, 5e-2 for ``evalmod``); ``backend``
-    overrides the kernel backend the params name.
+    default (1e-3 for ``recrypt``, 5e-2 for ``evalmod``).
     """
 
     refresh: str | tuple = "auto"
     refresh_method: str = "recrypt"
     rtol: float | None = None
-    backend: str | None = None
     input_shape: tuple | None = None
     num_shards: int | None = None
     seed: int = 0
@@ -732,71 +709,3 @@ def apply_refresh_policy(
     }
     graph.validate()  # bracket structure + segment depths still coherent
     return tuple(inserted)
-
-
-# ----------------------------------------------------------------------
-# the single compile entrypoint
-# ----------------------------------------------------------------------
-def compile_network(model, params, *, policy: CompilePolicy | None = None):
-    """Compile any supported ``repro.nn`` model for encrypted inference.
-
-    The single entrypoint of the FHE compilation pipeline: inspects the
-    model's module tree and lowers it into the graph IR —
-
-    * Linear / PAF stacks -> the MLP lowering (``compile_mlp``);
-    * Conv2d stacks -> the CNN lowering (needs ``input_shape``);
-    * module trees containing residual ``BasicBlock``s -> the sharded
-      ResNet lowering (needs ``input_shape``; ``num_shards`` defaults
-      to 1);
-    * transformer models (``is_transformer`` marker — one or more
-      attention + MLP blocks) -> the token-sharded transformer lowering.
-
-    Everything beyond the model and params rides in ``policy``
-    (:class:`CompilePolicy`) — packing geometry, seed, BatchNorm
-    folding, and the refresh policy that lets a model deeper than the
-    prime chain compile by inserting :class:`RefreshNode`\\ s.
-
-    Returns the compiled :class:`~repro.fhe.network.EncryptedNetwork`.
-    """
-    if policy is None:
-        policy = CompilePolicy()
-    if policy.backend is not None and policy.backend != params.backend:
-        params = dc_replace(params, backend=policy.backend)
-
-    from repro.nn.layers import Conv2d
-
-    if getattr(model, "is_transformer", False):
-        from repro.fhe.transformer import compile_transformer
-
-        return compile_transformer(model, params, policy=policy)
-    has_conv = any(isinstance(m, Conv2d) for _, m in model.named_modules())
-    if not has_conv:
-        from repro.fhe.network import compile_mlp
-
-        return compile_mlp(model, params, policy=policy)
-    if policy.input_shape is None:
-        raise ValueError("convolutional models need input_shape=(C, H, W)")
-    from repro.nn.models.resnet import BasicBlock
-
-    has_residual = any(isinstance(m, BasicBlock) for _, m in model.named_modules())
-    if has_residual:
-        from repro.fhe.cnn import compile_resnet
-
-        return compile_resnet(
-            model,
-            policy.input_shape,
-            params,
-            num_shards=policy.num_shards or 1,
-            policy=policy,
-        )
-    if policy.num_shards not in (None, 1):
-        raise ValueError("plain CNNs compile single-ciphertext (num_shards=1)")
-    from repro.fhe.cnn import compile_cnn
-
-    return compile_cnn(
-        model,
-        policy.input_shape,
-        params,
-        fold_bn=policy.fold_bn,
-        policy=policy,
-    )

@@ -1,0 +1,412 @@
+"""The one lowering: ``repro.nn`` model + :class:`CompilePolicy` → :class:`Graph`.
+
+Pure numpy — no CKKS context, no keys, no executor.  Every model family
+takes the same road: :func:`lower` either walks the module tree
+(:func:`_op_sequence`) against a :class:`~repro.fhe.packing.MultiGridLayout`
+channel-sharded across ``policy.num_shards`` ciphertexts, or — for models
+carrying the ``is_transformer`` marker — emits the token-sharded
+attention + MLP block sequence.  In the module walk
+
+* a plain CNN is the ``K = 1`` case (every matvec a ``1 × 1`` block grid);
+* an MLP is the ``(in_features, 1, 1)`` "image" (``input_shape`` may be
+  omitted for a model that opens with a ``Linear``);
+* a :class:`~repro.nn.models.resnet.BasicBlock` is one more case:
+  ``residual`` tap, the main branch ``conv1 (+BN) → PAF → conv2 (+BN)``
+  lowered by the same walk, a ``merge`` that applies the block's
+  downsample (the folded 1×1-projection conv for stride/width changes,
+  nothing for an identity skip) to the *saved* branch, and the post-add
+  PAF.  Strided convs emit dense output grids at the reduced resolution,
+  so both branches of a downsampling block meet in the same layout.
+
+The layer-level arithmetic (conv/linear matrices, BN folding, pool
+rotation steps) lives in :mod:`repro.fhe.cnn`; structural legality —
+bracket pairing, level gaps, the replica-zero invariant — is
+:meth:`Graph.validate`'s, checked when the graph is built.
+:class:`~repro.fhe.network.EncryptedNetwork` plans, keys and executes
+the result.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.paf_layer import PAFGELU, PAFMaxPool2d, PAFReLU, PAFSoftmax
+from repro.fhe.cnn import (
+    avg_pool_shifts,
+    bn_affine_vectors,
+    conv2d_shard_matrices,
+    fold_bn_into_conv,
+    linear_shard_matrices,
+)
+from repro.fhe.ir import (
+    AffineNode,
+    AttentionNode,
+    CompilePolicy,
+    Graph,
+    MatvecNode,
+    MergeNode,
+    PafNode,
+    PolyNode,
+    PoolNode,
+    ReduceNode,
+    ResidualTapNode,
+)
+from repro.fhe.packing import MultiGridLayout
+from repro.nn.layers import (
+    AvgPool2d,
+    BatchNorm2d,
+    Conv2d,
+    Dropout,
+    Flatten,
+    GlobalAvgPool2d,
+    Identity,
+    Linear,
+    MaxPool2d,
+    ReLU,
+)
+from repro.nn.models.resnet import BasicBlock
+from repro.nn.module import Module
+
+__all__ = ["lower"]
+
+_SKIPPED = (Dropout, Identity)
+#: leaves (and the one composite, BasicBlock) the walk lowers whole — a
+#: ``PAFReLU``'s internal ``PAFSign`` is part of its lowering, a block's
+#: skip connection part of its
+_MATCHED = (
+    Conv2d,
+    BatchNorm2d,
+    PAFReLU,
+    AvgPool2d,
+    GlobalAvgPool2d,
+    Flatten,
+    Linear,
+    BasicBlock,
+)
+
+
+def _op_sequence(model: Module, prefix: str = "") -> list:
+    """The compilable modules of ``model`` as ``(name, module)`` in
+    definition order.
+
+    Containers are traversed (assumed to execute their children
+    sequentially in definition order); matched layers are taken whole;
+    inference no-ops (Dropout, Identity) are dropped.  Any *other* leaf
+    is an operation with no encrypted lowering — silently skipping it
+    would produce a network that decrypts to wrong logits, so it raises
+    instead, naming the layer.
+    """
+    ops: list = []
+
+    def visit(name: str, mod: Module) -> None:
+        if isinstance(mod, ReLU):
+            raise TypeError(
+                f"layer {name!r} is an exact ReLU — run SMART-PAF replacement "
+                "before compiling to FHE (CKKS has no non-polynomial ops)"
+            )
+        if isinstance(mod, MaxPool2d):
+            raise TypeError(
+                f"layer {name!r} is an exact MaxPool2d — replace it with a PAF "
+                "max-pool (or retrain with AvgPool2d) before compiling to FHE"
+            )
+        if isinstance(mod, PAFMaxPool2d):
+            raise NotImplementedError(
+                f"layer {name!r}: encrypted PAF max-pool lowering (a tournament "
+                "of ciphertext multiplies over shifted copies) is not compiled "
+                "yet — retrain the model with AvgPool2d"
+            )
+        if isinstance(mod, _MATCHED):
+            ops.append((name, mod))
+        elif isinstance(mod, _SKIPPED):
+            pass
+        elif mod._modules:  # container: recurse in definition order
+            for attr, child in mod._modules.items():
+                visit(f"{name}.{attr}" if name else attr, child)
+        else:
+            raise TypeError(
+                f"layer {name!r} ({type(mod).__name__}) has no encrypted lowering — "
+                "the module walk supports Conv2d, BatchNorm2d, PAFReLU, AvgPool2d, "
+                "GlobalAvgPool2d, Flatten, Linear and BasicBlock (plus "
+                "Dropout/Identity no-ops)"
+            )
+
+    visit(prefix, model)
+    return ops
+
+
+def _graph(nodes: list, min_size: int, **geometry) -> Graph:
+    """Zero-pad every matvec / projection block to the common square
+    ``size`` (the widest block side, at least ``min_size``) so all
+    diagonals share one index space, and build the validated graph."""
+    grids = [
+        n.blocks
+        for n in nodes
+        if isinstance(n, (MatvecNode, MergeNode)) and n.blocks is not None
+    ]
+    mats = [m for grid in grids for row in grid for m in row if m is not None]
+    size = max([min_size, *(side for m in mats for side in m.shape)])
+    for grid in grids:
+        for row in grid:
+            for k, mat in enumerate(row):
+                if mat is not None:
+                    row[k] = np.zeros((size, size))
+                    row[k][: mat.shape[0], : mat.shape[1]] = mat
+    return Graph(nodes, size=size, **geometry)
+
+
+def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
+    """Walk the module tree against the running channel-sharded grid."""
+    ops = _op_sequence(model)
+    if not any(isinstance(mod, (Conv2d, Linear, BasicBlock)) for _, mod in ops):
+        raise ValueError("model has no Conv2d or Linear layers to compile")
+    num_shards = policy.num_shards or 1
+    shape = policy.input_shape
+    if shape is None:
+        first = ops[0][1]
+        if not isinstance(first, Linear):
+            raise ValueError("convolutional models need input_shape=(C, H, W)")
+        shape = (first.in_features, 1, 1)
+    if len(shape) != 3:
+        raise ValueError(f"input_shape must be (C, H, W), got {shape}")
+    input_mgrid = MultiGridLayout.split(*shape, num_shards=num_shards)
+    mgrid = input_mgrid
+    flat = False  # set once a Flatten / Linear consumed the image grid
+    nodes: list = []
+
+    def require_grid(name: str) -> None:
+        if flat:
+            raise TypeError(
+                f"layer {name!r} needs an image grid, but the activation was "
+                "already flattened"
+            )
+
+    def conv_blocks(conv: Conv2d, bn: BatchNorm2d | None, grid_in) -> tuple:
+        w = conv.weight.data.copy()
+        b = conv.bias.data.copy() if conv.bias is not None else None
+        if bn is not None:
+            w, b = fold_bn_into_conv(w, b, bn)
+        return conv2d_shard_matrices(
+            w, b, grid_in, stride=conv.stride, padding=conv.padding,
+            num_shards=num_shards,
+        )
+
+    def merge(name: str, downsample: Module, tap: int, tap_grid) -> MergeNode:
+        if isinstance(downsample, Identity):
+            if tap_grid != mgrid:
+                raise ValueError(
+                    f"block {name!r}: identity skip but the main branch "
+                    f"changed the layout ({tap_grid} -> {mgrid}) — the "
+                    "block needs a projection downsample"
+                )
+            return MergeNode(tap=tap)
+        ds = list(downsample._modules.values())
+        if (
+            len(ds) != 2
+            or not isinstance(ds[0], Conv2d)
+            or not isinstance(ds[1], BatchNorm2d)
+        ):
+            raise TypeError(f"block {name!r}: downsample must be Conv2d + BatchNorm2d")
+        blocks, bias_shards, proj_grid = conv_blocks(ds[0], ds[1], tap_grid)
+        if proj_grid != mgrid:
+            raise ValueError(
+                f"block {name!r}: projection lands on {proj_grid} but "
+                f"the main branch on {mgrid}"
+            )
+        return MergeNode(blocks=blocks, bias_shards=bias_shards, tap=tap)
+
+    def walk(seq: list) -> None:
+        nonlocal mgrid, flat
+        i = 0
+        while i < len(seq):
+            name, mod = seq[i]
+            i += 1
+            if isinstance(mod, Conv2d):
+                require_grid(name)
+                bn = None
+                if policy.fold_bn and i < len(seq) and isinstance(seq[i][1], BatchNorm2d):
+                    bn = seq[i][1]  # consumed by the fold
+                    i += 1
+                blocks, bias_shards, mgrid = conv_blocks(mod, bn, mgrid)
+                nodes.append(
+                    MatvecNode(blocks=blocks, bias_shards=bias_shards, layout=mgrid)
+                )
+            elif isinstance(mod, BatchNorm2d):
+                require_grid(name)
+                if mgrid.num_shards > 1:
+                    raise TypeError(
+                        f"layer {name!r}: a standalone BatchNorm has no sharded "
+                        "lowering — it can only fold into the conv directly "
+                        "before it (fold_bn=True)"
+                    )
+                scale_vec, shift_vec = bn_affine_vectors(mod, mgrid.shards[0])
+                nodes.append(AffineNode(affine_scale=scale_vec, affine_shift=shift_vec))
+            elif isinstance(mod, BasicBlock):
+                require_grid(name)
+                if not policy.fold_bn:
+                    raise TypeError(
+                        f"block {name!r}: fold_bn=False has no sharded lowering "
+                        "inside a residual block (the skip projection's "
+                        "BatchNorm can only fold)"
+                    )
+                tap, tap_grid = len(nodes), mgrid
+                nodes.append(ResidualTapNode())
+                walk(
+                    [
+                        op
+                        for attr in ("conv1", "bn1", "relu1", "conv2", "bn2")
+                        for op in _op_sequence(getattr(mod, attr), f"{name}.{attr}")
+                    ]
+                )
+                nodes.append(merge(name, mod.downsample, tap, tap_grid))
+                walk(_op_sequence(mod.relu2, f"{name}.relu2"))
+            elif isinstance(mod, PAFReLU):
+                nodes.append(PafNode(paf=mod.sign.to_composite(), scale=mod.static_scale))
+            elif isinstance(mod, (AvgPool2d, GlobalAvgPool2d)):
+                require_grid(name)
+                g = mgrid.shards[0]  # every shard shares the spatial geometry
+                if isinstance(mod, AvgPool2d):
+                    kh = kw = mod.kernel_size
+                    mgrid = mgrid.pooled(kh, mod.stride)
+                else:
+                    kh, kw = g.height, g.width
+                    mgrid = mgrid.global_pooled()
+                nodes.append(
+                    PoolNode(
+                        shifts=avg_pool_shifts(g, kh, kw),
+                        pool_scale=1.0 / (kh * kw),
+                        layout=mgrid,
+                    )
+                )
+            elif isinstance(mod, Flatten):
+                flat = True  # pure relabelling: linear heads read the grid directly
+            elif isinstance(mod, Linear):
+                blocks = linear_shard_matrices(mod.weight.data, mgrid)
+                bias_vec = mod.bias.data.copy() if mod.bias is not None else None
+                # the output lands whole on one shard: heads are narrow
+                mgrid = MultiGridLayout.split(mod.out_features, 1, 1, num_shards=1)
+                flat = True
+                nodes.append(
+                    MatvecNode(blocks=blocks, bias_shards=[bias_vec], layout=mgrid)
+                )
+
+    walk(ops)
+    return _graph(
+        nodes,
+        input_mgrid.span,
+        input_shards=input_mgrid.num_shards,
+        # K = 1 packs like a plain vector: anything up to `size`, zero-padded
+        input_splits=(
+            None if num_shards == 1 else [g.num_elements for g in input_mgrid.shards]
+        ),
+    )
+
+
+def _lower_transformer(model) -> Graph:
+    """Lower a :class:`~repro.nn.models.transformer.ToyTransformer` (or a
+    ``StackedToyTransformer``, block by block onto the same shard layout).
+
+    One ciphertext shard per token.  The lowering opens with an
+    identity "embed" matvec: the packed input carries live wraparound
+    replicas, but every downstream consumer (``_replicate`` before each
+    linear layer, the residual adds) relies on matvec outputs having
+    *zero* replica halves — the embed's masked diagonal-0 multiply (no
+    rotations) re-establishes that invariant, so the first residual tap
+    saves a clean copy of the input.  Each block's residual adds become
+    tap/merge pairs; the GELU MLP is a diagonal shard grid (the same
+    weights applied to every token shard); the mean pool is a shard-sum
+    reduce with ``1/seq`` folded into the classification head.  The
+    model must already carry its calibrated PAF modules
+    (:func:`repro.core.surgery.replace_transformer_nonpoly`) — the
+    softmax/GELU domains are frozen into the IR, exactly like the
+    static scales of a compiled MLP.  When the stacked depth exceeds the
+    prime chain, the policy's refresh placement is what makes the graph
+    schedulable at all.
+    """
+    blocks = getattr(model, "blocks", None) or [model]
+    for blk in blocks:
+        if not isinstance(blk.softmax, PAFSoftmax) or not isinstance(blk.act, PAFGELU):
+            raise ValueError(
+                "transformer compilation needs calibrated PAF modules — run "
+                "replace_transformer_nonpoly(model, samples) first"
+            )
+    seq, dim, ff = model.seq, model.dim, model.ff
+    size = 1
+    while size < max(dim, ff, model.num_classes):
+        size *= 2
+
+    def weight(lin):
+        return np.asarray(lin.weight.data, dtype=np.float64)
+
+    def bias(lin):
+        return np.asarray(lin.bias.data, dtype=np.float64)
+
+    def diag_grid(w: np.ndarray) -> list:
+        return [[w if i == j else None for j in range(seq)] for i in range(seq)]
+
+    nodes = [MatvecNode(blocks=diag_grid(np.eye(dim)))]
+    for blk in blocks:
+        sm = blk.softmax
+        attention = AttentionNode(
+            seq=seq,
+            dim=dim,
+            score_scale=getattr(blk, "score_scale", 0.0) or 1.0 / np.sqrt(dim),
+            wq=weight(blk.wq),
+            wk=weight(blk.wk),
+            wv=weight(blk.wv),
+            wo=weight(blk.wo),
+            bq=bias(blk.wq),
+            bk=bias(blk.wk),
+            bv=bias(blk.wv),
+            bo=bias(blk.wo),
+            exp_poly=sm.exp.poly,
+            exp_squarings=sm.exp.squarings,
+            recip_init=sm.recip_init,
+            recip_iters=sm.recip_iters,
+        )
+        attn_tap = len(nodes)
+        nodes += [ResidualTapNode(), attention, MergeNode(tap=attn_tap)]
+        mlp_tap = len(nodes)
+        nodes += [
+            ResidualTapNode(),
+            MatvecNode(blocks=diag_grid(weight(blk.fc1)), bias_shards=[bias(blk.fc1)] * seq),
+            PolyNode(poly=blk.act.poly),
+            MatvecNode(blocks=diag_grid(weight(blk.fc2)), bias_shards=[bias(blk.fc2)] * seq),
+            MergeNode(tap=mlp_tap),
+        ]
+    nodes += [
+        ReduceNode(),
+        MatvecNode(blocks=[[weight(model.head) / seq]], bias_shards=[bias(model.head)]),
+    ]
+    name = "toy_transformer" if len(blocks) == 1 else "toy_transformer_stacked"
+    return _graph(
+        nodes,
+        size,
+        input_shards=seq,
+        input_splits=[dim] * seq,
+        metadata={"model": name, "num_blocks": len(blocks)},
+    )
+
+
+def lower(model, policy: CompilePolicy | None = None) -> Graph:
+    """Lower any supported ``repro.nn`` model into the graph IR.
+
+    Two ways in: a model carrying the ``is_transformer`` marker (one or
+    more attention + MLP blocks) takes the token-sharded transformer
+    lowering; everything else — Linear / PAF stacks, conv stacks,
+    residual nets — is one walk of the module tree against the
+    ``policy.input_shape`` image channel-sharded across
+    ``policy.num_shards`` ciphertexts (default 1; never more shards than
+    channels).  ``policy.fold_bn`` folds each BatchNorm into the
+    directly preceding conv (zero runtime cost); unfolded or standalone,
+    a BatchNorm on a one-shard activation becomes a slot-wise affine
+    node costing one level, and anywhere that has no lowering (a sharded
+    activation, inside a residual block) it raises.  Exact ``ReLU`` /
+    ``MaxPool2d`` are rejected — replace them with PAF layers first;
+    that is the whole point of the paper.
+
+    Returns the validated :class:`~repro.fhe.ir.Graph`; no CKKS context
+    or key is touched.
+    """
+    if getattr(model, "is_transformer", False):
+        return _lower_transformer(model)
+    return _lower_modules(model, policy or CompilePolicy())

@@ -26,9 +26,9 @@ Wide CNNs overflow a single request block, so activations live in a
 hoisted baby rotations, cross-shard accumulation via ct-ct adds, one
 rescale per output shard), and pools / activations apply
 shard-by-shard.  A single-ciphertext network is the ``K = 1`` case —
-its plain ``weight`` the ``1 × 1`` grid, its ``bias`` the one-element
-bias list — so :meth:`EncryptedNetwork.forward_shards` is the one
-executor and :meth:`forward` its list-wrap for one ciphertext.
+every matvec a ``1 × 1`` grid with a one-element bias list — so
+:meth:`EncryptedNetwork.forward_shards` is the one executor and
+:meth:`forward` its list-wrap for one ciphertext.
 
 Networks are **typed node sequences** from :mod:`repro.fhe.ir`.  The
 executor dispatches on node *type*: each :class:`~repro.fhe.ir.IRNode`
@@ -36,8 +36,9 @@ subclass has one compile handler (builds the per-node caches: matvec
 plan grids, pre-rotated diagonal groups, activation plans, masks) and
 one execution handler; see ``docs/graph-ir.md`` for the taxonomy, the
 level/scale metadata contract, and how to add an op.
-:func:`repro.fhe.ir.compile_network` is the single compile entrypoint;
-:func:`compile_mlp` is the Linear/PAF-stack lowering it dispatches to.
+:func:`compile_network` is the single compile entrypoint:
+:func:`repro.fhe.lower.lower` produces the graph, this module plans,
+keys and executes it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from repro.ckks import (
 )
 from repro.ckks.instrumentation import CountingEvaluator
 from repro.ckks.instrumentation import span as trace_span
-from repro.core.paf_layer import PAFReLU
 from repro.fhe.ir import (
     AffineNode,
     AttentionNode,
@@ -80,11 +80,11 @@ from repro.fhe.linear import (
     plan_matvec,
     tile_blocks,
 )
+from repro.fhe.lower import lower
 from repro.fhe.packing import BlockLayout, pack_batch, unpack_blocks
-from repro.nn.layers import Linear, ReLU
-from repro.nn.module import Module
+from repro.fhe.transformer import attention_forward, compile_attention_state
 
-__all__ = ["EncryptedNetwork", "compile_mlp"]
+__all__ = ["EncryptedNetwork", "compile_network"]
 
 
 def _dispatch(table: dict, node: IRNode):
@@ -98,42 +98,32 @@ def _dispatch(table: dict, node: IRNode):
 class EncryptedNetwork:
     """A network compiled for encrypted inference (single or SIMD-batched).
 
-    Built from a :class:`repro.fhe.ir.Graph` (or a bare node list) by
-    the family lowerings behind :func:`repro.fhe.ir.compile_network` —
-    :func:`compile_mlp` for Linear/PAF stacks,
-    :func:`repro.fhe.cnn.compile_cnn` / ``compile_resnet`` for conv
-    stacks, :func:`repro.fhe.transformer.compile_transformer` for the
-    attention+MLP block.
+    Built from a :class:`repro.fhe.ir.Graph` — the output of
+    :func:`repro.fhe.lower.lower` (what :func:`compile_network` passes
+    in) or one assembled by hand from IR nodes — under a
+    :class:`~repro.fhe.ir.CompilePolicy`, which supplies the refresh
+    placement and the keygen ``seed``.
     """
 
     def __init__(
         self,
-        graph,
-        size: int | None = None,
-        params: CkksParams | None = None,
-        seed: int = 0,
-        input_shards: int = 1,
+        graph: Graph,
+        params: CkksParams,
         policy: CompilePolicy | None = None,
     ):
-        if isinstance(graph, Graph):
-            self.graph = graph
-        else:
-            self.graph = Graph(list(graph), size=size, input_shards=input_shards)
-        if size is not None and size != self.graph.size:
-            raise ValueError(f"size {size} != graph size {self.graph.size}")
-        self.size = self.graph.size
+        self.graph = graph
+        self.size = graph.size
         #: ciphertexts per request (1 = single-ciphertext network)
-        self.num_input_shards = self.graph.input_shards
-        if self.graph.input_splits is not None:
-            self.input_splits = list(self.graph.input_splits)
+        self.num_input_shards = graph.input_shards
+        #: element counts per input shard (the flat input splits
+        #: contiguously into these); None = one vector of up to ``size``
+        self.input_splits = graph.input_splits
         self.ctx = CkksContext(params)
-        #: the refresh policy this network compiled under (None = legacy
-        #: construction; equivalent to ``CompilePolicy(refresh="never")``)
-        self.policy = policy
+        #: the policy this network compiled under
+        self.policy = policy or CompilePolicy()
         #: per-(method, rtol) :class:`~repro.ckks.bootstrap.RefreshPlan`
         self._refresh_plan_cache: dict = {}
-        if policy is not None:
-            self._place_refreshes(policy)
+        self._place_refreshes()
         self.layers = self.graph.nodes
         depth_needed = self.graph.validate()
         if params.depth < depth_needed:
@@ -207,7 +197,7 @@ class EncryptedNetwork:
         if self._needs_conj:
             # evalmod refreshes separate conjugate halves homomorphically
             galois = galois + ("conj",)
-        self.keys = keygen(self.ctx, seed=seed, galois_steps=galois)
+        self.keys = keygen(self.ctx, seed=self.policy.seed, galois_steps=galois)
         self.ev = CkksEvaluator(self.ctx, self.keys)
 
     # ------------------------------------------------------------------
@@ -227,7 +217,7 @@ class EncryptedNetwork:
             self._refresh_plan_cache.setdefault((method, plan.rtol), plan)
         return plan
 
-    def _place_refreshes(self, policy: CompilePolicy) -> None:
+    def _place_refreshes(self) -> None:
         """Insert :class:`~repro.fhe.ir.RefreshNode`\\ s per the policy.
 
         ``refresh="auto"`` plans the refresh pipeline only when the
@@ -235,6 +225,7 @@ class EncryptedNetwork:
         the (evalmod-expensive) planning entirely and compile with an
         unchanged node list.
         """
+        policy = self.policy
         if policy.refresh == "never":
             return
         if (
@@ -315,13 +306,7 @@ class EncryptedNetwork:
             self.matvec_bias_slots[i] = biases
 
     def _compile_matvec(self, i: int, node: MatvecNode) -> None:
-        if node.blocks is not None:
-            self._compile_grid(i, node.blocks, node.bias_shards)
-        else:
-            # a plain weight is the 1 x 1 grid, its bias the one-element list
-            self._compile_grid(
-                i, [[node.weight]], None if node.bias is None else [node.bias]
-            )
+        self._compile_grid(i, node.blocks, node.bias_shards)
 
     def _compile_merge(self, i: int, node: MergeNode) -> None:
         if node.blocks is not None:
@@ -374,8 +359,6 @@ class EncryptedNetwork:
         pass
 
     def _compile_attention(self, i: int, node: AttentionNode) -> None:
-        from repro.fhe.transformer import compile_attention_state
-
         self.attention_states[i] = compile_attention_state(self, i, node)
 
     def _compile_refresh(self, i: int, node: RefreshNode) -> None:
@@ -408,10 +391,6 @@ class EncryptedNetwork:
     # ------------------------------------------------------------------
     # packing
     # ------------------------------------------------------------------
-    #: element counts per input shard (set by the sharded compilers); the
-    #: flat input splits contiguously into these
-    input_splits: list | None = None
-
     def pack_batch(self, xs) -> np.ndarray:
         """Pack up to ``max_batch`` input vectors into one slot vector.
 
@@ -647,8 +626,6 @@ class EncryptedNetwork:
         return [acc]
 
     def _exec_attention(self, i, node, cts, ev, encoded, executor, stack):
-        from repro.fhe.transformer import attention_forward
-
         return attention_forward(self, i, node, cts, ev, executor=executor)
 
     def _exec_refresh(self, i, node, cts, ev, encoded, executor, stack):
@@ -786,50 +763,19 @@ class EncryptedNetwork:
         return int(self.predict_batch([x], num_classes)[0])
 
 
-def compile_mlp(
-    model: Module,
-    params: CkksParams,
-    seed: int = 0,
-    policy: CompilePolicy | None = None,
+def compile_network(
+    model, params: CkksParams, *, policy: CompilePolicy | None = None
 ) -> EncryptedNetwork:
-    """Compile a (PAF-approximated) ``repro.nn`` MLP for encrypted inference.
+    """Compile any supported ``repro.nn`` model for encrypted inference.
 
-    The Linear/PAF-stack lowering behind
-    :func:`repro.fhe.ir.compile_network`: accepts models whose module
-    tree is Linear / ReLU / PAFReLU layers only (e.g.
-    ``repro.nn.models.MLP`` after SMART-PAF replacement), and lowers
-    them to :class:`~repro.fhe.ir.MatvecNode` / PafNode sequences.
-    Exact ReLU layers are rejected — replace them first; that is the whole
-    point of the paper.  A ``policy``
-    (:class:`~repro.fhe.ir.CompilePolicy`) overrides ``seed`` and
-    carries the refresh policy.
+    The single entrypoint of the FHE compilation pipeline:
+    :func:`repro.fhe.lower.lower` turns the model into the graph IR (pure
+    numpy) and :class:`EncryptedNetwork` plans, keys and wraps it.
+    Everything beyond the model and params rides in ``policy``
+    (:class:`~repro.fhe.ir.CompilePolicy`) — packing geometry
+    (``input_shape`` for anything convolutional, ``num_shards``), seed,
+    BatchNorm folding, and the refresh policy that lets a model deeper
+    than the prime chain compile by inserting
+    :class:`~repro.fhe.ir.RefreshNode`\\ s.
     """
-    if policy is not None:
-        seed = policy.seed
-    nodes: list[IRNode] = []
-    widths: list[int] = []
-    for name, mod in model.named_modules():
-        if isinstance(mod, Linear):
-            w = mod.weight.data.copy()
-            b = mod.bias.data.copy() if mod.bias is not None else None
-            nodes.append(MatvecNode(weight=w, bias=b))
-            widths.extend(w.shape)
-        elif isinstance(mod, PAFReLU):
-            nodes.append(
-                PafNode(paf=mod.sign.to_composite(), scale=mod.static_scale)
-            )
-        elif isinstance(mod, ReLU):
-            raise TypeError(
-                f"layer {name!r} is an exact ReLU — run SMART-PAF replacement "
-                "before compiling to FHE (CKKS has no non-polynomial ops)"
-            )
-    size = max(widths)
-    # zero-pad weights to square so the diagonal layout is uniform
-    for node in nodes:
-        if isinstance(node, MatvecNode):
-            padded = np.zeros((size, size))
-            padded[: node.weight.shape[0], : node.weight.shape[1]] = node.weight
-            node.weight = padded
-    return EncryptedNetwork(
-        Graph(nodes, size=size), params=params, seed=seed, policy=policy
-    )
+    return EncryptedNetwork(lower(model, policy), params, policy)

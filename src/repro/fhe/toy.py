@@ -8,15 +8,16 @@ between them:
 * :func:`compiled_toy` — an 8 → 6 → 3 MLP with an f1∘g2 PAF.  Compiles
   in ~1 s; one encrypted forward ≈ 0.5 s at n=512.
 * :func:`compiled_toy_cnn` — a *trained* 2-conv CNN on 1×8×8 pattern
-  images (conv-BN-PAF → avgpool → conv → dense, 3 classes), compiled by
-  :func:`repro.fhe.cnn.compile_cnn`.  Compiles in a few seconds; one
-  encrypted forward ≈ 5 s at n=1024.
+  images (conv-BN-PAF → avgpool → conv → dense, 3 classes).  Compiles
+  in a few seconds; one encrypted forward ≈ 5 s at n=1024.
 * :func:`compiled_toy_resnet` — a *trained* 2-block residual CNN
   (stem conv-BN → BasicBlock(identity skip) → BasicBlock(stride-2,
   1×1-projection skip) → global pool → dense) on the same pattern
-  images, channel-sharded across 2 ciphertexts and compiled by
-  :func:`repro.fhe.cnn.compile_resnet`.  Depth 31; one encrypted
-  forward is a few seconds at n=512.
+  images, channel-sharded across 2 ciphertexts.  Depth 31; one
+  encrypted forward is a few seconds at n=512.
+
+Every build goes through :func:`repro.fhe.network.compile_network` with
+a :class:`~repro.fhe.ir.CompilePolicy`, like any user model.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ckks import CkksParams
-from repro.fhe.network import EncryptedNetwork, compile_mlp
+from repro.fhe.ir import CompilePolicy
+from repro.fhe.network import EncryptedNetwork, compile_network
 
 __all__ = [
     "compiled_toy",
@@ -93,9 +95,28 @@ def compiled_toy(with_model: bool = False) -> EncryptedNetwork | tuple:
     replace_all(model, get_paf("f1g2"), np.zeros((1, 8)))
     calibrate_static_scales(model, [rng.normal(size=(64, 8))])
     convert_to_static(model)
-    enc = compile_mlp(model, TOY_PARAMS, seed=0)
+    enc = compile_network(model, TOY_PARAMS, policy=CompilePolicy(seed=0))
     model.eval()
     return (model, enc) if with_model else enc
+
+
+def _sgd(model, data, lr: float, epochs: int) -> None:
+    """The toys' shared training schedule: minibatch SGD (batch 16,
+    momentum 0.9) over ``data``'s training split, in order."""
+    from repro.nn.functional import cross_entropy
+    from repro.nn.optim import SGD
+    from repro.nn.tensor import Tensor
+
+    opt = SGD(model.parameters(), lr=lr, momentum=0.9)
+    batch = 16
+    for _ in range(epochs):
+        for start in range(0, data.n_train, batch):
+            xb = data.x_train[start : start + batch]
+            yb = data.y_train[start : start + batch]
+            loss = cross_entropy(model(Tensor(xb)), yb)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
 
 
 def toy_cnn_model(epochs: int = 2, seed: int = 0):
@@ -112,7 +133,6 @@ def toy_cnn_model(epochs: int = 2, seed: int = 0):
     (callers decide when to PAF-replace and freeze).
     """
     from repro.data.synthetic import make_pattern_dataset
-    from repro.nn.functional import cross_entropy
     from repro.nn.layers import (
         AvgPool2d,
         BatchNorm2d,
@@ -122,8 +142,6 @@ def toy_cnn_model(epochs: int = 2, seed: int = 0):
         ReLU,
     )
     from repro.nn.module import Sequential
-    from repro.nn.optim import SGD
-    from repro.nn.tensor import Tensor
 
     rng = np.random.default_rng(seed)
     model = Sequential(
@@ -138,16 +156,7 @@ def toy_cnn_model(epochs: int = 2, seed: int = 0):
     data = make_pattern_dataset(
         num_classes=3, n_train=96, n_val=24, image_size=8, channels=1, seed=seed
     )
-    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
-    batch = 16
-    for _ in range(epochs):
-        for start in range(0, data.n_train, batch):
-            xb = data.x_train[start : start + batch]
-            yb = data.y_train[start : start + batch]
-            loss = cross_entropy(model(Tensor(xb)), yb)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+    _sgd(model, data, lr=0.05, epochs=epochs)
     return model, data
 
 
@@ -162,25 +171,13 @@ def toy_resnet_model(epochs: int = 2, seed: int = 0):
     ``(model, dataset)`` with the model left in train mode.
     """
     from repro.data.synthetic import make_pattern_dataset
-    from repro.nn.functional import cross_entropy
     from repro.nn.models.resnet import toy_resnet
-    from repro.nn.optim import SGD
-    from repro.nn.tensor import Tensor
 
     model = toy_resnet(num_classes=3, width=2, in_channels=1, seed=seed)
     data = make_pattern_dataset(
         num_classes=3, n_train=96, n_val=24, image_size=8, channels=1, seed=seed
     )
-    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
-    batch = 16
-    for _ in range(epochs):
-        for start in range(0, data.n_train, batch):
-            xb = data.x_train[start : start + batch]
-            yb = data.y_train[start : start + batch]
-            loss = cross_entropy(model(Tensor(xb)), yb)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+    _sgd(model, data, lr=0.05, epochs=epochs)
     return model, data
 
 
@@ -198,7 +195,6 @@ def compiled_toy_resnet(
     also returns the plaintext model (in eval mode).
     """
     from repro.core import calibrate_static_scales, convert_to_static, replace_all
-    from repro.fhe.cnn import compile_resnet
     from repro.paf import get_paf
 
     model, data = toy_resnet_model()
@@ -206,12 +202,12 @@ def compiled_toy_resnet(
     calibrate_static_scales(model, [data.x_train])
     convert_to_static(model)
     model.eval()
-    enc = compile_resnet(
+    enc = compile_network(
         model,
-        TOY_RESNET_INPUT_SHAPE,
         params or TOY_RESNET_PARAMS,
-        num_shards=num_shards,
-        seed=0,
+        policy=CompilePolicy(
+            input_shape=TOY_RESNET_INPUT_SHAPE, num_shards=num_shards, seed=0
+        ),
     )
     return (model, enc) if with_model else enc
 
@@ -231,25 +227,13 @@ def toy_transformer_model(epochs: int = 2, seed: int = 0):
     decide when to PAF-replace).
     """
     from repro.data.synthetic import make_sequence_dataset
-    from repro.nn.functional import cross_entropy
     from repro.nn.models import toy_transformer
-    from repro.nn.optim import SGD
-    from repro.nn.tensor import Tensor
 
     model = toy_transformer(seq=4, dim=8, ff=16, num_classes=3, seed=seed)
     data = make_sequence_dataset(
         num_classes=3, n_train=96, n_val=24, seq=4, dim=8, seed=seed
     )
-    opt = SGD(model.parameters(), lr=0.02, momentum=0.9)
-    batch = 16
-    for _ in range(epochs):
-        for start in range(0, data.n_train, batch):
-            xb = data.x_train[start : start + batch]
-            yb = data.y_train[start : start + batch]
-            loss = cross_entropy(model(Tensor(xb)), yb)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+    _sgd(model, data, lr=0.02, epochs=epochs)
     return model, data
 
 
@@ -265,12 +249,11 @@ def compiled_toy_transformer(
     its softmax / GELU for calibrated dense PAFs
     (:func:`repro.core.surgery.replace_transformer_nonpoly` on the
     training set), and lowers through the token-sharded transformer
-    path of :func:`repro.fhe.ir.compile_network`.  ``with_model`` also
+    path of :func:`repro.fhe.lower.lower`.  ``with_model`` also
     returns the PAF-approximated plaintext model (in eval mode) — the
     rtol reference for decrypted logits.
     """
     from repro.core.surgery import replace_transformer_nonpoly
-    from repro.fhe.ir import CompilePolicy, compile_network
 
     model, data = toy_transformer_model()
     # deg-12 GELU costs the same 4 levels as deg-8 (ceil(log2(d+1)));
@@ -302,10 +285,7 @@ def toy_transformer_stacked_model(epochs: int = 2, seed: int = 0):
     ``(model, dataset)`` with the model in train mode.
     """
     from repro.data.synthetic import make_sequence_dataset
-    from repro.nn.functional import cross_entropy
     from repro.nn.models import toy_transformer_stacked
-    from repro.nn.optim import SGD
-    from repro.nn.tensor import Tensor
 
     model = toy_transformer_stacked(
         seq=4, dim=8, ff=16, num_classes=3, num_blocks=2, seed=seed
@@ -313,16 +293,7 @@ def toy_transformer_stacked_model(epochs: int = 2, seed: int = 0):
     data = make_sequence_dataset(
         num_classes=3, n_train=96, n_val=24, seq=4, dim=8, seed=seed
     )
-    opt = SGD(model.parameters(), lr=0.02, momentum=0.9)
-    batch = 16
-    for _ in range(epochs):
-        for start in range(0, data.n_train, batch):
-            xb = data.x_train[start : start + batch]
-            yb = data.y_train[start : start + batch]
-            loss = cross_entropy(model(Tensor(xb)), yb)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+    _sgd(model, data, lr=0.02, epochs=epochs)
     return model, data
 
 
@@ -341,7 +312,6 @@ def compiled_toy_transformer_stacked(
     differential tests and the stacked op-count/bench gates.
     """
     from repro.core.surgery import replace_transformer_nonpoly
-    from repro.fhe.ir import CompilePolicy, compile_network
 
     model, data = toy_transformer_stacked_model()
     replace_transformer_nonpoly(
@@ -377,7 +347,6 @@ def compiled_toy_cnn(
     plaintext model (in eval mode).
     """
     from repro.core import calibrate_static_scales, convert_to_static, replace_all
-    from repro.fhe.cnn import compile_cnn
     from repro.paf import get_paf
 
     model, data = toy_cnn_model()
@@ -385,11 +354,9 @@ def compiled_toy_cnn(
     calibrate_static_scales(model, [data.x_train])
     convert_to_static(model)
     model.eval()
-    enc = compile_cnn(
+    enc = compile_network(
         model,
-        TOY_CNN_INPUT_SHAPE,
         params or TOY_CNN_PARAMS,
-        seed=0,
-        fold_bn=fold_bn,
+        policy=CompilePolicy(input_shape=TOY_CNN_INPUT_SHAPE, seed=0, fold_bn=fold_bn),
     )
     return (model, enc) if with_model else enc

@@ -1,4 +1,4 @@
-"""Encrypted single-head self-attention and the transformer lowering.
+"""Encrypted single-head self-attention: the attention node's executor.
 
 Tokens are ciphertext shards: a ``seq``-token block runs with one
 ciphertext per token, each packed like any other request vector
@@ -38,11 +38,7 @@ from repro.ckks.poly_eval import eval_dense_poly
 from repro.ckks.poly_plan import plan_dense_poly
 from repro.fhe.linear import encrypted_matvec_shards, tile_blocks
 
-__all__ = [
-    "compile_attention_state",
-    "attention_forward",
-    "compile_transformer",
-]
+__all__ = ["compile_attention_state", "attention_forward"]
 
 
 def _pad_square(w: np.ndarray, size: int) -> np.ndarray:
@@ -227,115 +223,3 @@ def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
         outs = net._map_shards(executor, one_query, qs)
         sp.ct_exit(outs)
     return outs
-
-
-def compile_transformer(model, params, *, seed: int = 0, policy=None):
-    """Lower a :class:`~repro.nn.models.transformer.ToyTransformer`.
-
-    One ciphertext shard per token.  The lowering opens with an
-    identity "embed" matvec: the packed input carries live wraparound
-    replicas, but every downstream consumer (``_replicate`` before each
-    linear layer, the residual adds) relies on matvec outputs having
-    *zero* replica halves — the embed's masked diagonal-0 multiply (no
-    rotations) re-establishes that invariant, so the first residual tap
-    saves a clean copy of the input.  Each block's residual adds become
-    tap/merge pairs; the GELU MLP is a diagonal shard grid (the same
-    weights applied to every token shard); the mean pool is a shard-sum
-    reduce with ``1/seq`` folded into the classification head.  The
-    model must already carry its calibrated PAF modules
-    (:func:`repro.core.surgery.replace_transformer_nonpoly`) — the
-    softmax/GELU domains are frozen into the IR, exactly like the
-    static scales of a compiled MLP.
-
-    A :class:`~repro.nn.models.transformer.StackedToyTransformer`
-    (``model.blocks``) lowers block by block onto the same shard layout;
-    when the stacked depth exceeds ``params.depth``, ``policy``'s refresh
-    placement (:class:`repro.fhe.ir.CompilePolicy`, default ``"auto"``)
-    is what makes the graph schedulable at all.
-    """
-    from repro.core.paf_layer import PAFGELU, PAFSoftmax
-    from repro.fhe.ir import (
-        AttentionNode,
-        Graph,
-        MatvecNode,
-        MergeNode,
-        PolyNode,
-        ReduceNode,
-        ResidualTapNode,
-    )
-    from repro.fhe.network import EncryptedNetwork
-
-    if policy is not None:
-        seed = policy.seed
-    blocks = getattr(model, "blocks", None) or [model]
-    for blk in blocks:
-        if not isinstance(blk.softmax, PAFSoftmax) or not isinstance(
-            blk.act, PAFGELU
-        ):
-            raise ValueError(
-                "transformer compilation needs calibrated PAF modules — run "
-                "replace_transformer_nonpoly(model, samples) first"
-            )
-    seq, dim, ff = model.seq, model.dim, model.ff
-    size = 1
-    while size < max(dim, ff, model.num_classes):
-        size *= 2
-    weight = lambda lin: np.asarray(lin.weight.data, dtype=np.float64)
-    bias = lambda lin: np.asarray(lin.bias.data, dtype=np.float64)
-
-    def diag_grid(w: np.ndarray) -> list:
-        mat = _pad_square(w, size)
-        return [
-            [mat if i == j else None for j in range(seq)] for i in range(seq)
-        ]
-
-    nodes = [MatvecNode(blocks=diag_grid(np.eye(dim)))]
-    for blk in blocks:
-        sm = blk.softmax
-        attention = AttentionNode(
-            seq=seq,
-            dim=dim,
-            score_scale=getattr(blk, "score_scale", 0.0) or 1.0 / np.sqrt(dim),
-            wq=weight(blk.wq),
-            wk=weight(blk.wk),
-            wv=weight(blk.wv),
-            wo=weight(blk.wo),
-            bq=bias(blk.wq),
-            bk=bias(blk.wk),
-            bv=bias(blk.wv),
-            bo=bias(blk.wo),
-            exp_poly=sm.exp.poly,
-            exp_squarings=sm.exp.squarings,
-            recip_init=sm.recip_init,
-            recip_iters=sm.recip_iters,
-        )
-        attn_tap = len(nodes)
-        nodes += [
-            ResidualTapNode(),
-            attention,
-            MergeNode(tap=attn_tap),
-        ]
-        mlp_tap = len(nodes)
-        nodes += [
-            ResidualTapNode(),
-            MatvecNode(blocks=diag_grid(weight(blk.fc1)), bias_shards=[bias(blk.fc1)] * seq),
-            PolyNode(poly=blk.act.poly),
-            MatvecNode(blocks=diag_grid(weight(blk.fc2)), bias_shards=[bias(blk.fc2)] * seq),
-            MergeNode(tap=mlp_tap),
-        ]
-    nodes += [
-        ReduceNode(),
-        MatvecNode(
-            blocks=[[_pad_square(weight(model.head) / seq, size)]],
-            bias_shards=[bias(model.head)],
-        ),
-    ]
-    name = "toy_transformer" if len(blocks) == 1 else "toy_transformer_stacked"
-    graph = Graph(
-        nodes,
-        size=size,
-        input_shards=seq,
-        input_splits=[dim] * seq,
-        metadata={"model": name, "num_blocks": len(blocks)},
-    )
-    return EncryptedNetwork(graph, params=params, seed=seed, policy=policy)

@@ -34,7 +34,7 @@ class BasicBlock(Module):
 
     ``track_running_stats=True`` builds every BatchNorm (including the
     downsample's) with frozen-statistics tracking, which the FHE
-    compiler (:func:`repro.fhe.cnn.compile_resnet`) requires so the BNs
+    lowering (:func:`repro.fhe.lower.lower`) requires so the BNs
     fold into their convs; the default matches the paper's Tab. 5
     training configuration (batch statistics).
     """
@@ -130,10 +130,10 @@ class ToyResNet(Module):
     """CPU/FHE-sized residual CNN: stem conv + 2 BasicBlocks + head.
 
     The smallest topology exercising everything the multi-ciphertext
-    compiler must handle: an identity skip (block1), a stride-2
+    lowering must handle: an identity skip (block1), a stride-2
     downsample with a 1×1-projection skip (block2), a global pool and a
     dense head.  Every BatchNorm tracks running statistics so the whole
-    net compiles via :func:`repro.fhe.cnn.compile_resnet`; the stem has
+    net compiles via :func:`repro.fhe.network.compile_network`; the stem has
     no ReLU (one PAF fewer keeps the FHE level budget at 31 with the
     default f1∘g2 activation — the four block ReLUs remain).
     """

@@ -42,7 +42,7 @@ class ToyTransformer(Module):
 
     Input ``(batch, seq, dim)``; output ``(batch, num_classes)`` logits.
     The ``is_transformer`` marker routes
-    :func:`repro.fhe.ir.compile_network` to the transformer lowering.
+    :func:`repro.fhe.lower.lower` to the transformer lowering.
     """
 
     is_transformer = True

@@ -54,7 +54,7 @@ Quickstart::
 
     from repro.serve import InferenceServer, ModelArtifact
 
-    artifact = ModelArtifact.compile(paf_model, params)   # or wrap compile_mlp(...)
+    artifact = ModelArtifact.compile(paf_model, params)   # or wrap compile_network(...)
     with InferenceServer(artifact, num_classes=10, max_wait_ms=5) as srv:
         results = srv.predict_many(client_inputs)
     print(srv.metrics.format())

@@ -7,8 +7,8 @@ pure waste, since the model weights never change and a fixed network
 visits each linear layer at one deterministic ``(level, scale)`` pair.
 
 :class:`ModelArtifact` wraps a compiled
-:class:`~repro.fhe.network.EncryptedNetwork` — any model lowered by
-:func:`~repro.fhe.ir.compile_network` (MLP, CNN, sharded ResNet or
+:class:`~repro.fhe.network.EncryptedNetwork` — any model compiled by
+:func:`~repro.fhe.network.compile_network` (MLP, CNN, sharded ResNet or
 transformer; :meth:`ModelArtifact.compile` runs that compile and wraps
 in one step); pool masks and affine vectors ride the
 activation-constant cache below — with two caches keyed on
@@ -49,7 +49,7 @@ import numpy as np
 from repro.ckks.encoder import Plaintext
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.rns import RnsPoly
-from repro.fhe.network import EncryptedNetwork
+from repro.fhe.network import EncryptedNetwork, compile_network
 
 __all__ = ["PlaintextCache", "CachingEncoder", "ModelArtifact", "ArtifactMismatchError"]
 
@@ -189,8 +189,8 @@ class ModelArtifact:
     Parameters
     ----------
     model:
-        A compiled :class:`~repro.fhe.network.EncryptedNetwork` (MLP or
-        CNN).
+        A compiled :class:`~repro.fhe.network.EncryptedNetwork` (any
+        model family).
     max_entries:
         Bound on the shared plaintext cache.
     cache_activations:
@@ -217,22 +217,17 @@ class ModelArtifact:
 
     @classmethod
     def compile(cls, nn_model, params, *, policy=None, **kwargs) -> "ModelArtifact":
-        """:func:`repro.fhe.ir.compile_network` + wrap, in one step.
+        """:func:`repro.fhe.network.compile_network` + wrap, in one step.
 
         The single serving-side compile entry: all compile options ride
         one :class:`repro.fhe.ir.CompilePolicy` (``policy=``) — refresh
-        placement, backend, input shape, shard count, seed — and
-        dispatch on the model's module tree matches ``compile_network``:
-        Linear/PAF stacks to the MLP lowering, conv stacks to the CNN
-        lowering (policy ``input_shape``), residual nets to the sharded
-        ResNet lowering, transformers to the token-sharded attention
-        lowering.  Every per-shard-pair diagonal block (including merge
-        projections, keyed at the skip branch's level) pre-encodes
-        through the same cache.  Remaining ``kwargs`` go to the
-        :class:`ModelArtifact` constructor.
+        placement, input shape, shard count, seed, BatchNorm folding —
+        and every model family goes through the one lowering
+        (:func:`repro.fhe.lower.lower`).  Every per-shard-pair diagonal
+        block (including merge projections, keyed at the skip branch's
+        level) pre-encodes through the same cache.  Remaining ``kwargs``
+        go to the :class:`ModelArtifact` constructor.
         """
-        from repro.fhe.ir import compile_network
-
         return cls(compile_network(nn_model, params, policy=policy), **kwargs)
 
     # ------------------------------------------------------------------
@@ -369,7 +364,7 @@ class ModelArtifact:
 
         Covers the CKKS arithmetic (ring degree, full prime ladder,
         canonical scale) and the compiled node stack — *every* payload
-        field of every node (weights, biases, shard blocks, PAF and
+        field of every node (block grids, shard biases, PAF and
         polynomial coefficients, attention projections, pool/affine
         constants, refresh method, ...), read generically off the node
         dataclasses so a new node type or field is covered the day it is

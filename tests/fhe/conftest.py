@@ -52,8 +52,10 @@ def oracle_evaluator(enc) -> CkksEvaluator:
     steps = {enc._replicate_step}
     for node in enc.layers:
         if isinstance(node, MatvecNode):
-            steps.update(diagonals_of(node.weight, enc.ctx.slots))
-        steps.update(s for stage in node.shifts for s in stage)
+            ((weight,),) = node.blocks
+            steps.update(diagonals_of(weight, enc.ctx.slots))
+        elif isinstance(node, PoolNode):
+            steps.update(s for stage in node.shifts for s in stage)
     keys = dataclasses.replace(enc.keys, galois=dict(enc.keys.galois))
     keys.ensure_galois_steps(enc.ctx, sorted(steps - {0}))
     return CkksEvaluator(enc.ctx, keys)
@@ -70,13 +72,14 @@ def oracle_forward(enc, ct, ev):
         if isinstance(node, MatvecNode):
             if i > 0:
                 ct = ev.add(ct, ev.rotate(ct, enc._replicate_step))
+            ((weight,),), (bias,) = node.blocks, node.bias_shards or [None]
             diags = diagonals_of(
-                node.weight,
+                weight,
                 enc.ctx.slots,
                 num_blocks=enc.max_batch,
                 block_stride=enc.block_stride,
             )
-            bias = None if node.bias is None else _tiled(enc, node.bias)
+            bias = None if bias is None else _tiled(enc, bias)
             ct = encrypted_matvec(ev, ct, diagonals=diags, bias_slots=bias)
         elif isinstance(node, PafNode):
             ct = eval_paf_relu(ev, ct, node.paf, scale=node.scale, reference=True)
@@ -102,6 +105,23 @@ def oracle():
     """The reference interpreter: ``oracle.evaluator(enc)`` builds the
     naive-key evaluator, ``oracle.forward(enc, ct, ev)`` runs it."""
     return SimpleNamespace(evaluator=oracle_evaluator, forward=oracle_forward)
+
+
+@pytest.fixture(scope="session")
+def paf_mlp_model():
+    """The toy MLP's plaintext side alone: PAF-replaced, calibrated,
+    ready to lower or compile (no keys yet)."""
+    from repro.core import calibrate_static_scales, convert_to_static, replace_all
+    from repro.nn.models import mlp
+    from repro.paf import get_paf
+
+    rng = np.random.default_rng(0)
+    model = mlp(8, hidden=(6,), num_classes=3, seed=0)
+    replace_all(model, get_paf("f1g2"), np.zeros((1, 8)))
+    calibrate_static_scales(model, [rng.normal(size=(64, 8))])
+    convert_to_static(model)
+    model.eval()
+    return model
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,7 @@ class TestShapes:
         np.testing.assert_allclose(bsgs, w @ x, atol=5e-3)
 
     def test_explicitly_padded_weight(self, rt):
-        """A 3x5 matrix zero-padded to 8x8 (the compile_mlp layout)."""
+        """A 3x5 matrix zero-padded to 8x8 (the lowering's square layout)."""
         ctx, ev = rt
         rng = np.random.default_rng(1)
         w = np.zeros((SIZE, SIZE))

@@ -1,11 +1,12 @@
-"""Differential suite for the encrypted CNN compiler.
+"""Differential suite for encrypted CNN compilation.
 
 Three rings of verification, cheapest first:
 
 * **pure-numpy lowering differentials** (hypothesis-driven): the
-  compile-time conv/linear matrices and rotate-and-sum pool plans are
+  lowering-time conv/linear matrices and rotate-and-sum pool plans are
   checked against ``repro.nn.functional`` on random shapes — no crypto,
-  hundreds of examples;
+  hundreds of examples — and what the lowering rejects or how it lays a
+  model out is asserted on :func:`repro.fhe.lower.lower`'s graph, no keys;
 * **encrypted layer differentials**: small convs/pools/BN-affines run on
   real ciphertexts against the plaintext forward;
 * **the trained toy CNN end to end**: compiled logits match the
@@ -13,6 +14,8 @@ Three rings of verification, cheapest first:
   :class:`repro.serve.artifact.ModelArtifact`, with the level schedule
   consumed exactly.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,11 +26,13 @@ from repro.ckks import CkksParams
 from repro.fhe.cnn import (
     avg_pool_shifts,
     bn_affine_vectors,
-    compile_cnn,
     conv2d_layout_matrix,
     fold_bn_into_conv,
     linear_layout_matrix,
 )
+from repro.fhe.ir import CompilePolicy
+from repro.fhe.lower import lower
+from repro.fhe.network import compile_network
 from repro.fhe.packing import GridLayout
 from repro.nn import functional as F
 from repro.nn.layers import (
@@ -275,6 +280,13 @@ def _mini_paf_net(*layers):
 
 
 MINI_PARAMS = CkksParams(n=256, scale_bits=25, depth=3)
+MINI_POLICY = CompilePolicy(input_shape=(1, 4, 4))
+
+
+def _compile_mini(model, **overrides):
+    """Compile a mini net over 1x4x4 images at ``MINI_PARAMS``."""
+    policy = dataclasses.replace(MINI_POLICY, **overrides)
+    return compile_network(model, MINI_PARAMS, policy=policy)
 
 
 class TestEncryptedDifferentials:
@@ -289,7 +301,7 @@ class TestEncryptedDifferentials:
             Linear(8, 3, rng=rng),
         )
         model.eval()
-        enc = compile_cnn(model, (1, 4, 4), MINI_PARAMS, seed=0)
+        enc = _compile_mini(model)
         x = rng.normal(size=(1, 1, 4, 4))
         ref = model(Tensor(x)).data.ravel()
         got = enc.decrypt_logits(enc.forward(enc.encrypt_input(x.ravel())), 3)
@@ -309,7 +321,7 @@ class TestEncryptedDifferentials:
         outs = {}
         levels = {}
         for fold in (True, False):
-            enc = compile_cnn(model, (1, 4, 4), MINI_PARAMS, seed=0, fold_bn=fold)
+            enc = _compile_mini(model, fold_bn=fold)
             ct = enc.forward(enc.encrypt_input(x))
             outs[fold] = enc.decrypt_logits(ct, 3)
             levels[fold] = enc.ctx.max_level - ct.level
@@ -328,10 +340,23 @@ class TestEncryptedDifferentials:
         plain.eval()
         compiled = _mini_paf_net(conv, GlobalAvgPool2d(), head)
         compiled.eval()
-        enc = compile_cnn(compiled, (1, 4, 4), MINI_PARAMS, seed=0)
+        enc = _compile_mini(compiled)
         x = rng.normal(size=(1, 1, 4, 4))
         ref = plain(Tensor(x)).data.ravel()
         got = enc.decrypt_logits(enc.forward(enc.encrypt_input(x.ravel())), 3)
+        np.testing.assert_allclose(got, ref, atol=2e-3)
+
+    def test_pool_first_network_matches_plaintext(self):
+        """A net that opens with a pool is legal — the pool's mask zeroes
+        the packed input's replica half before the head replicates."""
+        rng = np.random.default_rng(4)
+        model = _mini_paf_net(AvgPool2d(2), Flatten(), Linear(4, 2, rng=rng))
+        model.eval()
+        enc = _compile_mini(model)
+        assert [layer.kind for layer in enc.layers] == ["pool", "linear"]
+        x = rng.normal(size=(1, 1, 4, 4))
+        ref = model(Tensor(x)).data.ravel()
+        got = enc.decrypt_logits(enc.forward(enc.encrypt_input(x.ravel())), 2)
         np.testing.assert_allclose(got, ref, atol=2e-3)
 
     def test_reference_pool_path_matches_planned(self, oracle):
@@ -342,7 +367,7 @@ class TestEncryptedDifferentials:
             Flatten(), Linear(4, 2, rng=rng),
         )
         model.eval()
-        enc = compile_cnn(model, (1, 4, 4), MINI_PARAMS, seed=0)
+        enc = _compile_mini(model)
         x = rng.normal(size=16)
         planned = enc.decrypt_logits(enc.forward(enc.encrypt_input(x)), 2)
         reference = enc.decrypt_logits(
@@ -355,12 +380,12 @@ class TestCompilerRejections:
     def test_exact_relu_rejected(self):
         model = Sequential(Conv2d(1, 1, 3), ReLU())
         with pytest.raises(TypeError, match="exact ReLU"):
-            compile_cnn(model, (1, 4, 4), MINI_PARAMS)
+            lower(model, MINI_POLICY)
 
     def test_exact_maxpool_rejected(self):
         model = Sequential(Conv2d(1, 1, 3), MaxPool2d(2))
         with pytest.raises(TypeError, match="MaxPool2d"):
-            compile_cnn(model, (1, 4, 4), MINI_PARAMS)
+            lower(model, MINI_POLICY)
 
     def test_paf_maxpool_not_implemented(self):
         from repro.core.paf_layer import PAFMaxPool2d
@@ -370,16 +395,16 @@ class TestCompilerRejections:
             Conv2d(1, 1, 3), PAFMaxPool2d(get_paf("f1g2"), kernel_size=2)
         )
         with pytest.raises(NotImplementedError, match="max-pool"):
-            compile_cnn(model, (1, 4, 4), MINI_PARAMS)
+            lower(model, MINI_POLICY)
 
     def test_conv_after_flatten_rejected(self):
         model = Sequential(Flatten(), Conv2d(1, 1, 3))
         with pytest.raises(TypeError, match="flattened"):
-            compile_cnn(model, (1, 4, 4), MINI_PARAMS)
+            lower(model, MINI_POLICY)
 
     def test_bad_input_shape_rejected(self):
         with pytest.raises(ValueError, match="C, H, W"):
-            compile_cnn(Sequential(Conv2d(1, 1, 3)), (4, 4), MINI_PARAMS)
+            lower(Sequential(Conv2d(1, 1, 3)), CompilePolicy(input_shape=(4, 4)))
 
     def test_unknown_leaf_rejected_not_silently_dropped(self):
         """A layer without an encrypted lowering must fail the compile —
@@ -392,7 +417,7 @@ class TestCompilerRejections:
 
         model = Sequential(Conv2d(1, 1, 3), Swish())
         with pytest.raises(TypeError, match="no encrypted lowering"):
-            compile_cnn(model, (1, 4, 4), MINI_PARAMS)
+            lower(model, MINI_POLICY)
 
     def test_dropout_and_identity_are_skipped(self):
         from repro.nn.layers import Dropout, Identity
@@ -403,7 +428,7 @@ class TestCompilerRejections:
             Flatten(), Linear(16, 2, rng=rng),
         )
         model.eval()
-        enc = compile_cnn(model, (1, 4, 4), MINI_PARAMS, seed=0)
+        enc = _compile_mini(model)
         x = rng.normal(size=16)
         ref = model(Tensor(x.reshape(1, 1, 4, 4))).data.ravel()
         got = enc.decrypt_logits(enc.forward(enc.encrypt_input(x)), 2)
@@ -447,13 +472,41 @@ class TestToyCnnEndToEnd:
         assert enc.ctx.max_level - ct.level == depth_needed == 10
 
     def test_layer_input_levels_match_kind_costs(self, toy_cnn):
-        _, enc = toy_cnn
-        levels = enc.layer_input_levels()
-        kinds = [layer.kind for layer in enc.layers]
-        assert kinds == ["linear", "paf", "pool", "linear", "linear"]
-        top = enc.ctx.max_level
+        model, enc = toy_cnn
+        graph = lower(model, enc.policy)
+        assert [n.kind for n in graph.nodes] == ["linear", "paf", "pool", "linear", "linear"]
+        top = 10
+        levels = graph.input_levels(top)
         # conv(1) + PAF(6) + pool(1) + conv(1) then the dense head
         assert [levels[i] for i in range(5)] == [top, top - 1, top - 7, top - 8, top - 9]
+        assert enc.layer_input_levels() == graph.input_levels(enc.ctx.max_level)
+
+    def test_num_shards_is_a_free_axis(self, toy_cnn):
+        """The same toy CNN at ``num_shards=2``: the first conv's two
+        channels fan out over two ciphertexts, the cost model runs in
+        shadow, and a real forward of an in-domain row still matches the
+        plaintext model."""
+        from repro.fhe.toy import TOY_CNN_PARAMS, toy_cnn_model
+
+        model, enc1 = toy_cnn
+        policy = dataclasses.replace(enc1.policy, num_shards=2)
+        enc = compile_network(model, TOY_CNN_PARAMS, policy=policy)
+        assert enc.num_input_shards == 1  # a 1-channel image is one shard
+        assert max(len(grid) for grid in enc.matvec_plans.values()) == 2
+        counts = enc.op_counts()
+        assert counts["mul"] == 2 * enc1.op_counts()["mul"]  # one PAF per shard
+        # a held-out row inside the PAF's calibrated domain, judged on
+        # the plaintext side (pre-activation <= 0.65 of the static scale)
+        conv, bn, paf = model[0], model[1], model[2]
+        _, data = toy_cnn_model()
+        x = next(
+            row for row in data.x_val
+            if np.max(np.abs(bn(conv(Tensor(row[None]))).data)) <= 0.65 * paf.static_scale
+        )
+        ref = model(Tensor(x[None])).data.ravel()
+        (out,) = enc.forward_shards(enc.encrypt_input_shards(x.ravel()))
+        got = enc.decrypt_logits(out, 3)
+        np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-4)
 
     def test_pool_and_conv_keys_cover_forward(self, toy_cnn):
         """Compiled Galois key set suffices — forward raised no KeyError —

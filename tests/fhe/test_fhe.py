@@ -1,4 +1,4 @@
-"""Tests for encrypted linear algebra, the MLP compiler and latency harness."""
+"""Tests for encrypted linear algebra, MLP compilation and the latency harness."""
 
 from collections import Counter
 
@@ -15,7 +15,7 @@ from repro.ckks import (
 )
 from repro.ckks.instrumentation import CountingEvaluator
 from repro.fhe import (
-    compile_mlp,
+    compile_network,
     diagonals_of,
     encrypted_matvec,
     encrypted_matvec_shards,
@@ -125,8 +125,19 @@ class TestEncryptedMatvec:
 class TestCompileMlp:
     def test_rejects_exact_relu(self):
         model = mlp(8, hidden=(4,), num_classes=3, seed=0)
-        with pytest.raises(TypeError):
-            compile_mlp(model, CkksParams(n=512, scale_bits=25, depth=10))
+        with pytest.raises(TypeError, match="exact ReLU"):
+            compile_network(model, CkksParams(n=512, scale_bits=25, depth=10))
+
+    def test_rejects_unlowered_leaf_instead_of_dropping_it(self):
+        """A Linear stack walks the same op sequence as a conv stack: a
+        leaf with no encrypted lowering fails the compile by name (it
+        used to vanish, and the network decrypted to wrong logits)."""
+        from repro.nn.layers import GELU, Linear
+        from repro.nn.module import Sequential
+
+        model = Sequential(Linear(4, 4), GELU(), Linear(4, 2))
+        with pytest.raises(TypeError, match=r"'1' \(GELU\) has no encrypted lowering"):
+            compile_network(model, CkksParams(n=512, scale_bits=25, depth=10))
 
     def test_depth_validation(self):
         from repro.core import replace_all
@@ -134,7 +145,7 @@ class TestCompileMlp:
         model = mlp(8, hidden=(4,), num_classes=3, seed=0)
         replace_all(model, get_paf("f1f1g1g1"), np.zeros((1, 8)))
         with pytest.raises(ValueError):
-            compile_mlp(model, CkksParams(n=512, scale_bits=25, depth=3))
+            compile_network(model, CkksParams(n=512, scale_bits=25, depth=3))
 
     def test_end_to_end_agrees_with_plaintext(self):
         from repro.core import calibrate_static_scales, convert_to_static, replace_all
@@ -146,7 +157,7 @@ class TestCompileMlp:
         x_cal = rng.normal(size=(64, 8))
         calibrate_static_scales(model, [x_cal])
         convert_to_static(model)
-        enc = compile_mlp(model, CkksParams(n=512, scale_bits=25, depth=9), seed=0)
+        enc = compile_network(model, CkksParams(n=512, scale_bits=25, depth=9))
         model.eval()
         x = rng.normal(size=(3, 8))
         with no_grad():

@@ -26,18 +26,21 @@ from repro.fhe.ir import (
     Graph,
     MatvecNode,
     MergeNode,
+    PafNode,
     PolyNode,
+    PoolNode,
     RefreshNode,
     ResidualTapNode,
     apply_refresh_policy,
-    compile_network,
     propagate_intervals,
 )
+from repro.fhe.network import compile_network
+from repro.paf import get_paf
 from repro.paf.polynomial import Polynomial
 
 
 def _eye_node(size=4):
-    return MatvecNode(weight=np.eye(size))
+    return MatvecNode(blocks=[[np.eye(size)]])
 
 
 # ----------------------------------------------------------------------
@@ -54,7 +57,7 @@ class TestGraphValidation:
 
     def test_unmerged_tap_rejected(self):
         with pytest.raises(ValueError, match="never merged"):
-            Graph([ResidualTapNode(), _eye_node()], size=4)
+            Graph([_eye_node(), ResidualTapNode()], size=4)
 
     def test_projection_merge_needs_level_gap(self):
         proj = MergeNode(tap=0, blocks=[[np.eye(4)]])
@@ -63,14 +66,36 @@ class TestGraphValidation:
 
     def test_balanced_residual_accepted(self):
         g = Graph(
-            [ResidualTapNode(), _eye_node(), MergeNode(tap=0)], size=4
+            [_eye_node(), ResidualTapNode(), _eye_node(), MergeNode(tap=1)], size=4
         )
-        assert g.total_depth() == 1
+        assert g.total_depth() == 2
 
     def test_input_levels_descend_by_cost(self):
         g = Graph([_eye_node(), PolyNode(poly=Polynomial((0.0, 1.0, 1.0)))], size=4)
         levels = g.input_levels(10)
         assert levels == {0: 10, 1: 9}
+
+    def test_live_replica_reaching_replicate_rejected(self):
+        """The packed input's replica half is live until a matvec at node
+        0, a pool mask or an affine zeroes it; a slot-wise node that runs
+        first hands it on, and the matvec behind it would double it
+        (decrypting ~2x wrong) — one check for every producer."""
+        paf = PafNode(paf=get_paf("f1g2"), scale=1.0)
+        with pytest.raises(ValueError, match="live input replica"):
+            Graph([paf, _eye_node()], size=4)
+        with pytest.raises(ValueError, match="live input replica"):
+            Graph([PolyNode(poly=Polynomial((0.0, 1.0, 1.0))), _eye_node()], size=4)
+        # a tap that saves the live input poisons the branch it merges into
+        with pytest.raises(ValueError, match="live input replica"):
+            Graph([ResidualTapNode(), _eye_node(), MergeNode(tap=0)], size=4)
+        # a projection replicates the saved branch itself
+        proj = MergeNode(tap=0, blocks=[[np.eye(4)]])
+        with pytest.raises(ValueError, match="live input replica"):
+            Graph([ResidualTapNode(), PoolNode(shifts=((), ())), proj], size=4)
+        # pool-first is legal: its mask zeroes the replica half
+        Graph([PoolNode(shifts=((), ())), paf, _eye_node()], size=4)
+        # and a slot-wise chain that no matvec follows never replicates
+        Graph([paf], size=4)
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +104,7 @@ class TestGraphValidation:
 class TestIntervalPropagation:
     def test_matvec_interval_is_row_wise_bound(self):
         w = np.array([[1.0, -2.0], [0.5, 0.5]])
-        node = MatvecNode(weight=w)
+        node = MatvecNode(blocks=[[w]])
         g = Graph([node], size=2)
         (got,) = propagate_intervals(g, (-1.0, 1.0))
         # row 0: |1| + |-2| = 3 → [-3, 3]; row 1 tighter
@@ -120,9 +145,10 @@ def _in_domain_input(enc, rng) -> np.ndarray:
     plaintext side only: the pre-activation ``W·x + b`` stays within
     ``DOMAIN_SHARE`` of the PAF node's static scale."""
     first, paf = enc.layers[0], enc.layers[1]
+    ((weight,),), (bias,) = first.blocks, first.bias_shards
     while True:
-        x = rng.normal(0.0, 1.0, first.weight.shape[1])
-        pre = (first.weight @ x)[: len(first.bias)] + first.bias
+        x = rng.normal(0.0, 1.0, weight.shape[1])
+        pre = (weight @ x)[: len(bias)] + bias
         if np.max(np.abs(pre)) <= DOMAIN_SHARE * paf.scale:
             return x
 
@@ -188,22 +214,6 @@ class TestCompilePolicy:
         )
         assert enc.policy.seed == 3
         assert not any(isinstance(n, RefreshNode) for n in enc.graph.nodes)
-
-
-@pytest.fixture(scope="module")
-def paf_mlp_model():
-    """A small PAF-replaced MLP ready for ``compile_network``."""
-    from repro.core import calibrate_static_scales, convert_to_static, replace_all
-    from repro.nn.models import mlp
-    from repro.paf import get_paf
-
-    rng = np.random.default_rng(0)
-    model = mlp(8, hidden=(6,), num_classes=3, seed=0)
-    replace_all(model, get_paf("f1g2"), np.zeros((1, 8)))
-    calibrate_static_scales(model, [rng.normal(size=(64, 8))])
-    convert_to_static(model)
-    model.eval()
-    return model
 
 
 def _poly_chain(n, depth_each=2):

@@ -24,16 +24,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks import CkksEvaluator, CkksParams, ShadowEvaluator
-from repro.fhe.cnn import (
-    compile_cnn,
-    compile_resnet,
-    conv2d_shard_matrices,
-    linear_shard_matrices,
+from repro.fhe.cnn import conv2d_shard_matrices, linear_shard_matrices
+from repro.fhe.ir import (
+    CompilePolicy,
+    Graph,
+    MatvecNode,
+    MergeNode,
+    PoolNode,
+    ResidualTapNode,
 )
 from repro.fhe.latency import cost_from_counts
 from repro.fhe.linear import grouped_diagonals, shard_hoist_steps
-from repro.fhe.ir import MatvecNode, MergeNode, PoolNode, ResidualTapNode
-from repro.fhe.network import EncryptedNetwork
+from repro.fhe.lower import lower
+from repro.fhe.network import EncryptedNetwork, compile_network
 from repro.fhe.packing import GridLayout, MultiGridLayout
 from repro.nn import functional as F
 from repro.nn.layers import (
@@ -43,7 +46,7 @@ from repro.nn.layers import (
     Flatten,
     Linear,
 )
-from repro.nn.models.resnet import BasicBlock, toy_resnet
+from repro.nn.models.resnet import BasicBlock
 from repro.nn.module import Sequential
 from repro.nn.tensor import Tensor
 from repro.obs import TracingEvaluator
@@ -52,6 +55,10 @@ from repro.serve.artifact import ModelArtifact
 # deep-chain contexts need the scale-tracking prime schedule
 MINI_PARAMS = CkksParams(n=256, scale_bits=25, depth=4, scale_tracking=True)
 BLOCK_PARAMS = CkksParams(n=256, scale_bits=27, depth=16, scale_tracking=True)
+
+
+def _policy(shape=(1, 4, 4), num_shards=2, **kw) -> CompilePolicy:
+    return CompilePolicy(input_shape=shape, num_shards=num_shards, **kw)
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +212,11 @@ def _eater():
     return PoolNode(shifts=((), ()), pool_scale=1.0)
 
 
+def _two_shard_graph(layers, size) -> Graph:
+    """A hand-built graph whose input is two ``size``-wide shards."""
+    return Graph(layers, size=size, input_shards=2, input_splits=[size, size])
+
+
 class TestLevelAlignment:
     @pytest.mark.parametrize("gap", [0, 1, 2])
     def test_identity_merge_across_level_gaps(self, gap):
@@ -218,7 +230,7 @@ class TestLevelAlignment:
         for _ in range(gap):
             layers.append(_eater())
         layers.append(MergeNode(tap=tap))
-        enc = EncryptedNetwork(layers, size=size, params=MINI_PARAMS, seed=0)
+        enc = EncryptedNetwork(Graph(layers, size=size), MINI_PARAMS)
         x = np.random.default_rng(gap).normal(size=size)
         out = enc.forward_shards(enc.encrypt_batch_shards([x]))
         got = enc.decrypt_logits(out[0], size)
@@ -238,10 +250,7 @@ class TestLevelAlignment:
         for _ in range(gap):
             layers.append(_eater())
         layers.append(MergeNode(tap=tap))
-        enc = EncryptedNetwork(
-            layers, size=size, params=MINI_PARAMS, seed=0, input_shards=2
-        )
-        enc.input_splits = [size, size]
+        enc = EncryptedNetwork(_two_shard_graph(layers, size), MINI_PARAMS)
         rng = np.random.default_rng(gap)
         x = rng.normal(size=2 * size)
         out = enc.forward_shards(enc.encrypt_batch_shards([x]))
@@ -260,7 +269,7 @@ class TestLevelAlignment:
             MergeNode(blocks=[[np.eye(size)]], tap=1),
         ]
         with pytest.raises(ValueError, match="projection skip needs"):
-            EncryptedNetwork(layers, size=size, params=MINI_PARAMS, seed=0)
+            Graph(layers, size=size)
 
     def test_all_zero_output_shard_rejected_at_compile(self):
         """An output shard whose every weight block is zero fails at
@@ -268,7 +277,7 @@ class TestLevelAlignment:
         the first encrypted forward."""
         layers = [MatvecNode(blocks=[[np.zeros((4, 4))]])]
         with pytest.raises(ValueError, match="no nonzero block"):
-            EncryptedNetwork(layers, size=4, params=MINI_PARAMS, seed=0)
+            EncryptedNetwork(Graph(layers, size=4), MINI_PARAMS)
 
     def test_unbalanced_taps_rejected(self):
         size = 4
@@ -277,12 +286,9 @@ class TestLevelAlignment:
             ResidualTapNode(),
         ]
         with pytest.raises(ValueError, match="never merged"):
-            EncryptedNetwork(layers, size=size, params=MINI_PARAMS, seed=0)
+            Graph(layers, size=size)
         with pytest.raises(ValueError, match="no open residual tap"):
-            EncryptedNetwork(
-                [layers[0], MergeNode(tap=0)],
-                size=size, params=MINI_PARAMS, seed=0,
-            )
+            Graph([layers[0], MergeNode(tap=0)], size=size)
 
 
 def _trained_block_net(stride: int, ch_out: int, seed: int = 3):
@@ -312,7 +318,7 @@ def _trained_block_net(stride: int, ch_out: int, seed: int = 3):
 class TestEncryptedBasicBlock:
     def test_identity_skip_matches_plaintext(self):
         model, rng = _trained_block_net(stride=1, ch_out=2)
-        enc = compile_resnet(model, (1, 4, 4), BLOCK_PARAMS, num_shards=2, seed=0)
+        enc = compile_network(model, BLOCK_PARAMS, policy=_policy())
         kinds = [layer.kind for layer in enc.layers]
         assert kinds == [
             "linear", "residual", "linear", "paf", "linear", "merge",
@@ -330,7 +336,7 @@ class TestEncryptedBasicBlock:
         folded) runs on the saved branch and lands on the main branch's
         reduced-resolution layout."""
         model, rng = _trained_block_net(stride=2, ch_out=4)
-        enc = compile_resnet(model, (1, 4, 4), BLOCK_PARAMS, num_shards=2, seed=0)
+        enc = compile_network(model, BLOCK_PARAMS, policy=_policy())
         merge = next(layer for layer in enc.layers if layer.kind == "merge")
         assert merge.blocks is not None  # projection skip compiled
         x = rng.normal(size=(1, 1, 4, 4))
@@ -340,32 +346,48 @@ class TestEncryptedBasicBlock:
         np.testing.assert_allclose(got, ref, atol=2e-3)
 
     def test_branch_schedule_exposed(self):
+        """Read off the lowered graph alone — no keys needed."""
         model, _ = _trained_block_net(stride=2, ch_out=4)
-        enc = compile_resnet(model, (1, 4, 4), BLOCK_PARAMS, num_shards=2, seed=0)
-        levels = enc.layer_input_levels()
-        branch = enc.merge_branch_levels()
-        (merge_idx,) = branch
-        tap_idx = enc.merge_taps[merge_idx]
+        graph = lower(model, _policy())
+        levels = graph.input_levels(BLOCK_PARAMS.depth)
+        (merge_idx,) = [
+            i for i, n in enumerate(graph.nodes) if isinstance(n, MergeNode)
+        ]
+        tap_idx = graph.nodes[merge_idx].tap
+        assert isinstance(graph.nodes[tap_idx], ResidualTapNode)
         # the skip branch is read at the tap's level, 8 levels above the
         # main branch (conv + PAF + conv)
-        assert branch[merge_idx] == levels[tap_idx]
-        assert branch[merge_idx] - levels[merge_idx] == 8
+        assert levels[tap_idx] - levels[merge_idx] == 8
 
 
 class TestCompilerRejections:
-    def test_compile_cnn_rejects_residual_blocks(self):
+    def test_residual_blocks_lower_at_one_shard(self):
+        """A residual net is no separate compiler's business: at
+        ``num_shards=1`` the same walk emits the same node sequence with
+        every matvec a 1 x 1 grid."""
         model, _ = _trained_block_net(stride=1, ch_out=2)
-        with pytest.raises(TypeError, match="compile_resnet"):
-            compile_cnn(model, (1, 4, 4), BLOCK_PARAMS)
+        one, two = lower(model, _policy(num_shards=1)), lower(model, _policy())
+        assert [n.kind for n in one.nodes] == [n.kind for n in two.nodes]
+        grids = [n.blocks for n in one.nodes if isinstance(n, MatvecNode)]
+        assert all(len(g) == 1 and len(g[0]) == 1 for g in grids)
+        assert one.validate() == two.validate() == 16
+        assert one.sharded  # taps and merges: exact-scale plans either way
 
     def test_leading_residual_block_rejected(self):
         """A model opening with a block has no stem to zero the packed
-        input's replica half — compile must refuse."""
+        input's replica half — the graph must refuse."""
+        from repro.core import replace_all
+        from repro.paf import get_paf
+
         model = Sequential(BasicBlock(1, 1, 1, track_running_stats=True))
-        with pytest.raises(TypeError, match="stem"):
-            compile_resnet(model, (1, 4, 4), BLOCK_PARAMS, num_shards=1)
+        replace_all(model, get_paf("f1g2"), np.zeros((1, 1, 4, 4)))
+        model.eval()
+        with pytest.raises(ValueError, match="live input replica"):
+            lower(model, _policy(num_shards=1))
 
     def test_standalone_bn_rejected(self):
+        """No sharded affine: a BatchNorm that cannot fold into a conv is
+        an error on a sharded activation (and an affine node on one shard)."""
         model = Sequential(
             Conv2d(1, 2, 3, padding=1),
             AvgPool2d(2),
@@ -374,7 +396,27 @@ class TestCompilerRejections:
             Linear(8, 2),
         )
         with pytest.raises(TypeError, match="standalone BatchNorm"):
-            compile_resnet(model, (1, 4, 4), MINI_PARAMS, num_shards=1)
+            lower(model, _policy())
+        kinds = [n.kind for n in lower(model, _policy(num_shards=1)).nodes]
+        assert kinds == ["linear", "pool", "affine", "linear"]
+
+    def test_fold_bn_false_honoured_or_refused(self, toy_resnet):
+        """``fold_bn=False`` on the toy ResNet is never silently folded:
+        on a sharded activation and inside a residual block it has no
+        lowering; on the one-shard stem it becomes an affine node."""
+        import dataclasses
+
+        model, enc = toy_resnet
+        unfolded = dataclasses.replace(enc.policy, fold_bn=False)
+        # two shards: the stem conv already split its 2 channels
+        with pytest.raises(TypeError, match="standalone BatchNorm has no sharded"):
+            lower(model, unfolded)
+        # one shard: the stem's BN is honoured, the first block refuses
+        with pytest.raises(TypeError, match="block1.*no sharded lowering"):
+            lower(model, dataclasses.replace(unfolded, num_shards=1))
+        stem = Sequential(model.conv1, model.bn1, Flatten(), Linear(128, 3))
+        graph = lower(stem, dataclasses.replace(unfolded, num_shards=1))
+        assert [n.kind for n in graph.nodes] == ["linear", "affine", "linear"]
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +434,7 @@ class TestShardedCostModel:
             Linear(16, 3, rng=rng),
         )
         model.eval()
-        enc = compile_resnet(model, (2, 4, 4), MINI_PARAMS, num_shards=2, seed=0)
+        enc = compile_network(model, MINI_PARAMS, policy=_policy((2, 4, 4)))
         x = rng.normal(size=32)
         ref = model(Tensor(x.reshape(1, 2, 4, 4))).data.ravel()
         assert enc.predict(x, 3) == int(np.argmax(ref))
@@ -409,7 +451,7 @@ class TestShardedCostModel:
             Linear(64, 3, rng=rng),
         )
         model.eval()
-        enc = compile_resnet(model, (2, 4, 4), MINI_PARAMS, num_shards=2, seed=0)
+        enc = compile_network(model, MINI_PARAMS, policy=_policy((2, 4, 4)))
         counting = CountingEvaluator(enc.ev)
         cts = enc.encrypt_batch_shards([np.zeros(32)])
         counting.reset()
@@ -439,10 +481,7 @@ class TestShardedCostModel:
         layers = [MatvecNode(blocks=[[eye, None], [None, eye]]), ResidualTapNode()]
         layers += [_eater() for _ in range(gap)]
         layers.append(MergeNode(blocks=proj, tap=1))
-        enc = EncryptedNetwork(
-            layers, size=size, params=MINI_PARAMS, seed=0, input_shards=2
-        )
-        enc.input_splits = [size, size]
+        enc = EncryptedNetwork(_two_shard_graph(layers, size), MINI_PARAMS)
         ops = []
         for ev in (ShadowEvaluator(enc.ctx), CkksEvaluator(enc.ctx, enc.keys)):
             tev = TracingEvaluator(ev)

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_sequence_dataset
-from repro.fhe.ir import CompilePolicy, MergeNode, RefreshNode, compile_network
+from repro.fhe.ir import CompilePolicy, MergeNode, RefreshNode
+from repro.fhe.network import compile_network
 from repro.fhe.toy import TOY_TRANSFORMER_PARAMS
 from repro.nn.tensor import Tensor
 

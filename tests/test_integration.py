@@ -1,13 +1,12 @@
 """Cross-module integration tests: the full paper pipeline end to end."""
 
-import numpy as np
 import pytest
 
 from repro.ckks import CkksParams
 from repro.core import SmartPAF, SmartPAFConfig, pretrain
 from repro.data import cifar10_like
 from repro.data.synthetic import Dataset, make_pattern_dataset
-from repro.fhe import compile_mlp
+from repro.fhe import compile_network
 from repro.nn import Tensor, no_grad
 from repro.nn.models import mlp, small_cnn
 from repro.paf import get_paf
@@ -67,7 +66,7 @@ class TestFullPipeline:
         )
         runner.fit(model, ds)
 
-        enc = compile_mlp(model, CkksParams(n=1024, scale_bits=25, depth=9), seed=0)
+        enc = compile_network(model, CkksParams(n=1024, scale_bits=25, depth=9))
         model.eval()
         with no_grad():
             plain = model(Tensor(x_va[:4])).data.argmax(axis=1)

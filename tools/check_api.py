@@ -17,10 +17,9 @@ checked-in snapshot:
 
 Deprecation shims are part of the surface too (none are live right
 now): deleting a shim before its deprecation cycle ends is exactly the
-removal this gate exists to catch — removing one *at* end of cycle is a
-deliberate snapshot refresh (``--update``), as with ``EncryptedMLP``,
-``ModelArtifact.compile_cnn`` / ``compile_resnet`` and the loose
-compile kwargs of ``compile_network`` / ``ModelArtifact.compile``.
+removal this gate exists to catch — removing one *at* end of cycle, or
+retiring a name outright, is a deliberate snapshot refresh
+(``--update``) recorded in CHANGES.md.
 Needs the runtime deps
 (numpy, networkx) since it imports the package for real — what users'
 ``import`` statements see is the surface that matters, not what the AST
