@@ -8,8 +8,8 @@ hot-path rotation/keyswitch/nonscalar-mult budget at a glance:
 Prints (and optionally writes) the per-block BSGS matvec plans of the
 pinned models — toy MLP, trained toy CNN, toy ResNet, toy transformer —
 the measured op counts of one encrypted forward on each, and the
-per-registry-PAF activation nonscalar-mult table (ladder vs
-Paterson–Stockmeyer, from ``bench_paf_eval``).
+per-registry-PAF activation op counts (a shadow run of ``eval_paf_relu``:
+no keys, milliseconds).
 
 ``--json`` additionally writes the machine-readable per-model counts
 that ``tools/check_opcounts.py`` gates against
@@ -34,10 +34,11 @@ import os
 
 import numpy as np
 
-from bench_paf_eval import activation_count_table
 from repro.analysis.tables import format_table
+from repro.ckks import CkksContext, CkksParams, ShadowEvaluator, eval_paf_relu
 from repro.ckks.backend import available_backends
 from repro.ckks.instrumentation import CountingEvaluator
+from repro.ckks.poly_plan import plan_paf_relu
 from repro.fhe.toy import (
     compiled_toy,
     compiled_toy_cnn,
@@ -46,6 +47,7 @@ from repro.fhe.toy import (
     compiled_toy_transformer_stacked,
 )
 from repro.obs import TracingEvaluator
+from repro.paf import paper_pafs
 
 
 def plan_table(enc, title: str) -> str:
@@ -73,6 +75,34 @@ def plan_table(enc, title: str) -> str:
         ["layer", "block", "diagonals", "n1 x n2", "naive ks", "bsgs ks", "chosen"],
         rows,
         title=title,
+    )
+
+
+def activation_count_table() -> str:
+    """Per-registry-PAF op counts of one encrypted ReLU: the executor run
+    over shadow ciphertexts, beside the plan each component compiled to."""
+    rows = []
+    for paf in paper_pafs(include_alpha10=True):
+        plan = plan_paf_relu(paf)
+        params = CkksParams(n=64, scale_bits=25, depth=plan.mult_depth)
+        counting = CountingEvaluator(ShadowEvaluator(CkksContext(params)))
+        eval_paf_relu(counting, counting.encrypt(None), paf, plan=plan)
+        rows.append(
+            [
+                paf.name,
+                paf.reported_degree,
+                plan.mult_depth,
+                counting.counts["mul"],
+                counting.counts["mul_plain"],
+                counting.counts["rescale"],
+                counting.counts["align_correction"],
+                " ".join(f"{p.shape[:3]}/w{p.window}" for p in plan.components),
+            ]
+        )
+    return format_table(
+        ["PAF", "degree", "depth", "ct*ct", "pt*ct", "rescales", "aligns", "per-component"],
+        rows,
+        title="Encrypted-ReLU op counts per registry PAF (shadow run of eval_paf_relu)",
     )
 
 

@@ -31,18 +31,17 @@ from repro.ckks.keys import KeyChain, keygen
 from repro.ckks.ntt import NttPlan
 from repro.ckks.poly_eval import (
     eval_composite_paf,
-    eval_odd_poly,
     eval_paf_max,
     eval_paf_relu,
+    eval_poly,
 )
 from repro.ckks.poly_plan import (
     CompositePlan,
     PolyPlan,
     ReluPlan,
-    ladder_nonscalar_mults,
     plan_composite,
-    plan_odd_poly,
     plan_paf_relu,
+    plan_poly,
 )
 from repro.ckks.primes import generate_primes, is_prime
 from repro.ckks.rns import RnsPoly, crt_compose_centered
@@ -69,17 +68,16 @@ __all__ = [
     "crt_compose_centered",
     "generate_primes",
     "is_prime",
-    "eval_odd_poly",
+    "eval_poly",
     "eval_composite_paf",
     "eval_paf_relu",
     "eval_paf_max",
     "PolyPlan",
     "CompositePlan",
     "ReluPlan",
-    "plan_odd_poly",
+    "plan_poly",
     "plan_composite",
     "plan_paf_relu",
-    "ladder_nonscalar_mults",
     "SecurityReport",
     "security_report",
     "RefreshPlan",

@@ -21,7 +21,7 @@ that makes the precision contract explicit rather than assumed:
    ``(q0/2π)·sin(2π·p̃/q0)``, evaluated as a Chebyshev fit of ``cos`` on
    the range-reduced argument followed by ``r`` exact double-angle steps
    (Han–Ki).  The ``cos`` polynomial runs through the Paterson–Stockmeyer
-   planner (:func:`repro.ckks.poly_plan.plan_dense_poly`).
+   planner and executor every PAF uses (:func:`repro.ckks.poly_plan.plan_poly`).
 4. **SlotToCoeff** (:func:`slot_to_coeff`): the inverse linear map ``A``
    puts the reduced coefficients back, landing on the canonical scale of
    the target level.
@@ -62,7 +62,7 @@ from repro.ckks.context import CkksContext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.evaluator import Ciphertext, CkksEvaluator
 from repro.ckks.instrumentation import span as trace_span
-from repro.ckks.poly_plan import plan_dense_poly
+from repro.ckks.poly_plan import plan_poly
 from repro.paf.polynomial import Polynomial
 
 __all__ = [
@@ -286,7 +286,7 @@ def plan_refresh(
         float(c) / x_max**k for k, c in enumerate(pow_scaled)
     ]
     cos_poly = Polynomial(coeffs, interval=(-x_max, x_max), name="refresh-cos")
-    cos_plan = plan_dense_poly(cos_poly)
+    cos_plan = plan_poly(cos_poly)
 
     # decoding basis A_{jk} = ζ_j^k restricted to the first N/2 columns;
     # slots = A·(a + ib) for coefficient halves a, b, and A⁻¹ = (2/N)·A^H
@@ -359,11 +359,11 @@ def eval_mod(ev: CkksEvaluator, ct: Ciphertext, plan: RefreshPlan) -> Ciphertext
     steps (``cos 2θ = 2cos²θ - 1``, one level each) restore the full
     angle.  ``q0``-periodicity is what deletes the ``q0·I`` term.
     """
-    from repro.ckks.poly_eval import eval_dense_poly
+    from repro.ckks.poly_eval import eval_poly
 
     r = plan.num_double_angles
     x = ev.add_plain(ct, -np.pi / 2.0 ** (r + 1))
-    y = eval_dense_poly(ev, x, plan.cos_poly, plan=plan.cos_plan)
+    y = eval_poly(ev, x, plan.cos_poly, plan=plan.cos_plan)
     for _ in range(r):
         doubled = ev.mul_rescale(y, y)
         y = ev.add_plain(ev.add(doubled, doubled), -1.0)

@@ -213,9 +213,7 @@ class CkksEvaluator:
     def mul_plain_rescale(self, a: Ciphertext, value) -> Ciphertext:
         return self.rescale(self.mul_plain(a, value))
 
-    def align_to(
-        self, a: Ciphertext, level: int, scale: float, rtol: float = 0.01
-    ) -> Ciphertext:
+    def align_to(self, a: Ciphertext, level: int, scale: float) -> Ciphertext:
         """Bring ``a`` to (``level``, ``scale``) exactly.
 
         Rescaling by actual primes (only ≈ Δ) drifts scales apart across
@@ -223,12 +221,12 @@ class CkksEvaluator:
         the drift is corrected *exactly* by multiplying with the constant
         ``scale·q/(a.scale)`` (a ~Δ-sized integer, encoded precisely) and
         rescaling by ``q`` — landing on the target scale at the target
-        level with no extra level consumed beyond the descent itself.
+        level with no extra level consumed beyond the descent itself.  A
+        scale that already matches descends by a free mod switch.
         """
         if a.level < level:
             raise ValueError(f"cannot align upward ({a.level} -> {level})")
-        mismatch = abs(a.scale - scale) / scale
-        if a.level == level or mismatch <= rtol:
+        if a.level == level or a.scale == scale:
             return self.mod_switch_to(a, level)
         a = self.mod_switch_to(a, level + 1)
         q_next = self.ctx.q_chain[level + 1]

@@ -168,13 +168,15 @@ class CountingEvaluator:
         self.counts["rescale"] += 1
         return self._inner.mul_plain_rescale(a, value)
 
-    # align_to may or may not consume ops; count its internals via the
-    # wrapped calls it makes on *itself* — route it through this proxy.
-    def align_to(self, a: Ciphertext, level: int, scale: float, rtol: float = 0.01):
-        if a.level == level or abs(a.scale - scale) / scale <= rtol:
-            self.counts["mod_switch_to"] += a.level != level
-            return self._inner.align_to(a, level, scale, rtol)
-        self.counts["align_correction"] += 1
-        self.counts["mul_plain"] += 1
-        self.counts["rescale"] += 1
-        return self._inner.align_to(a, level, scale, rtol)
+    # The inner align_to calls the inner evaluator's primitives, bypassing
+    # the proxy: book the free mod switch or the one drift correction
+    # (plaintext mult + rescale) it is about to perform.
+    def align_to(self, a: Ciphertext, level: int, scale: float):
+        if a.level > level:
+            if a.scale == scale:
+                self.counts["mod_switch_to"] += 1
+            else:
+                self.counts["align_correction"] += 1
+                self.counts["mul_plain"] += 1
+                self.counts["rescale"] += 1
+        return self._inner.align_to(a, level, scale)

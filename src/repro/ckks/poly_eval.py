@@ -1,21 +1,14 @@
-"""Evaluation of odd polynomials / composite PAFs on ciphertexts.
+"""Evaluation of polynomials / composite PAFs on ciphertexts.
 
-Two paths, selected per component by its :class:`~repro.ckks.poly_plan.PolyPlan`:
+One executor, :func:`eval_poly`, runs the compiled Paterson–Stockmeyer
+:class:`~repro.ckks.poly_plan.PolyPlan` of any polynomial — the odd sign
+components and the dense GELU / ``exp`` / ``cos`` fits alike: baby powers
+live implicitly as leaf products ``c·x`` merged with the shared rungs
+``x, x², x⁴, …``; blocks of ``window`` consecutive terms combine through
+the giant powers ``x^{w·2^r}`` (balanced tree or giant-step Horner,
+whichever the plan chose) — ``O(√degree)``-ish nonscalar mults.
 
-* **Paterson–Stockmeyer** (default where strictly cheaper): baby powers
-  ``x, x³, …`` live implicitly as leaf products ``c·x`` merged with the
-  shared even rungs ``x², x⁴, …``; blocks of ``window`` consecutive odd
-  terms combine through the giant powers ``x^{w·2^r}`` (balanced tree or
-  giant-step Horner, whichever the plan chose) — ``O(√degree)``-ish
-  nonscalar mults at the *same* level consumption as the ladder.
-* **Term-by-term ladder** (the reference implementation, kept behind
-  ``reference=True`` exactly like the naive matvec path of
-  ``repro.fhe.linear``): binary power ladder by repeated squaring, each
-  term ``c_k x^k`` built from its leaf plaintext product plus the ladder
-  powers of ``k-1``'s set bits, always combining the two *shallowest*
-  operands.
-
-Both paths mirror the symbolic schedule of ``repro.paf.depth`` exactly:
+The executor mirrors the symbolic schedule of ``repro.paf.depth`` exactly:
 
 * ``x^(2^i)`` lands at level ``L - i``; a term lands at depth
   ``ceil(log2(k+1))``; a composite consumes the sum of its components'
@@ -25,164 +18,73 @@ Both paths mirror the symbolic schedule of ``repro.paf.depth`` exactly:
   ``x · (0.5 + 0.5·sign)`` product.
 
 Every intermediate stays on the *canonical scale* of its level
-(``S_{l-1} = S_l² / q_l``), so coefficient plaintexts encode at
-deterministic ``(level, scale)`` pairs — the property
-``repro.serve.artifact`` exploits to pre-encode them.  Tests assert that
-the measured level consumption equals the analytic ``mult_depth`` for
-every registry PAF on both paths, and that measured nonscalar-mult counts
-match the plan's predictions exactly.
+(``S_{l-1} = S_l² / q_l``): leaves are computed directly at their
+scheduled level, every cross-level alignment is exact, and the output
+lands on ``(level - mult_depth, canonical scale)`` — so coefficient
+plaintexts encode at deterministic ``(level, scale)`` pairs, the property
+``repro.serve.artifact`` exploits to pre-encode them.  The differential
+oracle (a naive term-by-term evaluation sharing nothing with the plans)
+lives with the tests, ``tests/conftest.py``; they assert that results,
+level consumption and measured nonscalar-mult counts match the plan's
+predictions exactly.
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import Optional
-
-import numpy as np
 
 from repro.ckks.evaluator import Ciphertext, CkksEvaluator
 from repro.ckks.instrumentation import span as trace_span
 from repro.ckks.poly_plan import (
     CompositePlan,
-    DensePolyPlan,
     PolyPlan,
     ReluPlan,
     fold_relu_composite,
     plan_composite,
-    plan_dense_poly,
-    plan_odd_poly,
     plan_paf_relu,
+    plan_poly,
 )
 from repro.paf.polynomial import CompositePAF, OddPolynomial, Polynomial
 
 __all__ = [
-    "eval_odd_poly",
+    "eval_poly",
     "eval_composite_paf",
     "eval_paf_relu",
     "eval_paf_max",
-    "eval_dense_poly",
 ]
 
 
-# ----------------------------------------------------------------------
-# reference path: term-by-term binary power ladder
-# ----------------------------------------------------------------------
-def _power_ladder(ev: CkksEvaluator, x: Ciphertext, max_power: int) -> dict:
-    """``{2^i: ciphertext of x^(2^i)}`` for all needed ladder rungs."""
-    ladder = {1: x}
-    power = 1
-    current = x
-    while power * 2 <= max_power:
-        current = ev.rescale(ev.square(current))
-        power *= 2
-        ladder[power] = current
-    return ladder
-
-
-def _eval_odd_ladder(
-    ev: CkksEvaluator, x: Ciphertext, poly: OddPolynomial
-) -> Ciphertext:
-    """Term-by-term ladder evaluation (the reference implementation)."""
-    degree = poly.degree
-    ladder = _power_ladder(ev, x, max(degree - 1, 1))
-
-    terms: list[Ciphertext] = []
-    for idx, c in enumerate(poly.coeffs):
-        k = 2 * idx + 1
-        if c == 0.0:
-            continue
-        # leaf: c_k * x (one level via plaintext multiply + rescale)
-        leaf = ev.mul_plain_rescale(x, float(c))
-        if k == 1:
-            terms.append(leaf)
-            continue
-        # operands: the leaf plus ladder rungs for set bits of k-1;
-        # heap-merge the two highest-level (shallowest) operands first
-        heap: list[tuple] = [(-leaf.level, 0, leaf)]
-        tiebreak = 1
-        rem, rung = k - 1, 1
-        while rem:
-            if rem & 1:
-                ct = ladder[rung]
-                heap.append((-ct.level, tiebreak, ct))
-                tiebreak += 1
-            rem >>= 1
-            rung *= 2
-        heapq.heapify(heap)
-        while len(heap) > 1:
-            _, _, a = heapq.heappop(heap)
-            _, _, b = heapq.heappop(heap)
-            lo_op, hi_op = (a, b) if a.level <= b.level else (b, a)
-            hi_op = ev.align_to(hi_op, lo_op.level, lo_op.scale)
-            prod = ev.rescale(ev.mul(hi_op, lo_op))
-            heapq.heappush(heap, (-prod.level, tiebreak, prod))
-            tiebreak += 1
-        terms.append(heap[0][2])
-
-    if not terms:
-        raise ValueError("polynomial had no nonzero terms")
-    # Sum at the deepest term's (level, scale); terms with level headroom
-    # are aligned exactly (drift correction), same-level terms are within
-    # the add tolerance by construction (identical rescale path lengths).
-    anchor = min(terms, key=lambda t: t.level)
-    acc: Optional[Ciphertext] = None
-    for t in terms:
-        t = ev.align_to(t, anchor.level, anchor.scale)
-        acc = t if acc is None else ev.add(acc, t)
-    return acc
-
-
-# ----------------------------------------------------------------------
-# Paterson–Stockmeyer path
-# ----------------------------------------------------------------------
-def _eval_odd_ps(
-    ev: CkksEvaluator, x: Ciphertext, plan: PolyPlan
-) -> Ciphertext:
+def _run_plan(ev: CkksEvaluator, x: Ciphertext, plan: PolyPlan) -> Ciphertext:
     """Execute a compiled Paterson–Stockmeyer plan.
 
-    Performs exactly ``plan.ps_mults`` nonscalar multiplications and
-    consumes exactly ``plan.mult_depth`` levels.  Every ciphertext stays
-    on its level's canonical scale; operands of each multiplication are
-    brought to a common level with :meth:`CkksEvaluator.align_to` (an
-    exact drift correction, never an extra nonscalar mult).
+    Performs exactly ``plan.nonscalar_mults`` ciphertext multiplications
+    and consumes exactly ``plan.mult_depth`` levels.  A partial result is
+    a pair ``(ciphertext | None, plaintext constant)``: local-exponent-0
+    coefficients stay plaintext until a giant product forces them in.
     """
-    # shared even rungs x^(2^e), e = 1..rung_top (by repeated squaring)
-    rungs: dict = {}
-    current = x
+    # shared rungs x^(2^e), e = 0..rung_top, by repeated squaring; the
+    # giant powers x^(w·2^r) continue the chain from x^(w/2)
+    rungs = {0: x}
     for e in range(1, plan.rung_top + 1):
-        current = ev.rescale(ev.square(current))
-        rungs[e] = current
-    # giant powers x^(w·2^r) continue the squaring chain
+        rungs[e] = ev.rescale(ev.square(rungs[e - 1]))
     giants: list = []
-    if plan.giant_count:
-        base = rungs[plan.beta - 1] if plan.beta > 1 else x
-        g = ev.rescale(ev.square(base))
-        giants.append(g)
-        for _ in range(plan.giant_count - 1):
-            g = ev.rescale(ev.square(g))
-            giants.append(g)
+    for _ in range(plan.giant_count):
+        base = giants[-1] if giants else rungs[plan.beta - 1]
+        giants.append(ev.rescale(ev.square(base)))
 
-    # Alignments are *exact* (rtol=0): adjacent-level canonical scales can
-    # drift by under align_to's default tolerance, and skipping the
-    # correction there would silently mis-scale a block sum by up to 1% —
-    # material for large-coefficient components like the α=7 minimax.  The
+    # Alignments are *exact*: adjacent-level canonical scales differ by
+    # the primes' sub-percent drift, and tolerating it would mis-scale a
+    # block sum (material for large-coefficient components like the α=7
+    # minimax) and compound at every later squaring of a deep chain.  The
     # correction costs one plaintext mult on a descent the operand was
     # making anyway, never a nonscalar mult.
-    def mul_align(a: Ciphertext, b: Ciphertext) -> Ciphertext:
+    def aligned(a: Ciphertext, b: Ciphertext) -> tuple:
         if a.level > b.level:
-            a = ev.align_to(a, b.level, b.scale, rtol=0.0)
+            a = ev.align_to(a, b.level, b.scale)
         elif b.level > a.level:
-            b = ev.align_to(b, a.level, a.scale, rtol=0.0)
-        return ev.rescale(ev.mul(a, b))
+            b = ev.align_to(b, a.level, a.scale)
+        return a, b
 
-    def add_align(a: Optional[Ciphertext], b: Optional[Ciphertext]):
-        if a is None or b is None:
-            return b if a is None else a
-        if a.level > b.level:
-            a = ev.align_to(a, b.level, b.scale, rtol=0.0)
-        elif b.level > a.level:
-            b = ev.align_to(b, a.level, a.scale, rtol=0.0)
-        return ev.add(a, b)
+    def mul(a: Ciphertext, b: Ciphertext) -> Ciphertext:
+        return ev.rescale(ev.mul(*aligned(a, b)))
 
     # Leaves are computed *directly at their plan-scheduled level*: one
     # plaintext product against the (mod-switched) input, encoded at the
@@ -192,86 +94,90 @@ def _eval_odd_ps(
     # the serving artifact's pre-encoded coefficient cache.
     coords = plan.leaf_schedule(ev.ctx.q_chain, x.level, x.scale)
 
-    def leaf_ct(position: int, term) -> Ciphertext:
+    def leaf(position: int, term) -> Ciphertext:
         enc_level, enc_scale, _, tgt_scale = coords[(position, term.exponent)]
         x_down = ev.mod_switch_to(x, enc_level)
         out = ev.rescale(ev.mul_plain(x_down, term.coeff, scale=enc_scale))
         out.scale = tgt_scale  # exact by construction (up to encode rounding)
         return out
 
-    def block_ct(block) -> Ciphertext:
-        acc = None
-        for term in block.terms:
-            t = leaf_ct(block.position, term)
-            for e in term.rungs:                      # ascending merges
-                t = mul_align(t, rungs[e])
-            acc = add_align(acc, t)
-        return acc
-
     blocks = {b.position: b for b in plan.blocks}
     maxpos = max(blocks)
-    if maxpos == 0:
-        return block_ct(blocks[0])
 
-    if plan.shape == "horner":
-        giant = giants[0]                             # the only giant: x^w
-        acc = block_ct(blocks[maxpos])
-        for pos in range(maxpos - 1, -1, -1):
-            acc = mul_align(giant, acc)
-            if pos in blocks:
-                acc = add_align(acc, block_ct(blocks[pos]))
-        return acc
+    def block(position: int):
+        """Partial result of one block; ``None`` when the plan has none there."""
+        if position not in blocks:
+            return None
+        acc = None
+        for term in blocks[position].terms:
+            t = leaf(position, term)
+            for e in term.rungs:                      # ascending merges
+                t = mul(t, rungs[e])
+            acc = t if acc is None else ev.add(*aligned(acc, t))
+        return acc, blocks[position].constant
 
-    span = 1
-    while span <= maxpos:
-        span *= 2
+    def add(u, v):
+        """Sum of two partial results (``None``: nothing there)."""
+        if u is None or v is None:
+            return v if u is None else u
+        (a, ca), (b, cb) = u, v
+        if a is None or b is None:
+            return (b if a is None else a), ca + cb
+        return ev.add(*aligned(a, b)), ca + cb
 
-    def combine(lo: int, span_: int) -> Optional[Ciphertext]:
-        if span_ == 1:
-            b = blocks.get(lo)
-            return block_ct(b) if b is not None else None
-        half = span_ // 2
+    def times(giant: Ciphertext, v: tuple) -> tuple:
+        ct, const = v
+        if ct is None:                                # scalar giant product
+            return ev.mul_plain_rescale(giant, const), 0.0
+        if const:
+            ct = ev.add_plain(ct, const)
+        return mul(giant, ct), 0.0
+
+    def combine(lo: int, span: int):
+        if span == 1:
+            return block(lo)
+        half = span // 2
         left = combine(lo, half)
         right = combine(lo + half, half)
         if right is None:
             return left
-        prod = mul_align(giants[half.bit_length() - 1], right)
-        return add_align(left, prod)
+        return add(left, times(giants[half.bit_length() - 1], right))
 
-    return combine(0, span)
+    if plan.shape == "horner":
+        acc = block(maxpos)
+        for pos in range(maxpos - 1, -1, -1):         # the only giant: x^w
+            acc = add(times(giants[0], acc), block(pos))
+    else:
+        acc = combine(0, 1 << maxpos.bit_length())
+    out, const = acc
+    return ev.add_plain(out, const) if const else out
 
 
-# ----------------------------------------------------------------------
-# public entry points
-# ----------------------------------------------------------------------
-def eval_odd_poly(
+def eval_poly(
     ev: CkksEvaluator,
     x: Ciphertext,
-    poly: OddPolynomial,
+    poly: OddPolynomial | Polynomial,
     plan: PolyPlan | None = None,
-    reference: bool = False,
 ) -> Ciphertext:
-    """Evaluate an odd polynomial at a ciphertext, depth-optimally.
+    """Evaluate a polynomial at a ciphertext, depth-optimally.
 
     Follows the compiled :class:`~repro.ckks.poly_plan.PolyPlan`
-    (compiled on the fly when not supplied): Paterson–Stockmeyer where it
-    strictly saves nonscalar mults, the term-by-term ladder otherwise.
-    ``reference=True`` forces the ladder — the differential-testing
-    baseline, mirroring the naive matvec path.  Both paths consume
-    exactly ``ceil(log2(d+1))`` levels for the highest nonzero degree
-    ``d``.
+    (compiled on the fly when not supplied; one built for other
+    coefficients is rejected).  Consumes exactly ``ceil(log2(d+1))``
+    levels for the highest nonzero degree ``d`` and returns the canonical
+    scale of the level it lands on; a constant term is a free plaintext
+    add.
     """
-    if plan is None and not reference:
-        plan = plan_odd_poly(poly)
-    use_ps = not reference and plan.use_ps
-    with trace_span(
-        ev,
-        "poly:ps" if use_ps else "poly:ladder",
-        kind="poly",
-        degree=poly.degree,
-    ) as sp:
+    if plan is None:
+        plan = plan_poly(poly)
+    elif not plan.matches(poly):
+        raise ValueError(
+            "plan was compiled for other coefficients than the polynomial it "
+            "is called with; rebuild it with plan_poly(poly)"
+        )
+    with trace_span(ev, "poly", kind="poly", degree=poly.degree) as sp:
         sp.ct_entry(x)
-        out = _eval_odd_ps(ev, x, plan) if use_ps else _eval_odd_ladder(ev, x, poly)
+        out = _run_plan(ev, x, plan)
         sp.ct_exit(out)
     return out
 
@@ -281,20 +187,17 @@ def eval_composite_paf(
     x: Ciphertext,
     paf: CompositePAF,
     plan: CompositePlan | None = None,
-    reference: bool = False,
 ) -> Ciphertext:
     """Evaluate a composite sign PAF on a ciphertext.
 
     ``plan`` short-circuits per-component compilation (it must have been
-    built for this ``paf``'s coefficients); ``reference=True`` forces the
-    ladder for every component.
+    built for this ``paf``'s coefficients).
     """
-    if plan is None and not reference:
+    if plan is None:
         plan = plan_composite(paf)
     y = x
-    for i, comp in enumerate(paf.components):
-        comp_plan = plan.components[i] if plan is not None else None
-        y = eval_odd_poly(ev, y, comp, plan=comp_plan, reference=reference)
+    for comp, comp_plan in zip(paf.components, plan.components, strict=True):
+        y = eval_poly(ev, y, comp, plan=comp_plan)
     return y
 
 
@@ -304,7 +207,6 @@ def eval_paf_relu(
     paf: CompositePAF,
     scale: float = 1.0,
     plan: ReluPlan | None = None,
-    reference: bool = False,
 ) -> Ciphertext:
     """Encrypted ReLU: ``x · (0.5 + 0.5·sign(x/scale))``.
 
@@ -315,230 +217,35 @@ def eval_paf_relu(
     ``plan`` short-circuits compilation (``repro.fhe.network`` compiles
     one per activation layer at build time); it must have been built by
     :func:`~repro.ckks.poly_plan.plan_paf_relu` for this exact
-    ``(paf, scale)`` pair — a plan folded for a different static scale is
-    rejected.  ``reference=True`` forces the term-by-term ladder path.
+    ``(paf, scale)`` pair — a plan folded for a different static scale,
+    or for coefficients ``paf`` no longer has, is rejected.
     """
-    if plan is not None and plan.scale != scale:
+    if plan is None:
+        plan = plan_paf_relu(paf, scale)
+    elif plan.scale != scale:
         raise ValueError(
             f"plan was compiled for static scale {plan.scale}, called with "
             f"{scale}; rebuild it with plan_paf_relu(paf, scale)"
         )
-    if plan is None or reference:
-        folded = fold_relu_composite(paf, scale)
-        comp_plans = None
-    else:
-        folded = plan.folded
-        comp_plans = CompositePlan(plan.components)
+    elif [c.coeffs for c in plan.folded.components] != [
+        c.coeffs for c in fold_relu_composite(paf, scale).components
+    ]:
+        raise ValueError(
+            "plan was compiled for other coefficients than the PAF it is "
+            "called with; rebuild it with plan_paf_relu(paf, scale)"
+        )
+    folded = plan.folded
     with trace_span(
         ev, "paf:relu", kind="paf", components=len(folded.components)
     ) as sp:
         sp.ct_entry(x)
         # 0.5 * sign(x/scale)
         half_sign = eval_composite_paf(
-            ev, x, folded, plan=comp_plans, reference=reference
+            ev, x, folded, plan=CompositePlan(plan.components)
         )
         gate = ev.add_plain(half_sign, 0.5)           # 0.5 + 0.5*sign
-        # exact-scale plans pin the gate product back onto the canonical
-        # schedule (rtol 0); the default tolerates sub-percent drift, which
-        # is fine at shallow depth but compounds on deep chains
-        rtol = 0.0 if plan is not None and plan.exact_scales else 0.01
-        x_down = ev.align_to(x, gate.level, gate.scale, rtol=rtol)
+        x_down = ev.align_to(x, gate.level, gate.scale)
         out = ev.rescale(ev.mul(x_down, gate))
-        sp.ct_exit(out)
-    return out
-
-
-def _canonical_descent(ev: CkksEvaluator, level: int, scale: float, depth: int):
-    """``(level - depth, scale)`` on the canonical rescale schedule."""
-    s = scale
-    for lvl in range(level, level - depth, -1):
-        s = s * s / ev.ctx.q_chain[lvl]
-    return level - depth, s
-
-
-def _eval_dense_ladder(
-    ev: CkksEvaluator, x: Ciphertext, poly: Polynomial
-) -> Ciphertext:
-    """Term-by-term ladder for a dense polynomial (reference path).
-
-    Identical shape to :func:`_eval_odd_ladder` with every exponent
-    admitted: bit 0 of ``k-1`` merges the leaf against ``x`` itself
-    (even exponents), and the constant ``c₀`` is a free trailing
-    plaintext add.
-
-    Every cross-level align is exact (rtol 0): the dense tier runs
-    inside deep transformer chains where a tolerated sub-percent drift
-    squares at each downstream multiplication and underflows the scale
-    to zero long before the chain bottoms out.  With exact aligns every
-    intermediate stays on the canonical per-level schedule by induction
-    (rungs and leaves are canonical, and products of canonical
-    same-level operands are canonical).
-    """
-    degree = poly.degree
-    ladder = _power_ladder(ev, x, max(degree - 1, 1))
-
-    terms: list[Ciphertext] = []
-    for k, c in enumerate(poly.coeffs):
-        if k == 0 or c == 0.0:
-            continue
-        leaf = ev.mul_plain_rescale(x, float(c))
-        if k == 1:
-            terms.append(leaf)
-            continue
-        heap: list[tuple] = [(-leaf.level, 0, leaf)]
-        tiebreak = 1
-        rem, rung = k - 1, 1
-        while rem:
-            if rem & 1:
-                ct = ladder[rung]
-                heap.append((-ct.level, tiebreak, ct))
-                tiebreak += 1
-            rem >>= 1
-            rung *= 2
-        heapq.heapify(heap)
-        while len(heap) > 1:
-            _, _, a = heapq.heappop(heap)
-            _, _, b = heapq.heappop(heap)
-            lo_op, hi_op = (a, b) if a.level <= b.level else (b, a)
-            hi_op = ev.align_to(hi_op, lo_op.level, lo_op.scale, rtol=0.0)
-            prod = ev.rescale(ev.mul(hi_op, lo_op))
-            heapq.heappush(heap, (-prod.level, tiebreak, prod))
-            tiebreak += 1
-        terms.append(heap[0][2])
-
-    anchor = min(terms, key=lambda t: t.level)
-    acc: Optional[Ciphertext] = None
-    for t in terms:
-        t = ev.align_to(t, anchor.level, anchor.scale, rtol=0.0)
-        acc = t if acc is None else ev.add(acc, t)
-    if poly.coeffs[0] != 0.0:
-        acc = ev.add_plain(acc, float(poly.coeffs[0]))
-    return acc
-
-
-def _eval_dense_ps(
-    ev: CkksEvaluator, x: Ciphertext, plan: DensePolyPlan
-) -> Ciphertext:
-    """Execute a compiled :class:`~repro.ckks.poly_plan.DensePolyPlan`.
-
-    Exactly ``plan.ps_mults`` nonscalar multiplications; every operand
-    pair aligns exactly (rtol 0) so the canonical per-level scale
-    schedule is never left — the dense tier always runs inside deep
-    (transformer) chains, where tolerated drift compounds.
-    """
-    rungs: dict = {0: x}
-    current = x
-    for e in range(1, plan.rung_top + 1):
-        current = ev.rescale(ev.square(current))
-        rungs[e] = current
-    giant = None
-    if plan.giant_count:
-        base = rungs.get(plan.beta - 1, x)
-        giant = ev.rescale(ev.square(base))           # x^w
-
-    def mul_align(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        if a.level > b.level:
-            a = ev.align_to(a, b.level, b.scale, rtol=0.0)
-        elif b.level > a.level:
-            b = ev.align_to(b, a.level, a.scale, rtol=0.0)
-        return ev.rescale(ev.mul(a, b))
-
-    def add_align(a: Optional[Ciphertext], b: Optional[Ciphertext]):
-        if a is None or b is None:
-            return b if a is None else a
-        if a.level > b.level:
-            a = ev.align_to(a, b.level, b.scale, rtol=0.0)
-        elif b.level > a.level:
-            b = ev.align_to(b, a.level, a.scale, rtol=0.0)
-        return ev.add(a, b)
-
-    def block_ct(terms) -> tuple:
-        """(ciphertext part or None, plaintext constant) of one block.
-
-        Constant parts (local exponent 0 — the window divides the
-        term's exponent exactly) stay plaintext here; the caller folds
-        them in with a free add or a scalar giant product.
-        """
-        acc: Optional[Ciphertext] = None
-        const = 0.0
-        for local, c, term_rungs in terms:
-            if local == 0:
-                const += c
-                continue
-            t = ev.mul_plain_rescale(x, c)
-            for e in term_rungs:                      # ascending merges
-                t = mul_align(t, rungs[e])
-            acc = add_align(acc, t)
-        return acc, const
-
-    blocks = dict(plan.blocks)
-    maxpos = max(blocks)
-    if maxpos == 0:
-        out, _ = block_ct(blocks[0])                  # block 0 has no constants
-    else:
-        # Horner over block positions; while every block seen so far was
-        # constant-only the accumulator stays plaintext, and its giant
-        # product is a scalar mult (uncounted in plan.ps_mults)
-        acc, acc_const = block_ct(blocks[maxpos])
-        if acc is not None and acc_const:
-            acc = ev.add_plain(acc, acc_const)
-        for pos in range(maxpos - 1, -1, -1):
-            if acc is not None:
-                acc = mul_align(giant, acc)
-            else:
-                acc = ev.mul_plain_rescale(giant, acc_const)
-            if pos in blocks:
-                b_ct, b_const = block_ct(blocks[pos])
-                if b_ct is not None:
-                    acc = add_align(acc, b_ct)
-                if b_const:
-                    acc = ev.add_plain(acc, b_const)
-        out = acc
-    if plan.constant:
-        out = ev.add_plain(out, plan.constant)
-    # land exactly at the budgeted depth (the IR level_cost contract):
-    # a cheap plan that finished shallow descends the rest exactly
-    tgt_level, tgt_scale = _canonical_descent(
-        ev, x.level, x.scale, plan.mult_depth
-    )
-    return ev.align_to(out, tgt_level, tgt_scale, rtol=0.0)
-
-
-def eval_dense_poly(
-    ev: CkksEvaluator,
-    x: Ciphertext,
-    poly: Polynomial,
-    plan: DensePolyPlan | None = None,
-    reference: bool = False,
-) -> Ciphertext:
-    """Evaluate a dense polynomial at a ciphertext, depth-exactly.
-
-    The dense twin of :func:`eval_odd_poly` for the transformer-tier
-    activations (GELU, the softmax ``exp``): follows the compiled
-    :class:`~repro.ckks.poly_plan.DensePolyPlan` (compiled on the fly
-    when not supplied) or, under ``reference=True``, the term-by-term
-    ladder.  Both paths consume exactly ``⌈log₂(d+1)⌉`` levels and
-    return the canonical scale of the target level — the constant term
-    is a free plaintext add.
-    """
-    if plan is None:
-        plan = plan_dense_poly(poly)
-    use_ps = not reference and plan.use_ps
-    with trace_span(
-        ev,
-        "poly:dense-ps" if use_ps else "poly:dense-ladder",
-        kind="poly",
-        degree=poly.degree,
-    ) as sp:
-        sp.ct_entry(x)
-        if use_ps:
-            out = _eval_dense_ps(ev, x, plan)
-        else:
-            out = _eval_dense_ladder(ev, x, poly)
-            tgt_level, tgt_scale = _canonical_descent(
-                ev, x.level, x.scale, plan.mult_depth
-            )
-            out = ev.align_to(out, tgt_level, tgt_scale, rtol=0.0)
         sp.ct_exit(out)
     return out
 
@@ -549,12 +256,10 @@ def eval_paf_max(
     b: Ciphertext,
     paf: CompositePAF,
     scale: float = 1.0,
-    reference: bool = False,
 ) -> Ciphertext:
     """Encrypted pairwise max: ``(a+b)/2 + (a-b)·(0.5·sign((a-b)/scale))``."""
     d = ev.sub(a, b)
-    folded = fold_relu_composite(paf, scale)
-    half_sign = eval_composite_paf(ev, d, folded, reference=reference)
+    half_sign = eval_composite_paf(ev, d, fold_relu_composite(paf, scale))
     d_down = ev.align_to(d, half_sign.level, half_sign.scale)
     prod = ev.rescale(ev.mul(d_down, half_sign))      # |d|/2 approx
     s = ev.mul_plain_rescale(ev.add(a, b), 0.5)       # (a+b)/2

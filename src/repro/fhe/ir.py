@@ -30,7 +30,7 @@ node                      levels  executes as
 :class:`PafNode`          d+1     composite sign-PAF ReLU via its
                                   :class:`~repro.ckks.poly_plan.ReluPlan`
 :class:`PolyNode`         dep(p)  dense (non-odd) polynomial via its
-                                  :class:`~repro.ckks.poly_plan.DensePolyPlan`
+                                  :class:`~repro.ckks.poly_plan.PolyPlan`
                                   — the GELU / exp tier
 :class:`AffineNode`       1       slot-wise plaintext scale-and-shift
                                   (unfolded BatchNorm)
@@ -332,20 +332,6 @@ class Graph:
 
     def __post_init__(self):
         self.validate()
-
-    @property
-    def sharded(self) -> bool:
-        """True for multi-ciphertext / branching (deep residual) graphs.
-
-        Derived; its one reader is the activation planners'
-        ``exact_scales=`` (the sub-percent scale drift the ladder
-        tolerates compounds past ~20 levels on these graphs).  Execution
-        does not fork on it: every graph runs the same ``forward_shards``
-        loop, which checks the shard count against ``input_shards``."""
-        return self.input_shards > 1 or any(
-            isinstance(n, (ResidualTapNode, MergeNode, ReduceNode, AttentionNode))
-            for n in self.nodes
-        )
 
     def total_depth(self) -> int:
         """Total main-chain level consumption (validates structure)."""

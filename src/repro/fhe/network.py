@@ -52,8 +52,10 @@ from repro.ckks import (
     CkksParams,
     ShadowEvaluator,
     eval_paf_relu,
+    eval_poly,
     keygen,
     plan_paf_relu,
+    plan_poly,
 )
 from repro.ckks.instrumentation import CountingEvaluator
 from repro.ckks.instrumentation import span as trace_span
@@ -161,10 +163,10 @@ class EncryptedNetwork:
         #: per-output-shard tiled biases (no entry = the node has no bias)
         self.matvec_bias_slots: dict[int, list] = {}
         #: per-activation :class:`~repro.ckks.poly_plan.ReluPlan`
-        #: (Paterson–Stockmeyer vs ladder chosen per component, with the
-        #: static scale and the ReLU ½ already folded into coefficients)
+        #: (one Paterson–Stockmeyer plan per component, with the static
+        #: scale and the ReLU ½ already folded into coefficients)
         self.paf_plans: dict = {}
-        #: per-PolyNode :class:`~repro.ckks.poly_plan.DensePolyPlan`
+        #: per-PolyNode :class:`~repro.ckks.poly_plan.PolyPlan`
         self.poly_plans: dict = {}
         #: pool masks: ``1/window`` over ``[0, size)`` of every block, zero
         #: elsewhere — the pool's scalar multiply doubles as the cleanup
@@ -316,19 +318,10 @@ class EncryptedNetwork:
         self.merge_taps[i] = node.tap
 
     def _compile_paf(self, i: int, node: PafNode) -> None:
-        # sharded (deep residual) networks need exact-scale plans:
-        # ladder-tolerated sub-percent drift doubles per rescale
-        # and overflows the modulus past ~20 levels
-        self.paf_plans[i] = plan_paf_relu(
-            node.paf, node.scale, exact_scales=self.graph.sharded
-        )
+        self.paf_plans[i] = plan_paf_relu(node.paf, node.scale)
 
     def _compile_poly(self, i: int, node: PolyNode) -> None:
-        from repro.ckks.poly_plan import plan_dense_poly
-
-        self.poly_plans[i] = plan_dense_poly(
-            node.poly, exact_scales=self.graph.sharded
-        )
+        self.poly_plans[i] = plan_poly(node.poly)
 
     def _compile_pool(self, i: int, node: PoolNode) -> None:
         for stage in node.shifts:
@@ -478,10 +471,10 @@ class EncryptedNetwork:
         the main branch's exact (level, scale) via ``align_to`` and adds
         shard-wise.  PAF activations follow their compiled
         :class:`~repro.ckks.poly_plan.ReluPlan` (Paterson–Stockmeyer per
-        component where strictly fewer nonscalar mults), pools their
-        rotate-and-sum plan (:meth:`_pool_forward`), dense polynomials
-        and refreshes their plans — each per shard; attention runs its
-        own dance; ``reduce`` sums the live shards into one.
+        component), pools their rotate-and-sum plan
+        (:meth:`_pool_forward`), dense polynomials and refreshes their
+        plans — each per shard; attention runs its own dance; ``reduce``
+        sums the live shards into one.
 
         ``encoded`` is an optional provider of pre-encoded plaintexts
         for the linear layers and merge projections:
@@ -571,17 +564,13 @@ class EncryptedNetwork:
                 f"main branch {len(cts)}"
             )
         target = cts[0]
-        # exact (rtol 0) alignment: the skip must land on the
-        # main branch's scale precisely, or the embedded
-        # mismatch rides every later squaring
+        # the skip must land on the main branch's scale precisely, or
+        # the embedded mismatch rides every later squaring
         with trace_span(
             ev, "merge:align", kind="exec", shards=len(cts)
         ) as msp:
             msp.ct_entry(skip)
-            skip = [
-                ev.align_to(s, target.level, target.scale, rtol=0.0)
-                for s in skip
-            ]
+            skip = [ev.align_to(s, target.level, target.scale) for s in skip]
             cts = [ev.add(c, s) for c, s in zip(cts, skip)]
             msp.ct_exit(cts)
         return cts
@@ -609,11 +598,9 @@ class EncryptedNetwork:
         )
 
     def _exec_poly(self, i, node, cts, ev, encoded, executor, stack):
-        from repro.ckks.poly_eval import eval_dense_poly
-
         plan = self.poly_plans[i]
         return self._map_shards(
-            executor, lambda ct: eval_dense_poly(ev, ct, node.poly, plan=plan), cts
+            executor, lambda ct: eval_poly(ev, ct, node.poly, plan=plan), cts
         )
 
     def _exec_reduce(self, i, node, cts, ev, encoded, executor, stack):

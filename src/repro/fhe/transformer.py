@@ -34,8 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ckks.instrumentation import span as trace_span
-from repro.ckks.poly_eval import eval_dense_poly
-from repro.ckks.poly_plan import plan_dense_poly
+from repro.ckks.poly_eval import eval_poly
+from repro.ckks.poly_plan import plan_poly
 from repro.fhe.linear import encrypted_matvec_shards, tile_blocks
 
 __all__ = ["compile_attention_state", "attention_forward"]
@@ -112,7 +112,7 @@ def compile_attention_state(net, i: int, node) -> dict:
     steps |= {slots - s for s in _doubling_steps(net.block_stride)}
     net._galois_steps.update(steps)
 
-    state["exp_plan"] = plan_dense_poly(node.exp_poly, exact_scales=True)
+    state["exp_plan"] = plan_poly(node.exp_poly)
     return state
 
 
@@ -188,7 +188,7 @@ def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
         z = ev.sub(scores, mean)
 
         # softmax PAF: range-reduced exp, window sum, Newton reciprocal
-        e = eval_dense_poly(ev, z, node.exp_poly, plan=state["exp_plan"])
+        e = eval_poly(ev, z, node.exp_poly, plan=state["exp_plan"])
         for _ in range(node.exp_squarings):
             e = ev.rescale(ev.square(e))
         total = _rotate_sum(ev, e, seq_steps)
@@ -199,10 +199,10 @@ def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
             ev.rescale(ev.mul_plain(total, np.full(slots, b))), np.full(slots, a)
         )
         for _ in range(node.recip_iters):
-            t = ev.mul_rescale(ev.align_to(total, y.level, y.scale, rtol=0.0), y)
+            t = ev.mul_rescale(ev.align_to(total, y.level, y.scale), y)
             u = ev.add_plain(ev.negate(t), np.full(slots, 2.0))
-            y = ev.mul_rescale(ev.align_to(y, u.level, u.scale, rtol=0.0), u)
-        probs = ev.mul_rescale(ev.align_to(e, y.level, y.scale, rtol=0.0), y)
+            y = ev.mul_rescale(ev.align_to(y, u.level, u.scale), u)
+        probs = ev.mul_rescale(ev.align_to(e, y.level, y.scale), y)
 
         # mix: extract p_ij, broadcast over the whole block, weight v_j
         mix = None
@@ -211,9 +211,7 @@ def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
             if j:
                 p = ev.rotate(p, j)
             p = _broadcast_right(ev, p, block_steps, slots)
-            term = ev.mul_rescale(
-                ev.align_to(vj, p.level, p.scale, rtol=0.0), p
-            )
+            term = ev.mul_rescale(ev.align_to(vj, p.level, p.scale), p)
             mix = term if mix is None else ev.add(mix, term)
         out = net._replicate(mix, ev)
         return _proj_matvec(ev, state, "o", out)

@@ -7,11 +7,11 @@ degree-``n`` polynomial under exponentiation-by-squaring is
 
 :func:`depth_schedule` reproduces Tab. 8's walkthrough: the level at which
 every intermediate value of an odd polynomial evaluation becomes available,
-using the leaf-folded power-ladder strategy that is also
-``repro.ckks.poly_eval``'s reference path (so the symbolic schedule and
-the measured level consumption agree — asserted in tests).  The default
-Paterson–Stockmeyer path consumes the *same* total per component
-(``docs/paf-evaluation.md``), so the composite schedule holds for both.
+using the leaf-folded, term-by-term power-ladder strategy (the test
+oracle of ``repro.ckks.poly_eval`` evaluates exactly this way).  The
+Paterson–Stockmeyer executor consumes the *same* total per component
+(``docs/paf-evaluation.md``), so the symbolic schedule and the measured
+level consumption agree — asserted in tests.
 
 >>> from repro.paf.bases import f_poly
 >>> max(step.depth for step in depth_schedule(f_poly(2)))   # degree 5
@@ -46,7 +46,9 @@ class DepthStep:
 def depth_schedule(poly: OddPolynomial, var: str = "x") -> list:
     """Symbolic schedule of intermediate values for one odd component.
 
-    Strategy (matches ``repro.ckks.poly_eval.eval_odd_poly``):
+    Term-by-term strategy — the depth ``repro.ckks.poly_eval.eval_poly``
+    lands every term at, and the evaluation the test oracle
+    (``tests/conftest.py``) performs literally:
 
     * binary power ladder ``x^2, x^4, x^8, ...`` by repeated squaring —
       ``x^(2^i)`` available at depth ``i``;
@@ -60,8 +62,7 @@ def depth_schedule(poly: OddPolynomial, var: str = "x") -> list:
     steps: list[DepthStep] = []
     degree = poly.degree
     # Power ladder: rungs up to the largest power of two <= degree - 1
-    # (the highest ladder factor any term c_k x^k with k <= degree needs) —
-    # identical to the runtime ladder in ``repro.ckks.poly_eval``.
+    # (the highest ladder factor any term c_k x^k with k <= degree needs).
     i = 1
     while degree > 1 and 2**i <= degree - 1:
         steps.append(DepthStep(expr=f"{var}^{2 ** i}", depth=i))

@@ -8,9 +8,9 @@ from repro.ckks import (
     CkksEvaluator,
     CkksParams,
     eval_composite_paf,
-    eval_odd_poly,
     eval_paf_max,
     eval_paf_relu,
+    eval_poly,
     keygen,
 )
 from repro.ckks.keys import SecretKey
@@ -294,7 +294,7 @@ class TestPolyEval:
         ctx, ev = rt
         x, _ = data
         poly = OddPolynomial([1.5, -0.5, 0.25, -0.125])  # degree 7
-        out = eval_odd_poly(ev, ev.encrypt(x), poly)
+        out = eval_poly(ev, ev.encrypt(x), poly)
         assert np.abs(ev.decrypt(out) - poly(x)).max() < TOL
         assert ctx.max_level - out.level == poly.mult_depth
 
@@ -302,7 +302,7 @@ class TestPolyEval:
         ctx, ev = rt
         x, _ = data
         poly = OddPolynomial([0.7])
-        out = eval_odd_poly(ev, ev.encrypt(x), poly)
+        out = eval_poly(ev, ev.encrypt(x), poly)
         assert np.abs(ev.decrypt(out) - 0.7 * x).max() < TOL
         assert ctx.max_level - out.level == 1
 
@@ -310,7 +310,7 @@ class TestPolyEval:
         ctx, ev = rt
         x, _ = data
         poly = OddPolynomial([1.5, 0.0, 0.25])
-        out = eval_odd_poly(ev, ev.encrypt(x), poly)
+        out = eval_poly(ev, ev.encrypt(x), poly)
         assert np.abs(ev.decrypt(out) - poly(x)).max() < TOL
 
     @pytest.mark.parametrize("form", ["f1g2", "f2g2", "f2g3", "alpha7", "f1f1g1g1"])

@@ -58,10 +58,11 @@ class TestCountingEvaluator:
 
     @pytest.mark.parametrize("form", ["f1g2", "f2g2", "f2g3", "f1f1g1g1"])
     @pytest.mark.parametrize("reference", [False, True])
-    def test_relu_shadow_counts_equal_measured(self, rt, form, reference):
+    def test_relu_shadow_counts_equal_measured(self, rt, poly_oracle, form, reference):
         """The cost model is the executor run over shadows: its full op
         tally equals the measured one — alignment corrections included —
-        on the Paterson–Stockmeyer path and the ladder reference alike."""
+        for the Paterson–Stockmeyer executor and (``reference``) the
+        term-by-term ladder oracle alike."""
         ctx, ev = rt
         paf = get_paf(form)
         measured = CountingEvaluator(ev)
@@ -69,7 +70,7 @@ class TestCountingEvaluator:
         for counting in (measured, modeled):
             ct = counting.encrypt(np.linspace(-1, 1, ctx.slots))
             counting.reset()
-            eval_paf_relu(counting, ct, paf, reference=reference)
+            (poly_oracle.paf_relu if reference else eval_paf_relu)(counting, ct, paf)
         assert dict(modeled.counts) == dict(measured.counts)
         # and both are what the plan promises: its nonscalar mults, and
         # one plaintext mult per coefficient leaf plus one per correction

@@ -11,19 +11,20 @@ used to live inside the executor as ``mode="reference"``: a
 straight-line interpreter over the IR's own weights that takes the
 naive op-level path everywhere — one rotation per diagonal
 (:func:`~repro.fhe.linear.encrypted_matvec`), one per pool shift, the
-term-by-term ladder for every activation — and shares nothing with the
-compiled plans.  The naive Galois keys it needs are minted on a private
-copy of the network's key chain.
+term-by-term ladder (``poly_oracle``, ``tests/conftest.py``) for every
+activation — and shares nothing with the compiled plans.  The naive
+Galois keys it needs are minted on a private copy of the network's key
+chain.
 """
 
 import dataclasses
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.ckks import CkksEvaluator
-from repro.ckks.poly_eval import eval_dense_poly, eval_paf_relu
 from repro.fhe.ir import AffineNode, MatvecNode, PafNode, PolyNode, PoolNode
 from repro.fhe.linear import diagonals_of, encrypted_matvec, tile_blocks
 from repro.fhe.toy import (
@@ -61,12 +62,13 @@ def oracle_evaluator(enc) -> CkksEvaluator:
     return CkksEvaluator(enc.ctx, keys)
 
 
-def oracle_forward(enc, ct, ev):
+def oracle_forward(enc, ct, ev, poly_oracle):
     """Naive-everything forward of a single-ciphertext network.
 
     ``ev`` must hold the naive keys (:func:`oracle_evaluator`, optionally
-    wrapped in a ``CountingEvaluator``).  Reads only the IR nodes — never
-    the compiled plans, groups or masks it is the oracle for.
+    wrapped in a ``CountingEvaluator``), ``poly_oracle`` is the ladder
+    fixture.  Reads only the IR nodes — never the compiled plans, groups
+    or masks it is the oracle for.
     """
     for i, node in enumerate(enc.layers):
         if isinstance(node, MatvecNode):
@@ -82,9 +84,9 @@ def oracle_forward(enc, ct, ev):
             bias = None if bias is None else _tiled(enc, bias)
             ct = encrypted_matvec(ev, ct, diagonals=diags, bias_slots=bias)
         elif isinstance(node, PafNode):
-            ct = eval_paf_relu(ev, ct, node.paf, scale=node.scale, reference=True)
+            ct = poly_oracle.paf_relu(ev, ct, node.paf, scale=node.scale)
         elif isinstance(node, PolyNode):
-            ct = eval_dense_poly(ev, ct, node.poly, reference=True)
+            ct = poly_oracle.eval_poly(ev, ct, node.poly)
         elif isinstance(node, PoolNode):
             for stage in node.shifts:
                 rotated = [ev.rotate(ct, s) for s in stage if s]
@@ -101,10 +103,13 @@ def oracle_forward(enc, ct, ev):
 
 
 @pytest.fixture(scope="session")
-def oracle():
+def oracle(poly_oracle):
     """The reference interpreter: ``oracle.evaluator(enc)`` builds the
     naive-key evaluator, ``oracle.forward(enc, ct, ev)`` runs it."""
-    return SimpleNamespace(evaluator=oracle_evaluator, forward=oracle_forward)
+    return SimpleNamespace(
+        evaluator=oracle_evaluator,
+        forward=functools.partial(oracle_forward, poly_oracle=poly_oracle),
+    )
 
 
 @pytest.fixture(scope="session")

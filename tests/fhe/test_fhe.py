@@ -10,7 +10,6 @@ from repro.ckks import (
     CkksEvaluator,
     CkksParams,
     ShadowEvaluator,
-    eval_paf_relu,
     keygen,
 )
 from repro.ckks.instrumentation import CountingEvaluator
@@ -197,16 +196,16 @@ class TestLatencyHarness:
         run(counting, ct)
         return dict(counting.counts)
 
-    def test_op_counts_positive_and_ordered(self):
-        """Shadow counts == measured counts for every paper PAF (ladder
-        leg, alpha=10 baseline included), and the deep baseline costs
+    def test_op_counts_positive_and_ordered(self, poly_oracle):
+        """Shadow counts == measured counts for every paper PAF (on the
+        term-by-term oracle, alpha=10 baseline included), and the deep baseline costs
         the most nonscalar mults."""
         ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=12))
         real, shadow = CkksEvaluator(ctx, keygen(ctx, seed=0)), ShadowEvaluator(ctx)
         counts = {}
         for paf in paper_pafs(include_alpha10=True):
             def run(ev, ct, paf=paf):
-                eval_paf_relu(ev, ct, paf, reference=True)
+                poly_oracle.paf_relu(ev, ct, paf)
 
             counts[paf.name] = self._counts(shadow, run)
             assert counts[paf.name] == self._counts(real, run), paf.name

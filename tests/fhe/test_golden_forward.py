@@ -2,21 +2,23 @@
 
 ``golden_forward_digests.json`` holds one blake2b digest per toy model
 of the forward output's ``(level, scale, c0.data, c1.data)``, recorded
-at the commit that regrouped keyswitching (α chain primes per digit,
-level-independent keys) — the one deliberate re-keying since the
-digests were introduced; the NTT-domain rescale, rotation and descent
-that landed with it reproduced the *previous* digests first (``python
-tests/fhe/test_golden_forward.py --record`` wrote the file; nothing
-else may).  Any executor or kernel refactor that claims to move
-dispatch, not math, must reproduce these bytes — under every kernel
-backend, since backends are bit-identical by contract
-(``docs/backends.md``).
+at the commit that made Paterson–Stockmeyer with exact aligns the only
+polynomial evaluator: ``toy_resnet`` still carries the digest of the
+keyswitch regrouping before it (it already ran that path); ``toy_mlp``
+/ ``toy_cnn`` took the values predicted from the previous commit's own
+exact-scale plans once the tolerant ladder was deleted, and
+``toy_transformer`` was re-recorded once when its dense polynomials
+moved onto the shared plan (``python tests/fhe/test_golden_forward.py
+--record`` wrote the file; nothing else may).  Any executor or kernel
+refactor that claims to move dispatch, not math, must reproduce these
+bytes — under every kernel backend, since backends are bit-identical by
+contract (``docs/backends.md``).
 
 Inputs are seeded rows encrypted with a *fresh* seeded evaluator over
 the network's own keys, so neither test order nor earlier draws from
-``enc.ev``'s RNG can move a digest.  Single-ciphertext models go
-through ``forward(ct)`` — the surface the server and the ladder call —
-and sharded ones through ``forward_shards``.
+``enc.ev``'s RNG can move a digest.  Models with one input ciphertext
+go through ``forward(ct)`` — the surface the server and the ladder call
+— and those with several input shards through ``forward_shards``.
 """
 
 import hashlib
@@ -46,7 +48,7 @@ def forward_digest(enc, name: str) -> str:
     dim, batch, seed = CASES[name]
     xs = list(np.random.default_rng(seed).normal(size=(batch, dim)))
     ev = CkksEvaluator(enc.ctx, enc.keys, seed=seed)
-    if enc.graph.sharded:
+    if enc.num_input_shards > 1:
         (out,) = enc.forward_shards(enc.encrypt_batch_shards(xs, ev=ev), ev=ev)
     else:
         out = enc.forward(enc.encrypt_batch(xs, ev=ev), ev=ev)

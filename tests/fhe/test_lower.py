@@ -39,7 +39,6 @@ def test_mlp_is_the_flat_image(paf_mlp_model, no_keygen):
     assert [n.kind for n in graph.nodes] == ["linear", "paf", "linear"]
     assert (graph.validate(), graph.size) == (8, 8)
     assert (graph.input_shards, graph.input_splits) == (1, None)
-    assert not graph.sharded
 
 
 def test_cnn_is_the_one_shard_case(toy_cnn, no_keygen):
@@ -48,7 +47,6 @@ def test_cnn_is_the_one_shard_case(toy_cnn, no_keygen):
     assert [n.kind for n in graph.nodes] == ["linear", "paf", "pool", "linear", "linear"]
     assert (graph.validate(), graph.size) == (10, 128)
     assert (graph.input_shards, graph.input_splits) == (1, None)
-    assert not graph.sharded
     with pytest.raises(ValueError, match="input_shape"):
         lower(model, CompilePolicy())
 
@@ -61,7 +59,6 @@ def test_resnet_blocks_are_one_more_case(toy_resnet, no_keygen):
     # a 1-channel image enters as one ciphertext; the stem fans out to 2
     assert (graph.input_shards, graph.input_splits) == (1, [64])
     assert [len(n.blocks) for n in graph.nodes if n.kind == "linear"] == [2, 2, 2, 2, 2, 1]
-    assert graph.sharded
 
 
 def test_transformer_takes_the_other_way_in(toy_transformer, toy_transformer_stacked, no_keygen):

@@ -13,15 +13,16 @@ Acceptance invariants:
   keyswitches on the BSGS path (sparse patterns may tie — the planner
   then falls back to naive, pinned in test_plan_properties.py);
 * every registry PAF with a component of degree >= 5 does strictly fewer
-  nonscalar mults on the Paterson–Stockmeyer path at the *same* level
-  consumption.  ``f1²∘g1²`` (all components degree 3) provably ties: the
-  two mults of ``c₁x + c₃x³`` are optimal, so its plan keeps the ladder.
+  nonscalar mults on the Paterson–Stockmeyer executor than on the
+  term-by-term ladder oracle (``poly_oracle``, ``tests/conftest.py``) at
+  the *same* level consumption.  ``f1²∘g1²`` (all components degree 3)
+  provably ties: the two mults of ``c₁x + c₃x³`` are optimal.
 """
 
 import numpy as np
 import pytest
 
-from repro.ckks import CkksContext, CkksEvaluator, CkksParams, keygen
+from repro.ckks import CkksContext, CkksEvaluator, CkksParams, ShadowEvaluator, keygen
 from repro.ckks.instrumentation import CountingEvaluator
 from repro.ckks.poly_eval import eval_paf_relu
 from repro.ckks.poly_plan import plan_paf_relu
@@ -162,13 +163,13 @@ class TestNetworkOpCounts:
             "hoist_decompose": 2,   # one per linear layer
             "rotate_hoisted": 6,    # 3 baby rotations per 8-wide layer
             "rotate": 3,            # 2 giant steps + 1 replication rotation
-            "mul_plain": 24,        # 21 leaves/diagonals + 3 exact aligns
+            "mul_plain": 23,        # 21 leaves/diagonals + 2 exact aligns
             "add": 18,
             "add_plain": 3,
             "mul": 6,               # f1∘g2 PAF: 3 (PS g2) + 2 (f1) + gate
-            "rescale": 16,
-            "align_correction": 3,  # PS insists on exact scale alignment
-            "mod_switch_to": 3,     # plan-scheduled leaf levels
+            "rescale": 15,
+            "align_correction": 2,  # every cross-level align is exact
+            "mod_switch_to": 5,     # plan-scheduled leaf levels
         }
         assert counting.keyswitch_count == 15
         assert counting.nonscalar_mult_count == 6
@@ -178,12 +179,12 @@ class TestNetworkOpCounts:
         counting = self._oracle_counts(compiled, oracle)
         assert dict(counting.counts) == {
             "rotate": 15,           # 7 per dense 8-wide layer + 1 replication
-            "mul_plain": 21,
+            "mul_plain": 26,        # 21 leaves/diagonals + 5 exact aligns
             "add": 18,
             "add_plain": 3,
             "mul": 7,               # f1∘g2 PAF: 4 (ladder g2) + 2 (f1) + gate
-            "rescale": 14,
-            "mod_switch_to": 5,
+            "rescale": 19,
+            "align_correction": 5,  # the oracle aligns exactly too
         }
         assert counting.keyswitch_count == 22
         assert counting.nonscalar_mult_count == 7
@@ -246,13 +247,13 @@ class TestCnnOpCounts:
             "hoist_decompose": 5,   # conv1 + conv2 + dense + 2 pool stages
             "rotate_hoisted": 26,   # baby rotations + one per pool stage
             "rotate": 18,           # giant steps + 2 replication rotations
-            "mul_plain": 181,       # 172 diagonals/leaves + pool mask + aligns
+            "mul_plain": 180,       # 172 diagonals/leaves + pool mask + aligns
             "add": 176,
             "add_plain": 4,
             "mul": 6,               # f1∘g2 PAF: 3 (PS g2) + 2 (f1) + gate
-            "rescale": 18,
-            "align_correction": 3,
-            "mod_switch_to": 3,
+            "rescale": 17,
+            "align_correction": 2,
+            "mod_switch_to": 5,
         }
         assert counting.keyswitch_count == 50
         assert counting.nonscalar_mult_count == 6
@@ -313,16 +314,30 @@ class TestResnetOpCounts:
                         assert plan.use_bsgs
                         assert plan.bsgs_keyswitches < plan.naive_keyswitches
 
-    def test_exact_scale_plans_everywhere(self, compiled):
-        """Sharded compilation must force exact-scale activation plans —
-        ladder drift doubles per level and overflows a 31-level chain."""
-        for plan in compiled.paf_plans.values():
-            assert plan.exact_scales
-            assert all(p.use_ps for p in plan.components)
+    def test_every_align_is_exact(self, compiled):
+        """No tolerated scale mismatch anywhere in the forward — drift
+        doubles per level and would overflow a 31-level chain: every
+        ``align_to`` hands back exactly the ``(level, scale)`` it was
+        asked for, and the logits leave on the canonical schedule."""
+        aligns = []
+
+        class Recording(ShadowEvaluator):
+            def align_to(self, a, level, scale):
+                out = super().align_to(a, level, scale)
+                aligns.append(((out.level, out.scale), (level, scale)))
+                return out
+
+        ev = Recording(compiled.ctx)
+        cts = [ev.encrypt(None) for _ in range(compiled.num_input_shards)]
+        (out,) = compiled.forward_shards(cts, ev=ev)
+        assert len(aligns) == 20  # the pinned align_correction count
+        assert all(got == asked for got, asked in aligns)
+        assert out.scale == compiled.ctx.canonical_scale(out.level)
 
 
 #: pinned nonscalar-mult counts of the encrypted PAF-ReLU per registry form:
-#: (ladder reference, Paterson–Stockmeyer plan).  Component accounting —
+#: (term-by-term ladder oracle, Paterson–Stockmeyer plan), both *measured*
+#: over shadow ciphertexts.  Component accounting —
 #: degree 3: 2/2 (tie, optimal), degree 5: 4/3, degree 7: 6/5,
 #: degree 27: 29/17; the ReLU gate adds one on both paths.
 RELU_NONSCALAR = {
@@ -336,41 +351,32 @@ RELU_NONSCALAR = {
 
 
 class TestActivationOpCounts:
-    """Pin the exact nonscalar-mult counts of both activation paths.
+    """Pin the exact nonscalar-mult counts of the executor and the oracle.
 
-    The acceptance invariant of the Paterson–Stockmeyer rewrite: strictly
-    fewer nonscalar mults than the ladder for every registry PAF with a
-    component of degree >= 5 (in particular every degree >= 7 form with
-    such a component), never more for any, at identical level consumption.
+    The acceptance invariant of the Paterson–Stockmeyer executor: strictly
+    fewer nonscalar mults than the term-by-term ladder for every registry
+    PAF with a component of degree >= 5 (in particular every degree >= 7
+    form with such a component), never more for any, at identical level
+    consumption.
     """
 
-    @pytest.fixture(scope="class")
-    def rt(self):
-        ctx = CkksContext(CkksParams(n=256, scale_bits=25, depth=11))
-        keys = keygen(ctx, seed=0)
-        return ctx, CkksEvaluator(ctx, keys)
-
     @pytest.mark.parametrize("form", sorted(RELU_NONSCALAR))
-    def test_measured_counts_match_pins(self, rt, form):
-        ctx, ev = rt
+    def test_measured_counts_match_pins(self, poly_oracle, form):
         paf = get_paf(form)
         ladder_pin, ps_pin = RELU_NONSCALAR[form]
         plan = plan_paf_relu(paf)
         assert plan.nonscalar_mults == ps_pin
 
-        counting = CountingEvaluator(ev)
-        ct = counting.encrypt(np.linspace(-1, 1, ctx.slots))
-        counting.reset()
-        out_ps = eval_paf_relu(counting, ct, paf, plan=plan)
-        measured_ps = counting.nonscalar_mult_count
-        lvl_ps = ctx.max_level - out_ps.level
-        counting.reset()
-        out_ladder = eval_paf_relu(counting, ct, paf, reference=True)
-        measured_ladder = counting.nonscalar_mult_count
-        assert measured_ps == ps_pin
-        assert measured_ladder == ladder_pin
-        # both paths consume exactly the analytic depth
-        assert lvl_ps == ctx.max_level - out_ladder.level == plan.mult_depth
+        def ps(ev, ct):
+            out = eval_paf_relu(ev, ct, paf, plan=plan)
+            assert ct.level - out.level == plan.mult_depth
+
+        def ladder(ev, ct):      # consumes exactly the analytic depth too
+            out = poly_oracle.paf_relu(ev, ct, paf)
+            assert ct.level - out.level == plan.mult_depth
+
+        assert poly_oracle.shadow_counts(ps)["mul"] == ps_pin
+        assert poly_oracle.shadow_counts(ladder)["mul"] == ladder_pin
 
     def test_strictly_fewer_for_degree5_plus_components(self):
         for form, (ladder, ps) in RELU_NONSCALAR.items():

@@ -371,7 +371,6 @@ class TestCompilerRejections:
         grids = [n.blocks for n in one.nodes if isinstance(n, MatvecNode)]
         assert all(len(g) == 1 and len(g[0]) == 1 for g in grids)
         assert one.validate() == two.validate() == 16
-        assert one.sharded  # taps and merges: exact-scale plans either way
 
     def test_leading_residual_block_rejected(self):
         """A model opening with a block has no stem to zero the packed
@@ -538,7 +537,6 @@ class TestToyResnetEndToEnd:
             len(plans) for plans in enc.matvec_plans.values()
         )
         assert widest >= 2  # some layer writes >= 2 output shards
-        assert enc.graph.sharded
 
     def test_single_request_matches_plaintext_logits(self, toy_resnet):
         model, enc = toy_resnet

@@ -66,7 +66,7 @@ def make_trace(model="toy"):
                 attrs={"level_slack": 0},
             ),
             make_span(
-                3, 2, "poly:ps", "poly", 5.5, 3.0,
+                3, 2, "poly", "poly", 5.5, 3.0,
                 ops={"mul": 2, "rescale": 2},
                 entry=lvl(4), exit=lvl(2),
             ),
