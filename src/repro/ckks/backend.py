@@ -34,10 +34,13 @@ same kernel outputs at every level, same ``c0/c1`` coefficients, same
 op counts, same decrypted outputs — which is what lets benchmarks
 compare backends as pure wall-time experiments.
 
-Selection: ``CkksParams(backend="vectorized")`` explicitly, else the
-``REPRO_BACKEND`` environment variable, else ``"reference"``.  A live
-context can switch with :meth:`CkksContext.set_backend` (exactness makes
-mid-stream switching safe).
+Selection: a context gets ``"vectorized"``.  ``"reference"`` stays
+registered as the spec and the bit-identity oracle — the conformance,
+golden and kernel tests select it by name
+(``CkksParams(backend="reference")`` or
+:meth:`CkksContext.set_backend`; exactness makes mid-stream switching
+safe), and the ``REPRO_BACKEND`` environment variable lets CI run a
+whole suite under it without editing a test.
 
 Overflow discipline (int64 throughout): primes are < 2^30, so any
 product of two residues is < 2^60 < 2^63, and at most 8 such products
@@ -68,9 +71,9 @@ __all__ = [
     "DEFAULT_BACKEND",
 ]
 
-#: environment override consulted when ``CkksParams.backend`` is None
+#: test-harness override consulted when ``CkksParams.backend`` is None
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "vectorized"
 
 
 class KernelBackend:
@@ -543,7 +546,7 @@ def resolve_backend(spec, ctx) -> KernelBackend:
     ``spec`` may be a registered name, an already-constructed
     :class:`KernelBackend` bound to ``ctx``, or ``None`` — which falls
     back to the ``REPRO_BACKEND`` environment variable and finally to
-    ``"reference"``.
+    :data:`DEFAULT_BACKEND`.
     """
     if isinstance(spec, KernelBackend):
         if spec.ctx is not ctx:

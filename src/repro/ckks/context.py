@@ -72,9 +72,10 @@ class CkksParams:
     #: primes let the canonical schedule collapse double-exponentially
     #: (see :func:`repro.ckks.primes.generate_scale_tracking_primes`)
     scale_tracking: bool = False
-    #: kernel backend name (``"reference"`` / ``"vectorized"``); ``None``
-    #: resolves the ``REPRO_BACKEND`` env var, defaulting to reference —
-    #: see :mod:`repro.ckks.backend` (all backends are bit-identical)
+    #: kernel backend name; ``None`` is the default, ``"vectorized"``
+    #: (``"reference"`` is the spec the bit-identity tests select by
+    #: name — see :mod:`repro.ckks.backend`; all backends are
+    #: bit-identical)
     backend: str | None = None
 
     @property
@@ -309,9 +310,9 @@ class CkksContext:
 
         ``backend`` is a registered name, a :class:`KernelBackend`
         instance bound to this context, or ``None`` (re-resolve the
-        ``REPRO_BACKEND`` env var / default).  Backends are bit-identical
-        by contract, so switching mid-computation is safe — ciphertexts
-        produced before and after the switch interoperate exactly.  Used
+        default).  Backends are bit-identical by contract, so switching
+        mid-computation is safe — ciphertexts produced before and after
+        the switch interoperate exactly.  Used
         by the conformance suite and ``--check-backends`` tooling to run
         the same compiled model under every backend without re-keygen.
         """

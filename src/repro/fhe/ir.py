@@ -41,13 +41,15 @@ node                      levels  executes as
 :class:`ReduceNode`       0       cross-shard sum (sequence pooling);
                                   any scalar is folded into the next
                                   matvec, so only ct-ct adds execute
-:class:`AttentionNode`    17+     one self-attention block: per-shard
-                                  Q/K/V projections, ct-ct score
-                                  products with rotate-and-sum reduce,
-                                  mean-stabilised PS-evaluated softmax
-                                  (exp poly, range-reduction squarings,
-                                  Newton reciprocal), probability-
-                                  weighted value mixing and the output
+:class:`AttentionNode`    17+     one self-attention block: fused per-
+                                  token Q/K/V grid, keys and values
+                                  token-packed once per layer, one
+                                  ct-ct score product and one rotate-
+                                  and-sum reduce per query, mean-
+                                  stabilised PS-evaluated softmax (exp
+                                  poly, range-reduction squarings,
+                                  Newton reciprocal), one ct-ct value
+                                  product, window fold and the output
                                   projection
 :class:`RefreshNode`      0*      exactness-gated level refresh
                                   (:func:`repro.ckks.bootstrap.refresh`)
@@ -230,20 +232,24 @@ class AttentionNode(IRNode):
     """One encrypted self-attention block over token shards.
 
     Input: ``seq`` token shards, each a replicated-packed vector of
-    ``dim`` model features.  Executes per-shard Q/K/V matvecs (weights
-    below, zero-padded square), all-pairs score products with
-    rotate-and-sum dot-product reduction (``1/sqrt(dim)`` folded into
-    the score placement masks), the mean-stabilised softmax PAF
+    ``dim`` model features.  Executes the fused per-token Q/K/V matvec
+    grid (weights below, zero-padded square), then the token-packed
+    attention of :mod:`repro.fhe.transformer`: mean-centred keys and
+    values parked one token per ``dim``-lane *window* of a request block
+    (which therefore needs ``block_stride >= seq * dim``), one score
+    product and one lane reduction per query (``score_scale / seq`` in
+    the strided score mask), the mean-stabilised softmax PAF
     (``exp_poly`` evaluated by its Paterson-Stockmeyer plan, then
     ``exp_squarings`` range-reduction squarings, then the affine-seeded
-    Newton reciprocal ``recip_init`` / ``recip_iters``), and the
-    probability-weighted value mixing plus output projection.
+    Newton reciprocal ``recip_init`` / ``recip_iters`` with its
+    constants at the score slots only), one product with the packed
+    values, the window fold and the output projection.
     """
 
     kind = "attention"
     seq: int = 0
     dim: int = 0
-    #: scalar folded into the score placement masks (``1/dim`` for the
+    #: scalar folded into the strided score mask (``1/dim`` for the
     #: muP-scaled toy model; ``1/sqrt(dim)`` for classic attention)
     score_scale: float = 0.0
     wq: np.ndarray | None = None
@@ -265,12 +271,12 @@ class AttentionNode(IRNode):
     interval: tuple | None = None
 
     def level_cost(self) -> int:
-        """Exact level consumption of the attention dance.
+        """Exact level consumption of token-packed attention.
 
-        qkv(1) + score mul(1) + score mask(1) + mean mask(1) +
-        exp poly + squarings + exp window mask(1) +
-        recip: affine seed(1) + 2 per Newton iteration +
-        probs mul(1) + extract mask(1) + value mul(1) + Wo matvec(1).
+        qkv grid(1) + score mul(1) + strided score mask(1) +
+        exp poly + squarings + exp sum mask(1) +
+        recip: strided affine seed(1) + 2 per Newton iteration +
+        probs mul(1) + value mul(1) + window-0 mask(1) + Wo matvec(1).
         """
         from repro.paf.polynomial import mult_depth_of_degree
 

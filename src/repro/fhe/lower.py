@@ -330,8 +330,10 @@ def _lower_transformer(model) -> Graph:
                 "replace_transformer_nonpoly(model, samples) first"
             )
     seq, dim, ff = model.seq, model.dim, model.ff
+    # the request block (2·size slots) must also hold the attention
+    # executor's seq windows of dim lanes
     size = 1
-    while size < max(dim, ff, model.num_classes):
+    while size < max(dim, ff, model.num_classes) or 2 * size < seq * dim:
         size *= 2
 
     def weight(lin):

@@ -178,7 +178,7 @@ class EncryptedNetwork:
         #: merge node index -> matching residual tap index
         self.merge_taps: dict[int, int] = {}
         #: per-AttentionNode compiled state (projection plans/groups,
-        #: placement and broadcast masks, softmax plan and constants)
+        #: strided and window masks, softmax plan and constants)
         self.attention_states: dict = {}
         #: per-RefreshNode :class:`~repro.ckks.bootstrap.RefreshPlan`
         self.refresh_plans: dict = {}

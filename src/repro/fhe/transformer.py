@@ -4,29 +4,45 @@ Tokens are ciphertext shards: a ``seq``-token block runs with one
 ciphertext per token, each packed like any other request vector
 (``dim`` features zero-padded to ``size`` with wraparound replication,
 SIMD-tiled across blocks).  Matmuls against *plaintext* weights are the
-usual per-shard Halevi-Shoup matvecs; the two ciphertext-ciphertext
-matmuls of attention (``Q Kᵀ`` and ``P V``) decompose into all-pairs
-slot-wise products with rotate-and-sum dot-product reduction and
-mask-place/broadcast glue:
+usual Halevi-Shoup matvecs; the two ciphertext-ciphertext matmuls of
+attention (``Q Kᵀ`` and ``P V``) are **token-packed**: a request block
+of ``block_stride ≥ seq·dim`` slots is read as ``seq`` *windows* of
+``dim`` lanes, keys and values are parked one token per window once per
+layer, and — rotate-and-sum being linear — every query then reduces
+once for all its keys instead of once per pair:
 
-* **scores** — ``m = q_i ⊙ k_j`` (1 level), doubling rotations sum the
-  ``dim`` feature lanes into slot 0 of every block, a placement mask
-  (``1/√dim`` folded in) parks ``s_ij`` at slot ``j`` (1 level); the
-  same reduced products accumulate through a ``1/(seq·√dim)`` mask into
-  the broadcast window-mean used for stabilisation — a parallel branch
-  at the same level, so centring is level-free;
-* **softmax PAF** — the centred scores feed the range-reduced ``exp``
-  polynomial (Paterson-Stockmeyer plan + ``exp_squarings`` squarings),
-  doubling rotations sum the window, a mask + right-rotation doubling
-  broadcasts the sum (1 level), and the affine-seeded Newton reciprocal
-  (1 + 2·``recip_iters`` levels) normalises;
-* **mixing** — each probability is extracted by a slot mask (1 level),
-  broadcast across the whole block by right-rotation doubling, and
-  multiplied into the corresponding value shard (1 level); the
-  accumulated mix takes the output projection like any linear layer.
+* **projections** — each token's Q, K and V are one ``3 × 1`` shard
+  grid, so the token pays one hoisted decomposition and one set of baby
+  rotations for all three (1 level);
+* **packing** — the keys are centred with additions only,
+  ``k'_j = seq·k_j − Σ_l k_l``, so that with ``1/seq`` folded into the
+  score mask ``q_i·k'_j`` *is* the mean-stabilised score
+  ``s_ij − mean_j s_ij`` and no mean branch exists; ``Σ_j
+  rot_right(k'_j, j·dim)`` and the same sum over the values cost
+  ``seq − 1`` rotations each, shared by all queries, and need no mask
+  because projection outputs are zero outside ``[0, dim)``;
+* **scores** — broadcast ``q_i`` over the windows, one product with the
+  packed keys (1 level), one ``log2(dim)`` lane tree landing every
+  ``s_ij`` at slot ``j·dim``, one strided mask carrying
+  ``score_scale/seq`` (1 level);
+* **softmax PAF** — the range-reduced ``exp`` polynomial
+  (Paterson-Stockmeyer plan + ``exp_squarings`` squarings), a window
+  tree and a slot-0 mask for the sum (1 level), a window broadcast, and
+  the affine-seeded Newton reciprocal (1 + 2·``recip_iters`` levels)
+  whose constants live *only* at slots ``j·dim``: the reciprocal, hence
+  the probabilities (1 level), are zero off-stride without a mask of
+  their own — and the off-stride rescale noise, which a full-slot ``2``
+  would double every iteration, stays noise;
+* **mixing** — broadcast every ``p_ij`` over its window, one product
+  with the packed values (1 level), a window tree folding the mix into
+  window 0, a window-0 mask (1 level) clearing the partial sums the
+  fold leaves in the replica half, then the output projection like any
+  linear layer (1 level).
 
-Level budget: ``AttentionNode.level_cost()`` — 9 fixed + exp depth +
-squarings + 2 per Newton iteration; the executor consumes exactly that.
+Per query that is ``4·log2(seq) + 2·log2(dim) + 1`` rotations and two
+ciphertext-ciphertext products, whatever ``seq`` is.  Level budget:
+``AttentionNode.level_cost()`` — 9 fixed + exp depth + squarings + 2
+per Newton iteration; the executor consumes exactly that.
 """
 
 from __future__ import annotations
@@ -50,76 +66,69 @@ def _pad_square(w: np.ndarray, size: int) -> np.ndarray:
     return mat
 
 
-def _doubling_steps(span: int) -> list:
-    """Left-rotation steps 1, 2, 4, ... summing a ``span``-slot window."""
+def _doubling_steps(span: int, unit: int = 1) -> list:
+    """Steps ``unit·(1, 2, 4, ...)`` covering ``span`` units by doubling."""
     if span & (span - 1):
         raise ValueError(f"rotate-and-sum window must be a power of two, got {span}")
-    return [1 << t for t in range(span.bit_length() - 1)]
+    return [unit << t for t in range(span.bit_length() - 1)]
 
 
 def compile_attention_state(net, i: int, node) -> dict:
     """Build the per-node caches the attention executor reads.
 
-    Registers every rotation step the dance needs on the network's
+    Registers every rotation step the executor needs on the network's
     shared Galois-step set (keygen runs after the compile loop), plans
-    the four projection matvecs exactly like standalone linear layers,
-    plans the ``exp`` polynomial, and tiles the placement / mean / sum /
-    extraction masks across the SIMD blocks.
+    the fused Q/K/V grid and the output projection exactly like
+    standalone linear layers (``(plans, groups, biases)`` under
+    ``"qkv"`` / ``"o"``), plans the ``exp`` polynomial, and tiles the
+    strided / slot-0 / window-0 masks across the SIMD blocks.
     """
     seq, dim = node.seq, node.dim
     slots = net.ctx.slots
     size = net.size
+    stride = net.block_stride
     if dim > size or seq > size:
         raise ValueError(f"attention layer {i}: seq/dim exceed size {size}")
-    state: dict = {"proj": {}}
-    for name, w, b in (
-        ("q", node.wq, node.bq),
-        ("k", node.wk, node.bk),
-        ("v", node.wv, node.bv),
-        ("o", node.wo, node.bo),
-    ):
-        # each projection is a 1 x 1 grid applied to every token shard
-        _, groups, biases = net._plan_grid(
-            i, [[_pad_square(w, size)]], None if b is None else [b]
+    if seq * dim > stride:
+        raise ValueError(
+            f"attention layer {i}: seq {seq} x dim {dim} = {seq * dim} window "
+            f"slots exceed block_stride {stride}"
         )
-        state["proj"][name] = (groups, biases)
-
-    score_scale = node.score_scale or 1.0 / np.sqrt(dim)
-    place, extract = [], []
-    for j in range(seq):
-        e_j = np.zeros(size)
-        e_j[j] = 1.0
-        place.append(
-            tile_blocks(e_j * score_scale, slots, net.max_batch, net.block_stride)
-        )
-        extract.append(tile_blocks(e_j, slots, net.max_batch, net.block_stride))
-    e_0 = np.zeros(size)
-    e_0[0] = 1.0
-    state["place_masks"] = place
-    state["extract_masks"] = extract
-    state["mean_mask"] = tile_blocks(
-        e_0 * (score_scale / seq), slots, net.max_batch, net.block_stride
-    )
-    state["sum_mask"] = tile_blocks(e_0, slots, net.max_batch, net.block_stride)
-
-    # rotation steps: feature-lane reduce, window reduce, right-rotation
-    # window broadcast, score placement, probability extraction, and the
-    # full-block broadcast that spreads one slot over vector + replica
-    steps = set(_doubling_steps(dim)) | set(_doubling_steps(seq))
-    steps |= {slots - s for s in _doubling_steps(seq)}
-    steps |= {slots - j for j in range(1, seq)}
-    steps |= set(range(1, seq))
-    steps |= {slots - s for s in _doubling_steps(net.block_stride)}
+    # left steps reduce (feature lanes within a window, windows within a
+    # block), right steps broadcast the same spans back and park token j
+    # in window j
+    lanes = _doubling_steps(dim)
+    windows = _doubling_steps(seq, dim)
+    steps = set(lanes) | set(windows)
+    steps |= {slots - s for s in lanes + windows}
+    steps |= {slots - j * dim for j in range(1, seq)}
     net._galois_steps.update(steps)
 
-    state["exp_plan"] = plan_poly(node.exp_poly)
-    return state
+    def tiled(block: np.ndarray) -> np.ndarray:
+        return tile_blocks(block, slots, net.max_batch, stride)
 
-
-def _proj_matvec(ev, state: dict, name: str, ct):
-    """One Q/K/V/O projection of one token shard."""
-    groups, biases = state["proj"][name]
-    return encrypted_matvec_shards(ev, [ct], groups, bias_slots=biases)[0]
+    strided = np.zeros((seq - 1) * dim + 1)
+    strided[::dim] = 1.0
+    score_scale = node.score_scale or 1.0 / np.sqrt(dim)
+    a, b = node.recip_init
+    return {
+        # one 3 x 1 grid: a token's Q, K and V share its hoisted rotations
+        "qkv": net._plan_grid(
+            i,
+            [[_pad_square(w, size)] for w in (node.wq, node.wk, node.wv)],
+            [node.bq, node.bk, node.bv],
+        ),
+        "o": net._plan_grid(
+            i, [[_pad_square(node.wo, size)]], None if node.bo is None else [node.bo]
+        ),
+        "exp_plan": plan_poly(node.exp_poly),
+        "score_mask": tiled(strided * (score_scale / seq)),
+        "sum_mask": tiled(np.ones(1)),
+        "seed_offset": tiled(strided * a),
+        "seed_slope": tiled(strided * b),
+        "newton_two": tiled(strided * 2.0),
+        "window0_mask": tiled(np.ones(dim)),
+    }
 
 
 def _rotate_sum(ev, ct, steps: list):
@@ -129,20 +138,21 @@ def _rotate_sum(ev, ct, steps: list):
     return ct
 
 
-def _broadcast_right(ev, ct, steps: list, slots: int):
-    """Spread slot 0 of every block over a window by right rotations."""
-    for s in steps:
-        ct = ev.add(ct, ev.rotate(ct, slots - s))
-    return ct
+def _pack_windows(ev, cts: list, dim: int, slots: int):
+    """Park shard ``j``'s ``[0, dim)`` lanes in window ``j`` of one ciphertext."""
+    packed = cts[0]
+    for j, ct in enumerate(cts[1:], start=1):
+        packed = ev.add(packed, ev.rotate(ct, slots - j * dim))
+    return packed
 
 
 def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
     """Execute one attention node over the per-token ciphertext shards.
 
     Returns one output shard per token, ``level_cost()`` levels below
-    the input, with zeroed replica halves (the output projection's
-    masked matvec restores the block invariant the next layer relies
-    on).
+    the input, with zeroed replica halves (the window-0 mask and the
+    output projection's masked matvec restore the block invariant the
+    next layer relies on).
     """
     state = net.attention_states[i]
     seq, dim = node.seq, node.dim
@@ -151,70 +161,73 @@ def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
             f"attention layer {i}: expected {seq} token shards, got {len(cts)}"
         )
     slots = net.ctx.slots
-    dim_steps = _doubling_steps(dim)
-    seq_steps = _doubling_steps(seq)
-    block_steps = _doubling_steps(net.block_stride)
+    lanes = _doubling_steps(dim)
+    windows = _doubling_steps(seq, dim)
+    lanes_right = [slots - s for s in lanes]
+    windows_right = [slots - s for s in windows]
+    _, qkv_groups, qkv_biases = state["qkv"]
+    _, o_groups, o_biases = state["o"]
 
     with trace_span(ev, "attention:qkv", kind="exec", shards=seq) as sp:
         sp.ct_entry(cts)
-        xs = [net._replicate(ct, ev) for ct in cts]
-        qs, ks, vs = (
-            net._map_shards(
-                executor, lambda x, name=name: _proj_matvec(ev, state, name, x), xs
+        qs, ks, vs = zip(
+            *(
+                encrypted_matvec_shards(
+                    ev,
+                    [net._replicate(ct, ev)],
+                    qkv_groups,
+                    bias_slots=qkv_biases,
+                    executor=executor,
+                )
+                for ct in cts
             )
-            for name in "qkv"
         )
+        # centre by additions: q_i·(seq·k_j − Σ_l k_l)/seq = s_ij − mean_j s_ij
+        key_sum = ks[0]
+        for k in ks[1:]:
+            key_sum = ev.add(key_sum, k)
+        centred = []
+        for k in ks:
+            for _ in range(seq.bit_length() - 1):  # seq·k_j, seq a power of two
+                k = ev.add(k, k)
+            centred.append(ev.sub(k, key_sum))
+        keys = _pack_windows(ev, centred, dim, slots)
+        values = _pack_windows(ev, vs, dim, slots)
         sp.ct_exit(qs)
 
     def one_query(qi):
-        # all-pairs reduced products: dot(q_i, k_j) at slot 0 per block
-        reduced = []
-        for kj in ks:
-            m = ev.mul_rescale(qi, kj)
-            reduced.append(_rotate_sum(ev, m, dim_steps))
-        # place s_ij at slot j (1/sqrt(dim) in the mask) and, from the
-        # same products, accumulate the stabilising window mean — a
-        # parallel branch at the same level, so centring is level-free
-        score_acc = None
-        mean_acc = None
-        for j, red in enumerate(reduced):
-            placed = ev.rotate(red, slots - j) if j else red
-            term = ev.mul_plain(placed, state["place_masks"][j])
-            score_acc = term if score_acc is None else ev.add(score_acc, term)
-            mterm = ev.mul_plain(red, state["mean_mask"])
-            mean_acc = mterm if mean_acc is None else ev.add(mean_acc, mterm)
-        scores = ev.rescale(score_acc)
-        mean = _broadcast_right(ev, ev.rescale(mean_acc), seq_steps, slots)
-        z = ev.sub(scores, mean)
+        # every score of the query from one product and one lane tree:
+        # s_ij − mean_j s_ij lands at slot j·dim, the mask zeroes the rest
+        m = ev.mul_rescale(_rotate_sum(ev, qi, windows_right), keys)
+        z = ev.rescale(ev.mul_plain(_rotate_sum(ev, m, lanes), state["score_mask"]))
 
         # softmax PAF: range-reduced exp, window sum, Newton reciprocal
         e = eval_poly(ev, z, node.exp_poly, plan=state["exp_plan"])
         for _ in range(node.exp_squarings):
             e = ev.rescale(ev.square(e))
-        total = _rotate_sum(ev, e, seq_steps)
+        total = _rotate_sum(ev, e, windows)
         total = ev.rescale(ev.mul_plain(total, state["sum_mask"]))
-        total = _broadcast_right(ev, total, seq_steps, slots)
-        a, b = node.recip_init
+        total = _rotate_sum(ev, total, windows_right)
+        # exp(0) ≈ 1 off-stride: the seed and Newton's 2 exist only at
+        # slots j·dim, so y — and with it probs — stays zero elsewhere
         y = ev.add_plain(
-            ev.rescale(ev.mul_plain(total, np.full(slots, b))), np.full(slots, a)
+            ev.rescale(ev.mul_plain(total, state["seed_slope"])), state["seed_offset"]
         )
         for _ in range(node.recip_iters):
             t = ev.mul_rescale(ev.align_to(total, y.level, y.scale), y)
-            u = ev.add_plain(ev.negate(t), np.full(slots, 2.0))
+            u = ev.add_plain(ev.negate(t), state["newton_two"])
             y = ev.mul_rescale(ev.align_to(y, u.level, u.scale), u)
         probs = ev.mul_rescale(ev.align_to(e, y.level, y.scale), y)
 
-        # mix: extract p_ij, broadcast over the whole block, weight v_j
-        mix = None
-        for j, vj in enumerate(vs):
-            p = ev.rescale(ev.mul_plain(probs, state["extract_masks"][j]))
-            if j:
-                p = ev.rotate(p, j)
-            p = _broadcast_right(ev, p, block_steps, slots)
-            term = ev.mul_rescale(ev.align_to(vj, p.level, p.scale), p)
-            mix = term if mix is None else ev.add(mix, term)
-        out = net._replicate(mix, ev)
-        return _proj_matvec(ev, state, "o", out)
+        # mix: p_ij over window j, weight the packed values, fold the
+        # windows into window 0 and clear the partial sums left behind
+        p = _rotate_sum(ev, probs, lanes_right)
+        mix = ev.mul_rescale(ev.align_to(values, p.level, p.scale), p)
+        mix = _rotate_sum(ev, mix, windows)
+        mix = ev.rescale(ev.mul_plain(mix, state["window0_mask"]))
+        return encrypted_matvec_shards(
+            ev, [net._replicate(mix, ev)], o_groups, bias_slots=o_biases
+        )[0]
 
     with trace_span(ev, "attention:mix", kind="exec", shards=seq) as sp:
         sp.ct_entry(cts)

@@ -7,12 +7,13 @@ polynomial evaluator: ``toy_resnet`` still carries the digest of the
 keyswitch regrouping before it (it already ran that path); ``toy_mlp``
 / ``toy_cnn`` took the values predicted from the previous commit's own
 exact-scale plans once the tolerant ladder was deleted, and
-``toy_transformer`` was re-recorded once when its dense polynomials
-moved onto the shared plan (``python tests/fhe/test_golden_forward.py
---record`` wrote the file; nothing else may).  Any executor or kernel
-refactor that claims to move dispatch, not math, must reproduce these
-bytes — under every kernel backend, since backends are bit-identical by
-contract (``docs/backends.md``).
+``toy_transformer`` alone was re-recorded when attention became
+token-packed (the other three were first shown green against the
+previous digests under both backends; ``python
+tests/fhe/test_golden_forward.py --record`` wrote the file; nothing else
+may).  Any executor or kernel refactor that claims to move dispatch, not
+math, must reproduce these bytes — under every kernel backend, since
+backends are bit-identical by contract (``docs/backends.md``).
 
 Inputs are seeded rows encrypted with a *fresh* seeded evaluator over
 the network's own keys, so neither test order nor earlier draws from

@@ -7,11 +7,14 @@ plaintext models come from the session fixtures (compiled once, before
 the rigging).
 """
 
+import numpy as np
 import pytest
 
 import repro.fhe.lower as lowering
+from repro.core.surgery import replace_transformer_nonpoly
 from repro.fhe.ir import CompilePolicy
 from repro.fhe.lower import lower
+from repro.nn.models import toy_transformer as build_toy_transformer
 
 #: the ResNet blocks' ``residual linear paf linear merge paf``
 _BLOCK = ["residual", "linear", "paf", "linear", "merge", "paf"]
@@ -71,3 +74,15 @@ def test_transformer_takes_the_other_way_in(toy_transformer, toy_transformer_sta
     deep = lower(stacked)  # refreshes are placed against a chain, not here
     assert [n.kind for n in deep.nodes] == ["linear", *_TBLOCK, *_TBLOCK, "reduce", "linear"]
     assert deep.validate() == 64  # embed + 2 x 31 + head
+
+
+def test_transformer_block_grows_to_hold_the_attention_windows(no_keygen):
+    """Token-packed attention reads a request block (``2·size`` slots) as
+    ``seq`` windows of ``dim`` lanes: a long sequence sizes the block,
+    where the widest layer alone (16, as for the toy above) would not."""
+    model = build_toy_transformer(seq=8, dim=8, ff=16, num_classes=3, seed=0)
+    samples = np.random.default_rng(0).normal(size=(16, 8, 8))
+    replace_transformer_nonpoly(model, samples)
+    graph = lower(model)
+    assert graph.size == 32  # 2·32 == seq·dim
+    assert (graph.input_shards, graph.input_splits) == (8, [8] * 8)

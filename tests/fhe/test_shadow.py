@@ -84,12 +84,7 @@ def test_shadow_lands_on_the_real_forward_coordinates(request, model):
     shadow = ShadowEvaluator(enc.ctx)
     (predicted,) = enc.forward_shards(_shadow_inputs(enc, shadow), ev=shadow)
     cts = enc.encrypt_batch_shards([np.zeros(MODELS[model][1])])
-    orig = enc.ctx.backend.name
-    enc.ctx.set_backend("vectorized")  # bit-identical, and ~3x less waiting
-    try:
-        (real,) = enc.forward_shards(cts)
-    finally:
-        enc.ctx.set_backend(orig)
+    (real,) = enc.forward_shards(cts)
     assert (predicted.level, predicted.scale) == (real.level, real.scale)
 
 

@@ -4,7 +4,7 @@ Three rings, cheapest first:
 
 * **static schedule checks** (no crypto): the compiled graph's level
   costs sum exactly to the parameter depth, with the attention node's
-  budget decomposing into its documented dance steps;
+  budget decomposing into its documented steps;
 * **plaintext PAF accuracy**: the PAF-approximated model (range-reduced
   exp softmax, dense GELU, Newton reciprocal) tracks the exact model's
   logits over the validation set;
@@ -61,10 +61,10 @@ class TestLevelSchedule:
     def test_attention_budget_decomposition(self, toy_transformer):
         _, enc = toy_transformer
         att = next(n for n in enc.graph.nodes if isinstance(n, AttentionNode))
-        # 9 fixed dance levels (qkv, dots, placement, exp leaf, sum mask,
-        # Newton seed, probs, extract, value + output projections) plus
-        # the exp polynomial's PS depth, its range-reduction squarings
-        # and two levels per Newton iteration
+        # 9 fixed levels (qkv grid, score product, strided score mask,
+        # sum mask, Newton seed, probs, value product, window-0 mask,
+        # output projection) plus the exp polynomial's PS depth, its
+        # range-reduction squarings and two levels per Newton iteration
         exp_depth = int(np.ceil(np.log2(att.exp_poly.degree + 1)))
         expected = 9 + exp_depth + att.exp_squarings + 2 * att.recip_iters
         assert att.level_cost() == expected == 25

@@ -108,23 +108,27 @@ class TestBitIdentity:
 
 
 @pytest.mark.slow
-def test_sharded_forward_bit_identical_across_executors(toy_resnet_artifact):
-    """End-to-end: the toy ResNet's shard grid scheduled across thread and
-    process pools decrypts to *exactly* the serial logits."""
-    art = toy_resnet_artifact
-    enc = art.model
-    ev = enc.ev
-    x = np.random.default_rng(3).normal(size=64)
-    cts = enc.encrypt_batch_shards([x], ev=ev)
+def test_sharded_forward_bit_identical_across_executors(
+    toy_resnet_artifact, toy_transformer_artifact
+):
+    """End-to-end: a shard grid scheduled across thread and process pools
+    decrypts to *exactly* the serial logits — the toy ResNet's channel
+    shards, and the toy transformer's token shards (fused Q/K/V output
+    tasks, per-query attention tasks over the shared packed keys/values)."""
+    for art in (toy_resnet_artifact, toy_transformer_artifact):
+        enc = art.model
+        ev = enc.ev
+        x = np.random.default_rng(3).normal(size=sum(enc.input_splits))
+        cts = enc.encrypt_batch_shards([x], ev=ev)
 
-    def forward(executor=None):
-        out = enc.forward_shards(
-            cts, encoded=art.encoded_linear, ev=ev, executor=executor
-        )[0]
-        return enc.decrypt_logits(out, 3, batch=1, ev=ev)[0]
+        def forward(executor=None):
+            out = enc.forward_shards(
+                cts, encoded=art.encoded_linear, ev=ev, executor=executor
+            )[0]
+            return enc.decrypt_logits(out, 3, batch=1, ev=ev)[0]
 
-    serial = forward()
-    with make_executor("thread", workers=4) as ex:
-        np.testing.assert_array_equal(forward(ex), serial)
-    with make_executor("process", workers=2) as ex:
-        np.testing.assert_array_equal(forward(ex), serial)
+        serial = forward()
+        with make_executor("thread", workers=4) as ex:
+            np.testing.assert_array_equal(forward(ex), serial)
+        with make_executor("process", workers=2) as ex:
+            np.testing.assert_array_equal(forward(ex), serial)
