@@ -13,8 +13,13 @@ no keys, milliseconds).
 
 ``--json`` additionally writes the machine-readable per-model counts
 that ``tools/check_opcounts.py`` gates against
-``benchmarks/opcount_baseline.json``: a >2% keyswitch or nonscalar-mult
-regression on any pinned model fails CI.
+``benchmarks/opcount_baseline.json``: a >2% keyswitch, nonscalar-mult or
+NTT-row regression on any pinned model fails CI.  ``ntt_rows`` is the
+structural meter below the op counts — residue rows through a forward or
+inverse NTT during the forward
+(:class:`repro.ckks.instrumentation.RowCountingBackend`): exact,
+repeatable and backend-invariant, it sees the decompositions and
+divide-by-``P`` descents that ``keyswitches`` cannot tell apart.
 
 ``--trace-dir DIR`` wraps each measured forward in a
 :class:`repro.obs.TracingEvaluator` and writes one execution trace
@@ -37,7 +42,7 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.ckks import CkksContext, CkksParams, ShadowEvaluator, eval_paf_relu
 from repro.ckks.backend import available_backends
-from repro.ckks.instrumentation import CountingEvaluator
+from repro.ckks.instrumentation import CountingEvaluator, RowCountingBackend
 from repro.ckks.poly_plan import plan_paf_relu
 from repro.fhe.toy import (
     compiled_toy,
@@ -52,14 +57,24 @@ from repro.paf import paper_pafs
 
 def plan_table(enc, title: str) -> str:
     """Per-block matvec plans: every linear layer / merge projection is a
-    ``K_out x K_in`` grid (1 x 1 for a single-ciphertext layer)."""
+    ``K_out x K_in`` grid (1 x 1 for a single-ciphertext layer).
+
+    ``giant rot`` is what the block's giant steps *execute* as: an
+    output shard rotates each nonzero giant step once, on the inner
+    products summed over every input shard that has it, so a step is
+    booked on the first block of its row that names it and the column
+    sums to the standalone rotations one pass over the grids pays (a
+    forward's ``rotate`` count minus its replications and tree steps).
+    """
     rows = []
     for li, grid in sorted(enc.matvec_plans.items()):
         kind = enc.layers[li].kind
         for j, row in enumerate(grid):
+            booked: set = set()
             for i, p in enumerate(row):
                 if p is None:
                     continue
+                giants = {g for g in p.giant_steps if g} if p.use_bsgs else set()
                 rows.append(
                     [
                         f"{li} ({kind})",
@@ -69,10 +84,12 @@ def plan_table(enc, title: str) -> str:
                         p.naive_keyswitches,
                         p.bsgs_keyswitches,
                         "bsgs" if p.use_bsgs else "naive",
+                        len(giants - booked),
                     ]
                 )
+                booked |= giants
     return format_table(
-        ["layer", "block", "diagonals", "n1 x n2", "naive ks", "bsgs ks", "chosen"],
+        ["layer", "block", "diagonals", "n1 x n2", "naive ks", "bsgs ks", "chosen", "giant rot"],
         rows,
         title=title,
     )
@@ -113,20 +130,25 @@ def _trace_to(trace_dir: str | None, model: str) -> str | None:
     return os.path.join(trace_dir, f"trace_{model}.json")
 
 
-def measure_forward(
-    enc, in_dim: int, trace_path: str | None = None
-) -> CountingEvaluator:
-    """Op counts of one encrypted forward on a zero input.
+def measure_forward(enc, in_dim: int, trace_path: str | None = None) -> tuple:
+    """``(op counter, NTT rows)`` of one encrypted forward on a zero input.
 
+    Both meters are reset after ``encrypt``: they read the forward alone.
     Exits non-zero unless the shadow-forward cost model
     (``enc.op_counts()``) equals the measured counts key for key:
     modeled == measured is checked on every model, every CI run.
     """
     counting = CountingEvaluator(enc.ev)
     ev = TracingEvaluator(counting) if trace_path else counting
-    cts = enc.encrypt_batch_shards([np.zeros(in_dim)])
-    counting.reset()
-    enc.forward_shards(cts, ev=ev)
+    meter = RowCountingBackend(enc.ctx.backend)
+    enc.ctx.set_backend(meter)
+    try:
+        cts = enc.encrypt_batch_shards([np.zeros(in_dim)])
+        counting.reset()
+        meter.reset()
+        enc.forward_shards(cts, ev=ev)
+    finally:
+        enc.ctx.set_backend(meter.inner)
     modeled, measured = enc.op_counts(), dict(counting.counts)
     if modeled != measured:
         diff = {
@@ -141,10 +163,10 @@ def measure_forward(
     if trace_path:
         model = os.path.basename(trace_path)[len("trace_") : -len(".json")]
         ev.tracer.write_json(trace_path, meta={"model": model})
-    return counting
+    return counting, meter.ntt_rows
 
 
-def forward_row(label: str, counting: CountingEvaluator) -> list:
+def forward_row(label: str, counting: CountingEvaluator, ntt_rows: int) -> list:
     c = counting.counts
     return [
         label,
@@ -155,20 +177,22 @@ def forward_row(label: str, counting: CountingEvaluator) -> list:
         counting.nonscalar_mult_count,
         c["mul_plain"],
         c["rescale"],
+        ntt_rows,
     ]
 
 
 _FORWARD_HEADER = [
     "path", "rotate", "hoisted", "decompose", "keyswitches",
-    "ct*ct mult", "pt mult", "rescale",
+    "ct*ct mult", "pt mult", "rescale", "ntt rows",
 ]
 
 
-def gate_metrics(counting: CountingEvaluator) -> dict:
+def gate_metrics(counting: CountingEvaluator, ntt_rows: int) -> dict:
     """The per-model numbers the CI regression gate compares."""
     return {
         "keyswitches": counting.keyswitch_count,
         "nonscalar_mults": counting.nonscalar_mult_count,
+        "ntt_rows": ntt_rows,
         "counts": {k: int(v) for k, v in sorted(counting.counts.items())},
     }
 
@@ -188,7 +212,7 @@ def verify_backend_invariance(model: str, ctx, measure, base: dict) -> None:
             continue
         ctx.set_backend(name)
         try:
-            other = json.dumps(gate_metrics(measure()), sort_keys=True).encode()
+            other = json.dumps(gate_metrics(*measure()), sort_keys=True).encode()
         finally:
             ctx.set_backend(orig)
         if other != blob:
@@ -205,140 +229,81 @@ def build_summary(trace_dir: str | None = None, check_backends: bool = False) ->
     sections = []
     models: dict = {}
 
+    def pin(model: str, enc, in_dim: int, forward_title: str, plan_title: str | None):
+        if plan_title:
+            sections.append(plan_table(enc, plan_title))
+        counting, ntt_rows = measure_forward(
+            enc, in_dim, trace_path=_trace_to(trace_dir, model)
+        )
+        sections.append(
+            format_table(
+                _FORWARD_HEADER,
+                [forward_row("planned", counting, ntt_rows)],
+                title=f"Measured op counts: one encrypted {forward_title}",
+            )
+        )
+        models[model] = gate_metrics(counting, ntt_rows)
+        if check_backends:
+            verify_backend_invariance(
+                model, enc.ctx, lambda: measure_forward(enc, in_dim), models[model]
+            )
+
     # --- toy MLP (the naive-matvec + ladder-PAF reference costs 22
     # keyswitches against these 15; tests/fhe/test_op_counts.py measures
     # it on the test-side oracle) ---
-    mlp = compiled_toy()
-    sections.append(
-        plan_table(mlp, "Per-layer matvec plans (toy 8-6-3 MLP serving model)")
+    pin(
+        "toy_mlp",
+        compiled_toy(),
+        8,
+        "MLP forward (BSGS matvecs + Paterson–Stockmeyer PAF)",
+        "Per-layer matvec plans (toy 8-6-3 MLP serving model)",
     )
-    planned = measure_forward(mlp, 8, trace_path=_trace_to(trace_dir, "toy_mlp"))
-    sections.append(
-        format_table(
-            _FORWARD_HEADER,
-            [forward_row("planned", planned)],
-            title="Measured op counts: one encrypted MLP forward "
-            "(BSGS matvecs + Paterson–Stockmeyer PAF)",
-        )
-    )
-    models["toy_mlp"] = gate_metrics(planned)
-    if check_backends:
-        verify_backend_invariance(
-            "toy_mlp", mlp.ctx, lambda: measure_forward(mlp, 8), models["toy_mlp"]
-        )
-
     # --- toy CNN: planned path (the naive conv loop pays one keyswitch
     # per diagonal — 100+ for the strided conv — so the reference forward
     # is measured in the test suite, not per CI run) ---
-    cnn = compiled_toy_cnn()
-    sections.append(
-        plan_table(
-            cnn,
-            "Per-layer matvec plans (toy 2-conv CNN: conv-BN(folded)-PAF-"
-            "pool-conv-dense on 1x8x8)",
-        )
+    pin(
+        "toy_cnn",
+        compiled_toy_cnn(),
+        64,
+        "CNN forward (BSGS conv matvecs + hoisted rotate-and-sum pool)",
+        "Per-layer matvec plans (toy 2-conv CNN: conv-BN(folded)-PAF-"
+        "pool-conv-dense on 1x8x8)",
     )
-    cnn_planned = measure_forward(cnn, 64, trace_path=_trace_to(trace_dir, "toy_cnn"))
-    sections.append(
-        format_table(
-            _FORWARD_HEADER,
-            [forward_row("planned", cnn_planned)],
-            title="Measured op counts: one encrypted CNN forward "
-            "(BSGS conv matvecs + hoisted rotate-and-sum pool)",
-        )
-    )
-    models["toy_cnn"] = gate_metrics(cnn_planned)
-    if check_backends:
-        verify_backend_invariance(
-            "toy_cnn", cnn.ctx, lambda: measure_forward(cnn, 64), models["toy_cnn"]
-        )
-
     # --- toy ResNet: the sharded multi-ciphertext path (2 residual
     # blocks, stride-2 projection skip, channels across 2 ciphertexts) ---
-    resnet = compiled_toy_resnet()
-    sections.append(
-        plan_table(
-            resnet,
-            "Per-block matvec plans (toy 2-block ResNet: stem-block-block-"
-            "pool-dense on 1x8x8, 2 shards)",
-        )
+    pin(
+        "toy_resnet",
+        compiled_toy_resnet(),
+        64,
+        "ResNet forward (sharded BSGS conv blocks + residual merges)",
+        "Per-block matvec plans (toy 2-block ResNet: stem-block-block-"
+        "pool-dense on 1x8x8, 2 shards)",
     )
-    resnet_planned = measure_forward(
-        resnet, 64, trace_path=_trace_to(trace_dir, "toy_resnet")
-    )
-    sections.append(
-        format_table(
-            _FORWARD_HEADER,
-            [forward_row("planned", resnet_planned)],
-            title="Measured op counts: one encrypted ResNet forward "
-            "(sharded BSGS conv blocks + residual merges)",
-        )
-    )
-    models["toy_resnet"] = gate_metrics(resnet_planned)
-    if check_backends:
-        verify_backend_invariance(
-            "toy_resnet",
-            resnet.ctx,
-            lambda: measure_forward(resnet, 64),
-            models["toy_resnet"],
-        )
-
     # --- toy transformer: the token-sharded attention + GELU MLP block
     # (qkv/o BSGS matvecs per token, PS-evaluated softmax exp, Newton
     # reciprocal normaliser, dense GELU) ---
-    transformer = compiled_toy_transformer()
-    sections.append(
-        plan_table(
-            transformer,
-            "Per-block matvec plans (toy transformer: single-head attention "
-            "+ GELU MLP over 4 token shards, dim 8)",
-        )
+    pin(
+        "toy_transformer",
+        compiled_toy_transformer(),
+        32,
+        "transformer forward (sharded BSGS projections + PS softmax exp "
+        "+ Newton reciprocal)",
+        "Per-block matvec plans (toy transformer: single-head attention "
+        "+ GELU MLP over 4 token shards, dim 8)",
     )
-    tfm_planned = measure_forward(
-        transformer, 32, trace_path=_trace_to(trace_dir, "toy_transformer")
-    )
-    sections.append(
-        format_table(
-            _FORWARD_HEADER,
-            [forward_row("planned", tfm_planned)],
-            title="Measured op counts: one encrypted transformer forward "
-            "(sharded BSGS projections + PS softmax exp + Newton reciprocal)",
-        )
-    )
-    models["toy_transformer"] = gate_metrics(tfm_planned)
-    if check_backends:
-        verify_backend_invariance(
-            "toy_transformer",
-            transformer.ctx,
-            lambda: measure_forward(transformer, 32),
-            models["toy_transformer"],
-        )
-
     # --- stacked transformer: the depth-wall demo — two blocks cost
     # ~64 raw levels against the same 33-level chain, so the compile
     # succeeds only through the auto refresh policy (one exactness-gated
     # recrypt refresh at the block boundary); its decrypt/encrypt counts
     # are the refresh's client-boundary cost, gated like everything else ---
-    stacked = compiled_toy_transformer_stacked()
-    stacked_planned = measure_forward(
-        stacked, 32, trace_path=_trace_to(trace_dir, "toy_transformer_stacked")
+    pin(
+        "toy_transformer_stacked",
+        compiled_toy_transformer_stacked(),
+        32,
+        "stacked-transformer forward (2 blocks + auto-placed recrypt "
+        "refresh between them)",
+        None,
     )
-    sections.append(
-        format_table(
-            _FORWARD_HEADER,
-            [forward_row("planned", stacked_planned)],
-            title="Measured op counts: one encrypted stacked-transformer "
-            "forward (2 blocks + auto-placed recrypt refresh between them)",
-        )
-    )
-    models["toy_transformer_stacked"] = gate_metrics(stacked_planned)
-    if check_backends:
-        verify_backend_invariance(
-            "toy_transformer_stacked",
-            stacked.ctx,
-            lambda: measure_forward(stacked, 32),
-            models["toy_transformer_stacked"],
-        )
 
     sections.append(activation_count_table())
     return "\n\n".join(sections), {"models": models}

@@ -5,9 +5,11 @@ exact modular-integer kernels over the ``(limbs, n)`` residue matrix of
 an :class:`~repro.ckks.rns.RnsPoly`: negacyclic NTTs, pointwise modular
 arithmetic, the centred approximate base conversion and the keyswitch
 digit/key inner product.  :class:`KernelBackend` names that seam and
-composes the kernels into the three pipelines everything above it calls
+composes the kernels into the pipelines everything above it calls
 — :meth:`~KernelBackend.rescale`, :meth:`~KernelBackend.hoist_decompose`
-and :meth:`~KernelBackend.apply_keyswitch` (grouped hybrid keyswitching:
+and :meth:`~KernelBackend.apply_keyswitch`, itself the composition of
+:meth:`~KernelBackend.keyswitch_inner_product` and
+:meth:`~KernelBackend.keyswitch_descent` (grouped hybrid keyswitching:
 a digit is a group of α chain primes, lifted onto ``α+level+1`` basis
 rows; see :mod:`repro.ckks.keys`).  ``rns``, ``evaluator``,
 ``fhe/linear`` and ``fhe/network`` call only the interface and never
@@ -194,36 +196,56 @@ class KernelBackend:
         lifted = self.base_convert(rows, ctx.digit_lift(level))
         return self.ntt_forward(lifted, ctx.keyswitch_basis(level))
 
-    def apply_keyswitch(self, digits, key_b, key_a, level, perm=None) -> tuple:
-        """Inner product of decomposed ``digits`` with the level's key
-        tensors (each ``(digits, α+level+1, n)``), then the
-        divide-by-``P`` descent back onto the chain basis.
+    def keyswitch_inner_product(self, digits, key_b, key_a, level, perm=None) -> np.ndarray:
+        """Inner products of decomposed ``digits`` with the level's two
+        key tensors (each ``(digits, α+level+1, n)``), left **in the
+        extended basis**: ``(2, α+level+1, n)``, ``b`` half first.
 
         ``perm`` (an NTT-slot permutation) is applied to every digit
         first — the per-rotation half of a hoisted Galois application.
+        The result is linear in the digits, so several keyswitches'
+        accumulators may be added (:meth:`modadd` over
+        :meth:`CkksContext.keyswitch_basis`) and share one
+        :meth:`keyswitch_descent`.
+        """
+        basis = self.ctx.keyswitch_basis(level)
+        if perm is not None:
+            digits = digits[:, :, perm]
+        # both halves ride one batched descent: stack -> (2, basis, n)
+        return np.stack(
+            [self.inner_product(digits, key, basis) for key in (key_b, key_a)]
+        )
+
+    def keyswitch_descent(self, acc, level) -> np.ndarray:
+        """The divide-by-``P`` descent: ``(..., α+level+1, n)`` NTT rows
+        over the extended basis to ``(..., level+1, n)`` over the chain.
+
         Only the α special rows leave the NTT domain: ``[x]_P`` is base-
         converted onto ``q_0..q_level``, forward-transformed, and
-        subtracted and scaled by ``P^{-1}`` on NTT residues.  Returns
-        NTT-domain ``(b_rows, a_rows)``, each ``(level+1, n)``.
+        subtracted and scaled by ``P^{-1}`` on NTT residues.
         """
         ctx = self.ctx
         alpha = ctx.alpha
         basis = ctx.keyswitch_basis(level)
         chain = basis[alpha:]
-        if perm is not None:
-            digits = digits[:, :, perm]
-        # both halves ride one batched descent: stack -> (2, basis, n)
-        acc = np.stack(
-            [self.inner_product(digits, key, basis) for key in (key_b, key_a)]
-        )
-        special = self.ntt_inverse(acc[:, :alpha], basis[:alpha])
-        delta = self.base_convert(special, ctx.p_descent(level))[:, 0]
-        out = self.modscale(
-            self.modsub(acc[:, alpha:], self.ntt_forward(delta, chain), chain),
+        special = self.ntt_inverse(acc[..., :alpha, :], basis[:alpha])
+        delta = self.base_convert(special, ctx.p_descent(level))[..., 0, :, :]
+        return self.modscale(
+            self.modsub(acc[..., alpha:, :], self.ntt_forward(delta, chain), chain),
             ctx.p_inverses(level),
             chain,
         )
-        return out[0], out[1]
+
+    def apply_keyswitch(self, digits, key_b, key_a, level, perm=None) -> tuple:
+        """One whole keyswitch: :meth:`keyswitch_inner_product` then
+        :meth:`keyswitch_descent`.  Returns NTT-domain
+        ``(b_rows, a_rows)``, each ``(level+1, n)``.
+        """
+        return tuple(
+            self.keyswitch_descent(
+                self.keyswitch_inner_product(digits, key_b, key_a, level, perm=perm), level
+            )
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(n={self.ctx.n})"

@@ -376,6 +376,73 @@ class CkksEvaluator:
             return a.copy()
         return self._galois_many(a, [g])[0]
 
+    def sum_rotated(self, terms: dict) -> Ciphertext:
+        """``Σ_g rot(terms[g], g)`` for a ``{step: ciphertext}`` mapping,
+        paying one divide-by-``P`` descent for the whole sum.
+
+        Each nontrivial term's ``c1`` is decomposed and multiplied into
+        its Galois keys like a :meth:`rotate`, but the key inner products
+        are accumulated **in the extended basis** (they are linear) and
+        descend once; trivial steps (multiples of the slot count) are
+        plain additions.  A single-term call is bit-identical to
+        :meth:`rotate`; a many-term call equals the ``rotate`` + ``add``
+        spelling up to the rounding of the descents it does not perform.
+
+        Terms must agree in level and scale exactly as :meth:`add`
+        requires; a missing Galois key raises before any ring work.
+        """
+        first = self._check_sum_terms(terms)
+        elements = [pow(5, step % self.ctx.slots, 2 * self.ctx.n) for step in terms]
+        self._require_galois_keys(g for g in elements if g != 1)
+        ctx, level = self.ctx, first.level
+        backend = ctx.backend
+        c0 = c1 = acc = None
+        for g, ct in zip(elements, terms.values()):
+            if g == 1:
+                c0 = ct.c0 if c0 is None else c0 + ct.c0
+                c1 = ct.c1 if c1 is None else c1 + ct.c1
+                continue
+            perm = ctx.galois_ntt_permutation(g)
+            part = backend.keyswitch_inner_product(
+                self._hoist_decompose(ct.c1, level),
+                *self.keys.galois[g].stacked_at_level(level),
+                level,
+                perm=perm,
+            )
+            acc = part if acc is None else backend.modadd(
+                acc, part, ctx.keyswitch_basis(level)
+            )
+            c0g = RnsPoly(ctx, ct.c0.to_ntt().data[:, perm], ct.c0.prime_indices, True)
+            c0 = c0g if c0 is None else c0 + c0g
+        if acc is None:
+            return Ciphertext(c0.copy(), c1.copy(), first.scale, level)
+        chain = list(range(level + 1))
+        ks0, ks1 = (
+            RnsPoly(ctx, rows, chain, is_ntt=True)
+            for rows in backend.keyswitch_descent(acc, level)
+        )
+        return Ciphertext(
+            c0 + ks0, ks1 if c1 is None else c1 + ks1, first.scale, level
+        )
+
+    def _check_sum_terms(self, terms: dict):
+        """The first term of a :meth:`sum_rotated`, once every other term
+        is known to add to it."""
+        if not terms:
+            raise ValueError("sum_rotated needs at least one term")
+        first, *rest = terms.values()
+        for ct in rest:
+            self._check_add(first, ct)
+        return first
+
+    def _require_galois_keys(self, elements) -> None:
+        for g in elements:
+            if g not in self.keys.galois:
+                raise KeyError(
+                    f"no Galois key for element {g}; pass the step to "
+                    "keygen(galois_steps=...)"
+                )
+
     def _galois_many(self, a: Ciphertext, elements: list) -> list:
         """``φ_g(a)`` for each nontrivial Galois element, entirely in the
         NTT domain: ``c1`` is decomposed once, and each element permutes
@@ -383,12 +450,7 @@ class CkksEvaluator:
         inner product."""
         if not elements:
             return []
-        for g in elements:
-            if g not in self.keys.galois:
-                raise KeyError(
-                    f"no Galois key for element {g}; pass the step to "
-                    "keygen(galois_steps=...)"
-                )
+        self._require_galois_keys(elements)
         c0 = a.c0.to_ntt()
         digits = self._hoist_decompose(a.c1, a.level)
         out = []

@@ -17,11 +17,11 @@ either way.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from repro.ckks.backend import KernelBackend
 from repro.ckks.evaluator import Ciphertext, CkksEvaluator
 
-__all__ = ["CountingEvaluator", "span", "NULL_SPAN"]
+__all__ = ["CountingEvaluator", "RowCountingBackend", "span", "NULL_SPAN"]
 
 
 class _NullSpan:
@@ -119,12 +119,16 @@ class CountingEvaluator:
 
     @property
     def keyswitch_count(self) -> int:
-        """Total keyswitch (Galois/relin) applications — the dominant cost.
+        """Total keyswitch (Galois/relin) key inner products — the
+        dominant cost.
 
-        Hoisted rotations still pay the key inner product + special-prime
-        descent per Galois element, so each counts as one keyswitch; the
-        shared digit decomposition is booked separately under
-        ``hoist_decompose``.
+        Hoisted rotations still pay the key inner product per Galois
+        element, so each counts as one keyswitch; the shared digit
+        decomposition is booked separately under ``hoist_decompose``.
+        A keyswitch does not imply a divide-by-``P`` descent of its own:
+        the terms of one :meth:`sum_rotated` each count here and share a
+        single descent (the NTT-row meter, :class:`RowCountingBackend`,
+        sees that saving; this count does not).
         """
         c = self.counts
         return c["rotate"] + c["rotate_hoisted"] + c["conjugate"] + c["mul"]
@@ -150,6 +154,20 @@ class CountingEvaluator:
         if nontrivial:
             self.counts["hoist_decompose"] += 1
             self.counts["rotate_hoisted"] += nontrivial
+        return out
+
+    def sum_rotated(self, terms: dict) -> Ciphertext:
+        """``Σ_g rot(ct_g, g)``: one ``rotate`` per nontrivial step (each
+        is a key inner product of its own) and ``len(terms) - 1``
+        ``add``s — the books of the ``rotate`` + ``add`` spelling; the
+        descent the terms share is not an op of its own."""
+        slots = self._inner.ctx.slots
+        out = self._inner.sum_rotated(terms)  # may raise before any work
+        nontrivial = sum(1 for s in terms if s % slots != 0)
+        if nontrivial:
+            self.counts["rotate"] += nontrivial
+        if len(terms) > 1:
+            self.counts["add"] += len(terms) - 1
         return out
 
     # Composite convenience methods call the inner evaluator's primitives
@@ -180,3 +198,49 @@ class CountingEvaluator:
                 self.counts["mul_plain"] += 1
                 self.counts["rescale"] += 1
         return self._inner.align_to(a, level, scale)
+
+
+class RowCountingBackend(KernelBackend):
+    """The structural meter below the op counts: NTT rows transformed.
+
+    Wraps whichever backend a context has — ``ctx.set_backend(
+    RowCountingBackend(ctx.backend))`` — and counts every residue row
+    that passes through a forward or inverse NTT, delegating each kernel
+    to the wrapped backend untouched (same bytes out, same ``name``).
+    The rescale and keyswitch pipelines are the shared compositions it
+    inherits, so their transforms are counted too.  Rows are exact and
+    backend-invariant: they see what ``keyswitch_count`` cannot — how
+    many decompositions and divide-by-``P`` descents a forward really
+    paid.
+    """
+
+    def __init__(self, inner: KernelBackend):
+        super().__init__(inner.ctx)
+        self.inner = inner
+        self.name = inner.name
+        self.reset()
+
+    def reset(self) -> None:
+        self.forward_rows = 0
+        self.inverse_rows = 0
+
+    @property
+    def ntt_rows(self) -> int:
+        return self.forward_rows + self.inverse_rows
+
+    def ntt_forward(self, rows, prime_indices):
+        self.forward_rows += rows.size // self.ctx.n
+        return self.inner.ntt_forward(rows, prime_indices)
+
+    def ntt_inverse(self, rows, prime_indices):
+        self.inverse_rows += rows.size // self.ctx.n
+        return self.inner.ntt_inverse(rows, prime_indices)
+
+    def reduce_coeffs(self, coeffs, prime_indices):
+        return self.inner.reduce_coeffs(coeffs, prime_indices)
+
+    def base_convert(self, rows, conv):
+        return self.inner.base_convert(rows, conv)
+
+    def inner_product(self, digits, key, prime_indices):
+        return self.inner.inner_product(digits, key, prime_indices)

@@ -132,5 +132,8 @@ class ShadowEvaluator(CkksEvaluator):
     def _apply_galois(self, a, g: int):
         return a.copy()
 
+    def sum_rotated(self, terms: dict):
+        return self._check_sum_terms(terms).copy()
+
     def _mul_by_i(self, a):
         return a.copy()

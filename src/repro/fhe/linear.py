@@ -20,6 +20,17 @@ input and ``n2 = ⌈D/n1⌉`` giant rotations of accumulated sums remain, and
 the baby rotations all act on the *same* ciphertext, so they share one
 hoisted keyswitch decomposition (:meth:`CkksEvaluator.rotate_many`).
 
+On a ``K_out × K_in`` grid of blocks (channel-sharded ciphertexts) the
+giant half is shared too: rotation is linear, so output shard ``j`` sums
+the inner products of *every* input shard that has giant step ``g``
+before rotating, and the giant rotations' keyswitches share one
+divide-by-``P`` descent (:meth:`CkksEvaluator.sum_rotated`):
+
+    y_j = rescale( Σ_g rot( Σ_i Σ_b diag_{j,i,g,b} ⊙ rot_b(x_i),  g ) ) + bias_j
+
+— one keyswitch per (output shard, giant step), one descent and one
+rescale per output shard.
+
 :func:`plan_matvec` picks ``n1`` by scanning candidates for the minimum
 keyswitch count and falls back to the naive path when BSGS would not be
 strictly cheaper (degenerate layers with ≤ 3 nonzero diagonals, or
@@ -282,8 +293,17 @@ def encrypted_matvec_shards(
     (``blocks[j][i] = {giant: {baby: vector | Plaintext}}`` from
     :func:`grouped_diagonals`, or ``None`` where the weight block is all
     zero).  Each input shard's baby rotations are hoisted *once* across
-    every output shard that reads it; cross-shard accumulation is plain
-    ct-ct addition at matching level and scale, and each output shard
+    every output shard that reads it.  An output shard's chain is
+
+        rescale( Σ_g rot( Σ_i Σ_b diag_{j,i,g,b} ⊙ rot_b(x_i),  g ) ) + bias_j
+
+    over the union of its row's giant steps: the inner products of every
+    input shard that has step ``g`` are summed first (plain ct-ct adds
+    — same level, same ``Δ²`` scale), so a giant step is keyswitched
+    once per output shard however many blocks share it, and the
+    ``{g: inner_g}`` map goes to one
+    :meth:`~repro.ckks.evaluator.CkksEvaluator.sum_rotated`, which
+    divides by ``P`` once for the whole chain.  Each output shard
     rescales exactly once (the canonical-scale invariant holds shard by
     shard).  This is the one grouped inner loop: a single-ciphertext
     layer is the ``K_in = K_out = 1`` grid
@@ -295,8 +315,8 @@ def encrypted_matvec_shards(
 
     ``executor`` is an optional
     :class:`~repro.serve.executor.BlockExecutor`: the per-output-shard
-    accumulate/rescale chains are independent once the shared hoisted
-    rotations exist, so they are handed to ``executor.map_blocks`` as
+    accumulate/rotate/rescale chains are independent once the shared
+    hoisted rotations exist, so they are handed to ``executor.map_blocks`` as
     zero-arg tasks (serial when ``None``).  Every op is deterministic,
     so executor choice never changes the output ciphertexts.
     """
@@ -317,22 +337,17 @@ def encrypted_matvec_shards(
             rotated.append(rot)
         def block_task(j, row):
             def run():
-                acc = None
-                for i in range(len(cts)):
-                    groups = row[i]
-                    if not groups:
-                        continue
-                    for g in sorted(groups):
-                        inner = None
+                inners = {}
+                for g in sorted({g for groups in row if groups for g in groups}):
+                    for i, groups in enumerate(row):
+                        if not groups or g not in groups:
+                            continue
                         for b in sorted(groups[g]):
                             term = ev.mul_plain(rotated[i][b], groups[g][b])
-                            inner = term if inner is None else ev.add(inner, term)
-                        if g:
-                            inner = ev.rotate(inner, g)
-                        acc = inner if acc is None else ev.add(acc, inner)
-                if acc is None:
+                            inners[g] = ev.add(inners[g], term) if g in inners else term
+                if not inners:
                     raise ValueError(f"output shard {j} reads no nonzero block")
-                acc = ev.rescale(acc)
+                acc = ev.rescale(ev.sum_rotated(inners))
                 if bias_slots is not None and bias_slots[j] is not None:
                     acc = ev.add_plain(acc, bias_slots[j])
                 return acc
@@ -422,8 +437,9 @@ def encrypted_matvec_bsgs(
     ``O(D)``: the input is rotated once per *baby* step — all sharing one
     hoisted decomposition via :meth:`CkksEvaluator.rotate_many` — inner
     sums are formed with plaintext multiplies against the pre-rotated
-    diagonals, and only the per-*giant*-step accumulated sums are rotated
-    individually.  One rescale at the end, exactly like the naive path.
+    diagonals, and only the per-*giant*-step accumulated sums are
+    keyswitched individually (sharing one divide-by-``P`` descent).  One
+    rescale at the end, exactly like the naive path.
     This is the ``1 × 1`` grid of :func:`encrypted_matvec_shards`, which
     holds the one grouped inner loop.
 

@@ -138,12 +138,9 @@ def _rotate_sum(ev, ct, steps: list):
     return ct
 
 
-def _pack_windows(ev, cts: list, dim: int, slots: int):
+def _pack_windows(ev, cts: list, dim: int):
     """Park shard ``j``'s ``[0, dim)`` lanes in window ``j`` of one ciphertext."""
-    packed = cts[0]
-    for j, ct in enumerate(cts[1:], start=1):
-        packed = ev.add(packed, ev.rotate(ct, slots - j * dim))
-    return packed
+    return ev.sum_rotated({-j * dim: ct for j, ct in enumerate(cts)})
 
 
 def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
@@ -191,8 +188,8 @@ def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
             for _ in range(seq.bit_length() - 1):  # seq·k_j, seq a power of two
                 k = ev.add(k, k)
             centred.append(ev.sub(k, key_sum))
-        keys = _pack_windows(ev, centred, dim, slots)
-        values = _pack_windows(ev, vs, dim, slots)
+        keys = _pack_windows(ev, centred, dim)
+        values = _pack_windows(ev, vs, dim)
         sp.ct_exit(qs)
 
     def one_query(qi):

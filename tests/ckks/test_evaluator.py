@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ckks import (
     CkksContext,
@@ -205,6 +207,98 @@ class TestHoistedRotations:
             via_coeff = poly.automorphism(g).to_ntt().data[0]
             via_perm = poly.to_ntt().data[0][ctx.galois_ntt_permutation(g)]
             assert np.array_equal(via_coeff, via_perm)
+
+
+@pytest.fixture(scope="module")
+def small(backend):
+    """n = 64 with a Galois key for every step: the ``sum_rotated`` property's ring."""
+    ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=3, backend=backend))
+    keys = keygen(ctx, seed=0, galois_steps=tuple(range(1, ctx.slots)))
+    return ctx, CkksEvaluator(ctx, keys)
+
+
+def _same_bytes(a, b) -> bool:
+    return np.array_equal(a.c0.data, b.c0.data) and np.array_equal(a.c1.data, b.c1.data)
+
+
+class TestSumRotated:
+    """``sum_rotated({g: ct_g}) = Σ_g rot(ct_g, g)`` with one descent for
+    the whole sum: the value of the ``rotate`` + ``add`` spelling, the
+    bytes of ``rotate`` when there is one term."""
+
+    #: steps in units of one slot, wrapped onto trivial (0, ±slots, 2·slots)
+    #: and negative representatives by the strategy below
+    @given(
+        st.dictionaries(
+            st.integers(min_value=-64, max_value=64), st.integers(0, 2**31), min_size=1, max_size=6
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_rolls_and_the_rotate_add_spelling(self, small, seeds):
+        ctx, ev = small
+        assert ctx.slots == 32  # so ±32, ±64 and 0 are the trivial steps drawn
+        xs = {g: np.random.default_rng(seed).uniform(-1, 1, ctx.slots) for g, seed in seeds.items()}
+        terms = {g: ev.encrypt(x) for g, x in xs.items()}
+        got = ev.decrypt(ev.sum_rotated(terms))
+        want = sum(np.roll(x, -g) for g, x in xs.items())
+        assert np.abs(got - want).max() < TOL
+        spelled = None
+        for g, ct in terms.items():
+            r = ev.rotate(ct, g)
+            spelled = r if spelled is None else ev.add(spelled, r)
+        assert np.abs(got - ev.decrypt(spelled)).max() < 1e-4
+
+    def test_single_term_is_rotate_byte_for_byte(self, rt, data):
+        ctx, ev = rt
+        x, _ = data
+        for ct in (ev.encrypt(x), ev.rescale(ev.mul_plain(ev.encrypt(x), 0.5))):
+            for step in (1, 3, 3 - ctx.slots):
+                assert _same_bytes(ev.sum_rotated({step: ct}), ev.rotate(ct, step))
+            for step in (0, ctx.slots):  # trivial: a copy, like rotate's
+                got = ev.sum_rotated({step: ct})
+                assert got is not ct and _same_bytes(got, ct)
+
+    def test_trivial_terms_are_plain_adds(self, rt, data):
+        ctx, ev = rt
+        x, y = data
+        a, b = ev.encrypt(x), ev.encrypt(y)
+        assert _same_bytes(ev.sum_rotated({0: a, ctx.slots: b}), ev.add(a, b))
+        mixed = ev.sum_rotated({0: a, 3: b})
+        assert _same_bytes(mixed, ev.add(a, ev.rotate(b, 3)))  # one descent either way
+
+    def test_sums_below_top_level_at_product_scale(self, rt, data):
+        """The matvec's call: Δ² inner sums, several nontrivial steps."""
+        ctx, ev = rt
+        x, y = data
+        a = ev.mul_plain(ev.rescale(ev.mul_plain(ev.encrypt(x), 0.5)), 1.0)
+        b = ev.mul_plain(ev.rescale(ev.mul_plain(ev.encrypt(y), 0.5)), 1.0)
+        out = ev.sum_rotated({1: a, 3: b, 0: a})
+        assert (out.level, out.scale) == (a.level, a.scale)
+        want = 0.5 * (np.roll(x, -1) + np.roll(y, -3) + x)
+        assert np.abs(ev.decrypt(ev.rescale(out)) - want).max() < TOL
+
+    def test_mixed_level_scale_and_empty_raise_like_add(self, rt, data):
+        ctx, ev = rt
+        x, _ = data
+        ct = ev.encrypt(x)
+        with pytest.raises(ValueError, match="level mismatch"):
+            ev.sum_rotated({1: ct, 3: ev.mod_switch_to(ct, ct.level - 1)})
+        with pytest.raises(ValueError, match="scale mismatch"):
+            ev.sum_rotated({1: ct, 3: ev.mul_plain(ct, 1.0)})
+        with pytest.raises(ValueError, match="at least one term"):
+            ev.sum_rotated({})
+
+    def test_missing_key_raises_before_the_first_decomposition(self, rt, data, monkeypatch):
+        ctx, ev = rt
+        x, _ = data
+        ct = ev.encrypt(x)
+
+        def no_ring_work(*args, **kwargs):
+            raise AssertionError("decomposed before the key check")
+
+        monkeypatch.setattr(ev, "_hoist_decompose", no_ring_work)
+        with pytest.raises(KeyError, match="no Galois key"):
+            ev.sum_rotated({1: ct, 7: ct})
 
 
 class TestEnsureGaloisSteps:

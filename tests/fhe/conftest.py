@@ -112,6 +112,34 @@ def oracle(poly_oracle):
     )
 
 
+def banded_matrix(size: int, diags, seed: int) -> np.ndarray:
+    """A ``size x size`` matrix whose nonzero generalised diagonals are
+    exactly ``diags`` (entries of magnitude 0.5-1.5, random sign)."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((size, size))
+    rows = np.arange(size)
+    for d in diags:
+        w[rows, (rows + d) % size] = rng.uniform(0.5, 1.5, size) * rng.choice(
+            [-1.0, 1.0], size
+        )
+    return w
+
+
+@pytest.fixture(scope="session")
+def giant_set_blocks():
+    """Four 8 x 8 blocks whose plans disagree about giant steps — what a
+    grid row must mix to exercise the cross-shard giant sum: ``a`` is
+    BSGS with giants {0, 4}, ``b`` BSGS with {0, 3}, ``c`` BSGS with
+    {4, 6} (no giant 0) and ``n`` naive-planned (the giant-0 group only)."""
+    return SimpleNamespace(
+        a=banded_matrix(8, range(8), 1),
+        b=banded_matrix(8, range(6), 2),
+        c=banded_matrix(8, (4, 5, 6, 7), 3),
+        n=banded_matrix(8, (0, 1), 4),
+        giants={"a": (0, 4), "b": (0, 3), "c": (4, 6), "n": (0,)},
+    )
+
+
 @pytest.fixture(scope="session")
 def paf_mlp_model():
     """The toy MLP's plaintext side alone: PAF-replaced, calibrated,

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, CkksParams, keygen
-from repro.ckks.backend import VectorizedBackend, available_backends, resolve_backend
-from repro.ckks.instrumentation import CountingEvaluator
+from repro.ckks.backend import available_backends, resolve_backend
+from repro.ckks.instrumentation import CountingEvaluator, RowCountingBackend
 from repro.fhe.toy import TOY_TRANSFORMER_PARAMS
 from repro.nn.tensor import Tensor
 
@@ -93,24 +93,73 @@ class TestKeyswitchKernelConformance:
             rows, more = rng.integers(0, primes, size=(2, limbs, ctx.n))
             key_b, key_a = relin.stacked_at_level(level)
             perm = ctx.galois_ntt_permutation(5)
-            ref, *rest = (
-                (
-                    be.hoist_decompose(rows, level),
-                    be.apply_keyswitch(
-                        be.hoist_decompose(rows, level), key_b, key_a, level, perm=perm
+
+            def kernels(be):
+                digits = be.hoist_decompose(rows, level)
+                acc = be.keyswitch_inner_product(digits, key_b, key_a, level, perm=perm)
+                return {
+                    "hoist_decompose": digits,
+                    "keyswitch_inner_product": acc,
+                    "keyswitch_descent": be.keyswitch_descent(acc, level),
+                    "apply_keyswitch": np.stack(
+                        be.apply_keyswitch(digits, key_b, key_a, level, perm=perm)
                     ),
-                    be.rescale(np.stack([rows, more]), level) if level else None,
-                )
-                for be in backends
-            )
+                    "rescale": be.rescale(np.stack([rows, more]), level) if level else None,
+                }
+
+            ref, *rest = (kernels(be) for be in backends)
             digits = ctx.num_digits(level)
-            assert ref[0].shape == (digits, ctx.alpha + limbs, ctx.n)
+            assert ref["hoist_decompose"].shape == (digits, ctx.alpha + limbs, ctx.n)
+            assert ref["keyswitch_inner_product"].shape == (2, ctx.alpha + limbs, ctx.n)
+            assert ref["keyswitch_descent"].shape == (2, limbs, ctx.n)
             for got in rest:
-                assert np.array_equal(got[0], ref[0]), f"hoist_decompose, level {level}"
-                assert np.array_equal(got[1][0], ref[1][0]), f"apply_keyswitch b, level {level}"
-                assert np.array_equal(got[1][1], ref[1][1]), f"apply_keyswitch a, level {level}"
-                if level:
-                    assert np.array_equal(got[2], ref[2]), f"rescale, level {level}"
+                for kernel, want in ref.items():
+                    assert np.array_equal(got[kernel], want), f"{kernel}, level {level}"
+
+    def test_apply_keyswitch_is_the_composition_of_its_two_kernels(self):
+        """``apply_keyswitch(d, kb, ka, l, perm) == descent(inner
+        product(...))`` byte for byte at every level of the toy
+        transformer's chain, under every backend — and the descent is
+        linear up to rounding, which is what lets several keyswitches
+        share one: the centred approximate conversion of ``[x]_P`` is
+        off by at most ``(α+1)/2`` multiples of ``P``, so one descent of
+        a sum and the sum of two descents differ by a few units per
+        coefficient (against values of ~2^27 and up), never more than
+        three such roundings."""
+        ctx = CkksContext(TOY_TRANSFORMER_PARAMS)
+        relin = keygen(ctx, seed=6).relin
+        perm = ctx.galois_ntt_permutation(5)
+        rng = np.random.default_rng(13)
+        for name in available_backends():
+            be = resolve_backend(name, ctx)
+            for level in range(ctx.max_level + 1):
+                limbs = level + 1
+                primes = np.array(ctx.q_chain[:limbs], dtype=np.int64)[:, None]
+                rows, more = rng.integers(0, primes, size=(2, limbs, ctx.n))
+                key_b, key_a = relin.stacked_at_level(level)
+                digits = be.hoist_decompose(rows, level)
+                for p in (None, perm):
+                    acc = be.keyswitch_inner_product(digits, key_b, key_a, level, perm=p)
+                    whole = be.apply_keyswitch(digits, key_b, key_a, level, perm=p)
+                    assert np.array_equal(
+                        np.stack(whole), be.keyswitch_descent(acc, level)
+                    ), f"{name}, level {level}"
+                other = be.keyswitch_inner_product(
+                    be.hoist_decompose(more, level), key_b, key_a, level
+                )
+                basis, chain = ctx.keyswitch_basis(level), list(range(limbs))
+                once = be.keyswitch_descent(be.modadd(acc, other, basis), level)
+                twice = be.modadd(
+                    be.keyswitch_descent(acc, level),
+                    be.keyswitch_descent(other, level),
+                    chain,
+                )
+                gap = be.modsub(once, twice, chain)  # in NTT form: compare coefficients
+                gap = be.ntt_inverse(gap, chain)
+                gap = np.minimum(gap, primes - gap)
+                assert gap.max() <= 3 * (ctx.alpha + 1) // 2 + 1, (
+                    f"{name}, level {level}: descent is not linear"
+                )
 
 
 def test_decomposition_forward_ntt_rows_are_linear_in_dnum():
@@ -118,24 +167,43 @@ def test_decomposition_forward_ntt_rows_are_linear_in_dnum():
     a decomposition forward-transforms ``ceil((l+1)/α)·(l+1+α)`` rows and
     never more — ``(3, 46, 512)`` at the top, where one digit per chain
     prime lifted 34 digits onto 35 rows."""
-
-    class RowCounting(VectorizedBackend):
-        forward_rows = 0
-
-        def ntt_forward(self, rows, prime_indices):
-            self.forward_rows += rows.size // self.ctx.n
-            return super().ntt_forward(rows, prime_indices)
-
     ctx = CkksContext(TOY_TRANSFORMER_PARAMS)
-    be = RowCounting(ctx)
+    be = RowCountingBackend(ctx.backend)
     rng = np.random.default_rng(12)
     for level in range(ctx.max_level + 1):
         primes = np.array(ctx.q_chain[: level + 1], dtype=np.int64)[:, None]
-        be.forward_rows = 0
+        be.reset()
         digits = be.hoist_decompose(rng.integers(0, primes, size=(level + 1, ctx.n)), level)
         bound = -(-(level + 1) // ctx.alpha) * (level + 1 + ctx.alpha)
         assert be.forward_rows == digits.shape[0] * digits.shape[1] <= bound
+        assert be.inverse_rows == 0
     assert digits.shape == (3, 46, 512)
+
+
+def test_row_meter_wraps_either_backend_and_changes_no_byte():
+    """The lifted meter delegates every kernel: same bytes as the backend
+    it wraps, same row counts whichever backend that is, and a keyswitch
+    descent's rows are 2·(α inverse + (l+1) forward)."""
+    ctx = CkksContext(CkksParams(n=128, scale_bits=25, depth=7))
+    relin = keygen(ctx, seed=5).relin
+    level = ctx.max_level
+    primes = np.array(ctx.q_chain, dtype=np.int64)[:, None]
+    rows = np.random.default_rng(14).integers(0, primes, size=(level + 1, ctx.n))
+    key_b, key_a = relin.stacked_at_level(level)
+    seen = []
+    for name in available_backends():
+        inner = resolve_backend(name, ctx)
+        meter = RowCountingBackend(inner)
+        assert meter.name == name
+        digits = meter.hoist_decompose(rows, level)
+        meter.reset()
+        got = meter.apply_keyswitch(digits, key_b, key_a, level)
+        want = inner.apply_keyswitch(inner.hoist_decompose(rows, level), key_b, key_a, level)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert (meter.inverse_rows, meter.forward_rows) == (2 * ctx.alpha, 2 * (level + 1))
+        assert meter.ntt_rows == 2 * (ctx.alpha + level + 1)
+        seen.append(meter.ntt_rows)
+    assert len(set(seen)) == 1
 
 
 class TestForwardConformance:

@@ -12,12 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks import CkksContext, CkksEvaluator, CkksParams, keygen
+from repro.ckks.instrumentation import CountingEvaluator
 from repro.fhe.linear import (
     bsgs_diagonals,
     diagonals_of,
     encrypted_matvec,
     encrypted_matvec_bsgs,
+    encrypted_matvec_shards,
+    grouped_diagonals,
     plan_matvec,
+    tile_blocks,
 )
 
 SIZE = 8  # shared diagonal index space: keys cover every step < SIZE
@@ -150,6 +154,65 @@ class TestHypothesisRandomMatrices:
         naive, bsgs = _both_paths(ev, ct, w, num_values=out_dim)
         np.testing.assert_allclose(bsgs, naive, atol=1e-3)
         np.testing.assert_allclose(bsgs, w @ x, atol=5e-3)
+
+
+class TestShardGrid:
+    """The grouped inner loop on a grid: a giant step shared by several
+    input shards of one output row is rotated once, on their summed
+    inner products."""
+
+    def test_2x3_grid_of_mixed_plans_on_a_full_batch(self, rt, giant_set_blocks):
+        ctx, ev = rt
+        gs = giant_set_blocks
+        stride, batch = 2 * SIZE, ctx.slots // (2 * SIZE)
+        names = [["a", "n", "c"], [None, "b", "a"]]
+
+        def grouped(name):
+            if name is None:
+                return None
+            diags = diagonals_of(
+                getattr(gs, name), ctx.slots, num_blocks=batch, block_stride=stride
+            )
+            groups = grouped_diagonals(diags, plan_matvec(diags.keys(), SIZE))
+            assert tuple(sorted(groups)) == gs.giants[name]
+            return groups
+
+        blocks = [[grouped(name) for name in row] for row in names]
+        rng = np.random.default_rng(7)
+        xs = rng.normal(size=(3, batch, SIZE))  # a different input per shard and block
+        biases = rng.normal(size=(2, SIZE))
+        counting = CountingEvaluator(ev)
+        cts = [ev.encrypt(_pack(ctx, x, SIZE, num_blocks=batch)) for x in xs]
+        outs = encrypted_matvec_shards(
+            counting,
+            cts,
+            blocks,
+            bias_slots=[tile_blocks(b, ctx.slots, batch, stride) for b in biases],
+        )
+        # one standalone rotation per (output shard, shared nonzero giant
+        # step): {0,4} ∪ {0} ∪ {4,6} and {0,3} ∪ {0,4} — four, where one
+        # per (block, giant) would be five
+        assert counting.counts["rotate"] == 2 + 2
+        assert counting.counts["hoist_decompose"] == 3
+        for j, row in enumerate(names):
+            got = ev.decrypt(outs[j])
+            per_block = None
+            for i, name in enumerate(row):
+                if name is None:
+                    continue
+                part = encrypted_matvec_bsgs(ev, cts[i], groups=blocks[j][i])
+                per_block = part if per_block is None else ev.add(per_block, part)
+            bias_free = got - tile_blocks(biases[j], ctx.slots, batch, stride)
+            np.testing.assert_allclose(bias_free, ev.decrypt(per_block), atol=1e-3)
+            for b in range(batch):
+                want = biases[j] + sum(
+                    getattr(gs, name) @ xs[i, b]
+                    for i, name in enumerate(row)
+                    if name is not None
+                )
+                np.testing.assert_allclose(
+                    got[b * stride : b * stride + SIZE], want, rtol=1e-3, atol=1e-3
+                )
 
 
 class TestEndToEndNetwork:

@@ -1,17 +1,19 @@
 """Golden forward digests: the executor's output bytes, pinned.
 
 ``golden_forward_digests.json`` holds one blake2b digest per toy model
-of the forward output's ``(level, scale, c0.data, c1.data)``, recorded
-at the commit that made Paterson–Stockmeyer with exact aligns the only
-polynomial evaluator: ``toy_resnet`` still carries the digest of the
-keyswitch regrouping before it (it already ran that path); ``toy_mlp``
-/ ``toy_cnn`` took the values predicted from the previous commit's own
-exact-scale plans once the tolerant ladder was deleted, and
-``toy_transformer`` alone was re-recorded when attention became
-token-packed (the other three were first shown green against the
-previous digests under both backends; ``python
-tests/fhe/test_golden_forward.py --record`` wrote the file; nothing else
-may).  Any executor or kernel refactor that claims to move dispatch, not
+of the forward output's ``(level, scale, c0.data, c1.data)``.
+``toy_mlp`` / ``toy_cnn`` carry the digests recorded at the commit that
+made Paterson–Stockmeyer with exact aligns the only polynomial
+evaluator; ``toy_resnet`` and ``toy_transformer`` were re-recorded when
+giant steps began to pay once — the sharded matvec sums inner products
+across input shards *before* the giant keyswitch (every coefficient
+moves; the decrypt differs by ~4e-6), and the attention's window
+parking shares one divide-by-``P`` descent whose rounding feeds a ct-ct
+product — after ``toy_mlp`` / ``toy_cnn`` were first shown green
+against the previous digests under both backends (one descent instead
+of one per giant step is byte-identical after a ``1 x 1`` matvec's own
+rescale).  ``python tests/fhe/test_golden_forward.py --record`` wrote
+the file; nothing else may.  Any executor or kernel refactor that claims to move dispatch, not
 math, must reproduce these bytes — under every kernel backend, since
 backends are bit-identical by contract (``docs/backends.md``).
 

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks import CkksEvaluator, CkksParams, ShadowEvaluator
+from repro.ckks.instrumentation import CountingEvaluator
 from repro.fhe.cnn import conv2d_shard_matrices, linear_shard_matrices
 from repro.fhe.ir import (
     CompilePolicy,
@@ -34,7 +35,11 @@ from repro.fhe.ir import (
     ResidualTapNode,
 )
 from repro.fhe.latency import cost_from_counts
-from repro.fhe.linear import grouped_diagonals, shard_hoist_steps
+from repro.fhe.linear import (
+    encrypted_matvec_bsgs,
+    grouped_diagonals,
+    shard_hoist_steps,
+)
 from repro.fhe.lower import lower
 from repro.fhe.network import EncryptedNetwork, compile_network
 from repro.fhe.packing import GridLayout, MultiGridLayout
@@ -59,6 +64,25 @@ BLOCK_PARAMS = CkksParams(n=256, scale_bits=27, depth=16, scale_tracking=True)
 
 def _policy(shape=(1, 4, 4), num_shards=2, **kw) -> CompilePolicy:
     return CompilePolicy(input_shape=shape, num_shards=num_shards, **kw)
+
+
+def _shared_giant_rotations(grid) -> int:
+    """Standalone rotations one matvec plan grid executes: per output
+    shard, the union of its live blocks' nonzero giant steps — a step
+    several input shards share rotates once, on their summed inner
+    products (naive-planned blocks are the giant-0 group: none)."""
+    return sum(
+        len(
+            {
+                g
+                for plan in row
+                if plan is not None and plan.use_bsgs
+                for g in plan.giant_steps
+                if g
+            }
+        )
+        for row in grid
+    )
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +283,46 @@ class TestLevelAlignment:
         )
         np.testing.assert_allclose(got, 2 * x, atol=1e-3)
 
+    def test_2x2_grid_sums_inner_products_across_shards(self, giant_set_blocks):
+        """A row whose blocks plan different giant sets ({0,4} beside
+        {4,6}) and a row of a naive-planned and a ``None`` block, on a
+        full SIMD batch: every block reaches its output shard, and each
+        shared giant step is rotated once."""
+        gs = giant_set_blocks
+        size = 8
+        rng = np.random.default_rng(11)
+        biases = rng.normal(size=(2, size))
+        blocks = [[gs.a, gs.c], [gs.n, None]]
+        node = MatvecNode(blocks=[row[:] for row in blocks], bias_shards=list(biases))
+        enc = EncryptedNetwork(_two_shard_graph([node], size), MINI_PARAMS)
+        assert _shared_giant_rotations(enc.matvec_plans[0]) == 2  # {4, 6}; per block: 3
+        xs = rng.normal(size=(enc.max_batch, 2 * size))
+        counting = CountingEvaluator(enc.ev)
+        cts = enc.encrypt_batch_shards(xs)
+        outs = enc.forward_shards(cts, ev=counting)
+        assert dict(counting.counts) == enc.op_counts()
+        assert counting.counts["rotate"] == 2
+        for j, row in enumerate(blocks):
+            got = enc.decrypt_logits(outs[j], size, batch=enc.max_batch)
+            want = biases[j] + sum(
+                xs[:, i * size : (i + 1) * size] @ w.T
+                for i, w in enumerate(row)
+                if w is not None
+            )
+            np.testing.assert_allclose(got, want, rtol=1e-3, atol=1e-3)
+            per_block = None
+            for i in range(2):
+                groups = enc.matvec_groups[0][j][i]
+                if groups is None:
+                    continue
+                part = encrypted_matvec_bsgs(enc.ev, cts[i], groups=groups)
+                per_block = part if per_block is None else enc.ev.add(per_block, part)
+            np.testing.assert_allclose(
+                got - biases[j],
+                enc.decrypt_logits(per_block, size, batch=enc.max_batch),
+                atol=1e-3,
+            )
+
     def test_projection_merge_needs_level_gap(self):
         """A projection skip with a 0-level main branch cannot rescale
         into alignment — rejected at construction."""
@@ -441,8 +505,6 @@ class TestShardedCostModel:
     def test_sharded_counts_match_measured_mini_net(self):
         """The shadow forward's op tally is the measured one, key for key
         — replication rotations, cross-shard adds and all."""
-        from repro.ckks.instrumentation import CountingEvaluator
-
         rng = np.random.default_rng(0)
         model = Sequential(
             Conv2d(2, 4, 3, padding=1, rng=rng),
@@ -456,15 +518,18 @@ class TestShardedCostModel:
         counting.reset()
         enc.forward_shards(cts, ev=counting)
         assert enc.op_counts() == dict(counting.counts)
-        # the head layer replicates each of the conv's 2 output shards
-        standalone = sum(
+        # rotate == Σ_rows |∪_i giants_{j,i} \ {0}| + replicates: the head
+        # layer replicates each of the conv's 2 output shards
+        shared = sum(_shared_giant_rotations(g) for g in enc.matvec_plans.values())
+        assert counting.counts["rotate"] == shared + 2
+        per_block = sum(
             sum(1 for g in plan.giant_steps if g)
             for grid in enc.matvec_plans.values()
             for row in grid
             for plan in row
             if plan is not None and plan.use_bsgs
         )
-        assert counting.counts["rotate"] == standalone + 2
+        assert shared < per_block  # the grids here do share giant steps
 
     @staticmethod
     def _merge_ops(gap: int, projection: bool = False) -> tuple:
@@ -501,9 +566,8 @@ class TestShardedCostModel:
         # two eaters leave one level for the alignment to ride
         proj, measured, grid = self._merge_ops(gap=2, projection=True)
         assert proj == measured
-        plan = grid[0][0]
-        # per shard: the replication rotation plus the block's giant steps
-        assert proj["rotate"] == 2 * sum(1 for g in plan.giant_steps if g) + 2
+        # per shard: the replication rotation plus its row's giant steps
+        assert proj["rotate"] == _shared_giant_rotations(grid) + 2
         assert proj["rescale"] == 2 + 2
         assert proj["align_correction"] == 2
         flush, measured, _ = self._merge_ops(gap=1, projection=True)

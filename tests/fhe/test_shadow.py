@@ -24,6 +24,7 @@ from repro.ckks import (
     ShadowEvaluator,
     keygen,
 )
+from repro.ckks.instrumentation import CountingEvaluator
 from repro.obs import TracingEvaluator
 
 BENCH = Path(__file__).resolve().parents[2] / "benchmarks"
@@ -126,3 +127,33 @@ class TestSameFailures:
         low = ev.mod_switch_to(ev.encrypt(np.zeros(4)), 0)
         with pytest.raises(ValueError, match=r"cannot align upward \(0 -> 2\)"):
             ev.align_to(low, 2, low.scale)
+
+    def test_sum_rotated_terms_that_do_not_add(self, ev):
+        a = ev.encrypt(np.zeros(4))
+        slots = ev.ctx.slots  # both steps trivial: the real side needs no key
+        with pytest.raises(ValueError, match="level mismatch: 2 vs 1"):
+            ev.sum_rotated({0: a, slots: ev.mod_switch_to(a, 1)})
+        with pytest.raises(ValueError, match="scale mismatch"):
+            ev.sum_rotated({0: a, slots: ev.mul_plain(a, 1.0)})
+        with pytest.raises(ValueError, match="at least one term"):
+            ev.sum_rotated({})
+
+
+def test_sum_rotated_same_coordinates_same_books():
+    """One ``rotate`` per nontrivial step, ``terms - 1`` adds, on the
+    shadow and on the ring alike — and the same ``(level, scale)`` out."""
+    ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=2))
+    real = CountingEvaluator(
+        CkksEvaluator(ctx, keygen(ctx, seed=0, galois_steps=(1, 5)))
+    )
+    shadow = CountingEvaluator(ShadowEvaluator(ctx))
+    landed = []
+    for ev in (real, shadow):
+        x = ev.mul_plain(ev.encrypt(np.zeros(4)), 0.5)  # a matvec's Δ² inner sum
+        ev.reset()
+        # slots = 32: -27 is step 5, 64 is trivial
+        out = ev.sum_rotated({0: x, 1: x, -27: x, 64: x})
+        landed.append((out.level, out.scale))
+        assert dict(ev.counts) == {"rotate": 2, "add": 3}
+        assert ev.keyswitch_count == 2
+    assert landed[0] == landed[1]

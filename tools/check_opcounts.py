@@ -5,14 +5,18 @@
 
 Compares the per-model gate metrics emitted by
 ``benchmarks/opcount_summary.py --json`` against the checked-in
-baseline.  The gated metrics are the two hot-path cost currencies:
+baseline.  The gated metrics are the hot-path cost currencies:
 
-* ``keyswitches`` — Galois/relinearisation applications (the dominant
-  wall-clock cost of an encrypted forward);
+* ``keyswitches`` — Galois/relinearisation key inner products (the
+  dominant wall-clock cost of an encrypted forward);
 * ``nonscalar_mults`` — ciphertext×ciphertext multiplications (the
-  polynomial-evaluation cost the Paterson–Stockmeyer rewrite minimises).
+  polynomial-evaluation cost the Paterson–Stockmeyer rewrite minimises);
+* ``ntt_rows`` — residue rows through a forward or inverse NTT during
+  the forward: the structural meter *below* the op counts, which sees
+  shared decompositions and shared divide-by-``P`` descents (exact and
+  backend-invariant, so it repeats to the row).
 
-The job fails when either metric regresses by more than ``--tolerance``
+The job fails when any of them regresses by more than ``--tolerance``
 (default 2%) on any pinned model, and also when a baselined model
 disappears from the current run.  Improvements pass with a reminder to
 refresh the baseline so the gate keeps ratcheting downward.  Stdlib
@@ -33,7 +37,7 @@ import json
 import sys
 from pathlib import Path
 
-GATED_METRICS = ("keyswitches", "nonscalar_mults")
+GATED_METRICS = ("keyswitches", "nonscalar_mults", "ntt_rows")
 
 
 def compare(baseline: dict, current: dict, tolerance: float) -> tuple:
