@@ -3,7 +3,7 @@
 Trains the same tiny PAF-MLP as ``private_inference.py``, then serves a
 burst of client requests through ``repro.serve``: requests are packed
 into disjoint SIMD slot blocks of a single ciphertext, the artifact's
-encoding caches eliminate steady-state plaintext encoding, and the
+plaintext memo eliminates steady-state plaintext encoding, and the
 metrics report throughput / latency / homomorphic-op counts.
 
 Run:  python examples/batched_serving.py
@@ -42,7 +42,7 @@ def main() -> None:
         f"({enc.ctx.slots} slots / {enc.block_stride} per request)"
     )
     artifact = ModelArtifact(enc).warm()
-    print(f"  encoding cache primed: {artifact.stats()['entries']} plaintexts")
+    print(f"  plaintext memo warmed: {artifact.stats()['entries']} plaintexts")
 
     n_req = min(8, enc.max_batch)
 

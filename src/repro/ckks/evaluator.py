@@ -60,10 +60,7 @@ class CkksEvaluator:
     def encrypt(self, values, level: int | None = None, scale: float | None = None) -> Ciphertext:
         """Encrypt a slot vector (public-key encryption)."""
         level = self.ctx.max_level if level is None else level
-        # per-request payloads are one-shot: bypass a caching encoder
-        # (repro.serve.artifact.CachingEncoder) rather than churn its LRU
-        encode = getattr(self.encoder, "encode_fresh", self.encoder.encode)
-        pt = encode(values, level, scale)
+        pt = self._encode_payload(values, level, scale)
         chain = list(range(level + 1))
         n = self.ctx.n
         std = self.ctx.params.error_std
@@ -75,6 +72,17 @@ class CkksEvaluator:
         c0 = pk_b * u + e0 + pt.poly
         c1 = pk_a * u + e1
         return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=level)
+
+    def _encode_payload(self, values, level: int, scale: float | None) -> Plaintext:
+        """Encode request data (``encrypt``, recrypt's re-entry).
+
+        Payloads are one-shot: a memoising encoder (the plaintext memo of
+        :class:`repro.serve.artifact.PlaintextCache`) is bypassed through
+        its ``encode_fresh``, so request data never enters — or evicts —
+        the model's constants.
+        """
+        encode = getattr(self.encoder, "encode_fresh", self.encoder.encode)
+        return encode(values, level, scale)
 
     def decrypt(self, ct: Ciphertext, num_values: int | None = None) -> np.ndarray:
         """Decrypt to (real) slot values."""
@@ -109,10 +117,10 @@ class CkksEvaluator:
     def _as_plaintext(self, value, level: int, scale: float) -> Plaintext:
         """Encode ``value``, or validate an already-encoded :class:`Plaintext`.
 
-        Precomputed plaintexts (e.g. cached Halevi-Shoup diagonals from
-        ``repro.serve.artifact``) must live at the ciphertext's chain level;
-        the scale is the caller's business (checked where addition requires
-        agreement).
+        Precomputed plaintexts (e.g. the refresh plans' CtS/StC diagonals
+        from ``repro.ckks.bootstrap``) must live at the ciphertext's chain
+        level; the scale is the caller's business (checked where addition
+        requires agreement).
         """
         if isinstance(value, Plaintext):
             if value.poly.data.shape[0] != level + 1:
@@ -240,7 +248,7 @@ class CkksEvaluator:
     # ------------------------------------------------------------------
     def _trivial_encrypt(self, values, level: int, scale: float) -> Ciphertext:
         """Noiseless encryption ``(encode(values), 0)`` — recrypt's re-entry."""
-        pt = self.encoder.encode(values, level, scale)
+        pt = self._encode_payload(values, level, scale)
         zero = RnsPoly.zero(self.ctx, list(range(level + 1)), is_ntt=True)
         return Ciphertext(pt.poly, zero, scale, level)
 

@@ -22,7 +22,7 @@ Every intermediate stays on the *canonical scale* of its level
 scheduled level, every cross-level alignment is exact, and the output
 lands on ``(level - mult_depth, canonical scale)`` — so coefficient
 plaintexts encode at deterministic ``(level, scale)`` pairs, the property
-``repro.serve.artifact`` exploits to pre-encode them.  The differential
+that lets the ``repro.serve.artifact`` memo hold them.  The differential
 oracle (a naive term-by-term evaluation sharing nothing with the plans)
 lives with the tests, ``tests/conftest.py``; they assert that results,
 level consumption and measured nonscalar-mult counts match the plan's
@@ -90,8 +90,8 @@ def _run_plan(ev: CkksEvaluator, x: Ciphertext, plan: PolyPlan) -> Ciphertext:
     # plaintext product against the (mod-switched) input, encoded at the
     # exact scale that rescales onto the target level's canonical scale.
     # This lands a leaf at any depth for the cost of a depth-1 leaf — no
-    # drift correction — and makes the encode coordinates enumerable for
-    # the serving artifact's pre-encoded coefficient cache.
+    # drift correction — at encode coordinates fixed by the plan and the
+    # input's (level, scale), so the serving artifact's memo can hold them.
     coords = plan.leaf_schedule(ev.ctx.q_chain, x.level, x.scale)
 
     def leaf(position: int, term) -> Ciphertext:

@@ -25,10 +25,10 @@ across terms:
   parameters never grow.
 
 The plan is symbolic (no ciphertexts, no numpy): compiling is cheap enough
-to do per network layer at build time, and the plan doubles as the
-enumeration of coefficient plaintexts that ``repro.serve.artifact``
-pre-encodes at their exact ``(level, scale)``.  Its op counts are not
-restated anywhere: the cost model runs the plan's executor
+to do per network layer at build time, and it fixes the exact ``(level,
+scale)`` of every coefficient plaintext (:meth:`PolyPlan.leaf_schedule`).
+Neither its op counts nor its encodes are restated anywhere: the cost
+model — and the serving artifact's warm-up — run the plan's executor
 (:func:`repro.ckks.poly_eval.eval_poly`) over shadow ciphertexts
 (:class:`repro.ckks.shadow.ShadowEvaluator`).  The naive term-by-term
 evaluation it is differentially tested against lives with the tests
@@ -192,10 +192,10 @@ class PolyPlan:
         coefficient plaintext encoded at ``(enc_level, enc_scale)``
         against the (mod-switched) input and rescales once, landing the
         leaf at ``(target_level, target_scale)`` on the canonical scale of
-        its level with no drift correction.  The serving artifact
-        pre-encodes exactly these keys
-        (:meth:`ReluPlan.constant_encodings`), so executor encodes hit the
-        plaintext cache key-for-key.
+        its level with no drift correction.  The coordinates depend only
+        on the plan and the input's ``(level, scale)``: a fixed network
+        encodes each coefficient at one key, which the serving artifact's
+        plaintext memo holds.
         """
         sched = _canonical_schedule(q_chain, level, scale, self.mult_depth)
         out = {}
@@ -210,16 +210,6 @@ class PolyPlan:
                     sched[tgt_level],
                 )
         return out
-
-    def leaf_encodings(self, q_chain, level: int, scale: float) -> list:
-        """``(value, level, scale)`` of each coefficient plaintext encode,
-        at its :meth:`leaf_schedule` coordinates."""
-        coords = self.leaf_schedule(q_chain, level, scale)
-        return [
-            (t.coeff, *coords[(b.position, t.exponent)][:2])
-            for b in self.blocks
-            for t in b.terms
-        ]
 
 
 def _build_blocks(coeffs: dict, window: int) -> dict:
@@ -244,7 +234,7 @@ def _analyze(blocks: dict, beta: int, shape: str):
     leaves directly at their target (a single scaled plaintext product
     lands a leaf at any level exactly — no drift correction), so the
     targets double as the coefficient-plaintext coordinates
-    ``repro.serve.artifact`` pre-encodes.  A value stays plaintext
+    (:meth:`PolyPlan.leaf_schedule`).  A value stays plaintext
     (depth 0) until a ciphertext term or a giant product touches it.
     """
     maxpos = max(blocks)
@@ -414,27 +404,6 @@ class ReluPlan:
     @property
     def num_leaves(self) -> int:
         return sum(p.num_leaves for p in self.components)
-
-    def constant_encodings(self, q_chain, level: int, scale: float) -> list:
-        """``(value, level, scale)`` of every deterministic plaintext encode.
-
-        For an input ciphertext at ``(level, scale)``: each component's
-        coefficient leaves at their :meth:`PolyPlan.leaf_encodings`
-        coordinates, and the ReLU gate constant ``0.5`` at the sign
-        output's coordinates.  Scale-alignment corrections (the few the
-        executor still needs, e.g. when summing a multi-term block) are
-        excluded; they land in the plaintext cache on first evaluation.
-        ``repro.serve.artifact`` walks this list to pre-encode activation
-        constants.
-        """
-        out = []
-        for comp_plan in self.components:
-            out.extend(comp_plan.leaf_encodings(q_chain, level, scale))
-            depth = comp_plan.mult_depth
-            scale = _canonical_schedule(q_chain, level, scale, depth)[level - depth]
-            level -= depth
-        out.append((0.5, level, scale))
-        return out
 
 
 def plan_paf_relu(paf: CompositePAF, scale: float = 1.0) -> ReluPlan:

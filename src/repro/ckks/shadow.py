@@ -5,11 +5,15 @@ A :class:`ShadowEvaluator` goes wherever a
 :class:`~repro.ckks.instrumentation.CountingEvaluator`, under a
 :class:`repro.obs.TracingEvaluator`, into
 :meth:`repro.fhe.network.EncryptedNetwork.forward_shards` via ``ev=`` —
-but its ciphertexts carry no ring data, it holds no keys and it encodes
-nothing.  Because the executors, the level/scale rules and the counting
-proxy are the *same code* that runs a real forward, the op counts, the
-per-layer levels and the output ``(level, scale)`` of a shadow run equal
-the real run's by construction: the cost model is the executor.
+but its ciphertexts carry no ring data and it holds no keys.  Given an
+encoder it hands it every raw plaintext it meets, at the ``(level,
+scale)`` a real evaluator would encode at (how
+:meth:`repro.serve.artifact.ModelArtifact.warm` fills the plaintext
+memo); without one it encodes nothing.  Because the executors, the
+level/scale rules and the counting proxy are the *same code* that runs a
+real forward, the op counts, the per-layer levels and the output
+``(level, scale)`` of a shadow run equal the real run's by construction:
+the cost model is the executor.
 """
 
 from __future__ import annotations
@@ -44,8 +48,11 @@ class ShadowEvaluator(CkksEvaluator):
     :class:`~repro.ckks.evaluator.CkksEvaluator` counterpart; the
     admissibility checks and the composites (``square``, ``mul_rescale``,
     ``mul_plain_rescale``, ``align_to``) are inherited, not restated.
-    There are no keys (any rotation step is admissible), no encoder, and
-    no op booking: wrap it in a ``CountingEvaluator`` to count.
+    There are no keys (any rotation step is admissible) and no op
+    booking: wrap it in a ``CountingEvaluator`` to count.  ``encoder`` is
+    optional: when given, every raw value passed to ``mul_plain`` /
+    ``add_plain`` is encoded through it exactly where the real evaluator
+    would — the ring work of a shadow run is then those encodes alone.
 
     >>> from repro.ckks import CkksContext, CkksParams
     >>> from repro.ckks.instrumentation import CountingEvaluator
@@ -63,8 +70,9 @@ class ShadowEvaluator(CkksEvaluator):
     ValueError: level mismatch: 3 vs 2 (mod_switch first)
     """
 
-    def __init__(self, ctx: CkksContext):
+    def __init__(self, ctx: CkksContext, encoder=None):
         self.ctx = ctx
+        self.encoder = encoder
 
     # -- encrypt / decrypt ---------------------------------------------
     def encrypt(self, values, level: int | None = None, scale: float | None = None):
@@ -90,9 +98,10 @@ class ShadowEvaluator(CkksEvaluator):
         return a.copy()
 
     def _plain_scale(self, value, level: int, scale: float) -> float:
-        """The scale ``value`` multiplies in: ``scale`` for raw values, its
-        own for a pre-encoded (and here level-checked) :class:`Plaintext`."""
-        if isinstance(value, Plaintext):
+        """The scale ``value`` multiplies in: ``scale`` for raw values
+        (encoded through the encoder, when there is one), its own for a
+        pre-encoded (and here level-checked) :class:`Plaintext`."""
+        if isinstance(value, Plaintext) or self.encoder is not None:
             return self._as_plaintext(value, level, scale).scale
         return float(scale)
 

@@ -63,9 +63,9 @@ node                      levels  executes as
 The **level/scale metadata contract**: a node's :meth:`~IRNode.level_cost`
 is the number of chain levels it consumes on the *main* branch, and
 every execution path through a node must consume exactly that many
-rescales — the static schedule (`EncryptedNetwork.layer_input_levels`,
-the serve artifact's pre-encoding coordinates, and the slack gate) is
-derived from these numbers without running a forward pass.  Skip
+rescales — the static schedule (:meth:`Graph.input_levels`, the refresh
+placement and the slack gate) is derived from these numbers without
+running a forward pass.  Skip
 branches ride the main branch's level gap via exact ``align_to``
 corrections and consume zero.
 """

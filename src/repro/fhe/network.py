@@ -152,7 +152,7 @@ class EncryptedNetwork:
         # Diagonals / biases are tiled across *all* blocks once; a partial
         # batch leaves trailing blocks at zero input, which just compute
         # f(0) in-range — so every batch size shares these plaintexts (and,
-        # downstream, the serve artifact's encoding cache).
+        # downstream, the serve artifact's plaintext memo).
         #: per linear / merge-projection node: the ``K_out × K_in`` grid
         #: of :class:`~repro.fhe.linear.MatvecPlan` (``None`` = all-zero
         #: block; a single-ciphertext layer is the ``1 × 1`` grid)
@@ -175,8 +175,6 @@ class EncryptedNetwork:
         #: affine (unfolded BN) slot vectors, tiled like the biases
         self.affine_scale_slots: dict[int, np.ndarray] = {}
         self.affine_shift_slots: dict[int, np.ndarray] = {}
-        #: merge node index -> matching residual tap index
-        self.merge_taps: dict[int, int] = {}
         #: per-AttentionNode compiled state (projection plans/groups,
         #: strided and window masks, softmax plan and constants)
         self.attention_states: dict = {}
@@ -315,7 +313,6 @@ class EncryptedNetwork:
             self._compile_grid(i, node.blocks, node.bias_shards)
         if node.tap is None:
             raise ValueError(f"merge layer {i} has no matching residual tap")
-        self.merge_taps[i] = node.tap
 
     def _compile_paf(self, i: int, node: PafNode) -> None:
         self.paf_plans[i] = plan_paf_relu(node.paf, node.scale)
@@ -447,12 +444,7 @@ class EncryptedNetwork:
         return ev.add(ct, ev.rotate(ct, self._replicate_step))
 
     def forward_shards(
-        self,
-        cts,
-        *,
-        encoded=None,
-        ev: CkksEvaluator | None = None,
-        executor=None,
+        self, cts, *, ev: CkksEvaluator | None = None, executor=None
     ) -> list:
         """Encrypted forward over the ciphertext list — the one executor.
 
@@ -476,17 +468,14 @@ class EncryptedNetwork:
         plans — each per shard; attention runs its own dance; ``reduce``
         sums the live shards into one.
 
-        ``encoded`` is an optional provider of pre-encoded plaintexts
-        for the linear layers and merge projections:
-        ``encoded(i, level, scale)`` must return ``(blocks, biases)``
-        with the grid / list structure of ``matvec_groups[i]`` /
-        ``matvec_bias_slots.get(i)`` but holding
-        :class:`~repro.ckks.Plaintext` values (see
-        :class:`repro.serve.artifact.ModelArtifact`); merges are queried
-        at the *saved branch's* (level, scale).  Without it the cached
-        raw diagonal vectors are encoded on the fly.  ``ev`` overrides
-        the evaluator (worker pools run one evaluator per thread against
-        the shared keys).
+        Every plaintext reaches the evaluator the same way: the handlers
+        hand the compiled *raw* values (grouped diagonals, biases, masks,
+        PAF coefficients) to ``ev.mul_plain`` / ``ev.add_plain`` and the
+        evaluator's encoder encodes them on the fly — or finds them in
+        the memo a :class:`repro.serve.artifact.ModelArtifact` installed
+        there.  ``ev`` overrides the evaluator (worker pools run one
+        evaluator per thread against the shared keys; ``op_counts`` and
+        the artifact's ``warm`` pass a shadow).
 
         ``executor`` is an optional
         :class:`~repro.serve.executor.BlockExecutor` scheduling the
@@ -519,45 +508,42 @@ class EncryptedNetwork:
                 ) as sp:
                     sp.ct_entry(cts)
                     handler = _dispatch(self._EXEC, node)
-                    cts = handler(self, i, node, cts, ev, encoded, executor, stack)
+                    cts = handler(self, i, node, cts, ev, executor, stack)
                     sp.ct_exit(cts, level_slack=cts[0].level - self._depth_after[i])
             root.ct_exit(cts)
         return cts
 
-    def forward(
-        self, ct: Ciphertext, *, encoded=None, ev: CkksEvaluator | None = None
-    ) -> Ciphertext:
+    def forward(self, ct: Ciphertext, *, ev: CkksEvaluator | None = None) -> Ciphertext:
         """:meth:`forward_shards` for a single-ciphertext network: one
         ciphertext in, one out."""
-        (out,) = self.forward_shards([ct], encoded=encoded, ev=ev)
+        (out,) = self.forward_shards([ct], ev=ev)
         return out
 
     # --- node handlers -------------------------------------------------
-    def _grid_matvec(self, i, cts, ev, encoded, executor) -> list:
+    def _grid_matvec(self, i, cts, ev, executor) -> list:
         """Node ``i``'s block-grid matvec over replicated shards."""
-        if encoded is not None:
-            payload, biases = encoded(i, cts[0].level, cts[0].scale)
-        else:
-            payload = self.matvec_groups[i]
-            biases = self.matvec_bias_slots.get(i)
         return encrypted_matvec_shards(
-            ev, cts, payload, bias_slots=biases, executor=executor
+            ev,
+            cts,
+            self.matvec_groups[i],
+            bias_slots=self.matvec_bias_slots.get(i),
+            executor=executor,
         )
 
-    def _exec_matvec(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_matvec(self, i, node, cts, ev, executor, stack):
         if i > 0:
             cts = [self._replicate(ct, ev) for ct in cts]
-        return self._grid_matvec(i, cts, ev, encoded, executor)
+        return self._grid_matvec(i, cts, ev, executor)
 
-    def _exec_residual(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_residual(self, i, node, cts, ev, executor, stack):
         stack.append(cts)
         return cts
 
-    def _exec_merge(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_merge(self, i, node, cts, ev, executor, stack):
         skip = stack.pop()
         if node.blocks is not None:
             skip = [self._replicate(ct, ev) for ct in skip]
-            skip = self._grid_matvec(i, skip, ev, encoded, executor)
+            skip = self._grid_matvec(i, skip, ev, executor)
         if len(skip) != len(cts):
             raise ValueError(
                 f"merge layer {i}: skip branch has {len(skip)} shards, "
@@ -575,12 +561,12 @@ class EncryptedNetwork:
             msp.ct_exit(cts)
         return cts
 
-    def _exec_pool(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_pool(self, i, node, cts, ev, executor, stack):
         return self._map_shards(
             executor, lambda ct: self._pool_forward(ct, i, ev), cts
         )
 
-    def _exec_affine(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_affine(self, i, node, cts, ev, executor, stack):
         if len(cts) > 1:
             raise ValueError(
                 f"layer {i} kind {node.kind!r} has no sharded execution "
@@ -589,7 +575,7 @@ class EncryptedNetwork:
         ct = ev.rescale(ev.mul_plain(cts[0], self.affine_scale_slots[i]))
         return [ev.add_plain(ct, self.affine_shift_slots[i])]
 
-    def _exec_paf(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_paf(self, i, node, cts, ev, executor, stack):
         plan = self.paf_plans[i]
         return self._map_shards(
             executor,
@@ -597,13 +583,13 @@ class EncryptedNetwork:
             cts,
         )
 
-    def _exec_poly(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_poly(self, i, node, cts, ev, executor, stack):
         plan = self.poly_plans[i]
         return self._map_shards(
             executor, lambda ct: eval_poly(ev, ct, node.poly, plan=plan), cts
         )
 
-    def _exec_reduce(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_reduce(self, i, node, cts, ev, executor, stack):
         with trace_span(ev, "reduce:shards", kind="exec", shards=len(cts)) as sp:
             sp.ct_entry(cts)
             acc = cts[0]
@@ -612,10 +598,10 @@ class EncryptedNetwork:
             sp.ct_exit(acc)
         return [acc]
 
-    def _exec_attention(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_attention(self, i, node, cts, ev, executor, stack):
         return attention_forward(self, i, node, cts, ev, executor=executor)
 
-    def _exec_refresh(self, i, node, cts, ev, encoded, executor, stack):
+    def _exec_refresh(self, i, node, cts, ev, executor, stack):
         from repro.ckks.bootstrap import refresh
 
         plan = self.refresh_plans[i]
@@ -675,7 +661,7 @@ class EncryptedNetwork:
         return ct
 
     # ------------------------------------------------------------------
-    # cost model / static schedule
+    # cost model
     # ------------------------------------------------------------------
     def op_counts(self) -> dict:
         """HE-op counts of one forward — the cost model.
@@ -694,29 +680,6 @@ class EncryptedNetwork:
         cts = [shadow.encrypt(None) for _ in range(self.num_input_shards)]
         self.forward_shards(cts, ev=counting)
         return dict(counting.counts)
-
-    def layer_input_levels(self) -> dict:
-        """Chain level at which the ciphertext enters each layer.
-
-        A fixed network visits every layer at one deterministic level:
-        each node consumes exactly its :meth:`~repro.fhe.ir.IRNode.level_cost`
-        (matvec/pool/affine one rescale, PAF activations their full
-        multiplication depth, taps/merges/reduces zero).
-        ``repro.serve.artifact`` uses this to pre-encode activation
-        constants without running a forward pass.
-        """
-        return self.graph.input_levels(self.ctx.max_level)
-
-    def merge_branch_levels(self) -> dict:
-        """Level at which each merge's *skip* branch material is read.
-
-        A merge's projection diagonals act on the ciphertexts saved at
-        its residual tap, so they encode at the tap's chain level — the
-        per-branch half of the static schedule (``layer_input_levels``
-        is the main-chain half; taps and merges consume zero there).
-        """
-        levels = self.layer_input_levels()
-        return {i: levels[tap] for i, tap in self.merge_taps.items()}
 
     # ------------------------------------------------------------------
     # decrypt

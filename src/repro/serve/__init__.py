@@ -14,12 +14,12 @@ SIMD request packing (:mod:`repro.serve.packing`)
     evaluations as a single request — then serves the whole batch, and
     per-client logits are demultiplexed on decrypt.
 
-Encoding caches (:mod:`repro.serve.artifact`)
-    The weights never change and a fixed network meets each linear layer
-    at one deterministic ``(level, scale)``, so the artifact pre-encodes
-    every tiled diagonal and bias as a CKKS ``Plaintext`` and memoises
-    PAF constants behind the evaluator's encoder: steady-state requests
-    perform zero plaintext encoding.
+Plaintext memo (:mod:`repro.serve.artifact`)
+    The weights never change and a fixed network meets each constant at
+    one deterministic ``(level, scale)``, so the artifact installs one
+    memoising encoder on the model's evaluator and fills it with a
+    shadow forward — every diagonal, bias, mask and PAF constant is
+    encoded once: steady-state requests perform zero plaintext encoding.
 
 Admission + workers (:mod:`repro.serve.queue`)
     Requests accumulate per ``(model, client)`` group until that group's
@@ -33,7 +33,7 @@ Tenant keys (:mod:`repro.serve.keys`)
     :class:`ClientKeyRegistry` derives one CKKS key chain per client and
     generates each client's Galois keys *once* per rotation element
     across all hosted models (shared-step dedup) — two tenants never
-    share secrets, yet share every key-independent encoding cache.
+    share secrets, yet share the key-independent plaintext memo.
 
 Fault injection (:mod:`repro.serve.faults`)
     :class:`FaultInjector` deterministically scripts worker crashes,
@@ -65,7 +65,6 @@ measured latency, capacity and batch fill of a two-tenant server.
 
 from repro.serve.artifact import (
     ArtifactMismatchError,
-    CachingEncoder,
     ModelArtifact,
     PlaintextCache,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "unpack_blocks",
     "split_batches",
     "PlaintextCache",
-    "CachingEncoder",
     "ModelArtifact",
     "ArtifactMismatchError",
     "BatchQueue",

@@ -1,39 +1,27 @@
-"""Compiled serving artifact: pre-encoded plaintexts for steady-state inference.
+"""Compiled serving artifact: one plaintext memo for steady-state inference.
 
 Encoding a plaintext (canonical embedding + RNS lift) costs as much as a
-handful of homomorphic ops, and the vanilla forward pass pays it for
-every Halevi-Shoup diagonal of every linear layer on *every request* —
-pure waste, since the model weights never change and a fixed network
-visits each linear layer at one deterministic ``(level, scale)`` pair.
+handful of homomorphic ops, and a bare forward pass pays it for every
+Halevi-Shoup diagonal, bias, mask and PAF coefficient on *every
+request* — pure waste, since the model never changes and a fixed
+network meets each constant at one deterministic ``(level, scale)``.
 
-:class:`ModelArtifact` wraps a compiled
-:class:`~repro.fhe.network.EncryptedNetwork` — any model compiled by
-:func:`~repro.fhe.network.compile_network` (MLP, CNN, sharded ResNet or
-transformer; :meth:`ModelArtifact.compile` runs that compile and wraps
-in one step); pool masks and affine vectors ride the
-activation-constant cache below — with two caches keyed on
-``(value digest, level, scale)``:
-
-* the explicit diagonal/bias path — :meth:`ModelArtifact.encoded_linear`
-  hands the matvec executor
-  (:func:`repro.fhe.linear.encrypted_matvec_shards`) ready-made
-  :class:`~repro.ckks.Plaintext` objects in the shape of each layer's
-  ``K_out × K_in`` grid of grouped diagonals (``1 × 1`` for a
-  single-ciphertext layer), and the per-output-shard biases encoded at
-  the *post-rescale* level and scale, so they land exactly where the
-  matvec adds them;
-* the activation-constant path — :meth:`ModelArtifact.prewarm_activations`
-  walks each PAF layer's compiled :class:`~repro.ckks.poly_plan.ReluPlan`
-  and pre-encodes every coefficient leaf and the ReLU gate constant at
-  its exact ``(level, scale)`` (the plan knows the canonical scale
-  schedule, so the keys match the evaluator's encodes bit-for-bit);
-* an optional :class:`CachingEncoder` installed on the model's evaluator,
-  which additionally memoises the scale-alignment corrections that
-  ``poly_eval`` encodes (data-independent, but derived from intermediate
-  drift — they land in the cache on the first evaluation).
-
-After one warm-up pass, steady-state requests do **zero** plaintext
-encoding — every encode is a dictionary hit.
+A plaintext reaches an executor in exactly one way: the executor hands
+the raw value to ``ev.mul_plain`` / ``ev.add_plain`` and the evaluator's
+encoder encodes it.  :class:`ModelArtifact` wraps a compiled
+:class:`~repro.fhe.network.EncryptedNetwork` (any family;
+:meth:`ModelArtifact.compile` compiles and wraps in one step) by
+installing a :class:`PlaintextCache` *as* that encoder: a memo keyed on
+``(value bytes, level, scale)`` whose hits are bit-identical to a fresh
+encode.  :meth:`ModelArtifact.warm` fills it with one **shadow** forward
+— the real executor over :class:`~repro.ckks.shadow.ShadowEvaluator`
+values carrying the memo as their encoder — so every plaintext a real
+forward will ask for (diagonals, biases, pool and attention masks,
+affine vectors, PAF leaves, Newton constants, alignment corrections) is
+encoded once, with no keys, no encryption and no ring arithmetic beyond
+the encodes themselves.  After that, steady-state requests do **zero**
+plaintext encoding; request payloads (``encrypt``, recrypt's re-entry)
+bypass the memo and never churn it.
 """
 
 from __future__ import annotations
@@ -49,9 +37,10 @@ import numpy as np
 from repro.ckks.encoder import Plaintext
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.rns import RnsPoly
+from repro.ckks.shadow import ShadowEvaluator
 from repro.fhe.network import EncryptedNetwork, compile_network
 
-__all__ = ["PlaintextCache", "CachingEncoder", "ModelArtifact", "ArtifactMismatchError"]
+__all__ = ["PlaintextCache", "ModelArtifact", "ArtifactMismatchError"]
 
 #: On-disk format tag for persisted encoding caches.
 _CACHE_FORMAT = "repro-artifact-cache-v1"
@@ -82,13 +71,15 @@ def _feed_digest(h, value) -> None:
 
 
 class PlaintextCache:
-    """LRU memo of ``encode(values, level, scale) -> Plaintext``.
+    """The plaintext memo: a memoising drop-in for a
+    :class:`~repro.ckks.encoder.CkksEncoder`.
 
-    Keys digest the value bytes plus the exact ``(level, scale)`` pair, so
-    a cached plaintext is bit-identical to a fresh encode.  Bounded:
-    one-shot values (e.g. per-request client inputs routed through a
-    :class:`CachingEncoder`) churn through while the per-layer constants
-    stay hot.  Thread-safe; a race encodes twice, never corrupts.
+    ``encode(values, level, scale)`` is an LRU memo keyed on the value
+    bytes plus the exact ``(level, scale)`` pair, so a cached plaintext
+    is bit-identical to a fresh encode; ``encode_fresh`` bypasses it and
+    everything else (``ctx``, ``decode``, ...) is the wrapped encoder's.
+    Bounded: the least recently used entry goes first.  Thread-safe; a
+    race encodes twice, never corrupts.
     """
 
     def __init__(self, encoder, max_entries: int = 4096):
@@ -122,6 +113,14 @@ class PlaintextCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
         return pt
+
+    def encode_fresh(self, values, level: int, scale: float | None = None) -> Plaintext:
+        """Unmemoised encode — the evaluator routes request payloads
+        here so one-shot data never enters the memo."""
+        return self._encoder.encode(values, level, scale)
+
+    def __getattr__(self, name):
+        return getattr(self._encoder, name)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -163,57 +162,26 @@ class PlaintextCache:
         return count
 
 
-class CachingEncoder:
-    """Drop-in :class:`~repro.ckks.encoder.CkksEncoder` proxy that routes
-    ``encode`` through a :class:`PlaintextCache` and delegates the rest."""
-
-    def __init__(self, inner, cache: PlaintextCache):
-        self._inner = inner
-        self.cache = cache
-
-    def encode(self, values, level: int, scale: float | None = None) -> Plaintext:
-        return self.cache.encode(values, level, scale)
-
-    def encode_fresh(self, values, level: int, scale: float | None = None) -> Plaintext:
-        """Uncached encode — ``CkksEvaluator.encrypt`` routes per-request
-        payloads here so one-shot inputs never churn the LRU."""
-        return self._inner.encode(values, level, scale)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 class ModelArtifact:
-    """A compiled model plus everything steady-state serving reuses.
+    """A compiled model with the plaintext memo installed on its evaluator.
 
     Parameters
     ----------
     model:
         A compiled :class:`~repro.fhe.network.EncryptedNetwork` (any
-        model family).
+        model family).  Its evaluator's encoder becomes the memo; a
+        network that already carries one (an earlier artifact over the
+        same compile) keeps it, and both artifacts share it.
     max_entries:
-        Bound on the shared plaintext cache.
-    cache_activations:
-        Install a :class:`CachingEncoder` on the model's evaluator so PAF
-        constants, pool masks, affine vectors and alignment corrections
-        are memoised too (the explicit diagonal path works either way).
+        Bound on the memo this artifact installs.
     """
 
-    def __init__(
-        self,
-        model: EncryptedNetwork,
-        max_entries: int = 4096,
-        cache_activations: bool = True,
-    ):
+    def __init__(self, model: EncryptedNetwork, max_entries: int = 4096):
         self.model = model
-        base_encoder = model.ev.encoder
-        if isinstance(base_encoder, CachingEncoder):  # already wrapped
-            base_encoder = base_encoder._inner
-        self.cache = PlaintextCache(base_encoder, max_entries=max_entries)
-        #: (layer_index, level, scale) -> (diagonal Plaintexts, bias Plaintext)
-        self._linear_memo: dict = {}
-        if cache_activations:
-            model.ev.encoder = CachingEncoder(base_encoder, self.cache)
+        if not isinstance(model.ev.encoder, PlaintextCache):
+            model.ev.encoder = PlaintextCache(model.ev.encoder, max_entries=max_entries)
+        #: the plaintext memo — the model evaluator's encoder itself
+        self.cache: PlaintextCache = model.ev.encoder
 
     @classmethod
     def compile(cls, nn_model, params, *, policy=None, **kwargs) -> "ModelArtifact":
@@ -223,118 +191,29 @@ class ModelArtifact:
         one :class:`repro.fhe.ir.CompilePolicy` (``policy=``) — refresh
         placement, input shape, shard count, seed, BatchNorm folding —
         and every model family goes through the one lowering
-        (:func:`repro.fhe.lower.lower`).  Every per-shard-pair diagonal
-        block (including merge projections, keyed at the skip branch's
-        level) pre-encodes through the same cache.  Remaining ``kwargs``
-        go to the :class:`ModelArtifact` constructor.
+        (:func:`repro.fhe.lower.lower`).  Remaining ``kwargs`` go to the
+        :class:`ModelArtifact` constructor.
         """
         return cls(compile_network(nn_model, params, policy=policy), **kwargs)
 
     # ------------------------------------------------------------------
-    def encoded_linear(self, layer_index: int, level: int, scale: float):
-        """Pre-encoded ``(blocks, biases)`` for one linear layer or merge
-        projection — the ``encoded`` provider of
-        :meth:`~repro.fhe.network.EncryptedNetwork.forward_shards`.
-
-        ``blocks`` mirrors the layer's ``K_out × K_in`` grid of grouped
-        ``{giant: {baby: Plaintext}}`` diagonals (``None`` where a block
-        is all zero), every diagonal encoded at the incoming
-        ciphertext's ``(level, scale)`` (the default ``mul_plain``
-        choice, preserving the canonical-scale invariant) — the *skip
-        branch's* coordinates for a merge projection, which the forward
-        passes in; ``biases`` the per-output-shard bias list at
-        ``(level-1, scale²/q_level)`` — exactly where each shard sits
-        after the matvec's rescale — or ``None`` without any.
-
-        A fixed network meets each layer at one deterministic ``(level,
-        scale)``, so the assembled tuple is memoised per layer — the
-        steady-state path does no per-diagonal digesting either, just one
-        dict hit per linear layer.
-        """
-        key = (layer_index, level, float(scale))
-        memo = self._linear_memo.get(key)
-        if memo is not None:
-            return memo
-        blocks = [
-            [
-                {
-                    g: {
-                        b: self.cache.encode(vec, level, scale)
-                        for b, vec in inner.items()
-                    }
-                    for g, inner in groups.items()
-                }
-                if groups is not None
-                else None
-                for groups in row
-            ]
-            for row in self.model.matvec_groups[layer_index]
-        ]
-        bias_pts = None
-        bias_list = self.model.matvec_bias_slots.get(layer_index)
-        if bias_list is not None:
-            q_top = self.model.ctx.q_chain[level]
-            post_scale = scale * scale / q_top
-            bias_pts = [
-                None if vec is None
-                else self.cache.encode(vec, level - 1, post_scale)
-                for vec in bias_list
-            ]
-        self._linear_memo[key] = (blocks, bias_pts)
-        return blocks, bias_pts
-
-    def activation_encodings(self, layer_index: int) -> list:
-        """``(value, level, scale)`` of one PAF layer's plan constants.
-
-        The layer's input level comes from the model's static schedule
-        (:meth:`~repro.fhe.network.EncryptedNetwork.layer_input_levels`), its
-        input scale from the canonical scale invariant — both
-        deterministic for a fixed network, so the returned coordinates
-        are exactly those the evaluator will encode at.
-        """
-        plan = self.model.paf_plans[layer_index]
-        level = self.model.layer_input_levels()[layer_index]
-        ctx = self.model.ctx
-        return plan.constant_encodings(
-            ctx.q_chain, level, ctx.canonical_scale(level)
-        )
-
-    def prewarm_activations(self) -> int:
-        """Pre-encode every PAF layer's coefficient plaintexts.
-
-        Seeds the shared cache with each activation's leaf coefficients
-        and gate constant at their exact ``(level, scale)`` — cheaper
-        than a full :meth:`warm` forward pass, and the evaluator's own
-        encodes then hit the cache key-for-key.  Returns the number of
-        plaintexts encoded.
-        """
-        count = 0
-        for i in self.model.paf_plans:
-            for value, level, scale in self.activation_encodings(i):
-                self.cache.encode(value, level, scale)
-                count += 1
-        return count
-
     def forward(self, ct, ev=None, executor=None):
-        """Encrypted forward using the pre-encoded linear layers.
+        """Encrypted forward of the wrapped model.
 
         ``ct`` is the shard ciphertext *list* (``encrypt_batch_shards``)
-        and the return value the output shard list — the pre-encoded
-        path covers every block and merge projection; a bare ciphertext
+        and the return value the output shard list; a bare ciphertext
         (a single-ciphertext model's ``encrypt_batch``) comes back as a
         bare ciphertext.  ``executor`` schedules the independent
         shard-grid blocks on a
         :class:`~repro.serve.executor.BlockExecutor`.
         """
         if isinstance(ct, (list, tuple)):
-            return self.model.forward_shards(
-                ct, encoded=self.encoded_linear, ev=ev, executor=executor
-            )
-        return self.model.forward(ct, encoded=self.encoded_linear, ev=ev)
+            return self.model.forward_shards(ct, ev=ev, executor=executor)
+        return self.model.forward(ct, ev=ev)
 
     def fresh_evaluator(self, seed: int = 1):
         """A new evaluator over the model's own baked keys, sharing the
-        (caching) encoder — what a worker thread runs the default
+        memoising encoder — what a worker thread runs the default
         tenant's batches with.  Stub models used by the concurrency
         harness override this hook instead of faking a full key chain.
         """
@@ -342,15 +221,22 @@ class ModelArtifact:
         ev.encoder = self.model.ev.encoder
         return ev
 
-    def warm(self, batch: int | None = None) -> "ModelArtifact":
-        """Run one zero-input forward to populate every cache entry.
+    def warm(self) -> "ModelArtifact":
+        """Fill the memo with one shadow forward.
 
-        After this, serving any batch size hits only cached plaintexts
-        (all batch sizes share the max-batch-tiled diagonals).
+        The model's own executor runs over
+        :class:`~repro.ckks.shadow.ShadowEvaluator` values whose encoder
+        is the memo, so exactly the ``(value, level, scale)`` triples a
+        real forward encodes are encoded — and nothing else happens: no
+        keys, no encryption, no keyswitch.  After this, serving any
+        batch size hits only memoised plaintexts (all batch sizes share
+        the max-batch-tiled constants).
         """
-        dim = sum(self.model.input_splits or [self.model.size])
-        xs = [np.zeros(dim)] * (batch or 1)
-        self.forward(self.model.encrypt_batch_shards(xs))
+        net = self.model
+        shadow = ShadowEvaluator(net.ctx, encoder=self.cache)
+        net.forward_shards(
+            [shadow.encrypt(None) for _ in range(net.num_input_shards)], ev=shadow
+        )
         return self
 
     def stats(self) -> dict:
@@ -407,10 +293,9 @@ class ModelArtifact:
         """Warm-start from a persisted cache; returns entries installed.
 
         Validates the format tag and the model fingerprint
-        (:class:`ArtifactMismatchError` on any mismatch), rebuilds every
-        plaintext against this model's context, and re-memoises the
-        per-layer linear tuples — after this, steady-state serving hits
-        the cache without ever running :meth:`warm`'s forward pass.
+        (:class:`ArtifactMismatchError` on any mismatch) and rebuilds
+        every plaintext against this model's context — after this,
+        steady-state serving hits the memo without running :meth:`warm`.
         """
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
@@ -421,14 +306,4 @@ class ModelArtifact:
                 f"{path}: cache was built for a different compiled model "
                 "(parameters or weights changed) — re-warm and re-save"
             )
-        count = self.cache.import_entries(self.model.ctx, payload["entries"])
-        # rebuild the per-layer memo from the now-hot cache: every encode
-        # below is a dictionary hit, so this is pure assembly
-        self._linear_memo.clear()
-        levels = self.model.layer_input_levels()
-        branch_levels = self.model.merge_branch_levels()
-        for i in self.model.matvec_groups:
-            # a merge projection reads its saved branch's coordinates
-            level = branch_levels.get(i, levels[i])
-            self.encoded_linear(i, level, self.model.ctx.canonical_scale(level))
-        return count
+        return self.cache.import_entries(self.model.ctx, payload["entries"])

@@ -163,8 +163,9 @@ class ClientKeyRegistry:
     def evaluator_for(self, client_id: str, model, seed: int = 1) -> CkksEvaluator:
         """A fresh evaluator over the client's chain and the model's context.
 
-        Shares the model's (caching) encoder, so pre-encoded plaintexts —
-        key-independent by construction — are reused across every tenant.
+        Shares the model's encoder — the artifact's plaintext memo when
+        one is installed — so encoded plaintexts, key-independent by
+        construction, are reused across every tenant.
         """
         ev = CkksEvaluator(model.ctx, self.chain_for(client_id, model), seed=seed)
         ev.encoder = model.ev.encoder

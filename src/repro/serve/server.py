@@ -4,8 +4,8 @@
 requests are grouped per ``(model, client)`` into SIMD batches
 (:mod:`repro.serve.queue` — two tenants never share a ciphertext),
 packed into disjoint slot blocks, pushed through one encrypted forward
-using the artifact's pre-encoded plaintexts (:mod:`repro.serve.artifact`
-— key-independent, so every tenant shares them), and demultiplexed back
+whose plaintexts come from the artifact's memo (:mod:`repro.serve.artifact`
+— key-independent, so every tenant shares it), and demultiplexed back
 into per-client logits on decrypt.  Client key material comes from a
 :class:`~repro.serve.keys.ClientKeyRegistry`; the default tenant uses
 the model's own baked keys, so a single-model single-tenant server works
@@ -114,7 +114,7 @@ class InferenceServer:
         Flush deadline for a partially filled batch.
     num_workers:
         Worker threads; each gets its own evaluator per (model, client)
-        against shared keys (encoding caches are shared).
+        against shared keys (the plaintext memo is shared).
     max_pending:
         Total admission bound.  A non-blocking submit over it sheds with
         :class:`QueueOverflow`; ``submit(..., block=True)`` waits
@@ -140,7 +140,9 @@ class InferenceServer:
         *uncompiled* ``repro.nn`` models passed in ``model`` (ignored
         for artifacts and already-compiled networks).
     instrument / trace / warm:
-        As before: op counting, execution tracing, cache warm-up.
+        Op counting, execution tracing, and filling every artifact's
+        plaintext memo up front (:meth:`ModelArtifact.warm` — a shadow
+        forward: no key, no encryption).
 
     Usage::
 
@@ -252,7 +254,7 @@ class InferenceServer:
         One worker thread runs one batch at a time, so each cached
         evaluator is only ever used by its own thread — reset()/tracer
         state per batch is safe.  Worker 0 of the default tenant reuses
-        the model's own evaluator (back-compat with warm-up encodes).
+        the model's own evaluator.
         """
         key = (worker_index, model_name, client_id)
         with self._ev_lock:
@@ -469,9 +471,7 @@ class InferenceServer:
             if "key_mismatch" in directives:
                 encrypt_ev = self._mismatch_evaluator(model_name)
             cts = net.encrypt_batch_shards(xs, ev=encrypt_ev)
-            ct = net.forward_shards(
-                cts, encoded=art.encoded_linear, ev=ev, executor=executor
-            )[0]
+            ct = net.forward_shards(cts, ev=ev, executor=executor)[0]
             logits = net.decrypt_logits(
                 ct, self._num_classes[model_name], batch=len(batch), ev=ev
             )

@@ -454,8 +454,7 @@ class TestToyCnnEndToEnd:
         rng = np.random.default_rng(12)
         xs = [rng.normal(size=64) for _ in range(enc.max_batch)]
         ref = model(Tensor(np.stack(xs).reshape(-1, 1, 8, 8))).data
-        artifact = ModelArtifact(enc)
-        artifact.prewarm_activations()
+        artifact = ModelArtifact(enc).warm()
         ct = enc.encrypt_batch(xs)
         out = artifact.forward(ct)
         got = enc.decrypt_logits(out, 3, batch=len(xs))
@@ -479,7 +478,7 @@ class TestToyCnnEndToEnd:
         levels = graph.input_levels(top)
         # conv(1) + PAF(6) + pool(1) + conv(1) then the dense head
         assert [levels[i] for i in range(5)] == [top, top - 1, top - 7, top - 8, top - 9]
-        assert enc.layer_input_levels() == graph.input_levels(enc.ctx.max_level)
+        assert enc.graph.input_levels(enc.ctx.max_level) == levels
 
     def test_num_shards_is_a_free_axis(self, toy_cnn):
         """The same toy CNN at ``num_shards=2``: the first conv's two

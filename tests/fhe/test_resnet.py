@@ -619,8 +619,7 @@ class TestToyResnetEndToEnd:
         rng = np.random.default_rng(12)
         xs = [rng.normal(size=64) for _ in range(enc.max_batch)]
         ref = model(Tensor(np.stack(xs).reshape(-1, 1, 8, 8))).data
-        artifact = ModelArtifact(enc)
-        artifact.prewarm_activations()
+        artifact = ModelArtifact(enc).warm()
         out = artifact.forward(enc.encrypt_batch_shards(xs))
         got = enc.decrypt_logits(out[0], 3, batch=len(xs))
         np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-4)

@@ -9,6 +9,8 @@ op-count gate for every pinned model, its output lands on the real
 forward's exact ``(level, scale)``, and a ``TracingEvaluator`` around it
 reproduces the checked-in per-layer level slack.  A fourth: the shadow
 refuses what the real evaluator refuses, with the same ``ValueError``.
+A fifth: handed an encoder, it asks it for exactly the plaintexts the
+real evaluator asks for — how ``ModelArtifact.warm`` fills its memo.
 """
 
 import json
@@ -19,13 +21,16 @@ import pytest
 
 from repro.ckks import (
     CkksContext,
+    CkksEncoder,
     CkksEvaluator,
     CkksParams,
     ShadowEvaluator,
+    eval_paf_relu,
     keygen,
 )
 from repro.ckks.instrumentation import CountingEvaluator
 from repro.obs import TracingEvaluator
+from repro.paf import get_paf
 
 BENCH = Path(__file__).resolve().parents[2] / "benchmarks"
 OPCOUNTS = json.loads((BENCH / "opcount_baseline.json").read_text())["models"]
@@ -157,3 +162,48 @@ def test_sum_rotated_same_coordinates_same_books():
         assert dict(ev.counts) == {"rotate": 2, "add": 3}
         assert ev.keyswitch_count == 2
     assert landed[0] == landed[1]
+
+
+class _RecordingEncoder(CkksEncoder):
+    """A real encoder that remembers what it was asked to encode."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.asked = []
+
+    def encode(self, values, level, scale=None):
+        self.asked.append((np.asarray(values, dtype=np.float64).tobytes(), level, scale))
+        return super().encode(values, level, scale)
+
+
+def _relu_then_align(ev, x):
+    """A PAF ReLU (leaves, gate constant) and a drift-correcting align."""
+    y = eval_paf_relu(ev, x, get_paf("f1g2"), scale=2.0)
+    return ev.align_to(y, y.level - 1, ev.ctx.canonical_scale(y.level - 1) * 1.001)
+
+
+def test_shadow_with_an_encoder_asks_for_the_real_evaluators_plaintexts():
+    """Same ``(value, level, scale)`` triples, in the same order."""
+    ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=8))
+    real = CkksEvaluator(ctx, keygen(ctx, seed=0))
+    x = real.encrypt(np.linspace(-1.0, 1.0, 8))  # the payload is not a constant
+    real.encoder = _RecordingEncoder(ctx)
+    shadow = ShadowEvaluator(ctx, encoder=_RecordingEncoder(ctx))
+    landed = [
+        (out.level, out.scale)
+        for out in (_relu_then_align(real, x), _relu_then_align(shadow, shadow.encrypt(None)))
+    ]
+    assert landed[0] == landed[1]
+    assert real.encoder.asked == shadow.encoder.asked
+    assert len(real.encoder.asked) > 1
+
+
+def test_shadow_without_an_encoder_never_touches_one(monkeypatch):
+    def no_encodes(*args, **kwargs):
+        raise AssertionError("an encoder-less shadow encoded a plaintext")
+
+    monkeypatch.setattr(CkksEncoder, "encode", no_encodes)
+    shadow = ShadowEvaluator(CkksContext(CkksParams(n=64, scale_bits=25, depth=8)))
+    assert shadow.encoder is None
+    out = _relu_then_align(shadow, shadow.encrypt(None))
+    assert out.level == 1

@@ -1,16 +1,30 @@
-"""Encoding caches: correctness of cached plaintexts and steady-state hits."""
+"""The plaintext memo: bit-identical hits, one shadow fill, zero steady-state encodes."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.ckks import CkksContext, CkksParams
+from repro.ckks import CkksContext, CkksEvaluator, CkksParams
 from repro.ckks.encoder import CkksEncoder, Plaintext
-from repro.serve.artifact import CachingEncoder, ModelArtifact, PlaintextCache
+from repro.fhe import toy as toy_models
+from repro.serve.artifact import ModelArtifact, PlaintextCache
 
 
 @pytest.fixture(scope="module")
 def encoder():
     return CkksEncoder(CkksContext(CkksParams(n=512, scale_bits=25, depth=3)))
+
+
+def _assert_same_bytes(got, want):
+    """Two shard lists (or bare ciphertexts) hold the same ciphertext bytes."""
+    got = got if isinstance(got, list) else [got]
+    want = want if isinstance(want, list) else [want]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.level, a.scale) == (b.level, b.scale)
+        assert np.array_equal(a.c0.data, b.c0.data)
+        assert np.array_equal(a.c1.data, b.c1.data)
 
 
 class TestPlaintextCache:
@@ -52,148 +66,164 @@ class TestPlaintextCache:
         cache.encode(9.0, level=0, scale=2.0**20)
         assert cache.hits == 1
 
-
-class TestCachingEncoder:
     def test_delegates_and_caches(self, encoder):
+        """The memo *is* the drop-in encoder: everything but ``encode``
+        is the wrapped encoder's."""
         cache = PlaintextCache(encoder)
-        wrapped = CachingEncoder(encoder, cache)
-        assert wrapped.ctx is encoder.ctx           # delegation
-        pt = wrapped.encode(np.ones(4), 1, 2.0**25)
+        assert cache.ctx is encoder.ctx           # delegation
+        pt = cache.encode(np.ones(4), 1, 2.0**25)
         assert isinstance(pt, Plaintext)
-        wrapped.encode(np.ones(4), 1, 2.0**25)
+        np.testing.assert_allclose(cache.decode(pt.poly, pt.scale, 4), np.ones(4), atol=1e-5)
+        cache.encode(np.ones(4), 1, 2.0**25)
         assert cache.hits == 1
+
+    def test_encode_fresh_bypasses_the_memo(self, encoder):
+        cache = PlaintextCache(encoder)
+        pt = cache.encode_fresh(np.ones(4), 1, 2.0**25)
+        np.testing.assert_array_equal(
+            pt.poly.data, encoder.encode(np.ones(4), 1, 2.0**25).poly.data
+        )
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
 
 
 class TestModelArtifact:
-    def test_encoded_linear_matches_raw_path(self, toy):
-        _, enc = toy
-        art = ModelArtifact(enc, cache_activations=False)
-        rng = np.random.default_rng(7)
-        xs = rng.normal(size=(3, 8))
-        ct_raw = enc.forward(enc.encrypt_batch(xs))
-        ct_pre = art.forward(enc.encrypt_batch(xs))
-        raw = enc.decrypt_logits(ct_raw, 3, batch=3)
-        pre = enc.decrypt_logits(ct_pre, 3, batch=3)
-        np.testing.assert_allclose(pre, raw, atol=1e-3)
-
     def test_steady_state_does_zero_encoding(self, toy):
         _, enc = toy
-        art = ModelArtifact(enc, cache_activations=False).warm()
-        misses_after_warm = art.cache.misses
+        art = ModelArtifact(enc).warm()
+        entries, misses = len(art.cache), art.cache.misses
         for _ in range(2):
             art.forward(enc.encrypt_batch([np.ones(8)]))
-        assert art.cache.misses == misses_after_warm  # no fresh encodes at all
-        # steady state short-circuits on the per-layer memo, one hit per layer
-        assert len(art._linear_memo) == len(enc.matvec_plans)
+        assert (len(art.cache), art.cache.misses) == (entries, misses)
 
-    def test_warm_populates_all_linear_layers(self, toy):
-        _, enc = toy
-        art = ModelArtifact(enc, cache_activations=False).warm()
-        n_diags = sum(
-            len(inner)
-            for ((groups,),) in enc.matvec_groups.values()
-            for inner in groups.values()
-        )
-        n_bias = len(enc.matvec_bias_slots)
-        assert len(art.cache) == n_diags + n_bias
-
-    def test_encoded_payload_follows_matvec_plan(self, toy):
-        """Every layer gets a grid of grouped {giant: {baby: Plaintext}}
-        payloads (1 x 1 here) whose shape mirrors the pre-rotated raw
-        groups, plus the one-element bias list."""
-        _, enc = toy
-        art = ModelArtifact(enc, cache_activations=False)
-        i = next(iter(enc.matvec_groups))
-        ct = enc.encrypt_batch([np.zeros(8)])
-        ((payload,),), (bias,) = art.encoded_linear(i, ct.level, ct.scale)
-        ((raw,),) = enc.matvec_groups[i]
-        assert {g: set(inner) for g, inner in payload.items()} == {
-            g: set(inner) for g, inner in raw.items()
-        }
-        assert isinstance(bias, Plaintext)
-        for inner in payload.values():
-            for pt in inner.values():
-                assert isinstance(pt, Plaintext)
+    def test_warm_populates_all_linear_layers(self):
+        """Every diagonal sits in the memo at its layer's coordinates on
+        the graph's static schedule, every bias one rescale below."""
+        enc = toy_models.compiled_toy()
+        art = ModelArtifact(enc).warm()
+        levels = enc.graph.input_levels(enc.ctx.max_level)
+        keys = set(art.cache._entries)
+        for i, ((groups,),) in enc.matvec_groups.items():
+            level = levels[i]
+            scale = enc.ctx.canonical_scale(level)
+            for inner in groups.values():
+                for vec in inner.values():
+                    assert PlaintextCache._key(vec, level, scale) in keys
+            (bias,) = enc.matvec_bias_slots[i]
+            assert PlaintextCache._key(
+                bias, level - 1, enc.ctx.canonical_scale(level - 1)
+            ) in keys
 
     def test_stats_shape(self, toy):
         _, enc = toy
-        art = ModelArtifact(enc, cache_activations=False)
-        stats = art.stats()
+        stats = ModelArtifact(enc).stats()
         assert set(stats) == {"entries", "hits", "misses", "hit_rate"}
 
+    def test_second_artifact_shares_the_memo(self, tmp_path):
+        """Wrapping a network twice must not orphan the first artifact:
+        both read — and persist — the one memo the evaluator feeds."""
+        enc = toy_models.compiled_toy()
+        first = ModelArtifact(enc)
+        second = ModelArtifact(enc)
+        assert first.cache is second.cache is enc.ev.encoder
+        second.warm()
+        second.forward(enc.encrypt_batch([np.ones(8)]))
+        assert first.stats() == second.stats()
+        assert first.stats()["hits"] > 0
+        assert first.save_cache(tmp_path / "first.cache") == len(second.cache)
 
-class TestActivationPrewarm:
-    """Pre-encoded PAF coefficient cache (the activation-plan path)."""
 
-    def test_layer_input_levels_schedule(self, toy):
-        from repro.paf.relu import relu_mult_depth
+#: family -> (builder, flat input dim).  The stacked transformer leads:
+#: the recrypt test below parametrizes over it alone, and pytest shares a
+#: module-scoped fixture between the two only at the same param index.
+FAMILIES = {
+    "toy_transformer_stacked": (toy_models.compiled_toy_transformer_stacked, 32),
+    "toy_mlp": (toy_models.compiled_toy, 8),
+    "toy_cnn": (toy_models.compiled_toy_cnn, 64),
+    "toy_resnet": (toy_models.compiled_toy_resnet, 64),
+    "toy_transformer": (toy_models.compiled_toy_transformer, 32),
+}
 
-        _, enc = toy
-        levels = enc.layer_input_levels()
-        level = enc.ctx.max_level
-        for i in sorted(enc.matvec_plans.keys() | enc.paf_plans.keys()):
-            assert levels[i] == level
-            level -= 1 if i in enc.matvec_plans else relu_mult_depth(
-                enc.layers[i].paf
-            )
 
-    def test_prewarm_counts_and_steady_state_hits(self, toy):
-        _, enc = toy
-        original_encoder = enc.ev.encoder
-        try:
-            art = ModelArtifact(enc, cache_activations=True)
-            expected = sum(
-                plan.num_leaves + 1 for plan in enc.paf_plans.values()
-            )
-            count = art.prewarm_activations()
-            assert count == expected
-            assert len(art.cache) == expected       # nothing else encoded yet
-            art.warm()
-            # every prewarmed constant was consumed from the cache (the
-            # evaluator's encodes matched the plan's (value, level, scale)
-            # coordinates key-for-key)
-            assert art.cache.hits >= count
-            for value, level, scale in art.activation_encodings(
-                next(iter(enc.paf_plans))
-            ):
-                hits = art.cache.hits
-                art.cache.encode(value, level, scale)
-                assert art.cache.hits == hits + 1
-            # steady state: a further forward encodes nothing fresh —
-            # activation constants and alignment corrections included
-            misses_after_warm = art.cache.misses
-            art.forward(enc.encrypt_batch([np.ones(8)]))
-            assert art.cache.misses == misses_after_warm
-        finally:
-            enc.ev.encoder = original_encoder
+@pytest.fixture(scope="module")
+def served(request):
+    """One family, compiled, shadow-warmed, then sent one real request.
 
-    def test_prewarmed_forward_bit_identical(self, toy):
-        _, enc = toy
-        original_encoder = enc.ev.encoder
-        try:
-            ct = enc.encrypt_batch([np.linspace(-1, 1, 8)])
-            plain_art = ModelArtifact(enc, cache_activations=False)
-            out_a = plain_art.forward(ct)
-            warm_art = ModelArtifact(enc, cache_activations=True)
-            warm_art.prewarm_activations()
-            out_b = warm_art.forward(ct)
-            # cached plaintexts are bit-identical to fresh encodes, so the
-            # whole encrypted forward is too
-            assert np.array_equal(out_a.c0.data, out_b.c0.data)
-            assert np.array_equal(out_a.c1.data, out_b.c1.data)
-        finally:
-            enc.ev.encoder = original_encoder
+    The request is a random in-domain row encrypted by a seeded
+    evaluator over the network's own keys: every compile of one family
+    bakes the same keys, so the same ciphertexts drive the un-wrapped
+    and the cold-loaded compiles of the tests below.
+    """
+    build, dim = FAMILIES[request.param]
+    art = ModelArtifact(build()).warm()
+    after_warm = (len(art.cache), art.cache.misses)
+    x = np.random.default_rng(5).uniform(-0.5, 0.5, size=dim)
+    enc = art.model
+    cts = enc.encrypt_batch_shards([x], ev=CkksEvaluator(enc.ctx, enc.keys, seed=5))
+    return SimpleNamespace(
+        build=build, art=art, after_warm=after_warm, cts=cts, out=art.forward(cts)
+    )
+
+
+@pytest.mark.parametrize("served", list(FAMILIES), indirect=True)
+class TestOnePath:
+    """A plaintext reaches the executor one way — through the encoder —
+    and one shadow forward has put every one of them in the memo."""
+
+    def test_real_forward_after_warm_adds_no_miss_and_no_entry(self, served):
+        entries, misses = served.after_warm
+        assert entries == misses > 0
+        assert (len(served.art.cache), served.art.cache.misses) == served.after_warm
+        assert served.art.cache.hits >= entries
+
+    def test_output_byte_identical_to_unwrapped_compile(self, served):
+        bare = served.build()
+        assert type(bare.ev.encoder) is CkksEncoder
+        _assert_same_bytes(bare.forward_shards(served.cts), served.out)
+
+    def test_warm_is_a_shadow_pass(self, served, monkeypatch):
+        """No encryption, no keyswitch, not one real ciphertext — and the
+        same key set a warm without the tripwires encodes."""
+        enc = served.build()
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("warm() left the shadow")
+
+        for op in ("encrypt", "rotate", "mul"):
+            monkeypatch.setattr(enc.ev, op, tripwire)
+        monkeypatch.setattr("repro.ckks.evaluator.Ciphertext", tripwire)
+        art = ModelArtifact(enc).warm()
+        assert set(art.cache._entries) == set(served.art.cache._entries)
+
+    def test_saved_memo_serves_a_fresh_compile_cold(self, served, tmp_path):
+        path = tmp_path / "memo.cache"
+        saved = served.art.save_cache(path)
+        cold = ModelArtifact(served.build())
+        assert cold.load_cache(path) == saved == len(cold.cache)
+        out = cold.forward(served.cts)
+        assert (len(cold.cache), cold.cache.misses) == (saved, 0)
+        _assert_same_bytes(out, served.out)
+
+
+@pytest.mark.parametrize("served", list(FAMILIES)[:1], indirect=True)
+def test_recrypt_keeps_request_data_out_of_the_memo(served):
+    """The refresh re-encodes the *decrypted request* on its way back in:
+    that plaintext is payload, not a model constant, and must bypass the
+    memo like ``encrypt``'s does — three forwards, not one entry more."""
+    assert served.art.model.refresh_plans  # the family that recrypts
+    for _ in range(2):  # the fixture ran the first
+        served.art.forward(served.cts)
+    assert (len(served.art.cache), served.art.cache.misses) == served.after_warm
 
 
 class TestPersistence:
     def test_export_import_entries_round_trip(self, toy):
         _, enc = toy
-        art = ModelArtifact(enc)
-        art.warm()
+        art = ModelArtifact(enc).warm()
         entries = art.cache.export_entries()
         assert len(entries) == len(art.cache)
-        art2 = ModelArtifact(enc)
-        assert art2.cache.import_entries(enc.ctx, entries) == len(entries)
+        other = toy_models.compiled_toy()
+        art2 = ModelArtifact(other)
+        assert art2.cache.import_entries(other.ctx, entries) == len(entries)
         # an imported plaintext is bit-identical to the original
         key = entries[0][0]
         pt_a = art.cache._entries[key]
@@ -203,31 +233,27 @@ class TestPersistence:
 
     def test_save_load_cache_warm_starts(self, toy, tmp_path):
         _, enc = toy
-        art = ModelArtifact(enc)
-        art.warm()
+        art = ModelArtifact(enc).warm()
         path = tmp_path / "toy.cache"
         saved = art.save_cache(path)
         assert saved == len(art.cache)
 
-        cold = ModelArtifact(enc)
+        cold = ModelArtifact(toy_models.compiled_toy())
         assert cold.load_cache(path) == saved
-        # the per-layer memo was rebuilt: a forward hits only the cache
-        misses_before = cold.cache.misses
+        # no memo rebuild, no warm: the first forward hits only the memo
         x = np.random.default_rng(2).normal(size=8)
-        ct = enc.encrypt_batch([x])
-        cold.forward(ct)
-        assert cold.cache.misses == misses_before
+        cold.forward(cold.model.encrypt_batch([x]))
+        assert cold.cache.misses == 0
 
     def test_loaded_forward_bit_identical(self, toy, tmp_path):
         _, enc = toy
-        art = ModelArtifact(enc)
-        art.warm()
+        art = ModelArtifact(enc).warm()
         path = tmp_path / "toy.cache"
         art.save_cache(path)
-        warm2 = ModelArtifact(enc)
+        warm2 = ModelArtifact(toy_models.compiled_toy())
         warm2.load_cache(path)
         x = np.random.default_rng(3).normal(size=8)
-        ct = enc.encrypt_batch([x])  # one encryption, two forwards
+        ct = enc.encrypt_batch([x])  # one encryption, two forwards (same baked keys)
         a = enc.decrypt_logits(art.forward(ct), 3, batch=1)
         b = enc.decrypt_logits(warm2.forward(ct), 3, batch=1)
         np.testing.assert_array_equal(a, b)
@@ -235,18 +261,17 @@ class TestPersistence:
     def test_fingerprint_is_stable_and_model_sensitive(self, toy):
         _, enc = toy
         art = ModelArtifact(enc)
-        assert art.fingerprint() == ModelArtifact(enc).fingerprint()
+        assert art.fingerprint() == ModelArtifact(toy_models.compiled_toy()).fingerprint()
+        assert art.fingerprint() != ModelArtifact(toy_models.compiled_toy_cnn()).fingerprint()
 
     def test_load_rejects_other_models_cache(self, toy, tmp_path):
-        from repro.fhe.toy import compiled_toy_cnn
         from repro.serve import ArtifactMismatchError
 
         _, enc = toy
-        art = ModelArtifact(enc)
-        art.warm()
+        art = ModelArtifact(enc).warm()
         path = tmp_path / "toy.cache"
         art.save_cache(path)
-        other = ModelArtifact(compiled_toy_cnn())
+        other = ModelArtifact(toy_models.compiled_toy_cnn())
         with pytest.raises(ArtifactMismatchError, match="different compiled model"):
             other.load_cache(path)
 
@@ -257,14 +282,12 @@ class TestPersistence:
         every node payload, so the f1∘g2 cache is refused."""
         from repro.core import calibrate_static_scales, convert_to_static, replace_all
         from repro.fhe.network import compile_network
-        from repro.fhe.toy import TOY_PARAMS
         from repro.nn.models import mlp
         from repro.paf import get_paf
         from repro.serve import ArtifactMismatchError
 
         _, enc = toy
-        art = ModelArtifact(enc)
-        art.warm()
+        art = ModelArtifact(enc).warm()
         path = tmp_path / "toy_f1g2.cache"
         art.save_cache(path)
 
@@ -272,7 +295,7 @@ class TestPersistence:
         replace_all(model, get_paf("f2g2"), np.zeros((1, 8)))
         calibrate_static_scales(model, [np.random.default_rng(0).normal(size=(64, 8))])
         convert_to_static(model)
-        other = compile_network(model, TOY_PARAMS)
+        other = compile_network(model, toy_models.TOY_PARAMS)
         for a, b in zip(enc.layers, other.layers):  # only the PAF differs
             assert a.kind == b.kind
             if a.kind == "linear":
@@ -299,10 +322,8 @@ class TestUnifiedCompile:
     """``ModelArtifact.compile`` is the one serving-side compile entry."""
 
     def test_compile_dispatches_mlp_and_matches_direct(self, toy):
-        from repro.fhe.toy import TOY_PARAMS
-
         model, enc = toy
-        art = ModelArtifact.compile(model, TOY_PARAMS, cache_activations=False)
+        art = ModelArtifact.compile(model, toy_models.TOY_PARAMS)
         assert [type(n) for n in art.model.graph.nodes] == [
             type(n) for n in enc.graph.nodes
         ]
@@ -311,20 +332,16 @@ class TestUnifiedCompile:
             art.forward(art.model.encrypt_batch([x])), num_values=3
         )
         want = enc.ev.decrypt(enc.forward(enc.encrypt_batch([x])), num_values=3)
-        # independent compile -> fresh keys and encryption randomness;
-        # only the approximation, not the bits, is shared
+        # independent encryption randomness: only the approximation, not
+        # the bits, is shared
         np.testing.assert_allclose(got, want, atol=1e-3)
 
     def test_policy_carries_compile_options(self, toy):
         from repro.fhe.ir import CompilePolicy
-        from repro.fhe.toy import TOY_PARAMS
 
         model, _ = toy
         art = ModelArtifact.compile(
-            model,
-            TOY_PARAMS,
-            policy=CompilePolicy(seed=2),
-            cache_activations=False,
+            model, toy_models.TOY_PARAMS, policy=CompilePolicy(seed=2)
         )
         assert art.model.policy.seed == 2
 

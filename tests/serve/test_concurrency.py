@@ -63,7 +63,7 @@ class StubNetwork:
     def encrypt_batch_shards(self, xs, ev=None):
         return [[np.asarray(x) for x in xs]]  # one "shard" holding the batch
 
-    def forward_shards(self, cts, encoded=None, ev=None, executor=None):
+    def forward_shards(self, cts, ev=None, executor=None):
         if self.delay:
             time.sleep(self.delay)
         return cts

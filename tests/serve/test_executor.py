@@ -122,9 +122,7 @@ def test_sharded_forward_bit_identical_across_executors(
         cts = enc.encrypt_batch_shards([x], ev=ev)
 
         def forward(executor=None):
-            out = enc.forward_shards(
-                cts, encoded=art.encoded_linear, ev=ev, executor=executor
-            )[0]
+            out = enc.forward_shards(cts, ev=ev, executor=executor)[0]
             return enc.decrypt_logits(out, 3, batch=1, ev=ev)[0]
 
         serial = forward()
