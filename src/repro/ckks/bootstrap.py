@@ -207,6 +207,8 @@ class RefreshPlan:
         cached = self._encoded.get(key)
         if cached is not None:
             return cached
+        from repro.fhe.linear import grouped_diagonals
+
         matrix = self.cts_matrix if stage == "cts" else self.stc_matrix
         mv_plan = self.cts_plan if stage == "cts" else self.stc_plan
         m = matrix.shape[0]
@@ -214,18 +216,10 @@ class RefreshPlan:
         diagonals = {
             d: factor * matrix[rows, (rows + d) % m] for d in range(m)
         }
-        if mv_plan.use_bsgs:
-            groups: dict = {}
-            for d, vec in diagonals.items():
-                b = d % mv_plan.n1
-                g = d - b
-                groups.setdefault(g, {})[b] = np.roll(vec, g)
-        else:
-            groups = {0: diagonals}
         encode = CkksEncoder(self.ctx).encode
         encoded = {
             g: {b: encode(vec, level, pt_scale) for b, vec in inner.items()}
-            for g, inner in groups.items()
+            for g, inner in grouped_diagonals(diagonals, mv_plan).items()
         }
         self._encoded[key] = encoded
         return encoded

@@ -284,7 +284,6 @@ def encrypted_matvec_shards(
     cts: list,
     blocks: list,
     bias_slots: list | None = None,
-    executor=None,
 ) -> list:
     """Block matvec over channel-sharded ciphertexts.
 
@@ -312,13 +311,6 @@ def encrypted_matvec_shards(
     ``bias_slots[j]`` (raw vector or pre-encoded post-rescale
     :class:`~repro.ckks.encoder.Plaintext`) is added to output shard
     ``j``; ``None`` entries skip the add.
-
-    ``executor`` is an optional
-    :class:`~repro.serve.executor.BlockExecutor`: the per-output-shard
-    accumulate/rotate/rescale chains are independent once the shared
-    hoisted rotations exist, so they are handed to ``executor.map_blocks`` as
-    zero-arg tasks (serial when ``None``).  Every op is deterministic,
-    so executor choice never changes the output ciphertexts.
     """
     if not blocks or any(len(row) != len(cts) for row in blocks):
         raise ValueError(
@@ -335,30 +327,22 @@ def encrypted_matvec_shards(
             rot = ev.rotate_many(ct, steps) if steps else {}
             rot[0] = ct
             rotated.append(rot)
-        def block_task(j, row):
-            def run():
-                inners = {}
-                for g in sorted({g for groups in row if groups for g in groups}):
-                    for i, groups in enumerate(row):
-                        if not groups or g not in groups:
-                            continue
-                        for b in sorted(groups[g]):
-                            term = ev.mul_plain(rotated[i][b], groups[g][b])
-                            inners[g] = ev.add(inners[g], term) if g in inners else term
-                if not inners:
-                    raise ValueError(f"output shard {j} reads no nonzero block")
-                acc = ev.rescale(ev.sum_rotated(inners))
-                if bias_slots is not None and bias_slots[j] is not None:
-                    acc = ev.add_plain(acc, bias_slots[j])
-                return acc
-
-            return run
-
-        tasks = [block_task(j, row) for j, row in enumerate(blocks)]
-        if executor is None or len(tasks) <= 1:
-            outs = [task() for task in tasks]
-        else:
-            outs = executor.map_blocks(tasks, ctx=ev.ctx)
+        outs = []
+        for j, row in enumerate(blocks):
+            inners = {}
+            for g in sorted({g for groups in row if groups for g in groups}):
+                for i, groups in enumerate(row):
+                    if not groups or g not in groups:
+                        continue
+                    for b in sorted(groups[g]):
+                        term = ev.mul_plain(rotated[i][b], groups[g][b])
+                        inners[g] = ev.add(inners[g], term) if g in inners else term
+            if not inners:
+                raise ValueError(f"output shard {j} reads no nonzero block")
+            acc = ev.rescale(ev.sum_rotated(inners))
+            if bias_slots is not None and bias_slots[j] is not None:
+                acc = ev.add_plain(acc, bias_slots[j])
+            outs.append(acc)
         sp.ct_exit(outs)
     return outs
 

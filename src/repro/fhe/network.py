@@ -443,9 +443,7 @@ class EncryptedNetwork:
         """Restore every block's replica half: out[i+size] = in[i]."""
         return ev.add(ct, ev.rotate(ct, self._replicate_step))
 
-    def forward_shards(
-        self, cts, *, ev: CkksEvaluator | None = None, executor=None
-    ) -> list:
+    def forward_shards(self, cts, *, ev: CkksEvaluator | None = None) -> list:
         """Encrypted forward over the ciphertext list — the one executor.
 
         ``cts`` is one ciphertext per input shard
@@ -476,14 +474,6 @@ class EncryptedNetwork:
         there.  ``ev`` overrides the evaluator (worker pools run one
         evaluator per thread against the shared keys; ``op_counts`` and
         the artifact's ``warm`` pass a shadow).
-
-        ``executor`` is an optional
-        :class:`~repro.serve.executor.BlockExecutor` scheduling the
-        independent shard-grid blocks — each linear layer's
-        per-output-shard chains, and the per-shard pool / PAF
-        applications between them — across threads or forked processes.
-        Deterministic ops make executor choice invisible in the
-        ciphertexts; it only buys wall time on multi-shard models.
         """
         ev = ev or self.ev
         cts = list(cts)
@@ -508,7 +498,7 @@ class EncryptedNetwork:
                 ) as sp:
                     sp.ct_entry(cts)
                     handler = _dispatch(self._EXEC, node)
-                    cts = handler(self, i, node, cts, ev, executor, stack)
+                    cts = handler(self, i, node, cts, ev, stack)
                     sp.ct_exit(cts, level_slack=cts[0].level - self._depth_after[i])
             root.ct_exit(cts)
         return cts
@@ -520,30 +510,29 @@ class EncryptedNetwork:
         return out
 
     # --- node handlers -------------------------------------------------
-    def _grid_matvec(self, i, cts, ev, executor) -> list:
+    def _grid_matvec(self, i, cts, ev) -> list:
         """Node ``i``'s block-grid matvec over replicated shards."""
         return encrypted_matvec_shards(
             ev,
             cts,
             self.matvec_groups[i],
             bias_slots=self.matvec_bias_slots.get(i),
-            executor=executor,
         )
 
-    def _exec_matvec(self, i, node, cts, ev, executor, stack):
+    def _exec_matvec(self, i, node, cts, ev, stack):
         if i > 0:
             cts = [self._replicate(ct, ev) for ct in cts]
-        return self._grid_matvec(i, cts, ev, executor)
+        return self._grid_matvec(i, cts, ev)
 
-    def _exec_residual(self, i, node, cts, ev, executor, stack):
+    def _exec_residual(self, i, node, cts, ev, stack):
         stack.append(cts)
         return cts
 
-    def _exec_merge(self, i, node, cts, ev, executor, stack):
+    def _exec_merge(self, i, node, cts, ev, stack):
         skip = stack.pop()
         if node.blocks is not None:
             skip = [self._replicate(ct, ev) for ct in skip]
-            skip = self._grid_matvec(i, skip, ev, executor)
+            skip = self._grid_matvec(i, skip, ev)
         if len(skip) != len(cts):
             raise ValueError(
                 f"merge layer {i}: skip branch has {len(skip)} shards, "
@@ -561,12 +550,10 @@ class EncryptedNetwork:
             msp.ct_exit(cts)
         return cts
 
-    def _exec_pool(self, i, node, cts, ev, executor, stack):
-        return self._map_shards(
-            executor, lambda ct: self._pool_forward(ct, i, ev), cts
-        )
+    def _exec_pool(self, i, node, cts, ev, stack):
+        return [self._pool_forward(ct, i, ev) for ct in cts]
 
-    def _exec_affine(self, i, node, cts, ev, executor, stack):
+    def _exec_affine(self, i, node, cts, ev, stack):
         if len(cts) > 1:
             raise ValueError(
                 f"layer {i} kind {node.kind!r} has no sharded execution "
@@ -575,21 +562,18 @@ class EncryptedNetwork:
         ct = ev.rescale(ev.mul_plain(cts[0], self.affine_scale_slots[i]))
         return [ev.add_plain(ct, self.affine_shift_slots[i])]
 
-    def _exec_paf(self, i, node, cts, ev, executor, stack):
+    def _exec_paf(self, i, node, cts, ev, stack):
         plan = self.paf_plans[i]
-        return self._map_shards(
-            executor,
-            lambda ct: eval_paf_relu(ev, ct, node.paf, scale=node.scale, plan=plan),
-            cts,
-        )
+        return [
+            eval_paf_relu(ev, ct, node.paf, scale=node.scale, plan=plan)
+            for ct in cts
+        ]
 
-    def _exec_poly(self, i, node, cts, ev, executor, stack):
+    def _exec_poly(self, i, node, cts, ev, stack):
         plan = self.poly_plans[i]
-        return self._map_shards(
-            executor, lambda ct: eval_poly(ev, ct, node.poly, plan=plan), cts
-        )
+        return [eval_poly(ev, ct, node.poly, plan=plan) for ct in cts]
 
-    def _exec_reduce(self, i, node, cts, ev, executor, stack):
+    def _exec_reduce(self, i, node, cts, ev, stack):
         with trace_span(ev, "reduce:shards", kind="exec", shards=len(cts)) as sp:
             sp.ct_entry(cts)
             acc = cts[0]
@@ -598,14 +582,14 @@ class EncryptedNetwork:
             sp.ct_exit(acc)
         return [acc]
 
-    def _exec_attention(self, i, node, cts, ev, executor, stack):
-        return attention_forward(self, i, node, cts, ev, executor=executor)
+    def _exec_attention(self, i, node, cts, ev, stack):
+        return attention_forward(self, i, node, cts, ev)
 
-    def _exec_refresh(self, i, node, cts, ev, executor, stack):
+    def _exec_refresh(self, i, node, cts, ev, stack):
         from repro.ckks.bootstrap import refresh
 
         plan = self.refresh_plans[i]
-        return self._map_shards(executor, lambda ct: refresh(ev, ct, plan), cts)
+        return [refresh(ev, ct, plan) for ct in cts]
 
     _EXEC = {
         MatvecNode: _exec_matvec,
@@ -619,12 +603,6 @@ class EncryptedNetwork:
         AttentionNode: _exec_attention,
         RefreshNode: _exec_refresh,
     }
-
-    def _map_shards(self, executor, fn, cts) -> list:
-        """Apply ``fn`` to every shard, optionally on a block executor."""
-        if executor is None or len(cts) <= 1:
-            return [fn(ct) for ct in cts]
-        return executor.map_blocks([lambda ct=ct: fn(ct) for ct in cts], ctx=self.ctx)
 
     def _pool_forward(self, ct: Ciphertext, i: int, ev: CkksEvaluator) -> Ciphertext:
         """Average pool: rotate-and-sum per axis, then one masked scalar mult.

@@ -143,7 +143,7 @@ def _pack_windows(ev, cts: list, dim: int):
     return ev.sum_rotated({-j * dim: ct for j, ct in enumerate(cts)})
 
 
-def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
+def attention_forward(net, i: int, node, cts, ev) -> list:
     """Execute one attention node over the per-token ciphertext shards.
 
     Returns one output shard per token, ``level_cost()`` levels below
@@ -174,7 +174,6 @@ def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
                     [net._replicate(ct, ev)],
                     qkv_groups,
                     bias_slots=qkv_biases,
-                    executor=executor,
                 )
                 for ct in cts
             )
@@ -228,6 +227,6 @@ def attention_forward(net, i: int, node, cts, ev, *, executor=None) -> list:
 
     with trace_span(ev, "attention:mix", kind="exec", shards=seq) as sp:
         sp.ct_entry(cts)
-        outs = net._map_shards(executor, one_query, qs)
+        outs = [one_query(qi) for qi in qs]
         sp.ct_exit(outs)
     return outs

@@ -46,9 +46,7 @@ Facade + metrics (:mod:`repro.serve.server`, :mod:`repro.serve.metrics`)
     :class:`InferenceServer` is the entry point: ``submit(x, client_id=...,
     model=...)`` returns a future resolving to logits/prediction/latency;
     throughput, latency percentiles, HE-op counts, shed/error counters
-    and per-tenant series are aggregated per batch.  Sharded models can
-    schedule their block grid onto a :mod:`repro.serve.executor`
-    thread/process pool.
+    and per-tenant series are aggregated per batch.
 
 Quickstart::
 
@@ -67,12 +65,6 @@ from repro.serve.artifact import (
     ArtifactMismatchError,
     ModelArtifact,
     PlaintextCache,
-)
-from repro.serve.executor import (
-    BlockExecutor,
-    ProcessBlockExecutor,
-    ThreadBlockExecutor,
-    make_executor,
 )
 from repro.serve.faults import FaultInjector, PoisonedRequestError, WorkerCrashError
 from repro.serve.keys import (
@@ -122,10 +114,6 @@ __all__ = [
     "FaultInjector",
     "WorkerCrashError",
     "PoisonedRequestError",
-    "BlockExecutor",
-    "ThreadBlockExecutor",
-    "ProcessBlockExecutor",
-    "make_executor",
     "ServingMetrics",
     "percentile",
     "InferenceResult",

@@ -197,18 +197,16 @@ class ModelArtifact:
         return cls(compile_network(nn_model, params, policy=policy), **kwargs)
 
     # ------------------------------------------------------------------
-    def forward(self, ct, ev=None, executor=None):
+    def forward(self, ct, ev=None):
         """Encrypted forward of the wrapped model.
 
         ``ct`` is the shard ciphertext *list* (``encrypt_batch_shards``)
         and the return value the output shard list; a bare ciphertext
         (a single-ciphertext model's ``encrypt_batch``) comes back as a
-        bare ciphertext.  ``executor`` schedules the independent
-        shard-grid blocks on a
-        :class:`~repro.serve.executor.BlockExecutor`.
+        bare ciphertext.
         """
         if isinstance(ct, (list, tuple)):
-            return self.model.forward_shards(ct, ev=ev, executor=executor)
+            return self.model.forward_shards(ct, ev=ev)
         return self.model.forward(ct, ev=ev)
 
     def fresh_evaluator(self, seed: int = 1):

@@ -118,17 +118,13 @@ class InferenceServer:
     max_pending:
         Total admission bound.  A non-blocking submit over it sheds with
         :class:`QueueOverflow`; ``submit(..., block=True)`` waits
-        (backpressure).  ``None`` = unbounded (the old behavior).
+        (backpressure).  ``None`` = unbounded.
     key_registry:
         :class:`ClientKeyRegistry` for non-default tenants (one is
         created when omitted).  ``register_client`` proxies to it.
     fault_injector:
         Optional :class:`~repro.serve.faults.FaultInjector` — the
         deterministic failure-mode harness.
-    shard_executor:
-        Optional :class:`~repro.serve.executor.BlockExecutor` scheduling
-        multi-shard models' block grids across threads/processes.  Ignored
-        while tracing (the tracer's span stack is per-thread).
     integrity_tol:
         Ciphertext integrity bound: after a forward whose final layer is
         linear, the replica half of block 0 must decrypt to ~0 (the
@@ -168,7 +164,6 @@ class InferenceServer:
         max_pending: int | None = None,
         key_registry: ClientKeyRegistry | None = None,
         fault_injector: FaultInjector | None = None,
-        shard_executor=None,
         integrity_tol: float | None = 0.25,
         params=None,
     ):
@@ -205,7 +200,6 @@ class InferenceServer:
 
         self.key_registry = key_registry if key_registry is not None else ClientKeyRegistry()
         self.faults = fault_injector
-        self.shard_executor = shard_executor
         self.metrics = ServingMetrics()
         self._trace = trace
         self._instrument = instrument or trace
@@ -266,9 +260,7 @@ class InferenceServer:
             if worker_index == 0:
                 base = art.model.ev
             else:
-                # stub models (the concurrency harness) carry their own hook
-                fresh = getattr(art.model, "fresh_evaluator", None)
-                base = (fresh or art.fresh_evaluator)(seed=1000 + worker_index)
+                base = art.fresh_evaluator(seed=1000 + worker_index)
         else:
             base = self.key_registry.evaluator_for(
                 client_id, art.model, seed=1000 + worker_index
@@ -462,7 +454,6 @@ class InferenceServer:
             ev.reset()
         if self._trace:
             ev.tracer.reset()
-        executor = self.shard_executor if not self._trace else None
         self.metrics.batch_started()
         t0 = time.perf_counter()
         try:
@@ -471,7 +462,7 @@ class InferenceServer:
             if "key_mismatch" in directives:
                 encrypt_ev = self._mismatch_evaluator(model_name)
             cts = net.encrypt_batch_shards(xs, ev=encrypt_ev)
-            ct = net.forward_shards(cts, ev=ev, executor=executor)[0]
+            ct = net.forward_shards(cts, ev=ev)[0]
             logits = net.decrypt_logits(
                 ct, self._num_classes[model_name], batch=len(batch), ev=ev
             )

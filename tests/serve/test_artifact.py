@@ -1,5 +1,8 @@
 """The plaintext memo: bit-identical hits, one shadow fill, zero steady-state encodes."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
 from types import SimpleNamespace
 
 import numpy as np
@@ -213,6 +216,50 @@ def test_recrypt_keeps_request_data_out_of_the_memo(served):
     for _ in range(2):  # the fixture ran the first
         served.art.forward(served.cts)
     assert (len(served.art.cache), served.art.cache.misses) == served.after_warm
+
+
+@pytest.mark.parametrize(
+    "family", ["toy_resnet", pytest.param("toy_transformer", marks=pytest.mark.slow)]
+)
+def test_two_threads_fill_a_cold_shared_memo(family):
+    """The sharing a worker pool runs: one ``fresh_evaluator`` per thread
+    over shared keys and one shared memo — cold here, so both threads
+    race to encode every constant of a multi-shard forward.  Both outputs
+    are the single-thread forward byte for byte, and every entry the race
+    left is a fresh encode of its key: it encodes twice, never corrupts."""
+    build, dim = FAMILIES[family]
+    enc = build()
+    x = np.random.default_rng(5).uniform(-0.5, 0.5, size=dim)
+    cts = enc.encrypt_batch_shards([x])
+    want = enc.forward_shards(cts)  # one thread, the plain encoder
+    art = ModelArtifact(enc)
+    assert len(art.cache) == 0
+    start = Barrier(2)
+
+    def forward(k):
+        ev = art.fresh_evaluator(seed=100 + k)
+        start.wait(timeout=60)
+        return art.forward(cts, ev=ev)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(forward, k) for k in range(2)]
+            outs = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for out in outs:
+        _assert_same_bytes(out, want)
+
+    assert art.cache.misses >= len(art.cache) > 0
+    for (*_, value, level, scale), pt in art.cache._entries.items():
+        if isinstance(value, bytes):
+            value = np.frombuffer(value)
+        fresh = art.cache.encode_fresh(value, level, scale)
+        assert np.array_equal(pt.poly.data, fresh.poly.data)
+        assert list(pt.poly.prime_indices) == list(fresh.poly.prime_indices)
+        assert (pt.poly.is_ntt, pt.scale) == (fresh.poly.is_ntt, fresh.scale)
 
 
 class TestPersistence:

@@ -52,9 +52,6 @@ class StubNetwork:
         self.ctx = SimpleNamespace(backend=SimpleNamespace(name=backend))
         self.ev = SimpleNamespace(encoder=SimpleNamespace())
 
-    def fresh_evaluator(self, seed=1):
-        return SimpleNamespace(encoder=self.ev.encoder)
-
     def split_input(self, x):
         if len(x) > self.size:  # the door check is the network's
             raise ValueError(f"input dim {len(x)} exceeds layer size {self.size}")
@@ -63,7 +60,7 @@ class StubNetwork:
     def encrypt_batch_shards(self, xs, ev=None):
         return [[np.asarray(x) for x in xs]]  # one "shard" holding the batch
 
-    def forward_shards(self, cts, ev=None, executor=None):
+    def forward_shards(self, cts, ev=None):
         if self.delay:
             time.sleep(self.delay)
         return cts
@@ -72,9 +69,17 @@ class StubNetwork:
         return np.stack([x[:num_classes] for x in xs])
 
 
+class StubArtifact(ModelArtifact):
+    """The harness's evaluator hook: no key chain to build an evaluator
+    over, so workers past 0 get a bare namespace sharing the memo."""
+
+    def fresh_evaluator(self, seed=1):
+        return SimpleNamespace(encoder=self.cache)
+
+
 def _stub_server(models=("a", "b"), workers=3, **kw):
     arts = {
-        name: ModelArtifact(StubNetwork(backend=f"{name}-backend"))
+        name: StubArtifact(StubNetwork(backend=f"{name}-backend"))
         for name in models
     }
     defaults = dict(max_wait_ms=1.0, num_workers=workers, warm=False)
@@ -200,7 +205,7 @@ class TestStubStress:
     def test_overflow_sheds_explicitly_and_recovers(self):
         stub = StubNetwork(delay=0.05, max_batch=1)
         srv = InferenceServer(
-            ModelArtifact(stub),
+            StubArtifact(stub),
             num_classes=3,
             max_wait_ms=1.0,
             num_workers=1,
