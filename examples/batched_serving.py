@@ -4,7 +4,7 @@ Trains the same tiny PAF-MLP as ``private_inference.py``, then serves a
 burst of client requests through ``repro.serve``: requests are packed
 into disjoint SIMD slot blocks of a single ciphertext, the artifact's
 plaintext memo eliminates steady-state plaintext encoding, and the
-metrics report throughput / latency / homomorphic-op counts.
+metrics report throughput and latency.
 
 Run:  python examples/batched_serving.py
 """
@@ -55,8 +55,7 @@ def main() -> None:
 
     # batched server
     with InferenceServer(
-        artifact, num_classes=4, max_batch_size=n_req, max_wait_ms=50,
-        instrument=True, warm=False,
+        artifact, num_classes=4, max_batch_size=n_req, max_wait_ms=50
     ) as srv:
         t0 = time.perf_counter()
         results = srv.predict_many(x_val[:n_req])

@@ -164,15 +164,13 @@ class CkksEvaluator:
             a.c0 * pt.poly, a.c1 * pt.poly, a.scale * pt.scale, a.level
         )
 
-    def mul(self, a: Ciphertext, b: Ciphertext, relinearize: bool = True) -> Ciphertext:
+    def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Ciphertext-ciphertext multiply (+ relinearisation)."""
         self._check_mul(a, b)
         d0 = a.c0 * b.c0
         d1 = a.c0 * b.c1 + a.c1 * b.c0
         d2 = a.c1 * b.c1
         scale = a.scale * b.scale
-        if not relinearize:
-            raise NotImplementedError("degree-2 ciphertexts are not kept around")
         ks0, ks1 = self._keyswitch(d2, self.keys.relin, a.level)
         return Ciphertext(d0 + ks0, d1 + ks1, scale, a.level)
 

@@ -6,9 +6,10 @@ polynomial plans, rotation shifts), its layout metadata (the
 :class:`~repro.fhe.packing.GridLayout` view of the activations it
 consumes/produces where one exists), its **level consumption** on the
 canonical CKKS scale schedule (:meth:`IRNode.level_cost`) and an
-optional **domain interval** (propagated by
-:func:`propagate_intervals`, consumed by the polynomial-approximation
-planners).  :func:`repro.fhe.lower.lower` is the one producer — every
+optional **domain interval**.  The interval is an unenforced contract
+today: :func:`propagate_intervals` can fill it, but no compile path
+calls it and nothing reads ``node.interval`` (ROADMAP item 3 owns the
+real check).  :func:`repro.fhe.lower.lower` is the one producer — every
 model family lowers INTO this IR through it — and
 :class:`~repro.fhe.network.EncryptedNetwork` executes the node list by
 *type* dispatch — one handler per node class — instead of string
@@ -107,7 +108,7 @@ class IRNode:
     #: names and slack-baseline keys are ``layer{i:02d}:{kind}``)
     kind = "node"
     #: optional domain interval ``(lo, hi)`` of this node's *output*
-    #: values, set by :func:`propagate_intervals` or the compiler
+    #: values, set only by :func:`propagate_intervals`
     interval = None
     #: optional layout metadata (e.g. a GridLayout) of the output
     layout = None
@@ -163,8 +164,8 @@ class PolyNode(IRNode):
     """A dense (non-odd) polynomial activation — the exp/GELU tier.
 
     ``poly`` is a :class:`repro.paf.polynomial.Polynomial` whose
-    ``interval`` declares the domain it approximates over; the compiler
-    checks the propagated input interval against it.
+    ``interval`` declares the domain it approximates over — a contract
+    no compile path checks yet (ROADMAP item 3).
     """
 
     kind = "poly"
@@ -339,10 +340,6 @@ class Graph:
     def __post_init__(self):
         self.validate()
 
-    def total_depth(self) -> int:
-        """Total main-chain level consumption (validates structure)."""
-        return self.validate()
-
     def validate(self) -> int:
         """Validate structure; return the required chain depth.
 
@@ -492,9 +489,9 @@ def propagate_intervals(graph: Graph, input_interval: tuple) -> list:
 
     Sets each node's ``interval`` to a conservative bound of its
     *output* values given ``input_interval`` on the network input, and
-    returns the list of per-node intervals.  This is what lets the
-    polynomial planners check their declared approximation domains
-    against the data a layer can actually see.  Matvec grids are
+    returns the list of per-node intervals.  No compile path calls it
+    yet and no planner reads the result: checking declared
+    approximation domains against it is ROADMAP item 3.  Matvec grids are
     bounded block-row-wise; attention outputs are bounded by the
     value interval (probabilities are near-convex weights, padded by
     the reciprocal's calibration slack recorded on the node).
@@ -549,10 +546,11 @@ def propagate_intervals(graph: Graph, input_interval: tuple) -> list:
 class CompilePolicy:
     """Everything a compile decides beyond the model and the CKKS params.
 
-    The single policy object accepted by :func:`repro.fhe.lower.lower`,
-    :func:`repro.fhe.network.compile_network` and
-    :meth:`repro.serve.artifact.ModelArtifact.compile`: packing geometry
-    (``input_shape`` / ``num_shards``), ``seed``, BatchNorm folding, and
+    The single policy object accepted by :func:`repro.fhe.lower.lower`
+    and :func:`repro.fhe.network.compile_network` (serving wraps the
+    result: ``ModelArtifact(compile_network(model, params, policy=...))``):
+    packing geometry (``input_shape`` / ``num_shards``), ``seed``,
+    BatchNorm folding, and
     the refresh policy that decides how a model deeper than the prime
     chain still compiles (``docs/bootstrapping.md``):
 

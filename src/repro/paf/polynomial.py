@@ -159,9 +159,9 @@ class Polynomial:
 
         p(x) = c_0 + c_1 x + ... + c_d x^d
 
-    together with the ``interval`` the fit is valid over — the domain
-    contract that :func:`repro.fhe.ir.propagate_intervals` checks
-    against the data a layer can actually see.
+    together with the ``interval`` the fit is valid over — a domain
+    contract that no compile path enforces yet (ROADMAP item 3 owns the
+    check against the data a layer can actually see).
 
     Parameters
     ----------

@@ -22,8 +22,8 @@ polynomial approximations:
 
 All fits are weighted least squares on Chebyshev nodes of the declared
 interval; every returned :class:`~repro.paf.polynomial.Polynomial`
-carries that interval so :func:`repro.fhe.ir.propagate_intervals` can
-check the domain contract at compile time.
+carries that interval as its domain contract — declared, not yet
+enforced at compile time (ROADMAP item 3 owns that check).
 """
 
 from __future__ import annotations

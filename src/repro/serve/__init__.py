@@ -50,9 +50,10 @@ Facade + metrics (:mod:`repro.serve.server`, :mod:`repro.serve.metrics`)
 
 Quickstart::
 
+    from repro.fhe import compile_network
     from repro.serve import InferenceServer, ModelArtifact
 
-    artifact = ModelArtifact.compile(paf_model, params)   # or wrap compile_network(...)
+    artifact = ModelArtifact(compile_network(paf_model, params))
     with InferenceServer(artifact, num_classes=10, max_wait_ms=5) as srv:
         results = srv.predict_many(client_inputs)
     print(srv.metrics.format())
@@ -61,11 +62,7 @@ See the ``serve_mixed_open`` workload of ``benchmarks/ladder`` for the
 measured latency, capacity and batch fill of a two-tenant server.
 """
 
-from repro.serve.artifact import (
-    ArtifactMismatchError,
-    ModelArtifact,
-    PlaintextCache,
-)
+from repro.serve.artifact import ModelArtifact, PlaintextCache
 from repro.serve.faults import FaultInjector, PoisonedRequestError, WorkerCrashError
 from repro.serve.keys import (
     DEFAULT_CLIENT,
@@ -99,7 +96,6 @@ __all__ = [
     "split_batches",
     "PlaintextCache",
     "ModelArtifact",
-    "ArtifactMismatchError",
     "BatchQueue",
     "QueueClosed",
     "QueueOverflow",

@@ -3,10 +3,10 @@
 Collected per batch by :class:`repro.serve.server.InferenceServer`;
 ``snapshot()`` renders the aggregate view the throughput benchmark and
 the ops dashboards read, and ``format_prometheus()`` renders the same
-numbers as a Prometheus text exposition.  HE-op counts come from the
-existing :class:`repro.ckks.instrumentation.CountingEvaluator` proxies
-when the server runs instrumented; per-layer latency histograms come
-from the execution tracer (:mod:`repro.obs`) when it runs traced.
+numbers as a Prometheus text exposition.  When the server runs with
+``trace=True``, HE-op counts come from its
+:class:`repro.ckks.instrumentation.CountingEvaluator` proxies and
+per-layer latency histograms from the execution tracer (:mod:`repro.obs`).
 
 Memory is bounded: totals, maxima and histogram buckets are exact
 running aggregates, while raw samples (used only for percentiles) live

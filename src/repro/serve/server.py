@@ -58,28 +58,6 @@ class UnknownModelError(KeyError):
     """A request named a model this server does not host."""
 
 
-def _as_artifact(model, params) -> ModelArtifact:
-    """Normalise anything the server accepts into a :class:`ModelArtifact`.
-
-    Artifacts pass through; compiled networks are wrapped; an
-    *uncompiled* ``repro.nn`` module is compiled through the unified
-    :meth:`ModelArtifact.compile` entry (which dispatches on the model
-    type) — that path needs the server's ``params``.
-    """
-    if isinstance(model, ModelArtifact):
-        return model
-    from repro.nn.module import Module
-
-    if isinstance(model, Module):
-        if params is None:
-            raise ValueError(
-                "an uncompiled repro.nn model needs params= — the server "
-                "compiles it via ModelArtifact.compile(model, params)"
-            )
-        return ModelArtifact.compile(model, params)
-    return ModelArtifact(model)
-
-
 @dataclass(frozen=True)
 class InferenceResult:
     """What a client gets back for one request."""
@@ -98,12 +76,12 @@ class InferenceServer:
     Parameters
     ----------
     model:
-        A :class:`ModelArtifact`, a bare compiled
-        :class:`~repro.fhe.network.EncryptedNetwork` (wrapped
-        automatically), an *uncompiled* ``repro.nn`` module (compiled
-        through :meth:`ModelArtifact.compile` — requires ``params``),
-        or a ``{name: any-of-those}`` dict to serve several models from
-        one worker pool.
+        A :class:`ModelArtifact` —
+        ``ModelArtifact(compile_network(model, params, policy=...))`` —
+        or a ``{name: ModelArtifact}`` dict to serve several models from
+        one worker pool.  The constructor fills every artifact's
+        plaintext memo (:meth:`ModelArtifact.warm` — a shadow forward:
+        no key, no encryption; all hits on a memo already full).
     num_classes:
         Logit count demultiplexed per client — an int (shared) or a
         ``{model_name: int}`` dict.
@@ -131,14 +109,11 @@ class InferenceServer:
         matvec zeroes it).  Garbage there — the signature of a
         key-mismatch submission — fails the batch with
         :class:`KeyMismatchError`.  ``None`` disables the check.
-    params:
-        :class:`~repro.ckks.params.CkksParams` used to compile any
-        *uncompiled* ``repro.nn`` models passed in ``model`` (ignored
-        for artifacts and already-compiled networks).
-    instrument / trace / warm:
-        Op counting, execution tracing, and filling every artifact's
-        plaintext memo up front (:meth:`ModelArtifact.warm` — a shadow
-        forward: no key, no encryption).
+    trace:
+        Run every worker under a :class:`repro.obs.TracingEvaluator`
+        over a :class:`~repro.ckks.instrumentation.CountingEvaluator`:
+        per-layer latency histograms, ``last_trace`` and HE-op counts
+        in :attr:`metrics`.
 
     Usage::
 
@@ -158,23 +133,21 @@ class InferenceServer:
         max_batch_size: int | None = None,
         max_wait_ms: float = 8.0,
         num_workers: int = 1,
-        instrument: bool = False,
         trace: bool = False,
-        warm: bool = True,
         max_pending: int | None = None,
         key_registry: ClientKeyRegistry | None = None,
         fault_injector: FaultInjector | None = None,
         integrity_tol: float | None = 0.25,
-        params=None,
     ):
-        if isinstance(model, dict):
-            if not model:
-                raise ValueError("need at least one model to serve")
-            self.artifacts = {
-                name: _as_artifact(m, params) for name, m in model.items()
-            }
-        else:
-            self.artifacts = {DEFAULT_MODEL: _as_artifact(model, params)}
+        self.artifacts = dict(model) if isinstance(model, dict) else {DEFAULT_MODEL: model}
+        if not self.artifacts:
+            raise ValueError("need at least one model to serve")
+        for name, art in self.artifacts.items():
+            if not isinstance(art, ModelArtifact):
+                raise TypeError(
+                    f"model {name!r} is a {type(art).__name__}; serve a "
+                    "ModelArtifact(compile_network(model, params, policy=...))"
+                )
         #: back-compat single-model aliases (None when serving several)
         self.artifact = (
             next(iter(self.artifacts.values())) if len(self.artifacts) == 1 else None
@@ -202,7 +175,6 @@ class InferenceServer:
         self.faults = fault_injector
         self.metrics = ServingMetrics()
         self._trace = trace
-        self._instrument = instrument or trace
         self._integrity_tol = integrity_tol
         # the replica-half guard assumes a linear final layer (the matvec
         # zeroes those slots); models without that invariant opt out
@@ -226,9 +198,8 @@ class InferenceServer:
         self._started = False
         self._stopped = False
         self._lifecycle = Lock()
-        if warm:
-            for art in self.artifacts.values():
-                art.warm()
+        for art in self.artifacts.values():
+            art.warm()
 
     # ------------------------------------------------------------------
     # tenants and evaluators
@@ -238,9 +209,7 @@ class InferenceServer:
         return self.key_registry.register(client_id, seed=seed)
 
     def _wrap(self, ev):
-        if self._trace:
-            return TracingEvaluator(CountingEvaluator(ev))
-        return CountingEvaluator(ev) if self._instrument else ev
+        return TracingEvaluator(CountingEvaluator(ev)) if self._trace else ev
 
     def _evaluator_for(self, worker_index: int, model_name: str, client_id: str):
         """Per-(worker, model, client) evaluator, created lazily.
@@ -450,9 +419,8 @@ class InferenceServer:
                 self._fail_batch(batch, exc, model_name, client_id, "worker_crash")
                 return
         ev = self._evaluator_for(worker_index, model_name, client_id)
-        if self._instrument:
-            ev.reset()
         if self._trace:
+            ev.reset()
             ev.tracer.reset()
         self.metrics.batch_started()
         t0 = time.perf_counter()
@@ -492,18 +460,19 @@ class InferenceServer:
                     client_id=client_id,
                 )
             )
-        layer_seconds = None
+        layer_seconds = op_counts = None
         if self._trace:
             tracer = ev.tracer
             layer_seconds = {
                 sp.name: sp.duration_s for sp in tracer.layer_spans()
             }
             self.last_trace = tracer.to_dict(meta={"batch_size": len(batch)})
+            op_counts = ev.counts
         self.metrics.record_batch(
             len(batch),
             done - t0,
             latencies,
-            op_counts=ev.counts if self._instrument else None,
+            op_counts=op_counts,
             layer_seconds=layer_seconds,
             model=model_name,
             client=client_id,

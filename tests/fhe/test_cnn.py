@@ -456,12 +456,12 @@ class TestToyCnnEndToEnd:
         ref = model(Tensor(np.stack(xs).reshape(-1, 1, 8, 8))).data
         artifact = ModelArtifact(enc).warm()
         ct = enc.encrypt_batch(xs)
-        out = artifact.forward(ct)
+        out = enc.forward(ct)
         got = enc.decrypt_logits(out, 3, batch=len(xs))
         np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-4)
         # steady state: a second identical batch hits only cached plaintexts
         misses_before = artifact.cache.misses
-        artifact.forward(enc.encrypt_batch(xs))
+        enc.forward(enc.encrypt_batch(xs))
         assert artifact.cache.misses == misses_before
 
     def test_level_schedule_consumed_exactly(self, toy_cnn):

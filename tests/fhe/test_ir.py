@@ -49,7 +49,7 @@ def _eye_node(size=4):
 class TestGraphValidation:
     def test_total_depth_sums_level_costs(self):
         g = Graph([_eye_node(), PolyNode(poly=Polynomial((0.0, 1.0, 1.0)))], size=4)
-        assert g.total_depth() == 1 + 2
+        assert g.validate() == 1 + 2
 
     def test_merge_without_tap_rejected(self):
         with pytest.raises(ValueError, match="no open residual tap"):
@@ -68,7 +68,7 @@ class TestGraphValidation:
         g = Graph(
             [_eye_node(), ResidualTapNode(), _eye_node(), MergeNode(tap=1)], size=4
         )
-        assert g.total_depth() == 2
+        assert g.validate() == 2
 
     def test_input_levels_descend_by_cost(self):
         g = Graph([_eye_node(), PolyNode(poly=Polynomial((0.0, 1.0, 1.0)))], size=4)

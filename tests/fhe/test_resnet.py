@@ -620,11 +620,11 @@ class TestToyResnetEndToEnd:
         xs = [rng.normal(size=64) for _ in range(enc.max_batch)]
         ref = model(Tensor(np.stack(xs).reshape(-1, 1, 8, 8))).data
         artifact = ModelArtifact(enc).warm()
-        out = artifact.forward(enc.encrypt_batch_shards(xs))
+        out = enc.forward_shards(enc.encrypt_batch_shards(xs))
         got = enc.decrypt_logits(out[0], 3, batch=len(xs))
         np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-4)
         misses_before = artifact.cache.misses
-        artifact.forward(enc.encrypt_batch_shards(xs))
+        enc.forward_shards(enc.encrypt_batch_shards(xs))
         assert artifact.cache.misses == misses_before
 
     def test_inference_server_detects_sharded_model(self, toy_resnet):
@@ -638,8 +638,7 @@ class TestToyResnetEndToEnd:
         xs = [rng.normal(size=64) for _ in range(enc.max_batch)]
         ref = model(Tensor(np.stack(xs).reshape(-1, 1, 8, 8))).data
         with InferenceServer(
-            ModelArtifact(enc), num_classes=3, num_workers=1, warm=False,
-            max_wait_ms=50,
+            ModelArtifact(enc), num_classes=3, num_workers=1, max_wait_ms=50,
         ) as srv:
             with pytest.raises(ValueError, match="sharded input dim"):
                 srv.submit(np.zeros(63))
@@ -651,7 +650,7 @@ class TestToyResnetEndToEnd:
     def test_level_schedule_consumed_exactly(self, toy_resnet):
         _, enc = toy_resnet
         out = enc.forward_shards(enc.encrypt_input_shards(np.zeros(64)))
-        depth_needed = enc.graph.total_depth()
+        depth_needed = enc.graph.validate()
         assert enc.ctx.max_level - out[0].level == depth_needed == 31
 
     def test_galois_keys_cover_forward(self, toy_resnet):

@@ -4,8 +4,7 @@ Hypothesis drives random evaluation points / score matrices through the
 large-interval ``exp`` (range reduction), the dense GELU, the rsqrt and
 the Newton reciprocal, comparing each against its exact counterpart in
 ``repro.nn.functional`` (or numpy) over the PAF's *declared* interval —
-the domain contract that :func:`repro.fhe.ir.propagate_intervals`
-enforces at compile time.
+a domain contract no compile path enforces yet (ROADMAP item 3).
 """
 
 import numpy as np

@@ -11,6 +11,7 @@ import pytest
 from repro.ckks import CkksContext, CkksEvaluator, CkksParams
 from repro.ckks.encoder import CkksEncoder, Plaintext
 from repro.fhe import toy as toy_models
+from repro.fhe.network import compile_network
 from repro.serve.artifact import ModelArtifact, PlaintextCache
 
 
@@ -95,7 +96,7 @@ class TestModelArtifact:
         art = ModelArtifact(enc).warm()
         entries, misses = len(art.cache), art.cache.misses
         for _ in range(2):
-            art.forward(enc.encrypt_batch([np.ones(8)]))
+            art.model.forward(enc.encrypt_batch([np.ones(8)]))
         assert (len(art.cache), art.cache.misses) == (entries, misses)
 
     def test_warm_populates_all_linear_layers(self):
@@ -121,18 +122,18 @@ class TestModelArtifact:
         stats = ModelArtifact(enc).stats()
         assert set(stats) == {"entries", "hits", "misses", "hit_rate"}
 
-    def test_second_artifact_shares_the_memo(self, tmp_path):
+    def test_second_artifact_shares_the_memo(self):
         """Wrapping a network twice must not orphan the first artifact:
-        both read — and persist — the one memo the evaluator feeds."""
+        both read the one memo the evaluator feeds."""
         enc = toy_models.compiled_toy()
         first = ModelArtifact(enc)
         second = ModelArtifact(enc)
         assert first.cache is second.cache is enc.ev.encoder
         second.warm()
-        second.forward(enc.encrypt_batch([np.ones(8)]))
+        enc.forward(enc.encrypt_batch([np.ones(8)]))
         assert first.stats() == second.stats()
         assert first.stats()["hits"] > 0
-        assert first.save_cache(tmp_path / "first.cache") == len(second.cache)
+        assert len(first.cache) == len(second.cache) > 0
 
 
 #: family -> (builder, flat input dim).  The stacked transformer leads:
@@ -154,7 +155,7 @@ def served(request):
     The request is a random in-domain row encrypted by a seeded
     evaluator over the network's own keys: every compile of one family
     bakes the same keys, so the same ciphertexts drive the un-wrapped
-    and the cold-loaded compiles of the tests below.
+    compile of the tests below.
     """
     build, dim = FAMILIES[request.param]
     art = ModelArtifact(build()).warm()
@@ -163,7 +164,11 @@ def served(request):
     enc = art.model
     cts = enc.encrypt_batch_shards([x], ev=CkksEvaluator(enc.ctx, enc.keys, seed=5))
     return SimpleNamespace(
-        build=build, art=art, after_warm=after_warm, cts=cts, out=art.forward(cts)
+        build=build,
+        art=art,
+        after_warm=after_warm,
+        cts=cts,
+        out=enc.forward_shards(cts),
     )
 
 
@@ -197,15 +202,6 @@ class TestOnePath:
         art = ModelArtifact(enc).warm()
         assert set(art.cache._entries) == set(served.art.cache._entries)
 
-    def test_saved_memo_serves_a_fresh_compile_cold(self, served, tmp_path):
-        path = tmp_path / "memo.cache"
-        saved = served.art.save_cache(path)
-        cold = ModelArtifact(served.build())
-        assert cold.load_cache(path) == saved == len(cold.cache)
-        out = cold.forward(served.cts)
-        assert (len(cold.cache), cold.cache.misses) == (saved, 0)
-        _assert_same_bytes(out, served.out)
-
 
 @pytest.mark.parametrize("served", list(FAMILIES)[:1], indirect=True)
 def test_recrypt_keeps_request_data_out_of_the_memo(served):
@@ -214,7 +210,7 @@ def test_recrypt_keeps_request_data_out_of_the_memo(served):
     memo like ``encrypt``'s does — three forwards, not one entry more."""
     assert served.art.model.refresh_plans  # the family that recrypts
     for _ in range(2):  # the fixture ran the first
-        served.art.forward(served.cts)
+        served.art.model.forward_shards(served.cts)
     assert (len(served.art.cache), served.art.cache.misses) == served.after_warm
 
 
@@ -239,7 +235,7 @@ def test_two_threads_fill_a_cold_shared_memo(family):
     def forward(k):
         ev = art.fresh_evaluator(seed=100 + k)
         start.wait(timeout=60)
-        return art.forward(cts, ev=ev)
+        return enc.forward_shards(cts, ev=ev)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
@@ -262,121 +258,20 @@ def test_two_threads_fill_a_cold_shared_memo(family):
         assert (pt.poly.is_ntt, pt.scale) == (fresh.poly.is_ntt, fresh.scale)
 
 
-class TestPersistence:
-    def test_export_import_entries_round_trip(self, toy):
-        _, enc = toy
-        art = ModelArtifact(enc).warm()
-        entries = art.cache.export_entries()
-        assert len(entries) == len(art.cache)
-        other = toy_models.compiled_toy()
-        art2 = ModelArtifact(other)
-        assert art2.cache.import_entries(other.ctx, entries) == len(entries)
-        # an imported plaintext is bit-identical to the original
-        key = entries[0][0]
-        pt_a = art.cache._entries[key]
-        pt_b = art2.cache._entries[key]
-        np.testing.assert_array_equal(pt_a.poly.data, pt_b.poly.data)
-        assert pt_a.scale == pt_b.scale
-
-    def test_save_load_cache_warm_starts(self, toy, tmp_path):
-        _, enc = toy
-        art = ModelArtifact(enc).warm()
-        path = tmp_path / "toy.cache"
-        saved = art.save_cache(path)
-        assert saved == len(art.cache)
-
-        cold = ModelArtifact(toy_models.compiled_toy())
-        assert cold.load_cache(path) == saved
-        # no memo rebuild, no warm: the first forward hits only the memo
-        x = np.random.default_rng(2).normal(size=8)
-        cold.forward(cold.model.encrypt_batch([x]))
-        assert cold.cache.misses == 0
-
-    def test_loaded_forward_bit_identical(self, toy, tmp_path):
-        _, enc = toy
-        art = ModelArtifact(enc).warm()
-        path = tmp_path / "toy.cache"
-        art.save_cache(path)
-        warm2 = ModelArtifact(toy_models.compiled_toy())
-        warm2.load_cache(path)
-        x = np.random.default_rng(3).normal(size=8)
-        ct = enc.encrypt_batch([x])  # one encryption, two forwards (same baked keys)
-        a = enc.decrypt_logits(art.forward(ct), 3, batch=1)
-        b = enc.decrypt_logits(warm2.forward(ct), 3, batch=1)
-        np.testing.assert_array_equal(a, b)
-
-    def test_fingerprint_is_stable_and_model_sensitive(self, toy):
-        _, enc = toy
-        art = ModelArtifact(enc)
-        assert art.fingerprint() == ModelArtifact(toy_models.compiled_toy()).fingerprint()
-        assert art.fingerprint() != ModelArtifact(toy_models.compiled_toy_cnn()).fingerprint()
-
-    def test_load_rejects_other_models_cache(self, toy, tmp_path):
-        from repro.serve import ArtifactMismatchError
-
-        _, enc = toy
-        art = ModelArtifact(enc).warm()
-        path = tmp_path / "toy.cache"
-        art.save_cache(path)
-        other = ModelArtifact(toy_models.compiled_toy_cnn())
-        with pytest.raises(ArtifactMismatchError, match="different compiled model"):
-            other.load_cache(path)
-
-    def test_load_rejects_same_weights_different_paf(self, toy, tmp_path):
-        """The paper's sweep axis: the same MLP (same weights, same static
-        scale, same CKKS parameters) compiled with f1∘g2 and with f2∘g2
-        encodes different activation constants — the fingerprint covers
-        every node payload, so the f1∘g2 cache is refused."""
-        from repro.core import calibrate_static_scales, convert_to_static, replace_all
-        from repro.fhe.network import compile_network
-        from repro.nn.models import mlp
-        from repro.paf import get_paf
-        from repro.serve import ArtifactMismatchError
-
-        _, enc = toy
-        art = ModelArtifact(enc).warm()
-        path = tmp_path / "toy_f1g2.cache"
-        art.save_cache(path)
-
-        model = mlp(8, hidden=(6,), num_classes=3, seed=0)
-        replace_all(model, get_paf("f2g2"), np.zeros((1, 8)))
-        calibrate_static_scales(model, [np.random.default_rng(0).normal(size=(64, 8))])
-        convert_to_static(model)
-        other = compile_network(model, toy_models.TOY_PARAMS)
-        for a, b in zip(enc.layers, other.layers):  # only the PAF differs
-            assert a.kind == b.kind
-            if a.kind == "linear":
-                np.testing.assert_array_equal(a.blocks[0][0], b.blocks[0][0])
-            else:
-                assert a.scale == b.scale
-        with pytest.raises(ArtifactMismatchError, match="different compiled model"):
-            ModelArtifact(other).load_cache(path)
-
-    def test_load_rejects_foreign_format(self, toy, tmp_path):
-        import pickle
-
-        from repro.serve import ArtifactMismatchError
-
-        _, enc = toy
-        path = tmp_path / "bogus.cache"
-        with open(path, "wb") as fh:
-            pickle.dump({"format": "something-else", "entries": []}, fh)
-        with pytest.raises(ArtifactMismatchError):
-            ModelArtifact(enc).load_cache(path)
-
-
 class TestUnifiedCompile:
-    """``ModelArtifact.compile`` is the one serving-side compile entry."""
+    """``ModelArtifact(compile_network(...))`` is the one way to build a
+    serving artifact: the artifact adds the memo, the compile is the
+    one entry every other caller uses."""
 
     def test_compile_dispatches_mlp_and_matches_direct(self, toy):
         model, enc = toy
-        art = ModelArtifact.compile(model, toy_models.TOY_PARAMS)
+        art = ModelArtifact(compile_network(model, toy_models.TOY_PARAMS))
         assert [type(n) for n in art.model.graph.nodes] == [
             type(n) for n in enc.graph.nodes
         ]
         x = np.linspace(-1, 1, 8)
         got = art.model.ev.decrypt(
-            art.forward(art.model.encrypt_batch([x])), num_values=3
+            art.model.forward(art.model.encrypt_batch([x])), num_values=3
         )
         want = enc.ev.decrypt(enc.forward(enc.encrypt_batch([x])), num_values=3)
         # independent encryption randomness: only the approximation, not
@@ -387,11 +282,10 @@ class TestUnifiedCompile:
         from repro.fhe.ir import CompilePolicy
 
         model, _ = toy
-        art = ModelArtifact.compile(
-            model, toy_models.TOY_PARAMS, policy=CompilePolicy(seed=2)
+        art = ModelArtifact(
+            compile_network(model, toy_models.TOY_PARAMS, policy=CompilePolicy(seed=2))
         )
         assert art.model.policy.seed == 2
 
     def test_per_family_classmethods_removed(self):
-        names = [n for n in vars(ModelArtifact) if n.startswith("compile")]
-        assert names == ["compile"]
+        assert [n for n in dir(ModelArtifact) if n.startswith("compile")] == []

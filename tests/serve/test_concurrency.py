@@ -70,11 +70,15 @@ class StubNetwork:
 
 
 class StubArtifact(ModelArtifact):
-    """The harness's evaluator hook: no key chain to build an evaluator
-    over, so workers past 0 get a bare namespace sharing the memo."""
+    """The harness's hooks: no key chain to build an evaluator over, so
+    workers past 0 get a bare namespace sharing the memo; no executor to
+    run a shadow forward through, so the server's warm is a no-op."""
 
     def fresh_evaluator(self, seed=1):
         return SimpleNamespace(encoder=self.cache)
+
+    def warm(self):
+        return self
 
 
 def _stub_server(models=("a", "b"), workers=3, **kw):
@@ -82,7 +86,7 @@ def _stub_server(models=("a", "b"), workers=3, **kw):
         name: StubArtifact(StubNetwork(backend=f"{name}-backend"))
         for name in models
     }
-    defaults = dict(max_wait_ms=1.0, num_workers=workers, warm=False)
+    defaults = dict(max_wait_ms=1.0, num_workers=workers)
     defaults.update(kw)
     return InferenceServer(arts, num_classes=3, **defaults)
 
@@ -210,7 +214,6 @@ class TestStubStress:
             max_wait_ms=1.0,
             num_workers=1,
             max_pending=2,
-            warm=False,
         )
         with srv:
             admitted, shed = [], 0

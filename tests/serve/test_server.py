@@ -65,7 +65,7 @@ class TestBatchedEqualsSequential:
 class TestServerPlumbing:
     def test_submit_before_start_raises(self, toy):
         _, enc = toy
-        srv = InferenceServer(ModelArtifact(enc), num_classes=3, warm=False)
+        srv = InferenceServer(ModelArtifact(enc), num_classes=3)
         with pytest.raises(RuntimeError):
             srv.submit(np.zeros(8))
 
@@ -90,14 +90,14 @@ class TestServerPlumbing:
             num_classes=3,
             max_batch_size=4,
             max_wait_ms=20,
-            instrument=True,
+            trace=True,
         ) as srv:
             srv.predict_many(np.zeros((3, 8)))
         snap = srv.metrics.snapshot()
         assert snap["requests_total"] == 3
         assert snap["throughput_rps"] > 0
         assert snap["latency_ms"]["p95"] >= snap["latency_ms"]["p50"] > 0
-        # HE-op accounting flowed through the CountingEvaluator proxy
+        # HE-op accounting flowed through the traced CountingEvaluator
         assert snap["he_ops"]["rotate"] > 0
         assert snap["he_ops"]["mul_plain"] > 0
         assert snap["he_ops"]["rescale"] > 0
@@ -116,7 +116,7 @@ class TestServerPlumbing:
 
     def test_stop_is_terminal(self, toy):
         _, enc = toy
-        srv = InferenceServer(ModelArtifact(enc), num_classes=3, warm=False)
+        srv = InferenceServer(ModelArtifact(enc), num_classes=3)
         srv.start()
         srv.stop()
         srv.stop()  # idempotent
@@ -125,9 +125,7 @@ class TestServerPlumbing:
 
     def test_max_batch_clamped_to_capacity(self, toy):
         _, enc = toy
-        srv = InferenceServer(
-            ModelArtifact(enc), num_classes=3, max_batch_size=10_000, warm=False
-        )
+        srv = InferenceServer(ModelArtifact(enc), num_classes=3, max_batch_size=10_000)
         assert srv.max_batch_size == enc.max_batch
 
 
@@ -144,7 +142,7 @@ class TestTracedServing:
             results = srv.predict_many(np.zeros((3, 8)))
         assert all(res.logits.shape == (3,) for res in results)
         snap = srv.metrics.snapshot()
-        # trace implies instrument: op accounting still flows
+        # tracing carries the op counts
         assert snap["he_ops"]["rotate"] > 0
         # per-layer durations landed in the latency histograms
         assert set(snap["layers"]) == {
@@ -260,20 +258,32 @@ class TestMultiTenantServing:
             )
 
 
-class TestUncompiledModelRouting:
-    """A bare ``repro.nn`` module routes through ``ModelArtifact.compile``."""
+class TestServerContract:
+    """The server takes a ``ModelArtifact`` (or a dict of them) and warms
+    it: one way in, one way to fill the memo."""
 
-    def test_bare_module_compiles_and_serves(self, toy):
-        from repro.fhe.toy import TOY_PARAMS
+    def test_non_artifacts_rejected(self, toy):
+        model, enc = toy
+        for bad in (enc, model, {"a": ModelArtifact(enc), "b": enc}):
+            with pytest.raises(TypeError, match=r"ModelArtifact\(compile_network"):
+                InferenceServer(bad, num_classes=3)
 
-        model, _ = toy
-        with InferenceServer(
-            model, num_classes=3, params=TOY_PARAMS, warm=False, max_wait_ms=20
-        ) as srv:
-            res = srv.submit(np.zeros(8)).result()
-        assert res.logits.shape == (3,)
+    def test_constructor_warms_cold_artifacts(self):
+        """The ``serve_mixed_open`` pair, handed over cold: after the
+        constructor, one request per model encodes nothing new."""
+        from repro.fhe.toy import compiled_toy, compiled_toy_cnn
 
-    def test_bare_module_without_params_rejected(self, toy):
-        model, _ = toy
-        with pytest.raises(ValueError, match="params"):
-            InferenceServer(model, num_classes=3)
+        arts = {
+            "mlp": ModelArtifact(compiled_toy()),
+            "cnn": ModelArtifact(compiled_toy_cnn()),
+        }
+        assert all(len(art.cache) == 0 for art in arts.values())
+        srv = InferenceServer(arts, num_classes=3, max_wait_ms=2.0)
+        after_warm = {name: (len(a.cache), a.cache.misses) for name, a in arts.items()}
+        assert all(entries > 0 for entries, _ in after_warm.values())
+        with srv:
+            srv.predict(np.full(8, 0.25), model="mlp", timeout=60)
+            srv.predict(np.full(64, 0.25), model="cnn", timeout=60)
+        assert {
+            name: (len(a.cache), a.cache.misses) for name, a in arts.items()
+        } == after_warm
