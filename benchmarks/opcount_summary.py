@@ -49,7 +49,6 @@ from repro.fhe.toy import (
     compiled_toy_cnn,
     compiled_toy_resnet,
     compiled_toy_transformer,
-    compiled_toy_transformer_stacked,
 )
 from repro.obs import TracingEvaluator
 from repro.paf import paper_pafs
@@ -298,7 +297,7 @@ def build_summary(trace_dir: str | None = None, check_backends: bool = False) ->
     # are the refresh's client-boundary cost, gated like everything else ---
     pin(
         "toy_transformer_stacked",
-        compiled_toy_transformer_stacked(),
+        compiled_toy_transformer(num_blocks=2),
         32,
         "stacked-transformer forward (2 blocks + auto-placed recrypt "
         "refresh between them)",

@@ -8,7 +8,6 @@ rescaling, slot rotation, and depth-optimal PAF evaluation on ciphertexts.
 from repro.ckks.bootstrap import (
     RefreshPlan,
     RefreshPrecisionError,
-    canonical_scale,
     coeff_to_slot,
     eval_mod,
     mod_raise,
@@ -82,7 +81,6 @@ __all__ = [
     "security_report",
     "RefreshPlan",
     "RefreshPrecisionError",
-    "canonical_scale",
     "coeff_to_slot",
     "eval_mod",
     "mod_raise",

@@ -70,7 +70,6 @@ __all__ = [
     "RefreshPlan",
     "plan_refresh",
     "refresh",
-    "canonical_scale",
     "mod_raise",
     "coeff_to_slot",
     "slot_to_coeff",
@@ -94,12 +93,6 @@ class RefreshPrecisionError(ArithmeticError):
             f"refresh ({method}) relative error {rel_err:.3e} exceeds the "
             f"declared gate rtol={rtol:.1e}"
         )
-
-
-def canonical_scale(ctx: CkksContext, level: int) -> float:
-    """:meth:`CkksContext.canonical_scale` — the schedule a refresh must
-    hand its output back *on*."""
-    return ctx.canonical_scale(level)
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +326,7 @@ def coeff_to_slot(
     # two-prime encode scale: the matvec's internal rescale leaves the
     # product one prime heavy, and the extra rescale below lands it on
     # the canonical scale two levels down with ~50-bit diagonal precision
-    s_next = canonical_scale(ev.ctx, ct.level - 2)
+    s_next = ev.ctx.canonical_scale(ct.level - 2)
     q_chain = ev.ctx.q_chain
     pt_scale = s_next * q_chain[ct.level] * q_chain[ct.level - 1] / ct.scale
     groups = plan._encoded_groups("cts", ct.level, pt_scale, ct.scale)
@@ -382,7 +375,7 @@ def slot_to_coeff(
     from repro.fhe.linear import encrypted_matvec_bsgs
 
     y = ev.add(ct_a, ev._mul_by_i(ct_b))
-    s_tgt = canonical_scale(ev.ctx, y.level - 1)
+    s_tgt = ev.ctx.canonical_scale(y.level - 1)
     pt_scale = s_tgt * ev.ctx.q_chain[y.level] / y.scale
     groups = plan._encoded_groups("stc", y.level, pt_scale, 1.0 / msg_scale)
     out = encrypted_matvec_bsgs(ev, y, groups=groups)
@@ -414,7 +407,7 @@ def refresh(ev: CkksEvaluator, ct: Ciphertext, plan: RefreshPlan) -> Ciphertext:
         reference = ev.decrypt(ct)
         if plan.method == "recrypt":
             target = plan.target_level
-            out = ev._trivial_encrypt(reference, target, canonical_scale(ctx, target))
+            out = ev._trivial_encrypt(reference, target, ctx.canonical_scale(target))
         else:
             raised = mod_raise(ev, ct, ctx.max_level)
             ct_a, ct_b = coeff_to_slot(ev, raised, plan)

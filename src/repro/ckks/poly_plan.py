@@ -156,11 +156,6 @@ class PolyPlan:
             + self.combine_mults
         )
 
-    @property
-    def num_leaves(self) -> int:
-        """Leaf plaintext products ``c·x`` (one per ciphertext term)."""
-        return sum(len(b.terms) for b in self.blocks)
-
     def matches(self, poly: OddPolynomial | Polynomial) -> bool:
         """Whether ``poly`` has exactly the coefficients compiled in here
         (a plan outlives a retuned polynomial silently otherwise)."""
@@ -355,10 +350,6 @@ class CompositePlan:
     def nonscalar_mults(self) -> int:
         return sum(p.nonscalar_mults for p in self.components)
 
-    @property
-    def num_leaves(self) -> int:
-        return sum(p.num_leaves for p in self.components)
-
 
 def plan_composite(paf: CompositePAF) -> CompositePlan:
     """Compile one :class:`PolyPlan` per component of a composite PAF."""
@@ -400,10 +391,6 @@ class ReluPlan:
     def nonscalar_mults(self) -> int:
         """Sign mults + 1 for the final ``x · gate`` product."""
         return sum(p.nonscalar_mults for p in self.components) + 1
-
-    @property
-    def num_leaves(self) -> int:
-        return sum(p.num_leaves for p in self.components)
 
 
 def plan_paf_relu(paf: CompositePAF, scale: float = 1.0) -> ReluPlan:

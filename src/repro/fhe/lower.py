@@ -3,9 +3,10 @@
 Pure numpy — no CKKS context, no keys, no executor.  Every model family
 takes the same road: :func:`lower` either walks the module tree
 (:func:`_op_sequence`) against a :class:`~repro.fhe.packing.MultiGridLayout`
-channel-sharded across ``policy.num_shards`` ciphertexts, or — for models
-carrying the ``is_transformer`` marker — emits the token-sharded
-attention + MLP block sequence.  In the module walk
+channel-sharded across ``policy.num_shards`` ciphertexts, or — for a
+:class:`~repro.nn.models.transformer.ToyTransformer`, matched like any
+other module — emits the token-sharded attention + MLP block sequence.
+In the module walk
 
 * a plain CNN is the ``K = 1`` case (every matvec a ``1 × 1`` block grid);
 * an MLP is the ``(in_features, 1, 1)`` "image" (``input_shape`` may be
@@ -65,6 +66,7 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.models.resnet import BasicBlock
+from repro.nn.models.transformer import ToyTransformer
 from repro.nn.module import Module
 
 __all__ = ["lower"]
@@ -301,9 +303,9 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
     )
 
 
-def _lower_transformer(model) -> Graph:
-    """Lower a :class:`~repro.nn.models.transformer.ToyTransformer` (or a
-    ``StackedToyTransformer``, block by block onto the same shard layout).
+def _lower_transformer(model: ToyTransformer) -> Graph:
+    """Lower a :class:`~repro.nn.models.transformer.ToyTransformer`, block
+    by block onto one shard layout.
 
     One ciphertext shard per token.  The lowering opens with an
     identity "embed" matvec: the packed input carries live wraparound
@@ -322,7 +324,7 @@ def _lower_transformer(model) -> Graph:
     prime chain, the policy's refresh placement is what makes the graph
     schedulable at all.
     """
-    blocks = getattr(model, "blocks", None) or [model]
+    blocks = model.blocks
     for blk in blocks:
         if not isinstance(blk.softmax, PAFSoftmax) or not isinstance(blk.act, PAFGELU):
             raise ValueError(
@@ -351,7 +353,7 @@ def _lower_transformer(model) -> Graph:
         attention = AttentionNode(
             seq=seq,
             dim=dim,
-            score_scale=getattr(blk, "score_scale", 0.0) or 1.0 / np.sqrt(dim),
+            score_scale=blk.score_scale,
             wq=weight(blk.wq),
             wk=weight(blk.wk),
             wv=weight(blk.wv),
@@ -392,10 +394,12 @@ def _lower_transformer(model) -> Graph:
 def lower(model, policy: CompilePolicy | None = None) -> Graph:
     """Lower any supported ``repro.nn`` model into the graph IR.
 
-    Two ways in: a model carrying the ``is_transformer`` marker (one or
-    more attention + MLP blocks) takes the token-sharded transformer
-    lowering; everything else — Linear / PAF stacks, conv stacks,
-    residual nets — is one walk of the module tree against the
+    Two ways in: a :class:`~repro.nn.models.transformer.ToyTransformer`
+    (one or more attention + MLP blocks) takes the token-sharded
+    transformer lowering — its shards are its ``seq`` tokens, so
+    ``policy.num_shards`` / ``policy.input_shape`` must be left unset
+    (``ValueError`` otherwise); everything else — Linear / PAF stacks,
+    conv stacks, residual nets — is one walk of the module tree against the
     ``policy.input_shape`` image channel-sharded across
     ``policy.num_shards`` ciphertexts (default 1; never more shards than
     channels).  ``policy.fold_bn`` folds each BatchNorm into the
@@ -409,6 +413,13 @@ def lower(model, policy: CompilePolicy | None = None) -> Graph:
     Returns the validated :class:`~repro.fhe.ir.Graph`; no CKKS context
     or key is touched.
     """
-    if getattr(model, "is_transformer", False):
+    policy = policy or CompilePolicy()
+    if isinstance(model, ToyTransformer):
+        for field in ("num_shards", "input_shape"):
+            if getattr(policy, field) is not None:
+                raise ValueError(
+                    f"CompilePolicy.{field} does not apply to a ToyTransformer: "
+                    "its shards are its seq tokens"
+                )
         return _lower_transformer(model)
-    return _lower_modules(model, policy or CompilePolicy())
+    return _lower_modules(model, policy)

@@ -143,7 +143,7 @@ class EncryptedNetwork:
             node = self.layers[i]
             req = 0 if isinstance(node, RefreshNode) else req + node.level_cost()
         slots = self.ctx.slots
-        #: SIMD block geometry (shared with :mod:`repro.serve.packing`)
+        #: SIMD block geometry (:mod:`repro.fhe.packing`)
         self.layout = BlockLayout(size=self.size, slots=slots)
         #: one request occupies ``2·size`` slots (vector + wraparound replica)
         self.block_stride = self.layout.stride

@@ -6,8 +6,8 @@ of them (vector + the wraparound replica that keeps the Halevi-Shoup
 cyclic diagonals aligned).  Up to ``slots // (2·size)`` independent
 requests therefore share one ciphertext in disjoint *blocks*.  This
 module is the single source of truth for that geometry — used by
-:class:`repro.fhe.network.EncryptedNetwork` on ciphertexts and
-re-exported by :mod:`repro.serve.packing` for the serving layer.
+:class:`repro.fhe.network.EncryptedNetwork` on ciphertexts and read by
+the serving layer through the network's ``layout``.
 
 :class:`GridLayout` is the second geometry this module owns: where the
 elements of an NCHW activation tensor sit inside one request block.

@@ -1,6 +1,6 @@
 """The canonical toy serving models, shared by tests, benchmarks and CI.
 
-Three builds, each used by the fhe/serve test suites, the serving
+Four builds, each used by the fhe/serve test suites, the serving
 benchmarks and the CI op-count summary so the toy geometry (and the
 op-count regression anchors derived from it) cannot silently diverge
 between them:
@@ -15,6 +15,10 @@ between them:
   1×1-projection skip) → global pool → dense) on the same pattern
   images, channel-sharded across 2 ciphertexts.  Depth 31; one
   encrypted forward is a few seconds at n=512.
+* :func:`compiled_toy_transformer` — a *trained* token-sharded
+  transformer (``num_blocks`` attention + GELU-MLP blocks, 1 by
+  default) on synthetic 4-token sequences.  Depth 33; one encrypted
+  forward ≈ 3 s at n=512; ``num_blocks=2`` compiles through a refresh.
 
 Every build goes through :func:`repro.fhe.network.compile_network` with
 a :class:`~repro.fhe.ir.CompilePolicy`, like any user model.
@@ -33,11 +37,9 @@ __all__ = [
     "compiled_toy_cnn",
     "compiled_toy_resnet",
     "compiled_toy_transformer",
-    "compiled_toy_transformer_stacked",
     "toy_cnn_model",
     "toy_resnet_model",
     "toy_transformer_model",
-    "toy_transformer_stacked_model",
     "TOY_PARAMS",
     "TOY_CNN_PARAMS",
     "TOY_CNN_INPUT_SHAPE",
@@ -212,12 +214,12 @@ def compiled_toy_resnet(
     return (model, enc) if with_model else enc
 
 
-def toy_transformer_model(epochs: int = 2, seed: int = 0):
+def toy_transformer_model(epochs: int = 2, seed: int = 0, num_blocks: int = 1):
     """Train the plaintext toy transformer on synthetic token sequences.
 
     Architecture: :class:`repro.nn.models.transformer.ToyTransformer`
-    with seq=4, dim=8, ff=16, 3 classes — one self-attention block and
-    a GELU MLP, both residual, mean-pooled into a linear head.  The
+    with seq=4, dim=8, ff=16, 3 classes — ``num_blocks`` residual
+    self-attention + GELU-MLP blocks mean-pooled into a linear head.  The
     light schedule (2 epochs, lr 0.02) reaches full validation accuracy
     while leaving the centred attention scores and GELU pre-activations
     inside the ranges the dense PAFs approximate to ~1e-4 — heavier
@@ -229,7 +231,9 @@ def toy_transformer_model(epochs: int = 2, seed: int = 0):
     from repro.data.synthetic import make_sequence_dataset
     from repro.nn.models import toy_transformer
 
-    model = toy_transformer(seq=4, dim=8, ff=16, num_classes=3, seed=seed)
+    model = toy_transformer(
+        seq=4, dim=8, ff=16, num_classes=3, num_blocks=num_blocks, seed=seed
+    )
     data = make_sequence_dataset(
         num_classes=3, n_train=96, n_val=24, seq=4, dim=8, seed=seed
     )
@@ -240,6 +244,7 @@ def toy_transformer_model(epochs: int = 2, seed: int = 0):
 def compiled_toy_transformer(
     with_model: bool = False,
     params: CkksParams | None = None,
+    num_blocks: int = 1,
 ) -> EncryptedNetwork | tuple:
     """Train, PAF-replace, calibrate and compile the toy transformer.
 
@@ -252,10 +257,17 @@ def compiled_toy_transformer(
     path of :func:`repro.fhe.lower.lower`.  ``with_model`` also
     returns the PAF-approximated plaintext model (in eval mode) — the
     rtol reference for decrypted logits.
+
+    ``num_blocks=2`` is the depth-wall fixture: both blocks together
+    validate to ~64 levels against a 33-level chain, so the policy's
+    automatic placement must insert a :class:`repro.fhe.ir.RefreshNode`
+    between the blocks for compilation to succeed at all; the refresh
+    is exactness-gated, and decrypted logits are pinned against the
+    plaintext model at rtol 1e-3 like the one-block model's.
     """
     from repro.core.surgery import replace_transformer_nonpoly
 
-    model, data = toy_transformer_model()
+    model, data = toy_transformer_model(num_blocks=num_blocks)
     # deg-12 GELU costs the same 4 levels as deg-8 (ceil(log2(d+1)));
     # 5 Newton iterations cover the calibrated sum interval's ~12x ratio
     replace_transformer_nonpoly(
@@ -272,64 +284,6 @@ def compiled_toy_transformer(
         params or TOY_TRANSFORMER_PARAMS,
         policy=CompilePolicy(seed=0),
     )
-    return (model, enc) if with_model else enc
-
-
-def toy_transformer_stacked_model(epochs: int = 2, seed: int = 0):
-    """Train the 2-block stacked toy transformer (same data/schedule).
-
-    :class:`repro.nn.models.transformer.StackedToyTransformer` with
-    seq=4, dim=8, ff=16, 3 classes, two blocks — the refresh demo model:
-    each block costs ~32 encrypted levels, so the stack cannot fit any
-    practical prime chain without a mid-network refresh.  Returns
-    ``(model, dataset)`` with the model in train mode.
-    """
-    from repro.data.synthetic import make_sequence_dataset
-    from repro.nn.models import toy_transformer_stacked
-
-    model = toy_transformer_stacked(
-        seq=4, dim=8, ff=16, num_classes=3, num_blocks=2, seed=seed
-    )
-    data = make_sequence_dataset(
-        num_classes=3, n_train=96, n_val=24, seq=4, dim=8, seed=seed
-    )
-    _sgd(model, data, lr=0.02, epochs=epochs)
-    return model, data
-
-
-def compiled_toy_transformer_stacked(
-    with_model: bool = False,
-    params: CkksParams | None = None,
-) -> EncryptedNetwork | tuple:
-    """Train, PAF-replace and compile the 2-block stacked transformer.
-
-    The depth-wall fixture: both blocks together validate to ~64 levels
-    against a 33-level chain, so :class:`repro.fhe.ir.CompilePolicy`'s
-    automatic placement must insert a :class:`repro.fhe.ir.RefreshNode`
-    between the blocks for compilation to succeed at all.  The refresh is
-    exactness-gated at rtol 1e-3; decrypted logits are pinned against
-    the PAF-approximated plaintext model at the same tolerance by the
-    differential tests and the stacked op-count/bench gates.
-    """
-    from repro.core.surgery import replace_transformer_nonpoly
-
-    model, data = toy_transformer_stacked_model()
-    replace_transformer_nonpoly(
-        model,
-        data.x_train,
-        exp_degree=5,
-        exp_squarings=3,
-        gelu_degree=12,
-        recip_iters=5,
-    )
-    model.eval()
-    policy = CompilePolicy(
-        refresh="auto",
-        refresh_method="recrypt",
-        rtol=1e-3,
-        seed=0,
-    )
-    enc = compile_network(model, params or TOY_TRANSFORMER_PARAMS, policy=policy)
     return (model, enc) if with_model else enc
 
 

@@ -2,21 +2,13 @@
 
 from repro.nn.models.resnet import BasicBlock, ResNet18, resnet18
 from repro.nn.models.simple import MLP, SmallCNN, mlp, small_cnn
-from repro.nn.models.transformer import (
-    StackedToyTransformer,
-    ToyTransformer,
-    TransformerBlock,
-    toy_transformer,
-    toy_transformer_stacked,
-)
+from repro.nn.models.transformer import ToyTransformer, TransformerBlock, toy_transformer
 from repro.nn.models.vgg import VGG19, vgg19
 
 __all__ = [
     "ToyTransformer",
     "TransformerBlock",
-    "StackedToyTransformer",
     "toy_transformer",
-    "toy_transformer_stacked",
     "BasicBlock",
     "ResNet18",
     "resnet18",

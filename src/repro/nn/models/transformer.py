@@ -1,8 +1,8 @@
-"""A single-block toy transformer for the encrypted-attention pipeline.
+"""The toy transformer for the encrypted-attention pipeline.
 
-One self-attention block plus a GELU MLP, both with residual connections,
-mean-pooled into a linear classification head — the smallest model that
-exercises every operator of the encrypted transformer lowering (matmul as
+Residual self-attention + GELU-MLP blocks, mean-pooled into a linear
+classification head.  One block is the smallest model that exercises
+every operator of the encrypted transformer lowering (matmul as
 batched matvec over token shards, the mean-stabilised softmax PAF, the
 dense GELU PAF and shard-sum pooling).
 
@@ -28,44 +28,28 @@ from repro.nn.layers import GELU, Linear, Softmax
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = [
-    "ToyTransformer",
-    "TransformerBlock",
-    "StackedToyTransformer",
-    "toy_transformer",
-    "toy_transformer_stacked",
-]
+__all__ = ["ToyTransformer", "TransformerBlock", "toy_transformer"]
 
 
-class ToyTransformer(Module):
-    """Single-head attention + GELU MLP block over ``seq`` tokens.
+class TransformerBlock(Module):
+    """One residual attention + GELU-MLP block, no classification head.
 
-    Input ``(batch, seq, dim)``; output ``(batch, num_classes)`` logits.
-    The ``is_transformer`` marker routes
-    :func:`repro.fhe.lower.lower` to the transformer lowering.
+    The per-block unit of :class:`ToyTransformer`.
     """
-
-    is_transformer = True
-
-    #: init-time shrink of the residual-stream writers (wo, fc1): with no
-    #: LayerNorm, kaiming-scale projections push GELU pre-activations to
-    #: ~3x the input range, past what a low-degree polynomial can track
-    proj_init_scale = 0.35
 
     def __init__(
         self,
-        seq: int = 4,
-        dim: int = 8,
-        ff: int = 16,
-        num_classes: int = 3,
-        seed: Optional[int] = None,
+        seq: int,
+        dim: int,
+        ff: int,
+        rng: np.random.Generator,
+        proj_init_scale: float,
     ):
         super().__init__()
-        rng = np.random.default_rng(seed)
         self.seq = seq
         self.dim = dim
         self.ff = ff
-        self.num_classes = num_classes
+        self.proj_init_scale = proj_init_scale
         self.wq = Linear(dim, dim, rng=rng)
         self.wk = Linear(dim, dim, rng=rng)
         self.wv = Linear(dim, dim, rng=rng)
@@ -74,7 +58,6 @@ class ToyTransformer(Module):
         self.fc1 = Linear(dim, ff, rng=rng)
         self.act = GELU()
         self.fc2 = Linear(ff, dim, rng=rng)
-        self.head = Linear(dim, num_classes, rng=rng)
         #: scalar applied to the raw q·k dot products (read by the FHE
         #: lowering, which folds it into the score placement masks)
         self.score_scale = 1.0 / dim
@@ -96,73 +79,27 @@ class ToyTransformer(Module):
     def forward(self, x: Tensor) -> Tensor:
         probs = self.softmax(self.attention_scores(x))
         x = x + self.wo(probs @ self.wv(x))
-        x = x + self.fc2(self.act(self.fc1(x)))
-        return self.head(x.mean(axis=1))
-
-
-def toy_transformer(**kwargs) -> ToyTransformer:
-    return ToyTransformer(**kwargs)
-
-
-class TransformerBlock(Module):
-    """One residual attention + GELU-MLP block, no classification head.
-
-    The per-block unit of :class:`StackedToyTransformer`; attribute
-    layout (``wq``/``wk``/``wv``/``wo``/``softmax``/``fc1``/``act``/
-    ``fc2``/``score_scale``) mirrors :class:`ToyTransformer` so the FHE
-    lowering reads both through one code path.
-    """
-
-    def __init__(
-        self,
-        seq: int,
-        dim: int,
-        ff: int,
-        rng: np.random.Generator,
-        proj_init_scale: float = ToyTransformer.proj_init_scale,
-    ):
-        super().__init__()
-        self.seq = seq
-        self.dim = dim
-        self.ff = ff
-        self.proj_init_scale = proj_init_scale
-        self.wq = Linear(dim, dim, rng=rng)
-        self.wk = Linear(dim, dim, rng=rng)
-        self.wv = Linear(dim, dim, rng=rng)
-        self.wo = Linear(dim, dim, rng=rng)
-        self.softmax = Softmax(axis=-1)
-        self.fc1 = Linear(dim, ff, rng=rng)
-        self.act = GELU()
-        self.fc2 = Linear(ff, dim, rng=rng)
-        self.score_scale = 1.0 / dim
-        for lin in (self.wo, self.fc1):
-            lin.weight.data *= self.proj_init_scale
-
-    def attention_scores(self, x: Tensor) -> Tensor:
-        q = self.wq(x)
-        k = self.wk(x)
-        return (q @ k.transpose(0, 2, 1)) * self.score_scale
-
-    def forward(self, x: Tensor) -> Tensor:
-        probs = self.softmax(self.attention_scores(x))
-        x = x + self.wo(probs @ self.wv(x))
         return x + self.fc2(self.act(self.fc1(x)))
 
 
-class StackedToyTransformer(Module):
+class ToyTransformer(Module):
     """``num_blocks`` residual transformer blocks + mean-pool head.
 
-    The depth-wall demo model: at two blocks the encrypted lowering costs
-    more levels than any practical prime chain carries, so compilation
-    succeeds only through refresh placement
-    (:class:`repro.fhe.ir.CompilePolicy`).  Blocks register as child
-    modules ``block0``, ``block1``, … (the :attr:`blocks` property walks
-    them in order) and each carries its own softmax/GELU sites, so
+    Input ``(batch, seq, dim)``; output ``(batch, num_classes)`` logits.
+    Blocks register as child modules ``block0``, ``block1``, … (the
+    :attr:`blocks` property walks them in order) and each carries its
+    own softmax/GELU sites, so
     :func:`repro.core.surgery.replace_transformer_nonpoly` calibrates a
-    PAF per site.
+    PAF per site.  At two blocks the encrypted lowering costs more
+    levels than any practical prime chain carries, so compilation
+    succeeds only through refresh placement
+    (:class:`repro.fhe.ir.CompilePolicy`).
     """
 
-    is_transformer = True
+    #: init-time shrink of the residual-stream writers (wo, fc1): with no
+    #: LayerNorm, kaiming-scale projections push GELU pre-activations to
+    #: ~3x the input range, past what a low-degree polynomial can track
+    proj_init_scale = 0.35
 
     def __init__(
         self,
@@ -170,7 +107,7 @@ class StackedToyTransformer(Module):
         dim: int = 8,
         ff: int = 16,
         num_classes: int = 3,
-        num_blocks: int = 2,
+        num_blocks: int = 1,
         seed: Optional[int] = None,
     ):
         super().__init__()
@@ -187,7 +124,7 @@ class StackedToyTransformer(Module):
         # which keeps every block's GELU pre-activations and attention
         # scores inside the narrow ranges low-degree PAFs evaluate
         # accurately under fixed-point CKKS arithmetic
-        proj = ToyTransformer.proj_init_scale / float(np.sqrt(num_blocks))
+        proj = self.proj_init_scale / float(np.sqrt(num_blocks))
         for b in range(num_blocks):
             setattr(
                 self,
@@ -198,7 +135,7 @@ class StackedToyTransformer(Module):
 
     @property
     def blocks(self) -> list:
-        """The stacked blocks, in execution order."""
+        """The blocks, in execution order."""
         return [getattr(self, f"block{b}") for b in range(self.num_blocks)]
 
     def forward(self, x: Tensor) -> Tensor:
@@ -207,5 +144,5 @@ class StackedToyTransformer(Module):
         return self.head(x.mean(axis=1))
 
 
-def toy_transformer_stacked(**kwargs) -> StackedToyTransformer:
-    return StackedToyTransformer(**kwargs)
+def toy_transformer(**kwargs) -> ToyTransformer:
+    return ToyTransformer(**kwargs)

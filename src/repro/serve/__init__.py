@@ -4,7 +4,7 @@ The paper makes private inference *fast* by replacing non-polynomial
 operators with low-degree PAFs; this subsystem makes the resulting
 CKKS pipeline fast *per request* by amortising it:
 
-SIMD request packing (:mod:`repro.serve.packing`)
+SIMD request packing (:mod:`repro.fhe.packing`)
     A compiled model of square width ``size`` needs only ``2·size`` of
     the ciphertext's ``N/2`` slots, so up to ``slots // (2·size)``
     independent client inputs are packed into disjoint slot blocks of a
@@ -71,13 +71,6 @@ from repro.serve.keys import (
     UnknownClientError,
 )
 from repro.serve.metrics import ServingMetrics, percentile
-from repro.serve.packing import (
-    BlockLayout,
-    layout_for,
-    pack_batch,
-    split_batches,
-    unpack_blocks,
-)
 from repro.serve.queue import (
     DEFAULT_MODEL,
     BatchQueue,
@@ -89,11 +82,6 @@ from repro.serve.queue import (
 from repro.serve.server import InferenceResult, InferenceServer, UnknownModelError
 
 __all__ = [
-    "BlockLayout",
-    "layout_for",
-    "pack_batch",
-    "unpack_blocks",
-    "split_batches",
     "PlaintextCache",
     "ModelArtifact",
     "BatchQueue",

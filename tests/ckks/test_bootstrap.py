@@ -25,7 +25,6 @@ from repro.ckks import CkksContext, CkksEvaluator, CkksParams, keygen
 from repro.ckks.backend import available_backends
 from repro.ckks.bootstrap import (
     RefreshPrecisionError,
-    canonical_scale,
     coeff_to_slot,
     eval_mod,
     plan_refresh,
@@ -135,7 +134,7 @@ class TestRefreshEndToEnd:
         low = ev.mod_switch_to(ct, 1)
         out = refresh(ev, low, plan)
         assert out.level == plan.target_level > low.level
-        assert out.scale == canonical_scale(ctx, out.level)
+        assert out.scale == ctx.canonical_scale(out.level)
         got = ev.decrypt(out)
         rel = np.max(np.abs(got - v)) / np.max(np.abs(v))
         assert rel <= plan.rtol

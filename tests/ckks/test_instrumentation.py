@@ -76,7 +76,7 @@ class TestCountingEvaluator:
         # one plaintext mult per coefficient leaf plus one per correction
         plan = plan_paf_relu(paf)
         leaves = sum(np.count_nonzero(c.coeffs) for c in paf.components)
-        assert leaves == plan.num_leaves
+        assert leaves == sum(len(b.terms) for p in plan.components for b in p.blocks)
         if not reference:
             assert measured.nonscalar_mult_count == plan.nonscalar_mults
         assert (

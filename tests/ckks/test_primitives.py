@@ -84,15 +84,12 @@ class TestPrimes:
     def test_canonical_scale_schedule(self):
         """``S_{l-1} = S_l² / q_l`` from Δ at the top — the one definition
         the tracer, the artifact cache and the refresh all read."""
-        from repro.ckks import canonical_scale
-
         ctx = CkksContext(CkksParams(n=256, scale_bits=25, depth=4))
         s = ctx.scale
         assert ctx.canonical_scale(ctx.max_level) == s
         for level in range(ctx.max_level, 0, -1):
             s = s * s / ctx.q_chain[level]
             assert ctx.canonical_scale(level - 1) == s
-            assert canonical_scale(ctx, level - 1) == s
 
     def test_primitive_root(self):
         p = generate_primes(64, [25])[0]

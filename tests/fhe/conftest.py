@@ -32,7 +32,6 @@ from repro.fhe.toy import (
     compiled_toy_cnn,
     compiled_toy_resnet,
     compiled_toy_transformer,
-    compiled_toy_transformer_stacked,
 )
 
 
@@ -181,7 +180,7 @@ def toy_transformer_stacked():
     """(PAF-approximated plain model, compiled EncryptedNetwork) — the
     trained 2-block stacked transformer, compiled through the auto
     refresh policy (the depth-wall demo)."""
-    return compiled_toy_transformer_stacked(with_model=True)
+    return compiled_toy_transformer(with_model=True, num_blocks=2)
 
 
 @pytest.fixture(scope="session")

@@ -76,6 +76,17 @@ def test_transformer_takes_the_other_way_in(toy_transformer, toy_transformer_sta
     assert deep.validate() == 64  # embed + 2 x 31 + head
 
 
+@pytest.mark.parametrize(
+    "field, value", [("num_shards", 2), ("num_shards", 1), ("input_shape", (4, 8))]
+)
+def test_transformer_refuses_the_packing_policy(toy_transformer, no_keygen, field, value):
+    """A transformer's shards are its ``seq`` tokens: a packing field set
+    on its policy would be silently ignored, so it is refused instead."""
+    model, _ = toy_transformer
+    with pytest.raises(ValueError, match=field):
+        lower(model, CompilePolicy(**{field: value}))
+
+
 def test_transformer_block_grows_to_hold_the_attention_windows(no_keygen):
     """Token-packed attention reads a request block (``2·size`` slots) as
     ``seq`` windows of ``dim`` lanes: a long sequence sizes the block,

@@ -77,7 +77,7 @@ class TestComponentPins:
         assert plan.mult_depth == paf.mult_depth + 1
         assert plan.scale == 2.0
         # folding preserves degrees, so leaf count == coefficient count
-        assert plan.num_leaves == paf.num_coeffs()
+        assert sum(len(b.terms) for p in plan.components for b in p.blocks) == paf.num_coeffs()
 
 
 class TestPlanStructure:
@@ -165,4 +165,6 @@ class TestPlanProperties:
         # every nonzero term appears exactly once, with its coefficient
         assert _covered(plan) == want
         # one leaf product per term that is not a block constant
-        assert plan.num_leaves == len(want) - sum(bool(b.constant) for b in plan.blocks)
+        assert sum(len(b.terms) for b in plan.blocks) == len(want) - sum(
+            bool(b.constant) for b in plan.blocks
+        )

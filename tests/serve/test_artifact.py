@@ -1,5 +1,6 @@
 """The plaintext memo: bit-identical hits, one shadow fill, zero steady-state encodes."""
 
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from threading import Barrier
@@ -140,7 +141,10 @@ class TestModelArtifact:
 #: the recrypt test below parametrizes over it alone, and pytest shares a
 #: module-scoped fixture between the two only at the same param index.
 FAMILIES = {
-    "toy_transformer_stacked": (toy_models.compiled_toy_transformer_stacked, 32),
+    "toy_transformer_stacked": (
+        functools.partial(toy_models.compiled_toy_transformer, num_blocks=2),
+        32,
+    ),
     "toy_mlp": (toy_models.compiled_toy, 8),
     "toy_cnn": (toy_models.compiled_toy_cnn, 64),
     "toy_resnet": (toy_models.compiled_toy_resnet, 64),

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve.packing import (
-    BlockLayout,
-    layout_for,
-    pack_batch,
-    split_batches,
-    unpack_blocks,
-)
+from repro.fhe.packing import BlockLayout, pack_batch, unpack_blocks
 
 
 class TestBlockLayout:
@@ -97,24 +91,16 @@ class TestPackUnpack:
             unpack_blocks(np.zeros(32), lay, width=2, batch=0)
 
 
-class TestSplitBatches:
-    def test_chunks(self):
-        assert split_batches(range(7), 3) == [[0, 1, 2], [3, 4, 5], [6]]
-        assert split_batches([], 4) == []
-        with pytest.raises(ValueError):
-            split_batches([1], 0)
-
-
 class TestParityWithEncryptedNetwork:
     def test_layout_matches_model(self, toy):
         _, enc = toy
-        lay = layout_for(enc)
+        lay = enc.layout
         assert lay.stride == enc.block_stride
         assert lay.max_batch == enc.max_batch
 
     def test_pack_matches_model(self, toy):
         _, enc = toy
-        lay = layout_for(enc)
+        lay = enc.layout
         rng = np.random.default_rng(3)
         xs = rng.normal(size=(5, 8))
         np.testing.assert_array_equal(pack_batch(xs, lay), enc.pack_batch(xs))

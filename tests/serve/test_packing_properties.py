@@ -12,11 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe.packing import GridLayout, MultiGridLayout
-from repro.serve.packing import (
+from repro.fhe.packing import (
     BlockLayout,
+    GridLayout,
+    MultiGridLayout,
     pack_batch,
-    split_batches,
     unpack_blocks,
 )
 
@@ -79,14 +79,6 @@ def test_pack_replicates_each_block(case):
     for b in range(len(xs), layout.max_batch):
         off = layout.offset(b)
         assert not packed[off : off + layout.stride].any()
-
-
-@given(st.lists(st.integers(), max_size=40), st.integers(1, 7))
-def test_split_batches_partitions_in_order(items, max_batch):
-    chunks = split_batches(items, max_batch)
-    assert [x for chunk in chunks for x in chunk] == items
-    assert all(len(chunk) <= max_batch for chunk in chunks)
-    assert all(len(chunk) == max_batch for chunk in chunks[:-1])
 
 
 grids = st.tuples(
