@@ -21,7 +21,7 @@ from collections import Counter
 from repro.ckks.backend import KernelBackend
 from repro.ckks.evaluator import Ciphertext, CkksEvaluator
 
-__all__ = ["CountingEvaluator", "RowCountingBackend", "span", "NULL_SPAN"]
+__all__ = ["CountingEvaluator", "RowCountingBackend", "keyswitches", "span", "NULL_SPAN"]
 
 
 class _NullSpan:
@@ -89,6 +89,21 @@ _COUNTED = (
 )
 
 
+def keyswitches(ops) -> int:
+    """Keyswitch (Galois/relin key inner product) total of an op-counts
+    mapping — the dominant cost.
+
+    Hoisted rotations still pay the key inner product per Galois
+    element, so each counts as one keyswitch; the shared digit
+    decomposition is booked separately under ``hoist_decompose``.
+    A keyswitch does not imply a divide-by-``P`` descent of its own:
+    the terms of one ``sum_rotated`` each count here and share a
+    single descent (the NTT-row meter, :class:`RowCountingBackend`,
+    sees that saving; this count does not).
+    """
+    return sum(ops.get(op, 0) for op in ("rotate", "rotate_hoisted", "conjugate", "mul"))
+
+
 class CountingEvaluator:
     """Proxy evaluator recording per-op counts.
 
@@ -119,19 +134,8 @@ class CountingEvaluator:
 
     @property
     def keyswitch_count(self) -> int:
-        """Total keyswitch (Galois/relin) key inner products — the
-        dominant cost.
-
-        Hoisted rotations still pay the key inner product per Galois
-        element, so each counts as one keyswitch; the shared digit
-        decomposition is booked separately under ``hoist_decompose``.
-        A keyswitch does not imply a divide-by-``P`` descent of its own:
-        the terms of one :meth:`sum_rotated` each count here and share a
-        single descent (the NTT-row meter, :class:`RowCountingBackend`,
-        sees that saving; this count does not).
-        """
-        c = self.counts
-        return c["rotate"] + c["rotate_hoisted"] + c["conjugate"] + c["mul"]
+        """:func:`keyswitches` of the counts recorded so far."""
+        return keyswitches(self.counts)
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)

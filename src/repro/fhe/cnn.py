@@ -18,9 +18,8 @@ and calls them layer by layer.
 * **BatchNorm2d → folded into the adjacent conv.**  With frozen
   statistics BN is the per-channel affine ``y = s_c·x + t_c``; folding
   multiplies the conv's output-channel rows by ``s_c`` and adjusts the
-  bias — zero runtime cost.  Unfolded, BN is a standalone slot-wise
-  ``affine`` layer instead (one plaintext multiply + add, one level),
-  which the differential tests compare against.
+  bias — zero runtime cost.  Every BatchNorm must therefore directly
+  follow a conv; the lowering rejects any other.
 * **AvgPool2d / GlobalAvgPool2d → rotate-and-sum plans.**  Window sums
   are separable: ``k-1`` hoisted rotations by the column stride, then
   ``k-1`` by the row stride, then a single masked plaintext multiply by
@@ -47,7 +46,6 @@ __all__ = [
     "conv2d_shard_matrices",
     "linear_shard_matrices",
     "fold_bn_into_conv",
-    "bn_affine_vectors",
     "avg_pool_shifts",
 ]
 
@@ -197,8 +195,14 @@ def linear_shard_matrices(weight: np.ndarray, mgrid: MultiGridLayout) -> list:
     return [row]
 
 
-def _bn_scale_shift(bn: BatchNorm2d) -> tuple:
-    """Frozen per-channel ``(s, t)`` with ``bn(x) = s·x + t``.
+def fold_bn_into_conv(
+    weight: np.ndarray, bias: np.ndarray | None, bn: BatchNorm2d
+) -> tuple:
+    """Fold a frozen BatchNorm2d into the preceding conv's weights.
+
+    ``bn(conv(x)) = (s_c · W) x + (s_c · b + t_c)`` — the scale multiplies
+    every kernel of output channel ``c``, the shift lands in the bias.
+    Returns the folded ``(weight, bias)``.
 
     Requires frozen statistics: with ``track_running_stats=False`` the
     layer normalises by *batch* statistics even in eval mode (the
@@ -213,19 +217,6 @@ def _bn_scale_shift(bn: BatchNorm2d) -> tuple:
         )
     s = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
     t = bn.beta.data - bn.running_mean * s
-    return s, t
-
-
-def fold_bn_into_conv(
-    weight: np.ndarray, bias: np.ndarray | None, bn: BatchNorm2d
-) -> tuple:
-    """Fold a frozen BatchNorm2d into the preceding conv's weights.
-
-    ``bn(conv(x)) = (s_c · W) x + (s_c · b + t_c)`` — the scale multiplies
-    every kernel of output channel ``c``, the shift lands in the bias.
-    Returns the folded ``(weight, bias)``.
-    """
-    s, t = _bn_scale_shift(bn)
     if len(s) != weight.shape[0]:
         raise ValueError(
             f"BN features {len(s)} != conv output channels {weight.shape[0]}"
@@ -233,25 +224,6 @@ def fold_bn_into_conv(
     folded_w = weight * s[:, None, None, None]
     folded_b = t if bias is None else s * bias + t
     return folded_w, folded_b
-
-
-def bn_affine_vectors(bn: BatchNorm2d, layout: GridLayout) -> tuple:
-    """Slot-wise ``(scale, shift)`` vectors for an *unfolded* BatchNorm.
-
-    Each occupied slot of the grid gets its channel's ``s_c`` / ``t_c``;
-    garbage slots get zero (so the affine layer also re-zeroes whatever
-    it scales outside the grid, and shifts nothing there).
-    """
-    s, t = _bn_scale_shift(bn)
-    if len(s) != layout.channels:
-        raise ValueError(f"BN features {len(s)} != layout channels {layout.channels}")
-    scale_vec = np.zeros(layout.span)
-    shift_vec = np.zeros(layout.span)
-    pos = layout.positions()
-    for c in range(layout.channels):
-        scale_vec[pos[c].ravel()] = s[c]
-        shift_vec[pos[c].ravel()] = t[c]
-    return scale_vec, shift_vec
 
 
 def avg_pool_shifts(layout: GridLayout, kernel_h: int, kernel_w: int) -> tuple:

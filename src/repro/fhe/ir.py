@@ -2,15 +2,10 @@
 
 Every compiled network — MLP, CNN, ResNet, transformer block — is a
 linear sequence of **typed nodes**, each carrying its payload (weights,
-polynomial plans, rotation shifts), its layout metadata (the
-:class:`~repro.fhe.packing.GridLayout` view of the activations it
-consumes/produces where one exists), its **level consumption** on the
-canonical CKKS scale schedule (:meth:`IRNode.level_cost`) and an
-optional **domain interval**.  The interval is an unenforced contract
-today: :func:`propagate_intervals` can fill it, but no compile path
-calls it and nothing reads ``node.interval`` (ROADMAP item 3 owns the
-real check).  :func:`repro.fhe.lower.lower` is the one producer — every
-model family lowers INTO this IR through it — and
+polynomial plans, rotation shifts) and its **level consumption** on the
+canonical CKKS scale schedule (:meth:`IRNode.level_cost`).
+:func:`repro.fhe.lower.lower` is the one producer — every model family
+lowers INTO this IR through it — and
 :class:`~repro.fhe.network.EncryptedNetwork` executes the node list by
 *type* dispatch — one handler per node class — instead of string
 ``kind`` comparisons.
@@ -33,8 +28,6 @@ node                      levels  executes as
 :class:`PolyNode`         dep(p)  dense (non-odd) polynomial via its
                                   :class:`~repro.ckks.poly_plan.PolyPlan`
                                   — the GELU / exp tier
-:class:`AffineNode`       1       slot-wise plaintext scale-and-shift
-                                  (unfolded BatchNorm)
 :class:`ResidualTapNode`  0       pushes the live shard list on the
                                   branch stack
 :class:`MergeNode`        0       pops the matching tap, optional
@@ -86,7 +79,6 @@ __all__ = [
     "PoolNode",
     "PafNode",
     "PolyNode",
-    "AffineNode",
     "ResidualTapNode",
     "MergeNode",
     "ReduceNode",
@@ -95,7 +87,6 @@ __all__ = [
     "Graph",
     "CompilePolicy",
     "apply_refresh_policy",
-    "propagate_intervals",
 ]
 
 
@@ -107,11 +98,6 @@ class IRNode:
     #: span / schedule label (stable across the IR redesign: trace span
     #: names and slack-baseline keys are ``layer{i:02d}:{kind}``)
     kind = "node"
-    #: optional domain interval ``(lo, hi)`` of this node's *output*
-    #: values, set only by :func:`propagate_intervals`
-    interval = None
-    #: optional layout metadata (e.g. a GridLayout) of the output
-    layout = None
 
     def level_cost(self) -> int:
         """Chain levels this node consumes on the main branch."""
@@ -124,14 +110,11 @@ class MatvecNode(IRNode):
     slot-space ``blocks`` (``None`` marks an all-zero block) with
     per-output-shard ``bias_shards`` (``None`` without any).  Linear
     layers and convs (im2col at lowering time) both land here; a
-    single-ciphertext layer is the 1 x 1 grid.  ``layout`` is the
-    :class:`~repro.fhe.packing.MultiGridLayout` of the output."""
+    single-ciphertext layer is the 1 x 1 grid."""
 
     kind = "linear"
     blocks: list
     bias_shards: list | None = None
-    interval: tuple | None = None
-    layout: object | None = None
 
 
 @dataclass
@@ -142,8 +125,6 @@ class PoolNode(IRNode):
     kind = "pool"
     shifts: tuple = ()
     pool_scale: float = 1.0
-    interval: tuple | None = None
-    layout: object | None = None
 
 
 @dataclass
@@ -153,7 +134,6 @@ class PafNode(IRNode):
     kind = "paf"
     paf: CompositePAF | None = None
     scale: float = 1.0
-    interval: tuple | None = None
 
     def level_cost(self) -> int:
         return relu_mult_depth(self.paf)
@@ -170,22 +150,11 @@ class PolyNode(IRNode):
 
     kind = "poly"
     poly: Polynomial | None = None
-    interval: tuple | None = None
 
     def level_cost(self) -> int:
         from repro.paf.polynomial import mult_depth_of_degree
 
         return mult_depth_of_degree(self.poly.degree)
-
-
-@dataclass
-class AffineNode(IRNode):
-    """Slot-wise plaintext scale-and-shift (an unfolded BatchNorm)."""
-
-    kind = "affine"
-    affine_scale: np.ndarray | None = None
-    affine_shift: np.ndarray | None = None
-    interval: tuple | None = None
 
 
 @dataclass
@@ -222,7 +191,6 @@ class ReduceNode(IRNode):
     compiler, so execution is pure ct-ct adds and consumes no level."""
 
     kind = "reduce"
-    mode: str = "shard_sum"
 
     def level_cost(self) -> int:
         return 0
@@ -269,7 +237,6 @@ class AttentionNode(IRNode):
     #: sum interval
     recip_init: tuple = (0.0, 0.0)
     recip_iters: int = 2
-    interval: tuple | None = None
 
     def level_cost(self) -> int:
         """Exact level consumption of token-packed attention.
@@ -348,8 +315,8 @@ class Graph:
         least one level (the projection's own rescale descends through
         it; the alignment correction needs no level of its own).
 
-        The packed input carries a *live* wraparound replica; a matvec,
-        a pool mask or an affine leaves the replica half zero, and the
+        The packed input carries a *live* wraparound replica; a matvec
+        or a pool mask leaves the replica half zero, and the
         executor's ``_replicate`` (before every matvec past node 0, every
         merge projection and every attention block) relies on that — a
         live replica reaching it is doubled and decrypts ~2x wrong.
@@ -376,8 +343,8 @@ class Graph:
         def live_replica(i, node) -> ValueError:
             return ValueError(
                 f"node {i} ({node.kind}) would re-replicate a live input "
-                "replica: only a matvec at node 0, a pool or an affine "
-                "zeroes the packed input's replica half — open the graph "
+                "replica: only a matvec at node 0 or a pool zeroes the "
+                "packed input's replica half — open the graph "
                 "with one (a stem conv, an identity embed)"
             )
 
@@ -415,7 +382,7 @@ class Graph:
                 )
                 if replicates and live:
                     raise live_replica(i, node)
-                if isinstance(node, (MatvecNode, AttentionNode, PoolNode, AffineNode)):
+                if isinstance(node, (MatvecNode, AttentionNode, PoolNode)):
                     live = False
                 level += node.level_cost()
         if stack:
@@ -441,105 +408,6 @@ class Graph:
 
 
 # ----------------------------------------------------------------------
-# domain-interval propagation
-# ----------------------------------------------------------------------
-def _matvec_interval(weight: np.ndarray, bias, interval: tuple) -> tuple:
-    """Output bound of ``Wx + b`` for ``x`` slot-wise in ``interval``."""
-    lo, hi = interval
-    pos = np.clip(weight, 0.0, None)
-    neg = np.clip(weight, None, 0.0)
-    out_hi = pos.sum(axis=1) * hi + neg.sum(axis=1) * lo
-    out_lo = pos.sum(axis=1) * lo + neg.sum(axis=1) * hi
-    if bias is not None:
-        b = np.zeros(weight.shape[0])
-        b[: len(bias)] = bias
-        out_hi = out_hi + b
-        out_lo = out_lo + b
-    return float(out_lo.min()), float(out_hi.max())
-
-
-def _poly_interval(poly, interval: tuple, n: int = 2001) -> tuple:
-    grid = np.linspace(interval[0], interval[1], n)
-    vals = poly(grid)
-    return float(vals.min()), float(vals.max())
-
-
-def _grid_interval(blocks: list, bias_shards, interval: tuple) -> tuple:
-    """Block-row-wise output bound of a ``K_out x K_in`` matvec grid."""
-    lo, hi = 0.0, 0.0
-    for row in blocks:
-        row_lo, row_hi = 0.0, 0.0
-        for mat in row:
-            if mat is None:
-                continue
-            b_lo, b_hi = _matvec_interval(mat, None, interval)
-            row_lo += b_lo
-            row_hi += b_hi
-        lo = min(lo, row_lo)
-        hi = max(hi, row_hi)
-    biases = [b for b in (bias_shards or []) if b is not None]
-    if biases:
-        lo += min(min(float(np.min(b)) for b in biases), 0.0)
-        hi += max(max(float(np.max(b)) for b in biases), 0.0)
-    return lo, hi
-
-
-def propagate_intervals(graph: Graph, input_interval: tuple) -> list:
-    """Propagate slot-value domain intervals through the node sequence.
-
-    Sets each node's ``interval`` to a conservative bound of its
-    *output* values given ``input_interval`` on the network input, and
-    returns the list of per-node intervals.  No compile path calls it
-    yet and no planner reads the result: checking declared
-    approximation domains against it is ROADMAP item 3.  Matvec grids are
-    bounded block-row-wise; attention outputs are bounded by the
-    value interval (probabilities are near-convex weights, padded by
-    the reciprocal's calibration slack recorded on the node).
-    """
-    cur = (float(input_interval[0]), float(input_interval[1]))
-    out: list = []
-    stack: list = []
-    for node in graph.nodes:
-        if isinstance(node, ResidualTapNode):
-            stack.append(cur)
-        elif isinstance(node, MergeNode):
-            skip = stack.pop()
-            if node.blocks is not None:
-                skip = _grid_interval(node.blocks, None, skip)
-            cur = (cur[0] + min(skip[0], 0.0), cur[1] + max(skip[1], 0.0))
-        elif isinstance(node, AttentionNode):
-            # probabilities are an (approximately) convex combination of
-            # the per-token values; bound by the projected value range
-            v_int = _matvec_interval(node.wv, node.bv, cur)
-            cur = _matvec_interval(node.wo, node.bo, v_int)
-        elif isinstance(node, MatvecNode):
-            cur = _grid_interval(node.blocks, node.bias_shards, cur)
-        elif isinstance(node, PafNode):
-            # a calibrated sign-PAF ReLU maps into ~[min(lo,0), hi]
-            cur = (min(cur[0], 0.0), max(cur[1], 0.0))
-        elif isinstance(node, PolyNode):
-            cur = _poly_interval(node.poly, cur)
-        elif isinstance(node, PoolNode):
-            pass  # an average stays inside the input interval
-        elif isinstance(node, AffineNode):
-            s, t = node.affine_scale, node.affine_shift
-            cands = np.concatenate(
-                [np.asarray(s) * cur[0] + t, np.asarray(s) * cur[1] + t]
-            )
-            cur = (float(cands.min()), float(cands.max()))
-        elif isinstance(node, ReduceNode):
-            # shard sum of K in-interval vectors; the compiler folds the
-            # 1/K of a mean into the next matvec, so scale by shard count
-            cur = (
-                min(cur[0] * graph.input_shards, 0.0),
-                max(cur[1] * graph.input_shards, 0.0),
-            )
-        node.interval = cur
-        out.append(cur)
-    return out
-
-
-# ----------------------------------------------------------------------
 # compile policy + refresh placement
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -549,8 +417,7 @@ class CompilePolicy:
     The single policy object accepted by :func:`repro.fhe.lower.lower`
     and :func:`repro.fhe.network.compile_network` (serving wraps the
     result: ``ModelArtifact(compile_network(model, params, policy=...))``):
-    packing geometry (``input_shape`` / ``num_shards``), ``seed``,
-    BatchNorm folding, and
+    packing geometry (``input_shape`` / ``num_shards``), ``seed`` and
     the refresh policy that decides how a model deeper than the prime
     chain still compiles (``docs/bootstrapping.md``):
 
@@ -574,7 +441,6 @@ class CompilePolicy:
     input_shape: tuple | None = None
     num_shards: int | None = None
     seed: int = 0
-    fold_bn: bool = True
 
     def __post_init__(self):
         if isinstance(self.refresh, list):
@@ -597,6 +463,10 @@ class CompilePolicy:
             raise ValueError(
                 f'refresh_method must be "recrypt" or "evalmod", '
                 f"got {self.refresh_method!r}"
+            )
+        if self.num_shards is not None and self.num_shards < 1:
+            raise ValueError(
+                f"num_shards must be >= 1 (or None for one), got {self.num_shards!r}"
             )
 
 

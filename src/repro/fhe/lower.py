@@ -12,7 +12,7 @@ In the module walk
 * an MLP is the ``(in_features, 1, 1)`` "image" (``input_shape`` may be
   omitted for a model that opens with a ``Linear``);
 * a :class:`~repro.nn.models.resnet.BasicBlock` is one more case:
-  ``residual`` tap, the main branch ``conv1 (+BN) → PAF → conv2 (+BN)``
+  ``residual`` tap, the main branch ``conv1 + BN → PAF → conv2 + BN``
   lowered by the same walk, a ``merge`` that applies the block's
   downsample (the folded 1×1-projection conv for stride/width changes,
   nothing for an identity skip) to the *saved* branch, and the post-add
@@ -34,13 +34,11 @@ import numpy as np
 from repro.core.paf_layer import PAFGELU, PAFMaxPool2d, PAFReLU, PAFSoftmax
 from repro.fhe.cnn import (
     avg_pool_shifts,
-    bn_affine_vectors,
     conv2d_shard_matrices,
     fold_bn_into_conv,
     linear_shard_matrices,
 )
 from repro.fhe.ir import (
-    AffineNode,
     AttentionNode,
     CompilePolicy,
     Graph,
@@ -225,31 +223,19 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
             if isinstance(mod, Conv2d):
                 require_grid(name)
                 bn = None
-                if policy.fold_bn and i < len(seq) and isinstance(seq[i][1], BatchNorm2d):
+                if i < len(seq) and isinstance(seq[i][1], BatchNorm2d):
                     bn = seq[i][1]  # consumed by the fold
                     i += 1
                 blocks, bias_shards, mgrid = conv_blocks(mod, bn, mgrid)
-                nodes.append(
-                    MatvecNode(blocks=blocks, bias_shards=bias_shards, layout=mgrid)
-                )
+                nodes.append(MatvecNode(blocks=blocks, bias_shards=bias_shards))
             elif isinstance(mod, BatchNorm2d):
-                require_grid(name)
-                if mgrid.num_shards > 1:
-                    raise TypeError(
-                        f"layer {name!r}: a standalone BatchNorm has no sharded "
-                        "lowering — it can only fold into the conv directly "
-                        "before it (fold_bn=True)"
-                    )
-                scale_vec, shift_vec = bn_affine_vectors(mod, mgrid.shards[0])
-                nodes.append(AffineNode(affine_scale=scale_vec, affine_shift=shift_vec))
+                raise TypeError(
+                    f"layer {name!r}: a BatchNorm2d must directly follow a "
+                    "Conv2d to fold into it — there is no standalone "
+                    "BatchNorm lowering"
+                )
             elif isinstance(mod, BasicBlock):
                 require_grid(name)
-                if not policy.fold_bn:
-                    raise TypeError(
-                        f"block {name!r}: fold_bn=False has no sharded lowering "
-                        "inside a residual block (the skip projection's "
-                        "BatchNorm can only fold)"
-                    )
                 tap, tap_grid = len(nodes), mgrid
                 nodes.append(ResidualTapNode())
                 walk(
@@ -276,7 +262,6 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
                     PoolNode(
                         shifts=avg_pool_shifts(g, kh, kw),
                         pool_scale=1.0 / (kh * kw),
-                        layout=mgrid,
                     )
                 )
             elif isinstance(mod, Flatten):
@@ -287,9 +272,7 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
                 # the output lands whole on one shard: heads are narrow
                 mgrid = MultiGridLayout.split(mod.out_features, 1, 1, num_shards=1)
                 flat = True
-                nodes.append(
-                    MatvecNode(blocks=blocks, bias_shards=[bias_vec], layout=mgrid)
-                )
+                nodes.append(MatvecNode(blocks=blocks, bias_shards=[bias_vec]))
 
     walk(ops)
     return _graph(
@@ -402,11 +385,9 @@ def lower(model, policy: CompilePolicy | None = None) -> Graph:
     conv stacks, residual nets — is one walk of the module tree against the
     ``policy.input_shape`` image channel-sharded across
     ``policy.num_shards`` ciphertexts (default 1; never more shards than
-    channels).  ``policy.fold_bn`` folds each BatchNorm into the
-    directly preceding conv (zero runtime cost); unfolded or standalone,
-    a BatchNorm on a one-shard activation becomes a slot-wise affine
-    node costing one level, and anywhere that has no lowering (a sharded
-    activation, inside a residual block) it raises.  Exact ``ReLU`` /
+    channels).  Each BatchNorm folds into the directly preceding conv
+    (zero runtime cost); one that does not directly follow a conv has
+    no lowering and raises ``TypeError``.  Exact ``ReLU`` /
     ``MaxPool2d`` are rejected — replace them with PAF layers first;
     that is the whole point of the paper.
 

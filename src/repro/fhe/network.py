@@ -60,7 +60,6 @@ from repro.ckks import (
 from repro.ckks.instrumentation import CountingEvaluator
 from repro.ckks.instrumentation import span as trace_span
 from repro.fhe.ir import (
-    AffineNode,
     AttentionNode,
     CompilePolicy,
     Graph,
@@ -172,9 +171,6 @@ class EncryptedNetwork:
         #: elsewhere — the pool's scalar multiply doubles as the cleanup
         #: that re-zeroes replica halves after the rotate-and-sum stages
         self.pool_masks: dict[int, np.ndarray] = {}
-        #: affine (unfolded BN) slot vectors, tiled like the biases
-        self.affine_scale_slots: dict[int, np.ndarray] = {}
-        self.affine_shift_slots: dict[int, np.ndarray] = {}
         #: per-AttentionNode compiled state (projection plans/groups,
         #: strided and window masks, softmax plan and constants)
         self.attention_states: dict = {}
@@ -330,21 +326,6 @@ class EncryptedNetwork:
             self.block_stride,
         )
 
-    def _compile_affine(self, i: int, node: AffineNode) -> None:
-        for name, vec, store in (
-            ("scale", node.affine_scale, self.affine_scale_slots),
-            ("shift", node.affine_shift, self.affine_shift_slots),
-        ):
-            if vec is None or len(vec) > self.size:
-                raise ValueError(
-                    f"affine layer {i} needs a {name} vector of length <= {self.size}"
-                )
-            base = np.zeros(self.size)
-            base[: len(vec)] = vec
-            store[i] = tile_blocks(
-                base, self.ctx.slots, self.max_batch, self.block_stride
-            )
-
     def _compile_noop(self, i: int, node) -> None:
         pass
 
@@ -371,7 +352,6 @@ class EncryptedNetwork:
         PafNode: _compile_paf,
         PolyNode: _compile_poly,
         PoolNode: _compile_pool,
-        AffineNode: _compile_affine,
         ResidualTapNode: _compile_noop,
         ReduceNode: _compile_noop,
         AttentionNode: _compile_attention,
@@ -553,15 +533,6 @@ class EncryptedNetwork:
     def _exec_pool(self, i, node, cts, ev, stack):
         return [self._pool_forward(ct, i, ev) for ct in cts]
 
-    def _exec_affine(self, i, node, cts, ev, stack):
-        if len(cts) > 1:
-            raise ValueError(
-                f"layer {i} kind {node.kind!r} has no sharded execution "
-                "(BatchNorm must be folded into a conv when sharding)"
-            )
-        ct = ev.rescale(ev.mul_plain(cts[0], self.affine_scale_slots[i]))
-        return [ev.add_plain(ct, self.affine_shift_slots[i])]
-
     def _exec_paf(self, i, node, cts, ev, stack):
         plan = self.paf_plans[i]
         return [
@@ -596,7 +567,6 @@ class EncryptedNetwork:
         ResidualTapNode: _exec_residual,
         MergeNode: _exec_merge,
         PoolNode: _exec_pool,
-        AffineNode: _exec_affine,
         PafNode: _exec_paf,
         PolyNode: _exec_poly,
         ReduceNode: _exec_reduce,
@@ -702,7 +672,7 @@ def compile_network(
     Everything beyond the model and params rides in ``policy``
     (:class:`~repro.fhe.ir.CompilePolicy`) — packing geometry
     (``input_shape`` for anything convolutional, ``num_shards``), seed,
-    BatchNorm folding, and the refresh policy that lets a model deeper
+    and the refresh policy that lets a model deeper
     than the prime chain compile by inserting
     :class:`~repro.fhe.ir.RefreshNode`\\ s.
     """

@@ -287,17 +287,11 @@ def compiled_toy_transformer(
     return (model, enc) if with_model else enc
 
 
-def compiled_toy_cnn(
-    with_model: bool = False,
-    fold_bn: bool = True,
-    params: CkksParams | None = None,
-) -> EncryptedNetwork | tuple:
+def compiled_toy_cnn(with_model: bool = False) -> EncryptedNetwork | tuple:
     """Train, PAF-replace, calibrate and compile the toy CNN.
 
     The shared fixture behind the CNN differential tests, the serving
-    suite and the CI op-count gate.  ``fold_bn=False`` keeps
-    BatchNorm as a standalone affine layer (one extra level — pass
-    ``params`` with ``depth >= 11``); ``with_model`` also returns the
+    suite and the CI op-count gate; ``with_model`` also returns the
     plaintext model (in eval mode).
     """
     from repro.core import calibrate_static_scales, convert_to_static, replace_all
@@ -310,7 +304,7 @@ def compiled_toy_cnn(
     model.eval()
     enc = compile_network(
         model,
-        params or TOY_CNN_PARAMS,
-        policy=CompilePolicy(input_shape=TOY_CNN_INPUT_SHAPE, seed=0, fold_bn=fold_bn),
+        TOY_CNN_PARAMS,
+        policy=CompilePolicy(input_shape=TOY_CNN_INPUT_SHAPE, seed=0),
     )
     return (model, enc) if with_model else enc

@@ -15,6 +15,7 @@ headroom, before the rtol accuracy suites can notice.
 
 from __future__ import annotations
 
+from repro.ckks.instrumentation import keyswitches
 from repro.obs.trace import Tracer
 
 __all__ = ["slack_report", "format_slack_report", "slack_baseline_entry"]
@@ -39,12 +40,7 @@ def _layer_rows(trace) -> list:
                 "exit_level": exit_.get("level"),
                 "level_slack": attrs.get("level_slack"),
                 "scale_drift": exit_.get("scale_drift"),
-                "keyswitches": (
-                    ops.get("rotate", 0)
-                    + ops.get("rotate_hoisted", 0)
-                    + ops.get("conjugate", 0)
-                    + ops.get("mul", 0)
-                ),
+                "keyswitches": keyswitches(ops),
                 "nonscalar_mults": ops.get("mul", 0),
                 "duration_ms": sp.get("duration_ms", 0.0),
             }

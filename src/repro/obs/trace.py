@@ -47,6 +47,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from repro.ckks.instrumentation import keyswitches
+
 __all__ = ["Span", "Tracer", "TracingEvaluator", "TRACE_FORMAT"]
 
 #: schema tag written into every exported trace
@@ -107,15 +109,9 @@ class Span:
     # ------------------------------------------------------------------
     @property
     def keyswitches(self) -> int:
-        """Keyswitch delta of this span (same accounting as
-        :attr:`~repro.ckks.instrumentation.CountingEvaluator.keyswitch_count`)."""
-        o = self.ops
-        return (
-            o.get("rotate", 0)
-            + o.get("rotate_hoisted", 0)
-            + o.get("conjugate", 0)
-            + o.get("mul", 0)
-        )
+        """Keyswitch delta of this span
+        (:func:`repro.ckks.instrumentation.keyswitches`)."""
+        return keyswitches(self.ops)
 
     @property
     def nonscalar_mults(self) -> int:

@@ -17,9 +17,9 @@ encode.  :meth:`ModelArtifact.warm` fills it with one **shadow** forward
 — the real executor over :class:`~repro.ckks.shadow.ShadowEvaluator`
 values carrying the memo as their encoder — so every plaintext a real
 forward will ask for (diagonals, biases, pool and attention masks,
-affine vectors, PAF leaves, Newton constants, alignment corrections) is
-encoded once, with no keys, no encryption and no ring arithmetic beyond
-the encodes themselves.  After that, steady-state requests do **zero**
+PAF leaves, Newton constants, alignment corrections) is encoded once,
+with no keys, no encryption and no ring arithmetic beyond the encodes
+themselves.  After that, steady-state requests do **zero**
 plaintext encoding; request payloads (``encrypt``, recrypt's re-entry)
 bypass the memo and never churn it.
 """

@@ -42,7 +42,7 @@ from repro.serve.keys import (
     KeyMismatchError,
     UnknownClientError,
 )
-from repro.serve.metrics import ServingMetrics
+from repro.serve.metrics import ServingMetrics, _escape_label
 from repro.serve.queue import (
     DEFAULT_MODEL,
     BatchQueue,
@@ -360,7 +360,7 @@ class InferenceServer:
             for name, art in sorted(self.artifacts.items()):
                 lines.append(
                     f'repro_serve_backend_info{{backend="{art.model.ctx.backend.name}",'
-                    f'model="{name}"}} 1'
+                    f'model="{_escape_label(name)}"}} 1'
                 )
         return "\n".join(lines) + "\n" + self.metrics.format_prometheus()
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksEvaluator
-from repro.fhe.ir import AffineNode, MatvecNode, PafNode, PolyNode, PoolNode
+from repro.fhe.ir import MatvecNode, PafNode, PolyNode, PoolNode
 from repro.fhe.linear import diagonals_of, encrypted_matvec, tile_blocks
 from repro.fhe.toy import (
     compiled_toy,
@@ -93,9 +93,6 @@ def oracle_forward(enc, ct, ev, poly_oracle):
                     ct = ev.add(ct, r)
             mask = _tiled(enc, np.full(enc.size, node.pool_scale))
             ct = ev.rescale(ev.mul_plain(ct, mask))
-        elif isinstance(node, AffineNode):
-            ct = ev.rescale(ev.mul_plain(ct, _tiled(enc, node.affine_scale)))
-            ct = ev.add_plain(ct, _tiled(enc, node.affine_shift))
         else:
             raise AssertionError(f"oracle has no {type(node).__name__} rule")
     return ct

@@ -1,11 +1,10 @@
-"""The typed graph IR: structure validation, intervals, the oracle.
+"""The typed graph IR: structure validation and the oracle.
 
-The api_redesign contract in three parts:
+The api_redesign contract in two parts:
 
 * **structural validation**: residual taps/merges must pair like
-  brackets, projection merges need a main-branch level gap;
-* **domain-interval propagation**: the bounds each polynomial planner
-  checks its declared approximation domain against;
+  brackets, projection merges need a main-branch level gap, and no
+  live input replica may reach a re-replicating node;
 * **executor vs oracle**: the one IR executor against the straight-line
   naive interpreter in ``conftest.py`` (per-diagonal matvecs, ladder
   activations, nothing shared with the compiled plans) — decrypted
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.fhe.ir import (
-    AttentionNode,
     CompilePolicy,
     Graph,
     MatvecNode,
@@ -32,7 +30,6 @@ from repro.fhe.ir import (
     RefreshNode,
     ResidualTapNode,
     apply_refresh_policy,
-    propagate_intervals,
 )
 from repro.fhe.network import compile_network
 from repro.paf import get_paf
@@ -77,7 +74,7 @@ class TestGraphValidation:
 
     def test_live_replica_reaching_replicate_rejected(self):
         """The packed input's replica half is live until a matvec at node
-        0, a pool mask or an affine zeroes it; a slot-wise node that runs
+        0 or a pool mask zeroes it; a slot-wise node that runs
         first hands it on, and the matvec behind it would double it
         (decrypting ~2x wrong) — one check for every producer."""
         paf = PafNode(paf=get_paf("f1g2"), scale=1.0)
@@ -96,40 +93,6 @@ class TestGraphValidation:
         Graph([PoolNode(shifts=((), ())), paf, _eye_node()], size=4)
         # and a slot-wise chain that no matvec follows never replicates
         Graph([paf], size=4)
-
-
-# ----------------------------------------------------------------------
-# domain-interval propagation
-# ----------------------------------------------------------------------
-class TestIntervalPropagation:
-    def test_matvec_interval_is_row_wise_bound(self):
-        w = np.array([[1.0, -2.0], [0.5, 0.5]])
-        node = MatvecNode(blocks=[[w]])
-        g = Graph([node], size=2)
-        (got,) = propagate_intervals(g, (-1.0, 1.0))
-        # row 0: |1| + |-2| = 3 → [-3, 3]; row 1 tighter
-        assert got == (-3.0, 3.0)
-
-    def test_poly_interval_is_range_over_domain(self):
-        node = PolyNode(poly=Polynomial((0.0, 0.0, 1.0)))  # x^2
-        g = Graph([node], size=2)
-        (got,) = propagate_intervals(g, (-2.0, 1.0))
-        # grid-sampled range: the minimum lands near (not exactly on) 0
-        assert got[0] == pytest.approx(0.0, abs=1e-5)
-        assert got[1] == pytest.approx(4.0)
-
-    def test_intervals_recorded_on_nodes(self):
-        node = _eye_node(2)
-        g = Graph([node], size=2)
-        propagate_intervals(g, (-1.5, 2.5))
-        assert node.interval == (-1.5, 2.5)
-
-    def test_attention_bounded_by_projected_values(self, toy_transformer):
-        _, enc = toy_transformer
-        att = next(n for n in enc.graph.nodes if isinstance(n, AttentionNode))
-        propagate_intervals(enc.graph, (-3.0, 3.0))
-        lo, hi = att.interval
-        assert lo < 0 < hi and hi - lo < 200.0  # finite, conservative
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +168,13 @@ class TestCompilePolicy:
 
     def test_refresh_list_normalised_to_tuple(self):
         assert CompilePolicy(refresh=[3, 1]).refresh == (3, 1)
+
+    def test_non_positive_num_shards_rejected(self):
+        """``num_shards=0`` is an error like ``-1``, not a silent one shard."""
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="num_shards must be >= 1"):
+                CompilePolicy(num_shards=bad)
+        assert CompilePolicy(num_shards=1).num_shards == 1
 
     def test_policy_seed_reaches_the_compile(self, paf_mlp_model):
         from repro.fhe.toy import TOY_PARAMS

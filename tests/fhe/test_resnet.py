@@ -449,37 +449,26 @@ class TestCompilerRejections:
             lower(model, _policy(num_shards=1))
 
     def test_standalone_bn_rejected(self):
-        """No sharded affine: a BatchNorm that cannot fold into a conv is
-        an error on a sharded activation (and an affine node on one shard)."""
-        model = Sequential(
-            Conv2d(1, 2, 3, padding=1),
+        """A BatchNorm only lowers by folding into the conv directly before
+        it: after a pool or as the first layer it is a ``TypeError`` naming
+        the layer, at every shard count."""
+        after_pool = Sequential(
+            Conv2d(2, 2, 3, padding=1),
             AvgPool2d(2),
             BatchNorm2d(2, track_running_stats=True),
             Flatten(),
             Linear(8, 2),
         )
-        with pytest.raises(TypeError, match="standalone BatchNorm"):
-            lower(model, _policy())
-        kinds = [n.kind for n in lower(model, _policy(num_shards=1)).nodes]
-        assert kinds == ["linear", "pool", "affine", "linear"]
-
-    def test_fold_bn_false_honoured_or_refused(self, toy_resnet):
-        """``fold_bn=False`` on the toy ResNet is never silently folded:
-        on a sharded activation and inside a residual block it has no
-        lowering; on the one-shard stem it becomes an affine node."""
-        import dataclasses
-
-        model, enc = toy_resnet
-        unfolded = dataclasses.replace(enc.policy, fold_bn=False)
-        # two shards: the stem conv already split its 2 channels
-        with pytest.raises(TypeError, match="standalone BatchNorm has no sharded"):
-            lower(model, unfolded)
-        # one shard: the stem's BN is honoured, the first block refuses
-        with pytest.raises(TypeError, match="block1.*no sharded lowering"):
-            lower(model, dataclasses.replace(unfolded, num_shards=1))
-        stem = Sequential(model.conv1, model.bn1, Flatten(), Linear(128, 3))
-        graph = lower(stem, dataclasses.replace(unfolded, num_shards=1))
-        assert [n.kind for n in graph.nodes] == ["linear", "affine", "linear"]
+        first = Sequential(
+            BatchNorm2d(2, track_running_stats=True),
+            Conv2d(2, 2, 3, padding=1),
+            Flatten(),
+            Linear(32, 2),
+        )
+        for num_shards in (None, 1, 2):
+            for model, name in ((after_pool, "2"), (first, "0")):
+                with pytest.raises(TypeError, match=f"layer '{name}'.*directly follow"):
+                    lower(model, _policy((2, 4, 4), num_shards=num_shards))
 
 
 # ----------------------------------------------------------------------

@@ -238,6 +238,17 @@ class TestMultiTenantServing:
         assert snap["tenants"]["m1/default"]["requests"] == 1
         assert snap["tenants"]["m2/default"]["requests"] == 1
 
+    def test_backend_info_escapes_model_label(self, toy):
+        """A hosted model name is escaped in the backend info gauge like
+        in the per-tenant series."""
+        _, enc = toy
+        srv = InferenceServer(
+            {'a"b': ModelArtifact(enc), "c": ModelArtifact(enc)}, num_classes=3
+        )
+        text = srv.metrics_text()
+        assert f'repro_serve_backend_info{{backend="{srv.backend}",model="a\\"b"}} 1' in text
+        assert 'model="a"b"' not in text
+
     def test_single_model_surface_unchanged(self, toy):
         """Back-compat: the one-model constructor keeps its old attrs and
         its old metrics_text backend line."""
