@@ -66,7 +66,7 @@ corrections and consume zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -302,7 +302,6 @@ class Graph:
     size: int
     input_shards: int = 1
     input_splits: list | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.validate()
@@ -530,8 +529,7 @@ def apply_refresh_policy(
     ``pipeline_levels`` / ``rtol`` come from the compiled
     :class:`~repro.ckks.bootstrap.RefreshPlan` (the caller plans once
     per network).  Returns the inserted node indices (post-insertion);
-    merge ``tap`` indices at or after each insertion point shift by one,
-    and the placement is recorded in ``graph.metadata["refresh"]``.
+    merge ``tap`` indices at or after each insertion point shift by one.
     """
     if policy.refresh == "never":
         return ()
@@ -562,10 +560,5 @@ def apply_refresh_policy(
             ),
         )
         inserted.append(idx)
-    graph.metadata["refresh"] = {
-        "method": policy.refresh_method,
-        "positions": list(inserted),
-        "pipeline_levels": pipeline_levels,
-    }
     graph.validate()  # bracket structure + segment depths still coherent
     return tuple(inserted)

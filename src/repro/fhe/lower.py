@@ -1,12 +1,9 @@
 """The one lowering: ``repro.nn`` model + :class:`CompilePolicy` → :class:`Graph`.
 
 Pure numpy — no CKKS context, no keys, no executor.  Every model family
-takes the same road: :func:`lower` either walks the module tree
+takes the same road: :func:`lower` walks the module tree
 (:func:`_op_sequence`) against a :class:`~repro.fhe.packing.MultiGridLayout`
-channel-sharded across ``policy.num_shards`` ciphertexts, or — for a
-:class:`~repro.nn.models.transformer.ToyTransformer`, matched like any
-other module — emits the token-sharded attention + MLP block sequence.
-In the module walk
+channel-sharded across ``policy.num_shards`` ciphertexts.  In that walk
 
 * a plain CNN is the ``K = 1`` case (every matvec a ``1 × 1`` block grid);
 * an MLP is the ``(in_features, 1, 1)`` "image" (``input_shape`` may be
@@ -17,7 +14,13 @@ In the module walk
   downsample (the folded 1×1-projection conv for stride/width changes,
   nothing for an identity skip) to the *saved* branch, and the post-add
   PAF.  Strided convs emit dense output grids at the reduced resolution,
-  so both branches of a downsampling block meet in the same layout.
+  so both branches of a downsampling block meet in the same layout;
+* a :class:`~repro.nn.models.transformer.TransformerBlock` is another:
+  it reads the ``(seq, dim, 1)`` grid sharded one token per ciphertext
+  (what a model that opens with a block infers) and emits the residual
+  attention and GELU-MLP pairs; a :class:`~repro.nn.layers.TokenMeanPool`
+  is a shard-sum ``reduce`` whose ``1/seq`` folds into the ``Linear``
+  after it.
 
 The layer-level arithmetic (conv/linear matrices, BN folding, pool
 rotation steps) lives in :mod:`repro.fhe.cnn`; structural legality —
@@ -62,17 +65,18 @@ from repro.nn.layers import (
     Linear,
     MaxPool2d,
     ReLU,
+    TokenMeanPool,
 )
 from repro.nn.models.resnet import BasicBlock
-from repro.nn.models.transformer import ToyTransformer
+from repro.nn.models.transformer import TransformerBlock
 from repro.nn.module import Module
 
 __all__ = ["lower"]
 
 _SKIPPED = (Dropout, Identity)
-#: leaves (and the one composite, BasicBlock) the walk lowers whole — a
-#: ``PAFReLU``'s internal ``PAFSign`` is part of its lowering, a block's
-#: skip connection part of its
+#: leaves (and the composites, BasicBlock and TransformerBlock) the walk
+#: lowers whole — a ``PAFReLU``'s internal ``PAFSign`` is part of its
+#: lowering, a block's skip connections part of its
 _MATCHED = (
     Conv2d,
     BatchNorm2d,
@@ -82,6 +86,8 @@ _MATCHED = (
     Flatten,
     Linear,
     BasicBlock,
+    TransformerBlock,
+    TokenMeanPool,
 )
 
 
@@ -126,8 +132,8 @@ def _op_sequence(model: Module, prefix: str = "") -> list:
             raise TypeError(
                 f"layer {name!r} ({type(mod).__name__}) has no encrypted lowering — "
                 "the module walk supports Conv2d, BatchNorm2d, PAFReLU, AvgPool2d, "
-                "GlobalAvgPool2d, Flatten, Linear and BasicBlock (plus "
-                "Dropout/Identity no-ops)"
+                "GlobalAvgPool2d, Flatten, Linear, BasicBlock, TransformerBlock "
+                "and TokenMeanPool (plus Dropout/Identity no-ops)"
             )
 
     visit(prefix, model)
@@ -157,19 +163,23 @@ def _graph(nodes: list, min_size: int, **geometry) -> Graph:
 def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
     """Walk the module tree against the running channel-sharded grid."""
     ops = _op_sequence(model)
-    if not any(isinstance(mod, (Conv2d, Linear, BasicBlock)) for _, mod in ops):
+    if not any(isinstance(mod, (Conv2d, Linear, BasicBlock, TransformerBlock)) for _, mod in ops):
         raise ValueError("model has no Conv2d or Linear layers to compile")
-    num_shards = policy.num_shards or 1
-    shape = policy.input_shape
-    if shape is None:
-        first = ops[0][1]
+    first = ops[0][1]
+    shape, num_shards = policy.input_shape, policy.num_shards
+    if isinstance(first, TransformerBlock):  # one dim-element shard per token
+        shape = shape or (first.seq, first.dim, 1)
+        num_shards = num_shards or first.seq
+    elif shape is None:
         if not isinstance(first, Linear):
             raise ValueError("convolutional models need input_shape=(C, H, W)")
         shape = (first.in_features, 1, 1)
+    num_shards = num_shards or 1
     if len(shape) != 3:
         raise ValueError(f"input_shape must be (C, H, W), got {shape}")
     input_mgrid = MultiGridLayout.split(*shape, num_shards=num_shards)
     mgrid = input_mgrid
+    min_size = input_mgrid.span
     flat = False  # set once a Flatten / Linear consumed the image grid
     nodes: list = []
 
@@ -213,6 +223,75 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
                 f"the main branch on {mgrid}"
             )
         return MergeNode(blocks=blocks, bias_shards=bias_shards, tap=tap)
+
+    def linear(lin: Linear, weight: np.ndarray) -> MatvecNode:
+        nonlocal mgrid, flat
+        blocks = linear_shard_matrices(weight, mgrid)
+        bias_vec = lin.bias.data.copy() if lin.bias is not None else None
+        # the output lands whole on one shard: heads are narrow
+        mgrid = MultiGridLayout.split(lin.out_features, 1, 1, num_shards=1)
+        flat = True
+        return MatvecNode(blocks=blocks, bias_shards=[bias_vec])
+
+    def transformer_block(name: str, blk: TransformerBlock) -> None:
+        nonlocal min_size
+        seq, dim = blk.seq, blk.dim
+        tokens = MultiGridLayout.split(seq, dim, 1, num_shards=seq)
+        if flat or mgrid != tokens:
+            raise ValueError(
+                f"block {name!r} needs one {dim}-element shard per token "
+                f"(input_shape=({seq}, {dim}, 1), num_shards={seq}), got {mgrid}"
+            )
+        if not isinstance(blk.softmax, PAFSoftmax) or not isinstance(blk.act, PAFGELU):
+            raise ValueError(
+                f"block {name!r}: transformer compilation needs calibrated PAF "
+                "modules — run replace_transformer_nonpoly(model, samples) first"
+            )
+        # the request block (2·size slots) must also hold the attention
+        # executor's seq windows of dim lanes
+        min_size = max(min_size, -(-seq * dim // 2))
+
+        def diag_grid(w: np.ndarray) -> list:  # the same weights on every token
+            return [[w if i == j else None for j in range(seq)] for i in range(seq)]
+
+        def token_matvec(lin: Linear) -> MatvecNode:
+            bias = lin.bias.data.copy()
+            return MatvecNode(blocks=diag_grid(lin.weight.data.copy()), bias_shards=[bias] * seq)
+
+        if not nodes:
+            # identity "embed": its masked diagonal-0 multiply zeroes the
+            # input's live replica halves, so the first tap saves a clean copy
+            nodes.append(MatvecNode(blocks=diag_grid(np.eye(dim))))
+        sm = blk.softmax
+        attention = AttentionNode(
+            seq=seq,
+            dim=dim,
+            score_scale=blk.score_scale,
+            wq=blk.wq.weight.data.copy(),
+            wk=blk.wk.weight.data.copy(),
+            wv=blk.wv.weight.data.copy(),
+            wo=blk.wo.weight.data.copy(),
+            bq=blk.wq.bias.data.copy(),
+            bk=blk.wk.bias.data.copy(),
+            bv=blk.wv.bias.data.copy(),
+            bo=blk.wo.bias.data.copy(),
+            exp_poly=sm.exp.poly,
+            exp_squarings=sm.exp.squarings,
+            recip_init=sm.recip_init,
+            recip_iters=sm.recip_iters,
+        )
+        attn_tap = len(nodes)
+        nodes.extend([ResidualTapNode(), attention, MergeNode(tap=attn_tap)])
+        mlp_tap = len(nodes)
+        nodes.extend(
+            [
+                ResidualTapNode(),
+                token_matvec(blk.fc1),
+                PolyNode(poly=blk.act.poly),
+                token_matvec(blk.fc2),
+                MergeNode(tap=mlp_tap),
+            ]
+        )
 
     def walk(seq: list) -> None:
         nonlocal mgrid, flat
@@ -264,20 +343,30 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
                         pool_scale=1.0 / (kh * kw),
                     )
                 )
+            elif isinstance(mod, TransformerBlock):
+                transformer_block(name, mod)
+            elif isinstance(mod, TokenMeanPool):
+                if flat or any(g.channels != 1 for g in mgrid.shards):
+                    raise ValueError(f"layer {name!r}: a token mean-pool needs one token per shard")
+                if i == len(seq) or not isinstance(seq[i][1], Linear):
+                    raise TypeError(
+                        f"layer {name!r}: a TokenMeanPool must directly precede "
+                        "a Linear to fold its 1/seq into it"
+                    )
+                head = seq[i][1]  # consumed: the mean's 1/seq folds into it
+                i += 1
+                weight = head.weight.data / mgrid.num_shards
+                mgrid = MultiGridLayout(mgrid.shards[:1])  # shard sum: one token's grid
+                nodes.extend([ReduceNode(), linear(head, weight)])
             elif isinstance(mod, Flatten):
                 flat = True  # pure relabelling: linear heads read the grid directly
             elif isinstance(mod, Linear):
-                blocks = linear_shard_matrices(mod.weight.data, mgrid)
-                bias_vec = mod.bias.data.copy() if mod.bias is not None else None
-                # the output lands whole on one shard: heads are narrow
-                mgrid = MultiGridLayout.split(mod.out_features, 1, 1, num_shards=1)
-                flat = True
-                nodes.append(MatvecNode(blocks=blocks, bias_shards=[bias_vec]))
+                nodes.append(linear(mod, mod.weight.data))
 
     walk(ops)
     return _graph(
         nodes,
-        input_mgrid.span,
+        min_size,
         input_shards=input_mgrid.num_shards,
         # K = 1 packs like a plain vector: anything up to `size`, zero-padded
         input_splits=(
@@ -286,121 +375,25 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
     )
 
 
-def _lower_transformer(model: ToyTransformer) -> Graph:
-    """Lower a :class:`~repro.nn.models.transformer.ToyTransformer`, block
-    by block onto one shard layout.
-
-    One ciphertext shard per token.  The lowering opens with an
-    identity "embed" matvec: the packed input carries live wraparound
-    replicas, but every downstream consumer (``_replicate`` before each
-    linear layer, the residual adds) relies on matvec outputs having
-    *zero* replica halves — the embed's masked diagonal-0 multiply (no
-    rotations) re-establishes that invariant, so the first residual tap
-    saves a clean copy of the input.  Each block's residual adds become
-    tap/merge pairs; the GELU MLP is a diagonal shard grid (the same
-    weights applied to every token shard); the mean pool is a shard-sum
-    reduce with ``1/seq`` folded into the classification head.  The
-    model must already carry its calibrated PAF modules
-    (:func:`repro.core.surgery.replace_transformer_nonpoly`) — the
-    softmax/GELU domains are frozen into the IR, exactly like the
-    static scales of a compiled MLP.  When the stacked depth exceeds the
-    prime chain, the policy's refresh placement is what makes the graph
-    schedulable at all.
-    """
-    blocks = model.blocks
-    for blk in blocks:
-        if not isinstance(blk.softmax, PAFSoftmax) or not isinstance(blk.act, PAFGELU):
-            raise ValueError(
-                "transformer compilation needs calibrated PAF modules — run "
-                "replace_transformer_nonpoly(model, samples) first"
-            )
-    seq, dim, ff = model.seq, model.dim, model.ff
-    # the request block (2·size slots) must also hold the attention
-    # executor's seq windows of dim lanes
-    size = 1
-    while size < max(dim, ff, model.num_classes) or 2 * size < seq * dim:
-        size *= 2
-
-    def weight(lin):
-        return np.asarray(lin.weight.data, dtype=np.float64)
-
-    def bias(lin):
-        return np.asarray(lin.bias.data, dtype=np.float64)
-
-    def diag_grid(w: np.ndarray) -> list:
-        return [[w if i == j else None for j in range(seq)] for i in range(seq)]
-
-    nodes = [MatvecNode(blocks=diag_grid(np.eye(dim)))]
-    for blk in blocks:
-        sm = blk.softmax
-        attention = AttentionNode(
-            seq=seq,
-            dim=dim,
-            score_scale=blk.score_scale,
-            wq=weight(blk.wq),
-            wk=weight(blk.wk),
-            wv=weight(blk.wv),
-            wo=weight(blk.wo),
-            bq=bias(blk.wq),
-            bk=bias(blk.wk),
-            bv=bias(blk.wv),
-            bo=bias(blk.wo),
-            exp_poly=sm.exp.poly,
-            exp_squarings=sm.exp.squarings,
-            recip_init=sm.recip_init,
-            recip_iters=sm.recip_iters,
-        )
-        attn_tap = len(nodes)
-        nodes += [ResidualTapNode(), attention, MergeNode(tap=attn_tap)]
-        mlp_tap = len(nodes)
-        nodes += [
-            ResidualTapNode(),
-            MatvecNode(blocks=diag_grid(weight(blk.fc1)), bias_shards=[bias(blk.fc1)] * seq),
-            PolyNode(poly=blk.act.poly),
-            MatvecNode(blocks=diag_grid(weight(blk.fc2)), bias_shards=[bias(blk.fc2)] * seq),
-            MergeNode(tap=mlp_tap),
-        ]
-    nodes += [
-        ReduceNode(),
-        MatvecNode(blocks=[[weight(model.head) / seq]], bias_shards=[bias(model.head)]),
-    ]
-    name = "toy_transformer" if len(blocks) == 1 else "toy_transformer_stacked"
-    return _graph(
-        nodes,
-        size,
-        input_shards=seq,
-        input_splits=[dim] * seq,
-        metadata={"model": name, "num_blocks": len(blocks)},
-    )
-
-
 def lower(model, policy: CompilePolicy | None = None) -> Graph:
     """Lower any supported ``repro.nn`` model into the graph IR.
 
-    Two ways in: a :class:`~repro.nn.models.transformer.ToyTransformer`
-    (one or more attention + MLP blocks) takes the token-sharded
-    transformer lowering — its shards are its ``seq`` tokens, so
-    ``policy.num_shards`` / ``policy.input_shape`` must be left unset
-    (``ValueError`` otherwise); everything else — Linear / PAF stacks,
-    conv stacks, residual nets — is one walk of the module tree against the
+    One way in: a walk of the module tree — Linear / PAF stacks, conv
+    stacks, residual nets and transformer blocks alike — against the
     ``policy.input_shape`` image channel-sharded across
     ``policy.num_shards`` ciphertexts (default 1; never more shards than
-    channels).  Each BatchNorm folds into the directly preceding conv
+    channels).  A model that opens with a ``Linear`` infers
+    ``(in_features, 1, 1)``; one that opens with a ``TransformerBlock``
+    infers ``(seq, dim, 1)`` across ``seq`` shards, one token each — the
+    only layout a block accepts (``ValueError`` naming the block
+    otherwise).  Each BatchNorm folds into the directly preceding conv
     (zero runtime cost); one that does not directly follow a conv has
     no lowering and raises ``TypeError``.  Exact ``ReLU`` /
-    ``MaxPool2d`` are rejected — replace them with PAF layers first;
-    that is the whole point of the paper.
+    ``MaxPool2d`` — and a transformer block whose softmax / GELU were
+    never PAF-replaced — are rejected: replace them with PAF layers
+    first; that is the whole point of the paper.
 
     Returns the validated :class:`~repro.fhe.ir.Graph`; no CKKS context
     or key is touched.
     """
-    policy = policy or CompilePolicy()
-    if isinstance(model, ToyTransformer):
-        for field in ("num_shards", "input_shape"):
-            if getattr(policy, field) is not None:
-                raise ValueError(
-                    f"CompilePolicy.{field} does not apply to a ToyTransformer: "
-                    "its shards are its seq tokens"
-                )
-        return _lower_transformer(model)
-    return _lower_modules(model, policy)
+    return _lower_modules(model, policy or CompilePolicy())

@@ -253,8 +253,8 @@ def compiled_toy_transformer(
     ``transformer_forward`` workload: trains the plaintext model, swaps
     its softmax / GELU for calibrated dense PAFs
     (:func:`repro.core.surgery.replace_transformer_nonpoly` on the
-    training set), and lowers through the token-sharded transformer
-    path of :func:`repro.fhe.lower.lower`.  ``with_model`` also
+    training set), and lowers it through :func:`repro.fhe.lower.lower`'s
+    one module walk, one token per input shard.  ``with_model`` also
     returns the PAF-approximated plaintext model (in eval mode) — the
     rtol reference for decrypted logits.
 

@@ -14,6 +14,7 @@ from repro.nn.layers import (
     MaxPool2d,
     ReLU,
     Softmax,
+    TokenMeanPool,
 )
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.optim import SGD, Adam
@@ -37,6 +38,7 @@ __all__ = [
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool2d",
+    "TokenMeanPool",
     "Flatten",
     "Dropout",
     "Identity",

@@ -27,6 +27,7 @@ __all__ = [
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool2d",
+    "TokenMeanPool",
     "Flatten",
     "Dropout",
     "Identity",
@@ -201,6 +202,13 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
+
+
+class TokenMeanPool(Module):
+    """Mean over the token axis: ``(N, T, D) -> (N, D)`` (transformer head)."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return x.mean(axis=1)
 
 
 class Flatten(Module):

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.layers import GELU, Linear, Softmax
+from repro.nn.layers import GELU, Linear, Softmax, TokenMeanPool
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
@@ -87,7 +87,8 @@ class ToyTransformer(Module):
 
     Input ``(batch, seq, dim)``; output ``(batch, num_classes)`` logits.
     Blocks register as child modules ``block0``, ``block1``, … (the
-    :attr:`blocks` property walks them in order) and each carries its
+    :attr:`blocks` property walks them in order), then the token
+    mean-``pool`` and the linear ``head``; each block carries its
     own softmax/GELU sites, so
     :func:`repro.core.surgery.replace_transformer_nonpoly` calibrates a
     PAF per site.  At two blocks the encrypted lowering costs more
@@ -131,6 +132,7 @@ class ToyTransformer(Module):
                 f"block{b}",
                 TransformerBlock(seq, dim, ff, rng=rng, proj_init_scale=proj),
             )
+        self.pool = TokenMeanPool()
         self.head = Linear(dim, num_classes, rng=rng)
 
     @property
@@ -141,7 +143,7 @@ class ToyTransformer(Module):
     def forward(self, x: Tensor) -> Tensor:
         for blk in self.blocks:
             x = blk(x)
-        return self.head(x.mean(axis=1))
+        return self.head(self.pool(x))
 
 
 def toy_transformer(**kwargs) -> ToyTransformer:

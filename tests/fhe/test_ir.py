@@ -212,7 +212,7 @@ class TestRefreshPlacement:
         assert inserted == (4,)
         assert isinstance(g.nodes[4], RefreshNode)
         assert g.nodes[4].level_cost() == 0
-        assert g.metadata["refresh"]["positions"] == [4]
+        assert g.nodes[4].pipeline_levels == 1
 
     def test_auto_inserts_multiple_refreshes_for_very_deep_chains(self):
         g = Graph(_poly_chain(10), size=4)  # 20 levels over a 6-chain

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_sequence_dataset
-from repro.fhe.ir import CompilePolicy, MergeNode, RefreshNode
+from repro.fhe.ir import CompilePolicy, MergeNode, RefreshNode, apply_refresh_policy
+from repro.fhe.lower import lower
 from repro.fhe.network import compile_network
 from repro.fhe.toy import TOY_TRANSFORMER_PARAMS
 from repro.nn.tensor import Tensor
@@ -60,20 +61,18 @@ class TestDepthWall:
     def test_auto_policy_inserts_one_block_boundary_refresh(
         self, toy_transformer_stacked
     ):
-        _, enc = toy_transformer_stacked
+        model, enc = toy_transformer_stacked
         refreshes = [
             i for i, n in enumerate(enc.graph.nodes) if isinstance(n, RefreshNode)
         ]
         assert refreshes == [9]
         # the boundary sits right after block 0's MLP merge
         assert isinstance(enc.graph.nodes[8], MergeNode)
-        assert enc.graph.metadata["refresh"] == {
-            "method": "recrypt",
-            "positions": [9],
-            "pipeline_levels": 0,
-        }
-        assert enc.graph.metadata["model"] == "toy_transformer_stacked"
-        assert enc.graph.metadata["num_blocks"] == 2
+        node = enc.graph.nodes[9]
+        assert (node.method, node.pipeline_levels) == ("recrypt", 0)
+        # the placement on its own: the policy over the bare lowered graph
+        placed = apply_refresh_policy(lower(model), enc.ctx.max_level, enc.policy)
+        assert placed == (9,)
 
     def test_refreshed_schedule_fits_unchanged_chain(
         self, toy_transformer_stacked

@@ -19,7 +19,9 @@ from repro.nn import (
     Sequential,
     SWAAverager,
     Tensor,
+    TokenMeanPool,
 )
+from repro.nn.models import toy_transformer
 
 
 class TinyNet(Module):
@@ -297,6 +299,24 @@ class TestLayers:
         np.testing.assert_array_equal(d(x).data, 1.0)
         d.train()
         assert (d(x).data == 0).any()
+
+    def test_token_mean_pool_is_the_token_axis_mean(self):
+        rng = np.random.default_rng(0)
+        x, g = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 3))
+        pooled, meaned = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out, want = TokenMeanPool()(pooled), meaned.mean(axis=1)
+        np.testing.assert_array_equal(out.data, want.data)
+        out.backward(g)
+        want.backward(g)
+        np.testing.assert_array_equal(pooled.grad, meaned.grad)
+
+    def test_training_runs_through_the_token_pool(self):
+        model = toy_transformer(seq=4, dim=8, ff=16, num_classes=3, seed=0)
+        assert isinstance(model.pool, TokenMeanPool)
+        out = model(Tensor(np.random.default_rng(1).normal(size=(2, 4, 8))))
+        F.cross_entropy(out, np.array([0, 1])).backward()
+        missing = [n for n, p in model.named_parameters() if p.grad is None]
+        assert missing == []
 
     def test_batchnorm_layer(self):
         bn = BatchNorm2d(4)
