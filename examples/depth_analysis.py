@@ -10,13 +10,13 @@ Run:  python examples/depth_analysis.py
 import numpy as np
 
 from repro.analysis.graph import model_depth_profile
-from repro.experiments.appendix_depth import print_appendix_depth
+from repro.experiments.appendix_depth import print_appendix_depth, run_measured_depths
 from repro.nn.models import resnet18
 from repro.paf import get_paf
 
 
 def main() -> None:
-    print(print_appendix_depth())
+    print(print_appendix_depth(run_measured_depths()))
 
     print("\nDepth budget of a fully PAF-approximated ResNet-18 (f1^2 o g1^2):")
     model = resnet18(base_width=4, seed=0)

@@ -1,8 +1,8 @@
 """Explore the latency-accuracy trade-off space (the paper's Fig. 1).
 
 Measures encrypted-ReLU latency for every PAF form on the CKKS simulator,
-runs the SMART-PAF accuracy pipeline per form, and prints the Pareto
-frontier with an ASCII scatter.
+runs the SMART-PAF accuracy pipeline per form, and prints Tab. 4, the
+Pareto frontier and an ASCII scatter.
 
 Run:  python examples/pareto_exploration.py
 """
@@ -34,10 +34,7 @@ def main() -> None:
     t4 = run_table4(seed=0, with_accuracy=True)
     print()
     print(print_table4(t4))
-    fig1 = run_fig1(t4)
-    print("\nPareto frontier:",
-          ", ".join(p.name for p in fig1["frontier"]))
-    print("\n" + ascii_scatter(fig1["points"]))
+    print("\n" + ascii_scatter(run_fig1(t4)["points"]))
 
 
 if __name__ == "__main__":

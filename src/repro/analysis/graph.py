@@ -1,12 +1,11 @@
 """Op-graph analysis: aggregate multiplication depth along a model's
-non-polynomial chain (networkx over the surgery trace)."""
+non-polynomial chain (the surgery trace, in inference order)."""
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
-from repro.core.surgery import nonpoly_graph
+from repro.core.surgery import find_nonpoly_sites
 from repro.nn.module import Module
 from repro.paf.polynomial import CompositePAF
 from repro.paf.relu import maxpool_mult_depth, relu_mult_depth
@@ -22,16 +21,14 @@ def model_depth_profile(
     Returns per-site depths and the total along the inference chain — the
     level budget (hence bootstrapping pressure) of the approximated model.
     """
-    g = nonpoly_graph(model, sample_input)
     per_site = {}
     total = 0
-    for node in nx.topological_sort(g):
-        kind = g.nodes[node]["kind"]
+    for site in find_nonpoly_sites(model, sample_input):
         depth = (
             relu_mult_depth(paf)
-            if kind == "relu"
+            if site.kind == "relu"
             else maxpool_mult_depth(paf, kernel=maxpool_kernel)
         )
-        per_site[g.nodes[node]["name"]] = depth
+        per_site[site.name] = depth
         total += depth
     return {"per_site": per_site, "total_depth": total, "num_sites": len(per_site)}

@@ -8,7 +8,7 @@ __all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
-    """Render an aligned monospace table (the benches print these)."""
+    """Render an aligned monospace table (the experiment runners print these)."""
     cells = [[str(h) for h in headers]] + [[_fmt(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     lines = []

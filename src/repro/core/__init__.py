@@ -33,7 +33,6 @@ from repro.core.scheduler import ScheduleResult, SmartPAFScheduler, run_training
 from repro.core.surgery import (
     NonPolySite,
     find_nonpoly_sites,
-    nonpoly_graph,
     replace_all,
     replace_site,
     replaced_layers,
@@ -64,7 +63,6 @@ __all__ = [
     "replace_site",
     "replace_all",
     "replaced_layers",
-    "nonpoly_graph",
     "capture_site_inputs",
     "coefficient_tune_site",
     "tune_paf_for_site",

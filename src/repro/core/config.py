@@ -13,9 +13,9 @@ BatchNorm Tracking                False
 Dropout                           False (scheduler enables on overfitting)
 ================================  =================
 
-and Sec. 5.1: E = 20 epochs per training group.  Tests and quick benches
-shrink the budgets via the ``quick`` constructor; the values themselves are
-the paper's.
+and Sec. 5.1: E = 20 epochs per training group.  Tests and quick-scale
+experiment runs shrink the budgets via the ``quick`` constructor; the values
+themselves are the paper's.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ class SmartPAFConfig:
     lr_other: float = 1e-5
     weight_decay_paf: float = 0.01
     weight_decay_other: float = 0.1
-    batchnorm_tracking: bool = False
-    dropout_initial: bool = False
 
     # --- scheduler budgets (Sec. 5.1 / Fig. 6) -----------------------
     epochs_per_group: int = 20          # E
@@ -72,7 +70,7 @@ class SmartPAFConfig:
         seed: int = 0,
         **overrides,
     ) -> "SmartPAFConfig":
-        """Reduced budgets for tests and fast benchmark runs."""
+        """Reduced budgets for tests and quick-scale experiment runs."""
         return SmartPAFConfig(
             epochs_per_group=epochs_per_group,
             max_groups_per_step=max_groups_per_step,

@@ -4,9 +4,6 @@ Finds every ReLU / MaxPool2d site in a model **in inference order** (traced
 with probe wrappers on a sample forward pass), and swaps sites for
 :class:`~repro.core.paf_layer.PAFReLU` / ``PAFMaxPool2d`` — one at a time
 (Progressive Approximation) or all at once (the prior-work baseline).
-
-A networkx DiGraph of the traced operator sequence is exposed for the
-analysis tooling (depth/latency aggregation in ``repro.analysis.graph``).
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.paf_layer import PAFMaxPool2d, PAFReLU
@@ -31,7 +27,6 @@ __all__ = [
     "replace_all",
     "replace_transformer_nonpoly",
     "replaced_layers",
-    "nonpoly_graph",
 ]
 
 
@@ -170,22 +165,6 @@ def replaced_layers(model: Module) -> list:
         for name, m in model.named_modules()
         if isinstance(m, (PAFReLU, PAFMaxPool2d))
     ]
-
-
-def nonpoly_graph(model: Module, sample_input: Optional[np.ndarray] = None) -> nx.DiGraph:
-    """Chain DiGraph of the non-polynomial sites in inference order.
-
-    Nodes carry ``kind`` and ``name``; edges encode execution succession.
-    Used by ``repro.analysis.graph`` to aggregate multiplication depth and
-    latency along the inference path.
-    """
-    sites = find_nonpoly_sites(model, sample_input)
-    g = nx.DiGraph()
-    for s in sites:
-        g.add_node(s.order, name=s.name, kind=s.kind)
-    for a, b in zip(sites, sites[1:]):
-        g.add_edge(a.order, b.order)
-    return g
 
 
 def _padded_interval(values: np.ndarray, margin: float) -> tuple:

@@ -13,7 +13,12 @@ from repro.analysis.tables import format_table
 from repro.ckks import CkksContext, CkksEvaluator, CkksParams, eval_composite_paf, keygen
 from repro.paf import composite_depth_schedule, get_paf, paper_pafs
 
-__all__ = ["run_depth_schedule", "run_measured_depths", "print_appendix_depth"]
+__all__ = [
+    "run_depth_schedule",
+    "run_measured_depths",
+    "print_appendix_depth",
+    "check_appendix_depth",
+]
 
 
 def run_depth_schedule(form: str = "f1g2") -> list:
@@ -39,9 +44,8 @@ def run_measured_depths(n: int = 1024, include_alpha10: bool = True) -> dict:
     return out
 
 
-def print_appendix_depth() -> str:
+def print_appendix_depth(measured: dict) -> str:
     sched = run_depth_schedule("f1g2")
-    measured = run_measured_depths()
     lines = [
         format_table(
             ["intermediate", "depth"], sched, title="Table 8: f1 ∘ g2 depth schedule"
@@ -54,3 +58,11 @@ def print_appendix_depth() -> str:
         ),
     ]
     return "\n".join(lines)
+
+
+def check_appendix_depth(measured: dict) -> dict:
+    """Shape checks: measured CKKS level use equals the analytic depth."""
+    return {
+        f"{form}: measured levels == analytic depth": v["measured"] == v["analytic"]
+        for form, v in measured.items()
+    }

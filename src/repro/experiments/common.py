@@ -1,8 +1,9 @@
 """Shared experiment infrastructure.
 
-Each paper table/figure has a runner module here; benchmarks, examples and
-EXPERIMENTS.md all call the same runners.  Pretrained baselines are cached
-per process so a benchmark session pretrains each model once.
+Each paper table/figure has a runner module here; the
+``python -m repro.experiments`` CLI and the examples call the same
+runners.  Pretrained baselines are cached per process so one CLI run
+pretrains each model once.
 
 Scale: ``quick`` (default — CI-sized synthetic data, reduced widths and
 epoch budgets; minutes for the full suite) vs ``full`` (larger synthetic
@@ -16,9 +17,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from repro.core import SmartPAF, SmartPAFConfig, pretrain
+from repro.core import SmartPAFConfig, pretrain
 from repro.data.synthetic import Dataset, cifar10_like, imagenet_like
 from repro.nn.models import resnet18, small_cnn, vgg19
 
@@ -39,7 +38,12 @@ PAPER_FORMS = ["f1f1g1g1", "alpha7", "f2g3", "f2g2", "f1g2"]
 
 
 def scale_mode() -> str:
-    return os.environ.get("REPRO_SCALE", "quick")
+    """``REPRO_SCALE`` (default ``quick``); any value other than
+    ``quick``/``full`` is a ``ValueError``, not a silent quick run."""
+    mode = os.environ.get("REPRO_SCALE", "quick")
+    if mode not in ("quick", "full"):
+        raise ValueError(f"REPRO_SCALE must be 'quick' or 'full', got {mode!r}")
+    return mode
 
 
 def is_quick() -> bool:

@@ -18,7 +18,7 @@ from repro.experiments.common import (
 )
 from repro.paf import get_paf
 
-__all__ = ["run_fig9", "print_fig9"]
+__all__ = ["run_fig9", "print_fig9", "check_fig9"]
 
 
 def run_fig9(seed: int = 0, form: str = "f1f1g1g1") -> dict:
@@ -73,3 +73,18 @@ def print_fig9(result: dict) -> str:
         events = ", ".join(f"{e}@{i}" for i, e in result[label]["events"][:12])
         lines.append(f"          events: {events}")
     return "\n".join(lines)
+
+
+def check_fig9(result: dict) -> dict:
+    """Shape checks: SMART-PAF ends at least level with the baseline
+    strategy, and its curve records progressive replacement and SWA."""
+    labels = [e for _, e in result["smartpaf"]["events"]]
+    return {
+        "SMART-PAF final >= baseline final - 0.03": (
+            result["smartpaf"]["final"] >= result["baseline"]["final"] - 0.03
+        ),
+        "SMART-PAF curve has replace:* events": any(
+            label.startswith("replace:") for label in labels
+        ),
+        "SMART-PAF curve has an SWA event": any(label == "SWA" for label in labels),
+    }

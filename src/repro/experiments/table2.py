@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.analysis.tables import format_table
 from repro.paf import paf_depth_table, paper_pafs
 
-__all__ = ["run_table2", "PAPER_TABLE2"]
+__all__ = ["run_table2", "print_table2", "check_table2", "PAPER_TABLE2"]
 
 #: the paper's printed (degree, depth) per form
 PAPER_TABLE2 = {
@@ -33,14 +33,19 @@ def run_table2() -> dict:
     return result
 
 
-def print_table2() -> str:
-    res = run_table2()
+def print_table2(result: dict) -> str:
     rows = [
         [name, v["degree"], v["mult_depth"], PAPER_TABLE2[name][0], PAPER_TABLE2[name][1]]
-        for name, v in res.items()
+        for name, v in result.items()
     ]
     return format_table(
         ["form", "degree", "mult depth", "paper degree", "paper depth"],
         rows,
         title="Table 2: PAF forms — degree and multiplication depth",
     )
+
+
+def check_table2(result: dict) -> dict:
+    """Shape checks: ``{check name: passed}``."""
+    got = {k: (v["degree"], v["mult_depth"]) for k, v in result.items()}
+    return {"(degree, depth) per form == paper Tab. 2": got == PAPER_TABLE2}

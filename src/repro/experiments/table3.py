@@ -31,7 +31,7 @@ from repro.experiments.common import (
 )
 from repro.paf import get_paf
 
-__all__ = ["run_table3_block", "run_table3", "print_table3_block"]
+__all__ = ["run_table3_block", "run_table3", "print_table3", "check_table3"]
 
 
 def run_table3_block(
@@ -102,7 +102,7 @@ ROW_LABELS = [
 ]
 
 
-def print_table3_block(name: str, block: dict) -> str:
+def _print_block(name: str, block: dict) -> str:
     forms = list(block["rows"])
     table_rows = []
     for key, label in ROW_LABELS:
@@ -115,3 +115,28 @@ def print_table3_block(name: str, block: dict) -> str:
             f"{block['original_accuracy']:.3f}"
         ),
     )
+
+
+def print_table3(blocks: dict) -> str:
+    return "\n\n".join(_print_block(name, block) for name, block in blocks.items())
+
+
+def check_table3(blocks: dict) -> dict:
+    """Shape checks per block: CT improves (or matches) the no-fine-tune
+    accuracy; the HE-deployable SMART-PAF is usable (per form we allow
+    noise at quick scale) and beats the prior-work SS baseline on
+    average."""
+    checks = {}
+    for name, block in blocks.items():
+        rows = block["rows"]
+        for form, cell in rows.items():
+            checks[f"[{name}] {form}: CT w/o fine-tune >= w/o fine-tune - 0.05"] = (
+                cell["ct_no_ft_ds"] >= cell["no_ft_ds"] - 0.05
+            )
+            checks[f"[{name}] {form}: SMART-PAF SS acc >= 0"] = cell["smartpaf_ss"] >= 0.0
+        mean_smart = sum(cell["smartpaf_ss"] for cell in rows.values()) / len(rows)
+        mean_prior = sum(cell["baseline_ss"] for cell in rows.values()) / len(rows)
+        checks[f"[{name}] mean SMART-PAF SS >= mean prior-work SS - 0.05"] = (
+            mean_smart >= mean_prior - 0.05
+        )
+    return checks

@@ -8,7 +8,6 @@ the α=10 column is the paper's prior-work baseline.
 
 from __future__ import annotations
 
-
 from repro.analysis.pareto import ParetoPoint, pareto_frontier
 from repro.analysis.tables import format_table
 from repro.ckks import CkksParams
@@ -23,7 +22,7 @@ from repro.experiments.common import (
 from repro.fhe import measure_relu_latency
 from repro.paf import get_paf, minimax_alpha10_deg27
 
-__all__ = ["run_latency_table", "run_table4", "print_table4", "run_fig1"]
+__all__ = ["run_latency_table", "run_table4", "print_table4", "check_table4", "run_fig1"]
 
 
 def _latency_params() -> CkksParams:
@@ -88,9 +87,36 @@ def print_table4(result: dict) -> str:
     if "original_accuracy" in result:
         title += f", original acc {result['original_accuracy']:.3f}"
     title += ")"
-    return format_table(
+    table = format_table(
         ["form", "degree", "depth", "latency (s)", "speedup", "SS acc"], rows, title
     )
+    fig1 = run_fig1(result)
+    frontier = {p.name for p in fig1["frontier"]}
+    points = [
+        [p.name, p.latency, p.accuracy, "*" if p.name in frontier else ""]
+        for p in fig1["points"]
+    ]
+    return table + "\n\n" + format_table(
+        ["design point", "latency (s)", "accuracy", "frontier"],
+        points,
+        title="Figure 1: latency-accuracy trade-off (frontier marked *)",
+    )
+
+
+def check_table4(result: dict) -> dict:
+    """Shape checks: every low-degree form is faster than the 27-degree
+    baseline, speedup follows multiplication depth (lower depth, faster),
+    and the Fig. 1 frontier holds a SMART-PAF (non-baseline) point."""
+    rows = result["rows"]
+    checks = {f"{form}: speedup over alpha10 > 1": r["speedup"] > 1.0 for form, r in rows.items()}
+    by_depth = sorted(rows.values(), key=lambda r: r["mult_depth"])
+    checks["speedup of the shallowest form >= speedup of the deepest"] = (
+        by_depth[0]["speedup"] >= by_depth[-1]["speedup"]
+    )
+    checks["Fig. 1 frontier holds a non-alpha10 point"] = any(
+        not p.name.startswith("alpha10") for p in run_fig1(result)["frontier"]
+    )
+    return checks
 
 
 def run_fig1(table4: dict) -> dict:

@@ -42,7 +42,6 @@ from repro.paf.polynomial import (
     Polynomial,
     mult_depth_of_degree,
 )
-from repro.paf.quadratic import QuadraticReLU, hermite_quadratic_coeffs, quadratic_relu
 from repro.paf.transformer import (
     RangeReducedExp,
     affine_recip_init,
@@ -97,9 +96,6 @@ __all__ = [
     "fit_composite",
     "profile_to_weights",
     "weighted_sign_mse",
-    "QuadraticReLU",
-    "hermite_quadratic_coeffs",
-    "quadratic_relu",
     "Polynomial",
     "fit_polynomial",
     "RangeReducedExp",

@@ -6,13 +6,12 @@ import pytest
 from repro.core.paf_layer import PAFMaxPool2d, PAFReLU
 from repro.core.surgery import (
     find_nonpoly_sites,
-    nonpoly_graph,
     replace_all,
     replace_site,
     replaced_layers,
     trace_nonpoly_order,
 )
-from repro.nn import MaxPool2d, ReLU, Sequential, Tensor
+from repro.nn import ReLU, Sequential, Tensor
 from repro.nn.models import resnet18, small_cnn, vgg19
 from repro.paf import get_paf
 
@@ -151,16 +150,11 @@ class TestReplace:
 class TestGraph:
     def test_chain_graph(self):
         model = small_cnn(seed=0)
-        g = nonpoly_graph(model, np.zeros((1, 3, 16, 16)))
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 3
-        import networkx as nx
-
-        order = list(nx.topological_sort(g))
-        assert order == [0, 1, 2, 3]
+        sites = find_nonpoly_sites(model, np.zeros((1, 3, 16, 16)))
+        assert [s.order for s in sites] == [0, 1, 2, 3]
 
     def test_node_attributes(self):
         model = small_cnn(seed=0)
-        g = nonpoly_graph(model, np.zeros((1, 3, 16, 16)))
-        kinds = [g.nodes[n]["kind"] for n in sorted(g.nodes)]
+        sites = find_nonpoly_sites(model, np.zeros((1, 3, 16, 16)))
+        kinds = [s.kind for s in sites]
         assert kinds.count("maxpool") == 1

@@ -161,8 +161,6 @@ class TestConfig:
         assert cfg.lr_other == 1e-5
         assert cfg.weight_decay_paf == 0.01
         assert cfg.weight_decay_other == 0.1
-        assert cfg.batchnorm_tracking is False
-        assert cfg.dropout_initial is False
         assert cfg.epochs_per_group == 20
         assert cfg.overfit_margin == pytest.approx(0.10)
 

@@ -59,6 +59,13 @@ class TestScaleMode:
         assert scale_mode() == "full"
         assert not is_quick()
 
+    def test_unknown_scale_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "ful")
+        with pytest.raises(ValueError, match="'quick' or 'full'"):
+            scale_mode()
+        with pytest.raises(ValueError, match="'quick' or 'full'"):
+            is_quick()
+
     def test_quick_config_budgets(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         cfg = quick_config()

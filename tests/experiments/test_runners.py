@@ -1,13 +1,21 @@
 """Smoke + shape tests for the experiment runners (tiny budgets).
 
-The full regeneration runs live in benchmarks/; these tests verify the
-runners' structure and the cheapest invariants.
+The full regeneration runs, with every paper-shape check, are
+``python -m repro.experiments all``; these tests verify the runners'
+structure, the cheapest invariants, and that a check reports a failure.
 """
 
+from types import SimpleNamespace
+
+import pytest
 
 from repro.experiments import (
     PAPER_FORMS,
     PAPER_TABLE2,
+    check_fig8,
+    check_table4,
+    fig7,
+    fig8,
     print_table2,
     run_depth_schedule,
     run_measured_depths,
@@ -22,7 +30,7 @@ class TestTable2:
         assert got == PAPER_TABLE2
 
     def test_print_contains_all_forms(self):
-        text = print_table2()
+        text = print_table2(run_table2())
         for form in PAPER_TABLE2:
             assert form in text
 
@@ -57,6 +65,59 @@ class TestLatency:
         assert len(fig1["points"]) == 3
         names = [p.name for p in fig1["frontier"]]
         assert "f1g2" in names and "f1f1g1g1" in names
+
+    def test_table4_checks(self):
+        rows = {
+            "f1g2": {"latency_s": 1.0, "ss_accuracy": 0.5, "speedup": 8.0, "mult_depth": 5},
+            "f1f1g1g1": {"latency_s": 2.0, "ss_accuracy": 0.7, "speedup": 4.0, "mult_depth": 8},
+        }
+        t4 = {"rows": rows, "baseline_latency": 8.0, "original_accuracy": 0.72}
+        assert all(check_table4(t4).values())
+        rows["f1f1g1g1"]["speedup"] = 0.9
+        failed = [name for name, ok in check_table4(t4).items() if not ok]
+        assert failed == ["f1f1g1g1: speedup over alpha10 > 1"]
+
+
+def _stub_training(monkeypatch, module, baseline_fn):
+    """Replace ``module``'s baseline, model and SmartPAF with no-op stubs."""
+    base = SimpleNamespace(accuracy=0.9, dataset=None)
+    result = SimpleNamespace(ds_accuracy=0.5)
+
+    class StubSmartPAF:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def replace_only(self, model, dataset):
+            return 0.5, 0.5
+
+        def fit(self, model, dataset):
+            return result
+
+    monkeypatch.setattr(module, baseline_fn, lambda seed: base)
+    monkeypatch.setattr(module, "fresh_model", lambda b: None)
+    monkeypatch.setattr(module, "SmartPAF", StubSmartPAF)
+
+
+class TestQuickFormLists:
+    """``run_fig7`` / ``run_fig8`` own their quick-scale form subsets."""
+
+    @pytest.mark.parametrize(
+        "module, baseline_fn, run, quick",
+        [
+            (fig7, "resnet_imagenet_baseline", fig7.run_fig7, ["f1f1g1g1", "f2g2", "f1g2"]),
+            (fig8, "default_baseline", fig8.run_fig8, ["f1f1g1g1", "f1g2"]),
+        ],
+    )
+    def test_default_forms(self, monkeypatch, module, baseline_fn, run, quick):
+        _stub_training(monkeypatch, module, baseline_fn)
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        assert list(run()["forms"]) == quick
+        monkeypatch.setenv("REPRO_SCALE", "full")
+        assert list(run()["forms"]) == PAPER_FORMS
+
+    def test_fig8_check_fails_when_pa_lags(self):
+        result = {"forms": {"f1g2": {"progressive": 0.3, "direct+direct": 0.5}}}
+        assert check_fig8(result) == {"mean(progressive - direct+direct) > -0.05": False}
 
 
 class TestPaperForms:

@@ -20,10 +20,9 @@ now): deleting a shim before its deprecation cycle ends is exactly the
 removal this gate exists to catch — removing one *at* end of cycle, or
 retiring a name outright, is a deliberate snapshot refresh
 (``--update``) recorded in CHANGES.md.
-Needs the runtime deps
-(numpy, networkx) since it imports the package for real — what users'
-``import`` statements see is the surface that matters, not what the AST
-suggests.
+Needs the runtime dependency (numpy) since it imports the package for
+real — what users' ``import`` statements see is the surface that
+matters, not what the AST suggests.
 """
 
 from __future__ import annotations
