@@ -21,16 +21,17 @@ Two implementations ship:
   :class:`~repro.ckks.ntt.NttPlan` transform per residue row, one
   Python-loop iteration per source prime of a base conversion and per
   keyswitch digit, a reduction after every term.
-* :class:`VectorizedBackend` — the same arithmetic with the limb axis
-  folded into the numpy kernels: twiddle tables stacked ``(limbs, n)``
-  once per context, butterflies sweeping every limb (and every digit)
-  of a stack in one pass, base conversion as one batched integer
-  matmul, inner products reduced once per chunk.
+* :class:`VectorizedBackend` — the same arithmetic over whole stacks:
+  the NTTs and the base conversion are compiled C (``_kernels.c``,
+  built with the system ``cc`` on first use and loaded through
+  ``ctypes``), one call per ``(..., limbs, n)`` stack against twiddle
+  tables stacked once per context; the key inner product is one numpy
+  sum reduced once per chunk.
 
 The two are **bit-identical**, not merely numerically close: all kernels
-are exact integer arithmetic mod 30-bit primes, the pipelines are one
-shared composition of them, and batching identical elementwise
-operations across rows cannot change any residue.  The cross-backend
+are exact integer arithmetic mod 30-bit primes returning canonical
+residues, and the pipelines are one shared composition of them, so no
+evaluation order or layout can change any residue.  The cross-backend
 conformance suite (``tests/fhe/test_backend_conformance``) pins this —
 same kernel outputs at every level, same ``c0/c1`` coefficients, same
 op counts, same decrypted outputs — which is what lets benchmarks
@@ -44,11 +45,21 @@ golden and kernel tests select it by name
 safe), and the ``REPRO_BACKEND`` environment variable lets CI run a
 whole suite under it without editing a test.
 
-Overflow discipline (int64 throughout): primes are < 2^30, so any
-product of two residues is < 2^60 < 2^63, and at most 8 such products
-are summed between reductions (:func:`_chunked_modsum`); a base
-conversion multiplies a *centred* residue (< 2^29) by a weight (< 2^30)
-and sums at most 15 of those (:data:`_CONVERT_CHUNK`).
+Overflow discipline: primes are < 2^30, so any product of two residues
+is < 2^60 < 2^63, and at most 8 such products are summed in int64
+between reductions (:func:`_chunked_modsum`).  The C NTTs multiply by
+Shoup twiddles: a twiddle ``w < p`` carries ``floor(w·2^32/p) < 2^32``,
+lazy butterfly values stay < 4p < 2^32 and every quotient product is
+< 2^64.  The C base conversion multiplies a *centred* residue (< 2^29)
+by a weight (< 2^30) and sums at most 15 of those between reductions.
+
+The compiled library is cached under ``$XDG_CACHE_HOME/repro`` (default
+``~/.cache/repro``), keyed by a hash of the source, the flags, the
+compiler version and the host CPU; a build writes a temp file and
+renames it into place, so racing processes never load half a file.
+Where the build fails, :class:`VectorizedBackend` runs the spec
+kernels after one :class:`KernelBuildWarning` naming the compiler
+error (the test suite turns that warning into an error).
 
 This module deliberately imports nothing from the rest of ``repro.ckks``
 (backends see only raw arrays, prime index lists and context
@@ -58,12 +69,22 @@ without an import cycle.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import math
 import os
+import platform
+import subprocess
+import tempfile
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "KernelBackend",
+    "KernelBuildWarning",
     "ReferenceBackend",
     "VectorizedBackend",
     "available_backends",
@@ -300,157 +321,6 @@ class ReferenceBackend(KernelBackend):
         return acc
 
 
-def _stockham_forward_limb(x, w_tab, p, n):
-    """One limb's forward NTT over a ``(rows, n)`` batch, scalar modulus.
-
-    Stockham-style storage: stage ``s`` keeps the data as
-    ``(rows, block, 2^s)`` with butterfly partners in the two contiguous
-    block halves, so every read and every arithmetic pass is contiguous
-    (the classic in-place layout strides badly once blocks shrink below a
-    cache line).  The butterflies themselves — pairings and ψ twiddles —
-    are exactly Cooley-Tukey's, so over exact modular integers the output
-    is bit-identical to :meth:`repro.ckks.ntt.NttPlan.forward`.
-
-    Reduction is deferred (Harvey-style laziness): only the twiddle
-    product is reduced per stage, the add/sub halves grow by one prime's
-    magnitude per stage, and values are re-canonicalised every 8 stages.
-    With p < 2^30 the multiplicand stays below 8p < 2^33, keeping every
-    product under 2^63 — exact int64 throughout.  Inputs must be
-    canonical residues (every in-tree caller's invariant).
-    """
-    rows = x.shape[0]
-    Y = np.ascontiguousarray(x).reshape(rows, n, 1)
-    t = n
-    m = 1
-    growth = 1  # |values| < growth · p
-    while m < n:
-        t //= 2
-        if growth == 8:  # next multiply needs |v| < 8p < 2^33
-            Y = Y % p
-            growth = 1
-        A = Y[:, :t, :]
-        B = Y[:, t:, :]
-        vw = B * w_tab[m : 2 * m]
-        vw %= p
-        Ynew = np.empty((rows, t, 2 * m), dtype=np.int64)
-        np.add(A, vw, out=Ynew[..., 0::2])
-        np.subtract(A, vw, out=Ynew[..., 1::2])
-        Y = Ynew
-        m *= 2
-        growth += 1
-    return Y.reshape(rows, n) % p
-
-
-def _stockham_forward_bcast(a, psi_rev, primes, n):
-    """Forward NTT with the limb axis carried through every stage.
-
-    Same Stockham dataflow as :func:`_stockham_forward_limb` with
-    per-limb moduli as a broadcast divisor — cheaper than the per-limb
-    loop when the leading batch is small (a handful of rows per limb
-    can't amortise ``limbs`` separate numpy passes).
-    """
-    batch, limbs = a.shape[0], a.shape[1]
-    Y = a.reshape(batch, limbs, n, 1)
-    p = primes[None, :, None, None]
-    t = n
-    m = 1
-    growth = 1
-    while m < n:
-        t //= 2
-        if growth == 8:
-            Y = Y % p
-            growth = 1
-        A = Y[:, :, :t, :]
-        B = Y[:, :, t:, :]
-        vw = B * psi_rev[:, m : 2 * m][None, :, None, :]
-        vw %= p
-        Ynew = np.empty((batch, limbs, t, 2 * m), dtype=np.int64)
-        np.add(A, vw, out=Ynew[..., 0::2])
-        np.subtract(A, vw, out=Ynew[..., 1::2])
-        Y = Ynew
-        m *= 2
-        growth += 1
-    return Y.reshape(batch, limbs, n) % primes[None, :, None]
-
-
-#: leading-batch size from which the per-limb scalar-modulus path wins
-#: over the broadcast path.  Measured on both toy rings (n=512 on 29/34/46
-#: limbs, n=2048 on 9/10/14 limbs, one BLAS thread): broadcast wins or ties
-#: through batch 10, the per-limb loop from batch 12 (16 on the 46-limb
-#: stack).  Grouped keyswitch tensors carry at most ``dnum`` digits, so the
-#: default parameters stay on the broadcast side; one-prime digits
-#: (``dnum = depth+1``, e.g. ``paper_grade``) reach the per-limb side.
-_LIMB_MAJOR_MIN_BATCH = 12
-
-
-def _batched_ntt_forward(a, psi_rev, primes, n):
-    """Forward negacyclic NTT over a ``(..., limbs, n)`` stack.
-
-    ``psi_rev`` is ``(limbs, n)`` and ``primes`` is ``(limbs,)``; each
-    limb's butterflies run mod its own prime.  Dispatches between two
-    bit-identical Stockham kernels: large leading batches (one-prime-
-    per-digit keyswitch tensors) loop over limbs with a scalar modulus,
-    small ones broadcast the modulus across the limb axis.
-    """
-    shape = a.shape
-    limbs = shape[-2]
-    a = a.reshape(-1, limbs, n)
-    if a.shape[0] >= _LIMB_MAJOR_MIN_BATCH:
-        out = np.empty_like(a)
-        for i in range(limbs):
-            out[:, i, :] = _stockham_forward_limb(
-                a[:, i, :], psi_rev[i], int(primes[i]), n
-            )
-        return out.reshape(shape)
-    return _stockham_forward_bcast(a, psi_rev, primes, n).reshape(shape)
-
-
-def _batched_ntt_inverse(a, psi_inv_rev, n_inv, primes, n):
-    """Inverse (Gentleman-Sande) counterpart of :func:`_batched_ntt_forward`.
-
-    Same deferred-reduction discipline; both butterfly halves grow here
-    (u+v doubles the bound), so values are re-canonicalised every two
-    stages, and the n^{-1} scaling folds into the last stage's twiddles
-    so the output lands canonical without an extra full pass.  Inputs
-    must be canonical residues (every in-tree caller's invariant).
-    """
-    pcol = primes[:, None]
-    a = a.copy()  # C-contiguous working copy; butterflies run in place
-    shape = a.shape
-    limbs = shape[-2]
-    a = a.reshape(-1, limbs, n)
-    p = primes[None, :, None, None]
-    t = 1
-    m = n
-    growth = 1  # |values| < growth · p
-    while m > 1:
-        h = m // 2
-        if growth == 4:  # next stage forms u±v with |·| < 8p < 2^33
-            a %= primes[None, :, None]
-            growth = 1
-        view = a.reshape(-1, limbs, h, 2, t)
-        w = psi_inv_rev[:, h : 2 * h]
-        u = view[..., 0, :]
-        v = view[..., 1, :]
-        d = u - v
-        np.add(u, v, out=u)  # sum lands in place; d captured the difference
-        if h == 1:
-            # last stage: fold n^{-1} into both halves (exact — same
-            # residues as a separate final scaling pass)
-            w_scaled = w * n_inv[:, None] % pcol
-            u *= n_inv[None, :, None, None]
-            u %= p
-            d *= w_scaled[None, :, :, None]
-        else:
-            d *= w[None, :, :, None]
-        d %= p
-        view[..., 1, :] = d
-        t *= 2
-        m = h
-        growth *= 2
-    return a.reshape(shape)
-
-
 def _chunked_modsum(prods, pcol):
     """Sum ``(terms, limbs, n)`` over the first axis mod ``pcol``.
 
@@ -465,22 +335,128 @@ def _chunked_modsum(prods, pcol):
     return acc
 
 
-#: source primes one int64 accumulation of :meth:`base_convert` may span:
-#: centred residue (< 2^29) × weight (< 2^30) products, 15·2^59 + 2^30 < 2^63
-_CONVERT_CHUNK = 15
+class KernelBuildWarning(RuntimeWarning):
+    """The compiled kernels of :class:`VectorizedBackend` could not be
+    built or loaded; the backend runs the spec kernels instead (exact,
+    several times slower).  The message names the compiler error."""
+
+
+#: the C kernels, compiled on first use with the system ``cc``
+_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
+_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+
+_native_lock = threading.Lock()
+#: the loaded kernel library; ``None`` until the first build, ``False``
+#: after a failed one (which is warned about once per process)
+_native = None
+
+
+def _host_cpu() -> str:
+    """What ``-march=native`` compiles for: the CPU model and features."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            lines = {
+                line.strip()
+                for line in fh
+                if line.startswith(("model name", "flags", "Features", "CPU part"))
+            }
+    except OSError:
+        lines = set()
+    return "\n".join([platform.machine(), *sorted(lines)])
+
+
+def _build_kernels() -> Path:
+    """Compile :data:`_KERNEL_SOURCE` into the cache unless it is there.
+
+    The file name hashes the source, the flags, the compiler version and
+    the host CPU.  The compiler writes a private temp file that is then
+    renamed over the target, so a process racing this one to the same
+    key only ever sees no file or a whole one.
+    """
+    source = _KERNEL_SOURCE.read_bytes()
+    version = subprocess.run(
+        ["cc", "--version"], capture_output=True, text=True, check=True
+    ).stdout
+    key = hashlib.sha256(
+        b"\0".join([source, " ".join(_CFLAGS).encode(), version.encode(), _host_cpu().encode()])
+    ).hexdigest()[:16]
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "repro"
+    target = cache / f"kernels-{key}.so"
+    if target.exists():
+        return target
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            ["cc", *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+            capture_output=True, text=True, check=True,
+        )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _load_kernels(path: Path) -> ctypes.CDLL:
+    """``ctypes`` handle on the built library with every signature
+    declared: arrays go in as C-contiguous ``ndpointer``\\ s, so ctypes
+    checks their dtype and the call's own arguments keep them alive."""
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    u32 = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
+    n = ctypes.c_int64
+    lib = ctypes.CDLL(str(path))
+    lib.ntt.argtypes = [i64, i64, n, n, n, i64, i64, u32, u32, i64, ctypes.c_int]
+    lib.ntt.restype = ctypes.c_int
+    lib.base_convert.argtypes = [i64, i64, n, n, n, i64, i64, n, n, n, i64, i64]
+    lib.base_convert.restype = ctypes.c_int
+    return lib
+
+
+def _native_kernels():
+    """The process-wide kernel library, built on the first call; ``None``
+    (after one :class:`KernelBuildWarning`) when it cannot be built."""
+    global _native
+    with _native_lock:
+        if _native is None:
+            try:
+                _native = _load_kernels(_build_kernels())
+            except subprocess.CalledProcessError as exc:
+                _native = False
+                reason = f"`{' '.join(exc.cmd)}` failed: {(exc.stderr or '').strip()}"
+            except OSError as exc:
+                _native = False
+                reason = str(exc)
+            if _native is False:
+                warnings.warn(
+                    f"compiled kernels unavailable ({reason}); VectorizedBackend "
+                    "falls back to the NttPlan spec kernels",
+                    KernelBuildWarning,
+                    stacklevel=3,
+                )
+    return _native or None
+
+
+def _shoup(w, primes) -> np.ndarray:
+    """Shoup quotients ``floor(w · 2^32 / p)`` of a ``(primes, n)`` table."""
+    return ((w << 32) // primes[:, None]).astype(np.uint32)
 
 
 class VectorizedBackend(KernelBackend):
-    """Limb-batched kernels: the limb (and digit) axes live inside numpy.
+    """Compiled kernels: whole residue stacks per call.
 
-    Twiddle tables from the context's per-prime :class:`NttPlan`\\ s are
-    stacked once into ``(primes, n)`` arrays, so a transform of ``L``
-    limbs — or of a whole ``(digits, basis, n)`` keyswitch tensor — is
-    log2(n) butterfly stages of whole-tensor ops regardless of how many
-    rows ride along.  The keyswitch pipeline never drops back to Python
-    per digit or per row: the digit lift and the divide-by-P descent
-    are each one batched integer matmul, the key inner product one
-    chunked sum.
+    The negacyclic NTTs and the base conversion run in C
+    (``_kernels.c``, built on first use; see :func:`_native_kernels`):
+    one call sweeps every row of a ``(..., limbs, n)`` stack — a whole
+    ``(digits, basis, n)`` keyswitch tensor included — against twiddle
+    tables stacked once per context with their Shoup quotients.  The key
+    inner product stays one chunked numpy sum.  Inputs must be canonical
+    residues (every in-tree caller's invariant); shapes and prime
+    indices are checked before any pointer reaches C.  Without a
+    compiler the NTTs and the base conversion are
+    :class:`ReferenceBackend`'s spec kernels, after one
+    :class:`KernelBuildWarning`.
     """
 
     name = "vectorized"
@@ -488,47 +464,88 @@ class VectorizedBackend(KernelBackend):
     def __init__(self, ctx):
         super().__init__(ctx)
         plans = ctx.plans
-        #: stacked twiddle tables, indexed by position in ``ctx.all_primes``
-        self._psi = np.stack([plan.psi_rev for plan in plans])
-        self._psi_inv = np.stack([plan.psi_inv_rev for plan in plans])
-        self._n_inv = np.array([plan.n_inv for plan in plans], dtype=np.int64)
         self._primes = ctx._primes_arr
+        psi = np.stack([plan.psi_rev for plan in plans])
+        psi_inv = np.stack([plan.psi_inv_rev for plan in plans])
+        #: stacked twiddle tables and their Shoup quotients, indexed by
+        #: position in ``ctx.all_primes``
+        self._psi, self._psi_shoup = psi.astype(np.uint32), _shoup(psi, self._primes)
+        self._psi_inv = psi_inv.astype(np.uint32)
+        self._psi_inv_shoup = _shoup(psi_inv, self._primes)
+        self._n_inv = np.array([plan.n_inv for plan in plans], dtype=np.int64)
+        self._lib = _native_kernels()
 
-    def _idx(self, prime_indices) -> np.ndarray:
-        return np.asarray(prime_indices, dtype=np.int64)
+    def _indices(self, prime_indices) -> np.ndarray:
+        idx = np.asarray(prime_indices, dtype=np.int64)
+        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= self._primes.size)):
+            raise ValueError(f"prime indices {prime_indices!r} outside the context's primes")
+        return idx
+
+    def _stack(self, rows, idx) -> np.ndarray:
+        """``rows`` as a C-contiguous int64 ``(..., len(idx), n)`` stack
+        (a copy only when the layout needs one; never written to)."""
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if rows.ndim < 2 or rows.shape[-2:] != (idx.size, self.ctx.n):
+            raise ValueError(
+                f"rows of shape {rows.shape} do not match {idx.size} limbs of n={self.ctx.n}"
+            )
+        return rows
+
+    def _ntt(self, rows, prime_indices, inverse: bool) -> np.ndarray:
+        idx = self._indices(prime_indices)
+        rows = self._stack(rows, idx)
+        out = np.empty_like(rows)
+        psi, psi_shoup = (
+            (self._psi_inv, self._psi_inv_shoup) if inverse else (self._psi, self._psi_shoup)
+        )
+        status = self._lib.ntt(
+            rows, out, math.prod(rows.shape[:-2]), idx.size, self.ctx.n,
+            idx, self._primes, psi, psi_shoup, self._n_inv, inverse,
+        )
+        if status:
+            raise MemoryError("NTT kernel could not allocate its scratch row")
+        return out
 
     def ntt_forward(self, rows, prime_indices):
-        idx = self._idx(prime_indices)
-        return _batched_ntt_forward(rows, self._psi[idx], self._primes[idx], self.ctx.n)
+        if self._lib is None:
+            return ReferenceBackend.ntt_forward(self, rows, prime_indices)
+        return self._ntt(rows, prime_indices, inverse=False)
 
     def ntt_inverse(self, rows, prime_indices):
-        idx = self._idx(prime_indices)
-        return _batched_ntt_inverse(
-            rows, self._psi_inv[idx], self._n_inv[idx], self._primes[idx], self.ctx.n
-        )
+        if self._lib is None:
+            return ReferenceBackend.ntt_inverse(self, rows, prime_indices)
+        return self._ntt(rows, prime_indices, inverse=True)
 
     def reduce_coeffs(self, coeffs, prime_indices):
         return coeffs[None, :] % self._primes_col(prime_indices)
 
     def base_convert(self, rows, conv):
-        groups, _, size = conv.weights.shape
-        q = self._primes_col(conv.sources)
-        y = rows * conv.inv[:, None] % q
-        y = np.where(y > q // 2, y - q, y)
-        lead = y.shape[:-2]
-        if y.shape[-2] != groups * size:  # a partial last group pads with zeros
-            padded = np.zeros(lead + (groups * size, self.ctx.n), dtype=np.int64)
-            padded[..., : y.shape[-2], :] = y
-            y = padded
-        y = y.reshape(lead + (groups, size, self.ctx.n))
-        tcol = self._primes_col(conv.targets)
-        # |y| < 2^29 times a weight < 2^30: fifteen summands plus the
-        # running residue stay below 2^63 — one reduction per chunk
-        acc = 0
-        for c in range(0, size, _CONVERT_CHUNK):
-            chunk = slice(c, c + _CONVERT_CHUNK)
-            acc = (acc + conv.weights[:, :, chunk] @ y[..., chunk, :]) % tcol
-        return acc
+        if self._lib is None:
+            return ReferenceBackend.base_convert(self, rows, conv)
+        sources = self._indices(conv.sources)
+        targets = self._indices(conv.targets)
+        rows = self._stack(rows, sources)
+        inv = np.ascontiguousarray(conv.inv, dtype=np.int64)
+        weights = np.ascontiguousarray(conv.weights, dtype=np.int64)
+        groups, _, size = weights.shape
+        if (
+            inv.shape != sources.shape
+            or weights.shape[1] != targets.size
+            or size < 1
+            or groups != -(-sources.size // size)
+        ):
+            raise ValueError("base conversion constants do not match its sources and targets")
+        lead = rows.shape[:-2]
+        out = np.empty(lead + (groups, targets.size, self.ctx.n), dtype=np.int64)
+        src_primes = self._primes[sources]
+        tgt_primes = self._primes[targets]
+        status = self._lib.base_convert(
+            rows, out, math.prod(lead), sources.size, self.ctx.n,
+            src_primes, inv, groups, targets.size, size, weights, tgt_primes,
+        )
+        if status:
+            raise MemoryError("base conversion kernel could not allocate its scratch rows")
+        return out
 
     def inner_product(self, digits, key, prime_indices):
         # lazy sum: raw digit·key products are < 2^60, so up to 8 of them
