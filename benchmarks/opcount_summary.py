@@ -73,22 +73,20 @@ def plan_table(enc, title: str) -> str:
             for i, p in enumerate(row):
                 if p is None:
                     continue
-                giants = {g for g in p.giant_steps if g} if p.use_bsgs else set()
+                giants = {g for g in p.giant_steps if g}
                 rows.append(
                     [
                         f"{li} ({kind})",
                         f"{j}<-{i}",
                         p.num_diagonals,
                         f"{p.n1}x{p.n2}",
-                        p.naive_keyswitches,
-                        p.bsgs_keyswitches,
-                        "bsgs" if p.use_bsgs else "naive",
+                        p.keyswitches,
                         len(giants - booked),
                     ]
                 )
                 booked |= giants
     return format_table(
-        ["layer", "block", "diagonals", "n1 x n2", "naive ks", "bsgs ks", "chosen", "giant rot"],
+        ["layer", "block", "diagonals", "n1 x n2", "keyswitches", "giant rot"],
         rows,
         title=title,
     )

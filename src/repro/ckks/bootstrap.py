@@ -14,7 +14,7 @@ that makes the precision contract explicit rather than assumed:
 2. **CoeffToSlot** (:func:`coeff_to_slot`): move the polynomial
    coefficients into slot values with the decoding matrix ``A^H``
    (``A_{jk} = ζ_j^k``, ``A⁻¹ = (2/N)·A^H``), run as a BSGS-planned
-   Halevi-Shoup matvec over :func:`repro.fhe.linear.encrypted_matvec_bsgs`
+   :func:`repro.fhe.linear.encrypted_matvec_shards` (``1 × 1`` grid)
    with complex pre-encoded diagonals.  One conjugation separates the two
    coefficient halves ``a`` (real part) and ``b`` (imaginary part).
 3. **EvalMod** (:func:`eval_mod`): approximate ``p̃ ↦ p̃ mod q0`` via
@@ -321,7 +321,7 @@ def coeff_to_slot(
     BSGS matvec with the folded ``A^H`` diagonals, one conjugation and
     the free ``×i`` monomial product.
     """
-    from repro.fhe.linear import encrypted_matvec_bsgs
+    from repro.fhe.linear import encrypted_matvec_shards
 
     # two-prime encode scale: the matvec's internal rescale leaves the
     # product one prime heavy, and the extra rescale below lands it on
@@ -330,7 +330,7 @@ def coeff_to_slot(
     q_chain = ev.ctx.q_chain
     pt_scale = s_next * q_chain[ct.level] * q_chain[ct.level - 1] / ct.scale
     groups = plan._encoded_groups("cts", ct.level, pt_scale, ct.scale)
-    w = ev.rescale(encrypted_matvec_bsgs(ev, ct, groups=groups))
+    w = ev.rescale(encrypted_matvec_shards(ev, [ct], [[groups]])[0])
     wc = ev.conjugate(w)
     ct_a = ev.add(w, wc)
     ct_b = ev._mul_by_i(ev.sub(wc, w))
@@ -372,13 +372,13 @@ def slot_to_coeff(
     scale of the output level, which the diagonals' encode scale lands
     exactly (single rescale).
     """
-    from repro.fhe.linear import encrypted_matvec_bsgs
+    from repro.fhe.linear import encrypted_matvec_shards
 
     y = ev.add(ct_a, ev._mul_by_i(ct_b))
     s_tgt = ev.ctx.canonical_scale(y.level - 1)
     pt_scale = s_tgt * ev.ctx.q_chain[y.level] / y.scale
     groups = plan._encoded_groups("stc", y.level, pt_scale, 1.0 / msg_scale)
-    out = encrypted_matvec_bsgs(ev, y, groups=groups)
+    out = encrypted_matvec_shards(ev, [y], [[groups]])[0]
     out.scale = s_tgt  # exact by construction (up to encode rounding)
     return out
 

@@ -16,11 +16,11 @@ Node taxonomy (see ``docs/graph-ir.md``):
 node                      levels  executes as
 ========================  ======  ======================================
 :class:`MatvecNode`       1       Halevi-Shoup matvec over a ``K_out x
-                                  K_in`` block grid (grouped per each
-                                  block's :class:`~repro.fhe.linear.MatvecPlan`);
-                                  Linear layers and compile-time-lowered
-                                  convs alike, one ciphertext is the
-                                  1 x 1 grid
+                                  K_in`` block grid, each block grouped
+                                  by its BSGS :class:`~repro.fhe.linear.MatvecPlan`
+                                  (per-diagonal = the ``n1 = size`` plan);
+                                  Linear layers and lowered convs alike,
+                                  one ciphertext is the 1 x 1 grid
 :class:`PoolNode`         1       rotate-and-sum average pool + masked
                                   ``1/window`` multiply
 :class:`PafNode`          d+1     composite sign-PAF ReLU via its
@@ -171,11 +171,11 @@ class ResidualTapNode(IRNode):
 class MergeNode(IRNode):
     """Pops the matching tap, optionally projects the skip branch
     (1x1-conv block grid), aligns it exactly to the main branch's
-    (level, scale) and adds shard-by-shard.  ``tap`` is the node index
-    of the matching :class:`ResidualTapNode`."""
+    (level, scale) and adds shard-by-shard.  Taps and merges pair like
+    brackets, so the matching :class:`ResidualTapNode` is the innermost
+    open one."""
 
     kind = "merge"
-    tap: int | None = None
     blocks: list | None = None
     bias_shards: list | None = None
 
@@ -355,8 +355,6 @@ class Graph:
                     raise ValueError(f"merge node {i} has no open residual tap")
                 tap_level, skip_live = stack.pop()
                 gap = level - tap_level
-                if node.tap is None:
-                    raise ValueError(f"merge node {i} has no matching residual tap")
                 if node.blocks is not None:
                     if gap < 1:
                         raise ValueError(
@@ -528,8 +526,7 @@ def apply_refresh_policy(
 
     ``pipeline_levels`` / ``rtol`` come from the compiled
     :class:`~repro.ckks.bootstrap.RefreshPlan` (the caller plans once
-    per network).  Returns the inserted node indices (post-insertion);
-    merge ``tap`` indices at or after each insertion point shift by one.
+    per network).  Returns the inserted node indices (post-insertion).
     """
     if policy.refresh == "never":
         return ()
@@ -545,9 +542,6 @@ def apply_refresh_policy(
     if not positions:
         return ()
     positions = sorted(positions)
-    for node in graph.nodes:
-        if isinstance(node, MergeNode) and node.tap is not None:
-            node.tap += sum(1 for p in positions if p <= node.tap)
     inserted = []
     for n_before, p in enumerate(positions):
         idx = p + n_before

@@ -1,12 +1,11 @@
-"""Encrypted linear algebra: Halevi-Shoup diagonal matvec, naive and BSGS.
+"""Encrypted linear algebra: the Halevi-Shoup diagonal matvec, BSGS-planned.
 
 ``y = W x`` for a plaintext matrix ``W`` and an encrypted, slot-packed
 ``x`` is computed as ``Σ_d diag_d(W) ⊙ rot(x, d)`` over the generalised
 diagonals — the standard CKKS technique the FHE-inference literature
-builds on.  The *naive* path (:func:`encrypted_matvec`, kept as the
-op-level reference implementation the differential tests compare
-against — no compiled network executes it) pays one full keyswitch per
-nonzero diagonal beyond the first: ``O(D)`` keyswitches.
+builds on.  Rotating once per nonzero diagonal (:func:`encrypted_matvec`,
+kept as the op-level reference the differential tests compare against —
+no compiled network executes it) pays ``O(D)`` keyswitches.
 
 Baby-step/giant-step (BSGS) decomposition cuts that to ``O(√D)``.  Factor
 every diagonal index ``d = g·n1 + b`` with baby step ``b ∈ [0, n1)`` and
@@ -21,27 +20,23 @@ the baby rotations all act on the *same* ciphertext, so they share one
 hoisted keyswitch decomposition (:meth:`CkksEvaluator.rotate_many`).
 
 On a ``K_out × K_in`` grid of blocks (channel-sharded ciphertexts) the
-giant half is shared too: rotation is linear, so output shard ``j`` sums
-the inner products of *every* input shard that has giant step ``g``
-before rotating, and the giant rotations' keyswitches share one
-divide-by-``P`` descent (:meth:`CkksEvaluator.sum_rotated`):
-
-    y_j = rescale( Σ_g rot( Σ_i Σ_b diag_{j,i,g,b} ⊙ rot_b(x_i),  g ) ) + bias_j
-
-— one keyswitch per (output shard, giant step), one descent and one
-rescale per output shard.
+giant half is shared too — one keyswitch per (output shard, giant step),
+one descent and one rescale per output shard; that grouped loop,
+:func:`encrypted_matvec_shards`, is the one every compiled layer runs.
 
 :func:`plan_matvec` picks ``n1`` by scanning candidates for the minimum
-keyswitch count and falls back to the naive path when BSGS would not be
-strictly cheaper (degenerate layers with ≤ 3 nonzero diagonals, or
-diagonal patterns that do not factor).  The plan also names the exact
-rotation-step set keygen must cover — ``n1 - 1`` baby plus ``n2 - 1``
-giant steps instead of ``D - 1`` per-diagonal steps, so the Galois key
-set shrinks alongside the keyswitch count.
+keyswitch count.  The scan always includes ``n1 = size``, where every
+diagonal is a baby step and the only giant step is 0: that point *is*
+the per-diagonal layout (one hoisted rotation per nonzero diagonal), so
+degenerate layers with ≤ 3 nonzero diagonals, or patterns that do not
+factor, land there rather than on a separate path.  The plan also names
+the exact rotation-step set keygen must cover — ``n1 - 1`` baby plus
+``n2 - 1`` giant steps instead of ``D - 1`` per-diagonal steps, so the
+Galois key set shrinks alongside the keyswitch count.
 
 SIMD batching composes transparently: diagonals can be *tiled* across
 several disjoint slot blocks (``num_blocks`` copies at stride
-``block_stride``), and because both decompositions act on the full slot
+``block_stride``), and because the decomposition acts on the full slot
 vector the BSGS regrouping is exact algebra for any block layout — the
 rotation steps are unchanged, and the per-request cost is divided by the
 batch size.
@@ -58,13 +53,10 @@ from repro.ckks.instrumentation import span as trace_span
 
 __all__ = [
     "encrypted_matvec",
-    "encrypted_matvec_bsgs",
     "encrypted_matvec_shards",
     "diagonals_of",
-    "required_rotation_steps",
     "MatvecPlan",
     "plan_matvec",
-    "bsgs_diagonals",
     "grouped_diagonals",
     "shard_hoist_steps",
 ]
@@ -113,15 +105,6 @@ def diagonals_of(
     return diags
 
 
-def required_rotation_steps(w: np.ndarray, slots: int) -> list:
-    """Rotation steps keygen must provide for :func:`encrypted_matvec`.
-
-    Tiling diagonals across blocks reuses the same steps, so the key set
-    is independent of the batch size.
-    """
-    return [d for d in diagonals_of(w, slots) if d != 0]
-
-
 def tile_blocks(
     values: np.ndarray, slots: int, num_blocks: int, block_stride: int
 ) -> np.ndarray:
@@ -139,21 +122,19 @@ def tile_blocks(
 
 @dataclass(frozen=True)
 class MatvecPlan:
-    """How one encrypted matvec will be executed.
+    """How one encrypted matvec will be executed: the baby-step modulus
+    ``n1`` and the baby / giant step sets it factors the diagonals into.
 
-    ``use_bsgs`` selects between the BSGS decomposition and the naive
-    reference path; the choice is *strictly fewer keyswitches* — ties go
-    to naive, so layers with ≤ 3 nonzero diagonals (where no ``n1``
-    factoring helps) stay on the reference implementation.
+    ``n1 = size`` is the per-diagonal layout — every diagonal a baby
+    step, one giant step 0 — which the scan picks whenever no smaller
+    ``n1`` is strictly cheaper.
     """
 
     size: int                      #: square matrix dim (diagonal index space)
     n1: int                        #: baby-step modulus (giant stride)
     baby_steps: tuple              #: sorted residues ``d % n1`` present
     giant_steps: tuple             #: sorted rotation amounts ``(d // n1)·n1`` present
-    diag_steps: tuple              #: sorted nonzero diagonal indices (naive rotations)
     num_diagonals: int             #: nonzero diagonal count D (plaintext multiplies)
-    use_bsgs: bool
 
     @property
     def n2(self) -> int:
@@ -161,48 +142,41 @@ class MatvecPlan:
         return len(self.giant_steps)
 
     @property
-    def bsgs_keyswitches(self) -> int:
-        """Galois applications on the BSGS path (nonzero baby + giant)."""
-        return sum(1 for b in self.baby_steps if b) + sum(
-            1 for g in self.giant_steps if g
-        )
-
-    @property
-    def naive_keyswitches(self) -> int:
-        """Galois applications on the naive path (one per nonzero diagonal)."""
-        return len(self.diag_steps)
-
-    @property
     def keyswitches(self) -> int:
-        """Galois applications of the *chosen* path."""
-        return self.bsgs_keyswitches if self.use_bsgs else self.naive_keyswitches
+        """Galois applications: one per nonzero baby and giant step."""
+        return len(self.rotation_steps())
 
     def rotation_steps(self) -> tuple:
-        """Rotation steps keygen must provide for the chosen path."""
-        if not self.use_bsgs:
-            return self.diag_steps
-        return tuple(
-            sorted({b for b in self.baby_steps if b} | {g for g in self.giant_steps if g})
+        """Rotation steps keygen must provide.  Nonzero babies are
+        ``< n1 ≤`` nonzero giants, so the two sets never overlap."""
+        return tuple(b for b in self.baby_steps if b) + tuple(
+            g for g in self.giant_steps if g
         )
 
 
 def plan_matvec(diag_indices, size: int) -> MatvecPlan:
-    """Choose the cheapest matvec execution for a set of nonzero diagonals.
+    """Choose the cheapest baby-step modulus for a set of nonzero diagonals.
 
     Scans baby-step moduli ``n1`` and counts the Galois applications each
     would need — ``|{d % n1} \\ {0}| + |{(d//n1)·n1} \\ {0}|`` — keeping
     the minimum (ties broken toward larger ``n1``: more baby steps means
     more rotations sharing the one hoisted decomposition).  For dense
     diagonal sets the winner sits near ``√size``, so for large ``size``
-    only a window around ``√size`` (plus ``n1 = size``, the all-baby
-    degenerate) is scanned.
+    only a window around ``√size`` (plus ``n1 = size``, the per-diagonal
+    point) is scanned.
+
+    >>> plan = plan_matvec([0, 1], 6)
+    >>> plan.n1, plan.rotation_steps()
+    (6, (1,))
+    >>> plan = plan_matvec(range(16), 16)
+    >>> plan.n1, plan.keyswitches
+    (4, 6)
     """
     ds = np.unique(np.asarray(list(diag_indices), dtype=np.int64))
     if ds.size == 0:
         raise ValueError("matrix has no nonzero diagonals")
     if ds[0] < 0 or ds[-1] >= size:
         raise ValueError(f"diagonal indices must lie in [0, {size}), got {ds}")
-    naive_cost = int(np.count_nonzero(ds))
 
     if size <= 256:
         candidates = range(1, size + 1)
@@ -223,13 +197,11 @@ def plan_matvec(diag_indices, size: int) -> MatvecPlan:
         n1=n1,
         baby_steps=tuple(int(b) for b in babies),
         giant_steps=tuple(int(g) for g in giants),
-        diag_steps=tuple(int(d) for d in ds if d),
         num_diagonals=int(ds.size),
-        use_bsgs=best[0][0] < naive_cost,
     )
 
 
-def bsgs_diagonals(diagonals: dict, plan: MatvecPlan) -> dict:
+def grouped_diagonals(diagonals: dict, plan: MatvecPlan) -> dict:
     """Regroup diagonals into pre-rotated giant-step groups.
 
     Returns ``{giant_step: {baby_step: vector}}`` where each diagonal
@@ -237,6 +209,7 @@ def bsgs_diagonals(diagonals: dict, plan: MatvecPlan) -> dict:
     post-accumulation giant rotation puts it back in place:
     ``rot(roll(v, g) ⊙ rot(x, b), g) = v ⊙ rot(x, g + b)``.  Rolling is
     over the full slot vector, so block-tiled diagonals regroup exactly.
+    An ``n1 = size`` plan yields the single group ``{0: diagonals}``.
     """
     groups: dict = {}
     for d, vec in diagonals.items():
@@ -244,22 +217,6 @@ def bsgs_diagonals(diagonals: dict, plan: MatvecPlan) -> dict:
         g = d - b
         groups.setdefault(g, {})[b] = np.roll(vec, g)
     return groups
-
-
-def grouped_diagonals(diagonals: dict, plan: MatvecPlan) -> dict:
-    """Diagonals in the grouped ``{giant: {baby: vector}}`` form of the
-    *chosen* path.
-
-    BSGS plans regroup via :func:`bsgs_diagonals`; naive plans become the
-    single giant-step-0 group ``{0: diagonals}`` — every diagonal is its
-    own "baby" step, so a grouped executor rotates once per diagonal but
-    shares one hoisted decomposition (:func:`encrypted_matvec_shards`
-    runs every block in this uniform form, which is never more
-    keyswitches than the plan predicts).
-    """
-    if plan.use_bsgs:
-        return bsgs_diagonals(diagonals, plan)
-    return {0: dict(diagonals)}
 
 
 def shard_hoist_steps(blocks: list, shard: int) -> list:
@@ -305,8 +262,7 @@ def encrypted_matvec_shards(
     divides by ``P`` once for the whole chain.  Each output shard
     rescales exactly once (the canonical-scale invariant holds shard by
     shard).  This is the one grouped inner loop: a single-ciphertext
-    layer is the ``K_in = K_out = 1`` grid
-    (:func:`encrypted_matvec_bsgs` is exactly that wrap).
+    layer is the ``K_in = K_out = 1`` grid.
 
     ``bias_slots[j]`` (raw vector or pre-encoded post-rescale
     :class:`~repro.ckks.encoder.Plaintext`) is added to output shard
@@ -389,58 +345,11 @@ def encrypted_matvec(
             term = ev.mul_plain(rotated, vec)
             acc = term if acc is None else ev.add(acc, term)
         acc = ev.rescale(acc)
-        bias_slots = _bias_slots(ev.ctx.slots, bias, bias_slots)
+        if bias_slots is None and bias is not None:
+            bias_slots = np.zeros(ev.ctx.slots)
+            bias_slots[: len(bias)] = bias
         if bias_slots is not None:
             acc = ev.add_plain(acc, bias_slots)
         sp.ct_exit(acc)
     return acc
 
-
-def _bias_slots(slots: int, bias, bias_slots):
-    """The full-slot bias: ``bias_slots`` as given, else ``bias`` padded
-    into the leading slots (``None`` when there is neither)."""
-    if bias_slots is None and bias is not None:
-        bias_slots = np.zeros(slots)
-        bias_slots[: len(bias)] = bias
-    return bias_slots
-
-
-def encrypted_matvec_bsgs(
-    ev: CkksEvaluator,
-    ct_x: Ciphertext,
-    w: np.ndarray | None = None,
-    bias: np.ndarray | None = None,
-    *,
-    groups: dict | None = None,
-    bias_slots=None,
-) -> Ciphertext:
-    """``W x + b`` via baby-step/giant-step with hoisted baby rotations.
-
-    Same packing contract and result (within noise) as
-    :func:`encrypted_matvec`, with ``O(√D)`` keyswitches instead of
-    ``O(D)``: the input is rotated once per *baby* step — all sharing one
-    hoisted decomposition via :meth:`CkksEvaluator.rotate_many` — inner
-    sums are formed with plaintext multiplies against the pre-rotated
-    diagonals, and only the per-*giant*-step accumulated sums are
-    keyswitched individually (sharing one divide-by-``P`` descent).  One
-    rescale at the end, exactly like the naive path.
-    This is the ``1 × 1`` grid of :func:`encrypted_matvec_shards`, which
-    holds the one grouped inner loop.
-
-    ``groups`` short-circuits planning and regrouping: a mapping
-    ``giant_step -> {baby_step -> slot vector | Plaintext}`` as produced
-    by :func:`bsgs_diagonals` (raw) or pre-encoded at the ciphertext's
-    level and scale.
-    """
-    if groups is None:
-        if w is None:
-            raise ValueError("need either a weight matrix or precomputed groups")
-        diagonals = diagonals_of(w, ev.ctx.slots)
-        if not diagonals:
-            raise ValueError("matrix has no nonzero diagonals")
-        plan = plan_matvec(diagonals.keys(), max(w.shape))
-        groups = bsgs_diagonals(diagonals, plan)
-    if not groups:
-        raise ValueError("matrix has no nonzero diagonals")
-    bias_slots = _bias_slots(ev.ctx.slots, bias, bias_slots)
-    return encrypted_matvec_shards(ev, [ct_x], [[groups]], bias_slots=[bias_slots])[0]

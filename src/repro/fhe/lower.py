@@ -200,7 +200,7 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
             num_shards=num_shards,
         )
 
-    def merge(name: str, downsample: Module, tap: int, tap_grid) -> MergeNode:
+    def merge(name: str, downsample: Module, tap_grid) -> MergeNode:
         if isinstance(downsample, Identity):
             if tap_grid != mgrid:
                 raise ValueError(
@@ -208,7 +208,7 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
                     f"changed the layout ({tap_grid} -> {mgrid}) — the "
                     "block needs a projection downsample"
                 )
-            return MergeNode(tap=tap)
+            return MergeNode()
         ds = list(downsample._modules.values())
         if (
             len(ds) != 2
@@ -222,7 +222,7 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
                 f"block {name!r}: projection lands on {proj_grid} but "
                 f"the main branch on {mgrid}"
             )
-        return MergeNode(blocks=blocks, bias_shards=bias_shards, tap=tap)
+        return MergeNode(blocks=blocks, bias_shards=bias_shards)
 
     def linear(lin: Linear, weight: np.ndarray) -> MatvecNode:
         nonlocal mgrid, flat
@@ -280,16 +280,14 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
             recip_init=sm.recip_init,
             recip_iters=sm.recip_iters,
         )
-        attn_tap = len(nodes)
-        nodes.extend([ResidualTapNode(), attention, MergeNode(tap=attn_tap)])
-        mlp_tap = len(nodes)
+        nodes.extend([ResidualTapNode(), attention, MergeNode()])
         nodes.extend(
             [
                 ResidualTapNode(),
                 token_matvec(blk.fc1),
                 PolyNode(poly=blk.act.poly),
                 token_matvec(blk.fc2),
-                MergeNode(tap=mlp_tap),
+                MergeNode(),
             ]
         )
 
@@ -315,7 +313,7 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
                 )
             elif isinstance(mod, BasicBlock):
                 require_grid(name)
-                tap, tap_grid = len(nodes), mgrid
+                tap_grid = mgrid
                 nodes.append(ResidualTapNode())
                 walk(
                     [
@@ -324,7 +322,7 @@ def _lower_modules(model: Module, policy: CompilePolicy) -> Graph:
                         for op in _op_sequence(getattr(mod, attr), f"{name}.{attr}")
                     ]
                 )
-                nodes.append(merge(name, mod.downsample, tap, tap_grid))
+                nodes.append(merge(name, mod.downsample, tap_grid))
                 walk(_op_sequence(mod.relu2, f"{name}.relu2"))
             elif isinstance(mod, PAFReLU):
                 nodes.append(PafNode(paf=mod.sign.to_composite(), scale=mod.static_scale))

@@ -176,10 +176,10 @@ class EncryptedNetwork:
         self.attention_states: dict = {}
         #: per-RefreshNode :class:`~repro.ckks.bootstrap.RefreshPlan`
         self.refresh_plans: dict = {}
-        # Galois keys cover exactly the planned rotation steps: baby +
-        # giant for BSGS blocks, per-diagonal for naive ones, pool shifts,
-        # the attention dance and the refresh pipelines — every compile
-        # handler registers its own here.
+        # Galois keys cover exactly the planned rotation steps: every
+        # block's nonzero baby + giant steps, pool shifts, the attention
+        # dance and the refresh pipelines — every compile handler
+        # registers its own here.
         self._galois_steps: set = set()
         self._needs_conj = False
         for i, node in enumerate(self.layers):
@@ -250,7 +250,13 @@ class EncryptedNetwork:
         where a block is all zero), the matching grouped-diagonal
         payloads, and the per-output-shard tiled biases (``None`` without
         any) — and registers every planned rotation step for keygen.
+        ``bias_shards`` must name one entry per output shard.
         """
+        if bias_shards is not None and len(bias_shards) != len(blocks):
+            raise ValueError(
+                f"layer {i}: {len(bias_shards)} bias shard(s) for "
+                f"{len(blocks)} output shard(s)"
+            )
         slots = self.ctx.slots
         plans_grid: list = []
         groups_grid: list = []
@@ -294,21 +300,14 @@ class EncryptedNetwork:
                 )
         return plans_grid, groups_grid, tiled
 
-    def _compile_grid(self, i: int, blocks: list, bias_shards: list | None) -> None:
-        plans, groups, biases = self._plan_grid(i, blocks, bias_shards)
+    def _compile_grid(self, i: int, node: MatvecNode | MergeNode) -> None:
+        if node.blocks is None:  # an identity merge: nothing to plan
+            return
+        plans, groups, biases = self._plan_grid(i, node.blocks, node.bias_shards)
         self.matvec_plans[i] = plans
         self.matvec_groups[i] = groups
         if biases is not None:
             self.matvec_bias_slots[i] = biases
-
-    def _compile_matvec(self, i: int, node: MatvecNode) -> None:
-        self._compile_grid(i, node.blocks, node.bias_shards)
-
-    def _compile_merge(self, i: int, node: MergeNode) -> None:
-        if node.blocks is not None:
-            self._compile_grid(i, node.blocks, node.bias_shards)
-        if node.tap is None:
-            raise ValueError(f"merge layer {i} has no matching residual tap")
 
     def _compile_paf(self, i: int, node: PafNode) -> None:
         self.paf_plans[i] = plan_paf_relu(node.paf, node.scale)
@@ -347,8 +346,8 @@ class EncryptedNetwork:
                 self._galois_steps.add(step)
 
     _COMPILE = {
-        MatvecNode: _compile_matvec,
-        MergeNode: _compile_merge,
+        MatvecNode: _compile_grid,
+        MergeNode: _compile_grid,
         PafNode: _compile_paf,
         PolyNode: _compile_poly,
         PoolNode: _compile_pool,
@@ -433,8 +432,8 @@ class EncryptedNetwork:
         single shard).  One loop over the typed nodes, one handler per
         node type: matvec nodes (Linear weights and compile-time-lowered
         convs alike) run :func:`~repro.fhe.linear.encrypted_matvec_shards`
-        over their ``K_out × K_in`` grouped-diagonal blocks — BSGS with
-        hoisted baby rotations where that is strictly cheaper per block;
+        over their ``K_out × K_in`` grouped-diagonal blocks — each
+        block's BSGS plan, its baby rotations hoisted per input shard;
         ``residual`` taps push the live shard list onto a branch stack;
         ``merge`` pops it, applies the projection blocks (if any) to the
         *saved* branch at its own — higher — level, aligns the skip to

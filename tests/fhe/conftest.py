@@ -26,7 +26,14 @@ import pytest
 
 from repro.ckks import CkksEvaluator
 from repro.fhe.ir import MatvecNode, PafNode, PolyNode, PoolNode
-from repro.fhe.linear import diagonals_of, encrypted_matvec, tile_blocks
+from repro.fhe.linear import (
+    diagonals_of,
+    encrypted_matvec,
+    encrypted_matvec_shards,
+    grouped_diagonals,
+    plan_matvec,
+    tile_blocks,
+)
 from repro.fhe.toy import (
     compiled_toy,
     compiled_toy_cnn,
@@ -108,6 +115,48 @@ def oracle(poly_oracle):
     )
 
 
+def _planned_matvec(ev, ct, w=None, *, groups=None, bias_slots=None):
+    """``W x`` (+ ``bias_slots``) on one ciphertext the way a compiled
+    layer runs it: ``w``'s diagonals planned, regrouped and fed to the
+    ``1 x 1`` grid of :func:`~repro.fhe.linear.encrypted_matvec_shards`
+    (or ``groups`` as already grouped)."""
+    if groups is None:
+        diags = diagonals_of(w, ev.ctx.slots)
+        groups = grouped_diagonals(diags, plan_matvec(diags.keys(), max(w.shape)))
+    return encrypted_matvec_shards(ev, [ct], [[groups]], bias_slots=[bias_slots])[0]
+
+
+@pytest.fixture(scope="session")
+def planned_matvec():
+    """``planned_matvec(ev, ct, w)``: the single-ciphertext planned matvec."""
+    return _planned_matvec
+
+
+def _per_diagonal_steps(enc, layer: int | None = None) -> set:
+    """Galois steps of the per-diagonal layout (every block of ``enc``,
+    or of its ``layer`` only, planned at ``n1 = size``): each compiled
+    block's nonzero diagonal indices, read back off its grouped
+    payload."""
+    return {
+        g + b
+        for i, grid in enc.matvec_groups.items()
+        if layer in (None, i)
+        for row in grid
+        for groups in row
+        if groups
+        for g, inner in groups.items()
+        for b in inner
+    } - {0}
+
+
+@pytest.fixture(scope="session")
+def per_diagonal_steps():
+    """``per_diagonal_steps(enc[, layer])``: the key set one rotation per
+    nonzero diagonal would need — what the planned key set is measured
+    against."""
+    return _per_diagonal_steps
+
+
 def banded_matrix(size: int, diags, seed: int) -> np.ndarray:
     """A ``size x size`` matrix whose nonzero generalised diagonals are
     exactly ``diags`` (entries of magnitude 0.5-1.5, random sign)."""
@@ -126,7 +175,8 @@ def giant_set_blocks():
     """Four 8 x 8 blocks whose plans disagree about giant steps — what a
     grid row must mix to exercise the cross-shard giant sum: ``a`` is
     BSGS with giants {0, 4}, ``b`` BSGS with {0, 3}, ``c`` BSGS with
-    {4, 6} (no giant 0) and ``n`` naive-planned (the giant-0 group only)."""
+    {4, 6} (no giant 0) and ``n`` planned at ``n1 = size`` (the giant-0
+    group only)."""
     return SimpleNamespace(
         a=banded_matrix(8, range(8), 1),
         b=banded_matrix(8, range(6), 2),

@@ -112,7 +112,6 @@ def test_work_is_per_query_not_per_pair(case):
         return sum(
             sum(1 for g in p.giant_steps if g)
             for (p,) in plans
-            if p.use_bsgs
         )
 
     log_seq, log_dim = seq.bit_length() - 1, dim.bit_length() - 1

@@ -490,11 +490,8 @@ class TestToyCnnEndToEnd:
         got = enc.decrypt_logits(out, 3)
         np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-4)
 
-    def test_pool_and_conv_keys_cover_forward(self, toy_cnn):
+    def test_pool_and_conv_keys_cover_forward(self, toy_cnn, per_diagonal_steps):
         """Compiled Galois key set suffices — forward raised no KeyError —
-        and stays far below one key per naive diagonal."""
+        and stays far below one key per nonzero diagonal."""
         _, enc = toy_cnn
-        naive_steps = {
-            d for ((p,),) in enc.matvec_plans.values() for d in p.diag_steps
-        }
-        assert len(enc.keys.galois) < len(naive_steps)
+        assert len(enc.keys.galois) < len(per_diagonal_steps(enc))

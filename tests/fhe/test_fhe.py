@@ -18,12 +18,11 @@ from repro.fhe import (
     diagonals_of,
     encrypted_matvec,
     encrypted_matvec_shards,
+    grouped_diagonals,
     measure_op_micros,
     measure_relu_latency,
     plan_matvec,
-    required_rotation_steps,
 )
-from repro.fhe.linear import grouped_diagonals
 from repro.nn.models import mlp
 from repro.paf import get_paf, paper_pafs
 
@@ -50,7 +49,7 @@ class TestDiagonals:
 
     def test_required_rotation_steps(self):
         w = np.eye(4)
-        assert required_rotation_steps(w, 8) == []
+        assert plan_matvec(diagonals_of(w, 8).keys(), 4).rotation_steps() == ()
 
 
 class TestEncryptedMatvec:
@@ -59,8 +58,8 @@ class TestEncryptedMatvec:
         ctx = CkksContext(CkksParams(n=512, scale_bits=25, depth=3))
         rng = np.random.default_rng(0)
         w = rng.normal(size=(6, 6))
-        steps = required_rotation_steps(w, ctx.slots)
-        keys = keygen(ctx, seed=0, galois_steps=tuple(steps))
+        steps = tuple(d for d in diagonals_of(w, ctx.slots) if d)
+        keys = keygen(ctx, seed=0, galois_steps=steps)
         return ctx, CkksEvaluator(ctx, keys), w
 
     def test_matches_plaintext(self, rt):
@@ -95,30 +94,25 @@ class TestEncryptedMatvec:
 
     def test_all_zero_weight_rejected_upfront(self, rt):
         """An all-zero matrix fails validation before any homomorphic op
-        runs (it used to raise only after looping over zero diagonals)."""
-        from repro.ckks.instrumentation import CountingEvaluator
-        from repro.fhe import encrypted_matvec_bsgs
-
+        runs (it used to raise only after looping over zero diagonals),
+        on the reference and on the grouped grid alike."""
         ctx, ev, _ = rt
         counting = CountingEvaluator(ev)
         ct = counting.encrypt(np.zeros(ctx.slots))
         counting.reset()
-        for fn in (encrypted_matvec, encrypted_matvec_bsgs):
-            with pytest.raises(ValueError, match="no nonzero diagonals"):
-                fn(counting, ct, np.zeros((4, 4)))
-            with pytest.raises(ValueError, match="no nonzero diagonals"):
-                fn(counting, ct, **{"diagonals" if fn is encrypted_matvec else "groups": {}})
+        with pytest.raises(ValueError, match="no nonzero diagonals"):
+            encrypted_matvec(counting, ct, np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="no nonzero diagonals"):
+            encrypted_matvec(counting, ct, diagonals={})
+        with pytest.raises(ValueError, match="reads no nonzero block"):
+            encrypted_matvec_shards(counting, [ct], [[{}]])
         assert sum(counting.counts.values()) == 0  # nothing executed
 
     def test_missing_weight_and_diagonals_rejected(self, rt):
-        from repro.fhe import encrypted_matvec_bsgs
-
         ctx, ev, _ = rt
         ct = ev.encrypt(np.zeros(ctx.slots))
         with pytest.raises(ValueError, match="need either"):
             encrypted_matvec(ev, ct)
-        with pytest.raises(ValueError, match="need either"):
-            encrypted_matvec_bsgs(ev, ct)
 
 
 class TestCompileMlp:
@@ -216,8 +210,8 @@ class TestLatencyHarness:
     def test_matvec_cost_model_counts(self):
         """Shadow counts == measured counts for the grouped matvec the
         executor runs — a dense 16-diagonal BSGS block and a 2-diagonal
-        block BSGS cannot help, which still shares one hoisted
-        decomposition."""
+        block no factoring helps (planned at ``n1 = size``), which still
+        shares one hoisted decomposition."""
         ctx = CkksContext(CkksParams(n=128, scale_bits=25, depth=2))
         rng = np.random.default_rng(0)
         cases = {}
@@ -234,7 +228,7 @@ class TestLatencyHarness:
 
             counts[size] = self._counts(ShadowEvaluator(ctx), run)
             assert counts[size] == self._counts(real, run)
-        assert cases[16][0].use_bsgs and not cases[2][0].use_bsgs
+        assert cases[16][0].n1 < 16 and cases[2][0].n1 == 2
         assert counts[16] == {
             "hoist_decompose": 1,
             "rotate_hoisted": 3,    # baby steps sharing one decomposition

@@ -50,20 +50,20 @@ class TestGraphValidation:
 
     def test_merge_without_tap_rejected(self):
         with pytest.raises(ValueError, match="no open residual tap"):
-            Graph([_eye_node(), MergeNode(tap=0)], size=4)
+            Graph([_eye_node(), MergeNode()], size=4)
 
     def test_unmerged_tap_rejected(self):
         with pytest.raises(ValueError, match="never merged"):
             Graph([_eye_node(), ResidualTapNode()], size=4)
 
     def test_projection_merge_needs_level_gap(self):
-        proj = MergeNode(tap=0, blocks=[[np.eye(4)]])
+        proj = MergeNode(blocks=[[np.eye(4)]])
         with pytest.raises(ValueError, match="depth of >= 1"):
             Graph([ResidualTapNode(), proj], size=4)
 
     def test_balanced_residual_accepted(self):
         g = Graph(
-            [_eye_node(), ResidualTapNode(), _eye_node(), MergeNode(tap=1)], size=4
+            [_eye_node(), ResidualTapNode(), _eye_node(), MergeNode()], size=4
         )
         assert g.validate() == 2
 
@@ -84,9 +84,9 @@ class TestGraphValidation:
             Graph([PolyNode(poly=Polynomial((0.0, 1.0, 1.0))), _eye_node()], size=4)
         # a tap that saves the live input poisons the branch it merges into
         with pytest.raises(ValueError, match="live input replica"):
-            Graph([ResidualTapNode(), _eye_node(), MergeNode(tap=0)], size=4)
+            Graph([ResidualTapNode(), _eye_node(), MergeNode()], size=4)
         # a projection replicates the saved branch itself
-        proj = MergeNode(tap=0, blocks=[[np.eye(4)]])
+        proj = MergeNode(blocks=[[np.eye(4)]])
         with pytest.raises(ValueError, match="live input replica"):
             Graph([ResidualTapNode(), PoolNode(shifts=((), ())), proj], size=4)
         # pool-first is legal: its mask zeroes the replica half
@@ -233,7 +233,7 @@ class TestRefreshPlacement:
             ResidualTapNode(),
             PolyNode(poly=poly),
             PolyNode(poly=poly),
-            MergeNode(tap=0),
+            MergeNode(),
             PolyNode(poly=poly),
         ]
         g = Graph(nodes, size=4)  # 6 levels of cost
@@ -241,25 +241,32 @@ class TestRefreshPlacement:
         # only legal boundary past the deficit is after the merge
         assert inserted == (4,)
         assert isinstance(g.nodes[4], RefreshNode)
-        # the merge's tap still points at the (unshifted) tap node
-        merge = next(n for n in g.nodes if isinstance(n, MergeNode))
-        assert isinstance(g.nodes[merge.tap], ResidualTapNode)
 
-    def test_merge_tap_shifts_past_insertion(self):
+    def test_tap_to_merge_gap_unchanged_by_refresh(self):
+        """A refresh inserted before a bracket shifts the tap and the
+        merge alike: the level gap the merge aligns across is the same."""
         poly = Polynomial((0.0, 1.0, 1.0))
         nodes = [
             PolyNode(poly=poly),
             PolyNode(poly=poly),
             ResidualTapNode(),
             PolyNode(poly=poly),
-            MergeNode(tap=2),
+            MergeNode(),
         ]
         g = Graph(nodes, size=4)
+
+        def tap_to_merge_gap() -> int:
+            levels = g.input_levels(7)
+            (tap,) = [i for i, n in enumerate(g.nodes) if isinstance(n, ResidualTapNode)]
+            (merge,) = [i for i, n in enumerate(g.nodes) if isinstance(n, MergeNode)]
+            return levels[tap] - levels[merge]
+
+        before = tap_to_merge_gap()
         inserted = apply_refresh_policy(g, 7, CompilePolicy(refresh=(2,)))
         assert inserted == (2,)
-        merge = next(n for n in g.nodes if isinstance(n, MergeNode))
-        assert merge.tap == 3
-        assert isinstance(g.nodes[merge.tap], ResidualTapNode)
+        assert isinstance(g.nodes[2], RefreshNode)
+        assert tap_to_merge_gap() == before == 2
+        g.validate()
 
     def test_segment_deeper_than_budget_rejected(self):
         g = Graph(_poly_chain(4), size=4)

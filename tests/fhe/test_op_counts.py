@@ -1,7 +1,8 @@
 """HE-op-count regression suite for the encrypted hot paths.
 
-These tests pin the *exact* rotation / keyswitch / rescale counts of both
-matvec paths, both activation paths, and the full compiled forward pass
+These tests pin the *exact* rotation / keyswitch / rescale counts of the
+planned matvec and its per-diagonal reference, both activation paths,
+and the full compiled forward pass
 via ``CountingEvaluator``, so a future change cannot silently regress a
 hot path — the whole point of the BSGS matvec rewrite is the keyswitch
 count, and of the Paterson–Stockmeyer activation rewrite the nonscalar
@@ -9,9 +10,10 @@ count, and of the Paterson–Stockmeyer activation rewrite the nonscalar
 
 Acceptance invariants:
 
-* every *dense* layer with >= 4 nonzero diagonals does strictly fewer
-  keyswitches on the BSGS path (sparse patterns may tie — the planner
-  then falls back to naive, pinned in test_plan_properties.py);
+* every *dense* layer with >= 4 nonzero diagonals plans ``n1 < size``
+  and does strictly fewer keyswitches than one per nonzero diagonal
+  (sparse patterns may tie — the scan then lands on ``n1 = size``, the
+  per-diagonal layout, pinned in test_plan_properties.py);
 * every registry PAF with a component of degree >= 5 does strictly fewer
   nonscalar mults on the Paterson–Stockmeyer executor than on the
   term-by-term ladder oracle (``poly_oracle``, ``tests/conftest.py``) at
@@ -29,7 +31,6 @@ from repro.ckks.poly_plan import plan_paf_relu
 from repro.fhe.linear import (
     diagonals_of,
     encrypted_matvec,
-    encrypted_matvec_bsgs,
     plan_matvec,
 )
 from repro.paf import get_paf
@@ -69,13 +70,13 @@ class TestMatvecOpCounts:
         }
         assert counting.keyswitch_count == 7
 
-    def test_bsgs_dense_8x8_exact_counts(self, rt):
+    def test_bsgs_dense_8x8_exact_counts(self, rt, planned_matvec):
         ctx, ev = rt
         w = np.random.default_rng(0).normal(size=(8, 8))
         counting = CountingEvaluator(ev)
         ct = _packed_ct(ctx, counting, 8)
         counting.reset()
-        encrypted_matvec_bsgs(counting, ct, w)
+        planned_matvec(counting, ct, w)
         # n1=4: babies {0,1,2,3} (3 hoisted rotations sharing 1 decompose),
         # giants {0,4} (1 standalone rotation of an accumulated sum)
         assert dict(counting.counts) == {
@@ -89,34 +90,37 @@ class TestMatvecOpCounts:
         assert counting.keyswitch_count == 4
 
     @pytest.mark.parametrize("size", list(range(4, SIZE + 1)))
-    def test_bsgs_strictly_fewer_keyswitches_dense(self, rt, size):
-        """Acceptance: every dense layer with >= 4 nonzero diagonals does
-        strictly fewer keyswitches on the BSGS path."""
+    def test_bsgs_strictly_fewer_keyswitches_dense(self, rt, planned_matvec, size):
+        """Acceptance: every dense layer with >= 4 nonzero diagonals plans
+        ``n1 < size`` and does strictly fewer keyswitches than one per
+        nonzero diagonal."""
         ctx, ev = rt
         w = np.random.default_rng(size).normal(size=(size, size))
-        plan = plan_matvec(diagonals_of(w, ctx.slots).keys(), size)
-        assert plan.use_bsgs
-        assert plan.bsgs_keyswitches < plan.naive_keyswitches
+        diags = diagonals_of(w, ctx.slots)
+        plan = plan_matvec(diags.keys(), size)
+        per_diagonal = sum(1 for d in diags if d)
+        assert plan.n1 < size
+        assert plan.keyswitches < per_diagonal
 
         counting = CountingEvaluator(ev)
         ct = _packed_ct(ctx, counting, size)
         counting.reset()
-        encrypted_matvec_bsgs(counting, ct, w)
+        planned_matvec(counting, ct, w)
         ks_bsgs = counting.keyswitch_count
         counting.reset()
         encrypted_matvec(counting, ct, w)
         ks_naive = counting.keyswitch_count
         # measured counts match the plan's prediction exactly
-        assert ks_bsgs == plan.bsgs_keyswitches
-        assert ks_naive == plan.naive_keyswitches
+        assert ks_bsgs == plan.keyswitches
+        assert ks_naive == per_diagonal
         assert ks_bsgs < ks_naive
 
-    def test_both_paths_rescale_once(self, rt):
+    def test_both_paths_rescale_once(self, rt, planned_matvec):
         ctx, ev = rt
         w = np.random.default_rng(1).normal(size=(6, 6))
         counting = CountingEvaluator(ev)
         ct = _packed_ct(ctx, counting, 6)
-        for fn in (encrypted_matvec, encrypted_matvec_bsgs):
+        for fn in (encrypted_matvec, planned_matvec):
             counting.reset()
             fn(counting, ct, w)
             assert counting.counts["rescale"] == 1
@@ -125,7 +129,7 @@ class TestMatvecOpCounts:
         ctx, ev = rt
         w = np.eye(6)
         plan = plan_matvec(diagonals_of(w, ctx.slots).keys(), 6)
-        assert not plan.use_bsgs          # nothing to gain: 0 rotations
+        assert plan.n1 == 6               # nothing to gain: 0 rotations
         assert plan.keyswitches == 0
         counting = CountingEvaluator(ev)
         ct = _packed_ct(ctx, counting, 6)
@@ -199,13 +203,12 @@ class TestNetworkOpCounts:
         for op in ("add", "add_plain"):
             assert bsgs.counts[op] == naive.counts[op]
 
-    def test_key_set_smaller_than_reference(self, compiled):
+    def test_key_set_smaller_than_reference(self, compiled, per_diagonal_steps):
         """BSGS shrinks the Galois key set: baby+giant+replicate steps
         are fewer than one key per nonzero diagonal."""
         plans = [p for ((p,),) in compiled.matvec_plans.values()]
         bsgs_steps = set().union(*(p.rotation_steps() for p in plans))
-        naive_steps = set().union(*(p.diag_steps for p in plans))
-        assert len(bsgs_steps) < len(naive_steps)
+        assert len(bsgs_steps) < len(per_diagonal_steps(compiled))
 
 
 class TestCnnOpCounts:
@@ -223,20 +226,24 @@ class TestCnnOpCounts:
     def compiled(self, toy_cnn):
         return toy_cnn[1]
 
-    #: (num_diagonals, naive keyswitches, bsgs keyswitches) per linear layer
+    #: (num_diagonals, one-per-diagonal keyswitches, planned keyswitches)
+    #: per linear layer
     CNN_PLANS = {
         0: (18, 17, 8),     # conv1 (BN folded), dense 1x8x8 -> 2x8x8
         3: (120, 119, 21),  # conv2 reading the pool-strided grid
         4: (34, 33, 11),    # dense head reading the flattened activation
     }
 
-    def test_per_layer_plans_pinned(self, compiled):
+    def test_per_layer_plans_pinned(self, compiled, per_diagonal_steps):
         assert set(compiled.matvec_plans) == set(self.CNN_PLANS)
         for i, (diags, naive, bsgs) in self.CNN_PLANS.items():
             ((plan,),) = compiled.matvec_plans[i]
-            assert plan.use_bsgs
-            assert (plan.num_diagonals, plan.naive_keyswitches, plan.bsgs_keyswitches) \
-                == (diags, naive, bsgs)
+            assert plan.n1 < plan.size
+            assert (
+                plan.num_diagonals,
+                len(per_diagonal_steps(compiled, i)),
+                plan.keyswitches,
+            ) == (diags, naive, bsgs)
 
     def test_planned_forward_exact_counts(self, compiled):
         counting = CountingEvaluator(compiled.ev)
@@ -258,15 +265,12 @@ class TestCnnOpCounts:
         assert counting.keyswitch_count == 50
         assert counting.nonscalar_mult_count == 6
 
-    def test_bsgs_beats_naive_on_every_conv_layer(self, compiled):
-        for ((plan,),) in compiled.matvec_plans.values():
-            assert plan.bsgs_keyswitches < plan.naive_keyswitches
+    def test_bsgs_beats_naive_on_every_conv_layer(self, compiled, per_diagonal_steps):
+        for i, ((plan,),) in compiled.matvec_plans.items():
+            assert plan.keyswitches < len(per_diagonal_steps(compiled, i))
 
-    def test_galois_key_set_far_below_naive(self, compiled):
-        naive_steps = {
-            d for ((p,),) in compiled.matvec_plans.values() for d in p.diag_steps
-        }
-        assert len(compiled.keys.galois) < len(naive_steps) // 3
+    def test_galois_key_set_far_below_naive(self, compiled, per_diagonal_steps):
+        assert len(compiled.keys.galois) < len(per_diagonal_steps(compiled)) // 3
 
 
 class TestResnetOpCounts:
@@ -314,8 +318,7 @@ class TestResnetOpCounts:
             for row in plans:
                 for plan in row:
                     if plan is not None:
-                        assert plan.use_bsgs
-                        assert plan.bsgs_keyswitches < plan.naive_keyswitches
+                        assert plan.n1 < plan.size
 
     def test_every_align_is_exact(self, compiled):
         """No tolerated scale mismatch anywhere in the forward — drift

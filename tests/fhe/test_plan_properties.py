@@ -1,10 +1,10 @@
 """Property tests (hypothesis) for diagonal extraction and BSGS planning.
 
 Pure geometry — no crypto: ``diagonals_of`` must round-trip back to the
-matrix, ``required_rotation_steps`` must name exactly the Galois keys the
-naive path touches, and a ``MatvecPlan`` must cover every nonzero
-diagonal exactly once with its baby/giant factoring while never costing
-more keyswitches than the naive path it replaces.
+matrix, and a ``MatvecPlan`` must cover every nonzero diagonal exactly
+once with its baby/giant factoring while never costing more keyswitches
+than one rotation per nonzero diagonal — the cost of its own ``n1 =
+size`` point, which is the per-diagonal layout itself.
 """
 
 import numpy as np
@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from repro.fhe.linear import (
     MatvecPlan,
-    bsgs_diagonals,
     diagonals_of,
+    grouped_diagonals,
     plan_matvec,
-    required_rotation_steps,
 )
 
 SLOTS = 64
@@ -85,15 +84,6 @@ class TestDiagonalGeometry:
                     vec[b * stride : b * stride + size], base[d][:size]
                 )
 
-    @given(matrices)
-    @settings(max_examples=40, deadline=None)
-    def test_required_steps_are_exactly_nonzero_diagonals(self, w):
-        """The naive key set covers exactly the nonzero diagonal indices."""
-        steps = required_rotation_steps(w, SLOTS)
-        diags = diagonals_of(w, SLOTS)
-        assert sorted(steps) == sorted(d for d in diags if d != 0)
-        assert 0 not in steps
-
 
 class TestPlanProperties:
     @given(diag_sets)
@@ -117,16 +107,13 @@ class TestPlanProperties:
     @settings(max_examples=50, deadline=None)
     def test_key_set_covers_exactly_the_planned_steps(self, size_and_ds):
         """rotation_steps() is precisely what the executor will rotate by:
-        nonzero babies + nonzero giants for BSGS, nonzero diagonals
-        otherwise — nothing missing, nothing unused."""
+        nonzero babies + nonzero giants — nothing missing, nothing
+        unused."""
         size, ds = size_and_ds
         plan = plan_matvec(ds, size)
-        if plan.use_bsgs:
-            used = {int(d) % plan.n1 for d in ds} | {
-                int(d) - int(d) % plan.n1 for d in ds
-            }
-        else:
-            used = {int(d) for d in ds}
+        used = {int(d) % plan.n1 for d in ds} | {
+            int(d) - int(d) % plan.n1 for d in ds
+        }
         assert set(plan.rotation_steps()) == used - {0}
         assert plan.keyswitches == len(used - {0})
 
@@ -135,21 +122,42 @@ class TestPlanProperties:
     def test_plan_never_costs_more_than_naive(self, size_and_ds):
         size, ds = size_and_ds
         plan = plan_matvec(ds, size)
-        assert plan.keyswitches <= plan.naive_keyswitches
-        if plan.use_bsgs:
-            assert plan.bsgs_keyswitches < plan.naive_keyswitches
+        assert plan.keyswitches <= np.count_nonzero(ds)
         assert 1 <= plan.n1 <= size
         assert plan.n1 * plan.n2 >= len(ds)  # the grid covers every diagonal
+
+    @given(diag_sets)
+    @settings(max_examples=50, deadline=None)
+    def test_n1_equals_size_is_per_diagonal_layout(self, size_and_ds):
+        """One formula: a plan never costs more keyswitches than one per
+        nonzero diagonal, ties exactly when it lands on ``n1 = size``,
+        and there it *is* the per-diagonal layout — one giant-step-0
+        group holding every diagonal as it came, rotated by its own
+        index."""
+        size, ds = size_and_ds
+        plan = plan_matvec(ds, size)
+        nonzero = sorted(int(d) for d in ds if d)
+        assert plan.keyswitches <= len(nonzero)
+        assert (plan.keyswitches == len(nonzero)) == (plan.n1 == size)
+        if plan.n1 == size:
+            diags = {int(d): np.full(4, float(d) + 1.0) for d in ds}
+            groups = grouped_diagonals(diags, plan)
+            assert list(groups) == [0]
+            assert list(groups[0]) == list(diags)
+            for d, vec in diags.items():
+                np.testing.assert_array_equal(groups[0][d], vec)
+            assert plan.rotation_steps() == tuple(nonzero)
 
     @given(matrices)
     @settings(max_examples=30, deadline=None)
     def test_groups_are_rolled_diagonals(self, w):
-        """bsgs_diagonals: rolling each group entry back by its giant step
-        recovers the original diagonal, and the grouping is a bijection."""
+        """grouped_diagonals: rolling each group entry back by its giant
+        step recovers the original diagonal, and the grouping is a
+        bijection."""
         size = max(w.shape)
         diags = diagonals_of(w, SLOTS)
         plan = plan_matvec(diags.keys(), size)
-        groups = bsgs_diagonals(diags, plan)
+        groups = grouped_diagonals(diags, plan)
         covered = []
         for g, inner in groups.items():
             for b, vec in inner.items():
@@ -172,5 +180,5 @@ class TestPlanProperties:
         optimum lives there, so cost stays ~2√D."""
         size = 512
         plan = plan_matvec(range(size), size)
-        assert plan.use_bsgs
-        assert plan.bsgs_keyswitches <= 2 * int(np.sqrt(size)) + 2
+        assert plan.n1 < size
+        assert plan.keyswitches <= 2 * int(np.sqrt(size)) + 2

@@ -35,11 +35,7 @@ from repro.fhe.ir import (
     ResidualTapNode,
 )
 from repro.fhe.latency import cost_from_counts
-from repro.fhe.linear import (
-    encrypted_matvec_bsgs,
-    grouped_diagonals,
-    shard_hoist_steps,
-)
+from repro.fhe.linear import grouped_diagonals, shard_hoist_steps
 from repro.fhe.lower import lower
 from repro.fhe.network import EncryptedNetwork, compile_network
 from repro.fhe.packing import GridLayout, MultiGridLayout
@@ -70,13 +66,13 @@ def _shared_giant_rotations(grid) -> int:
     """Standalone rotations one matvec plan grid executes: per output
     shard, the union of its live blocks' nonzero giant steps — a step
     several input shards share rotates once, on their summed inner
-    products (naive-planned blocks are the giant-0 group: none)."""
+    products (``n1 = size`` blocks are the giant-0 group: none)."""
     return sum(
         len(
             {
                 g
                 for plan in row
-                if plan is not None and plan.use_bsgs
+                if plan is not None
                 for g in plan.giant_steps
                 if g
             }
@@ -215,14 +211,15 @@ class TestShardedConvLowering:
             )
 
     def test_grouped_diagonals_cover_both_plan_kinds(self):
-        """Naive-planned blocks regroup as one giant-step-0 group whose
-        hoist steps are exactly the nonzero diagonal indices."""
+        """Blocks planned at ``n1 = size`` regroup as one giant-step-0
+        group whose hoist steps are exactly the nonzero diagonal
+        indices."""
         from repro.fhe.linear import diagonals_of, plan_matvec
 
-        w = np.eye(6) + np.diag(np.ones(5), 1)  # 2 diagonals: naive wins
+        w = np.eye(6) + np.diag(np.ones(5), 1)  # 2 diagonals: no factoring helps
         diags = diagonals_of(w, 32)
         plan = plan_matvec(diags.keys(), 6)
-        assert not plan.use_bsgs
+        assert plan.n1 == 6
         groups = grouped_diagonals(diags, plan)
         assert set(groups) == {0}
         assert shard_hoist_steps([[groups]], 0) == [1]
@@ -250,10 +247,9 @@ class TestLevelAlignment:
         size = 8
         layers = [MatvecNode(blocks=[[np.eye(size)]])]
         layers.append(ResidualTapNode())
-        tap = len(layers) - 1
         for _ in range(gap):
             layers.append(_eater())
-        layers.append(MergeNode(tap=tap))
+        layers.append(MergeNode())
         enc = EncryptedNetwork(Graph(layers, size=size), MINI_PARAMS)
         x = np.random.default_rng(gap).normal(size=size)
         out = enc.forward_shards(enc.encrypt_batch_shards([x]))
@@ -270,10 +266,9 @@ class TestLevelAlignment:
         blocks = [[eye, None], [None, eye]]
         layers = [MatvecNode(blocks=[row[:] for row in blocks])]
         layers.append(ResidualTapNode())
-        tap = len(layers) - 1
         for _ in range(gap):
             layers.append(_eater())
-        layers.append(MergeNode(tap=tap))
+        layers.append(MergeNode())
         enc = EncryptedNetwork(_two_shard_graph(layers, size), MINI_PARAMS)
         rng = np.random.default_rng(gap)
         x = rng.normal(size=2 * size)
@@ -283,9 +278,11 @@ class TestLevelAlignment:
         )
         np.testing.assert_allclose(got, 2 * x, atol=1e-3)
 
-    def test_2x2_grid_sums_inner_products_across_shards(self, giant_set_blocks):
+    def test_2x2_grid_sums_inner_products_across_shards(
+        self, giant_set_blocks, planned_matvec
+    ):
         """A row whose blocks plan different giant sets ({0,4} beside
-        {4,6}) and a row of a naive-planned and a ``None`` block, on a
+        {4,6}) and a row of an ``n1 = size`` and a ``None`` block, on a
         full SIMD batch: every block reaches its output shard, and each
         shared giant step is rotated once."""
         gs = giant_set_blocks
@@ -315,7 +312,7 @@ class TestLevelAlignment:
                 groups = enc.matvec_groups[0][j][i]
                 if groups is None:
                     continue
-                part = encrypted_matvec_bsgs(enc.ev, cts[i], groups=groups)
+                part = planned_matvec(enc.ev, cts[i], groups=groups)
                 per_block = part if per_block is None else enc.ev.add(per_block, part)
             np.testing.assert_allclose(
                 got - biases[j],
@@ -330,7 +327,7 @@ class TestLevelAlignment:
         layers = [
             MatvecNode(blocks=[[np.eye(size)]]),
             ResidualTapNode(),
-            MergeNode(blocks=[[np.eye(size)]], tap=1),
+            MergeNode(blocks=[[np.eye(size)]]),
         ]
         with pytest.raises(ValueError, match="projection skip needs"):
             Graph(layers, size=size)
@@ -343,6 +340,28 @@ class TestLevelAlignment:
         with pytest.raises(ValueError, match="no nonzero block"):
             EncryptedNetwork(Graph(layers, size=4), MINI_PARAMS)
 
+    def test_bias_shard_count_must_match_output_shards(self):
+        """One bias per output shard, checked at compile: too few used to
+        compile and then raise a bare ``IndexError`` mid-forward, too
+        many were silently dropped.  Matvec and merge projection alike."""
+        eye, bias = np.eye(4), np.ones(4)
+        bad = [
+            [MatvecNode(blocks=[[eye], [eye]], bias_shards=[bias])],
+            [MatvecNode(blocks=[[eye]], bias_shards=[bias, bias])],
+        ]
+        for layers in bad:
+            with pytest.raises(ValueError, match="layer 0: .* bias shard"):
+                EncryptedNetwork(Graph(layers, size=4), MINI_PARAMS)
+        grid = [[eye, None], [None, eye]]
+        layers = [
+            MatvecNode(blocks=grid),
+            ResidualTapNode(),
+            _eater(),
+            MergeNode(blocks=grid, bias_shards=[bias]),
+        ]
+        with pytest.raises(ValueError, match="layer 3: 1 bias shard"):
+            EncryptedNetwork(_two_shard_graph(layers, 4), MINI_PARAMS)
+
     def test_unbalanced_taps_rejected(self):
         size = 4
         layers = [
@@ -352,7 +371,7 @@ class TestLevelAlignment:
         with pytest.raises(ValueError, match="never merged"):
             Graph(layers, size=size)
         with pytest.raises(ValueError, match="no open residual tap"):
-            Graph([layers[0], MergeNode(tap=0)], size=size)
+            Graph([layers[0], MergeNode()], size=size)
 
 
 def _trained_block_net(stride: int, ch_out: int, seed: int = 3):
@@ -414,11 +433,13 @@ class TestEncryptedBasicBlock:
         model, _ = _trained_block_net(stride=2, ch_out=4)
         graph = lower(model, _policy())
         levels = graph.input_levels(BLOCK_PARAMS.depth)
+        (tap_idx,) = [
+            i for i, n in enumerate(graph.nodes) if isinstance(n, ResidualTapNode)
+        ]
         (merge_idx,) = [
             i for i, n in enumerate(graph.nodes) if isinstance(n, MergeNode)
         ]
-        tap_idx = graph.nodes[merge_idx].tap
-        assert isinstance(graph.nodes[tap_idx], ResidualTapNode)
+        assert tap_idx < merge_idx
         # the skip branch is read at the tap's level, 8 levels above the
         # main branch (conv + PAF + conv)
         assert levels[tap_idx] - levels[merge_idx] == 8
@@ -516,7 +537,7 @@ class TestShardedCostModel:
             for grid in enc.matvec_plans.values()
             for row in grid
             for plan in row
-            if plan is not None and plan.use_bsgs
+            if plan is not None
         )
         assert shared < per_block  # the grids here do share giant steps
 
@@ -533,7 +554,7 @@ class TestShardedCostModel:
             proj = [[w, None], [None, w]]
         layers = [MatvecNode(blocks=[[eye, None], [None, eye]]), ResidualTapNode()]
         layers += [_eater() for _ in range(gap)]
-        layers.append(MergeNode(blocks=proj, tap=1))
+        layers.append(MergeNode(blocks=proj))
         enc = EncryptedNetwork(_two_shard_graph(layers, size), MINI_PARAMS)
         ops = []
         for ev in (ShadowEvaluator(enc.ctx), CkksEvaluator(enc.ctx, enc.keys)):
@@ -642,19 +663,11 @@ class TestToyResnetEndToEnd:
         depth_needed = enc.graph.validate()
         assert enc.ctx.max_level - out[0].level == depth_needed == 31
 
-    def test_galois_keys_cover_forward(self, toy_resnet):
+    def test_galois_keys_cover_forward(self, toy_resnet, per_diagonal_steps):
         """The compiled key set suffices (no KeyError in the fixture's
-        forwards) and stays far below one key per naive diagonal."""
+        forwards) and stays far below one key per nonzero diagonal."""
         _, enc = toy_resnet
-        naive_steps = {
-            d
-            for plans in enc.matvec_plans.values()
-            for row in plans
-            for p in row
-            if p is not None
-            for d in p.diag_steps
-        }
-        assert len(enc.keys.galois) < len(naive_steps)
+        assert len(enc.keys.galois) < len(per_diagonal_steps(enc))
 
     def test_key_material_is_one_small_tensor_pair_per_family(self, toy_resnet):
         """Every family is one level-independent ``(key_b, key_a)`` pair
