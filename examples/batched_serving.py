@@ -2,9 +2,9 @@
 
 Trains the same tiny PAF-MLP as ``private_inference.py``, then serves a
 burst of client requests through ``repro.serve``: requests are packed
-into disjoint SIMD slot blocks of a single ciphertext, the artifact's
-plaintext memo eliminates steady-state plaintext encoding, and the
-metrics report throughput and latency.
+into disjoint SIMD slot blocks of a single ciphertext, the network's
+compiled (and, once warmed, NTT-form) plaintexts eliminate steady-state
+plaintext encoding, and the metrics report throughput and latency.
 
 Run:  python examples/batched_serving.py
 """
@@ -18,7 +18,7 @@ from repro.data.synthetic import Dataset, make_pattern_dataset
 from repro.fhe import compile_network
 from repro.nn.models import mlp
 from repro.paf import get_paf
-from repro.serve import InferenceServer, ModelArtifact
+from repro.serve import InferenceServer
 
 
 def main() -> None:
@@ -35,14 +35,14 @@ def main() -> None:
     )
     runner.fit(model, ds)
 
-    print("compiling + building serving artifact ...")
+    print("compiling ...")
     enc = compile_network(model, CkksParams(n=2048, scale_bits=25, depth=9))
     print(
         f"  SIMD capacity: {enc.max_batch} requests/ciphertext "
         f"({enc.ctx.slots} slots / {enc.block_stride} per request)"
     )
-    artifact = ModelArtifact(enc).warm()
-    print(f"  plaintext memo warmed: {artifact.stats()['entries']} plaintexts")
+    enc.warm()  # what the server does too: both runs below read NTT-form plaintexts
+    print(f"  plaintexts encoded at compile, warmed: {len(enc.plaintexts)}")
 
     n_req = min(8, enc.max_batch)
 
@@ -55,7 +55,7 @@ def main() -> None:
 
     # batched server
     with InferenceServer(
-        artifact, num_classes=4, max_batch_size=n_req, max_wait_ms=50
+        enc, num_classes=4, max_batch_size=n_req, max_wait_ms=50
     ) as srv:
         t0 = time.perf_counter()
         results = srv.predict_many(x_val[:n_req])

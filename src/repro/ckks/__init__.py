@@ -24,7 +24,7 @@ from repro.ckks.backend import (
     resolve_backend,
 )
 from repro.ckks.context import CkksContext, CkksParams
-from repro.ckks.encoder import CkksEncoder, Plaintext
+from repro.ckks.encoder import CkksEncoder, Plaintext, PlaintextStore
 from repro.ckks.evaluator import Ciphertext, CkksEvaluator
 from repro.ckks.keys import KeyChain, keygen
 from repro.ckks.ntt import NttPlan
@@ -58,6 +58,7 @@ __all__ = [
     "CkksContext",
     "CkksEncoder",
     "Plaintext",
+    "PlaintextStore",
     "Ciphertext",
     "CkksEvaluator",
     "KeyChain",

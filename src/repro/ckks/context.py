@@ -105,16 +105,6 @@ class CkksParams:
             dnum=30,
         )
 
-    @staticmethod
-    def latency_grade(depth: int = 12) -> "CkksParams":
-        """Mid-size context for the latency benchmarks (Fig. 1 / Tab. 4)."""
-        return CkksParams(n=8192, scale_bits=25, depth=depth)
-
-    @staticmethod
-    def test_grade(depth: int = 6, n: int = 1024) -> "CkksParams":
-        """Small fast context for unit tests."""
-        return CkksParams(n=n, scale_bits=25, depth=depth)
-
 
 class CkksContext:
     """Precomputed modulus chain, NTT plans and RNS constants."""
@@ -218,10 +208,6 @@ class CkksContext:
         scale drift against it.
         """
         return self._canonical_scales[level]
-
-    def primes_at_level(self, level: int) -> list:
-        """Chain primes active at ``level`` (q_0..q_level)."""
-        return self.q_chain[: level + 1]
 
     def rescale_inverses(self, level: int) -> np.ndarray:
         """q_level^{-1} mod q_j for j < level."""

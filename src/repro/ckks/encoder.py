@@ -15,13 +15,14 @@ tracked scale.  Both are chunked matrix products to bound memory at large N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from threading import Lock
 
 import numpy as np
 
 from repro.ckks.context import CkksContext
 from repro.ckks.rns import RnsPoly, crt_compose_centered
 
-__all__ = ["Plaintext", "CkksEncoder"]
+__all__ = ["Plaintext", "CkksEncoder", "PlaintextStore"]
 
 
 @dataclass
@@ -108,14 +109,20 @@ class CkksEncoder:
 
     # ------------------------------------------------------------------
     def encode(self, values, level: int, scale: float | None = None) -> Plaintext:
-        """Encode a slot vector (or scalar broadcast) at a chain level.
+        """Encode a slot vector (or scalar broadcast) at a chain level:
+        :meth:`lift` of :meth:`round`."""
+        scale = float(scale if scale is not None else self.ctx.scale)
+        return self.lift(self.round(values, scale), level, scale)
+
+    def round(self, values, scale: float) -> np.ndarray:
+        """The plaintext polynomial's integer coefficients
+        ``round(scale·σ⁻¹(values))`` — int64, or Python ints (an object
+        array) once one reaches 2^62.
 
         Complex slot vectors (the refresh CtS/StC diagonals) embed as they
         are — a real coefficient vector evaluating to any complex slot
         assignment always exists; everything else is coerced to float64.
         """
-        scale = float(scale if scale is not None else self.ctx.scale)
-        prime_indices = list(range(level + 1))
         values = np.asarray(values)
         if not np.iscomplexobj(values):
             values = values.astype(np.float64, copy=False)
@@ -127,14 +134,18 @@ class CkksEncoder:
             coeffs = self.embed(values) * scale
         rounded = np.round(coeffs)
         if np.max(np.abs(rounded)) < 2**62:
-            poly = RnsPoly.from_small_coeffs(
-                self.ctx, rounded.astype(np.int64), prime_indices
-            )
-        else:  # pragma: no cover - huge scales
-            poly = RnsPoly.from_int_coeffs(
-                self.ctx, np.array([int(c) for c in rounded], dtype=object), prime_indices
-            )
-        return Plaintext(poly=poly.to_ntt(), scale=scale)
+            return rounded.astype(np.int64)
+        return np.array([int(c) for c in rounded], dtype=object)  # pragma: no cover
+
+    def lift(self, coeffs: np.ndarray, level: int, scale: float) -> Plaintext:
+        """The NTT-form plaintext of :meth:`round`'s coefficients over the
+        chain primes ``q_0..q_level``."""
+        prime_indices = list(range(level + 1))
+        if coeffs.dtype == object:  # pragma: no cover - huge scales
+            poly = RnsPoly.from_int_coeffs(self.ctx, coeffs, prime_indices)
+        else:
+            poly = RnsPoly.from_small_coeffs(self.ctx, coeffs, prime_indices)
+        return Plaintext(poly=poly.to_ntt(), scale=float(scale))
 
     def decode(self, poly: RnsPoly, scale: float, num_values: int | None = None) -> np.ndarray:
         """Decode an RNS plaintext back to (real) slot values."""
@@ -144,3 +155,72 @@ class CkksEncoder:
         if num_values is not None:
             slots = slots[:num_values]
         return slots
+
+
+class PlaintextStore:
+    """The plaintexts of a compiled network's constants, encoded once.
+
+    :class:`repro.fhe.network.EncryptedNetwork` fills it at compile with
+    one shadow forward (:meth:`add` for every raw value the executor
+    hands the evaluator, at the ``(level, scale)`` a real forward meets
+    it), and every evaluator resolves raw values through :meth:`encode`.
+    An entry keeps :meth:`CkksEncoder.round`'s integer coefficients
+    (``n`` int64s), so a hit pays only :meth:`CkksEncoder.lift` — no
+    embedding, no rounding; :meth:`warm` swaps every entry for its lift,
+    which a hit then returns as is.  Either way a hit is byte-identical
+    to :meth:`CkksEncoder.encode`; a miss *is* that encode and inserts
+    nothing, so request data never enters the store.
+
+    Keys are the value's dtype, shape and bytes plus the exact level and
+    scale — never a cast, so complex values differing in their imaginary
+    part, or a scalar and a one-slot vector, are different entries.
+    Lookups are thread-safe (the entries only change in :meth:`warm`,
+    by one swap of the whole table).
+    """
+
+    def __init__(self, encoder: CkksEncoder):
+        self.encoder = encoder
+        self._entries: dict = {}
+        self._lock = Lock()
+        self.hits = 0
+        self.misses = 0
+
+    @staticmethod
+    def _key(values, level: int, scale: float) -> tuple:
+        arr = np.asarray(values)
+        return (arr.dtype.str, arr.shape, arr.tobytes(), level, float(scale))
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add(self, values, level: int, scale: float) -> None:
+        """Encode ``values`` for ``(level, scale)`` unless already held."""
+        key = self._key(values, level, scale)
+        if key not in self._entries:
+            self._entries[key] = self.encoder.round(values, float(scale))
+
+    def encode(self, values, level: int, scale: float) -> Plaintext:
+        """The plaintext of ``values`` at ``(level, scale)``: held, or
+        encoded fresh."""
+        entry = self._entries.get(self._key(values, level, scale))
+        with self._lock:
+            if entry is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        if entry is None:
+            return self.encoder.encode(values, level, scale)
+        if isinstance(entry, Plaintext):
+            return entry
+        return self.encoder.lift(entry, level, scale)
+
+    def warm(self) -> None:
+        """Hold every entry in NTT form — what a server reads its steady
+        state from; the coefficients a bare network keeps are
+        ``1/(level+1)`` of those bytes."""
+        self._entries = {
+            key: entry
+            if isinstance(entry, Plaintext)
+            else self.encoder.lift(entry, key[-2], key[-1])
+            for key, entry in self._entries.items()
+        }

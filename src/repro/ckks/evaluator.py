@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ckks.context import CkksContext
-from repro.ckks.encoder import CkksEncoder, Plaintext
+from repro.ckks.encoder import CkksEncoder, Plaintext, PlaintextStore
 from repro.ckks.keys import KeyChain, _sample_error, _sample_ternary
 from repro.ckks.rns import RnsPoly
 
@@ -52,6 +52,10 @@ class CkksEvaluator:
         self.ctx = ctx
         self.keys = keys
         self.encoder = CkksEncoder(ctx)
+        #: where raw constants resolve (empty here: every one encodes
+        #: fresh); :meth:`repro.fhe.network.EncryptedNetwork.evaluator`
+        #: hands its evaluators the network's compiled store
+        self.plaintexts = PlaintextStore(self.encoder)
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -60,7 +64,7 @@ class CkksEvaluator:
     def encrypt(self, values, level: int | None = None, scale: float | None = None) -> Ciphertext:
         """Encrypt a slot vector (public-key encryption)."""
         level = self.ctx.max_level if level is None else level
-        pt = self._encode_payload(values, level, scale)
+        pt = self.encoder.encode(values, level, scale)
         chain = list(range(level + 1))
         n = self.ctx.n
         std = self.ctx.params.error_std
@@ -72,17 +76,6 @@ class CkksEvaluator:
         c0 = pk_b * u + e0 + pt.poly
         c1 = pk_a * u + e1
         return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=level)
-
-    def _encode_payload(self, values, level: int, scale: float | None) -> Plaintext:
-        """Encode request data (``encrypt``, recrypt's re-entry).
-
-        Payloads are one-shot: a memoising encoder (the plaintext memo of
-        :class:`repro.serve.artifact.PlaintextCache`) is bypassed through
-        its ``encode_fresh``, so request data never enters — or evicts —
-        the model's constants.
-        """
-        encode = getattr(self.encoder, "encode_fresh", self.encoder.encode)
-        return encode(values, level, scale)
 
     def decrypt(self, ct: Ciphertext, num_values: int | None = None) -> np.ndarray:
         """Decrypt to (real) slot values."""
@@ -115,12 +108,14 @@ class CkksEvaluator:
         return Ciphertext(-a.c0, -a.c1, a.scale, a.level)
 
     def _as_plaintext(self, value, level: int, scale: float) -> Plaintext:
-        """Encode ``value``, or validate an already-encoded :class:`Plaintext`.
+        """Resolve ``value`` through :attr:`plaintexts`, or validate an
+        already-encoded :class:`Plaintext`.
 
-        Precomputed plaintexts (e.g. the refresh plans' CtS/StC diagonals
-        from ``repro.ckks.bootstrap``) must live at the ciphertext's chain
-        level; the scale is the caller's business (checked where addition
-        requires agreement).
+        Request payloads never come here (``encrypt`` and recrypt's
+        re-entry call the encoder).  Precomputed plaintexts (e.g. the
+        refresh plans' CtS/StC diagonals from ``repro.ckks.bootstrap``)
+        must live at the ciphertext's chain level; the scale is the
+        caller's business (checked where addition requires agreement).
         """
         if isinstance(value, Plaintext):
             if value.poly.data.shape[0] != level + 1:
@@ -129,7 +124,7 @@ class CkksEvaluator:
                     f"levels, ciphertext at level {level}"
                 )
             return value
-        return self.encoder.encode(value, level, scale)
+        return self.plaintexts.encode(value, level, scale)
 
     def add_plain(self, a: Ciphertext, value) -> Ciphertext:
         """Add a scalar / slot vector / pre-encoded :class:`Plaintext`.
@@ -246,7 +241,7 @@ class CkksEvaluator:
     # ------------------------------------------------------------------
     def _trivial_encrypt(self, values, level: int, scale: float) -> Ciphertext:
         """Noiseless encryption ``(encode(values), 0)`` — recrypt's re-entry."""
-        pt = self._encode_payload(values, level, scale)
+        pt = self.encoder.encode(values, level, scale)
         zero = RnsPoly.zero(self.ctx, list(range(level + 1)), is_ntt=True)
         return Ciphertext(pt.poly, zero, scale, level)
 
@@ -468,12 +463,3 @@ class CkksEvaluator:
             c0g = RnsPoly(self.ctx, c0.data[:, perm], c0.prime_indices, is_ntt=True)
             out.append(Ciphertext(c0g + ks0, ks1, a.scale, a.level))
         return out
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def noise_budget_estimate(self, ct: Ciphertext, reference: np.ndarray) -> float:
-        """log2 of the max absolute slot error vs a known reference."""
-        got = self.decrypt(ct, num_values=len(np.ravel(reference)))
-        err = float(np.max(np.abs(got - np.ravel(reference))))
-        return float(np.log2(max(err, 1e-300)))

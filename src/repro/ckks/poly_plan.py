@@ -189,8 +189,8 @@ class PolyPlan:
         leaf at ``(target_level, target_scale)`` on the canonical scale of
         its level with no drift correction.  The coordinates depend only
         on the plan and the input's ``(level, scale)``: a fixed network
-        encodes each coefficient at one key, which the serving artifact's
-        plaintext memo holds.
+        encodes each coefficient at one key, which the compiled network's
+        plaintext store holds.
         """
         sched = _canonical_schedule(q_chain, level, scale, self.mult_depth)
         out = {}

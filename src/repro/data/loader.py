@@ -46,10 +46,6 @@ class DataLoader:
     def __len__(self) -> int:
         return (len(self.x) + self.batch_size - 1) // self.batch_size
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.x)
-
     def _augment_batch(self, xb: np.ndarray) -> np.ndarray:
         n = len(xb)
         out = xb.copy()

@@ -412,8 +412,8 @@ class CompilePolicy:
     """Everything a compile decides beyond the model and the CKKS params.
 
     The single policy object accepted by :func:`repro.fhe.lower.lower`
-    and :func:`repro.fhe.network.compile_network` (serving wraps the
-    result: ``ModelArtifact(compile_network(model, params, policy=...))``):
+    and :func:`repro.fhe.network.compile_network` (a server takes the
+    result: ``InferenceServer(compile_network(model, params, policy=...))``):
     packing geometry (``input_shape`` / ``num_shards``), ``seed`` and
     the refresh policy that decides how a model deeper than the prime
     chain still compiles (``docs/bootstrapping.md``):

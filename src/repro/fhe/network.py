@@ -48,8 +48,10 @@ import numpy as np
 from repro.ckks import (
     Ciphertext,
     CkksContext,
+    CkksEncoder,
     CkksEvaluator,
     CkksParams,
+    PlaintextStore,
     ShadowEvaluator,
     eval_paf_relu,
     eval_poly,
@@ -104,6 +106,11 @@ class EncryptedNetwork:
     in) or one assembled by hand from IR nodes — under a
     :class:`~repro.fhe.ir.CompilePolicy`, which supplies the refresh
     placement and the keygen ``seed``.
+
+    The network owns its plaintexts: compile encodes every constant a
+    forward meets once, into :attr:`plaintexts`, and every evaluator
+    built by :meth:`evaluator` (its own :attr:`ev`, a server's workers,
+    a tenant's) reads them from there.
     """
 
     def __init__(
@@ -150,8 +157,7 @@ class EncryptedNetwork:
         self.max_batch = self.layout.max_batch
         # Diagonals / biases are tiled across *all* blocks once; a partial
         # batch leaves trailing blocks at zero input, which just compute
-        # f(0) in-range — so every batch size shares these plaintexts (and,
-        # downstream, the serve artifact's plaintext memo).
+        # f(0) in-range — so every batch size shares these plaintexts.
         #: per linear / merge-projection node: the ``K_out × K_in`` grid
         #: of :class:`~repro.fhe.linear.MatvecPlan` (``None`` = all-zero
         #: block; a single-ciphertext layer is the ``1 × 1`` grid)
@@ -193,8 +199,35 @@ class EncryptedNetwork:
         if self._needs_conj:
             # evalmod refreshes separate conjugate halves homomorphically
             galois = galois + ("conj",)
+        #: every constant of a forward, encoded once (filled just below)
+        self.plaintexts = PlaintextStore(CkksEncoder(self.ctx))
+        shadow = ShadowEvaluator(self.ctx)
+        shadow.plaintexts = self.plaintexts
+        self.forward_shards(
+            [shadow.encrypt(None) for _ in range(self.num_input_shards)], ev=shadow
+        )
         self.keys = keygen(self.ctx, seed=self.policy.seed, galois_steps=galois)
-        self.ev = CkksEvaluator(self.ctx, self.keys)
+        self.ev = self.evaluator(self.keys)
+
+    def evaluator(self, keys, seed: int | None = 1) -> CkksEvaluator:
+        """A new evaluator over ``keys`` (the network's own, or a
+        tenant's) that reads this network's :attr:`plaintexts` and
+        shares its encoder — plaintexts are key-independent, so every
+        evaluator of one network reads the same ones."""
+        ev = CkksEvaluator(self.ctx, keys, seed=seed)
+        ev.encoder = self.plaintexts.encoder
+        ev.plaintexts = self.plaintexts
+        return ev
+
+    def warm(self) -> "EncryptedNetwork":
+        """Hold every plaintext in NTT form, so a forward lifts none.
+
+        What a server does with each network it serves; a bare network
+        keeps the coefficients (``1/(level+1)`` of the bytes) and pays
+        one RNS lift and NTT per plaintext use.
+        """
+        self.plaintexts.warm()
+        return self
 
     # ------------------------------------------------------------------
     # refresh placement
@@ -448,11 +481,10 @@ class EncryptedNetwork:
         Every plaintext reaches the evaluator the same way: the handlers
         hand the compiled *raw* values (grouped diagonals, biases, masks,
         PAF coefficients) to ``ev.mul_plain`` / ``ev.add_plain`` and the
-        evaluator's encoder encodes them on the fly — or finds them in
-        the memo a :class:`repro.serve.artifact.ModelArtifact` installed
-        there.  ``ev`` overrides the evaluator (worker pools run one
-        evaluator per thread against the shared keys; ``op_counts`` and
-        the artifact's ``warm`` pass a shadow).
+        evaluator resolves them through its ``plaintexts`` — the store
+        compile filled, for every evaluator :meth:`evaluator` builds.
+        ``ev`` overrides the evaluator (worker pools run one evaluator
+        per thread; compile and ``op_counts`` pass a shadow).
         """
         ev = ev or self.ev
         cts = list(cts)

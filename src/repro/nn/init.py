@@ -1,39 +1,24 @@
-"""Weight initialisation (Kaiming / Xavier)."""
+"""Weight initialisation (Kaiming)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_normal", "kaiming_uniform", "xavier_uniform", "zeros", "ones"]
+__all__ = ["kaiming_normal", "zeros", "ones"]
 
 
-def _fan_in_out(shape: tuple) -> tuple:
+def _fan_in(shape: tuple) -> int:
     if len(shape) == 2:  # linear (out, in)
-        fan_in, fan_out = shape[1], shape[0]
-    elif len(shape) == 4:  # conv (oc, ic, kh, kw)
-        receptive = shape[2] * shape[3]
-        fan_in, fan_out = shape[1] * receptive, shape[0] * receptive
-    else:
-        raise ValueError(f"unsupported weight shape {shape}")
-    return fan_in, fan_out
+        return shape[1]
+    if len(shape) == 4:  # conv (oc, ic, kh, kw)
+        return shape[1] * shape[2] * shape[3]
+    raise ValueError(f"unsupported weight shape {shape}")
 
 
 def kaiming_normal(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """He initialisation for ReLU networks: N(0, sqrt(2/fan_in))."""
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def kaiming_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    fan_in, _ = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def zeros(shape: tuple) -> np.ndarray:

@@ -49,10 +49,6 @@ class Optimizer:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for g in self.groups for p in g["params"])
-
 
 class SGD(Optimizer):
     """SGD with optional momentum and decoupled weight decay."""

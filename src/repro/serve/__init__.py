@@ -14,12 +14,13 @@ SIMD request packing (:mod:`repro.fhe.packing`)
     evaluations as a single request — then serves the whole batch, and
     per-client logits are demultiplexed on decrypt.
 
-Plaintext memo (:mod:`repro.serve.artifact`)
+Compiled plaintexts (:meth:`repro.fhe.network.EncryptedNetwork.warm`)
     The weights never change and a fixed network meets each constant at
-    one deterministic ``(level, scale)``, so the artifact installs one
-    memoising encoder on the model's evaluator and fills it with a
-    shadow forward — every diagonal, bias, mask and PAF constant is
-    encoded once: steady-state requests perform zero plaintext encoding.
+    one deterministic ``(level, scale)``, so the compiled network encodes
+    every diagonal, bias, mask and PAF constant once and every evaluator
+    reads them; the server warms each network it serves (plaintexts held
+    in NTT form), so steady-state requests perform zero plaintext
+    encoding.
 
 Admission + workers (:mod:`repro.serve.queue`)
     Requests accumulate per ``(model, client)`` group until that group's
@@ -33,7 +34,7 @@ Tenant keys (:mod:`repro.serve.keys`)
     :class:`ClientKeyRegistry` derives one CKKS key chain per client and
     generates each client's Galois keys *once* per rotation element
     across all hosted models (shared-step dedup) — two tenants never
-    share secrets, yet share the key-independent plaintext memo.
+    share secrets, yet read the same key-independent plaintexts.
 
 Fault injection (:mod:`repro.serve.faults`)
     :class:`FaultInjector` deterministically scripts worker crashes,
@@ -51,10 +52,10 @@ Facade + metrics (:mod:`repro.serve.server`, :mod:`repro.serve.metrics`)
 Quickstart::
 
     from repro.fhe import compile_network
-    from repro.serve import InferenceServer, ModelArtifact
+    from repro.serve import InferenceServer
 
-    artifact = ModelArtifact(compile_network(paf_model, params))
-    with InferenceServer(artifact, num_classes=10, max_wait_ms=5) as srv:
+    net = compile_network(paf_model, params)
+    with InferenceServer(net, num_classes=10, max_wait_ms=5) as srv:
         results = srv.predict_many(client_inputs)
     print(srv.metrics.format())
 
@@ -62,7 +63,7 @@ See the ``serve_mixed_open`` workload of ``benchmarks/ladder`` for the
 measured latency, capacity and batch fill of a two-tenant server.
 """
 
-from repro.serve.artifact import ModelArtifact, PlaintextCache
+from repro.serve.artifact import ModelArtifact
 from repro.serve.faults import FaultInjector, PoisonedRequestError, WorkerCrashError
 from repro.serve.keys import (
     DEFAULT_CLIENT,
@@ -82,7 +83,6 @@ from repro.serve.queue import (
 from repro.serve.server import InferenceResult, InferenceServer, UnknownModelError
 
 __all__ = [
-    "PlaintextCache",
     "ModelArtifact",
     "BatchQueue",
     "QueueClosed",

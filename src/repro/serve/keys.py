@@ -161,15 +161,10 @@ class ClientKeyRegistry:
             self.galois_reused += len(needed) - generated
 
     def evaluator_for(self, client_id: str, model, seed: int = 1) -> CkksEvaluator:
-        """A fresh evaluator over the client's chain and the model's context.
-
-        Shares the model's encoder — the artifact's plaintext memo when
-        one is installed — so encoded plaintexts, key-independent by
-        construction, are reused across every tenant.
-        """
-        ev = CkksEvaluator(model.ctx, self.chain_for(client_id, model), seed=seed)
-        ev.encoder = model.ev.encoder
-        return ev
+        """A fresh evaluator over the client's chain that reads
+        ``model``'s plaintexts (key-independent, so every tenant shares
+        them)."""
+        return model.evaluator(self.chain_for(client_id, model), seed=seed)
 
     def stats(self) -> dict:
         with self._lock:

@@ -223,15 +223,6 @@ class BatchQueue:
                 )
         return leftovers
 
-    def drain_pending(self) -> list[Request]:
-        """Remove and return everything still queued (shutdown cleanup)."""
-        with self._cv:
-            pending = [req for reqs in self._groups.values() for req in reqs]
-            self._groups.clear()
-            self._count = 0
-            self._cv.notify_all()
-            return pending
-
     @property
     def closed(self) -> bool:
         return self._closed

@@ -4,9 +4,9 @@
 requests are grouped per ``(model, client)`` into SIMD batches
 (:mod:`repro.serve.queue` — two tenants never share a ciphertext),
 packed into disjoint slot blocks, pushed through one encrypted forward
-whose plaintexts come from the artifact's memo (:mod:`repro.serve.artifact`
-— key-independent, so every tenant shares it), and demultiplexed back
-into per-client logits on decrypt.  Client key material comes from a
+whose plaintexts the network encoded at compile (key-independent, so
+every tenant reads the same ones), and demultiplexed back into
+per-client logits on decrypt.  Client key material comes from a
 :class:`~repro.serve.keys.ClientKeyRegistry`; the default tenant uses
 the model's own baked keys, so a single-model single-tenant server works
 exactly as before.
@@ -33,8 +33,8 @@ from threading import Lock
 import numpy as np
 
 from repro.ckks.instrumentation import CountingEvaluator
+from repro.fhe.network import EncryptedNetwork
 from repro.obs import TracingEvaluator
-from repro.serve.artifact import ModelArtifact
 from repro.serve.faults import FaultInjector, PoisonedRequestError, WorkerCrashError
 from repro.serve.keys import (
     DEFAULT_CLIENT,
@@ -76,12 +76,12 @@ class InferenceServer:
     Parameters
     ----------
     model:
-        A :class:`ModelArtifact` —
-        ``ModelArtifact(compile_network(model, params, policy=...))`` —
-        or a ``{name: ModelArtifact}`` dict to serve several models from
-        one worker pool.  The constructor fills every artifact's
-        plaintext memo (:meth:`ModelArtifact.warm` — a shadow forward:
-        no key, no encryption; all hits on a memo already full).
+        A compiled :class:`~repro.fhe.network.EncryptedNetwork` —
+        ``compile_network(model, params, policy=...)`` — or a
+        ``{name: EncryptedNetwork}`` dict to serve several models from
+        one worker pool.  The constructor warms each
+        (:meth:`~repro.fhe.network.EncryptedNetwork.warm`: its
+        plaintexts held in NTT form).
     num_classes:
         Logit count demultiplexed per client — an int (shared) or a
         ``{model_name: int}`` dict.
@@ -92,7 +92,7 @@ class InferenceServer:
         Flush deadline for a partially filled batch.
     num_workers:
         Worker threads; each gets its own evaluator per (model, client)
-        against shared keys (the plaintext memo is shared).
+        against shared keys, reading the model's shared plaintexts.
     max_pending:
         Total admission bound.  A non-blocking submit over it sheds with
         :class:`QueueOverflow`; ``submit(..., block=True)`` waits
@@ -117,7 +117,7 @@ class InferenceServer:
 
     Usage::
 
-        with InferenceServer({"mlp": art_a, "resnet": art_b},
+        with InferenceServer({"mlp": net_a, "resnet": net_b},
                              num_classes={"mlp": 3, "resnet": 3},
                              key_registry=registry) as srv:
             srv.register_client("alice")
@@ -139,33 +139,30 @@ class InferenceServer:
         fault_injector: FaultInjector | None = None,
         integrity_tol: float | None = 0.25,
     ):
-        self.artifacts = dict(model) if isinstance(model, dict) else {DEFAULT_MODEL: model}
-        if not self.artifacts:
+        models = dict(model) if isinstance(model, dict) else {DEFAULT_MODEL: model}
+        if not models:
             raise ValueError("need at least one model to serve")
-        for name, art in self.artifacts.items():
-            if not isinstance(art, ModelArtifact):
+        # a ModelArtifact (the ladder's shell) serves the network it wraps
+        self.networks = {name: getattr(net, "model", net) for name, net in models.items()}
+        for name, net in self.networks.items():
+            if not isinstance(net, EncryptedNetwork):
                 raise TypeError(
-                    f"model {name!r} is a {type(art).__name__}; serve a "
-                    "ModelArtifact(compile_network(model, params, policy=...))"
+                    f"model {name!r} is a {type(net).__name__}; serve "
+                    "compile_network(model, params, policy=...)"
                 )
-        #: back-compat single-model aliases (None when serving several)
-        self.artifact = (
-            next(iter(self.artifacts.values())) if len(self.artifacts) == 1 else None
-        )
-        self.model = self.artifact.model if self.artifact is not None else None
 
         if isinstance(num_classes, dict):
-            missing = set(self.artifacts) - set(num_classes)
+            missing = set(self.networks) - set(num_classes)
             if missing:
                 raise ValueError(f"num_classes missing models: {sorted(missing)}")
-            self._num_classes = {name: int(num_classes[name]) for name in self.artifacts}
+            self._num_classes = {name: int(num_classes[name]) for name in self.networks}
         else:
-            self._num_classes = {name: int(num_classes) for name in self.artifacts}
+            self._num_classes = {name: int(num_classes) for name in self.networks}
         self.num_classes = num_classes
 
         self._capacity: dict[str, int] = {}
-        for name, art in self.artifacts.items():
-            cap = art.model.max_batch
+        for name, net in self.networks.items():
+            cap = net.max_batch
             if max_batch_size is not None:
                 cap = max(1, min(max_batch_size, cap))
             self._capacity[name] = cap
@@ -179,9 +176,8 @@ class InferenceServer:
         # the replica-half guard assumes a linear final layer (the matvec
         # zeroes those slots); models without that invariant opt out
         self._integrity_ok = {
-            name: bool(getattr(art.model, "layers", None))
-            and art.model.layers[-1].kind == "linear"
-            for name, art in self.artifacts.items()
+            name: bool(getattr(net, "layers", None)) and net.layers[-1].kind == "linear"
+            for name, net in self.networks.items()
         }
         self.last_trace: dict | None = None
         self._num_workers = num_workers
@@ -198,8 +194,8 @@ class InferenceServer:
         self._started = False
         self._stopped = False
         self._lifecycle = Lock()
-        for art in self.artifacts.values():
-            art.warm()
+        for net in self.networks.values():
+            net.warm()
 
     # ------------------------------------------------------------------
     # tenants and evaluators
@@ -224,15 +220,15 @@ class InferenceServer:
             ev = self._evaluators.get(key)
         if ev is not None:
             return ev
-        art = self.artifacts[model_name]
+        net = self.networks[model_name]
         if client_id == DEFAULT_CLIENT:
             if worker_index == 0:
-                base = art.model.ev
+                base = net.ev
             else:
-                base = art.fresh_evaluator(seed=1000 + worker_index)
+                base = net.evaluator(net.keys, seed=1000 + worker_index)
         else:
             base = self.key_registry.evaluator_for(
-                client_id, art.model, seed=1000 + worker_index
+                client_id, net, seed=1000 + worker_index
             )
         ev = self._wrap(base)
         with self._ev_lock:
@@ -245,7 +241,7 @@ class InferenceServer:
                 self._mismatch_registry = ClientKeyRegistry()
                 self._mismatch_registry.register("__mismatch__", seed=0xBAD5EED)
         return self._mismatch_registry.evaluator_for(
-            "__mismatch__", self.artifacts[model_name].model
+            "__mismatch__", self.networks[model_name]
         )
 
     # ------------------------------------------------------------------
@@ -282,14 +278,14 @@ class InferenceServer:
     # ------------------------------------------------------------------
     def _model_name(self, model: str | None) -> str:
         if model is None:
-            if len(self.artifacts) == 1:
-                return next(iter(self.artifacts))
+            if len(self.networks) == 1:
+                return next(iter(self.networks))
             raise UnknownModelError(
-                f"server hosts {sorted(self.artifacts)}; submit(..., model=...) required"
+                f"server hosts {sorted(self.networks)}; submit(..., model=...) required"
             )
-        if model not in self.artifacts:
+        if model not in self.networks:
             raise UnknownModelError(
-                f"unknown model {model!r} (hosted: {sorted(self.artifacts)})"
+                f"unknown model {model!r} (hosted: {sorted(self.networks)})"
             )
         return model
 
@@ -314,7 +310,7 @@ class InferenceServer:
         if not self._started:
             raise RuntimeError("server not started (use start() or a with-block)")
         name = self._model_name(model)
-        net = self.artifacts[name].model
+        net = self.networks[name]
         x = np.asarray(x, dtype=np.float64).ravel()
         net.split_input(x)  # raises on a width the packing cannot take
         if not np.all(np.isfinite(x)):
@@ -345,8 +341,7 @@ class InferenceServer:
     @property
     def backend(self) -> str:
         """Name of the kernel backend executing this server's HE ops."""
-        art = self.artifact or next(iter(self.artifacts.values()))
-        return art.model.ctx.backend.name
+        return next(iter(self.networks.values())).ctx.backend.name
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of the serving metrics (counters,
@@ -354,12 +349,12 @@ class InferenceServer:
         series, per-layer latency histograms), plus an info gauge naming
         the active kernel backend per hosted model."""
         lines = ["# TYPE repro_serve_backend_info gauge"]
-        if self.artifact is not None:
+        if len(self.networks) == 1:
             lines.append(f'repro_serve_backend_info{{backend="{self.backend}"}} 1')
         else:
-            for name, art in sorted(self.artifacts.items()):
+            for name, net in sorted(self.networks.items()):
                 lines.append(
-                    f'repro_serve_backend_info{{backend="{art.model.ctx.backend.name}",'
+                    f'repro_serve_backend_info{{backend="{net.ctx.backend.name}",'
                     f'model="{_escape_label(name)}"}} 1'
                 )
         return "\n".join(lines) + "\n" + self.metrics.format_prometheus()
@@ -375,7 +370,7 @@ class InferenceServer:
         tol = self._integrity_tol
         if tol is None or not self._integrity_ok[model_name]:
             return
-        net = self.artifacts[model_name].model
+        net = self.networks[model_name]
         values = ev.decrypt(ct, num_values=2 * net.size)
         guard = np.asarray(values[net.size : 2 * net.size])
         if not np.all(np.isfinite(guard)) or float(np.max(np.abs(guard))) > tol:
@@ -399,8 +394,7 @@ class InferenceServer:
         if not batch:
             return
         model_name, client_id = batch[0].group
-        art = self.artifacts[model_name]
-        net = art.model
+        net = self.networks[model_name]
         directives: set = set()
         if self.faults is not None:
             batch, poisoned = self.faults.split_poisoned(batch)

@@ -1,4 +1,4 @@
-"""Canonical-embedding encoder tests."""
+"""Canonical-embedding encoder tests, and the plaintext store over it."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.context import CkksContext, CkksParams
-from repro.ckks.encoder import CkksEncoder
+from repro.ckks.encoder import CkksEncoder, Plaintext, PlaintextStore
 from repro.ckks.rns import crt_compose_centered
 
 
@@ -77,3 +77,101 @@ class TestEmbedding:
         pt = encoder.encode(value, level=1)
         got = encoder.decode(pt.poly, pt.scale)
         np.testing.assert_allclose(got, value, atol=1e-5)
+
+
+_STORE_CTX = CkksContext(CkksParams(n=64, scale_bits=25, depth=3))
+_SLOTS = _STORE_CTX.slots
+
+_reals = st.lists(
+    st.floats(-4, 4, allow_nan=False), min_size=1, max_size=_SLOTS
+).map(np.array)
+_complexes = st.lists(
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=_SLOTS,
+).map(lambda vals: np.array(vals, dtype=np.complex128))
+_scalars = st.floats(-4, 4, allow_nan=False)
+_levels = st.integers(0, _STORE_CTX.max_level)
+_scales = st.floats(2.0**15, 2.0**35)
+
+
+def _assert_same_plaintext(got, want):
+    assert isinstance(got, Plaintext)
+    assert np.array_equal(got.poly.data, want.poly.data)
+    assert list(got.poly.prime_indices) == list(want.poly.prime_indices)
+    assert got.poly.is_ntt and want.poly.is_ntt
+    assert type(got.scale) is type(want.scale) is float
+    assert got.scale == want.scale
+
+
+class TestPlaintextStore:
+    """A store hit is the encoder's plaintext byte for byte, in either
+    storage form; its key never casts."""
+
+    @given(st.one_of(_reals, _complexes, _scalars), _levels, _scales)
+    @settings(max_examples=40, deadline=None)
+    def test_hit_is_the_fresh_encode_before_and_after_warm(self, values, level, scale):
+        encoder = CkksEncoder(_STORE_CTX)
+        store = PlaintextStore(encoder)
+        store.add(values, level, scale)
+        want = encoder.encode(values, level, scale)
+        _assert_same_plaintext(store.encode(values, level, scale), want)
+        store.warm()
+        _assert_same_plaintext(store.encode(values, level, scale), want)
+        assert (len(store), store.hits, store.misses) == (1, 2, 0)
+
+    @given(_complexes, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_imaginary_part_and_dtype_are_part_of_the_key(self, values, data):
+        """The old memo cast keys to float64, so ``[1+2j, 3]`` and
+        ``[1+5j, 3]`` shared one entry; the store keeps both, and a real
+        vector is not its complex twin."""
+        i = data.draw(st.integers(0, len(values) - 1))
+        other = values.copy()
+        other[i] += 1j
+        real = np.real(values)
+        for pair in ((values, other), (real, real.astype(np.complex128))):
+            store = PlaintextStore(CkksEncoder(_STORE_CTX))
+            for v in pair:
+                store.add(v, 1, 2.0**25)
+            assert len(store) == 2
+            for v in pair:
+                _assert_same_plaintext(
+                    store.encode(v, 1, 2.0**25), store.encoder.encode(v, 1, 2.0**25)
+                )
+
+    def test_scalar_and_one_slot_vector_are_different_entries(self):
+        """A scalar broadcasts to every slot, a one-element vector fills
+        slot 0: the same bytes, two plaintexts."""
+        store = PlaintextStore(CkksEncoder(_STORE_CTX))
+        store.add(0.5, 1, 2.0**25)
+        store.add(np.array([0.5]), 1, 2.0**25)
+        assert len(store) == 2
+
+    def test_key_distinguishes_level_and_scale(self):
+        store = PlaintextStore(CkksEncoder(_STORE_CTX))
+        v = np.ones(4)
+        store.add(v, 1, 2.0**25)
+        store.add(v, 2, 2.0**25)
+        store.add(v, 2, 2.0**24)
+        store.add(v, 2, 2.0**24)
+        assert len(store) == 3
+
+    def test_entries_hold_coefficients_until_warm(self):
+        """``n`` int64 coefficients per entry; :meth:`warm` swaps in the
+        NTT-form plaintext, which every later hit returns as is."""
+        store = PlaintextStore(CkksEncoder(_STORE_CTX))
+        store.add(np.linspace(-1, 1, 8), 2, 2.0**25)
+        (coeffs,) = store._entries.values()
+        assert coeffs.dtype == np.int64 and coeffs.shape == (_STORE_CTX.n,)
+        store.warm()
+        (pt,) = store._entries.values()
+        assert store.encode(np.linspace(-1, 1, 8), 2, 2.0**25) is pt
+
+    def test_miss_encodes_fresh_and_inserts_nothing(self):
+        store = PlaintextStore(CkksEncoder(_STORE_CTX))
+        v = np.arange(4.0)
+        _assert_same_plaintext(
+            store.encode(v, 1, 2.0**25), store.encoder.encode(v, 1, 2.0**25)
+        )
+        assert (len(store), store.hits, store.misses) == (0, 0, 1)

@@ -21,9 +21,15 @@ rungs of ``k - 1``, ``O(degree)`` ciphertext mults — so it can disagree
 with the Paterson–Stockmeyer path in every way a planner bug could.
 ``tests/ckks`` and ``tests/fhe`` share it; ``tests/fhe/conftest.py``'s
 network-level ``oracle`` calls it for every activation.
+
+``--kernel-cflags`` appends C flags to the compiled kernels' build
+before the first one runs (the build cache key hashes the flags, so a
+flagged build never reuses an unflagged library) — how CI's sanitizer
+leg builds ``_kernels.c`` under ASan and UBSan.
 """
 
 import functools
+import shlex
 from collections import Counter
 from types import SimpleNamespace
 
@@ -34,6 +40,20 @@ from repro.ckks.backend import available_backends
 from repro.ckks.instrumentation import CountingEvaluator
 from repro.ckks.poly_plan import fold_relu_composite
 from repro.paf.polynomial import OddPolynomial
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--kernel-cflags",
+        default="",
+        help="extra C flags for the compiled kernels, e.g. sanitizers",
+    )
+
+
+def pytest_configure(config):
+    from repro.ckks import backend as kernels
+
+    kernels._CFLAGS = (*kernels._CFLAGS, *shlex.split(config.getoption("--kernel-cflags")))
 
 
 @pytest.fixture(scope="session", params=available_backends())

@@ -10,9 +10,9 @@ Three rings of verification, cheapest first:
 * **encrypted layer differentials**: small convs/pools/folded BatchNorms
   run on real ciphertexts against the plaintext forward;
 * **the trained toy CNN end to end**: compiled logits match the
-  plaintext model within rtol 1e-3, single and SIMD-batched through
-  :class:`repro.serve.artifact.ModelArtifact`, with the level schedule
-  consumed exactly.
+  plaintext model within rtol 1e-3, single and SIMD-batched on the
+  warmed network a server runs, with the level schedule consumed
+  exactly.
 """
 
 import dataclasses
@@ -46,7 +46,6 @@ from repro.nn.layers import (
 )
 from repro.nn.module import Sequential
 from repro.nn.tensor import Tensor
-from repro.serve.artifact import ModelArtifact
 
 
 # ----------------------------------------------------------------------
@@ -432,20 +431,20 @@ class TestToyCnnEndToEnd:
 
     def test_batched_via_serve_artifact(self, toy_cnn):
         """The acceptance path: SIMD-batched requests through the
-        pre-encoded ModelArtifact match per-row plaintext logits."""
+        warmed network match per-row plaintext logits."""
         model, enc = toy_cnn
         rng = np.random.default_rng(12)
         xs = [rng.normal(size=64) for _ in range(enc.max_batch)]
         ref = model(Tensor(np.stack(xs).reshape(-1, 1, 8, 8))).data
-        artifact = ModelArtifact(enc).warm()
+        enc.warm()
         ct = enc.encrypt_batch(xs)
         out = enc.forward(ct)
         got = enc.decrypt_logits(out, 3, batch=len(xs))
         np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-4)
-        # steady state: a second identical batch hits only cached plaintexts
-        misses_before = artifact.cache.misses
+        # steady state: a second identical batch reads only compiled plaintexts
+        misses_before = enc.plaintexts.misses
         enc.forward(enc.encrypt_batch(xs))
-        assert artifact.cache.misses == misses_before
+        assert enc.plaintexts.misses == misses_before
 
     def test_level_schedule_consumed_exactly(self, toy_cnn):
         _, enc = toy_cnn

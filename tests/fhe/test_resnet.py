@@ -12,8 +12,8 @@ Four rings of verification, cheapest first:
   BasicBlocks on real ciphertexts vs the plaintext forward;
 * **the trained toy ResNet end to end**: 2 residual blocks, a stride-2
   projection downsample, channels sharded across 2 ciphertexts — single
-  and SIMD-batched through :class:`repro.serve.artifact.ModelArtifact`,
-  decrypting to plaintext logits within rtol 1e-3.
+  and SIMD-batched on the warmed network a server runs, decrypting to
+  plaintext logits within rtol 1e-3.
 """
 
 from collections import Counter
@@ -51,7 +51,6 @@ from repro.nn.models.resnet import BasicBlock
 from repro.nn.module import Sequential
 from repro.nn.tensor import Tensor
 from repro.obs import TracingEvaluator
-from repro.serve.artifact import ModelArtifact
 
 # deep-chain contexts need the scale-tracking prime schedule
 MINI_PARAMS = CkksParams(n=256, scale_bits=25, depth=4, scale_tracking=True)
@@ -623,19 +622,19 @@ class TestToyResnetEndToEnd:
 
     def test_batched_via_serve_artifact(self, toy_resnet):
         """The acceptance path: SIMD-batched requests through the
-        pre-encoded ModelArtifact match per-row plaintext logits, and a
-        second batch is a pure cache hit."""
+        warmed network match per-row plaintext logits, and a second
+        batch reads only compiled plaintexts."""
         model, enc = toy_resnet
         rng = np.random.default_rng(12)
         xs = [rng.normal(size=64) for _ in range(enc.max_batch)]
         ref = model(Tensor(np.stack(xs).reshape(-1, 1, 8, 8))).data
-        artifact = ModelArtifact(enc).warm()
+        enc.warm()
         out = enc.forward_shards(enc.encrypt_batch_shards(xs))
         got = enc.decrypt_logits(out[0], 3, batch=len(xs))
         np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-4)
-        misses_before = artifact.cache.misses
+        misses_before = enc.plaintexts.misses
         enc.forward_shards(enc.encrypt_batch_shards(xs))
-        assert artifact.cache.misses == misses_before
+        assert enc.plaintexts.misses == misses_before
 
     def test_inference_server_detects_sharded_model(self, toy_resnet):
         """The full serving stack: InferenceServer routes sharded models
@@ -648,7 +647,7 @@ class TestToyResnetEndToEnd:
         xs = [rng.normal(size=64) for _ in range(enc.max_batch)]
         ref = model(Tensor(np.stack(xs).reshape(-1, 1, 8, 8))).data
         with InferenceServer(
-            ModelArtifact(enc), num_classes=3, num_workers=1, max_wait_ms=50,
+            enc, num_classes=3, num_workers=1, max_wait_ms=50,
         ) as srv:
             with pytest.raises(ValueError, match="sharded input dim"):
                 srv.submit(np.zeros(63))

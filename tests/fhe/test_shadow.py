@@ -9,8 +9,8 @@ op-count gate for every pinned model, its output lands on the real
 forward's exact ``(level, scale)``, and a ``TracingEvaluator`` around it
 reproduces the checked-in per-layer level slack.  A fourth: the shadow
 refuses what the real evaluator refuses, with the same ``ValueError``.
-A fifth: handed an encoder, it asks it for exactly the plaintexts the
-real evaluator asks for — how ``ModelArtifact.warm`` fills its memo.
+A fifth: handed a plaintext store, it adds exactly the plaintexts the
+real evaluator looks up — how a compiled network fills its own.
 """
 
 import json
@@ -24,6 +24,7 @@ from repro.ckks import (
     CkksEncoder,
     CkksEvaluator,
     CkksParams,
+    PlaintextStore,
     ShadowEvaluator,
     eval_paf_relu,
     keygen,
@@ -164,15 +165,19 @@ def test_sum_rotated_same_coordinates_same_books():
     assert landed[0] == landed[1]
 
 
-class _RecordingEncoder(CkksEncoder):
-    """A real encoder that remembers what it was asked to encode."""
+class _RecordingStore(PlaintextStore):
+    """A real store that remembers which keys it was handed."""
 
     def __init__(self, ctx):
-        super().__init__(ctx)
+        super().__init__(CkksEncoder(ctx))
         self.asked = []
 
-    def encode(self, values, level, scale=None):
-        self.asked.append((np.asarray(values, dtype=np.float64).tobytes(), level, scale))
+    def add(self, values, level, scale):
+        self.asked.append(self._key(values, level, scale))
+        super().add(values, level, scale)
+
+    def encode(self, values, level, scale):
+        self.asked.append(self._key(values, level, scale))
         return super().encode(values, level, scale)
 
 
@@ -182,28 +187,37 @@ def _relu_then_align(ev, x):
     return ev.align_to(y, y.level - 1, ev.ctx.canonical_scale(y.level - 1) * 1.001)
 
 
-def test_shadow_with_an_encoder_asks_for_the_real_evaluators_plaintexts():
-    """Same ``(value, level, scale)`` triples, in the same order."""
+def test_shadow_with_a_store_adds_the_real_evaluators_plaintexts():
+    """Same ``(value, level, scale)`` keys, in the same order — and a
+    real evaluator reading the store the shadow filled misses none and
+    lands on the bytes of one encoding every constant fresh."""
     ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=8))
     real = CkksEvaluator(ctx, keygen(ctx, seed=0))
     x = real.encrypt(np.linspace(-1.0, 1.0, 8))  # the payload is not a constant
-    real.encoder = _RecordingEncoder(ctx)
-    shadow = ShadowEvaluator(ctx, encoder=_RecordingEncoder(ctx))
-    landed = [
-        (out.level, out.scale)
-        for out in (_relu_then_align(real, x), _relu_then_align(shadow, shadow.encrypt(None)))
-    ]
-    assert landed[0] == landed[1]
-    assert real.encoder.asked == shadow.encoder.asked
-    assert len(real.encoder.asked) > 1
+    real.plaintexts = _RecordingStore(ctx)  # empty: every lookup a miss
+    shadow = ShadowEvaluator(ctx)
+    shadow.plaintexts = _RecordingStore(ctx)
+    fresh = _relu_then_align(real, x)
+    landed = _relu_then_align(shadow, shadow.encrypt(None))
+    assert (fresh.level, fresh.scale) == (landed.level, landed.scale)
+    assert real.plaintexts.asked == shadow.plaintexts.asked
+    assert len(real.plaintexts.asked) > 1
+
+    asked = len(shadow.plaintexts.asked)
+    real.plaintexts = shadow.plaintexts
+    stored = _relu_then_align(real, x)
+    assert (shadow.plaintexts.hits, shadow.plaintexts.misses) == (asked, 0)
+    assert np.array_equal(stored.c0.data, fresh.c0.data)
+    assert np.array_equal(stored.c1.data, fresh.c1.data)
 
 
-def test_shadow_without_an_encoder_never_touches_one(monkeypatch):
+def test_shadow_without_a_store_never_encodes(monkeypatch):
     def no_encodes(*args, **kwargs):
-        raise AssertionError("an encoder-less shadow encoded a plaintext")
+        raise AssertionError("a store-less shadow encoded a plaintext")
 
-    monkeypatch.setattr(CkksEncoder, "encode", no_encodes)
+    for name in ("encode", "round", "lift"):
+        monkeypatch.setattr(CkksEncoder, name, no_encodes)
     shadow = ShadowEvaluator(CkksContext(CkksParams(n=64, scale_bits=25, depth=8)))
-    assert shadow.encoder is None
+    assert shadow.plaintexts is None
     out = _relu_then_align(shadow, shadow.encrypt(None))
     assert out.level == 1

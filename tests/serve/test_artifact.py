@@ -1,4 +1,6 @@
-"""The plaintext memo: bit-identical hits, one shadow fill, zero steady-state encodes."""
+"""One plaintext path: the compiled network encodes its constants once,
+every evaluator reads them, and a served (warmed) forward is the bare
+forward byte for byte — plus ``ModelArtifact``, the shell over it."""
 
 import functools
 import sys
@@ -9,16 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.ckks import CkksContext, CkksEvaluator, CkksParams
+from repro.ckks import CkksEvaluator, PlaintextStore
 from repro.ckks.encoder import CkksEncoder, Plaintext
 from repro.fhe import toy as toy_models
 from repro.fhe.network import compile_network
-from repro.serve.artifact import ModelArtifact, PlaintextCache
-
-
-@pytest.fixture(scope="module")
-def encoder():
-    return CkksEncoder(CkksContext(CkksParams(n=512, scale_bits=25, depth=3)))
+from repro.serve.artifact import ModelArtifact
 
 
 def _assert_same_bytes(got, want):
@@ -32,65 +29,6 @@ def _assert_same_bytes(got, want):
         assert np.array_equal(a.c1.data, b.c1.data)
 
 
-class TestPlaintextCache:
-    def test_hit_returns_identical_plaintext(self, encoder):
-        cache = PlaintextCache(encoder)
-        v = np.arange(8.0)
-        a = cache.encode(v, level=2, scale=2.0**25)
-        b = cache.encode(v, level=2, scale=2.0**25)
-        assert a is b
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_cached_equals_fresh_encode(self, encoder):
-        cache = PlaintextCache(encoder)
-        v = np.linspace(-1, 1, 16)
-        pt = cache.encode(v, level=1, scale=2.0**25)
-        fresh = encoder.encode(v, 1, 2.0**25)
-        np.testing.assert_array_equal(pt.poly.data, fresh.poly.data)
-
-    def test_key_distinguishes_level_and_scale(self, encoder):
-        cache = PlaintextCache(encoder)
-        v = np.ones(4)
-        cache.encode(v, level=1, scale=2.0**25)
-        cache.encode(v, level=2, scale=2.0**25)
-        cache.encode(v, level=2, scale=2.0**24)
-        assert cache.misses == 3 and cache.hits == 0
-
-    def test_scalar_values(self, encoder):
-        cache = PlaintextCache(encoder)
-        cache.encode(0.5, level=1)
-        cache.encode(0.5, level=1)
-        assert cache.hits == 1
-
-    def test_lru_eviction_bounds_entries(self, encoder):
-        cache = PlaintextCache(encoder, max_entries=4)
-        for i in range(10):
-            cache.encode(float(i), level=0, scale=2.0**20)
-        assert len(cache) == 4
-        # most recent entries survive
-        cache.encode(9.0, level=0, scale=2.0**20)
-        assert cache.hits == 1
-
-    def test_delegates_and_caches(self, encoder):
-        """The memo *is* the drop-in encoder: everything but ``encode``
-        is the wrapped encoder's."""
-        cache = PlaintextCache(encoder)
-        assert cache.ctx is encoder.ctx           # delegation
-        pt = cache.encode(np.ones(4), 1, 2.0**25)
-        assert isinstance(pt, Plaintext)
-        np.testing.assert_allclose(cache.decode(pt.poly, pt.scale, 4), np.ones(4), atol=1e-5)
-        cache.encode(np.ones(4), 1, 2.0**25)
-        assert cache.hits == 1
-
-    def test_encode_fresh_bypasses_the_memo(self, encoder):
-        cache = PlaintextCache(encoder)
-        pt = cache.encode_fresh(np.ones(4), 1, 2.0**25)
-        np.testing.assert_array_equal(
-            pt.poly.data, encoder.encode(np.ones(4), 1, 2.0**25).poly.data
-        )
-        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
-
-
 class TestModelArtifact:
     def test_steady_state_does_zero_encoding(self, toy):
         _, enc = toy
@@ -101,7 +39,7 @@ class TestModelArtifact:
         assert (len(art.cache), art.cache.misses) == (entries, misses)
 
     def test_warm_populates_all_linear_layers(self):
-        """Every diagonal sits in the memo at its layer's coordinates on
+        """Every diagonal sits in the store at its layer's coordinates on
         the graph's static schedule, every bias one rescale below."""
         enc = toy_models.compiled_toy()
         art = ModelArtifact(enc).warm()
@@ -112,29 +50,21 @@ class TestModelArtifact:
             scale = enc.ctx.canonical_scale(level)
             for inner in groups.values():
                 for vec in inner.values():
-                    assert PlaintextCache._key(vec, level, scale) in keys
+                    assert PlaintextStore._key(vec, level, scale) in keys
             (bias,) = enc.matvec_bias_slots[i]
-            assert PlaintextCache._key(
+            assert PlaintextStore._key(
                 bias, level - 1, enc.ctx.canonical_scale(level - 1)
             ) in keys
 
-    def test_stats_shape(self, toy):
-        _, enc = toy
-        stats = ModelArtifact(enc).stats()
-        assert set(stats) == {"entries", "hits", "misses", "hit_rate"}
-
     def test_second_artifact_shares_the_memo(self):
-        """Wrapping a network twice must not orphan the first artifact:
-        both read the one memo the evaluator feeds."""
+        """Two shells over one network read the one store it owns."""
         enc = toy_models.compiled_toy()
         first = ModelArtifact(enc)
         second = ModelArtifact(enc)
-        assert first.cache is second.cache is enc.ev.encoder
+        assert first.cache is second.cache is enc.plaintexts
         second.warm()
         enc.forward(enc.encrypt_batch([np.ones(8)]))
-        assert first.stats() == second.stats()
-        assert first.stats()["hits"] > 0
-        assert len(first.cache) == len(second.cache) > 0
+        assert first.cache.hits > 0 and first.cache.misses == 0
 
 
 #: family -> (builder, flat input dim).  The stacked transformer leads:
@@ -154,23 +84,24 @@ FAMILIES = {
 
 @pytest.fixture(scope="module")
 def served(request):
-    """One family, compiled, shadow-warmed, then sent one real request.
+    """One family, compiled, warmed as a server warms it, then sent one
+    real request.
 
     The request is a random in-domain row encrypted by a seeded
     evaluator over the network's own keys: every compile of one family
-    bakes the same keys, so the same ciphertexts drive the un-wrapped
-    compile of the tests below.
+    bakes the same keys, so the same ciphertexts drive the bare compile
+    of the tests below.
     """
     build, dim = FAMILIES[request.param]
-    art = ModelArtifact(build()).warm()
-    after_warm = (len(art.cache), art.cache.misses)
+    enc = build()
+    compiled = (len(enc.plaintexts), enc.plaintexts.misses)
+    enc.warm()
     x = np.random.default_rng(5).uniform(-0.5, 0.5, size=dim)
-    enc = art.model
     cts = enc.encrypt_batch_shards([x], ev=CkksEvaluator(enc.ctx, enc.keys, seed=5))
     return SimpleNamespace(
         build=build,
-        art=art,
-        after_warm=after_warm,
+        enc=enc,
+        compiled=compiled,
         cts=cts,
         out=enc.forward_shards(cts),
     )
@@ -178,66 +109,103 @@ def served(request):
 
 @pytest.mark.parametrize("served", list(FAMILIES), indirect=True)
 class TestOnePath:
-    """A plaintext reaches the executor one way — through the encoder —
-    and one shadow forward has put every one of them in the memo."""
+    """A plaintext reaches the executor one way — through the store the
+    compile filled — in coefficient form on a bare network and in NTT
+    form on a served one, with the same bytes out."""
 
     def test_real_forward_after_warm_adds_no_miss_and_no_entry(self, served):
-        entries, misses = served.after_warm
-        assert entries == misses > 0
-        assert (len(served.art.cache), served.art.cache.misses) == served.after_warm
-        assert served.art.cache.hits >= entries
+        entries, misses = served.compiled
+        assert entries > 0 and misses == 0
+        store = served.enc.plaintexts
+        assert (len(store), store.misses) == served.compiled
+        assert store.hits >= entries
+        assert all(isinstance(pt, Plaintext) for pt in store._entries.values())
 
     def test_output_byte_identical_to_unwrapped_compile(self, served):
         bare = served.build()
-        assert type(bare.ev.encoder) is CkksEncoder
+        entry = next(iter(bare.plaintexts._entries.values()))
+        assert entry.dtype == np.int64  # coefficient form: never warmed
         _assert_same_bytes(bare.forward_shards(served.cts), served.out)
+        assert bare.plaintexts.misses == 0
 
     def test_warm_is_a_shadow_pass(self, served, monkeypatch):
-        """No encryption, no keyswitch, not one real ciphertext — and the
-        same key set a warm without the tripwires encodes."""
-        enc = served.build()
+        """Filling the store at compile and warming it take no
+        encryption, no keyswitch, not one real ciphertext — and hold the
+        keys the served network holds."""
 
         def tripwire(*args, **kwargs):
-            raise AssertionError("warm() left the shadow")
+            raise AssertionError("the plaintext fill left the shadow")
 
-        for op in ("encrypt", "rotate", "mul"):
-            monkeypatch.setattr(enc.ev, op, tripwire)
+        # the real evaluator's ring work; a shadow overrides or never
+        # reaches each of these
+        for op in ("encrypt", "mul", "_galois_many", "_keyswitch"):
+            monkeypatch.setattr(CkksEvaluator, op, tripwire)
         monkeypatch.setattr("repro.ckks.evaluator.Ciphertext", tripwire)
-        art = ModelArtifact(enc).warm()
-        assert set(art.cache._entries) == set(served.art.cache._entries)
+        enc = served.build().warm()
+        assert set(enc.plaintexts._entries) == set(served.enc.plaintexts._entries)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_bare_forward_embeds_only_its_payloads(family, monkeypatch):
+    """After compile, a bare forward embeds no constant: the only
+    embeddings left are payloads — recrypt's re-entries (``encrypt``
+    runs before the count)."""
+    build, dim = FAMILIES[family]
+    enc = build()
+    cts = enc.encrypt_batch_shards([np.linspace(-0.5, 0.5, dim)])
+    counts = {"embed": 0, "payload": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(CkksEncoder, "embed", counted("embed", CkksEncoder.embed))
+    monkeypatch.setattr(
+        CkksEvaluator,
+        "_trivial_encrypt",
+        counted("payload", CkksEvaluator._trivial_encrypt),
+    )
+    enc.forward_shards(cts)
+    assert counts["embed"] == counts["payload"]
+    assert (counts["payload"] > 0) == bool(enc.refresh_plans)
 
 
 @pytest.mark.parametrize("served", list(FAMILIES)[:1], indirect=True)
 def test_recrypt_keeps_request_data_out_of_the_memo(served):
     """The refresh re-encodes the *decrypted request* on its way back in:
-    that plaintext is payload, not a model constant, and must bypass the
-    memo like ``encrypt``'s does — three forwards, not one entry more."""
-    assert served.art.model.refresh_plans  # the family that recrypts
+    that plaintext is payload, not a model constant, and goes to the
+    encoder like ``encrypt``'s does — three forwards, not one entry or
+    miss more."""
+    assert served.enc.refresh_plans  # the family that recrypts
     for _ in range(2):  # the fixture ran the first
-        served.art.model.forward_shards(served.cts)
-    assert (len(served.art.cache), served.art.cache.misses) == served.after_warm
+        served.enc.forward_shards(served.cts)
+    store = served.enc.plaintexts
+    assert (len(store), store.misses) == served.compiled
 
 
 @pytest.mark.parametrize(
     "family", ["toy_resnet", pytest.param("toy_transformer", marks=pytest.mark.slow)]
 )
-def test_two_threads_fill_a_cold_shared_memo(family):
-    """The sharing a worker pool runs: one ``fresh_evaluator`` per thread
-    over shared keys and one shared memo — cold here, so both threads
-    race to encode every constant of a multi-shard forward.  Both outputs
-    are the single-thread forward byte for byte, and every entry the race
-    left is a fresh encode of its key: it encodes twice, never corrupts."""
+def test_two_threads_share_the_store(family):
+    """The sharing a worker pool runs: one :meth:`evaluator` per thread
+    over shared keys, both reading the one warmed store, thread switches
+    forced often.  Both outputs are the single-thread forward byte for
+    byte, and the store is read, never written."""
     build, dim = FAMILIES[family]
     enc = build()
     x = np.random.default_rng(5).uniform(-0.5, 0.5, size=dim)
     cts = enc.encrypt_batch_shards([x])
-    want = enc.forward_shards(cts)  # one thread, the plain encoder
-    art = ModelArtifact(enc)
-    assert len(art.cache) == 0
+    want = enc.forward_shards(cts)  # one thread, coefficient form
+    enc.warm()
+    entries = dict(enc.plaintexts._entries)
     start = Barrier(2)
 
     def forward(k):
-        ev = art.fresh_evaluator(seed=100 + k)
+        ev = enc.evaluator(enc.keys, seed=100 + k)
+        assert ev.plaintexts is enc.plaintexts and ev.encoder is enc.ev.encoder
         start.wait(timeout=60)
         return enc.forward_shards(cts, ev=ev)
 
@@ -251,32 +219,21 @@ def test_two_threads_fill_a_cold_shared_memo(family):
         sys.setswitchinterval(interval)
     for out in outs:
         _assert_same_bytes(out, want)
-
-    assert art.cache.misses >= len(art.cache) > 0
-    for (*_, value, level, scale), pt in art.cache._entries.items():
-        if isinstance(value, bytes):
-            value = np.frombuffer(value)
-        fresh = art.cache.encode_fresh(value, level, scale)
-        assert np.array_equal(pt.poly.data, fresh.poly.data)
-        assert list(pt.poly.prime_indices) == list(fresh.poly.prime_indices)
-        assert (pt.poly.is_ntt, pt.scale) == (fresh.poly.is_ntt, fresh.scale)
+    assert enc.plaintexts.misses == 0
+    assert all(enc.plaintexts._entries[k] is pt for k, pt in entries.items())
+    assert len(enc.plaintexts) == len(entries)
 
 
 class TestUnifiedCompile:
-    """``ModelArtifact(compile_network(...))`` is the one way to build a
-    serving artifact: the artifact adds the memo, the compile is the
-    one entry every other caller uses."""
+    """``compile_network(...)`` is the one compile, and what a server
+    takes; the ladder's ``ModelArtifact`` shell only wraps its result."""
 
     def test_compile_dispatches_mlp_and_matches_direct(self, toy):
         model, enc = toy
-        art = ModelArtifact(compile_network(model, toy_models.TOY_PARAMS))
-        assert [type(n) for n in art.model.graph.nodes] == [
-            type(n) for n in enc.graph.nodes
-        ]
+        net = compile_network(model, toy_models.TOY_PARAMS)
+        assert [type(n) for n in net.graph.nodes] == [type(n) for n in enc.graph.nodes]
         x = np.linspace(-1, 1, 8)
-        got = art.model.ev.decrypt(
-            art.model.forward(art.model.encrypt_batch([x])), num_values=3
-        )
+        got = net.ev.decrypt(net.forward(net.encrypt_batch([x])), num_values=3)
         want = enc.ev.decrypt(enc.forward(enc.encrypt_batch([x])), num_values=3)
         # independent encryption randomness: only the approximation, not
         # the bits, is shared
@@ -286,10 +243,10 @@ class TestUnifiedCompile:
         from repro.fhe.ir import CompilePolicy
 
         model, _ = toy
-        art = ModelArtifact(
-            compile_network(model, toy_models.TOY_PARAMS, policy=CompilePolicy(seed=2))
-        )
-        assert art.model.policy.seed == 2
+        net = compile_network(model, toy_models.TOY_PARAMS, policy=CompilePolicy(seed=2))
+        assert net.policy.seed == 2
 
     def test_per_family_classmethods_removed(self):
         assert [n for n in dir(ModelArtifact) if n.startswith("compile")] == []
+        shell = {n for n in vars(ModelArtifact) if not n.startswith("_")}
+        assert shell == {"forward", "warm"}

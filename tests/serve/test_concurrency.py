@@ -22,11 +22,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.fhe.network import EncryptedNetwork
 from repro.serve import (
     FaultInjector,
     InferenceServer,
     KeyMismatchError,
-    ModelArtifact,
     PoisonedRequestError,
     QueueOverflow,
     UnknownClientError,
@@ -38,10 +38,11 @@ from repro.serve.queue import QueueClosed
 SEED = 0xC0FFEE
 
 
-class StubNetwork:
+class StubNetwork(EncryptedNetwork):
     """No-crypto network: forward is identity (plus optional delay), so
     ``decrypt_logits`` returns each request's own payload and the tests
-    can match every response to the exact request that produced it."""
+    can match every response to the exact request that produced it.
+    It compiles nothing: every method the server calls is overridden."""
 
     input_splits = None
 
@@ -50,7 +51,17 @@ class StubNetwork:
         self.max_batch = max_batch
         self.delay = delay
         self.ctx = SimpleNamespace(backend=SimpleNamespace(name=backend))
-        self.ev = SimpleNamespace(encoder=SimpleNamespace())
+        self.keys = None
+        self.ev = SimpleNamespace()
+
+    def evaluator(self, keys, seed=1):
+        """No key chain to build an evaluator over: workers past 0 get a
+        bare namespace."""
+        return SimpleNamespace()
+
+    def warm(self):
+        """No plaintexts to hold: the server's warm is a no-op."""
+        return self
 
     def split_input(self, x):
         if len(x) > self.size:  # the door check is the network's
@@ -69,26 +80,14 @@ class StubNetwork:
         return np.stack([x[:num_classes] for x in xs])
 
 
-class StubArtifact(ModelArtifact):
-    """The harness's hooks: no key chain to build an evaluator over, so
-    workers past 0 get a bare namespace sharing the memo; no executor to
-    run a shadow forward through, so the server's warm is a no-op."""
-
-    def fresh_evaluator(self, seed=1):
-        return SimpleNamespace(encoder=self.cache)
-
-    def warm(self):
-        return self
-
-
 def _stub_server(models=("a", "b"), workers=3, **kw):
-    arts = {
-        name: StubArtifact(StubNetwork(backend=f"{name}-backend"))
+    nets = {
+        name: StubNetwork(backend=f"{name}-backend")
         for name in models
     }
     defaults = dict(max_wait_ms=1.0, num_workers=workers)
     defaults.update(kw)
-    return InferenceServer(arts, num_classes=3, **defaults)
+    return InferenceServer(nets, num_classes=3, **defaults)
 
 
 class TestStubStress:
@@ -209,7 +208,7 @@ class TestStubStress:
     def test_overflow_sheds_explicitly_and_recovers(self):
         stub = StubNetwork(delay=0.05, max_batch=1)
         srv = InferenceServer(
-            StubArtifact(stub),
+            stub,
             num_classes=3,
             max_wait_ms=1.0,
             num_workers=1,
@@ -254,7 +253,7 @@ class TestFaultInjection:
         _, enc = toy
         self.faults = FaultInjector()
         srv = InferenceServer(
-            ModelArtifact(enc),
+            enc,
             num_classes=3,
             max_wait_ms=2.0,
             num_workers=1,
@@ -325,7 +324,7 @@ class TestFaultInjection:
             FaultInjector().poison_request(1).crash_worker(1).mismatch_keys(2)
         )
         srv = InferenceServer(
-            ModelArtifact(enc),
+            enc,
             num_classes=3,
             max_wait_ms=2.0,
             num_workers=1,

@@ -158,7 +158,8 @@ class TestEvaluators:
         reg = ClientKeyRegistry()
         reg.register("alice")
         ev = reg.evaluator_for("alice", enc)
-        assert ev.encoder is enc.ev.encoder  # shared encoding cache
+        # the network's compiled plaintexts, and its encoder, are shared
+        assert ev.plaintexts is enc.plaintexts and ev.encoder is enc.ev.encoder
         x = np.linspace(-1, 1, 8)
         ct = ev.encrypt(x)
         np.testing.assert_allclose(ev.decrypt(ct, num_values=8), x, atol=1e-4)

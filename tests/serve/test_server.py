@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.ckks import Plaintext
 from repro.nn import Tensor, no_grad
-from repro.serve import InferenceServer, ModelArtifact
+from repro.serve import DEFAULT_MODEL, InferenceServer, ModelArtifact
 
 
 class TestBatchedEqualsSequential:
@@ -18,7 +19,7 @@ class TestBatchedEqualsSequential:
             enc.decrypt_logits(enc.forward(enc.encrypt_input(x)), 3) for x in xs
         ]
         with InferenceServer(
-            ModelArtifact(enc), num_classes=3, max_batch_size=B, max_wait_ms=200
+            enc, num_classes=3, max_batch_size=B, max_wait_ms=200
         ) as srv:
             results = srv.predict_many(xs)
         for res, seq in zip(results, sequential):
@@ -34,7 +35,7 @@ class TestBatchedEqualsSequential:
         x = np.full(8, 0.25)
         expected = enc.decrypt_logits(enc.forward(enc.encrypt_input(x)), 3)
         with InferenceServer(
-            ModelArtifact(enc), num_classes=3, max_batch_size=4, max_wait_ms=20
+            enc, num_classes=3, max_batch_size=4, max_wait_ms=20
         ) as srv:
             res = srv.predict(x, timeout=60.0)
         assert res.batch_size == 1
@@ -65,7 +66,7 @@ class TestBatchedEqualsSequential:
 class TestServerPlumbing:
     def test_submit_before_start_raises(self, toy):
         _, enc = toy
-        srv = InferenceServer(ModelArtifact(enc), num_classes=3)
+        srv = InferenceServer(enc, num_classes=3)
         with pytest.raises(RuntimeError):
             srv.submit(np.zeros(8))
 
@@ -73,7 +74,7 @@ class TestServerPlumbing:
         """Wrong width / NaN fail at submit — they must not poison a batch."""
         _, enc = toy
         with InferenceServer(
-            ModelArtifact(enc), num_classes=3, max_batch_size=2, max_wait_ms=100
+            enc, num_classes=3, max_batch_size=2, max_wait_ms=100
         ) as srv:
             with pytest.raises(ValueError):
                 srv.submit(np.zeros(enc.size + 1))
@@ -86,7 +87,7 @@ class TestServerPlumbing:
     def test_metrics_and_instrumentation(self, toy):
         _, enc = toy
         with InferenceServer(
-            ModelArtifact(enc),
+            enc,
             num_classes=3,
             max_batch_size=4,
             max_wait_ms=20,
@@ -105,7 +106,7 @@ class TestServerPlumbing:
     def test_cancelled_future_does_not_poison_neighbours(self, toy):
         _, enc = toy
         with InferenceServer(
-            ModelArtifact(enc), num_classes=3, max_batch_size=2, max_wait_ms=150
+            enc, num_classes=3, max_batch_size=2, max_wait_ms=150
         ) as srv:
             f_cancel = srv.submit(np.zeros(8))
             f_cancel.cancel()
@@ -116,7 +117,7 @@ class TestServerPlumbing:
 
     def test_stop_is_terminal(self, toy):
         _, enc = toy
-        srv = InferenceServer(ModelArtifact(enc), num_classes=3)
+        srv = InferenceServer(enc, num_classes=3)
         srv.start()
         srv.stop()
         srv.stop()  # idempotent
@@ -125,7 +126,7 @@ class TestServerPlumbing:
 
     def test_max_batch_clamped_to_capacity(self, toy):
         _, enc = toy
-        srv = InferenceServer(ModelArtifact(enc), num_classes=3, max_batch_size=10_000)
+        srv = InferenceServer(enc, num_classes=3, max_batch_size=10_000)
         assert srv.max_batch_size == enc.max_batch
 
 
@@ -133,7 +134,7 @@ class TestTracedServing:
     def test_trace_feeds_layer_histograms_and_last_trace(self, toy):
         _, enc = toy
         with InferenceServer(
-            ModelArtifact(enc),
+            enc,
             num_classes=3,
             max_batch_size=4,
             max_wait_ms=20,
@@ -158,7 +159,7 @@ class TestTracedServing:
     def test_metrics_text_exposes_gauges_and_histograms(self, toy):
         _, enc = toy
         with InferenceServer(
-            ModelArtifact(enc), num_classes=3, max_wait_ms=20, trace=True
+            enc, num_classes=3, max_wait_ms=20, trace=True
         ) as srv:
             srv.predict(np.ones(8), timeout=60.0)
             text = srv.metrics_text()
@@ -175,9 +176,9 @@ class TestTracedServing:
         _, enc = toy
         x = np.linspace(-1, 1, 8)
         kwargs = dict(num_classes=3, max_wait_ms=20)
-        with InferenceServer(ModelArtifact(enc), **kwargs) as srv:
+        with InferenceServer(enc, **kwargs) as srv:
             plain = srv.predict(x, timeout=60.0)
-        with InferenceServer(ModelArtifact(enc), trace=True, **kwargs) as srv:
+        with InferenceServer(enc, trace=True, **kwargs) as srv:
             traced = srv.predict(x, timeout=60.0)
         np.testing.assert_allclose(plain.logits, traced.logits, atol=1e-3)
         assert plain.prediction == traced.prediction
@@ -186,14 +187,14 @@ class TestTracedServing:
 class TestMultiTenantServing:
     def test_registered_clients_get_correct_logits_under_own_keys(self, toy):
         """Two tenants with distinct secrets share one worker pool and
-        one encoding cache — and both decrypt to the plaintext model's
-        logits."""
+        the network's compiled plaintexts — and both decrypt to the
+        plaintext model's logits."""
         from repro.serve import ClientKeyRegistry
 
         model, enc = toy
         reg = ClientKeyRegistry()
         srv = InferenceServer(
-            ModelArtifact(enc),
+            enc,
             num_classes=3,
             max_wait_ms=2.0,
             num_workers=2,
@@ -222,7 +223,7 @@ class TestMultiTenantServing:
     def test_multi_model_server_routes_and_reports(self, toy):
         _, enc = toy
         srv = InferenceServer(
-            {"m1": ModelArtifact(enc), "m2": ModelArtifact(enc)},
+            {"m1": enc, "m2": enc},
             num_classes={"m1": 3, "m2": 3},
             max_wait_ms=2.0,
         )
@@ -231,7 +232,6 @@ class TestMultiTenantServing:
             r1 = srv.predict(rng.normal(size=8), model="m1", timeout=60)
             r2 = srv.predict(rng.normal(size=8), model="m2", timeout=60)
         assert (r1.model, r2.model) == ("m1", "m2")
-        assert srv.artifact is None  # no single-model alias with two models
         text = srv.metrics_text()
         assert 'model="m1"' in text and 'model="m2"' in text
         snap = srv.metrics.snapshot()
@@ -243,19 +243,18 @@ class TestMultiTenantServing:
         in the per-tenant series."""
         _, enc = toy
         srv = InferenceServer(
-            {'a"b': ModelArtifact(enc), "c": ModelArtifact(enc)}, num_classes=3
+            {'a"b': enc, "c": enc}, num_classes=3
         )
         text = srv.metrics_text()
         assert f'repro_serve_backend_info{{backend="{srv.backend}",model="a\\"b"}} 1' in text
         assert 'model="a"b"' not in text
 
     def test_single_model_surface_unchanged(self, toy):
-        """Back-compat: the one-model constructor keeps its old attrs and
-        its old metrics_text backend line."""
+        """The one-model constructor serves its network as the default
+        model and keeps its unlabelled metrics_text backend line."""
         _, enc = toy
-        srv = InferenceServer(ModelArtifact(enc), num_classes=3)
-        assert srv.model is enc
-        assert srv.artifact is not None
+        srv = InferenceServer(enc, num_classes=3)
+        assert srv.networks == {DEFAULT_MODEL: enc}
         assert srv.max_batch_size == enc.max_batch
         line = f'repro_serve_backend_info{{backend="{srv.backend}"}} 1'
         assert line in srv.metrics_text()
@@ -264,37 +263,44 @@ class TestMultiTenantServing:
         _, enc = toy
         with pytest.raises(ValueError, match="missing models"):
             InferenceServer(
-                {"a": ModelArtifact(enc), "b": ModelArtifact(enc)},
+                {"a": enc, "b": enc},
                 num_classes={"a": 3},
             )
 
 
 class TestServerContract:
-    """The server takes a ``ModelArtifact`` (or a dict of them) and warms
-    it: one way in, one way to fill the memo."""
+    """The server takes compiled networks (or a dict of them) and warms
+    each: its plaintexts held in NTT form before the first request."""
 
     def test_non_artifacts_rejected(self, toy):
+        """Anything but a compiled network (or the ladder's shell over
+        one) is refused at the door, naming the compile."""
         model, enc = toy
-        for bad in (enc, model, {"a": ModelArtifact(enc), "b": enc}):
-            with pytest.raises(TypeError, match=r"ModelArtifact\(compile_network"):
+        for bad in (model, {"a": ModelArtifact(enc), "b": model}):
+            with pytest.raises(TypeError, match=r"compile_network\(model, params"):
                 InferenceServer(bad, num_classes=3)
 
     def test_constructor_warms_cold_artifacts(self):
-        """The ``serve_mixed_open`` pair, handed over cold: after the
-        constructor, one request per model encodes nothing new."""
+        """The ``serve_mixed_open`` pair, handed over as compiled (one of
+        them in the ladder's ``ModelArtifact`` shell): after the
+        constructor every plaintext is in NTT form, and one request per
+        model encodes nothing."""
         from repro.fhe.toy import compiled_toy, compiled_toy_cnn
 
-        arts = {
-            "mlp": ModelArtifact(compiled_toy()),
-            "cnn": ModelArtifact(compiled_toy_cnn()),
-        }
-        assert all(len(art.cache) == 0 for art in arts.values())
-        srv = InferenceServer(arts, num_classes=3, max_wait_ms=2.0)
-        after_warm = {name: (len(a.cache), a.cache.misses) for name, a in arts.items()}
-        assert all(entries > 0 for entries, _ in after_warm.values())
+        nets = {"mlp": compiled_toy(), "cnn": compiled_toy_cnn()}
+        srv = InferenceServer(
+            {"mlp": nets["mlp"], "cnn": ModelArtifact(nets["cnn"])},
+            num_classes=3,
+            max_wait_ms=2.0,
+        )
+        assert srv.networks == nets
+        stores = {name: net.plaintexts for name, net in nets.items()}
+        after_warm = {name: (len(s), s.misses) for name, s in stores.items()}
+        assert all(entries > 0 and misses == 0 for entries, misses in after_warm.values())
+        assert all(
+            isinstance(pt, Plaintext) for s in stores.values() for pt in s._entries.values()
+        )
         with srv:
             srv.predict(np.full(8, 0.25), model="mlp", timeout=60)
             srv.predict(np.full(64, 0.25), model="cnn", timeout=60)
-        assert {
-            name: (len(a.cache), a.cache.misses) for name, a in arts.items()
-        } == after_warm
+        assert {name: (len(s), s.misses) for name, s in stores.items()} == after_warm
