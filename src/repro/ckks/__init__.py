@@ -20,7 +20,6 @@ from repro.ckks.backend import (
     ReferenceBackend,
     VectorizedBackend,
     available_backends,
-    register_backend,
     resolve_backend,
 )
 from repro.ckks.context import CkksContext, CkksParams
@@ -52,7 +51,6 @@ __all__ = [
     "ReferenceBackend",
     "VectorizedBackend",
     "available_backends",
-    "register_backend",
     "resolve_backend",
     "CkksParams",
     "CkksContext",

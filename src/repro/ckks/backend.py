@@ -21,21 +21,25 @@ Two implementations ship:
   :class:`~repro.ckks.ntt.NttPlan` transform per residue row, one
   Python-loop iteration per source prime of a base conversion and per
   keyswitch digit, a reduction after every term.
-* :class:`VectorizedBackend` — the same arithmetic over whole stacks:
-  the NTTs and the base conversion are compiled C (``_kernels.c``,
-  built with the system ``cc`` on first use and loaded through
-  ``ctypes``), one call per ``(..., limbs, n)`` stack against twiddle
-  tables stacked once per context; the key inner product is one numpy
-  sum reduced once per chunk.
+* :class:`VectorizedBackend` — the same arithmetic, one compiled call
+  per HE-level step: every pointwise op over a ``(..., limbs, n)``
+  stack, the plaintext :meth:`~KernelBackend.lift`, the ciphertext
+  tensor, :meth:`~KernelBackend.rescale`,
+  :meth:`~KernelBackend.hoist_decompose`, the key inner product (Galois
+  gather included, both key halves at once) and the descent are each
+  one function of ``_kernels.c`` (built with the system ``cc`` on first
+  use and loaded through ``ctypes``), run against two tables stacked
+  once per context.
 
 The two are **bit-identical**, not merely numerically close: all kernels
 are exact integer arithmetic mod 30-bit primes returning canonical
-residues, and the pipelines are one shared composition of them, so no
-evaluation order or layout can change any residue.  The cross-backend
-conformance suite (``tests/fhe/test_backend_conformance``) pins this —
-same kernel outputs at every level, same ``c0/c1`` coefficients, same
-op counts, same decrypted outputs — which is what lets benchmarks
-compare backends as pure wall-time experiments.
+residues, and every fused call computes exactly the base-class
+composition it replaces, so no evaluation order or layout can change
+any residue.  The cross-backend conformance suite
+(``tests/fhe/test_backend_conformance``) pins this — same kernel outputs
+at every level, same ``c0/c1`` coefficients, same op counts, same
+decrypted outputs — which is what lets benchmarks compare backends as
+pure wall-time experiments.
 
 Selection: a context gets ``"vectorized"``.  ``"reference"`` stays
 registered as the spec and the bit-identity oracle — the conformance,
@@ -46,20 +50,24 @@ safe), and the ``REPRO_BACKEND`` environment variable lets CI run a
 whole suite under it without editing a test.
 
 Overflow discipline: primes are < 2^30, so any product of two residues
-is < 2^60 < 2^63, and at most 8 such products are summed in int64
-between reductions (:func:`_chunked_modsum`).  The C NTTs multiply by
-Shoup twiddles: a twiddle ``w < p`` carries ``floor(w·2^32/p) < 2^32``,
-lazy butterfly values stay < 4p < 2^32 and every quotient product is
-< 2^64.  The C base conversion multiplies a *centred* residue (< 2^29)
-by a weight (< 2^30) and sums at most 15 of those between reductions.
+is < 2^60 < 2^63; the spec reduces after every product, the C key inner
+product after every 8 (still below 2^63 with the running residue).  The
+C NTTs multiply by Shoup twiddles: a twiddle ``w < p`` carries
+``floor(w·2^32/p) < 2^32``, lazy butterfly values stay < 4p < 2^32 and
+every quotient product is < 2^64.  The C base conversion multiplies a
+*centred* residue (< 2^29) by a weight (< 2^30) and sums at most 15 of
+those between reductions.  Every other C reduction is a double-precision
+quotient estimate corrected into ``[0, p)``, exact for any
+``|x| < 2^63 − 2^31``.
 
 The compiled library is cached under ``$XDG_CACHE_HOME/repro`` (default
 ``~/.cache/repro``), keyed by a hash of the source, the flags, the
 compiler version and the host CPU; a build writes a temp file and
 renames it into place, so racing processes never load half a file.
-Where the build fails, :class:`VectorizedBackend` runs the spec
-kernels after one :class:`KernelBuildWarning` naming the compiler
-error (the test suite turns that warning into an error).
+Where the build fails, :class:`VectorizedBackend` runs the base-class
+compositions over the spec kernels after one :class:`KernelBuildWarning`
+naming the compiler error (the test suite turns that warning into an
+error).
 
 This module deliberately imports nothing from the rest of ``repro.ckks``
 (backends see only raw arrays, prime index lists and context
@@ -88,7 +96,6 @@ __all__ = [
     "ReferenceBackend",
     "VectorizedBackend",
     "available_backends",
-    "register_backend",
     "resolve_backend",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
@@ -116,8 +123,9 @@ class KernelBackend:
         self.ctx = ctx
 
     # ------------------------------------------------------------------
-    # pointwise modular arithmetic — exact (rows, n) numpy in both
-    # backends, shared here
+    # pointwise modular arithmetic — exact numpy over ``(..., limbs, n)``
+    # stacks, ``b`` broadcasting over leading axes (the spec; the
+    # vectorized backend runs each as one C call)
     # ------------------------------------------------------------------
     def _primes_col(self, prime_indices) -> np.ndarray:
         return self.ctx._primes_arr[np.asarray(prime_indices, dtype=np.int64)][:, None]
@@ -138,6 +146,19 @@ class KernelBackend:
         """Multiply each residue row by its per-prime scalar."""
         return a * scalars[:, None] % self._primes_col(prime_indices)
 
+    def tensor(self, a, b, prime_indices) -> np.ndarray:
+        """The ciphertext tensor product of two ``(2, limbs, n)`` NTT
+        pairs: ``(a0·b0, a0·b1 + a1·b0, a1·b1)`` as ``(3, limbs, n)``."""
+        return np.stack([
+            self.modmul(a[0], b[0], prime_indices),
+            self.modadd(
+                self.modmul(a[0], b[1], prime_indices),
+                self.modmul(a[1], b[0], prime_indices),
+                prime_indices,
+            ),
+            self.modmul(a[1], b[1], prime_indices),
+        ])
+
     # ------------------------------------------------------------------
     # kernels implemented per backend
     # ------------------------------------------------------------------
@@ -155,7 +176,8 @@ class KernelBackend:
         raise NotImplementedError
 
     def reduce_coeffs(self, coeffs, prime_indices) -> np.ndarray:
-        """Reduce one int64 coefficient vector into ``(limbs, n)`` rows."""
+        """Reduce ``(..., n)`` int64 coefficient vectors into
+        ``(..., limbs, n)`` rows."""
         raise NotImplementedError
 
     def base_convert(self, rows, conv) -> np.ndarray:
@@ -175,10 +197,18 @@ class KernelBackend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # the rescale and keyswitch pipelines — shared: each is a fixed
+    # the lift, rescale and keyswitch pipelines — shared: each is a fixed
     # composition of the kernels above, so every backend inherits the
-    # same integer formulas and differs only in how a kernel sweeps rows
+    # same integer formulas (a backend may fuse one into a single call
+    # that must return the same bytes)
     # ------------------------------------------------------------------
+    def lift(self, coeffs, prime_indices) -> np.ndarray:
+        """NTT-form rows of ``(..., n)`` int64 coefficients:
+        ``(..., limbs, n)``, :meth:`reduce_coeffs` then
+        :meth:`ntt_forward` — a plaintext, a noise or a secret entering
+        the ring."""
+        return self.ntt_forward(self.reduce_coeffs(coeffs, prime_indices), prime_indices)
+
     def rescale(self, rows, level) -> np.ndarray:
         """Rescale descent, NTT domain in and out: divide
         ``(..., level+1, n)`` chain rows by ``q_level`` with centred
@@ -292,9 +322,10 @@ class ReferenceBackend(KernelBackend):
         return out
 
     def reduce_coeffs(self, coeffs, prime_indices):
-        rows = np.empty((len(prime_indices), self.ctx.n), dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        rows = np.empty(coeffs.shape[:-1] + (len(prime_indices), self.ctx.n), dtype=np.int64)
         for r, idx in enumerate(prime_indices):
-            rows[r] = coeffs % self.ctx.all_primes[idx]
+            rows[..., r, :] = coeffs % self.ctx.all_primes[idx]
         return rows
 
     def base_convert(self, rows, conv):
@@ -319,20 +350,6 @@ class ReferenceBackend(KernelBackend):
         for k in range(digits.shape[0]):
             acc = (acc + digits[k] * key[k]) % pcol
         return acc
-
-
-def _chunked_modsum(prods, pcol):
-    """Sum ``(terms, limbs, n)`` over the first axis mod ``pcol``.
-
-    Each term is a raw residue product ≤ (2^30 - 1)^2, so a chunk of 8
-    plus the (< 2^30) running accumulator stays below 2^63 - 2^34 + 2^30
-    — exact in int64 with one reduction per chunk instead of per term.
-    """
-    terms = prods.shape[0]
-    acc = prods[:8].sum(axis=0) % pcol
-    for k in range(8, terms, 8):
-        acc = (acc + prods[k : k + 8].sum(axis=0)) % pcol
-    return acc
 
 
 class KernelBuildWarning(RuntimeWarning):
@@ -399,19 +416,76 @@ def _build_kernels() -> Path:
     return target
 
 
+class _Array:
+    """``ctypes`` argtype of one array slot of a kernel.
+
+    The argument must be a live ndarray of ``_dtype_`` — C-contiguous
+    unless the slot takes row-strided views (``_strided``, whose
+    strides travel as sizes) — and C gets its data pointer for the
+    duration of the call: ``ndpointer``'s contract at a fraction of its
+    per-argument cost.  A writable contiguous array lends its buffer
+    through ``c_char.from_buffer``, whose export holds the array until
+    ctypes drops the converted argument; anything else hands over
+    ``ctypes.data`` while the call's own argument tuple holds the array.
+    """
+
+    _dtype_ = np.dtype(np.int64)
+    _strided = False
+
+    @classmethod
+    def from_param(cls, obj):
+        if type(obj) is not np.ndarray or obj.dtype != cls._dtype_:
+            raise TypeError(f"expected an ndarray of {cls._dtype_}, got {type(obj).__name__}")
+        flags = obj.flags
+        if flags.c_contiguous and flags.writeable and obj.nbytes:
+            return ctypes.byref(ctypes.c_char.from_buffer(obj))
+        if not (flags.c_contiguous or cls._strided):
+            raise TypeError("array argument is not C-contiguous")
+        return ctypes.c_void_p(obj.ctypes.data)
+
+
+class _Int64(_Array):
+    _dtype_ = np.dtype(np.int64)
+
+
+class _Int64Rows(_Array):
+    _dtype_ = np.dtype(np.int64)
+    _strided = True
+
+
+class _UInt32(_Array):
+    _dtype_ = np.dtype(np.uint32)
+
+
 def _load_kernels(path: Path) -> ctypes.CDLL:
     """``ctypes`` handle on the built library with every signature
-    declared: arrays go in as C-contiguous ``ndpointer``\\ s, so ctypes
-    checks their dtype and the call's own arguments keep them alive."""
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    u32 = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
-    n = ctypes.c_int64
+    declared: every array slot is an :class:`_Array`, so ctypes checks
+    the dtype and layout of each argument and the call's own arguments
+    keep the arrays alive."""
+    i64, rows, u32 = _Int64, _Int64Rows, _UInt32
+    n, flag = ctypes.c_int64, ctypes.c_int
     lib = ctypes.CDLL(str(path))
-    lib.ntt.argtypes = [i64, i64, n, n, n, i64, i64, u32, u32, i64, ctypes.c_int]
-    lib.ntt.restype = ctypes.c_int
-    lib.base_convert.argtypes = [i64, i64, n, n, n, i64, i64, n, n, n, i64, i64]
-    lib.base_convert.restype = ctypes.c_int
+    signatures = {
+        "ntt": ([i64, i64, n, n, n, i64, i64, u32, n, flag], ctypes.c_int),
+        "lift": ([i64, i64, n, n, n, i64, i64, u32, n, flag], ctypes.c_int),
+        "pointwise": ([flag, i64, i64, i64, n, n, n, n, i64, i64], None),
+        "tensor": ([i64, i64, i64, n, n, i64, i64], None),
+        "rescale": ([i64, i64, n, n, n, i64, i64, u32, n], ctypes.c_int),
+        "base_convert": ([i64, i64, n, n, i64, i64], ctypes.c_int),
+        "hoist_decompose": ([i64, i64, n, n, i64, i64, u32, n], ctypes.c_int),
+        "inner_product": (
+            [i64, rows, rows, i64, n, n, n, n, i64, flag, i64, i64], ctypes.c_int
+        ),
+        "keyswitch_descent": ([i64, i64, n, n, i64, i64, u32, n], ctypes.c_int),
+    }
+    for name, (argtypes, restype) in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
     return lib
+
+
+#: ``pointwise`` op codes (``enum`` order in ``_kernels.c``)
+_OP_ADD, _OP_SUB, _OP_NEG, _OP_MUL, _OP_SCALE = range(5)
 
 
 def _native_kernels():
@@ -444,18 +518,20 @@ def _shoup(w, primes) -> np.ndarray:
 
 
 class VectorizedBackend(KernelBackend):
-    """Compiled kernels: whole residue stacks per call.
+    """Compiled kernels: one C call per HE-level step.
 
-    The negacyclic NTTs and the base conversion run in C
-    (``_kernels.c``, built on first use; see :func:`_native_kernels`):
-    one call sweeps every row of a ``(..., limbs, n)`` stack — a whole
-    ``(digits, basis, n)`` keyswitch tensor included — against twiddle
-    tables stacked once per context with their Shoup quotients.  The key
-    inner product stays one chunked numpy sum.  Inputs must be canonical
-    residues (every in-tree caller's invariant); shapes and prime
-    indices are checked before any pointer reaches C.  Without a
-    compiler the NTTs and the base conversion are
-    :class:`ReferenceBackend`'s spec kernels, after one
+    Every pointwise op, plaintext lift, rescale, digit decomposition, key
+    inner product (with its Galois gather) and divide-by-``P`` descent
+    is one call into ``_kernels.c`` (built on first use; see
+    :func:`_native_kernels`) over a whole ``(..., limbs, n)`` stack,
+    against two tables stacked once per context: an int64 ``(2, K)``
+    one (the primes, ``n⁻¹`` mod each) and a uint32 ``(4, K, n)`` one
+    (forward and inverse twiddles with their Shoup quotients).  Inputs
+    must be canonical residues (every in-tree caller's invariant);
+    shapes, prime indices and conversion constants are checked before
+    any pointer reaches C.  Without a compiler every method is the
+    base-class composition over :class:`ReferenceBackend`'s spec
+    kernels and numpy pointwise ops, after one
     :class:`KernelBuildWarning`.
     """
 
@@ -464,46 +540,108 @@ class VectorizedBackend(KernelBackend):
     def __init__(self, ctx):
         super().__init__(ctx)
         plans = ctx.plans
-        self._primes = ctx._primes_arr
+        primes = ctx._primes_arr
         psi = np.stack([plan.psi_rev for plan in plans])
         psi_inv = np.stack([plan.psi_inv_rev for plan in plans])
-        #: stacked twiddle tables and their Shoup quotients, indexed by
-        #: position in ``ctx.all_primes``
-        self._psi, self._psi_shoup = psi.astype(np.uint32), _shoup(psi, self._primes)
-        self._psi_inv = psi_inv.astype(np.uint32)
-        self._psi_inv_shoup = _shoup(psi_inv, self._primes)
-        self._n_inv = np.array([plan.n_inv for plan in plans], dtype=np.int64)
+        #: the per-context tables every C call reads, indexed by position
+        #: in ``ctx.all_primes``: primes and ``n⁻¹`` (int64, ``(2, K)``);
+        #: twiddles and Shoup quotients (uint32, ``(4, K, n)``)
+        self._ktab = np.stack([primes, [plan.n_inv for plan in plans]]).astype(np.int64)
+        self._wtab = np.stack(
+            [psi.astype(np.uint32), _shoup(psi, primes),
+             psi_inv.astype(np.uint32), _shoup(psi_inv, primes)]
+        )
+        #: validated prime-index arrays and packed per-level conversions,
+        #: built on first use (private: never written once cached)
+        self._index_sets: dict = {}
+        self._conversions: dict = {}
         self._lib = _native_kernels()
 
+    # ------------------------------------------------------------------
+    # argument checks: nothing reaches C unvalidated
+    # ------------------------------------------------------------------
     def _indices(self, prime_indices) -> np.ndarray:
-        idx = np.asarray(prime_indices, dtype=np.int64)
-        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= self._primes.size)):
-            raise ValueError(f"prime indices {prime_indices!r} outside the context's primes")
+        try:
+            key = tuple(prime_indices)
+            idx = self._index_sets.get(key)
+        except TypeError:
+            key = idx = None
+        if idx is None:
+            idx = np.asarray(prime_indices, dtype=np.int64)
+            if idx.ndim != 1 or (
+                idx.size and (idx.min() < 0 or idx.max() >= self._ktab.shape[1])
+            ):
+                raise ValueError(f"prime indices {prime_indices!r} outside the context's primes")
+            if key is not None:
+                self._index_sets[key] = idx
         return idx
 
-    def _stack(self, rows, idx) -> np.ndarray:
-        """``rows`` as a C-contiguous int64 ``(..., len(idx), n)`` stack
+    def _stack(self, rows, limbs: int) -> np.ndarray:
+        """``rows`` as a C-contiguous int64 ``(..., limbs, n)`` stack
         (a copy only when the layout needs one; never written to)."""
         rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if rows.ndim < 2 or rows.shape[-2:] != (idx.size, self.ctx.n):
+        if rows.ndim < 2 or rows.shape[-2:] != (limbs, self.ctx.n):
             raise ValueError(
-                f"rows of shape {rows.shape} do not match {idx.size} limbs of n={self.ctx.n}"
+                f"rows of shape {rows.shape} do not match {limbs} limbs of n={self.ctx.n}"
             )
         return rows
 
+    def _pack(self, conv, tail=()) -> np.ndarray:
+        """One int64 array holding a :class:`BaseConversion` the way
+        ``_kernels.c`` reads it: ``[S, T, G, size, sources, targets, inv,
+        weights]``, then ``tail`` (the descent's ``P⁻¹`` per target)."""
+        sources = self._indices(conv.sources)
+        targets = self._indices(conv.targets)
+        inv = np.asarray(conv.inv, dtype=np.int64)
+        weights = np.asarray(conv.weights, dtype=np.int64)
+        if weights.ndim != 3:
+            raise ValueError("base conversion weights must be (groups, targets, size)")
+        groups, _, size = weights.shape
+        if (
+            inv.shape != sources.shape
+            or weights.shape[1] != targets.size
+            or size < 1
+            or groups != -(-sources.size // size)
+        ):
+            raise ValueError("base conversion constants do not match its sources and targets")
+        head = [sources.size, targets.size, groups, size]
+        plan = np.concatenate([head, sources, targets, inv, weights.ravel(), tail])
+        return plan.astype(np.int64)
+
+    def _conversion(self, kind: str, level: int) -> np.ndarray:
+        """The packed digit lift (``"lift"``) or ``P`` descent
+        (``"descent"``, with ``P⁻¹`` mod each chain prime) of ``level``."""
+        plan = self._conversions.get((kind, level))
+        if plan is None:
+            ctx = self.ctx
+            if kind == "lift":
+                plan = self._pack(ctx.digit_lift(level))
+            else:
+                conv = ctx.p_descent(level)
+                if conv.weights.shape[0] != 1:
+                    raise ValueError("the P descent converts one group of special primes")
+                plan = self._pack(conv, ctx.p_inverses(level))
+            self._conversions[(kind, level)] = plan
+        return plan
+
+    def _call(self, status: int, what: str) -> None:
+        if status:
+            raise MemoryError(f"{what} kernel could not allocate its scratch rows")
+
+    # ------------------------------------------------------------------
+    # kernels
+    # ------------------------------------------------------------------
     def _ntt(self, rows, prime_indices, inverse: bool) -> np.ndarray:
         idx = self._indices(prime_indices)
-        rows = self._stack(rows, idx)
+        rows = self._stack(rows, idx.size)
         out = np.empty_like(rows)
-        psi, psi_shoup = (
-            (self._psi_inv, self._psi_inv_shoup) if inverse else (self._psi, self._psi_shoup)
+        self._call(
+            self._lib.ntt(
+                rows, out, math.prod(rows.shape[:-2]), idx.size, self.ctx.n,
+                idx, self._ktab, self._wtab, self._ktab.shape[1], inverse,
+            ),
+            "NTT",
         )
-        status = self._lib.ntt(
-            rows, out, math.prod(rows.shape[:-2]), idx.size, self.ctx.n,
-            idx, self._primes, psi, psi_shoup, self._n_inv, inverse,
-        )
-        if status:
-            raise MemoryError("NTT kernel could not allocate its scratch row")
         return out
 
     def ntt_forward(self, rows, prime_indices):
@@ -516,41 +654,215 @@ class VectorizedBackend(KernelBackend):
             return ReferenceBackend.ntt_inverse(self, rows, prime_indices)
         return self._ntt(rows, prime_indices, inverse=True)
 
+    def _lift(self, coeffs, prime_indices, transform: bool) -> np.ndarray:
+        idx = self._indices(prime_indices)
+        coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
+        n = self.ctx.n
+        if coeffs.ndim < 1 or coeffs.shape[-1] != n:
+            raise ValueError(f"coefficients of shape {coeffs.shape} do not match n={n}")
+        lead = coeffs.shape[:-1]
+        out = np.empty(lead + (idx.size, n), dtype=np.int64)
+        self._call(
+            self._lib.lift(
+                coeffs, out, math.prod(lead), idx.size, n,
+                idx, self._ktab, self._wtab, self._ktab.shape[1], transform,
+            ),
+            "lift",
+        )
+        return out
+
     def reduce_coeffs(self, coeffs, prime_indices):
-        return coeffs[None, :] % self._primes_col(prime_indices)
+        if self._lib is None:
+            return ReferenceBackend.reduce_coeffs(self, coeffs, prime_indices)
+        return self._lift(coeffs, prime_indices, transform=False)
+
+    def lift(self, coeffs, prime_indices):
+        if self._lib is None:
+            return super().lift(coeffs, prime_indices)
+        return self._lift(coeffs, prime_indices, transform=True)
 
     def base_convert(self, rows, conv):
         if self._lib is None:
             return ReferenceBackend.base_convert(self, rows, conv)
-        sources = self._indices(conv.sources)
-        targets = self._indices(conv.targets)
+        plan = self._pack(conv)
+        sources, targets, groups = (int(v) for v in plan[:3])
         rows = self._stack(rows, sources)
-        inv = np.ascontiguousarray(conv.inv, dtype=np.int64)
-        weights = np.ascontiguousarray(conv.weights, dtype=np.int64)
-        groups, _, size = weights.shape
-        if (
-            inv.shape != sources.shape
-            or weights.shape[1] != targets.size
-            or size < 1
-            or groups != -(-sources.size // size)
-        ):
-            raise ValueError("base conversion constants do not match its sources and targets")
         lead = rows.shape[:-2]
-        out = np.empty(lead + (groups, targets.size, self.ctx.n), dtype=np.int64)
-        src_primes = self._primes[sources]
-        tgt_primes = self._primes[targets]
-        status = self._lib.base_convert(
-            rows, out, math.prod(lead), sources.size, self.ctx.n,
-            src_primes, inv, groups, targets.size, size, weights, tgt_primes,
+        out = np.empty(lead + (groups, targets, self.ctx.n), dtype=np.int64)
+        self._call(
+            self._lib.base_convert(rows, out, math.prod(lead), self.ctx.n, plan, self._ktab),
+            "base conversion",
         )
-        if status:
-            raise MemoryError("base conversion kernel could not allocate its scratch rows")
         return out
 
     def inner_product(self, digits, key, prime_indices):
-        # lazy sum: raw digit·key products are < 2^60, so up to 8 of them
-        # sum exactly in int64 — reduce once per chunk of 8 digits
-        return _chunked_modsum(digits * key, self._primes_col(prime_indices))
+        return ReferenceBackend.inner_product(self, digits, key, prime_indices)
+
+    # ------------------------------------------------------------------
+    # pointwise ops: one call per stack, ``b`` broadcast over leading axes
+    # ------------------------------------------------------------------
+    def _pointwise(self, op: int, a, b, prime_indices) -> np.ndarray:
+        idx = self._indices(prime_indices)
+        limbs = idx.size
+        a = self._stack(a, limbs)
+        if op == _OP_SCALE:
+            b = np.ascontiguousarray(b, dtype=np.int64)
+            if b.shape != (limbs,):
+                raise ValueError(f"{b.shape} scalars for {limbs} limbs")
+        elif op == _OP_NEG:
+            b = a
+        else:
+            b = self._stack(b, limbs)
+            if b.shape != a.shape:
+                shape = np.broadcast_shapes(a.shape, b.shape)
+                if a.shape != shape:
+                    a = np.ascontiguousarray(np.broadcast_to(a, shape))
+                lead = b.shape[:-2]
+                while lead and lead[0] == 1:
+                    lead = lead[1:]
+                if lead != shape[len(shape) - 2 - len(lead) : -2]:
+                    b = np.ascontiguousarray(np.broadcast_to(b, shape))
+        out = np.empty_like(a)
+        b_batch = 1 if op == _OP_SCALE else math.prod(b.shape[:-2])
+        self._lib.pointwise(
+            op, a, b, out, math.prod(a.shape[:-2]), b_batch, limbs, self.ctx.n, idx, self._ktab
+        )
+        return out
+
+    def modadd(self, a, b, prime_indices):
+        if self._lib is None:
+            return super().modadd(a, b, prime_indices)
+        return self._pointwise(_OP_ADD, a, b, prime_indices)
+
+    def modsub(self, a, b, prime_indices):
+        if self._lib is None:
+            return super().modsub(a, b, prime_indices)
+        return self._pointwise(_OP_SUB, a, b, prime_indices)
+
+    def modneg(self, a, prime_indices):
+        if self._lib is None:
+            return super().modneg(a, prime_indices)
+        return self._pointwise(_OP_NEG, a, None, prime_indices)
+
+    def modmul(self, a, b, prime_indices):
+        if self._lib is None:
+            return super().modmul(a, b, prime_indices)
+        return self._pointwise(_OP_MUL, a, b, prime_indices)
+
+    def modscale(self, a, scalars, prime_indices):
+        if self._lib is None:
+            return super().modscale(a, scalars, prime_indices)
+        return self._pointwise(_OP_SCALE, a, scalars, prime_indices)
+
+    def tensor(self, a, b, prime_indices):
+        if self._lib is None:
+            return super().tensor(a, b, prime_indices)
+        idx = self._indices(prime_indices)
+        a = self._stack(a, idx.size)
+        b = self._stack(b, idx.size)
+        if a.shape[:-2] != (2,) or b.shape[:-2] != (2,):
+            raise ValueError(f"tensor needs two (2, limbs, n) pairs, got {a.shape} and {b.shape}")
+        out = np.empty((3,) + a.shape[1:], dtype=np.int64)
+        self._lib.tensor(a, b, out, idx.size, self.ctx.n, idx, self._ktab)
+        return out
+
+    # ------------------------------------------------------------------
+    # the rescale and keyswitch pipelines, one call each
+    # ------------------------------------------------------------------
+    def rescale(self, rows, level):
+        if self._lib is None:
+            return super().rescale(rows, level)
+        if not 1 <= level < len(self.ctx.q_chain):
+            raise ValueError(f"no rescale below chain level {level}")
+        rows = self._stack(rows, level + 1)
+        lead = rows.shape[:-2]
+        out = np.empty(lead + (level, self.ctx.n), dtype=np.int64)
+        self._call(
+            self._lib.rescale(
+                rows, out, math.prod(lead), level, self.ctx.n,
+                self.ctx.rescale_inverses(level), self._ktab, self._wtab, self._ktab.shape[1],
+            ),
+            "rescale",
+        )
+        return out
+
+    def hoist_decompose(self, rows, level):
+        if self._lib is None:
+            return super().hoist_decompose(rows, level)
+        plan = self._conversion("lift", level)
+        sources, targets, groups = (int(v) for v in plan[:3])
+        rows = self._stack(rows, sources)
+        lead = rows.shape[:-2]
+        out = np.empty(lead + (groups, targets, self.ctx.n), dtype=np.int64)
+        self._call(
+            self._lib.hoist_decompose(
+                rows, out, math.prod(lead), self.ctx.n,
+                plan, self._ktab, self._wtab, self._ktab.shape[1],
+            ),
+            "digit decomposition",
+        )
+        return out
+
+    def keyswitch_inner_product(self, digits, key_b, key_a, level, perm=None):
+        if self._lib is None:
+            return super().keyswitch_inner_product(digits, key_b, key_a, level, perm=perm)
+        n = self.ctx.n
+        basis = self._indices(self.ctx.keyswitch_basis(level))
+        digits = self._stack(digits, basis.size)
+        if digits.ndim != 3:
+            raise ValueError(f"digits of shape {digits.shape} are not (digits, basis, n)")
+        key_b, key_a, stride = self._key_pair(key_b, key_a, digits.shape)
+        if perm is None:
+            perm, use_perm = basis, 0  # a placeholder the kernel never reads
+        else:
+            perm, use_perm = np.ascontiguousarray(perm, dtype=np.int64), 1
+            if perm.shape != (n,):
+                raise ValueError(f"a slot permutation of shape {perm.shape} for n={n}")
+        out = np.empty((2,) + digits.shape[1:], dtype=np.int64)
+        self._call(
+            self._lib.inner_product(
+                digits, key_b, key_a, out, digits.shape[0], basis.size, n,
+                stride, perm, use_perm, basis, self._ktab,
+            ),
+            "key inner product",
+        )
+        return out
+
+    @staticmethod
+    def _key_pair(key_b, key_a, shape) -> tuple:
+        """Both key halves as ``shape`` int64 arrays whose rows are
+        contiguous and whose digits sit one common stride apart (a
+        level's slice of a family's tensors already is), plus that stride
+        in elements; anything else is copied into that layout."""
+        keys = [np.asarray(key, dtype=np.int64) for key in (key_b, key_a)]
+        for key in keys:
+            if key.shape != shape:
+                raise ValueError(f"key of shape {key.shape} for digits of shape {shape}")
+        row = shape[-1] * 8
+        stride = keys[0].strides[0]
+        if any(
+            key.strides[1:] != (row, 8) or key.strides[0] != stride for key in keys
+        ) or stride % 8 or stride < shape[1] * row:
+            keys = [np.ascontiguousarray(key) for key in keys]
+            stride = shape[1] * row
+        return keys[0], keys[1], stride // 8
+
+    def keyswitch_descent(self, acc, level):
+        if self._lib is None:
+            return super().keyswitch_descent(acc, level)
+        plan = self._conversion("descent", level)
+        special, chain = (int(v) for v in plan[:2])
+        acc = self._stack(acc, special + chain)
+        lead = acc.shape[:-2]
+        out = np.empty(lead + (chain, self.ctx.n), dtype=np.int64)
+        self._call(
+            self._lib.keyswitch_descent(
+                acc, out, math.prod(lead), self.ctx.n,
+                plan, self._ktab, self._wtab, self._ktab.shape[1],
+            ),
+            "keyswitch descent",
+        )
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -565,18 +877,6 @@ _REGISTRY: dict = {
 def available_backends() -> list:
     """Registered backend names, sorted."""
     return sorted(_REGISTRY)
-
-
-def register_backend(name: str, cls) -> None:
-    """Register a :class:`KernelBackend` subclass under ``name``.
-
-    New backends must pass the cross-backend conformance suite
-    (bit-identical ciphertexts, identical op counts) before they are
-    trustworthy — see ``docs/backends.md``.
-    """
-    if not (isinstance(cls, type) and issubclass(cls, KernelBackend)):
-        raise TypeError(f"{cls!r} is not a KernelBackend subclass")
-    _REGISTRY[name] = cls
 
 
 def resolve_backend(spec, ctx) -> KernelBackend:

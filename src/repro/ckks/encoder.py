@@ -14,6 +14,7 @@ tracked scale.  Both are chunked matrix products to bound memory at large N.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from threading import Lock
 
@@ -140,12 +141,12 @@ class CkksEncoder:
     def lift(self, coeffs: np.ndarray, level: int, scale: float) -> Plaintext:
         """The NTT-form plaintext of :meth:`round`'s coefficients over the
         chain primes ``q_0..q_level``."""
-        prime_indices = list(range(level + 1))
+        prime_indices = range(level + 1)
         if coeffs.dtype == object:  # pragma: no cover - huge scales
-            poly = RnsPoly.from_int_coeffs(self.ctx, coeffs, prime_indices)
+            poly = RnsPoly.from_int_coeffs(self.ctx, coeffs, prime_indices).to_ntt()
         else:
-            poly = RnsPoly.from_small_coeffs(self.ctx, coeffs, prime_indices)
-        return Plaintext(poly=poly.to_ntt(), scale=float(scale))
+            poly = RnsPoly.lift(self.ctx, coeffs, prime_indices)
+        return Plaintext(poly=poly, scale=float(scale))
 
     def decode(self, poly: RnsPoly, scale: float, num_values: int | None = None) -> np.ndarray:
         """Decode an RNS plaintext back to (real) slot values."""
@@ -171,16 +172,23 @@ class PlaintextStore:
     to :meth:`CkksEncoder.encode`; a miss *is* that encode and inserts
     nothing, so request data never enters the store.
 
-    Keys are the value's dtype, shape and bytes plus the exact level and
-    scale — never a cast, so complex values differing in their imaginary
-    part, or a scalar and a one-slot vector, are different entries.
-    Lookups are thread-safe (the entries only change in :meth:`warm`,
-    by one swap of the whole table).
+    Keys are the value's dtype, shape and the SHA-256 of its bytes plus
+    the exact level and scale — never a cast, so complex values differing
+    in their imaginary part, or a scalar and a one-slot vector, are
+    different entries.  An entry holds a *reference* to the array it was
+    filled from (the network's own, no copy) and a hit must
+    ``np.array_equal`` it, so exactness never rests on the hash: a value
+    changed in place since the fill misses and encodes fresh.  Lookups
+    are thread-safe (the entries only change in :meth:`warm`, by one swap
+    of the whole table).
     """
 
     def __init__(self, encoder: CkksEncoder):
         self.encoder = encoder
+        #: key -> coefficients, or the :class:`Plaintext` after :meth:`warm`
         self._entries: dict = {}
+        #: key -> the array an entry was filled from (a reference)
+        self._sources: dict = {}
         self._lock = Lock()
         self.hits = 0
         self.misses = 0
@@ -188,21 +196,28 @@ class PlaintextStore:
     @staticmethod
     def _key(values, level: int, scale: float) -> tuple:
         arr = np.asarray(values)
-        return (arr.dtype.str, arr.shape, arr.tobytes(), level, float(scale))
+        digest = hashlib.sha256(np.ascontiguousarray(arr).view(np.uint8)).digest()
+        return (arr.dtype.str, arr.shape, digest, level, float(scale))
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def add(self, values, level: int, scale: float) -> None:
         """Encode ``values`` for ``(level, scale)`` unless already held."""
-        key = self._key(values, level, scale)
+        arr = np.asarray(values)
+        key = self._key(arr, level, scale)
         if key not in self._entries:
-            self._entries[key] = self.encoder.round(values, float(scale))
+            self._sources[key] = arr
+            self._entries[key] = self.encoder.round(arr, float(scale))
 
     def encode(self, values, level: int, scale: float) -> Plaintext:
         """The plaintext of ``values`` at ``(level, scale)``: held, or
         encoded fresh."""
-        entry = self._entries.get(self._key(values, level, scale))
+        arr = np.asarray(values)
+        key = self._key(arr, level, scale)
+        entry = self._entries.get(key)
+        if entry is not None and not np.array_equal(self._sources[key], arr):
+            entry = None  # a digest hit on other values, or a source changed since
         with self._lock:
             if entry is None:
                 self.misses += 1

@@ -5,7 +5,9 @@ Conventions
 -----------
 * A :class:`Ciphertext` is ``(c0, c1)`` in NTT domain over the chain primes
   ``q_0..q_level`` with a tracked float ``scale``; decryption computes
-  ``c0 + c1·s``.
+  ``c0 + c1·s``.  Both halves live in one ``(2, level+1, n)`` array, so
+  every additive op, plaintext product, tensor and rescale is one
+  kernel-backend call over the pair.
 * Every ciphertext-ciphertext or ciphertext-plaintext multiply doubles the
   scale; :meth:`rescale` divides by the level's top prime and drops it —
   one *level* consumed (the paper's multiplication-depth currency).
@@ -16,8 +18,6 @@ Conventions
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +32,30 @@ __all__ = ["Ciphertext", "CkksEvaluator"]
 _SCALE_RTOL = 0.05
 
 
-@dataclass
 class Ciphertext:
-    """A CKKS ciphertext at some chain level."""
+    """A CKKS ciphertext at some chain level: ``data`` holds ``(c0, c1)``
+    as one ``(2, level+1, n)`` NTT-form array, and :attr:`c0` /
+    :attr:`c1` are :class:`RnsPoly` views of its halves.  Only
+    :class:`CkksEvaluator` builds one."""
 
-    c0: RnsPoly
-    c1: RnsPoly
-    scale: float
-    level: int
+    __slots__ = ("ctx", "data", "scale", "level")
+
+    def __init__(self, ctx: CkksContext, data: np.ndarray, scale: float, level: int):
+        self.ctx = ctx
+        self.data = data
+        self.scale = scale
+        self.level = level
+
+    @property
+    def c0(self) -> RnsPoly:
+        return RnsPoly(self.ctx, self.data[0], range(self.level + 1), is_ntt=True)
+
+    @property
+    def c1(self) -> RnsPoly:
+        return RnsPoly(self.ctx, self.data[1], range(self.level + 1), is_ntt=True)
 
     def copy(self) -> "Ciphertext":
-        return Ciphertext(self.c0.copy(), self.c1.copy(), self.scale, self.level)
+        return Ciphertext(self.ctx, self.data.copy(), self.scale, self.level)
 
 
 class CkksEvaluator:
@@ -63,19 +76,23 @@ class CkksEvaluator:
     # ------------------------------------------------------------------
     def encrypt(self, values, level: int | None = None, scale: float | None = None) -> Ciphertext:
         """Encrypt a slot vector (public-key encryption)."""
-        level = self.ctx.max_level if level is None else level
+        ctx = self.ctx
+        level = ctx.max_level if level is None else level
         pt = self.encoder.encode(values, level, scale)
         chain = list(range(level + 1))
-        n = self.ctx.n
-        std = self.ctx.params.error_std
-        u = RnsPoly.from_small_coeffs(self.ctx, _sample_ternary(n, self._rng), chain).to_ntt()
-        e0 = RnsPoly.from_small_coeffs(self.ctx, _sample_error(n, std, self._rng), chain).to_ntt()
-        e1 = RnsPoly.from_small_coeffs(self.ctx, _sample_error(n, std, self._rng), chain).to_ntt()
-        pk_b = RnsPoly(self.ctx, self.keys.public.b.data[: level + 1].copy(), chain, True)
-        pk_a = RnsPoly(self.ctx, self.keys.public.a.data[: level + 1].copy(), chain, True)
-        c0 = pk_b * u + e0 + pt.poly
-        c1 = pk_a * u + e1
-        return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=level)
+        n, std, backend = ctx.n, ctx.params.error_std, ctx.backend
+        noise = np.stack([
+            _sample_ternary(n, self._rng),
+            _sample_error(n, std, self._rng),
+            _sample_error(n, std, self._rng),
+        ])
+        u, e0, e1 = backend.lift(noise, chain)
+        public = self.keys.public
+        pk = np.stack([public.b.data[: level + 1], public.a.data[: level + 1]])
+        # (pk_b·u + e0 + m, pk_a·u + e1)
+        err = np.stack([backend.modadd(e0, pt.poly.data, chain), e1])
+        data = backend.modadd(backend.modmul(pk, u, chain), err, chain)
+        return Ciphertext(ctx, data, pt.scale, level)
 
     def decrypt(self, ct: Ciphertext, num_values: int | None = None) -> np.ndarray:
         """Decrypt to (real) slot values."""
@@ -98,14 +115,17 @@ class CkksEvaluator:
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_add(a, b)
-        return Ciphertext(a.c0 + b.c0, a.c1 + b.c1, a.scale, a.level)
+        data = self.ctx.backend.modadd(a.data, b.data, range(a.level + 1))
+        return Ciphertext(self.ctx, data, a.scale, a.level)
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_add(a, b)
-        return Ciphertext(a.c0 - b.c0, a.c1 - b.c1, a.scale, a.level)
+        data = self.ctx.backend.modsub(a.data, b.data, range(a.level + 1))
+        return Ciphertext(self.ctx, data, a.scale, a.level)
 
     def negate(self, a: Ciphertext) -> Ciphertext:
-        return Ciphertext(-a.c0, -a.c1, a.scale, a.level)
+        data = self.ctx.backend.modneg(a.data, range(a.level + 1))
+        return Ciphertext(self.ctx, data, a.scale, a.level)
 
     def _as_plaintext(self, value, level: int, scale: float) -> Plaintext:
         """Resolve ``value`` through :attr:`plaintexts`, or validate an
@@ -134,7 +154,8 @@ class CkksEvaluator:
         """
         pt = self._as_plaintext(value, a.level, a.scale)
         self._check_add_plain(a, pt.scale)
-        return Ciphertext(a.c0 + pt.poly, a.c1.copy(), a.scale, a.level)
+        c0 = self.ctx.backend.modadd(a.data[0], pt.poly.data, range(a.level + 1))
+        return Ciphertext(self.ctx, np.stack([c0, a.data[1]]), a.scale, a.level)
 
     def _check_add_plain(self, a: Ciphertext, pt_scale: float) -> None:
         if abs(pt_scale - a.scale) > _SCALE_RTOL * max(pt_scale, a.scale):
@@ -155,19 +176,18 @@ class CkksEvaluator:
         ``Plaintext`` is used as-is (its own scale multiplies in).
         """
         pt = self._as_plaintext(value, a.level, scale if scale is not None else a.scale)
-        return Ciphertext(
-            a.c0 * pt.poly, a.c1 * pt.poly, a.scale * pt.scale, a.level
-        )
+        # one product over both halves: the plaintext broadcasts
+        data = self.ctx.backend.modmul(a.data, pt.poly.data, range(a.level + 1))
+        return Ciphertext(self.ctx, data, a.scale * pt.scale, a.level)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Ciphertext-ciphertext multiply (+ relinearisation)."""
         self._check_mul(a, b)
-        d0 = a.c0 * b.c0
-        d1 = a.c0 * b.c1 + a.c1 * b.c0
-        d2 = a.c1 * b.c1
-        scale = a.scale * b.scale
-        ks0, ks1 = self._keyswitch(d2, self.keys.relin, a.level)
-        return Ciphertext(d0 + ks0, d1 + ks1, scale, a.level)
+        backend, chain = self.ctx.backend, range(a.level + 1)
+        d = backend.tensor(a.data, b.data, chain)  # (d0, d1, d2)
+        ks = self._keyswitch(d[2], self.keys.relin, a.level)
+        data = backend.modadd(d[:2], ks, chain)
+        return Ciphertext(self.ctx, data, a.scale * b.scale, a.level)
 
     def square(self, a: Ciphertext) -> Ciphertext:
         return self.mul(a, a)
@@ -187,15 +207,8 @@ class CkksEvaluator:
         if level < 1:
             raise ValueError("cannot rescale at level 0")
         ctx = self.ctx
-        # both polynomials ride one batched descent: stack -> (2, level+1, n)
-        rows = ctx.backend.rescale(np.stack([a.c0.data, a.c1.data]), level)
-        chain = list(range(level))
-        return Ciphertext(
-            RnsPoly(ctx, rows[0], chain, is_ntt=True),
-            RnsPoly(ctx, rows[1], chain, is_ntt=True),
-            a.scale / ctx.q_chain[level],
-            level - 1,
-        )
+        data = ctx.backend.rescale(a.data, level)  # both halves, one descent
+        return Ciphertext(ctx, data, a.scale / ctx.q_chain[level], level - 1)
 
     def mod_switch_to(self, a: Ciphertext, level: int) -> Ciphertext:
         """Drop chain primes without dividing (scale unchanged)."""
@@ -203,10 +216,7 @@ class CkksEvaluator:
             raise ValueError(f"cannot mod-switch up ({a.level} -> {level})")
         if level == a.level:
             return a
-        keep = level + 1
-        return Ciphertext(
-            a.c0.drop_rows(keep), a.c1.drop_rows(keep), a.scale, level
-        )
+        return Ciphertext(self.ctx, a.data[:, : level + 1].copy(), a.scale, level)
 
     def mul_rescale(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.rescale(self.mul(a, b))
@@ -242,22 +252,18 @@ class CkksEvaluator:
     def _trivial_encrypt(self, values, level: int, scale: float) -> Ciphertext:
         """Noiseless encryption ``(encode(values), 0)`` — recrypt's re-entry."""
         pt = self.encoder.encode(values, level, scale)
-        zero = RnsPoly.zero(self.ctx, list(range(level + 1)), is_ntt=True)
-        return Ciphertext(pt.poly, zero, scale, level)
+        data = np.stack([pt.poly.data, np.zeros_like(pt.poly.data)])
+        return Ciphertext(self.ctx, data, scale, level)
 
     def _mod_raise(self, a: Ciphertext, level: int) -> Ciphertext:
         """Lift the centred ``q0`` residues of ``a`` onto the chain up to ``level``."""
         ctx = self.ctx
         q0 = ctx.q_chain[0]
         half = q0 // 2
-        chain = list(range(level + 1))
-
-        def lift(poly: RnsPoly) -> RnsPoly:
-            residues = poly.to_coeff().data[0]
-            centred = ((residues + half) % q0) - half
-            return RnsPoly.from_small_coeffs(ctx, centred, chain).to_ntt()
-
-        return Ciphertext(lift(a.c0), lift(a.c1), a.scale, level)
+        residues = ctx.backend.ntt_inverse(a.data, range(a.level + 1))[:, 0]
+        centred = ((residues + half) % q0) - half
+        data = ctx.backend.lift(centred, range(level + 1))
+        return Ciphertext(ctx, data, a.scale, level)
 
     def _mul_by_i(self, a: Ciphertext) -> Ciphertext:
         """Multiply every slot by ``i`` — exactly and for free.
@@ -268,27 +274,21 @@ class CkksEvaluator:
         level, scale or noise cost.
         """
         ctx = self.ctx
+        backend, chain = ctx.backend, range(a.level + 1)
         m = ctx.n // 2
-
-        def rot(poly: RnsPoly) -> RnsPoly:
-            coeff = poly.to_coeff()
-            rows = coeff.data
-            primes = np.array(
-                [ctx.all_primes[i] for i in coeff.prime_indices], dtype=np.int64
-            )[:, None]
-            out = np.empty_like(rows)
-            out[:, m:] = rows[:, :m]
-            out[:, :m] = (primes - rows[:, m:]) % primes
-            return RnsPoly(ctx, out, coeff.prime_indices, is_ntt=False).to_ntt()
-
-        return Ciphertext(rot(a.c0), rot(a.c1), a.scale, a.level)
+        rows = backend.ntt_inverse(a.data, chain)
+        out = np.empty_like(rows)
+        out[..., m:] = rows[..., :m]
+        out[..., :m] = backend.modneg(rows, chain)[..., m:]
+        return Ciphertext(ctx, backend.ntt_forward(out, chain), a.scale, a.level)
 
     # ------------------------------------------------------------------
     # keyswitching (grouped hybrid: α chain primes per digit)
     # ------------------------------------------------------------------
-    def _keyswitch(self, d: RnsPoly, family, level: int) -> tuple:
-        """Switch poly ``d`` (chain basis at ``level``) through a
-        :class:`KeySwitchFamily`; returns the (c0, c1) contribution.
+    def _keyswitch(self, d: np.ndarray, family, level: int) -> np.ndarray:
+        """Switch the NTT-form chain rows ``d`` at ``level`` through a
+        :class:`KeySwitchFamily`; returns the ``(2, level+1, n)`` (c0, c1)
+        contribution.
 
         Digits ``D_k = [d]_{G_k}`` (one per group of α chain primes) are
         smaller than ``P``, so after multiplying by the per-digit keys and
@@ -299,8 +299,9 @@ class CkksEvaluator:
             self._hoist_decompose(d, level), family, level
         )
 
-    def _hoist_decompose(self, d: RnsPoly, level: int) -> np.ndarray:
-        """Keyswitch digits of ``d`` in NTT form over the extended basis.
+    def _hoist_decompose(self, d: np.ndarray, level: int) -> np.ndarray:
+        """Keyswitch digits of the NTT-form chain rows ``d``, in NTT form
+        over the extended basis.
 
         Returns shape ``(ceil((level+1)/α) digits, α+level+1 basis rows,
         N)``.  This is the expensive half of a keyswitch (inverse NTTs,
@@ -316,27 +317,25 @@ class CkksEvaluator:
         The digit pipeline itself is a kernel-backend concern
         (:meth:`KernelBackend.hoist_decompose`).
         """
-        return self.ctx.backend.hoist_decompose(d.to_coeff().data, level)
+        backend = self.ctx.backend
+        return backend.hoist_decompose(backend.ntt_inverse(d, range(level + 1)), level)
 
     def _apply_keyswitch_keys(
         self, digits: np.ndarray, family, level: int, perm: np.ndarray | None = None
-    ) -> tuple:
+    ) -> np.ndarray:
         """Inner product of decomposed digits with a key family, then the
-        divide-by-``P`` descent back onto the chain basis.
+        divide-by-``P`` descent back onto the chain basis:
+        ``(2, level+1, n)``.
 
         ``perm`` (an NTT-slot permutation) is applied to every digit first —
         this is the per-rotation half of a hoisted Galois application.
         The arithmetic runs in the kernel backend against the level's
         slice of the family's key tensors.
         """
-        ctx = self.ctx
+        backend = self.ctx.backend
         key_b, key_a = family.stacked_at_level(level)
-        rows_b, rows_a = ctx.backend.apply_keyswitch(digits, key_b, key_a, level, perm=perm)
-        chain = list(range(level + 1))
-        return (
-            RnsPoly(ctx, rows_b, chain, is_ntt=True),
-            RnsPoly(ctx, rows_a, chain, is_ntt=True),
-        )
+        acc = backend.keyswitch_inner_product(digits, key_b, key_a, level, perm=perm)
+        return backend.keyswitch_descent(acc, level)
 
     # ------------------------------------------------------------------
     # rotations
@@ -396,16 +395,15 @@ class CkksEvaluator:
         elements = [pow(5, step % self.ctx.slots, 2 * self.ctx.n) for step in terms]
         self._require_galois_keys(g for g in elements if g != 1)
         ctx, level = self.ctx, first.level
-        backend = ctx.backend
-        c0 = c1 = acc = None
+        backend, chain = ctx.backend, range(level + 1)
+        fixed = c0 = acc = None  # trivial terms (both halves); moved c0s
         for g, ct in zip(elements, terms.values()):
             if g == 1:
-                c0 = ct.c0 if c0 is None else c0 + ct.c0
-                c1 = ct.c1 if c1 is None else c1 + ct.c1
+                fixed = ct.data if fixed is None else backend.modadd(fixed, ct.data, chain)
                 continue
             perm = ctx.galois_ntt_permutation(g)
             part = backend.keyswitch_inner_product(
-                self._hoist_decompose(ct.c1, level),
+                self._hoist_decompose(ct.data[1], level),
                 *self.keys.galois[g].stacked_at_level(level),
                 level,
                 perm=perm,
@@ -413,18 +411,15 @@ class CkksEvaluator:
             acc = part if acc is None else backend.modadd(
                 acc, part, ctx.keyswitch_basis(level)
             )
-            c0g = RnsPoly(ctx, ct.c0.to_ntt().data[:, perm], ct.c0.prime_indices, True)
-            c0 = c0g if c0 is None else c0 + c0g
+            c0g = ct.data[0][:, perm]
+            c0 = c0g if c0 is None else backend.modadd(c0, c0g, chain)
         if acc is None:
-            return Ciphertext(c0.copy(), c1.copy(), first.scale, level)
-        chain = list(range(level + 1))
-        ks0, ks1 = (
-            RnsPoly(ctx, rows, chain, is_ntt=True)
-            for rows in backend.keyswitch_descent(acc, level)
-        )
-        return Ciphertext(
-            c0 + ks0, ks1 if c1 is None else c1 + ks1, first.scale, level
-        )
+            return Ciphertext(ctx, fixed.copy(), first.scale, level)
+        data = backend.keyswitch_descent(acc, level)  # (ks0, ks1), ours to write
+        data[0] = backend.modadd(c0, data[0], chain)
+        if fixed is not None:
+            data = backend.modadd(fixed, data, chain)
+        return Ciphertext(ctx, data, first.scale, level)
 
     def _check_sum_terms(self, terms: dict):
         """The first term of a :meth:`sum_rotated`, once every other term
@@ -452,14 +447,12 @@ class CkksEvaluator:
         if not elements:
             return []
         self._require_galois_keys(elements)
-        c0 = a.c0.to_ntt()
-        digits = self._hoist_decompose(a.c1, a.level)
+        ctx, backend, chain = self.ctx, self.ctx.backend, range(a.level + 1)
+        digits = self._hoist_decompose(a.data[1], a.level)
         out = []
         for g in elements:
-            perm = self.ctx.galois_ntt_permutation(g)
-            ks0, ks1 = self._apply_keyswitch_keys(
-                digits, self.keys.galois[g], a.level, perm=perm
-            )
-            c0g = RnsPoly(self.ctx, c0.data[:, perm], c0.prime_indices, is_ntt=True)
-            out.append(Ciphertext(c0g + ks0, ks1, a.scale, a.level))
+            perm = ctx.galois_ntt_permutation(g)
+            data = self._apply_keyswitch_keys(digits, self.keys.galois[g], a.level, perm=perm)
+            data[0] = backend.modadd(a.data[0][:, perm], data[0], chain)
+            out.append(Ciphertext(ctx, data, a.scale, a.level))
         return out

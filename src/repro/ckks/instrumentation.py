@@ -211,8 +211,10 @@ class RowCountingBackend(KernelBackend):
     RowCountingBackend(ctx.backend))`` — and counts every residue row
     that passes through a forward or inverse NTT, delegating each kernel
     to the wrapped backend untouched (same bytes out, same ``name``).
-    The rescale and keyswitch pipelines are the shared compositions it
-    inherits, so their transforms are counted too.  Rows are exact and
+    The lift, rescale, decomposition and descent pipelines are the shared
+    compositions it inherits, so their transforms are counted too; steps
+    with no transform in them (pointwise ops, the tensor, the key inner
+    product) go to the wrapped backend whole.  Rows are exact and
     backend-invariant: they see what ``keyswitch_count`` cannot — how
     many decompositions and divide-by-``P`` descents a forward really
     paid.
@@ -248,3 +250,24 @@ class RowCountingBackend(KernelBackend):
 
     def inner_product(self, digits, key, prime_indices):
         return self.inner.inner_product(digits, key, prime_indices)
+
+    def keyswitch_inner_product(self, digits, key_b, key_a, level, perm=None):
+        return self.inner.keyswitch_inner_product(digits, key_b, key_a, level, perm=perm)
+
+    def modadd(self, a, b, prime_indices):
+        return self.inner.modadd(a, b, prime_indices)
+
+    def modsub(self, a, b, prime_indices):
+        return self.inner.modsub(a, b, prime_indices)
+
+    def modneg(self, a, prime_indices):
+        return self.inner.modneg(a, prime_indices)
+
+    def modmul(self, a, b, prime_indices):
+        return self.inner.modmul(a, b, prime_indices)
+
+    def modscale(self, a, scalars, prime_indices):
+        return self.inner.modscale(a, scalars, prime_indices)
+
+    def tensor(self, a, b, prime_indices):
+        return self.inner.tensor(a, b, prime_indices)

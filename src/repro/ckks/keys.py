@@ -95,7 +95,7 @@ class KeySwitchFamily:
         alpha = ctx.alpha
         basis = ctx.keyswitch_basis(ctx.max_level)
         s_basis = RnsPoly(ctx, secret.poly.data[basis], basis, is_ntt=True)
-        w_basis = RnsPoly.from_small_coeffs(ctx, w_coeffs, basis).to_ntt()
+        w_basis = RnsPoly.lift(ctx, w_coeffs, basis)
         # P mod each basis prime — zero on the special rows themselves
         p_special = math.prod(ctx.special_primes)
         p_mod = np.array([p_special % ctx.all_primes[i] for i in basis], dtype=np.int64)
@@ -107,9 +107,7 @@ class KeySwitchFamily:
             group = slice(alpha * (k + 1), alpha * (k + 2))
             gadget[group] = p_mod[group]
             a = _sample_uniform(ctx, basis, rng)
-            e = RnsPoly.from_small_coeffs(
-                ctx, _sample_error(ctx.n, ctx.params.error_std, rng), basis
-            ).to_ntt()
+            e = RnsPoly.lift(ctx, _sample_error(ctx.n, ctx.params.error_std, rng), basis)
             b = -(a * s_basis) + e + w_basis.scalar_mul(gadget)
             keys_b.append(b.data)
             keys_a.append(a.data)
@@ -190,14 +188,12 @@ def keygen(
     chain = list(range(len(ctx.q_chain)))
 
     s_coeffs = _sample_ternary(n, rng)
-    s_ext = RnsPoly.from_small_coeffs(ctx, s_coeffs, ext).to_ntt()
+    s_ext = RnsPoly.lift(ctx, s_coeffs, ext)
     secret = SecretKey(poly=s_ext, coeffs=s_coeffs)
 
     # public key over the ciphertext chain only
     a_pk = _sample_uniform(ctx, chain, rng)
-    e_pk = RnsPoly.from_small_coeffs(
-        ctx, _sample_error(n, ctx.params.error_std, rng), chain
-    ).to_ntt()
+    e_pk = RnsPoly.lift(ctx, _sample_error(n, ctx.params.error_std, rng), chain)
     s_chain = RnsPoly(ctx, s_ext.data[: len(chain)].copy(), chain, is_ntt=True)
     public = PublicKey(b=-(a_pk * s_chain) + e_pk, a=a_pk)
 

@@ -64,6 +64,13 @@ class RnsPoly:
         rows = ctx.backend.reduce_coeffs(coeffs, prime_indices)
         return RnsPoly(ctx, rows, prime_indices, is_ntt=False)
 
+    @staticmethod
+    def lift(ctx: CkksContext, coeffs: np.ndarray, prime_indices) -> "RnsPoly":
+        """:meth:`from_small_coeffs` in NTT form, as one backend call."""
+        prime_indices = list(prime_indices)
+        rows = ctx.backend.lift(np.asarray(coeffs, dtype=np.int64), prime_indices)
+        return RnsPoly(ctx, rows, prime_indices, is_ntt=True)
+
     # ------------------------------------------------------------------
     def primes(self) -> list:
         return [self.ctx.all_primes[i] for i in self.prime_indices]
@@ -151,10 +158,6 @@ class RnsPoly:
     # ------------------------------------------------------------------
     # basis surgery
     # ------------------------------------------------------------------
-    def drop_rows(self, keep: int) -> "RnsPoly":
-        """Keep the first ``keep`` rows (mod-switch down)."""
-        return RnsPoly(self.ctx, self.data[:keep].copy(), self.prime_indices[:keep], self.is_ntt)
-
     def automorphism(self, g: int) -> "RnsPoly":
         """Apply X -> X^g (g odd, mod 2N); requires coefficient domain."""
         if self.is_ntt:

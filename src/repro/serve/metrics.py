@@ -218,12 +218,6 @@ class ServingMetrics:
             if layer_seconds:
                 self._record_layers(layer_seconds)
 
-    def record_layer_seconds(self, layer_seconds: dict) -> None:
-        """Feed one traced forward's per-layer durations (``name ->
-        seconds``, e.g. from :meth:`repro.obs.Tracer.layer_spans`)."""
-        with self._lock:
-            self._record_layers(layer_seconds)
-
     def _record_layers(self, layer_seconds: dict) -> None:
         for name, seconds in layer_seconds.items():
             stats = self._layers.get(name)

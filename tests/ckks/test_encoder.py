@@ -168,6 +168,26 @@ class TestPlaintextStore:
         (pt,) = store._entries.values()
         assert store.encode(np.linspace(-1, 1, 8), 2, 2.0**25) is pt
 
+    def test_entry_references_its_source_and_a_mutated_source_misses(self):
+        """The store keys on a digest and keeps the caller's array itself
+        (no copy of its bytes); a hit must equal that array, so values
+        changed in place after the fill miss — looked up either as they
+        are now or as they were — and encode fresh."""
+        store = PlaintextStore(CkksEncoder(_STORE_CTX))
+        v = np.linspace(-1, 1, 8)
+        original = v.copy()
+        store.add(v, 2, 2.0**25)
+        (source,) = store._sources.values()
+        assert source is v
+        want = store.encoder.encode(v, 2, 2.0**25)
+        _assert_same_plaintext(store.encode(original, 2, 2.0**25), want)
+        v[3] += 0.25
+        for values in (v, original):
+            _assert_same_plaintext(
+                store.encode(values, 2, 2.0**25), store.encoder.encode(values, 2, 2.0**25)
+            )
+        assert (len(store), store.hits, store.misses) == (1, 1, 2)
+
     def test_miss_encodes_fresh_and_inserts_nothing(self):
         store = PlaintextStore(CkksEncoder(_STORE_CTX))
         v = np.arange(4.0)

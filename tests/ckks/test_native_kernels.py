@@ -3,7 +3,8 @@ front of every C call, the on-disk build cache, the no-compiler fallback
 and concurrent use of one backend.
 
 The NTT algebra itself is pinned property by property in
-``test_backend_ntt.py``; here every output is held byte-equal to
+``test_backend_ntt.py``, every other entry point in
+``test_kernel_properties.py``; here every output is held byte-equal to
 :class:`ReferenceBackend` (the spec) or to the same call on a
 contiguous copy.
 """
@@ -38,20 +39,51 @@ def residues(ctx, lead, idx, seed=0):
     return rng.integers(0, 2**62, size=lead + (len(idx), ctx.n)) % primes
 
 
+#: every function of ``_kernels.c``
+ENTRY_POINTS = (
+    "ntt", "lift", "pointwise", "tensor", "rescale", "base_convert",
+    "hoist_decompose", "inner_product", "keyswitch_descent",
+)
+
+
 def kernel_outputs(be, ctx, seed=0):
-    """Both NTTs and both base conversions on seeded stacks — one list of
-    arrays to compare byte for byte across backends."""
+    """Every kernel and every fused step on seeded stacks — one list of
+    arrays to compare byte for byte across backends: both NTTs, both
+    base conversions, each pointwise op (``b`` broadcast), the tensor,
+    the lift, the rescale, a decomposition, key inner products (a
+    level's strided key slice, permutation on and off) and a descent."""
     top = ctx.max_level
+    low = top - 1
     chain = list(range(top + 1))
     basis = ctx.keyswitch_basis(top)
     x = residues(ctx, (2,), chain, seed)
-    special = residues(ctx, (2,), basis[: ctx.alpha], seed + 1)
+    y = residues(ctx, (), chain, seed + 1)
+    special = residues(ctx, (2,), basis[: ctx.alpha], seed + 2)
+    keys = residues(ctx, (2, ctx.num_digits(top)), basis, seed + 3)
+    low_keys = keys[:, : ctx.num_digits(low), : ctx.alpha + low + 1]
+    coeffs = np.random.default_rng(seed).integers(-(2**62), 2**62, size=(3, ctx.n))
+    perm = ctx.galois_ntt_permutation(5)
+    digits = be.hoist_decompose(x[0], top)
+    low_digits = be.hoist_decompose(x[1, : low + 1], low)
+    acc = be.keyswitch_inner_product(digits, keys[0], keys[1], top, perm=perm)
     return [
         be.ntt_forward(x, chain),
         be.ntt_inverse(x, chain),
         be.base_convert(x[0], ctx.digit_lift(top)),
         be.base_convert(special, ctx.p_descent(top)),
+        be.modadd(x, y, chain),
+        be.modsub(x, y, chain),
+        be.modneg(x, chain),
+        be.modmul(x, y, chain),
+        be.modscale(x, y[:, 0], chain),
+        be.tensor(x, x[::-1], chain),
+        be.reduce_coeffs(coeffs, chain),
+        be.lift(coeffs, basis),
         be.rescale(x, top),
+        digits,
+        acc,
+        be.keyswitch_inner_product(low_digits, low_keys[0], low_keys[1], low),
+        be.keyswitch_descent(acc, top),
     ]
 
 
@@ -84,6 +116,42 @@ class TestInputChecks:
             be.base_convert(x, conv._replace(weights=conv.weights[:, :-1]))
         with pytest.raises(ValueError):
             be.base_convert(x, conv._replace(inv=conv.inv[:-1]))
+
+    def test_fused_steps_check_their_shapes(self, ctx):
+        be = VectorizedBackend(ctx)
+        top = ctx.max_level
+        chain = list(range(top + 1))
+        basis = ctx.keyswitch_basis(top)
+        x = residues(ctx, (2,), chain)
+        for op in (be.modadd, be.modsub, be.modmul):
+            with pytest.raises(ValueError):
+                op(x, x[:, :-1], chain)  # limb count
+            with pytest.raises(ValueError):
+                op(x, x[..., :-1], chain[:-1])  # ring size
+            with pytest.raises(ValueError):
+                op(x, residues(ctx, (3,), chain), chain)  # lead shapes do not broadcast
+        with pytest.raises(ValueError):
+            be.modscale(x, np.ones(top, dtype=np.int64), chain)
+        with pytest.raises(ValueError):
+            be.tensor(x[:1], x[:1], chain)  # not a pair
+        with pytest.raises(ValueError):
+            be.lift(np.zeros(ctx.n + 1, dtype=np.int64), chain)
+        with pytest.raises(ValueError):
+            be.rescale(x, 0)  # nothing below level 0
+        with pytest.raises(ValueError):
+            be.rescale(x[:, :-1], top)
+        with pytest.raises(ValueError):
+            be.hoist_decompose(x[0], top - 1)
+        with pytest.raises(ValueError):
+            be.keyswitch_descent(x, top)  # no special rows
+        digits = be.hoist_decompose(x[0], top)
+        keys = residues(ctx, (2, digits.shape[0]), basis)
+        with pytest.raises(ValueError):
+            be.keyswitch_inner_product(digits, keys[0][:, :-1], keys[1], top)
+        with pytest.raises(ValueError):
+            be.keyswitch_inner_product(digits[:, :-1], keys[0], keys[1], top)
+        with pytest.raises(ValueError):
+            be.keyswitch_inner_product(digits, *keys, top, perm=np.arange(ctx.n - 1))
 
     def test_inputs_never_mutated(self, ctx):
         be = VectorizedBackend(ctx)
@@ -119,40 +187,47 @@ class TestInputChecks:
         )
 
     def test_c_calls_get_live_arrays_not_addresses(self, ctx, monkeypatch):
-        """Every pointer argument reaches ctypes as the ndarray itself —
-        held by the call's own argument tuple until C returns — never as a
-        bare ``.ctypes.data`` integer whose array may already be freed.
-        Fancy-indexed temporaries then give the spec's bytes."""
+        """Every pointer argument of every entry point reaches ctypes as
+        the ndarray itself — held by the call's own argument tuple until C
+        returns — never as a bare ``.ctypes.data`` integer whose array may
+        already be freed.  The one argument kind beyond the call's own data
+        is the backend's two per-context tables, passed as the backend's
+        own arrays.  Fancy-indexed temporaries then give the spec's bytes."""
         be = VectorizedBackend(ctx)
         lib = be._lib
         calls = []
 
         def recording(fn):
             def call(*args):
+                tables = 0
                 for arg, argtype in zip(args, fn.argtypes, strict=True):
-                    if hasattr(argtype, "_dtype_"):  # an ndpointer slot
-                        assert isinstance(arg, np.ndarray) and arg.flags.c_contiguous
+                    if hasattr(argtype, "_dtype_"):  # an array slot
+                        assert isinstance(arg, np.ndarray) and arg.dtype == argtype._dtype_
+                        assert arg.flags.c_contiguous or argtype._strided
+                        if arg.dtype == np.uint32:
+                            assert arg is be._wtab
+                        tables += arg is be._ktab or arg is be._wtab
                     else:  # no raw pointer slot at all: sizes and flags only
                         assert argtype in (ctypes.c_int64, ctypes.c_int)
+                assert tables >= 1, fn.__name__  # every entry point reads ktab
                 calls.append(fn.__name__)
                 return fn(*args)
 
             return call
 
         recorded = SimpleNamespace(
-            ntt=recording(lib.ntt), base_convert=recording(lib.base_convert)
+            **{name: recording(getattr(lib, name)) for name in ENTRY_POINTS}
         )
         monkeypatch.setattr(be, "_lib", recorded)
         ref = ReferenceBackend(ctx)
         x = residues(ctx, (4,), range(ctx.max_level + 1))
         pick = np.array([3, 0, 2])
-        for got, want in zip(kernel_outputs(be, ctx), kernel_outputs(ref, ctx)):
-            assert got.tobytes() == want.tobytes()
+        assert_same_bytes(kernel_outputs(be, ctx), kernel_outputs(ref, ctx))
         for transform in ("ntt_forward", "ntt_inverse"):
             got = getattr(be, transform)(x[[2, 0]][:, pick], pick.tolist())
             want = getattr(ref, transform)(x[[2, 0]][:, pick], pick.tolist())
             assert got.tobytes() == want.tobytes()
-        assert {"ntt", "base_convert"} <= set(calls)
+        assert set(calls) == set(ENTRY_POINTS)
 
 
 class TestBuild:

@@ -1,8 +1,7 @@
 """Repo-wide fixtures: the kernel-backend axis and the polynomial oracle.
 
 ``backend`` parametrizes a test over every registered kernel backend
-(``reference``, ``vectorized``, plus anything registered via
-:func:`repro.ckks.backend.register_backend`).  All backends are
+(``reference`` and ``vectorized``).  All backends are
 bit-identical by contract (docs/backends.md), so any correctness test
 can take the fixture and run unchanged under each — the conformance
 suite (``tests/fhe/test_backend_conformance.py``) pins the contract

@@ -72,8 +72,8 @@ class TestGauges:
 class TestLayerHistograms:
     def test_layer_stats_accumulate(self):
         m = ServingMetrics()
-        m.record_layer_seconds({"layer00:linear": 0.004, "layer01:paf": 0.030})
-        m.record_layer_seconds({"layer00:linear": 0.006})
+        m.record_batch(1, 0.0, [], layer_seconds={"layer00:linear": 0.004, "layer01:paf": 0.030})
+        m.record_batch(1, 0.0, [], layer_seconds={"layer00:linear": 0.006})
         s = m.snapshot()["layers"]
         assert s["layer00:linear"]["count"] == 2
         assert s["layer00:linear"]["mean_ms"] == pytest.approx(5.0)
@@ -88,9 +88,9 @@ class TestLayerHistograms:
     def test_histogram_buckets_are_cumulative(self):
         m = ServingMetrics()
         # 4ms and 6ms land in the 5ms and 10ms buckets respectively
-        m.record_layer_seconds({"l": 0.004})
-        m.record_layer_seconds({"l": 0.006})
-        m.record_layer_seconds({"l": 99.0})  # beyond the last bound -> +Inf
+        m.record_batch(1, 0.0, [], layer_seconds={"l": 0.004})
+        m.record_batch(1, 0.0, [], layer_seconds={"l": 0.006})
+        m.record_batch(1, 0.0, [], layer_seconds={"l": 99.0})  # beyond the last bound -> +Inf
         text = m.format_prometheus()
         assert 'layer_latency_ms_bucket{layer="l",le="5"} 1' in text
         assert 'layer_latency_ms_bucket{layer="l",le="10"} 2' in text
@@ -120,7 +120,7 @@ class TestPrometheusText:
 
     def test_bucket_bounds_match_declared_schedule(self):
         m = ServingMetrics()
-        m.record_layer_seconds({"l": 0.001})
+        m.record_batch(1, 0.0, [], layer_seconds={"l": 0.001})
         text = m.format_prometheus()
         for bound in LATENCY_BUCKETS_MS:
             assert f'le="{bound:g}"' in text
