@@ -42,7 +42,6 @@ from repro.ckks.poly_plan import (
     plan_poly,
 )
 from repro.ckks.primes import generate_primes, is_prime
-from repro.ckks.rns import RnsPoly, crt_compose_centered
 from repro.ckks.security import SecurityReport, security_report
 from repro.ckks.shadow import ShadowCiphertext, ShadowEvaluator
 
@@ -62,8 +61,6 @@ __all__ = [
     "KeyChain",
     "keygen",
     "NttPlan",
-    "RnsPoly",
-    "crt_compose_centered",
     "generate_primes",
     "is_prime",
     "eval_poly",

@@ -1,19 +1,20 @@
 """Pluggable kernel backends: the per-limb ↔ limb-batched seam.
 
 Every homomorphic operation in this repo bottoms out in a handful of
-exact modular-integer kernels over the ``(limbs, n)`` residue matrix of
-an :class:`~repro.ckks.rns.RnsPoly`: negacyclic NTTs, pointwise modular
-arithmetic, the centred approximate base conversion and the keyswitch
-digit/key inner product.  :class:`KernelBackend` names that seam and
+exact modular-integer kernels over ``(limbs, n)`` int64 residue rows —
+a ciphertext half, a plaintext, a key or a secret, each over a basis its
+caller knows: negacyclic NTTs, pointwise modular arithmetic, the
+centred approximate base conversion and the keyswitch digit/key inner
+product.  :class:`KernelBackend` names that seam and
 composes the kernels into the pipelines everything above it calls
 — :meth:`~KernelBackend.rescale`, :meth:`~KernelBackend.hoist_decompose`
 and :meth:`~KernelBackend.apply_keyswitch`, itself the composition of
 :meth:`~KernelBackend.keyswitch_inner_product` and
 :meth:`~KernelBackend.keyswitch_descent` (grouped hybrid keyswitching:
 a digit is a group of α chain primes, lifted onto ``α+level+1`` basis
-rows; see :mod:`repro.ckks.keys`).  ``rns``, ``evaluator``,
-``fhe/linear`` and ``fhe/network`` call only the interface and never
-touch a butterfly.
+rows; see :mod:`repro.ckks.keys`).  ``encoder``, ``keys``,
+``evaluator``, ``fhe/linear`` and ``fhe/network`` call only the
+interface and never touch a butterfly.
 
 Two implementations ship:
 
@@ -37,7 +38,7 @@ residues, and every fused call computes exactly the base-class
 composition it replaces, so no evaluation order or layout can change
 any residue.  The cross-backend conformance suite
 (``tests/fhe/test_backend_conformance``) pins this — same kernel outputs
-at every level, same ``c0/c1`` coefficients, same op counts, same
+at every level, same ciphertext bytes, same op counts, same
 decrypted outputs — which is what lets benchmarks compare backends as
 pure wall-time experiments.
 
@@ -64,10 +65,10 @@ The compiled library is cached under ``$XDG_CACHE_HOME/repro`` (default
 ``~/.cache/repro``), keyed by a hash of the source, the flags, the
 compiler version and the host CPU; a build writes a temp file and
 renames it into place, so racing processes never load half a file.
-Where the build fails, :class:`VectorizedBackend` runs the base-class
-compositions over the spec kernels after one :class:`KernelBuildWarning`
+Where the build fails, :func:`resolve_backend` hands ``"vectorized"``
+contexts a :class:`ReferenceBackend` after one :class:`KernelBuildWarning`
 naming the compiler error (the test suite turns that warning into an
-error).
+error); a :class:`VectorizedBackend` always runs its library.
 
 This module deliberately imports nothing from the rest of ``repro.ckks``
 (backends see only raw arrays, prime index lists and context
@@ -354,8 +355,9 @@ class ReferenceBackend(KernelBackend):
 
 class KernelBuildWarning(RuntimeWarning):
     """The compiled kernels of :class:`VectorizedBackend` could not be
-    built or loaded; the backend runs the spec kernels instead (exact,
-    several times slower).  The message names the compiler error."""
+    built or loaded; contexts asking for ``"vectorized"`` run
+    :class:`ReferenceBackend` instead (exact, several times slower).
+    The message names the compiler error."""
 
 
 #: the C kernels, compiled on first use with the system ``cc``
@@ -504,8 +506,8 @@ def _native_kernels():
                 reason = str(exc)
             if _native is False:
                 warnings.warn(
-                    f"compiled kernels unavailable ({reason}); VectorizedBackend "
-                    "falls back to the NttPlan spec kernels",
+                    f"compiled kernels unavailable ({reason}); contexts run the "
+                    "reference backend",
                     KernelBuildWarning,
                     stacklevel=3,
                 )
@@ -529,16 +531,19 @@ class VectorizedBackend(KernelBackend):
     (forward and inverse twiddles with their Shoup quotients).  Inputs
     must be canonical residues (every in-tree caller's invariant);
     shapes, prime indices and conversion constants are checked before
-    any pointer reaches C.  Without a compiler every method is the
-    base-class composition over :class:`ReferenceBackend`'s spec
-    kernels and numpy pointwise ops, after one
-    :class:`KernelBuildWarning`.
+    any pointer reaches C.  Without the library there is no instance:
+    the constructor raises, and :func:`resolve_backend` picks
+    :class:`ReferenceBackend` instead.
     """
 
     name = "vectorized"
 
     def __init__(self, ctx):
+        lib = _native_kernels()
+        if lib is None:
+            raise RuntimeError("the compiled kernels could not be built (see KernelBuildWarning)")
         super().__init__(ctx)
+        self._lib = lib
         plans = ctx.plans
         primes = ctx._primes_arr
         psi = np.stack([plan.psi_rev for plan in plans])
@@ -555,7 +560,6 @@ class VectorizedBackend(KernelBackend):
         #: built on first use (private: never written once cached)
         self._index_sets: dict = {}
         self._conversions: dict = {}
-        self._lib = _native_kernels()
 
     # ------------------------------------------------------------------
     # argument checks: nothing reaches C unvalidated
@@ -645,13 +649,9 @@ class VectorizedBackend(KernelBackend):
         return out
 
     def ntt_forward(self, rows, prime_indices):
-        if self._lib is None:
-            return ReferenceBackend.ntt_forward(self, rows, prime_indices)
         return self._ntt(rows, prime_indices, inverse=False)
 
     def ntt_inverse(self, rows, prime_indices):
-        if self._lib is None:
-            return ReferenceBackend.ntt_inverse(self, rows, prime_indices)
         return self._ntt(rows, prime_indices, inverse=True)
 
     def _lift(self, coeffs, prime_indices, transform: bool) -> np.ndarray:
@@ -672,18 +672,12 @@ class VectorizedBackend(KernelBackend):
         return out
 
     def reduce_coeffs(self, coeffs, prime_indices):
-        if self._lib is None:
-            return ReferenceBackend.reduce_coeffs(self, coeffs, prime_indices)
         return self._lift(coeffs, prime_indices, transform=False)
 
     def lift(self, coeffs, prime_indices):
-        if self._lib is None:
-            return super().lift(coeffs, prime_indices)
         return self._lift(coeffs, prime_indices, transform=True)
 
     def base_convert(self, rows, conv):
-        if self._lib is None:
-            return ReferenceBackend.base_convert(self, rows, conv)
         plan = self._pack(conv)
         sources, targets, groups = (int(v) for v in plan[:3])
         rows = self._stack(rows, sources)
@@ -694,9 +688,6 @@ class VectorizedBackend(KernelBackend):
             "base conversion",
         )
         return out
-
-    def inner_product(self, digits, key, prime_indices):
-        return ReferenceBackend.inner_product(self, digits, key, prime_indices)
 
     # ------------------------------------------------------------------
     # pointwise ops: one call per stack, ``b`` broadcast over leading axes
@@ -730,33 +721,21 @@ class VectorizedBackend(KernelBackend):
         return out
 
     def modadd(self, a, b, prime_indices):
-        if self._lib is None:
-            return super().modadd(a, b, prime_indices)
         return self._pointwise(_OP_ADD, a, b, prime_indices)
 
     def modsub(self, a, b, prime_indices):
-        if self._lib is None:
-            return super().modsub(a, b, prime_indices)
         return self._pointwise(_OP_SUB, a, b, prime_indices)
 
     def modneg(self, a, prime_indices):
-        if self._lib is None:
-            return super().modneg(a, prime_indices)
         return self._pointwise(_OP_NEG, a, None, prime_indices)
 
     def modmul(self, a, b, prime_indices):
-        if self._lib is None:
-            return super().modmul(a, b, prime_indices)
         return self._pointwise(_OP_MUL, a, b, prime_indices)
 
     def modscale(self, a, scalars, prime_indices):
-        if self._lib is None:
-            return super().modscale(a, scalars, prime_indices)
         return self._pointwise(_OP_SCALE, a, scalars, prime_indices)
 
     def tensor(self, a, b, prime_indices):
-        if self._lib is None:
-            return super().tensor(a, b, prime_indices)
         idx = self._indices(prime_indices)
         a = self._stack(a, idx.size)
         b = self._stack(b, idx.size)
@@ -770,8 +749,6 @@ class VectorizedBackend(KernelBackend):
     # the rescale and keyswitch pipelines, one call each
     # ------------------------------------------------------------------
     def rescale(self, rows, level):
-        if self._lib is None:
-            return super().rescale(rows, level)
         if not 1 <= level < len(self.ctx.q_chain):
             raise ValueError(f"no rescale below chain level {level}")
         rows = self._stack(rows, level + 1)
@@ -787,8 +764,6 @@ class VectorizedBackend(KernelBackend):
         return out
 
     def hoist_decompose(self, rows, level):
-        if self._lib is None:
-            return super().hoist_decompose(rows, level)
         plan = self._conversion("lift", level)
         sources, targets, groups = (int(v) for v in plan[:3])
         rows = self._stack(rows, sources)
@@ -804,8 +779,6 @@ class VectorizedBackend(KernelBackend):
         return out
 
     def keyswitch_inner_product(self, digits, key_b, key_a, level, perm=None):
-        if self._lib is None:
-            return super().keyswitch_inner_product(digits, key_b, key_a, level, perm=perm)
         n = self.ctx.n
         basis = self._indices(self.ctx.keyswitch_basis(level))
         digits = self._stack(digits, basis.size)
@@ -848,8 +821,6 @@ class VectorizedBackend(KernelBackend):
         return keys[0], keys[1], stride // 8
 
     def keyswitch_descent(self, acc, level):
-        if self._lib is None:
-            return super().keyswitch_descent(acc, level)
         plan = self._conversion("descent", level)
         special, chain = (int(v) for v in plan[:2])
         acc = self._stack(acc, special + chain)
@@ -885,7 +856,9 @@ def resolve_backend(spec, ctx) -> KernelBackend:
     ``spec`` may be a registered name, an already-constructed
     :class:`KernelBackend` bound to ``ctx``, or ``None`` — which falls
     back to the ``REPRO_BACKEND`` environment variable and finally to
-    :data:`DEFAULT_BACKEND`.
+    :data:`DEFAULT_BACKEND`.  ``"vectorized"`` resolves to
+    :class:`ReferenceBackend` where the compiled kernels cannot be built
+    (after one :class:`KernelBuildWarning` per process).
     """
     if isinstance(spec, KernelBackend):
         if spec.ctx is not ctx:
@@ -899,4 +872,6 @@ def resolve_backend(spec, ctx) -> KernelBackend:
         raise ValueError(
             f"unknown kernel backend {spec!r}; available: {', '.join(available_backends())}"
         ) from None
+    if cls is VectorizedBackend and _native_kernels() is None:
+        cls = ReferenceBackend
     return cls(ctx)

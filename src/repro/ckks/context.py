@@ -270,6 +270,11 @@ class CkksContext:
             )
         return conv
 
+    def galois_element(self, step: int) -> int:
+        """The Galois element ``5^step mod 2N`` that rotates the slot
+        vector left by ``step`` (``1`` for a multiple of the slot count)."""
+        return pow(5, step % self.slots, 2 * self.n)
+
     def galois_ntt_permutation(self, g: int) -> np.ndarray:
         """NTT-slot permutation realising ``X -> X^g`` in evaluation domain.
 

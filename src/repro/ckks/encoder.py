@@ -15,23 +15,41 @@ tracked scale.  Both are chunked matrix products to bound memory at large N.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from threading import Lock
 
 import numpy as np
 
 from repro.ckks.context import CkksContext
-from repro.ckks.rns import RnsPoly, crt_compose_centered
 
 __all__ = ["Plaintext", "CkksEncoder", "PlaintextStore"]
 
 
 @dataclass
 class Plaintext:
-    """An encoded message: RNS polynomial + the scale it carries."""
+    """An encoded message: its ``(level+1, n)`` NTT rows over the chain
+    primes ``q_0..q_level`` and the scale it carries."""
 
-    poly: RnsPoly
+    data: np.ndarray
     scale: float
+
+
+def crt_compose_centered(rows: np.ndarray, primes) -> np.ndarray:
+    """CRT-reconstruct the centred big-int coefficients (an object array)
+    of coefficient-domain ``rows``, one per prime of ``primes``.
+
+    Only the decode boundary needs it; O(N · rows) Python-int work.
+    """
+    primes = [int(p) for p in primes]
+    q = math.prod(primes)
+    acc = np.zeros(rows.shape[-1], dtype=object)
+    for row, p in zip(rows, primes):
+        qi = q // p
+        acc += row.astype(object) * (qi * pow(qi, p - 2, p))
+    acc %= q
+    # centre into (-q/2, q/2]
+    return np.where(acc > q // 2, acc - q, acc)
 
 
 class CkksEncoder:
@@ -136,23 +154,25 @@ class CkksEncoder:
         rounded = np.round(coeffs)
         if np.max(np.abs(rounded)) < 2**62:
             return rounded.astype(np.int64)
-        return np.array([int(c) for c in rounded], dtype=object)  # pragma: no cover
+        return np.array([int(c) for c in rounded], dtype=object)
 
     def lift(self, coeffs: np.ndarray, level: int, scale: float) -> Plaintext:
         """The NTT-form plaintext of :meth:`round`'s coefficients over the
         chain primes ``q_0..q_level``."""
-        prime_indices = range(level + 1)
-        if coeffs.dtype == object:  # pragma: no cover - huge scales
-            poly = RnsPoly.from_int_coeffs(self.ctx, coeffs, prime_indices).to_ntt()
+        backend, chain = self.ctx.backend, range(level + 1)
+        if coeffs.dtype == object:  # huge scales: Python ints, reduced row by row
+            rows = np.stack([coeffs % p for p in self.ctx.q_chain[: level + 1]])
+            data = backend.ntt_forward(rows.astype(np.int64), chain)
         else:
-            poly = RnsPoly.lift(self.ctx, coeffs, prime_indices)
-        return Plaintext(poly=poly, scale=float(scale))
+            data = backend.lift(coeffs, chain)
+        return Plaintext(data=data, scale=float(scale))
 
-    def decode(self, poly: RnsPoly, scale: float, num_values: int | None = None) -> np.ndarray:
-        """Decode an RNS plaintext back to (real) slot values."""
-        big = crt_compose_centered(poly)
-        coeffs = big.astype(np.float64)
-        slots = np.real(self.project(coeffs)) / scale
+    def decode(self, data: np.ndarray, scale: float, num_values: int | None = None) -> np.ndarray:
+        """Decode NTT rows over ``q_0..q_level`` back to (real) slot values."""
+        chain = range(data.shape[0])
+        rows = self.ctx.backend.ntt_inverse(data, chain)
+        big = crt_compose_centered(rows, self.ctx.q_chain[: data.shape[0]])
+        slots = np.real(self.project(big.astype(np.float64))) / scale
         if num_values is not None:
             slots = slots[:num_values]
         return slots

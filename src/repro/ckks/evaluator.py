@@ -24,7 +24,6 @@ import numpy as np
 from repro.ckks.context import CkksContext
 from repro.ckks.encoder import CkksEncoder, Plaintext, PlaintextStore
 from repro.ckks.keys import KeyChain, _sample_error, _sample_ternary
-from repro.ckks.rns import RnsPoly
 
 __all__ = ["Ciphertext", "CkksEvaluator"]
 
@@ -34,8 +33,7 @@ _SCALE_RTOL = 0.05
 
 class Ciphertext:
     """A CKKS ciphertext at some chain level: ``data`` holds ``(c0, c1)``
-    as one ``(2, level+1, n)`` NTT-form array, and :attr:`c0` /
-    :attr:`c1` are :class:`RnsPoly` views of its halves.  Only
+    as one ``(2, level+1, n)`` NTT-form array.  Only
     :class:`CkksEvaluator` builds one."""
 
     __slots__ = ("ctx", "data", "scale", "level")
@@ -45,14 +43,6 @@ class Ciphertext:
         self.data = data
         self.scale = scale
         self.level = level
-
-    @property
-    def c0(self) -> RnsPoly:
-        return RnsPoly(self.ctx, self.data[0], range(self.level + 1), is_ntt=True)
-
-    @property
-    def c1(self) -> RnsPoly:
-        return RnsPoly(self.ctx, self.data[1], range(self.level + 1), is_ntt=True)
 
     def copy(self) -> "Ciphertext":
         return Ciphertext(self.ctx, self.data.copy(), self.scale, self.level)
@@ -87,22 +77,18 @@ class CkksEvaluator:
             _sample_error(n, std, self._rng),
         ])
         u, e0, e1 = backend.lift(noise, chain)
-        public = self.keys.public
-        pk = np.stack([public.b.data[: level + 1], public.a.data[: level + 1]])
+        pk = self.keys.public.data[:, : level + 1]
         # (pk_b·u + e0 + m, pk_a·u + e1)
-        err = np.stack([backend.modadd(e0, pt.poly.data, chain), e1])
+        err = np.stack([backend.modadd(e0, pt.data, chain), e1])
         data = backend.modadd(backend.modmul(pk, u, chain), err, chain)
         return Ciphertext(ctx, data, pt.scale, level)
 
     def decrypt(self, ct: Ciphertext, num_values: int | None = None) -> np.ndarray:
-        """Decrypt to (real) slot values."""
-        s = self._secret_at(ct.level)
-        msg = ct.c0 + ct.c1 * s
+        """Decrypt to (real) slot values: decode ``c0 + c1·s``."""
+        backend, chain = self.ctx.backend, range(ct.level + 1)
+        s = self.keys.secret.data[: ct.level + 1]
+        msg = backend.modadd(ct.data[0], backend.modmul(ct.data[1], s, chain), chain)
         return self.encoder.decode(msg, ct.scale, num_values)
-
-    def _secret_at(self, level: int) -> RnsPoly:
-        chain = list(range(level + 1))
-        return RnsPoly(self.ctx, self.keys.secret.poly.data[: level + 1].copy(), chain, True)
 
     # ------------------------------------------------------------------
     # additive ops
@@ -138,9 +124,9 @@ class CkksEvaluator:
         caller's business (checked where addition requires agreement).
         """
         if isinstance(value, Plaintext):
-            if value.poly.data.shape[0] != level + 1:
+            if value.data.shape[0] != level + 1:
                 raise ValueError(
-                    f"plaintext encoded for {value.poly.data.shape[0] - 1} "
+                    f"plaintext encoded for {value.data.shape[0] - 1} "
                     f"levels, ciphertext at level {level}"
                 )
             return value
@@ -154,7 +140,7 @@ class CkksEvaluator:
         """
         pt = self._as_plaintext(value, a.level, a.scale)
         self._check_add_plain(a, pt.scale)
-        c0 = self.ctx.backend.modadd(a.data[0], pt.poly.data, range(a.level + 1))
+        c0 = self.ctx.backend.modadd(a.data[0], pt.data, range(a.level + 1))
         return Ciphertext(self.ctx, np.stack([c0, a.data[1]]), a.scale, a.level)
 
     def _check_add_plain(self, a: Ciphertext, pt_scale: float) -> None:
@@ -177,7 +163,7 @@ class CkksEvaluator:
         """
         pt = self._as_plaintext(value, a.level, scale if scale is not None else a.scale)
         # one product over both halves: the plaintext broadcasts
-        data = self.ctx.backend.modmul(a.data, pt.poly.data, range(a.level + 1))
+        data = self.ctx.backend.modmul(a.data, pt.data, range(a.level + 1))
         return Ciphertext(self.ctx, data, a.scale * pt.scale, a.level)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -252,7 +238,7 @@ class CkksEvaluator:
     def _trivial_encrypt(self, values, level: int, scale: float) -> Ciphertext:
         """Noiseless encryption ``(encode(values), 0)`` — recrypt's re-entry."""
         pt = self.encoder.encode(values, level, scale)
-        data = np.stack([pt.poly.data, np.zeros_like(pt.poly.data)])
+        data = np.stack([pt.data, np.zeros_like(pt.data)])
         return Ciphertext(self.ctx, data, scale, level)
 
     def _mod_raise(self, a: Ciphertext, level: int) -> Ciphertext:
@@ -342,8 +328,7 @@ class CkksEvaluator:
     # ------------------------------------------------------------------
     def rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
         """Rotate slot vector left by ``steps`` (requires the Galois key)."""
-        g = pow(5, steps % self.ctx.slots, 2 * self.ctx.n)
-        return self._apply_galois(a, g)
+        return self._apply_galois(a, self.ctx.galois_element(steps))
 
     def rotate_many(self, a: Ciphertext, steps) -> dict:
         """Hoisted rotations: one keyswitch decomposition, many Galois maps.
@@ -360,7 +345,7 @@ class CkksEvaluator:
         without touching the decomposition.
         """
         steps = list(steps)
-        elements = [pow(5, step % self.ctx.slots, 2 * self.ctx.n) for step in steps]
+        elements = [self.ctx.galois_element(step) for step in steps]
         rotated = iter(self._galois_many(a, [g for g in elements if g != 1]))
         return {
             step: a.copy() if g == 1 else next(rotated)
@@ -392,7 +377,7 @@ class CkksEvaluator:
         requires; a missing Galois key raises before any ring work.
         """
         first = self._check_sum_terms(terms)
-        elements = [pow(5, step % self.ctx.slots, 2 * self.ctx.n) for step in terms]
+        elements = [self.ctx.galois_element(step) for step in terms]
         self._require_galois_keys(g for g in elements if g != 1)
         ctx, level = self.ctx, first.level
         backend, chain = ctx.backend, range(level + 1)

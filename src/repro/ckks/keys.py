@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ckks.context import CkksContext
-from repro.ckks.rns import RnsPoly
 
 __all__ = [
     "SecretKey",
@@ -53,30 +52,29 @@ def _sample_error(n: int, std: float, rng: np.random.Generator) -> np.ndarray:
     return np.round(rng.normal(0.0, std, size=n)).astype(np.int64)
 
 
-def _sample_uniform(ctx: CkksContext, prime_indices, rng: np.random.Generator) -> RnsPoly:
-    rows = np.stack(
-        [
-            rng.integers(0, ctx.all_primes[i], size=ctx.n, dtype=np.int64)
-            for i in prime_indices
-        ]
+def _sample_uniform(ctx: CkksContext, prime_indices, rng: np.random.Generator) -> np.ndarray:
+    """Uniform residues, one row per prime (read as NTT form)."""
+    return np.stack(
+        [rng.integers(0, ctx.all_primes[i], size=ctx.n, dtype=np.int64) for i in prime_indices]
     )
-    return RnsPoly(ctx, rows, prime_indices, is_ntt=True)
 
 
 @dataclass
 class SecretKey:
-    """Ternary secret, stored in NTT form over the full extended basis."""
+    """Ternary secret: ``data`` holds its NTT rows over every prime
+    (``ctx.all_primes`` order, special last), ``coeffs`` the ternary
+    coefficients themselves."""
 
-    poly: RnsPoly          # s over all primes (incl. special), NTT domain
-    coeffs: np.ndarray     # raw ternary coefficients (for tests/diagnostics)
+    data: np.ndarray
+    coeffs: np.ndarray
 
 
 @dataclass
 class PublicKey:
-    """Encryption key: ``b = -a·s + e`` over the ciphertext chain."""
+    """Encryption key ``(b, a)`` with ``b = e - a·s``, as one
+    ``(2, L+1, n)`` NTT-form array over the ciphertext chain."""
 
-    b: RnsPoly
-    a: RnsPoly
+    data: np.ndarray
 
 
 class KeySwitchFamily:
@@ -92,10 +90,10 @@ class KeySwitchFamily:
     def __init__(self, ctx: CkksContext, secret: "SecretKey", w_coeffs: np.ndarray, seed: int):
         self.ctx = ctx
         rng = np.random.default_rng(seed)
-        alpha = ctx.alpha
+        backend, alpha = ctx.backend, ctx.alpha
         basis = ctx.keyswitch_basis(ctx.max_level)
-        s_basis = RnsPoly(ctx, secret.poly.data[basis], basis, is_ntt=True)
-        w_basis = RnsPoly.lift(ctx, w_coeffs, basis)
+        s_basis = secret.data[basis]
+        w_basis = backend.lift(w_coeffs, basis)
         # P mod each basis prime — zero on the special rows themselves
         p_special = math.prod(ctx.special_primes)
         p_mod = np.array([p_special % ctx.all_primes[i] for i in basis], dtype=np.int64)
@@ -107,10 +105,11 @@ class KeySwitchFamily:
             group = slice(alpha * (k + 1), alpha * (k + 2))
             gadget[group] = p_mod[group]
             a = _sample_uniform(ctx, basis, rng)
-            e = RnsPoly.lift(ctx, _sample_error(ctx.n, ctx.params.error_std, rng), basis)
-            b = -(a * s_basis) + e + w_basis.scalar_mul(gadget)
-            keys_b.append(b.data)
-            keys_a.append(a.data)
+            e = backend.lift(_sample_error(ctx.n, ctx.params.error_std, rng), basis)
+            # b = e - a·s + P·g_k·w
+            b = backend.modsub(e, backend.modmul(a, s_basis, basis), basis)
+            keys_b.append(backend.modadd(b, backend.modscale(w_basis, gadget, basis), basis))
+            keys_a.append(a)
         self.key_b = np.stack(keys_b)
         self.key_a = np.stack(keys_a)
 
@@ -134,9 +133,6 @@ class KeyChain:
     galois: dict = field(default_factory=dict)   # galois element -> family
     galois_seed: int = 0                         # keygen seed, reused when growing
 
-    def galois_element_for_step(self, n: int, step: int) -> int:
-        return pow(5, step % (n // 2), 2 * n)
-
     def ensure_galois_steps(
         self, ctx: CkksContext, steps, seed: int | None = None
     ) -> "KeyChain":
@@ -152,9 +148,8 @@ class KeyChain:
         :func:`keygen` up front.  Include the string ``"conj"`` for the
         conjugation element.
         """
-        n = ctx.n
         for step in steps:
-            g = 2 * n - 1 if step == "conj" else pow(5, int(step) % (n // 2), 2 * n)
+            g = 2 * ctx.n - 1 if step == "conj" else ctx.galois_element(int(step))
             if g not in self.galois:
                 self.galois[g] = self.galois_family(ctx, g, seed)
         return self
@@ -183,19 +178,17 @@ def keygen(
     conjugation (element ``2N - 1``).
     """
     rng = np.random.default_rng(seed)
-    n = ctx.n
-    ext = list(range(len(ctx.all_primes)))
-    chain = list(range(len(ctx.q_chain)))
+    n, backend = ctx.n, ctx.backend
+    chain = range(len(ctx.q_chain))
 
     s_coeffs = _sample_ternary(n, rng)
-    s_ext = RnsPoly.lift(ctx, s_coeffs, ext)
-    secret = SecretKey(poly=s_ext, coeffs=s_coeffs)
+    secret = SecretKey(data=backend.lift(s_coeffs, range(len(ctx.all_primes))), coeffs=s_coeffs)
 
     # public key over the ciphertext chain only
     a_pk = _sample_uniform(ctx, chain, rng)
-    e_pk = RnsPoly.lift(ctx, _sample_error(n, ctx.params.error_std, rng), chain)
-    s_chain = RnsPoly(ctx, s_ext.data[: len(chain)].copy(), chain, is_ntt=True)
-    public = PublicKey(b=-(a_pk * s_chain) + e_pk, a=a_pk)
+    e_pk = backend.lift(_sample_error(n, ctx.params.error_std, rng), chain)
+    b_pk = backend.modsub(e_pk, backend.modmul(a_pk, secret.data[: len(chain)], chain), chain)
+    public = PublicKey(data=np.stack([b_pk, a_pk]))
 
     # relinearisation family: target w = s^2 (exact integer coefficients:
     # ternary * ternary convolution fits easily in int64)
@@ -226,12 +219,14 @@ def _negacyclic_square_exact(s: np.ndarray) -> np.ndarray:
 
 
 def _automorphism_int(s: np.ndarray, g: int) -> np.ndarray:
-    """Apply X -> X^g to integer coefficients (exact)."""
-    n = len(s)
+    """Apply ``X -> X^g`` to integer coefficients along the last axis
+    (exact; a negated coefficient comes back negative, so residue rows
+    need reducing mod their primes afterwards)."""
+    n = s.shape[-1]
     idx = np.arange(n, dtype=np.int64)
     dest = idx * g % (2 * n)
     sign = np.where(dest >= n, -1, 1).astype(np.int64)
     dest = np.where(dest >= n, dest - n, dest)
     out = np.zeros_like(s)
-    out[dest] = s * sign
+    out[..., dest] = s * sign
     return out

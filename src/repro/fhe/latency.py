@@ -117,6 +117,7 @@ def measure_op_micros(params: CkksParams, repeats: int = 3) -> dict:
     b = ev.encrypt(x)
 
     def timeit(fn):
+        fn()  # untimed: lazy per-level tables and caches fill here
         ts = []
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -127,7 +128,8 @@ def measure_op_micros(params: CkksParams, repeats: int = 3) -> dict:
     out = {}
     out["ct_mult"] = timeit(lambda: ev.mul(a, b))
     out["pt_mult"] = timeit(lambda: ev.mul_plain(a, 0.5))
-    out["rescale"] = timeit(lambda: ev.rescale(ev.mul(a, b))) - out["ct_mult"]
+    product = ev.mul(a, b)
+    out["rescale"] = timeit(lambda: ev.rescale(product))
     out["add"] = timeit(lambda: ev.add(a, b))
     # rotation costs for the matvec cost model: a standalone keyswitched
     # rotation, the marginal cost of one extra rotation inside a hoisted
@@ -146,13 +148,9 @@ def measure_op_micros(params: CkksParams, repeats: int = 3) -> dict:
 
 
 def cost_from_counts(counts: dict, micros: dict) -> float:
-    """Shared dot product of op counts × per-op seconds.
-
-    Negative micros are clamped to zero (``rescale`` is measured by
-    subtraction and can come out slightly negative on noisy boxes);
-    unpriced ops cost nothing.
-    """
-    return sum(n * max(micros.get(op, 0.0), 0.0) for op, n in counts.items())
+    """Shared dot product of op counts × per-op seconds; unpriced ops
+    cost nothing."""
+    return sum(n * micros.get(op, 0.0) for op, n in counts.items())
 
 
 def refresh_op_counts(plan) -> dict:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.ckks.backend import available_backends, resolve_backend
 from repro.ckks.context import CkksContext, CkksParams
+from repro.ckks.encoder import crt_compose_centered
+from repro.ckks.keys import _automorphism_int
 from repro.ckks.ntt import NttPlan
 from repro.ckks.primes import (
     generate_primes,
@@ -12,7 +14,6 @@ from repro.ckks.primes import (
     is_prime,
     primitive_root_of_unity,
 )
-from repro.ckks.rns import RnsPoly, crt_compose_centered
 
 
 class TestPrimes:
@@ -160,17 +161,20 @@ def ctx():
 
 
 class TestRnsPoly:
+    """RNS polynomials are ``(limbs, n)`` int64 rows over a basis the
+    caller names: the backend's ring ops on them, the decode boundary's
+    CRT composition and the coefficient automorphism."""
+
     def test_add_mul_homomorphism(self, ctx):
         """RNS ops match big-integer ring ops via CRT composition."""
         rng = np.random.default_rng(0)
         chain = list(range(3))
-        a = RnsPoly.from_small_coeffs(ctx, rng.integers(-50, 50, ctx.n), chain)
-        b = RnsPoly.from_small_coeffs(ctx, rng.integers(-50, 50, ctx.n), chain)
-        prod = (a.to_ntt() * b.to_ntt()).to_coeff()
-        big = crt_compose_centered(prod)
+        backend = ctx.backend
+        av = rng.integers(-50, 50, ctx.n)
+        bv = rng.integers(-50, 50, ctx.n)
+        prod = backend.modmul(backend.lift(av, chain), backend.lift(bv, chain), chain)
+        big = crt_compose_centered(backend.ntt_inverse(prod, chain), ctx.q_chain[:3])
         # naive negacyclic product of the small inputs
-        av = crt_compose_centered(a)
-        bv = crt_compose_centered(b)
         n = ctx.n
         ref = np.zeros(n, dtype=object)
         for i in range(n):
@@ -182,34 +186,27 @@ class TestRnsPoly:
         np.testing.assert_array_equal(big.astype(np.int64), ref.astype(np.int64))
 
     def test_basis_mismatch_rejected(self, ctx):
-        a = RnsPoly.zero(ctx, [0, 1])
-        b = RnsPoly.zero(ctx, [0, 1, 2])
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_domain_mismatch_rejected(self, ctx):
-        a = RnsPoly.zero(ctx, [0, 1], is_ntt=True)
-        b = RnsPoly.zero(ctx, [0, 1], is_ntt=False)
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_mul_requires_ntt(self, ctx):
-        a = RnsPoly.zero(ctx, [0], is_ntt=False)
-        with pytest.raises(ValueError):
-            a * a
+        """Rows over another number of primes than the basis named are
+        refused, on every backend."""
+        a = np.zeros((2, ctx.n), dtype=np.int64)
+        b = np.zeros((3, ctx.n), dtype=np.int64)
+        for name in available_backends():
+            with pytest.raises(ValueError):
+                resolve_backend(name, ctx).modadd(a, b, [0, 1])
 
     def test_neg_add_is_zero(self, ctx):
         rng = np.random.default_rng(1)
-        a = RnsPoly.from_small_coeffs(ctx, rng.integers(-9, 9, ctx.n), [0, 1])
-        z = a + (-a)
-        assert not z.data.any()
+        backend = ctx.backend
+        a = backend.reduce_coeffs(rng.integers(-9, 9, ctx.n), [0, 1])
+        z = backend.modadd(a, backend.modneg(a, [0, 1]), [0, 1])
+        assert not z.any()
 
     def test_crt_compose_centered_range(self, ctx):
         rng = np.random.default_rng(2)
         coeffs = rng.integers(-1000, 1000, ctx.n)
-        a = RnsPoly.from_small_coeffs(ctx, coeffs, [0, 1, 2])
+        rows = ctx.backend.reduce_coeffs(coeffs, [0, 1, 2])
         np.testing.assert_array_equal(
-            crt_compose_centered(a).astype(np.int64), coeffs
+            crt_compose_centered(rows, ctx.all_primes[:3]).astype(np.int64), coeffs
         )
 
     def test_fast_base_convert_small_values(self, ctx):
@@ -218,36 +215,31 @@ class TestRnsPoly:
         descent — is exact or off by ±Q, on every backend."""
         rng = np.random.default_rng(3)
         coeffs = rng.integers(-1000, 1000, ctx.n)
-        a = RnsPoly.from_small_coeffs(ctx, coeffs, [0, 1])
+        a = ctx.backend.reduce_coeffs(coeffs, [0, 1])
         target = len(ctx.all_primes) - 1
         p_t = ctx.all_primes[target]
         conv = ctx.base_conversion([0, 1], [target], group_size=2)
         q = int(ctx.all_primes[0]) * int(ctx.all_primes[1])
         allowed = {0, q % p_t, -q % p_t}
         for name in available_backends():
-            got = resolve_backend(name, ctx).base_convert(a.data, conv)
+            got = resolve_backend(name, ctx).base_convert(a, conv)
             assert got.shape == (1, 1, ctx.n)  # one group, one target row
             diff = (got[0, 0] - coeffs) % p_t
             assert set(np.unique(diff)).issubset(allowed), name
 
     def test_automorphism_identity(self, ctx):
         rng = np.random.default_rng(4)
-        a = RnsPoly.from_small_coeffs(ctx, rng.integers(-9, 9, ctx.n), [0])
-        np.testing.assert_array_equal(a.automorphism(1).data, a.data)
+        s = rng.integers(-9, 9, ctx.n)
+        np.testing.assert_array_equal(_automorphism_int(s, 1), s)
 
     def test_automorphism_composition(self, ctx):
         """σ_g ∘ σ_h = σ_{gh mod 2N}."""
         rng = np.random.default_rng(5)
-        a = RnsPoly.from_small_coeffs(ctx, rng.integers(-9, 9, ctx.n), [0])
+        s = rng.integers(-9, 9, ctx.n)
         g, h = 5, 25
-        lhs = a.automorphism(g).automorphism(h)
-        rhs = a.automorphism(g * h % (2 * ctx.n))
-        np.testing.assert_array_equal(lhs.data, rhs.data)
-
-    def test_automorphism_requires_coeff_domain(self, ctx):
-        a = RnsPoly.zero(ctx, [0], is_ntt=True)
-        with pytest.raises(ValueError):
-            a.automorphism(5)
+        lhs = _automorphism_int(_automorphism_int(s, g), h)
+        rhs = _automorphism_int(s, g * h % (2 * ctx.n))
+        np.testing.assert_array_equal(lhs, rhs)
 
 
 class TestContext:

@@ -67,9 +67,9 @@ def assert_bit_identical(results):
         )
         assert len(cts) == len(ref_cts)
         for i, (a, b) in enumerate(zip(ref_cts, cts)):
-            assert np.array_equal(a.c0.data, b.c0.data) and np.array_equal(
-                a.c1.data, b.c1.data
-            ), f"{name} vs {ref_name}: output shard {i} is not bit-identical"
+            assert np.array_equal(a.data, b.data), (
+                f"{name} vs {ref_name}: output shard {i} is not bit-identical"
+            )
             assert a.level == b.level and a.scale == b.scale
 
 

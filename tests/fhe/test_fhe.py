@@ -1,5 +1,6 @@
 """Tests for encrypted linear algebra, MLP compilation and the latency harness."""
 
+import time
 from collections import Counter
 
 import numpy as np
@@ -269,6 +270,25 @@ class TestLatencyHarness:
         # sitting well below a standalone rotate; assert with a wide margin
         # so a CI scheduler hiccup cannot flip a wall-clock inequality
         assert micros["rotate_hoisted"] < 2 * micros["rotate"]
+
+    def test_rescale_is_timed_on_its_own(self, monkeypatch):
+        """``rescale`` is priced by timing ``ev.rescale`` alone, not as the
+        difference of two separately timed medians: a ``mul`` that is
+        slow only while ``ct_mult`` is being timed leaves it positive."""
+        repeats = 3
+        mul = CkksEvaluator.mul
+        calls = []
+
+        def slow_while_ct_mult_is_timed(ev, a, b):
+            calls.append(None)
+            if len(calls) <= repeats + 1:  # ct_mult's untimed and timed calls
+                time.sleep(0.05)
+            return mul(ev, a, b)
+
+        monkeypatch.setattr(CkksEvaluator, "mul", slow_while_ct_mult_is_timed)
+        micros = measure_op_micros(CkksParams(n=64, scale_bits=25, depth=2), repeats=repeats)
+        assert micros["ct_mult"] >= 0.05
+        assert micros["rescale"] > 0
 
     def test_shared_runtime_is_keyed_on_the_whole_parameter_set(self):
         """Params differing only in ``backend`` must not share the first

@@ -57,8 +57,7 @@ def forward_digest(enc, name: str) -> str:
         out = enc.forward(enc.encrypt_batch(xs, ev=ev), ev=ev)
     h = hashlib.blake2b(digest_size=16)
     h.update(struct.pack("<qd", out.level, out.scale))
-    h.update(np.ascontiguousarray(out.c0.data).tobytes())
-    h.update(np.ascontiguousarray(out.c1.data).tobytes())
+    h.update(np.ascontiguousarray(out.data).tobytes())
     return h.hexdigest()
 
 

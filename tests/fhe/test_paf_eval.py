@@ -119,8 +119,7 @@ class TestRegistryDifferential:
         plan = plan_paf_relu(paf)
         a = eval_paf_relu(ev, ct, paf, plan=plan)
         b = eval_paf_relu(ev, ct, paf)
-        assert np.array_equal(a.c0.data, b.c0.data)
-        assert np.array_equal(a.c1.data, b.c1.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_plan_for_wrong_scale_rejected(self, rt):
         """A plan folded for one static scale cannot silently evaluate at
@@ -246,5 +245,4 @@ class TestOddIsDense:
         ct = ev.encrypt(np.linspace(-1, 1, ctx.slots))
         a, b = eval_poly(ev, ct, odd), eval_poly(ev, ct, dense)
         assert (a.level, a.scale) == (b.level, b.scale)
-        assert np.array_equal(a.c0.data, b.c0.data)
-        assert np.array_equal(a.c1.data, b.c1.data)
+        assert np.array_equal(a.data, b.data)

@@ -207,8 +207,7 @@ def test_shadow_with_a_store_adds_the_real_evaluators_plaintexts():
     real.plaintexts = shadow.plaintexts
     stored = _relu_then_align(real, x)
     assert (shadow.plaintexts.hits, shadow.plaintexts.misses) == (asked, 0)
-    assert np.array_equal(stored.c0.data, fresh.c0.data)
-    assert np.array_equal(stored.c1.data, fresh.c1.data)
+    assert np.array_equal(stored.data, fresh.data)
 
 
 def test_shadow_without_a_store_never_encodes(monkeypatch):

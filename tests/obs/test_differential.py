@@ -21,8 +21,7 @@ def assert_bit_identical(a, b):
     """Ciphertext equality down to the RNS coefficient arrays."""
     assert a.level == b.level
     assert a.scale == b.scale
-    np.testing.assert_array_equal(a.c0.data, b.c0.data)
-    np.testing.assert_array_equal(a.c1.data, b.c1.data)
+    np.testing.assert_array_equal(a.data, b.data)
 
 
 def assert_span_tree_balances(tracer, counting):

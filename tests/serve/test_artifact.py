@@ -25,8 +25,7 @@ def _assert_same_bytes(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.level, a.scale) == (b.level, b.scale)
-        assert np.array_equal(a.c0.data, b.c0.data)
-        assert np.array_equal(a.c1.data, b.c1.data)
+        assert np.array_equal(a.data, b.data)
 
 
 class TestModelArtifact:
