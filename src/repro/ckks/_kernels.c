@@ -7,8 +7,9 @@
  * index and dtype before a call; the functions trust their arguments.
  *
  * Every entry point is one whole HE-level step (a pointwise op over a
- * residue stack, a plaintext lift, a rescale, a keyswitch digit
- * decomposition, key inner product or descent) against two per-context
+ * residue stack, a plaintext lift, a sum of plaintext products, a
+ * rescale, a keyswitch digit decomposition, key inner product or
+ * descent) against two per-context
  * tables, indexed by position in ctx.all_primes (K primes, ring size n):
  *
  *   ktab  int64  (2, K):     the primes, then n^{-1} mod each prime;
@@ -288,6 +289,35 @@ void tensor(const int64_t *a, const int64_t *b, int64_t *out, int64_t limbs, int
 /* plaintext lift: reduce int64 coefficients, optionally forward NTT   */
 /* ------------------------------------------------------------------ */
 
+/* x outside [-2^62, 2^62), the fast reduction's range (branch-free) */
+static inline int64_t beyond_fast_range(int64_t x)
+{
+    const uint64_t bound = (uint64_t)1 << 62;
+    return (uint64_t)x + bound >= 2 * bound;
+}
+
+/* row = c mod p, canonical, for n int64 coefficients of any size.  The
+ * first pass has no branch, so it vectorises whatever the signs: an
+ * entry beyond the fast range reduces as 0 there, and a second pass,
+ * run only when there is one, redoes it by exact division. */
+static void reduce_row(const int64_t *c, uint32_t *row, int64_t n, int64_t p, double p_inv)
+{
+    int64_t beyond = 0;
+    for (int64_t j = 0; j < n; j++) {
+        const int64_t big = beyond_fast_range(c[j]);
+        beyond |= big;
+        row[j] = (uint32_t)reduce(c[j] & (big - 1), p, p_inv);
+    }
+    if (!beyond)
+        return;
+    for (int64_t j = 0; j < n; j++) {
+        if (beyond_fast_range(c[j])) {
+            const int64_t r = c[j] % p;
+            row[j] = (uint32_t)(r + ((r < 0) ? p : 0));
+        }
+    }
+}
+
 /* `coeffs` is (batch, n) of any int64, `out` (batch, limbs, n): limb l
  * reduced mod prime idx[l] and, when `transform`, forward-transformed.
  * Returns 0, or -1 if the scratch row could not be allocated. */
@@ -295,7 +325,6 @@ int lift(const int64_t *coeffs, int64_t *out, int64_t batch, int64_t limbs, int6
          const int64_t *idx, const int64_t *ktab, const uint32_t *wtab, int64_t K,
          int transform)
 {
-    const int64_t bound = (int64_t)1 << 62;
     const tables tb = {ktab, wtab, K, n};
     uint32_t *row = malloc((size_t)n * sizeof *row);
     if (row == NULL)
@@ -304,23 +333,70 @@ int lift(const int64_t *coeffs, int64_t *out, int64_t batch, int64_t limbs, int6
         const int64_t *c = coeffs + b * n;
         for (int64_t l = 0; l < limbs; l++) {
             const int64_t k = idx[l], p = ktab[k];
-            const double p_inv = 1.0 / (double)p;
-            for (int64_t j = 0; j < n; j++) {
-                const int64_t x = c[j];
-                int64_t r;
-                if (x > -bound && x < bound) {
-                    r = reduce(x, p, p_inv);
-                } else { /* beyond the fast path's range: exact division */
-                    r = x % p;
-                    r += (r < 0) ? p : 0;
-                }
-                row[j] = (uint32_t)r;
-            }
+            reduce_row(c, row, n, p, 1.0 / (double)p);
             if (transform)
                 forward_k(row, tb, k);
             int64_t *o = out + (b * limbs + l) * n;
             for (int64_t j = 0; j < n; j++)
                 o[j] = row[j];
+        }
+    }
+    free(row);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* a sum of ciphertext-plaintext products: a matvec's inner sum        */
+/* ------------------------------------------------------------------ */
+
+/* out = sum_t cts[t] * plains[t] over (2, limbs, n) pairs, limb l mod
+ * prime idx[l].  cts[t] points at a (2, limbs, n) pair of canonical NTT
+ * rows.  With coeff[t] set, plains[t] is n int64 coefficients of any
+ * size, lifted limb by limb into one scratch row (reduce + forward NTT,
+ * the bytes of `lift`); otherwise it is (limbs, n) canonical NTT rows.
+ * Limb-outer, term-inner: both accumulators of a limb take 8 products
+ * (< 2^60 each) onto a canonical residue between reductions, so they
+ * stay below 2^63 - 2^34.
+ * Returns 0, or -1 if the scratch row could not be allocated. */
+int mul_plain_sum(const int64_t *const *cts, const int64_t *const *plains,
+                  const int64_t *coeff, int64_t terms, int64_t *out, int64_t limbs,
+                  int64_t n, const int64_t *idx, const int64_t *ktab, const uint32_t *wtab,
+                  int64_t K)
+{
+    enum { CHUNK = 8 };
+    const tables tb = {ktab, wtab, K, n};
+    uint32_t *row = malloc((size_t)n * sizeof *row);
+    if (row == NULL)
+        return -1;
+    for (int64_t l = 0; l < limbs; l++) {
+        const int64_t k = idx[l], p = ktab[k];
+        const double p_inv = 1.0 / (double)p;
+        int64_t *restrict o0 = out + l * n, *restrict o1 = out + (limbs + l) * n;
+        for (int64_t j = 0; j < n; j++)
+            o0[j] = o1[j] = 0;
+        for (int64_t t = 0; t < terms; t++) {
+            const int64_t *restrict c0 = cts[t] + l * n, *restrict c1 = c0 + limbs * n;
+            if (coeff[t]) {
+                reduce_row(plains[t], row, n, p, p_inv);
+                forward_k(row, tb, k);
+                for (int64_t j = 0; j < n; j++) {
+                    const int64_t w = row[j];
+                    o0[j] += c0[j] * w;
+                    o1[j] += c1[j] * w;
+                }
+            } else {
+                const int64_t *restrict w = plains[t] + l * n;
+                for (int64_t j = 0; j < n; j++) {
+                    o0[j] += c0[j] * w[j];
+                    o1[j] += c1[j] * w[j];
+                }
+            }
+            if ((t + 1) % CHUNK == 0 || t + 1 == terms) {
+                for (int64_t j = 0; j < n; j++) {
+                    o0[j] = reduce(o0[j], p, p_inv);
+                    o1[j] = reduce(o1[j], p, p_inv);
+                }
+            }
         }
     }
     free(row);

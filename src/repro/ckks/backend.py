@@ -25,7 +25,8 @@ Two implementations ship:
 * :class:`VectorizedBackend` — the same arithmetic, one compiled call
   per HE-level step: every pointwise op over a ``(..., limbs, n)``
   stack, the plaintext :meth:`~KernelBackend.lift`, the ciphertext
-  tensor, :meth:`~KernelBackend.rescale`,
+  tensor, a matvec's :meth:`~KernelBackend.mul_plain_sum`,
+  :meth:`~KernelBackend.rescale`,
   :meth:`~KernelBackend.hoist_decompose`, the key inner product (Galois
   gather included, both key halves at once) and the descent are each
   one function of ``_kernels.c`` (built with the system ``cc`` on first
@@ -198,10 +199,10 @@ class KernelBackend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # the lift, rescale and keyswitch pipelines — shared: each is a fixed
-    # composition of the kernels above, so every backend inherits the
-    # same integer formulas (a backend may fuse one into a single call
-    # that must return the same bytes)
+    # the lift, plaintext product sum, rescale and keyswitch pipelines —
+    # shared: each is a fixed composition of the kernels above, so every
+    # backend inherits the same integer formulas (a backend may fuse one
+    # into a single call that must return the same bytes)
     # ------------------------------------------------------------------
     def lift(self, coeffs, prime_indices) -> np.ndarray:
         """NTT-form rows of ``(..., n)`` int64 coefficients:
@@ -209,6 +210,23 @@ class KernelBackend:
         :meth:`ntt_forward` — a plaintext, a noise or a secret entering
         the ring."""
         return self.ntt_forward(self.reduce_coeffs(coeffs, prime_indices), prime_indices)
+
+    def mul_plain_sum(self, cts, plains, prime_indices) -> np.ndarray:
+        """``Σ_t cts[t] ⊙ plains[t]``, a matvec's inner sum: each
+        ``(2, limbs, n)`` NTT pair times a plaintext that broadcasts over
+        both halves — ``(limbs, n)`` NTT rows, or ``(n,)`` int64
+        coefficients that go through :meth:`lift` first — as one
+        ``(2, limbs, n)`` pair: :meth:`modmul` per term, :meth:`modadd`
+        between them."""
+        if not cts or len(cts) != len(plains):
+            raise ValueError(f"{len(cts)} ciphertexts for {len(plains)} plaintexts")
+        acc = None
+        for ct, pt in zip(cts, plains):
+            if np.ndim(pt) == 1:
+                pt = self.lift(pt, prime_indices)
+            term = self.modmul(ct, pt, prime_indices)
+            acc = term if acc is None else self.modadd(acc, term, prime_indices)
+        return acc
 
     def rescale(self, rows, level) -> np.ndarray:
         """Rescale descent, NTT domain in and out: divide
@@ -446,6 +464,28 @@ class _Array:
         return ctypes.c_void_p(obj.ctypes.data)
 
 
+class _Int64Arrays:
+    """``ctypes`` argtype of a pointer-array slot: a sequence of int64
+    arrays, each checked like a C-contiguous :class:`_Array` slot, handed
+    to C as an array of their data pointers.  That pointer array holds
+    the arrays themselves, so they live until ctypes drops the converted
+    argument after the call."""
+
+    _dtype_ = np.dtype(np.int64)
+
+    @classmethod
+    def from_param(cls, obj):
+        arrays = tuple(obj)
+        for arr in arrays:
+            if type(arr) is not np.ndarray or arr.dtype != cls._dtype_:
+                raise TypeError(f"expected ndarrays of {cls._dtype_}, got {type(arr).__name__}")
+            if not arr.flags.c_contiguous:
+                raise TypeError("array argument is not C-contiguous")
+        pointers = (ctypes.c_void_p * len(arrays))(*(arr.ctypes.data for arr in arrays))
+        pointers._arrays = arrays
+        return pointers
+
+
 class _Int64(_Array):
     _dtype_ = np.dtype(np.int64)
 
@@ -464,7 +504,7 @@ def _load_kernels(path: Path) -> ctypes.CDLL:
     declared: every array slot is an :class:`_Array`, so ctypes checks
     the dtype and layout of each argument and the call's own arguments
     keep the arrays alive."""
-    i64, rows, u32 = _Int64, _Int64Rows, _UInt32
+    i64, rows, u32, arrays = _Int64, _Int64Rows, _UInt32, _Int64Arrays
     n, flag = ctypes.c_int64, ctypes.c_int
     lib = ctypes.CDLL(str(path))
     signatures = {
@@ -472,6 +512,9 @@ def _load_kernels(path: Path) -> ctypes.CDLL:
         "lift": ([i64, i64, n, n, n, i64, i64, u32, n, flag], ctypes.c_int),
         "pointwise": ([flag, i64, i64, i64, n, n, n, n, i64, i64], None),
         "tensor": ([i64, i64, i64, n, n, i64, i64], None),
+        "mul_plain_sum": (
+            [arrays, arrays, i64, n, i64, n, n, i64, i64, u32, n], ctypes.c_int
+        ),
         "rescale": ([i64, i64, n, n, n, i64, i64, u32, n], ctypes.c_int),
         "base_convert": ([i64, i64, n, n, i64, i64], ctypes.c_int),
         "hoist_decompose": ([i64, i64, n, n, i64, i64, u32, n], ctypes.c_int),
@@ -522,10 +565,11 @@ def _shoup(w, primes) -> np.ndarray:
 class VectorizedBackend(KernelBackend):
     """Compiled kernels: one C call per HE-level step.
 
-    Every pointwise op, plaintext lift, rescale, digit decomposition, key
-    inner product (with its Galois gather) and divide-by-``P`` descent
-    is one call into ``_kernels.c`` (built on first use; see
-    :func:`_native_kernels`) over a whole ``(..., limbs, n)`` stack,
+    Every pointwise op, plaintext lift, plaintext product sum, rescale,
+    digit decomposition, key inner product (with its Galois gather) and
+    divide-by-``P`` descent is one call into ``_kernels.c`` (built on
+    first use; see :func:`_native_kernels`) over a whole
+    ``(..., limbs, n)`` stack,
     against two tables stacked once per context: an int64 ``(2, K)``
     one (the primes, ``n⁻¹`` mod each) and a uint32 ``(4, K, n)`` one
     (forward and inverse twiddles with their Shoup quotients).  Inputs
@@ -743,6 +787,30 @@ class VectorizedBackend(KernelBackend):
             raise ValueError(f"tensor needs two (2, limbs, n) pairs, got {a.shape} and {b.shape}")
         out = np.empty((3,) + a.shape[1:], dtype=np.int64)
         self._lib.tensor(a, b, out, idx.size, self.ctx.n, idx, self._ktab)
+        return out
+
+    def mul_plain_sum(self, cts, plains, prime_indices):
+        idx = self._indices(prime_indices)
+        limbs, n = idx.size, self.ctx.n
+        if not cts or len(cts) != len(plains):
+            raise ValueError(f"{len(cts)} ciphertexts for {len(plains)} plaintexts")
+        pairs = [self._stack(ct, limbs) for ct in cts]  # one pointer each, never stacked
+        for ct in pairs:
+            if ct.shape != (2, limbs, n):
+                raise ValueError(f"a ciphertext of shape {ct.shape} is not (2, {limbs}, {n})")
+        rows = [np.ascontiguousarray(pt, dtype=np.int64) for pt in plains]
+        for pt in rows:
+            if pt.shape not in ((n,), (limbs, n)):
+                raise ValueError(f"a plaintext of shape {pt.shape} for {limbs} limbs of n={n}")
+        coeff = np.array([pt.ndim == 1 for pt in rows], dtype=np.int64)  # lift these
+        out = np.empty((2, limbs, n), dtype=np.int64)
+        self._call(
+            self._lib.mul_plain_sum(
+                pairs, rows, coeff, len(pairs), out, limbs, n,
+                idx, self._ktab, self._wtab, self._ktab.shape[1],
+            ),
+            "plaintext product sum",
+        )
         return out
 
     # ------------------------------------------------------------------

@@ -184,12 +184,14 @@ class PlaintextStore:
     :class:`repro.fhe.network.EncryptedNetwork` fills it at compile with
     one shadow forward (:meth:`add` for every raw value the executor
     hands the evaluator, at the ``(level, scale)`` a real forward meets
-    it), and every evaluator resolves raw values through :meth:`encode`.
-    An entry keeps :meth:`CkksEncoder.round`'s integer coefficients
-    (``n`` int64s), so a hit pays only :meth:`CkksEncoder.lift` — no
-    embedding, no rounding; :meth:`warm` swaps every entry for its lift,
-    which a hit then returns as is.  Either way a hit is byte-identical
-    to :meth:`CkksEncoder.encode`; a miss *is* that encode and inserts
+    it), and every evaluator resolves raw values through :meth:`resolve`
+    (a matvec's inner sum, whose fused product lifts what it is handed)
+    or :meth:`encode` (every other product and sum).  An entry keeps
+    :meth:`CkksEncoder.round`'s integer coefficients (``n`` int64s), so a
+    hit pays only :meth:`CkksEncoder.lift` — no embedding, no rounding;
+    :meth:`warm` swaps every entry for its lift, which a hit then returns
+    as is.  Either way a hit is byte-identical to
+    :meth:`CkksEncoder.encode`; a miss *is* that encode and inserts
     nothing, so request data never enters the store.
 
     Keys are the value's dtype, shape and the SHA-256 of its bytes plus
@@ -230,9 +232,10 @@ class PlaintextStore:
             self._sources[key] = arr
             self._entries[key] = self.encoder.round(arr, float(scale))
 
-    def encode(self, values, level: int, scale: float) -> Plaintext:
-        """The plaintext of ``values`` at ``(level, scale)``: held, or
-        encoded fresh."""
+    def resolve(self, values, level: int, scale: float):
+        """The held entry of ``values`` at ``(level, scale)`` as it is —
+        rounded coefficients, or the :class:`Plaintext` after :meth:`warm`
+        — or, on a miss, a fresh :meth:`CkksEncoder.encode`."""
         arr = np.asarray(values)
         key = self._key(arr, level, scale)
         entry = self._entries.get(key)
@@ -245,6 +248,12 @@ class PlaintextStore:
                 self.hits += 1
         if entry is None:
             return self.encoder.encode(values, level, scale)
+        return entry
+
+    def encode(self, values, level: int, scale: float) -> Plaintext:
+        """The plaintext of ``values`` at ``(level, scale)``: held, or
+        encoded fresh — :meth:`resolve`, lifted when it is coefficients."""
+        entry = self.resolve(values, level, scale)
         if isinstance(entry, Plaintext):
             return entry
         return self.encoder.lift(entry, level, scale)

@@ -93,11 +93,15 @@ class CkksEvaluator:
     # ------------------------------------------------------------------
     # additive ops
     # ------------------------------------------------------------------
+    @staticmethod
+    def _check_terms(level_a: int, scale_a: float, level_b: int, scale_b: float) -> None:
+        if level_a != level_b:
+            raise ValueError(f"level mismatch: {level_a} vs {level_b} (mod_switch first)")
+        if abs(scale_a - scale_b) > _SCALE_RTOL * max(scale_a, scale_b):
+            raise ValueError(f"scale mismatch: {scale_a:.3g} vs {scale_b:.3g}")
+
     def _check_add(self, a: Ciphertext, b: Ciphertext) -> None:
-        if a.level != b.level:
-            raise ValueError(f"level mismatch: {a.level} vs {b.level} (mod_switch first)")
-        if abs(a.scale - b.scale) > _SCALE_RTOL * max(a.scale, b.scale):
-            raise ValueError(f"scale mismatch: {a.scale:.3g} vs {b.scale:.3g}")
+        self._check_terms(a.level, a.scale, b.level, b.scale)
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_add(a, b)
@@ -165,6 +169,56 @@ class CkksEvaluator:
         # one product over both halves: the plaintext broadcasts
         data = self.ctx.backend.modmul(a.data, pt.data, range(a.level + 1))
         return Ciphertext(self.ctx, data, a.scale * pt.scale, a.level)
+
+    def mul_plain_sum(self, terms) -> Ciphertext:
+        """``Σ_k ct_k ⊙ pt_k`` over ``(ciphertext, value)`` pairs — a
+        matvec's inner sum, as one kernel-backend call.
+
+        Each value is what :meth:`mul_plain` takes at its ciphertext's
+        scale (raw, resolved through :attr:`plaintexts`, or a pre-encoded
+        :class:`Plaintext`), and the products must add as :meth:`add`
+        requires; the sum carries the first product's scale and is
+        byte-identical to the ``mul_plain`` + ``add`` spelling.  A held
+        entry reaches the backend as its coefficients and is lifted
+        inside the fused step.  Every mismatch raises before any ring
+        work.
+        """
+        terms = list(terms)
+        level, scale = self._check_plain_sum(terms)
+        plains = [self._plain_rows(value, level, ct.scale) for ct, value in terms]
+        data = self.ctx.backend.mul_plain_sum(
+            [ct.data for ct, _ in terms], plains, range(level + 1)
+        )
+        return Ciphertext(self.ctx, data, scale, level)
+
+    def _check_plain_sum(self, terms: list) -> tuple:
+        """The ``(level, scale)`` of a :meth:`mul_plain_sum`, once every
+        :class:`Plaintext` fits its ciphertext's level and every product
+        adds to the first (a raw value multiplies in its ciphertext's
+        scale, a ``Plaintext`` its own)."""
+        if not terms:
+            raise ValueError("mul_plain_sum needs at least one term")
+        level, scale = terms[0][0].level, None
+        for ct, value in terms:
+            pt_scale = ct.scale
+            if isinstance(value, Plaintext):
+                pt_scale = self._as_plaintext(value, ct.level, ct.scale).scale
+            product = ct.scale * pt_scale
+            scale = product if scale is None else scale
+            self._check_terms(level, scale, ct.level, product)
+        return level, scale
+
+    def _plain_rows(self, value, level: int, scale: float) -> np.ndarray:
+        """What :meth:`mul_plain_sum` hands the backend for ``value``:
+        NTT rows, or a held entry's int64 coefficients to lift."""
+        if isinstance(value, Plaintext):
+            return value.data
+        entry = self.plaintexts.resolve(value, level, scale)
+        if isinstance(entry, Plaintext):
+            return entry.data
+        if entry.dtype == object:  # huge scales: the encoder reduces Python ints
+            return self.encoder.lift(entry, level, scale).data
+        return entry
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Ciphertext-ciphertext multiply (+ relinearisation)."""

@@ -174,6 +174,17 @@ class CountingEvaluator:
             self.counts["add"] += len(terms) - 1
         return out
 
+    def mul_plain_sum(self, terms) -> Ciphertext:
+        """``Σ_k ct_k ⊙ pt_k``: ``len(terms)`` ``mul_plain`` and
+        ``len(terms) - 1`` ``add`` — the books of the ``mul_plain`` +
+        ``add`` spelling it fuses."""
+        terms = list(terms)
+        out = self._inner.mul_plain_sum(terms)  # may raise before any work
+        self.counts["mul_plain"] += len(terms)
+        if len(terms) > 1:
+            self.counts["add"] += len(terms) - 1
+        return out
+
     # Composite convenience methods call the inner evaluator's primitives
     # directly, which would bypass the proxy; count their pieces here.
     def square(self, a: Ciphertext) -> Ciphertext:

@@ -52,9 +52,9 @@ class ShadowEvaluator(CkksEvaluator):
     booking: wrap it in a ``CountingEvaluator`` to count.
     :attr:`plaintexts` is ``None`` unless set to a
     :class:`~repro.ckks.encoder.PlaintextStore`: then every raw value
-    passed to ``mul_plain`` / ``add_plain`` is added to it exactly where
-    the real evaluator would look it up — the ring work of a shadow run
-    is then those encodes alone.
+    passed to ``mul_plain`` / ``mul_plain_sum`` / ``add_plain`` is added
+    to it exactly where the real evaluator would look it up — the ring
+    work of a shadow run is then those encodes alone.
 
     >>> from repro.ckks import CkksContext, CkksParams
     >>> from repro.ckks.instrumentation import CountingEvaluator
@@ -119,6 +119,13 @@ class ShadowEvaluator(CkksEvaluator):
             value, a.level, scale if scale is not None else a.scale
         )
         return ShadowCiphertext(a.level, a.scale * pt_scale)
+
+    def mul_plain_sum(self, terms):
+        terms = list(terms)
+        level, scale = self._check_plain_sum(terms)
+        for ct, value in terms:
+            self._plain_scale(value, level, ct.scale)
+        return ShadowCiphertext(level, scale)
 
     def mul(self, a, b):
         self._check_mul(a, b)

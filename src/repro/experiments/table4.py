@@ -8,6 +8,10 @@ the α=10 column is the paper's prior-work baseline.
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
+
 from repro.analysis.pareto import ParetoPoint, pareto_frontier
 from repro.analysis.tables import format_table
 from repro.ckks import CkksParams
@@ -24,6 +28,10 @@ from repro.paf import get_paf, minimax_alpha10_deg27
 
 __all__ = ["run_latency_table", "run_table4", "print_table4", "check_table4", "run_fig1"]
 
+#: warm samples behind each form's Tab. 4 latency: the quick forms are
+#: only ~25 % apart, so one sample per form can flip their order
+LATENCY_REPEATS = 7
+
 
 def _latency_params() -> CkksParams:
     # one context deep enough for the deepest form (alpha10: 11 levels)
@@ -31,15 +39,24 @@ def _latency_params() -> CkksParams:
     return CkksParams(n=n, scale_bits=25, depth=12)
 
 
-def run_latency_table(forms=None, repeats: int = 1) -> dict:
-    """Encrypted-ReLU latency per form, including the α=10 baseline."""
+def run_latency_table(forms=None, repeats: int = LATENCY_REPEATS) -> dict:
+    """Encrypted-ReLU latency per form, including the α=10 baseline:
+    the median of ``repeats`` warm samples per form, taken in rounds of
+    one sample per form, so drift of the machine over the run reaches
+    every form alike."""
     params = _latency_params()
-    results = {}
-    baseline_paf = minimax_alpha10_deg27()
-    results["alpha10"] = measure_relu_latency(baseline_paf, params, repeats)
-    for form in forms or PAPER_FORMS:
-        results[form] = measure_relu_latency(get_paf(form), params, repeats)
-    return results
+    pafs = {"alpha10": minimax_alpha10_deg27()}
+    pafs.update((form, get_paf(form)) for form in forms or PAPER_FORMS)
+    samples = {name: [] for name in pafs}
+    for _ in range(repeats):
+        for name, paf in pafs.items():
+            samples[name].append(measure_relu_latency(paf, params))
+    return {
+        name: dataclasses.replace(
+            runs[0], seconds=float(np.median([r.seconds for r in runs]))
+        )
+        for name, runs in samples.items()
+    }
 
 
 def run_table4(seed: int = 0, forms=None, with_accuracy: bool = True) -> dict:

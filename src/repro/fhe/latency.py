@@ -79,7 +79,9 @@ def measure_relu_latency(
     params: CkksParams | None = None,
     repeats: int = 1,
 ) -> LatencyResult:
-    """Wall-clock encrypted PAF-ReLU latency (median of ``repeats``)."""
+    """Wall-clock encrypted PAF-ReLU latency (median of ``repeats``
+    warm calls: one untimed call first keeps the first call's costs —
+    plan and encoding caches, cold CPU caches — out of every sample)."""
     params = params or CkksParams(n=2048, scale_bits=25, depth=relu_mult_depth(paf) + 1)
     if params.depth < relu_mult_depth(paf):
         raise ValueError(
@@ -91,7 +93,7 @@ def measure_relu_latency(
     ct = ev.encrypt(x)
     plan = plan_paf_relu(paf)
     times = []
-    out = None
+    out = eval_paf_relu(ev, ct, paf, plan=plan)  # untimed: warms the samples below
     for _ in range(repeats):
         t0 = time.perf_counter()
         out = eval_paf_relu(ev, ct, paf, plan=plan)

@@ -251,15 +251,17 @@ def encrypted_matvec_shards(
     zero).  Each input shard's baby rotations are hoisted *once* across
     every output shard that reads it.  An output shard's chain is
 
-        rescale( Σ_g rot( Σ_i Σ_b diag_{j,i,g,b} ⊙ rot_b(x_i),  g ) ) + bias_j
+        rescale( sum_rotated({g: mul_plain_sum([(rot_b(x_i), diag_{j,i,g,b})
+                                                for i, b]) for g}) ) + bias_j
 
-    over the union of its row's giant steps: the inner products of every
-    input shard that has step ``g`` are summed first (plain ct-ct adds
-    — same level, same ``Δ²`` scale), so a giant step is keyswitched
-    once per output shard however many blocks share it, and the
-    ``{g: inner_g}`` map goes to one
-    :meth:`~repro.ckks.evaluator.CkksEvaluator.sum_rotated`, which
-    divides by ``P`` once for the whole chain.  Each output shard
+    over the union of its row's giant steps: the products of every input
+    shard that has step ``g`` with its diagonals are one
+    :meth:`~repro.ckks.evaluator.CkksEvaluator.mul_plain_sum` (same
+    level, same ``Δ²`` scale; one backend call that lifts each held
+    diagonal itself), so a giant step is keyswitched once per output
+    shard however many blocks share it, and the ``{g: inner_g}`` map
+    goes to one :meth:`~repro.ckks.evaluator.CkksEvaluator.sum_rotated`,
+    which divides by ``P`` once for the whole chain.  Each output shard
     rescales exactly once (the canonical-scale invariant holds shard by
     shard).  This is the one grouped inner loop: a single-ciphertext
     layer is the ``K_in = K_out = 1`` grid.
@@ -285,14 +287,15 @@ def encrypted_matvec_shards(
             rotated.append(rot)
         outs = []
         for j, row in enumerate(blocks):
-            inners = {}
-            for g in sorted({g for groups in row if groups for g in groups}):
-                for i, groups in enumerate(row):
-                    if not groups or g not in groups:
-                        continue
-                    for b in sorted(groups[g]):
-                        term = ev.mul_plain(rotated[i][b], groups[g][b])
-                        inners[g] = ev.add(inners[g], term) if g in inners else term
+            inners = {
+                g: ev.mul_plain_sum(
+                    (rotated[i][b], groups[g][b])
+                    for i, groups in enumerate(row)
+                    if groups and g in groups
+                    for b in sorted(groups[g])
+                )
+                for g in sorted({g for groups in row if groups for g in groups})
+            }
             if not inners:
                 raise ValueError(f"output shard {j} reads no nonzero block")
             acc = ev.rescale(ev.sum_rotated(inners))
@@ -339,12 +342,9 @@ def encrypted_matvec(
         backend=ev.ctx.backend.name,
     ) as sp:
         sp.ct_entry(ct_x)
-        acc = None
-        for d, vec in diagonals.items():
-            rotated = ev.rotate(ct_x, d) if d else ct_x
-            term = ev.mul_plain(rotated, vec)
-            acc = term if acc is None else ev.add(acc, term)
-        acc = ev.rescale(acc)
+        acc = ev.rescale(ev.mul_plain_sum(
+            (ev.rotate(ct_x, d) if d else ct_x, vec) for d, vec in diagonals.items()
+        ))
         if bias_slots is None and bias is not None:
             bias_slots = np.zeros(ev.ctx.slots)
             bias_slots[: len(bias)] = bias

@@ -9,6 +9,7 @@ from repro.ckks import (
     CkksContext,
     CkksEvaluator,
     CkksParams,
+    PlaintextStore,
     eval_composite_paf,
     eval_paf_max,
     eval_paf_relu,
@@ -298,6 +299,120 @@ class TestSumRotated:
         monkeypatch.setattr(ev, "_hoist_decompose", no_ring_work)
         with pytest.raises(KeyError, match="no Galois key"):
             ev.sum_rotated({1: ct, 7: ct})
+
+
+def _spelled_sum(ev, terms):
+    """The ``mul_plain`` + ``add`` spelling ``mul_plain_sum`` fuses."""
+    acc = None
+    for ct, value in terms:
+        term = ev.mul_plain(ct, value)
+        acc = term if acc is None else ev.add(acc, term)
+    return acc
+
+
+class TestMulPlainSum:
+    """``mul_plain_sum([(ct_k, v_k)]) = Σ_k ct_k ⊙ v_k`` in one backend
+    call: the bytes, level and scale of the ``mul_plain`` + ``add``
+    spelling however each value arrives, and its errors before any ring
+    work."""
+
+    @pytest.fixture
+    def ev(self, rt):
+        ctx, shared = rt
+        return CkksEvaluator(ctx, shared.keys)  # a store of its own
+
+    def _terms(self, ev, data, level) -> tuple:
+        """Three ``(ciphertext, raw value)`` terms at ``level`` (a vector,
+        a scalar, a vector) and the slots they should sum to."""
+        x, y = data
+        rng = np.random.default_rng(level)
+        inputs = [x, y, rng.uniform(-1, 1, ev.ctx.slots)]
+        values = [rng.uniform(-1, 1, ev.ctx.slots), 0.5, y]
+        cts = [ev.mod_switch_to(ev.encrypt(v), level) for v in inputs]
+        return list(zip(cts, values)), sum(a * b for a, b in zip(inputs, values))
+
+    @pytest.mark.parametrize("level", [9, 4])
+    def test_raw_held_warm_and_pre_encoded_values_give_the_spelled_bytes(
+        self, ev, data, level
+    ):
+        terms, expect = self._terms(ev, data, level)
+        want = _spelled_sum(ev, terms)  # an empty store: every value encoded fresh
+        assert np.abs(ev.decrypt(ev.rescale(want)) - expect).max() < TOL
+
+        def check(got):
+            assert (got.level, got.scale) == (want.level, want.scale)
+            assert _same_bytes(got, want)
+
+        check(ev.mul_plain_sum(terms))  # raw values, every one a miss
+        store = PlaintextStore(ev.encoder)
+        for ct, value in terms:
+            store.add(value, ct.level, ct.scale)
+        ev.plaintexts = store
+        check(ev.mul_plain_sum(terms))  # held coefficients, lifted in the call
+        store.warm()
+        check(ev.mul_plain_sum(terms))  # held NTT rows
+        assert (store.hits, store.misses) == (6, 0)
+        encode = ev.encoder.encode
+        check(ev.mul_plain_sum([(ct, encode(v, ct.level, ct.scale)) for ct, v in terms]))
+        mixed = [terms[0], (terms[1][0], encode(0.5, level, terms[1][0].scale)), terms[2]]
+        check(ev.mul_plain_sum(mixed))
+        assert _same_bytes(ev.mul_plain_sum(terms[:1]), ev.mul_plain(*terms[0]))
+
+    def test_held_coefficients_beyond_int64_lift_through_the_encoder(self, ev, data):
+        """At a scale where :meth:`CkksEncoder.round` gives Python ints
+        (an object array), the held entry is lifted row by row like
+        ``mul_plain``'s, not handed to the backend as int64."""
+        x, _ = data
+        ct = ev.encrypt(x, scale=2.0**62)
+        value = np.full(ev.ctx.slots, 3.0)
+        store = PlaintextStore(ev.encoder)
+        store.add(value, ct.level, ct.scale)
+        assert store._entries[store._key(value, ct.level, ct.scale)].dtype == object
+        ev.plaintexts = store
+        terms = [(ct, value), (ct, value)]
+        assert _same_bytes(ev.mul_plain_sum(terms), _spelled_sum(ev, terms))
+
+    def test_plaintexts_carrying_their_own_scale(self, ev, data):
+        """The refresh plans' diagonals: pre-encoded at a scale of their
+        own, which the products and the sum carry."""
+        terms, _ = self._terms(ev, data, 7)
+        scale = 4.0 * terms[0][0].scale
+        pre = [(ct, ev.encoder.encode(v, ct.level, scale)) for ct, v in terms]
+        got = ev.mul_plain_sum(pre)
+        assert got.scale == terms[0][0].scale * scale
+        assert _same_bytes(got, _spelled_sum(ev, pre))
+
+    def test_mismatches_raise_what_the_spelling_raises_before_any_backend_call(
+        self, ev, data, monkeypatch
+    ):
+        x, _ = data
+        ct = ev.encrypt(x)
+        low = ev.mod_switch_to(ct, ct.level - 1)
+        encode = ev.encoder.encode
+        cases = [
+            [(ct, 0.5), (low, 0.5)],  # levels differ
+            [(ct, 0.5), (ct, encode(x, ct.level - 1, ct.scale))],  # a plaintext of another level
+            [(ct, 0.5), (ct, encode(x, ct.level, 2 * ct.scale))],  # products' scales differ
+        ]
+        messages = []
+        for terms in cases:
+            with pytest.raises(ValueError) as spelled:
+                _spelled_sum(ev, terms)
+            messages.append(str(spelled.value))
+        prefixes = ("level mismatch:", "plaintext encoded for", "scale mismatch:")
+        assert all(m.startswith(p) for m, p in zip(messages, prefixes)), messages
+
+        def no_ring_work(*args, **kwargs):
+            raise AssertionError("a backend call before the checks")
+
+        for name in ("mul_plain_sum", "lift", "reduce_coeffs", "ntt_forward", "modmul"):
+            monkeypatch.setattr(ev.ctx.backend, name, no_ring_work)
+        for terms, message in zip(cases, messages):
+            with pytest.raises(ValueError) as fused:
+                ev.mul_plain_sum(terms)
+            assert str(fused.value) == message
+        with pytest.raises(ValueError, match="at least one term"):
+            ev.mul_plain_sum([])
 
 
 class TestEnsureGaloisSteps:

@@ -6,6 +6,9 @@ ReLU equal the counts of the same executor run over
 the implementation, so the two cannot drift apart.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,11 @@ from repro.ckks import (
     keygen,
     plan_paf_relu,
 )
-from repro.ckks.instrumentation import CountingEvaluator
+from repro.ckks.instrumentation import CountingEvaluator, RowCountingBackend
+from repro.fhe.toy import compiled_toy_resnet
 from repro.paf import get_paf
+
+OPCOUNTS = Path(__file__).resolve().parents[2] / "benchmarks" / "opcount_baseline.json"
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +89,34 @@ class TestCountingEvaluator:
             measured.counts["mul_plain"]
             == leaves + measured.counts["align_correction"]
         )
+
+    @pytest.mark.parametrize("terms", [1, 2, 5])
+    def test_mul_plain_sum_books_the_spelling_it_fuses(self, rt, terms):
+        """``k`` ``mul_plain`` and ``k − 1`` ``add`` — on the ring and on
+        the shadow alike, like ``sum_rotated``'s ``rotate`` + ``add``."""
+        ctx, ev = rt
+        for inner in (ev, ShadowEvaluator(ctx)):
+            counting = CountingEvaluator(inner)
+            ct = counting.encrypt(np.linspace(-1, 1, ctx.slots))
+            counting.reset()
+            out = counting.mul_plain_sum((ct, 0.25 * k) for k in range(terms))
+            want = {"mul_plain": terms, "add": terms - 1} if terms > 1 else {"mul_plain": 1}
+            assert dict(counting.counts) == want
+            assert (out.level, out.scale) == (ct.level, ct.scale * ct.scale)
+
+
+def test_toy_resnet_forward_transforms_the_gated_ntt_rows():
+    """The NTT-row meter sees the fused inner sums exactly: a bare
+    network's held diagonals are lifted inside ``mul_plain_sum``, and one
+    toy-ResNet forward transforms the rows the op-count gate pins."""
+    enc = compiled_toy_resnet()
+    want = json.loads(OPCOUNTS.read_text())["models"]["toy_resnet"]["ntt_rows"]
+    meter = RowCountingBackend(enc.ctx.backend)
+    enc.ctx.set_backend(meter)
+    try:
+        cts = enc.encrypt_batch_shards([np.zeros(64)])
+        meter.reset()
+        enc.forward_shards(cts)
+    finally:
+        enc.ctx.set_backend(meter.inner)
+    assert meter.ntt_rows == want

@@ -1,8 +1,9 @@
 """Property-based tests for every compiled HE-op entry point (hypothesis).
 
 :class:`VectorizedBackend` runs each pointwise op, the ciphertext tensor,
-the plaintext lift, the rescale, the digit decomposition, the key inner
-product and the divide-by-``P`` descent as one C call.  Each is held
+the plaintext lift, a sum of plaintext products, the rescale, the digit
+decomposition, the key inner product and the divide-by-``P`` descent as
+one C call.  Each is held
 byte-equal here to the spec — the same method on
 :class:`ReferenceBackend`, i.e. the base-class composition over the
 per-row kernels — over hypothesis-drawn ring sizes 8–2048, chain
@@ -25,8 +26,14 @@ from repro.ckks.backend import ReferenceBackend, VectorizedBackend
 
 @functools.lru_cache(maxsize=None)
 def backends(n: int, depth: int, dnum: int) -> tuple:
-    """``(ctx, vectorized, reference)`` on a memoised context."""
-    ctx = CkksContext(CkksParams(n=n, scale_bits=25, depth=depth, dnum=dnum))
+    """``(ctx, vectorized, reference)`` on a memoised context whose q0
+    and special primes are 30-bit, the widest the kernels take."""
+    ctx = CkksContext(
+        CkksParams(
+            n=n, scale_bits=25, depth=depth, dnum=dnum,
+            first_prime_bits=30, special_prime_bits=30,
+        )
+    )
     return ctx, VectorizedBackend(ctx), ReferenceBackend(ctx)
 
 
@@ -139,6 +146,52 @@ class TestLift:
         same(vec.lift(coeffs, idx), ref.lift(coeffs, idx))
         small = rng.integers(-3, 4, size=n)  # a noise / secret polynomial
         same(vec.lift(small, idx[::-1]), ref.lift(small, idx[::-1]))
+
+
+class TestMulPlainSum:
+    @given(
+        contexts,
+        st.sampled_from([1, 2, 9, 20, 27]),
+        st.sampled_from(["coeffs", "ntt", "mixed"]),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_fused_sum_is_the_lift_product_add_composition(
+        self, case, terms, kind, saturate, data
+    ):
+        """``Σ_t ct_t ⊙ pt_t`` in one call equals the spec's ``lift`` →
+        ``modmul`` → ``modadd`` chain: plaintexts as held coefficients
+        (beyond ±2^62 included: the lift's exact-division branch), as
+        NTT rows, or both, over a chain or an extended basis (30-bit
+        special primes first); ``saturate`` makes every residue ``p − 1``,
+        the accumulators' worst case."""
+        n, depth, dnum, seed = case
+        ctx, vec, ref = backends(n, depth, dnum)
+        rng = np.random.default_rng(seed)
+        level = data.draw(st.integers(0, ctx.max_level))
+        if data.draw(st.booleans()):
+            chain = list(range(level + 1))
+        else:
+            chain = ctx.keyswitch_basis(level)
+        info = np.iinfo(np.int64)
+        cts = residues(rng, ctx, (terms, 2), chain)
+        plains = []
+        for t in range(terms):
+            if kind == "coeffs" or (kind == "mixed" and t % 2):
+                coeffs = rng.integers(-(2**62), 2**62, size=n)
+                coeffs[:6] = [2**62, -(2**62), info.max, info.min, 2**62 - 1, -(2**62) + 1]
+                plains.append(coeffs)
+            else:
+                plains.append(residues(rng, ctx, (), chain))
+        if saturate:
+            top = ctx._primes_arr[chain][:, None] - 1
+            cts[...] = top
+            plains = [
+                np.broadcast_to(top, pt.shape).copy() if pt.ndim == 2 else pt for pt in plains
+            ]
+        cts = list(cts)  # one (2, limbs, n) pair per term, never stacked
+        same(vec.mul_plain_sum(cts, plains, chain), ref.mul_plain_sum(cts, plains, chain))
 
 
 class TestRescaleAndKeyswitch:

@@ -41,7 +41,7 @@ def residues(ctx, lead, idx, seed=0):
 
 #: every function of ``_kernels.c``
 ENTRY_POINTS = (
-    "ntt", "lift", "pointwise", "tensor", "rescale", "base_convert",
+    "ntt", "lift", "pointwise", "tensor", "mul_plain_sum", "rescale", "base_convert",
     "hoist_decompose", "inner_product", "keyswitch_descent",
 )
 
@@ -50,8 +50,10 @@ def kernel_outputs(be, ctx, seed=0):
     """Every kernel and every fused step on seeded stacks — one list of
     arrays to compare byte for byte across backends: both NTTs, both
     base conversions, each pointwise op (``b`` broadcast), the tensor,
-    the lift, the rescale, a decomposition, key inner products (a
-    level's strided key slice, permutation on and off) and a descent."""
+    the lift, a sum of plaintext products (held coefficients and NTT
+    rows, one reversed pair), the rescale, a decomposition, key inner
+    products (a level's strided key slice, permutation on and off) and a
+    descent."""
     top = ctx.max_level
     low = top - 1
     chain = list(range(top + 1))
@@ -79,6 +81,7 @@ def kernel_outputs(be, ctx, seed=0):
         be.tensor(x, x[::-1], chain),
         be.reduce_coeffs(coeffs, chain),
         be.lift(coeffs, basis),
+        be.mul_plain_sum([x, x[::-1], x], [coeffs[0], y, coeffs[1]], chain),
         be.rescale(x, top),
         digits,
         acc,
@@ -153,6 +156,46 @@ class TestInputChecks:
         with pytest.raises(ValueError):
             be.keyswitch_inner_product(digits, *keys, top, perm=np.arange(ctx.n - 1))
 
+    def test_mul_plain_sum_checks_every_term_before_the_call(self, ctx, monkeypatch):
+        be = VectorizedBackend(ctx)
+        chain = list(range(ctx.max_level + 1))
+        x = residues(ctx, (2,), chain)
+        rows = residues(ctx, (), chain)
+        coeffs = np.zeros(ctx.n, dtype=np.int64)
+
+        def no_call(*args):
+            raise AssertionError("mul_plain_sum reached C with a bad shape")
+
+        monkeypatch.setattr(be, "_lib", SimpleNamespace(mul_plain_sum=no_call))
+        bad = {
+            "no terms": ([], []),
+            "fewer plaintexts than ciphertexts": ([x, x], [rows]),
+            "a ciphertext with a limb too few": ([x, x[:, :-1]], [rows, rows]),
+            "one half, not a pair": ([x[0]], [rows]),
+            "three halves": ([np.concatenate([x, x[:1]])], [rows]),
+            "coefficients of the wrong length": ([x], [coeffs[:-1]]),
+            "NTT rows with a limb too many": ([x], [residues(ctx, (), chain + [0])]),
+            "a stack of plaintexts": ([x], [x]),
+        }
+        for name, (cts, plains) in bad.items():
+            with pytest.raises(ValueError):
+                be.mul_plain_sum(cts, plains, chain)
+                pytest.fail(name)
+
+    def test_pointer_array_slot_checks_and_holds_every_array(self):
+        slot = backend_mod._Int64Arrays
+        arrays = [np.arange(4, dtype=np.int64), np.zeros((2, 3), dtype=np.int64)]
+        pointers = slot.from_param(arrays)
+        assert [pointers[i] for i in range(2)] == [a.ctypes.data for a in arrays]
+        assert all(held is a for held, a in zip(pointers._arrays, arrays))
+        for bad in (
+            [np.arange(4, dtype=np.int32)],
+            [np.zeros((2, 4), dtype=np.int64)[:, ::2]],
+            [list(range(4))],
+        ):
+            with pytest.raises(TypeError):
+                slot.from_param(bad)
+
     def test_inputs_never_mutated(self, ctx):
         be = VectorizedBackend(ctx)
         x = residues(ctx, (3,), range(ctx.max_level + 1))
@@ -190,9 +233,11 @@ class TestInputChecks:
         """Every pointer argument of every entry point reaches ctypes as
         the ndarray itself — held by the call's own argument tuple until C
         returns — never as a bare ``.ctypes.data`` integer whose array may
-        already be freed.  The one argument kind beyond the call's own data
-        is the backend's two per-context tables, passed as the backend's
-        own arrays.  Fancy-indexed temporaries then give the spec's bytes."""
+        already be freed; a pointer-array slot (the terms of a plaintext
+        product sum) gets a list of contiguous int64 ndarrays.  The one
+        argument kind beyond the call's own data is the backend's two
+        per-context tables, passed as the backend's own arrays.
+        Fancy-indexed temporaries then give the spec's bytes."""
         be = VectorizedBackend(ctx)
         lib = be._lib
         calls = []
@@ -201,7 +246,12 @@ class TestInputChecks:
             def call(*args):
                 tables = 0
                 for arg, argtype in zip(args, fn.argtypes, strict=True):
-                    if hasattr(argtype, "_dtype_"):  # an array slot
+                    if argtype is backend_mod._Int64Arrays:  # one pointer per term
+                        assert isinstance(arg, list) and arg
+                        for a in arg:
+                            assert isinstance(a, np.ndarray) and a.dtype == np.int64
+                            assert a.flags.c_contiguous
+                    elif hasattr(argtype, "_dtype_"):  # an array slot
                         assert isinstance(arg, np.ndarray) and arg.dtype == argtype._dtype_
                         assert arg.flags.c_contiguous or argtype._strided
                         if arg.dtype == np.uint32:

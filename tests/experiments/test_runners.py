@@ -7,6 +7,7 @@ structure, the cheapest invariants, and that a check reports a failure.
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -21,7 +22,12 @@ from repro.experiments import (
     run_measured_depths,
     run_table2,
 )
+from repro.ckks import CkksParams
+from repro.experiments import table4
 from repro.experiments.table4 import run_fig1, run_latency_table
+from repro.fhe import latency
+from repro.fhe.latency import LatencyResult, measure_relu_latency
+from repro.paf import get_paf
 
 
 class TestTable2:
@@ -51,6 +57,45 @@ class TestLatency:
         res = run_latency_table(forms=["f1g2"], repeats=1)
         assert "alpha10" in res and "f1g2" in res
         assert res["alpha10"].seconds > res["f1g2"].seconds
+
+    def test_latency_table_samples_forms_interleaved_and_takes_medians(self, monkeypatch):
+        """Round after round, one sample per form (so a slow stretch of
+        the machine hits every form), and each form's median."""
+        calls = []
+        rng = np.random.default_rng(0)
+
+        def sample(paf, params, repeats=1):
+            calls.append((paf.name, float(rng.uniform())))
+            return LatencyResult(paf.name, 0, 0, calls[-1][1], 0, 0.0)
+
+        monkeypatch.setattr(table4, "measure_relu_latency", sample)
+        res = run_latency_table(forms=["f1g2", "f1f1g1g1"], repeats=7)
+        assert list(res) == ["alpha10", "f1g2", "f1f1g1g1"]
+        names = [res[form].paf_name for form in res]
+        assert [name for name, _ in calls] == names * 7
+        for form, name in zip(res, names):
+            drawn = [seconds for who, seconds in calls if who == name]
+            assert res[form].seconds == float(np.median(drawn))
+        assert table4.LATENCY_REPEATS >= 7
+
+    def test_relu_latency_samples_are_warm(self, monkeypatch):
+        """An untimed call runs before the clock is first read."""
+        events = []
+        real_eval, clock = latency.eval_paf_relu, latency.time.perf_counter
+
+        def evaluate(*args, **kwargs):
+            events.append("eval")
+            return real_eval(*args, **kwargs)
+
+        def tick():
+            events.append("clock")
+            return clock()
+
+        monkeypatch.setattr(latency, "eval_paf_relu", evaluate)
+        monkeypatch.setattr(latency, "time", SimpleNamespace(perf_counter=tick))
+        paf = get_paf("f1g2")
+        measure_relu_latency(paf, CkksParams(n=256, scale_bits=25, depth=8), repeats=2)
+        assert events == ["eval"] + ["clock", "eval", "clock"] * 2
 
     def test_fig1_frontier_structure(self):
         fake_t4 = {

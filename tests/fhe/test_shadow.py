@@ -10,7 +10,8 @@ forward's exact ``(level, scale)``, and a ``TracingEvaluator`` around it
 reproduces the checked-in per-layer level slack.  A fourth: the shadow
 refuses what the real evaluator refuses, with the same ``ValueError``.
 A fifth: handed a plaintext store, it adds exactly the plaintexts the
-real evaluator looks up — how a compiled network fills its own.
+real evaluator looks up — how a compiled network fills its own — and a
+matvec's fused inner sums add what its per-term products did.
 """
 
 import json
@@ -134,6 +135,18 @@ class TestSameFailures:
         with pytest.raises(ValueError, match=r"cannot align upward \(0 -> 2\)"):
             ev.align_to(low, 2, low.scale)
 
+    def test_mul_plain_sum_terms_that_do_not_add(self, ev):
+        a = ev.encrypt(np.zeros(4))
+        with pytest.raises(ValueError, match="level mismatch: 2 vs 1"):
+            ev.mul_plain_sum([(a, 0.5), (ev.mod_switch_to(a, 1), 0.5)])
+        with pytest.raises(ValueError, match="scale mismatch"):
+            ev.mul_plain_sum([(a, 0.5), (ev.mul_plain(a, 1.0), 0.5)])
+        pt = CkksEncoder(ev.ctx).encode(0.5, 1, a.scale)
+        with pytest.raises(ValueError, match="plaintext encoded for 1 levels"):
+            ev.mul_plain_sum([(a, pt)])
+        with pytest.raises(ValueError, match="at least one term"):
+            ev.mul_plain_sum([])
+
     def test_sum_rotated_terms_that_do_not_add(self, ev):
         a = ev.encrypt(np.zeros(4))
         slots = ev.ctx.slots  # both steps trivial: the real side needs no key
@@ -176,9 +189,9 @@ class _RecordingStore(PlaintextStore):
         self.asked.append(self._key(values, level, scale))
         super().add(values, level, scale)
 
-    def encode(self, values, level, scale):
+    def resolve(self, values, level, scale):
         self.asked.append(self._key(values, level, scale))
-        return super().encode(values, level, scale)
+        return super().resolve(values, level, scale)
 
 
 def _relu_then_align(ev, x):
@@ -208,6 +221,30 @@ def test_shadow_with_a_store_adds_the_real_evaluators_plaintexts():
     stored = _relu_then_align(real, x)
     assert (shadow.plaintexts.hits, shadow.plaintexts.misses) == (asked, 0)
     assert np.array_equal(stored.data, fresh.data)
+
+
+class _SpelledShadow(ShadowEvaluator):
+    """A shadow whose inner sums take the ``mul_plain`` + ``add``
+    spelling ``mul_plain_sum`` fuses."""
+
+    def mul_plain_sum(self, terms):
+        acc = None
+        for ct, value in terms:
+            term = self.mul_plain(ct, value)
+            acc = term if acc is None else self.add(acc, term)
+        return acc
+
+
+def test_fused_inner_sums_fill_the_store_the_spelled_sums_filled(toy_resnet):
+    """A compile's shadow forward adds, through ``mul_plain_sum``, the
+    entries — same keys, same order — that one-``mul_plain``-per-term
+    matvecs added: 630 on the toy ResNet."""
+    _, enc = toy_resnet
+    shadow = _SpelledShadow(enc.ctx)
+    shadow.plaintexts = PlaintextStore(enc.plaintexts.encoder)
+    enc.forward_shards(_shadow_inputs(enc, shadow), ev=shadow)
+    assert len(enc.plaintexts) == len(shadow.plaintexts) == 630
+    assert list(enc.plaintexts._entries) == list(shadow.plaintexts._entries)
 
 
 def test_shadow_without_a_store_never_encodes(monkeypatch):
