@@ -279,8 +279,7 @@ def plan_refresh(
     # slots = A·(a + ib) for coefficient halves a, b, and A⁻¹ = (2/N)·A^H
     m = ctx.slots
     ks = np.arange(m)
-    gens = np.array([pow(5, j, 2 * n) for j in range(m)], dtype=np.float64)
-    a_basis = np.exp(1j * np.outer(np.pi * gens / n, ks))
+    a_basis = np.exp(1j * np.outer(np.pi * ctx._orbit / n, ks))
     # CtS: conj-separation must come out as 2π·ã/(2^r·q0) (the range-
     # reduced EvalMod argument), so fold 2π/(2^r·q0·N) into A^H; the
     # message scale multiplies in at consumption time (the refreshed

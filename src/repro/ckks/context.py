@@ -178,6 +178,13 @@ class CkksContext:
         for level in range(self.max_level, 0, -1):
             s = s * s / self.q_chain[level]
             self._canonical_scales[level - 1] = s
+        # (e) the slot orbit 5^j mod 2N, j < N/2: slot j sits at the root
+        # ω^{5^j} (ω = exp(iπ/N)), and rotation by j is X -> X^{5^j}
+        self._orbit = np.empty(self.slots, dtype=np.int64)
+        e = 1
+        for j in range(self.slots):
+            self._orbit[j] = e
+            e = e * 5 % (2 * n)
         # kernel backend last: it reads the tables built above
         self.backend = resolve_backend(params.backend, self)
 
@@ -273,7 +280,7 @@ class CkksContext:
     def galois_element(self, step: int) -> int:
         """The Galois element ``5^step mod 2N`` that rotates the slot
         vector left by ``step`` (``1`` for a multiple of the slot count)."""
-        return pow(5, step % self.slots, 2 * self.n)
+        return int(self._orbit[step % self.slots])
 
     def galois_ntt_permutation(self, g: int) -> np.ndarray:
         """NTT-slot permutation realising ``X -> X^g`` in evaluation domain.

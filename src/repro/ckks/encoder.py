@@ -9,7 +9,10 @@ automorphisms ``X -> X^{5^k}``).
 
 Encoding computes ``c_k = (2/N) · Re( Σ_j conj(ζ_j^k) z_j )``, scaled by Δ
 and rounded; decoding evaluates at the ζ_j and divides by the ciphertext's
-tracked scale.  Both are chunked matrix products to bound memory at large N.
+tracked scale.  Both are one length-2N FFT (numpy's pocketfft): the slot
+values sit at the orbit exponents ``5^j mod 2N`` (``CkksContext._orbit``)
+of an otherwise zero vector, the special FFT of HEAAN written as a plain
+transform; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -55,76 +58,27 @@ def crt_compose_centered(rows: np.ndarray, primes) -> np.ndarray:
 class CkksEncoder:
     """Encode/decode between slot vectors and ring plaintexts."""
 
-    #: column chunk bounding the complex work matrix to ~32 MB
-    _CHUNK = 1024
-
-    #: ring sizes up to this keep the full (N/2, N) embedding basis
-    #: cached — 8·N² bytes, so ≤ 32 MB at the threshold; larger rings
-    #: fall back to chunked recomputation
-    _CACHE_MAX_N = 2048
-
     def __init__(self, ctx: CkksContext):
         self.ctx = ctx
-        n = ctx.n
-        m = ctx.slots
-        # orbit exponents: 5^j mod 2N for j = 0..m-1
-        exps = np.empty(m, dtype=np.int64)
-        e = 1
-        for j in range(m):
-            exps[j] = e
-            e = (e * 5) % (2 * n)
-        #: angles θ_j with ζ_j = exp(i θ_j)
-        self.theta = np.pi * exps.astype(np.float64) / n
-        # per-chunk basis caches (sign=-1 for embed, +1 for project);
-        # built lazily, exactly the arrays the uncached loop would form
-        self._basis_chunks: dict = {}
-
-    def _basis_chunk(self, sign: int, start: int, stop: int) -> np.ndarray:
-        """``exp(sign·i·θ_j·k)`` for columns ``start:stop``.
-
-        Recomputing the complex exponentials per encode dominates encode
-        cost once the NTTs are vectorised, so small rings cache them.
-        The cached arrays are byte-for-byte what the uncached path built,
-        and the chunked matmul structure is unchanged — embeddings (and
-        therefore ciphertexts) are bit-identical with and without the
-        cache.
-        """
-        key = (sign, start)
-        chunk = self._basis_chunks.get(key)
-        if chunk is None:
-            ks = np.arange(start, stop)
-            chunk = np.exp(sign * 1j * np.outer(self.theta, ks))
-            if self.ctx.n <= self._CACHE_MAX_N:
-                self._basis_chunks[key] = chunk
-        return chunk
 
     # ------------------------------------------------------------------
     def embed(self, values: np.ndarray) -> np.ndarray:
         """Slot vector -> real coefficient vector (unscaled, float)."""
         n = self.ctx.n
-        m = self.ctx.slots
-        z = np.zeros(m, dtype=np.complex128)
         values = np.asarray(values)
-        if values.size > m:
-            raise ValueError(f"too many slot values: {values.size} > {m}")
-        z[: values.size] = values
-        coeffs = np.empty(n, dtype=np.float64)
-        for start in range(0, n, self._CHUNK):
-            stop = min(start + self._CHUNK, n)
-            basis = self._basis_chunk(-1, start, stop)  # conj(ζ_j^k)
-            coeffs[start:stop] = (2.0 / n) * np.real(z @ basis)
-        return coeffs
+        if values.size > self.ctx.slots:
+            raise ValueError(f"too many slot values: {values.size} > {self.ctx.slots}")
+        # slot j at exponent 5^j of a length-2N transform: Σ_j z_j ω^{-5^j k}
+        w = np.zeros(2 * n, dtype=np.complex128)
+        w[self.ctx._orbit[: values.size]] = values
+        return (2.0 / n) * np.real(np.fft.fft(w)[:n])
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """Real coefficient vector -> slot values (evaluate at the ζ_j)."""
         n = self.ctx.n
-        out = np.zeros(self.ctx.slots, dtype=np.complex128)
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        for start in range(0, n, self._CHUNK):
-            stop = min(start + self._CHUNK, n)
-            basis = self._basis_chunk(1, start, stop)  # ζ_j^k
-            out += basis @ coeffs[start:stop]
-        return out
+        # Σ_k c_k ω^{5^j k}: the zero-padded length-2N inverse transform
+        return 2 * n * np.fft.ifft(coeffs, 2 * n)[self.ctx._orbit]
 
     # ------------------------------------------------------------------
     def encode(self, values, level: int, scale: float | None = None) -> Plaintext:
@@ -145,6 +99,8 @@ class CkksEncoder:
         values = np.asarray(values)
         if not np.iscomplexobj(values):
             values = values.astype(np.float64, copy=False)
+        if not np.isfinite(values).all():
+            raise ValueError("cannot encode non-finite slot values")
         if values.ndim == 0:
             # scalar broadcast: constant polynomial — O(1), no embedding
             coeffs = np.zeros(self.ctx.n)
@@ -156,9 +112,23 @@ class CkksEncoder:
             return rounded.astype(np.int64)
         return np.array([int(c) for c in rounded], dtype=object)
 
+    def _check_fits(self, coeffs: np.ndarray, level: int) -> None:
+        """Raise ``ValueError`` unless :meth:`round`'s coefficients are
+        centred residues of ``Q_level = q_0···q_level`` (``2·max|c| <
+        Q_level``): past that the plaintext wraps into other values."""
+        peak = int(np.max(np.abs(coeffs)))
+        q = math.prod(self.ctx.q_chain[: level + 1])
+        if 2 * peak >= q:
+            raise ValueError(
+                f"plaintext coefficients reach {peak:.3g}, past half the "
+                f"level-{level} modulus {q:.3g}: the slot values would wrap"
+            )
+
     def lift(self, coeffs: np.ndarray, level: int, scale: float) -> Plaintext:
         """The NTT-form plaintext of :meth:`round`'s coefficients over the
-        chain primes ``q_0..q_level``."""
+        chain primes ``q_0..q_level``; ``ValueError`` when they do not fit
+        (:meth:`_check_fits`)."""
+        self._check_fits(coeffs, level)
         backend, chain = self.ctx.backend, range(level + 1)
         if coeffs.dtype == object:  # huge scales: Python ints, reduced row by row
             rows = np.stack([coeffs % p for p in self.ctx.q_chain[: level + 1]])
@@ -194,61 +164,73 @@ class PlaintextStore:
     :meth:`CkksEncoder.encode`; a miss *is* that encode and inserts
     nothing, so request data never enters the store.
 
-    Keys are the value's dtype, shape and the SHA-256 of its bytes plus
-    the exact level and scale — never a cast, so complex values differing
-    in their imaginary part, or a scalar and a one-slot vector, are
-    different entries.  An entry holds a *reference* to the array it was
-    filled from (the network's own, no copy) and a hit must
-    ``np.array_equal`` it, so exactness never rests on the hash: a value
-    changed in place since the fill misses and encodes fresh.  Lookups
-    are thread-safe (the entries only change in :meth:`warm`, by one swap
-    of the whole table).
+    Entries are keyed by content — the value's dtype, shape and the
+    SHA-256 of its bytes plus the exact level and scale, never a cast —
+    so equal values share one entry, while complex values differing in
+    their imaginary part, or a scalar and a one-slot vector, do not.
+    Only :meth:`add` hashes.  A lookup goes by the held object: an array
+    by its identity (:meth:`add` keeps a reference, so the identity stays
+    its own, and makes it and the array owning its memory read-only, so a
+    write after the fill raises instead of serving a stale entry), a 0-d
+    value by its dtype and value; anything else — an equal copy included
+    — misses and encodes fresh.  Lookups are thread-safe (the entries only
+    change in :meth:`warm`, by one swap of the whole table).
     """
 
     def __init__(self, encoder: CkksEncoder):
         self.encoder = encoder
-        #: key -> coefficients, or the :class:`Plaintext` after :meth:`warm`
+        #: content key -> coefficients, or the :class:`Plaintext` after :meth:`warm`
         self._entries: dict = {}
-        #: key -> the array an entry was filled from (a reference)
-        self._sources: dict = {}
+        #: lookup key -> (the value it was added as, its content key)
+        self._held: dict = {}
         self._lock = Lock()
         self.hits = 0
         self.misses = 0
 
     @staticmethod
     def _key(values, level: int, scale: float) -> tuple:
+        """The lookup key: an array's identity, a 0-d value's dtype and
+        value — no pass over the bytes."""
         arr = np.asarray(values)
-        digest = hashlib.sha256(np.ascontiguousarray(arr).view(np.uint8)).digest()
-        return (arr.dtype.str, arr.shape, digest, level, float(scale))
+        if arr.ndim:
+            return (id(arr), level, float(scale))
+        return (arr.dtype.str, arr.item(), level, float(scale))
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def add(self, values, level: int, scale: float) -> None:
-        """Encode ``values`` for ``(level, scale)`` unless already held."""
+        """Encode ``values`` for ``(level, scale)`` unless already held,
+        and freeze the array it came as."""
         arr = np.asarray(values)
         key = self._key(arr, level, scale)
-        if key not in self._entries:
-            self._sources[key] = arr
-            self._entries[key] = self.encoder.round(arr, float(scale))
+        if key in self._held:
+            return
+        digest = hashlib.sha256(np.ascontiguousarray(arr).view(np.uint8)).digest()
+        content = (arr.dtype.str, arr.shape, digest, level, float(scale))
+        if content not in self._entries:
+            coeffs = self.encoder.round(arr, float(scale))
+            self.encoder._check_fits(coeffs, level)
+            self._entries[content] = coeffs
+        base = arr
+        while isinstance(base, np.ndarray):
+            base.flags.writeable = False
+            base = base.base
+        self._held[key] = (arr, content)
 
     def resolve(self, values, level: int, scale: float):
         """The held entry of ``values`` at ``(level, scale)`` as it is —
         rounded coefficients, or the :class:`Plaintext` after :meth:`warm`
         — or, on a miss, a fresh :meth:`CkksEncoder.encode`."""
-        arr = np.asarray(values)
-        key = self._key(arr, level, scale)
-        entry = self._entries.get(key)
-        if entry is not None and not np.array_equal(self._sources[key], arr):
-            entry = None  # a digest hit on other values, or a source changed since
+        held = self._held.get(self._key(values, level, scale))
         with self._lock:
-            if entry is None:
+            if held is None:
                 self.misses += 1
             else:
                 self.hits += 1
-        if entry is None:
+        if held is None:
             return self.encoder.encode(values, level, scale)
-        return entry
+        return self._entries[held[1]]
 
     def encode(self, values, level: int, scale: float) -> Plaintext:
         """The plaintext of ``values`` at ``(level, scale)``: held, or

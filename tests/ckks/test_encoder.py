@@ -7,12 +7,56 @@ from hypothesis import strategies as st
 
 from repro.ckks.context import CkksContext, CkksParams
 from repro.ckks.encoder import CkksEncoder, Plaintext, PlaintextStore, crt_compose_centered
+from repro.fhe.toy import compiled_toy_resnet
 
 
 @pytest.fixture(scope="module")
 def enc():
     ctx = CkksContext(CkksParams(n=256, scale_bits=25, depth=2))
     return ctx, CkksEncoder(ctx)
+
+
+def _dense_basis(n: int, start: int, stop: int) -> np.ndarray:
+    """Columns ``start:stop`` of the decoding matrix ``ζ_j^k``, ``ζ_j =
+    exp(iπ·5^j/n)`` — the textbook dense DFT, built without the encoder
+    (each power's exponent reduced mod 2n, then read off a root table)."""
+    exps = np.array([pow(5, j, 2 * n) for j in range(n // 2)], dtype=np.int64)
+    roots = np.exp(1j * np.pi * np.arange(2 * n) / n)
+    return roots[np.outer(exps, np.arange(start, stop)) % (2 * n)]
+
+
+def _dense_embed(n: int, rows) -> np.ndarray:
+    """``c_k = (2/n)·Re(Σ_j conj(ζ_j^k) z_j)`` for each slot vector of
+    ``rows`` (zero-padded), in 512-column matmuls."""
+    z = np.zeros((len(rows), n // 2), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        z[i, : len(row)] = row
+    return np.concatenate(
+        [
+            (2.0 / n) * np.real(z @ _dense_basis(n, k, min(k + 512, n)).conj())
+            for k in range(0, n, 512)
+        ],
+        axis=1,
+    )
+
+
+def _dense_project(coeffs) -> np.ndarray:
+    """``Σ_k ζ_j^k c_k`` in 512-column matmuls."""
+    n = len(coeffs)
+    return sum(
+        _dense_basis(n, k, min(k + 512, n)) @ coeffs[k : k + 512] for k in range(0, n, 512)
+    )
+
+
+def _held_nbytes(obj) -> int:
+    """Bytes of every array reachable from ``obj`` through containers."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_held_nbytes(v) for v in obj)
+    return 0
 
 
 class TestEmbedding:
@@ -89,6 +133,98 @@ class TestEmbedding:
         assert pt.data.shape == (4, ctx.n) and pt.data.dtype == np.int64
         np.testing.assert_allclose(encoder.decode(pt.data, pt.scale, 3), values, atol=1e-6)
 
+    def test_one_slot_orbit(self, enc):
+        """The context's orbit ``5^j mod 2n`` is the one table slots,
+        rotations and the refresh plan's bases read."""
+        ctx, _ = enc
+        want = [pow(5, j, 2 * ctx.n) for j in range(ctx.slots)]
+        assert ctx._orbit.tolist() == want
+        assert [ctx.galois_element(j) for j in range(ctx.slots)] == want
+
+    @pytest.mark.parametrize("n", [2**k for k in range(3, 14)])
+    def test_fft_agrees_with_the_dense_dft(self, n):
+        """One length-2n FFT is the dense ``(n/2) × n`` DFT: embedding
+        within 1e-5 before rounding at Δ = 2^25 (a rounding flip needs a
+        value that close to a half-integer), evaluation to rtol 1e-9 — for
+        real and complex slots, full and partial vectors."""
+        ctx = CkksContext(CkksParams(n=n, scale_bits=25, depth=1))
+        encoder = CkksEncoder(ctx)
+        rng = np.random.default_rng(n)
+        real = rng.uniform(-1, 1, ctx.slots)
+        cplx = real + 1j * rng.uniform(-1, 1, ctx.slots)
+        rows = (real, cplx, real[: max(1, ctx.slots // 3)])
+        for z, want in zip(rows, _dense_embed(n, rows)):
+            np.testing.assert_allclose(
+                encoder.embed(z) * ctx.scale, want * ctx.scale, rtol=0, atol=1e-5
+            )
+        coeffs = np.round(encoder.embed(cplx) * ctx.scale)
+        np.testing.assert_allclose(
+            encoder.project(coeffs), _dense_project(coeffs), rtol=1e-9, atol=0
+        )
+
+    def test_round_is_the_dense_dft_rounded_on_the_toy_resnets_store(self):
+        """All 630 constants of the toy ResNet round to exactly the
+        coefficients the dense DFT gives: the golden forward's bytes do not
+        rest on the transform's summation order."""
+        store = compiled_toy_resnet().plaintexts
+        held = list(store._held.values())
+        assert len(store) == len(held) == 630
+        vectors = [values for values, _ in held if values.ndim]
+        dense = iter(_dense_embed(store.encoder.ctx.n, vectors))
+        for values, content in held:
+            coeffs, scale = store._entries[content], content[-1]
+            if values.ndim:
+                want = np.round(next(dense) * scale)
+            else:  # a scalar is the constant polynomial: nothing to embed
+                want = np.zeros(store.encoder.ctx.n)
+                want[0] = np.round(float(values) * scale)
+            assert coeffs.dtype == np.int64
+            assert np.array_equal(coeffs, want.astype(np.int64))
+
+    def test_encoder_holds_no_basis(self):
+        """An encode and a decode at n = 2048 leave the encoder holding no
+        array of its own (the context's orbit is the one table it reads)."""
+        ctx = CkksContext(CkksParams(n=2048, scale_bits=25, depth=1))
+        encoder = CkksEncoder(ctx)
+        pt = encoder.encode(np.linspace(-1, 1, ctx.slots), 1)
+        encoder.decode(pt.data, pt.scale)
+        assert _held_nbytes([v for v in vars(encoder).values() if v is not ctx]) < 2**20
+
+    def test_values_the_level_cannot_hold_raise(self):
+        """``100`` in four slots at Δ = 2^25 puts a coefficient past
+        ``q_0/2``: it used to decode as other values, silently.  Encode and
+        the store both refuse it; one level up it fits and decodes back."""
+        ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=1))
+        encoder = CkksEncoder(ctx)
+        values = np.full(4, 100.0)
+        with pytest.raises(ValueError, match="wrap"):
+            encoder.encode(values, 0)
+        store = PlaintextStore(encoder)
+        with pytest.raises(ValueError, match="wrap"):
+            store.add(values, 0, ctx.scale)
+        assert len(store) == 0
+        pt = encoder.encode(values, 1)
+        np.testing.assert_allclose(encoder.decode(pt.data, pt.scale, 4), values, atol=1e-4)
+
+    def test_fit_bound_is_half_the_level_modulus(self):
+        ctx = CkksContext(CkksParams(n=64, scale_bits=25, depth=1))
+        encoder = CkksEncoder(ctx)
+        half = (ctx.q_chain[0] - 1) // 2  # q_0 is odd
+        for sign in (1, -1):
+            encoder._check_fits(np.array([0, sign * half]), 0)
+            with pytest.raises(ValueError, match="level-0"):
+                encoder._check_fits(np.array([0, sign * (half + 1)]), 0)
+        big = np.array([0, ctx.q_chain[0] * ctx.q_chain[1] // 2 + 1], dtype=object)
+        with pytest.raises(ValueError, match="level-1"):
+            encoder._check_fits(big, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise(self, enc, bad):
+        ctx, encoder = enc
+        for values in (bad, np.array([1.0, bad]), np.array([0.5, bad * 1j])):
+            with pytest.raises(ValueError, match="non-finite"):
+                encoder.encode(values, 1)
+
 
 _STORE_CTX = CkksContext(CkksParams(n=64, scale_bits=25, depth=3))
 _SLOTS = _STORE_CTX.slots
@@ -123,8 +259,14 @@ class TestPlaintextStore:
     def test_hit_is_the_fresh_encode_before_and_after_warm(self, values, level, scale):
         encoder = CkksEncoder(_STORE_CTX)
         store = PlaintextStore(encoder)
+        try:
+            want = encoder.encode(values, level, scale)
+        except ValueError:  # past q_0·…·q_level / 2: both refuse it
+            with pytest.raises(ValueError, match="wrap"):
+                store.add(values, level, scale)
+            assert len(store) == 0
+            return
         store.add(values, level, scale)
-        want = encoder.encode(values, level, scale)
         _assert_same_plaintext(store.encode(values, level, scale), want)
         store.warm()
         _assert_same_plaintext(store.encode(values, level, scale), want)
@@ -171,32 +313,56 @@ class TestPlaintextStore:
         """``n`` int64 coefficients per entry; :meth:`warm` swaps in the
         NTT-form plaintext, which every later hit returns as is."""
         store = PlaintextStore(CkksEncoder(_STORE_CTX))
-        store.add(np.linspace(-1, 1, 8), 2, 2.0**25)
+        v = np.linspace(-1, 1, 8)
+        store.add(v, 2, 2.0**25)
         (coeffs,) = store._entries.values()
         assert coeffs.dtype == np.int64 and coeffs.shape == (_STORE_CTX.n,)
         store.warm()
         (pt,) = store._entries.values()
-        assert store.encode(np.linspace(-1, 1, 8), 2, 2.0**25) is pt
+        assert store.encode(v, 2, 2.0**25) is pt
 
-    def test_entry_references_its_source_and_a_mutated_source_misses(self):
-        """The store keys on a digest and keeps the caller's array itself
-        (no copy of its bytes); a hit must equal that array, so values
-        changed in place after the fill miss — looked up either as they
-        are now or as they were — and encode fresh."""
+    def test_held_array_is_frozen_and_an_equal_copy_misses(self):
+        """A lookup goes by the array the store was handed, which it
+        keeps and makes read-only (with the array owning its memory):
+        writing to either raises, and an equal copy is another array — it
+        misses and encodes fresh, to the same bytes."""
         store = PlaintextStore(CkksEncoder(_STORE_CTX))
-        v = np.linspace(-1, 1, 8)
-        original = v.copy()
+        matrix = np.zeros((2, 8))
+        matrix[1] = np.linspace(-1, 1, 8)
+        v = matrix[1]
         store.add(v, 2, 2.0**25)
-        (source,) = store._sources.values()
-        assert source is v
+        ((held, _),) = store._held.values()
+        assert held is v
+        for arr in (v, matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.25
         want = store.encoder.encode(v, 2, 2.0**25)
-        _assert_same_plaintext(store.encode(original, 2, 2.0**25), want)
-        v[3] += 0.25
-        for values in (v, original):
-            _assert_same_plaintext(
-                store.encode(values, 2, 2.0**25), store.encoder.encode(values, 2, 2.0**25)
-            )
-        assert (len(store), store.hits, store.misses) == (1, 1, 2)
+        _assert_same_plaintext(store.encode(v, 2, 2.0**25), want)
+        _assert_same_plaintext(store.encode(v.copy(), 2, 2.0**25), want)
+        assert (len(store), store.hits, store.misses) == (1, 1, 1)
+
+    def test_equal_arrays_share_one_entry(self):
+        """Content keys the entries: a second array of the same values
+        is another lookup key onto the one entry, and both hit."""
+        store = PlaintextStore(CkksEncoder(_STORE_CTX))
+        a, b = np.linspace(-1, 1, 8), np.linspace(-1, 1, 8)
+        store.add(a, 2, 2.0**25)
+        store.add(b, 2, 2.0**25)
+        assert (len(store), len(store._held)) == (1, 2)
+        store.warm()
+        assert store.encode(a, 2, 2.0**25) is store.encode(b, 2, 2.0**25)
+        assert (store.hits, store.misses) == (2, 0)
+
+    def test_scalars_are_looked_up_by_value(self):
+        """A 0-d value is a fresh object each call; it hits by dtype and
+        value (``0.5`` and ``np.float64(0.5)`` alike), and an int is not
+        its float twin."""
+        store = PlaintextStore(CkksEncoder(_STORE_CTX))
+        store.add(0.5, 1, 2.0**25)
+        for value in (0.5, np.float64(0.5), np.array(0.5)):
+            store.resolve(value, 1, 2.0**25)
+        store.resolve(1, 1, 2.0**25)
+        assert (store.hits, store.misses) == (3, 1)
 
     def test_miss_encodes_fresh_and_inserts_nothing(self):
         store = PlaintextStore(CkksEncoder(_STORE_CTX))

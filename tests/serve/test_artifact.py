@@ -43,17 +43,16 @@ class TestModelArtifact:
         enc = toy_models.compiled_toy()
         art = ModelArtifact(enc).warm()
         levels = enc.graph.input_levels(enc.ctx.max_level)
-        keys = set(art.cache._entries)
+        held = art.cache._held
         for i, ((groups,),) in enc.matvec_groups.items():
             level = levels[i]
             scale = enc.ctx.canonical_scale(level)
             for inner in groups.values():
                 for vec in inner.values():
-                    assert PlaintextStore._key(vec, level, scale) in keys
+                    assert held[PlaintextStore._key(vec, level, scale)][0] is vec
             (bias,) = enc.matvec_bias_slots[i]
-            assert PlaintextStore._key(
-                bias, level - 1, enc.ctx.canonical_scale(level - 1)
-            ) in keys
+            key = PlaintextStore._key(bias, level - 1, enc.ctx.canonical_scale(level - 1))
+            assert held[key][0] is bias
 
     def test_second_artifact_shares_the_memo(self):
         """Two shells over one network read the one store it owns."""
@@ -119,6 +118,18 @@ class TestOnePath:
         assert (len(store), store.misses) == served.compiled
         assert store.hits >= entries
         assert all(isinstance(pt, Plaintext) for pt in store._entries.values())
+
+    def test_held_arrays_are_read_only(self, served):
+        """Lookups go by the held array's identity, so compile freezes
+        each one (and the array owning its memory): a write after compile
+        raises instead of leaving a stale entry behind."""
+        held = [values for values, _ in served.enc.plaintexts._held.values() if values.ndim]
+        assert held
+        for values in held:
+            assert not values.flags.writeable
+            assert values.base is None or not values.base.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0][0] = 0.0
 
     def test_output_byte_identical_to_unwrapped_compile(self, served):
         bare = served.build()
