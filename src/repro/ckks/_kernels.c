@@ -1,9 +1,11 @@
 /* Compiled kernels of repro.ckks.backend.VectorizedBackend.
  *
  * Built on first use by backend.py (system `cc`, cached per source /
- * flags / compiler / CPU) and called through ctypes with the GIL
- * released, so nothing here may hold state shared between calls: every
- * scratch buffer is allocated per call.  Python validates every shape,
+ * header / flags / compiler / CPU / interpreter) into one cffi extension
+ * module, and called with the GIL released, so nothing here may hold
+ * state shared between calls: every scratch buffer is allocated per
+ * call.  The entry points are declared in _kernels.h, the binding's
+ * cdef.  Python validates every shape,
  * index and dtype before a call; the functions trust their arguments.
  *
  * Every entry point is one whole HE-level step (a pointwise op over a
@@ -32,6 +34,8 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+
+#include "_kernels.h"
 
 enum { W_PSI, W_PSI_SHOUP, W_PSI_INV, W_PSI_INV_SHOUP };
 

@@ -30,7 +30,7 @@ Two implementations ship:
   :meth:`~KernelBackend.hoist_decompose`, the key inner product (Galois
   gather included, both key halves at once) and the descent are each
   one function of ``_kernels.c`` (built with the system ``cc`` on first
-  use and loaded through ``ctypes``), run against two tables stacked
+  use into a cffi extension module), run against two tables stacked
   once per context.
 
 The two are **bit-identical**, not merely numerically close: all kernels
@@ -62,14 +62,16 @@ those between reductions.  Every other C reduction is a double-precision
 quotient estimate corrected into ``[0, p)``, exact for any
 ``|x| < 2^63 − 2^31``.
 
-The compiled library is cached under ``$XDG_CACHE_HOME/repro`` (default
-``~/.cache/repro``), keyed by a hash of the source, the flags, the
-compiler version and the host CPU; a build writes a temp file and
-renames it into place, so racing processes never load half a file.
-Where the build fails, :func:`resolve_backend` hands ``"vectorized"``
-contexts a :class:`ReferenceBackend` after one :class:`KernelBuildWarning`
-naming the compiler error (the test suite turns that warning into an
-error); a :class:`VectorizedBackend` always runs its library.
+The compiled module is cached under ``$XDG_CACHE_HOME/repro`` (default
+``~/.cache/repro``), keyed by a hash of the source, its header, the
+flags, the compiler version, the host CPU, the interpreter's extension
+suffix and the cffi version; a build writes a temp file and renames it
+into place, so racing processes never load half a file.  Where the
+build or the load fails (``cffi`` missing included),
+:func:`resolve_backend` hands ``"vectorized"`` contexts a
+:class:`ReferenceBackend` after one :class:`KernelBuildWarning` naming
+the error (the test suite turns that warning into an error); a
+:class:`VectorizedBackend` always runs its library.
 
 This module deliberately imports nothing from the rest of ``repro.ckks``
 (backends see only raw arrays, prime index lists and context
@@ -79,12 +81,15 @@ without an import cycle.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
+import io
 import math
 import os
 import platform
 import subprocess
+import sysconfig
 import tempfile
 import threading
 import warnings
@@ -378,13 +383,15 @@ class KernelBuildWarning(RuntimeWarning):
     The message names the compiler error."""
 
 
-#: the C kernels, compiled on first use with the system ``cc``
+#: the C kernels, compiled on first use with the system ``cc``; the
+#: header declares their entry points and is the binding's cffi ``cdef``
 _KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
+_KERNEL_HEADER = _KERNEL_SOURCE.with_suffix(".h")
 _CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 
 _native_lock = threading.Lock()
-#: the loaded kernel library; ``None`` until the first build, ``False``
-#: after a failed one (which is warned about once per process)
+#: the loaded kernel module (its ``ffi`` and ``lib``); ``None`` until the
+#: first build, ``False`` after a failed one (warned about once per process)
 _native = None
 
 
@@ -402,131 +409,73 @@ def _host_cpu() -> str:
     return "\n".join([platform.machine(), *sorted(lines)])
 
 
-def _build_kernels() -> Path:
-    """Compile :data:`_KERNEL_SOURCE` into the cache unless it is there.
+def _module_path() -> tuple:
+    """Name and cache path of the kernel module this process can load.
 
-    The file name hashes the source, the flags, the compiler version and
-    the host CPU.  The compiler writes a private temp file that is then
-    renamed over the target, so a process racing this one to the same
-    key only ever sees no file or a whole one.
+    Both hash the source, the header, the flags, the compiler version,
+    the host CPU, the interpreter's extension suffix and the cffi
+    version (read off ``_cffi_backend``, which every cffi module runs
+    on, so a cache hit imports neither ``cffi`` nor ``pycparser``).
     """
-    source = _KERNEL_SOURCE.read_bytes()
+    import _cffi_backend
+
     version = subprocess.run(
         ["cc", "--version"], capture_output=True, text=True, check=True
     ).stdout
-    key = hashlib.sha256(
-        b"\0".join([source, " ".join(_CFLAGS).encode(), version.encode(), _host_cpu().encode()])
-    ).hexdigest()[:16]
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    parts = [
+        _KERNEL_SOURCE.read_bytes(), _KERNEL_HEADER.read_bytes(), " ".join(_CFLAGS).encode(),
+        version.encode(), _host_cpu().encode(), suffix.encode(),
+        _cffi_backend.__version__.encode(),
+    ]
+    name = "_kernels_" + hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "repro"
-    target = cache / f"kernels-{key}.so"
+    return name, cache / f"{name}{suffix}"
+
+
+def _build_kernels() -> tuple:
+    """Compile :data:`_KERNEL_SOURCE` into a cffi extension module in
+    the cache unless it is there; its name and path.
+
+    cffi emits the module's wrapper from the header, and ``cc`` compiles
+    it with the source into a private temp file that is then renamed
+    over the target, so a process racing this one to the same key only
+    ever sees no file or a whole one.
+    """
+    name, target = _module_path()
     if target.exists():
-        return target
+        return name, target
+    import cffi  # only a build parses the header
+
+    ffi = cffi.FFI()
+    ffi.cdef(_KERNEL_HEADER.read_text())
+    ffi.set_source(name, '#include <stdint.h>\n#include "_kernels.h"\n', compiler_verbose=False)
+    wrapper = io.StringIO()
+    ffi.emit_c_code(wrapper)
+    paths = sysconfig.get_paths()
+    includes = dict.fromkeys([paths["include"], paths["platinclude"], str(_KERNEL_SOURCE.parent)])
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     os.close(fd)
     try:
         subprocess.run(
-            ["cc", *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
-            capture_output=True, text=True, check=True,
+            ["cc", *_CFLAGS, *(f"-I{d}" for d in includes), "-o", tmp,
+             "-x", "c", "-", str(_KERNEL_SOURCE)],
+            input=wrapper.getvalue(), capture_output=True, text=True, check=True,
         )
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return target
+    return name, target
 
 
-class _Array:
-    """``ctypes`` argtype of one array slot of a kernel.
-
-    The argument must be a live ndarray of ``_dtype_`` — C-contiguous
-    unless the slot takes row-strided views (``_strided``, whose
-    strides travel as sizes) — and C gets its data pointer for the
-    duration of the call: ``ndpointer``'s contract at a fraction of its
-    per-argument cost.  A writable contiguous array lends its buffer
-    through ``c_char.from_buffer``, whose export holds the array until
-    ctypes drops the converted argument; anything else hands over
-    ``ctypes.data`` while the call's own argument tuple holds the array.
-    """
-
-    _dtype_ = np.dtype(np.int64)
-    _strided = False
-
-    @classmethod
-    def from_param(cls, obj):
-        if type(obj) is not np.ndarray or obj.dtype != cls._dtype_:
-            raise TypeError(f"expected an ndarray of {cls._dtype_}, got {type(obj).__name__}")
-        flags = obj.flags
-        if flags.c_contiguous and flags.writeable and obj.nbytes:
-            return ctypes.byref(ctypes.c_char.from_buffer(obj))
-        if not (flags.c_contiguous or cls._strided):
-            raise TypeError("array argument is not C-contiguous")
-        return ctypes.c_void_p(obj.ctypes.data)
-
-
-class _Int64Arrays:
-    """``ctypes`` argtype of a pointer-array slot: a sequence of int64
-    arrays, each checked like a C-contiguous :class:`_Array` slot, handed
-    to C as an array of their data pointers.  That pointer array holds
-    the arrays themselves, so they live until ctypes drops the converted
-    argument after the call."""
-
-    _dtype_ = np.dtype(np.int64)
-
-    @classmethod
-    def from_param(cls, obj):
-        arrays = tuple(obj)
-        for arr in arrays:
-            if type(arr) is not np.ndarray or arr.dtype != cls._dtype_:
-                raise TypeError(f"expected ndarrays of {cls._dtype_}, got {type(arr).__name__}")
-            if not arr.flags.c_contiguous:
-                raise TypeError("array argument is not C-contiguous")
-        pointers = (ctypes.c_void_p * len(arrays))(*(arr.ctypes.data for arr in arrays))
-        pointers._arrays = arrays
-        return pointers
-
-
-class _Int64(_Array):
-    _dtype_ = np.dtype(np.int64)
-
-
-class _Int64Rows(_Array):
-    _dtype_ = np.dtype(np.int64)
-    _strided = True
-
-
-class _UInt32(_Array):
-    _dtype_ = np.dtype(np.uint32)
-
-
-def _load_kernels(path: Path) -> ctypes.CDLL:
-    """``ctypes`` handle on the built library with every signature
-    declared: every array slot is an :class:`_Array`, so ctypes checks
-    the dtype and layout of each argument and the call's own arguments
-    keep the arrays alive."""
-    i64, rows, u32, arrays = _Int64, _Int64Rows, _UInt32, _Int64Arrays
-    n, flag = ctypes.c_int64, ctypes.c_int
-    lib = ctypes.CDLL(str(path))
-    signatures = {
-        "ntt": ([i64, i64, n, n, n, i64, i64, u32, n, flag], ctypes.c_int),
-        "lift": ([i64, i64, n, n, n, i64, i64, u32, n, flag], ctypes.c_int),
-        "pointwise": ([flag, i64, i64, i64, n, n, n, n, i64, i64], None),
-        "tensor": ([i64, i64, i64, n, n, i64, i64], None),
-        "mul_plain_sum": (
-            [arrays, arrays, i64, n, i64, n, n, i64, i64, u32, n], ctypes.c_int
-        ),
-        "rescale": ([i64, i64, n, n, n, i64, i64, u32, n], ctypes.c_int),
-        "base_convert": ([i64, i64, n, n, i64, i64], ctypes.c_int),
-        "hoist_decompose": ([i64, i64, n, n, i64, i64, u32, n], ctypes.c_int),
-        "inner_product": (
-            [i64, rows, rows, i64, n, n, n, n, i64, flag, i64, i64], ctypes.c_int
-        ),
-        "keyswitch_descent": ([i64, i64, n, n, i64, i64, u32, n], ctypes.c_int),
-    }
-    for name, (argtypes, restype) in signatures.items():
-        fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, restype
-    return lib
+def _load_kernels(name: str, path: Path):
+    """Import the built module from its cache path."""
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
 
 
 #: ``pointwise`` op codes (``enum`` order in ``_kernels.c``)
@@ -534,17 +483,18 @@ _OP_ADD, _OP_SUB, _OP_NEG, _OP_MUL, _OP_SCALE = range(5)
 
 
 def _native_kernels():
-    """The process-wide kernel library, built on the first call; ``None``
-    (after one :class:`KernelBuildWarning`) when it cannot be built."""
+    """The process-wide kernel module, built on the first call; ``None``
+    (after one :class:`KernelBuildWarning`) when it cannot be built or
+    loaded, ``cffi`` missing included."""
     global _native
     with _native_lock:
         if _native is None:
             try:
-                _native = _load_kernels(_build_kernels())
+                _native = _load_kernels(*_build_kernels())
             except subprocess.CalledProcessError as exc:
                 _native = False
                 reason = f"`{' '.join(exc.cmd)}` failed: {(exc.stderr or '').strip()}"
-            except OSError as exc:
+            except (OSError, ImportError) as exc:
                 _native = False
                 reason = str(exc)
             if _native is False:
@@ -574,8 +524,10 @@ class VectorizedBackend(KernelBackend):
     one (the primes, ``n⁻¹`` mod each) and a uint32 ``(4, K, n)`` one
     (forward and inverse twiddles with their Shoup quotients).  Inputs
     must be canonical residues (every in-tree caller's invariant);
-    shapes, prime indices and conversion constants are checked before
-    any pointer reaches C.  Without the library there is no instance:
+    shapes, dtypes, prime indices and conversion constants are checked
+    before any pointer reaches C, and every array crosses as a
+    ``from_buffer`` object of the live ndarray, which holds the array
+    until the call returns.  Without the library there is no instance:
     the constructor raises, and :func:`resolve_backend` picks
     :class:`ReferenceBackend` instead.
     """
@@ -583,11 +535,14 @@ class VectorizedBackend(KernelBackend):
     name = "vectorized"
 
     def __init__(self, ctx):
-        lib = _native_kernels()
-        if lib is None:
+        native = _native_kernels()
+        if native is None:
             raise RuntimeError("the compiled kernels could not be built (see KernelBuildWarning)")
         super().__init__(ctx)
-        self._lib = lib
+        self._lib = native.lib
+        self._ffi = native.ffi
+        self._int64_array = native.ffi.typeof("int64_t[]")
+        self._pointer_array = native.ffi.typeof("int64_t *[]")
         plans = ctx.plans
         primes = ctx._primes_arr
         psi = np.stack([plan.psi_rev for plan in plans])
@@ -595,31 +550,49 @@ class VectorizedBackend(KernelBackend):
         #: the per-context tables every C call reads, indexed by position
         #: in ``ctx.all_primes``: primes and ``n⁻¹`` (int64, ``(2, K)``);
         #: twiddles and Shoup quotients (uint32, ``(4, K, n)``)
-        self._ktab = np.stack([primes, [plan.n_inv for plan in plans]]).astype(np.int64)
-        self._wtab = np.stack(
-            [psi.astype(np.uint32), _shoup(psi, primes),
-             psi_inv.astype(np.uint32), _shoup(psi_inv, primes)]
+        self._num_primes = len(plans)
+        self._ktab = self._buffer(
+            np.stack([primes, [plan.n_inv for plan in plans]]).astype(np.int64)
         )
-        #: validated prime-index arrays and packed per-level conversions,
-        #: built on first use (private: never written once cached)
+        self._wtab = native.ffi.from_buffer(
+            "uint32_t[]",
+            np.stack(
+                [psi.astype(np.uint32), _shoup(psi, primes),
+                 psi_inv.astype(np.uint32), _shoup(psi_inv, primes)]
+            ),
+        )
+        #: validated prime-index sets and packed per-level conversions as
+        #: the buffers C reads, built on first use (private: never written
+        #: once cached)
         self._index_sets: dict = {}
         self._conversions: dict = {}
 
     # ------------------------------------------------------------------
     # argument checks: nothing reaches C unvalidated
     # ------------------------------------------------------------------
-    def _indices(self, prime_indices) -> np.ndarray:
+    def _buffer(self, arr: np.ndarray):
+        """``arr``'s memory as the ``int64_t[]`` C reads or writes: a
+        ``from_buffer`` object that holds the array while it lives.  The
+        buffer protocol refuses a non-contiguous array."""
+        if arr.dtype != np.int64:
+            raise TypeError(f"expected an int64 array, got {arr.dtype}")
+        return self._ffi.from_buffer(self._int64_array, arr)
+
+    def _index_array(self, prime_indices) -> np.ndarray:
+        idx = np.asarray(prime_indices, dtype=np.int64)
+        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= self._num_primes)):
+            raise ValueError(f"prime indices {prime_indices!r} outside the context's primes")
+        return idx
+
+    def _indices(self, prime_indices):
+        """The validated index set as C reads it; ``len`` is its limb count."""
         try:
             key = tuple(prime_indices)
             idx = self._index_sets.get(key)
         except TypeError:
             key = idx = None
         if idx is None:
-            idx = np.asarray(prime_indices, dtype=np.int64)
-            if idx.ndim != 1 or (
-                idx.size and (idx.min() < 0 or idx.max() >= self._ktab.shape[1])
-            ):
-                raise ValueError(f"prime indices {prime_indices!r} outside the context's primes")
+            idx = self._buffer(self._index_array(prime_indices))
             if key is not None:
                 self._index_sets[key] = idx
         return idx
@@ -634,12 +607,12 @@ class VectorizedBackend(KernelBackend):
             )
         return rows
 
-    def _pack(self, conv, tail=()) -> np.ndarray:
-        """One int64 array holding a :class:`BaseConversion` the way
+    def _pack(self, conv, tail=()):
+        """One int64 buffer holding a :class:`BaseConversion` the way
         ``_kernels.c`` reads it: ``[S, T, G, size, sources, targets, inv,
         weights]``, then ``tail`` (the descent's ``P⁻¹`` per target)."""
-        sources = self._indices(conv.sources)
-        targets = self._indices(conv.targets)
+        sources = self._index_array(conv.sources)
+        targets = self._index_array(conv.targets)
         inv = np.asarray(conv.inv, dtype=np.int64)
         weights = np.asarray(conv.weights, dtype=np.int64)
         if weights.ndim != 3:
@@ -654,9 +627,9 @@ class VectorizedBackend(KernelBackend):
             raise ValueError("base conversion constants do not match its sources and targets")
         head = [sources.size, targets.size, groups, size]
         plan = np.concatenate([head, sources, targets, inv, weights.ravel(), tail])
-        return plan.astype(np.int64)
+        return self._buffer(plan.astype(np.int64))
 
-    def _conversion(self, kind: str, level: int) -> np.ndarray:
+    def _conversion(self, kind: str, level: int):
         """The packed digit lift (``"lift"``) or ``P`` descent
         (``"descent"``, with ``P⁻¹`` mod each chain prime) of ``level``."""
         plan = self._conversions.get((kind, level))
@@ -681,12 +654,12 @@ class VectorizedBackend(KernelBackend):
     # ------------------------------------------------------------------
     def _ntt(self, rows, prime_indices, inverse: bool) -> np.ndarray:
         idx = self._indices(prime_indices)
-        rows = self._stack(rows, idx.size)
+        rows = self._stack(rows, len(idx))
         out = np.empty_like(rows)
         self._call(
             self._lib.ntt(
-                rows, out, math.prod(rows.shape[:-2]), idx.size, self.ctx.n,
-                idx, self._ktab, self._wtab, self._ktab.shape[1], inverse,
+                self._buffer(rows), self._buffer(out), math.prod(rows.shape[:-2]), len(idx),
+                self.ctx.n, idx, self._ktab, self._wtab, self._num_primes, inverse,
             ),
             "NTT",
         )
@@ -705,11 +678,11 @@ class VectorizedBackend(KernelBackend):
         if coeffs.ndim < 1 or coeffs.shape[-1] != n:
             raise ValueError(f"coefficients of shape {coeffs.shape} do not match n={n}")
         lead = coeffs.shape[:-1]
-        out = np.empty(lead + (idx.size, n), dtype=np.int64)
+        out = np.empty(lead + (len(idx), n), dtype=np.int64)
         self._call(
             self._lib.lift(
-                coeffs, out, math.prod(lead), idx.size, n,
-                idx, self._ktab, self._wtab, self._ktab.shape[1], transform,
+                self._buffer(coeffs), self._buffer(out), math.prod(lead), len(idx), n,
+                idx, self._ktab, self._wtab, self._num_primes, transform,
             ),
             "lift",
         )
@@ -723,12 +696,14 @@ class VectorizedBackend(KernelBackend):
 
     def base_convert(self, rows, conv):
         plan = self._pack(conv)
-        sources, targets, groups = (int(v) for v in plan[:3])
-        rows = self._stack(rows, sources)
+        rows = self._stack(rows, plan[0])
         lead = rows.shape[:-2]
-        out = np.empty(lead + (groups, targets, self.ctx.n), dtype=np.int64)
+        out = np.empty(lead + (plan[2], plan[1], self.ctx.n), dtype=np.int64)
         self._call(
-            self._lib.base_convert(rows, out, math.prod(lead), self.ctx.n, plan, self._ktab),
+            self._lib.base_convert(
+                self._buffer(rows), self._buffer(out), math.prod(lead), self.ctx.n,
+                plan, self._ktab,
+            ),
             "base conversion",
         )
         return out
@@ -738,7 +713,7 @@ class VectorizedBackend(KernelBackend):
     # ------------------------------------------------------------------
     def _pointwise(self, op: int, a, b, prime_indices) -> np.ndarray:
         idx = self._indices(prime_indices)
-        limbs = idx.size
+        limbs = len(idx)
         a = self._stack(a, limbs)
         if op == _OP_SCALE:
             b = np.ascontiguousarray(b, dtype=np.int64)
@@ -760,7 +735,8 @@ class VectorizedBackend(KernelBackend):
         out = np.empty_like(a)
         b_batch = 1 if op == _OP_SCALE else math.prod(b.shape[:-2])
         self._lib.pointwise(
-            op, a, b, out, math.prod(a.shape[:-2]), b_batch, limbs, self.ctx.n, idx, self._ktab
+            op, self._buffer(a), self._buffer(b), self._buffer(out), math.prod(a.shape[:-2]),
+            b_batch, limbs, self.ctx.n, idx, self._ktab,
         )
         return out
 
@@ -781,17 +757,20 @@ class VectorizedBackend(KernelBackend):
 
     def tensor(self, a, b, prime_indices):
         idx = self._indices(prime_indices)
-        a = self._stack(a, idx.size)
-        b = self._stack(b, idx.size)
+        a = self._stack(a, len(idx))
+        b = self._stack(b, len(idx))
         if a.shape[:-2] != (2,) or b.shape[:-2] != (2,):
             raise ValueError(f"tensor needs two (2, limbs, n) pairs, got {a.shape} and {b.shape}")
         out = np.empty((3,) + a.shape[1:], dtype=np.int64)
-        self._lib.tensor(a, b, out, idx.size, self.ctx.n, idx, self._ktab)
+        self._lib.tensor(
+            self._buffer(a), self._buffer(b), self._buffer(out), len(idx), self.ctx.n,
+            idx, self._ktab,
+        )
         return out
 
     def mul_plain_sum(self, cts, plains, prime_indices):
         idx = self._indices(prime_indices)
-        limbs, n = idx.size, self.ctx.n
+        limbs, n = len(idx), self.ctx.n
         if not cts or len(cts) != len(plains):
             raise ValueError(f"{len(cts)} ciphertexts for {len(plains)} plaintexts")
         pairs = [self._stack(ct, limbs) for ct in cts]  # one pointer each, never stacked
@@ -804,10 +783,16 @@ class VectorizedBackend(KernelBackend):
                 raise ValueError(f"a plaintext of shape {pt.shape} for {limbs} limbs of n={n}")
         coeff = np.array([pt.ndim == 1 for pt in rows], dtype=np.int64)  # lift these
         out = np.empty((2, limbs, n), dtype=np.int64)
+        # the pointer arrays hold addresses only: these lists hold the
+        # buffers (and through them the arrays) until C returns
+        ct_bufs = [self._buffer(ct) for ct in pairs]
+        pt_bufs = [self._buffer(pt) for pt in rows]
+        new, pointers = self._ffi.new, self._pointer_array
         self._call(
             self._lib.mul_plain_sum(
-                pairs, rows, coeff, len(pairs), out, limbs, n,
-                idx, self._ktab, self._wtab, self._ktab.shape[1],
+                new(pointers, ct_bufs), new(pointers, pt_bufs), self._buffer(coeff),
+                len(pairs), self._buffer(out), limbs, n,
+                idx, self._ktab, self._wtab, self._num_primes,
             ),
             "plaintext product sum",
         )
@@ -824,8 +809,9 @@ class VectorizedBackend(KernelBackend):
         out = np.empty(lead + (level, self.ctx.n), dtype=np.int64)
         self._call(
             self._lib.rescale(
-                rows, out, math.prod(lead), level, self.ctx.n,
-                self.ctx.rescale_inverses(level), self._ktab, self._wtab, self._ktab.shape[1],
+                self._buffer(rows), self._buffer(out), math.prod(lead), level, self.ctx.n,
+                self._buffer(self.ctx.rescale_inverses(level)), self._ktab, self._wtab,
+                self._num_primes,
             ),
             "rescale",
         )
@@ -833,14 +819,13 @@ class VectorizedBackend(KernelBackend):
 
     def hoist_decompose(self, rows, level):
         plan = self._conversion("lift", level)
-        sources, targets, groups = (int(v) for v in plan[:3])
-        rows = self._stack(rows, sources)
+        rows = self._stack(rows, plan[0])
         lead = rows.shape[:-2]
-        out = np.empty(lead + (groups, targets, self.ctx.n), dtype=np.int64)
+        out = np.empty(lead + (plan[2], plan[1], self.ctx.n), dtype=np.int64)
         self._call(
             self._lib.hoist_decompose(
-                rows, out, math.prod(lead), self.ctx.n,
-                plan, self._ktab, self._wtab, self._ktab.shape[1],
+                self._buffer(rows), self._buffer(out), math.prod(lead), self.ctx.n,
+                plan, self._ktab, self._wtab, self._num_primes,
             ),
             "digit decomposition",
         )
@@ -849,55 +834,72 @@ class VectorizedBackend(KernelBackend):
     def keyswitch_inner_product(self, digits, key_b, key_a, level, perm=None):
         n = self.ctx.n
         basis = self._indices(self.ctx.keyswitch_basis(level))
-        digits = self._stack(digits, basis.size)
-        if digits.ndim != 3:
+        digits = self._stack(digits, len(basis))
+        if digits.ndim != 3 or not digits.shape[0]:
             raise ValueError(f"digits of shape {digits.shape} are not (digits, basis, n)")
-        key_b, key_a, stride = self._key_pair(key_b, key_a, digits.shape)
+        # ``held`` keeps the key buffers (and their arrays) until C returns
+        (key_b, key_a), held, stride = self._key_pair(key_b, key_a, digits.shape)
         if perm is None:
             perm, use_perm = basis, 0  # a placeholder the kernel never reads
         else:
             perm, use_perm = np.ascontiguousarray(perm, dtype=np.int64), 1
             if perm.shape != (n,):
                 raise ValueError(f"a slot permutation of shape {perm.shape} for n={n}")
+            perm = self._buffer(perm)
         out = np.empty((2,) + digits.shape[1:], dtype=np.int64)
         self._call(
             self._lib.inner_product(
-                digits, key_b, key_a, out, digits.shape[0], basis.size, n,
-                stride, perm, use_perm, basis, self._ktab,
+                self._buffer(digits), key_b, key_a, self._buffer(out), digits.shape[0],
+                len(basis), n, stride, perm, use_perm, basis, self._ktab,
             ),
             "key inner product",
         )
         return out
 
-    @staticmethod
-    def _key_pair(key_b, key_a, shape) -> tuple:
-        """Both key halves as ``shape`` int64 arrays whose rows are
-        contiguous and whose digits sit one common stride apart (a
-        level's slice of a family's tensors already is), plus that stride
-        in elements; anything else is copied into that layout."""
+    def _key_pair(self, key_b, key_a, shape) -> tuple:
+        """Both key halves as C reads them — each the buffer of the
+        contiguous array that owns it plus the element offset of its
+        first row, the buffers themselves (which hold those arrays), and
+        the element stride between digits.  A level's slice of a family's
+        tensors crosses uncopied: its rows are contiguous and its digits
+        sit one common stride apart; anything else is copied into the
+        contiguous layout first."""
         keys = [np.asarray(key, dtype=np.int64) for key in (key_b, key_a)]
         for key in keys:
             if key.shape != shape:
                 raise ValueError(f"key of shape {key.shape} for digits of shape {shape}")
-        row = shape[-1] * 8
+        digits, limbs, n = shape
         stride = keys[0].strides[0]
+        owners = [key if key.base is None else key.base for key in keys]
         if any(
-            key.strides[1:] != (row, 8) or key.strides[0] != stride for key in keys
-        ) or stride % 8 or stride < shape[1] * row:
-            keys = [np.ascontiguousarray(key) for key in keys]
-            stride = shape[1] * row
-        return keys[0], keys[1], stride // 8
+            key.strides[1:] != (n * 8, 8) or key.strides[0] != stride for key in keys
+        ) or stride % 8 or stride < limbs * n * 8 or not all(
+            type(owner) is np.ndarray and owner.dtype == np.int64 and owner.flags.c_contiguous
+            for owner in owners
+        ):
+            keys = owners = [np.ascontiguousarray(key) for key in keys]
+            stride = limbs * n * 8
+        stride //= 8
+        span = (digits - 1) * stride + limbs * n  # elements C reads from the first
+        wholes = [self._buffer(owner) for owner in owners]
+        pointers = []
+        for key, whole in zip(keys, wholes):
+            offset = (self._buffer(key[0, 0]) + 0) - whole  # pointer - array: elements
+            if not 0 <= offset <= len(whole) - span:
+                raise ValueError("a key's rows lie outside the array that owns them")
+            pointers.append(whole + offset)
+        return pointers, wholes, stride
 
     def keyswitch_descent(self, acc, level):
         plan = self._conversion("descent", level)
-        special, chain = (int(v) for v in plan[:2])
+        special, chain = plan[0], plan[1]
         acc = self._stack(acc, special + chain)
         lead = acc.shape[:-2]
         out = np.empty(lead + (chain, self.ctx.n), dtype=np.int64)
         self._call(
             self._lib.keyswitch_descent(
-                acc, out, math.prod(lead), self.ctx.n,
-                plan, self._ktab, self._wtab, self._ktab.shape[1],
+                self._buffer(acc), self._buffer(out), math.prod(lead), self.ctx.n,
+                plan, self._ktab, self._wtab, self._num_primes,
             ),
             "keyswitch descent",
         )

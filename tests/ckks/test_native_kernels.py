@@ -1,6 +1,7 @@
 """The compiled kernels behind :class:`VectorizedBackend`: the checks in
-front of every C call, the on-disk build cache, the no-compiler fallback
-to the reference backend and concurrent use of one backend.
+front of every C call, the buffers C gets, the on-disk build cache, the
+no-compiler and no-cffi fallbacks to the reference backend and
+concurrent use of one backend.
 
 The NTT algebra itself is pinned property by property in
 ``test_backend_ntt.py``, every other entry point in
@@ -9,13 +10,15 @@ The NTT algebra itself is pinned property by property in
 contiguous copy.
 """
 
-import ctypes
+import gc
 import os
 import subprocess
 import sys
+import sysconfig
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -182,20 +185,6 @@ class TestInputChecks:
                 be.mul_plain_sum(cts, plains, chain)
                 pytest.fail(name)
 
-    def test_pointer_array_slot_checks_and_holds_every_array(self):
-        slot = backend_mod._Int64Arrays
-        arrays = [np.arange(4, dtype=np.int64), np.zeros((2, 3), dtype=np.int64)]
-        pointers = slot.from_param(arrays)
-        assert [pointers[i] for i in range(2)] == [a.ctypes.data for a in arrays]
-        assert all(held is a for held, a in zip(pointers._arrays, arrays))
-        for bad in (
-            [np.arange(4, dtype=np.int32)],
-            [np.zeros((2, 4), dtype=np.int64)[:, ::2]],
-            [list(range(4))],
-        ):
-            with pytest.raises(TypeError):
-                slot.from_param(bad)
-
     def test_inputs_never_mutated(self, ctx):
         be = VectorizedBackend(ctx)
         x = residues(ctx, (3,), range(ctx.max_level + 1))
@@ -229,55 +218,129 @@ class TestInputChecks:
             == be.base_convert(x[0], conv).tobytes()
         )
 
-    def test_c_calls_get_live_arrays_not_addresses(self, ctx, monkeypatch):
-        """Every pointer argument of every entry point reaches ctypes as
-        the ndarray itself — held by the call's own argument tuple until C
-        returns — never as a bare ``.ctypes.data`` integer whose array may
-        already be freed; a pointer-array slot (the terms of a plaintext
-        product sum) gets a list of contiguous int64 ndarrays.  The one
-        argument kind beyond the call's own data is the backend's two
-        per-context tables, passed as the backend's own arrays.
+    def test_c_calls_get_live_buffers_not_addresses(self, ctx):
+        """Every pointer argument of every entry point reaches C as a
+        ``from_buffer`` object of a live ndarray of the parameter's
+        declared element type — the object itself, or (a key half) an
+        element offset into one that the backend holds until C returns —
+        never as an integer address whose array may already be freed.
         Fancy-indexed temporaries then give the spec's bytes."""
-        be = VectorizedBackend(ctx)
-        lib = be._lib
-        calls = []
+        with Recording() as rec:
+            be = VectorizedBackend(ctx)
+            ref = ReferenceBackend(ctx)
+            x = residues(ctx, (4,), range(ctx.max_level + 1))
+            pick = np.array([3, 0, 2])
+            assert_same_bytes(kernel_outputs(be, ctx), kernel_outputs(ref, ctx))
+            for transform in ("ntt_forward", "ntt_inverse"):
+                got = getattr(be, transform)(x[[2, 0]][:, pick], pick.tolist())
+                want = getattr(ref, transform)(x[[2, 0]][:, pick], pick.tolist())
+                assert got.tobytes() == want.tobytes()
+        assert set(rec.calls) == set(ENTRY_POINTS)
 
-        def recording(fn):
-            def call(*args):
-                tables = 0
-                for arg, argtype in zip(args, fn.argtypes, strict=True):
-                    if argtype is backend_mod._Int64Arrays:  # one pointer per term
-                        assert isinstance(arg, list) and arg
-                        for a in arg:
-                            assert isinstance(a, np.ndarray) and a.dtype == np.int64
-                            assert a.flags.c_contiguous
-                    elif hasattr(argtype, "_dtype_"):  # an array slot
-                        assert isinstance(arg, np.ndarray) and arg.dtype == argtype._dtype_
-                        assert arg.flags.c_contiguous or argtype._strided
-                        if arg.dtype == np.uint32:
-                            assert arg is be._wtab
-                        tables += arg is be._ktab or arg is be._wtab
-                    else:  # no raw pointer slot at all: sizes and flags only
-                        assert argtype in (ctypes.c_int64, ctypes.c_int)
-                assert tables >= 1, fn.__name__  # every entry point reads ktab
-                calls.append(fn.__name__)
-                return fn(*args)
-
-            return call
-
-        recorded = SimpleNamespace(
-            **{name: recording(getattr(lib, name)) for name in ENTRY_POINTS}
+    def test_pointer_arrays_hold_their_terms_and_dtypes_are_checked(self, ctx):
+        """A plaintext product sum's pointer arrays hold addresses only:
+        the backend keeps every term's buffer — and through it the term,
+        here a temporary copy nothing else references — alive until C
+        returns.  An array of the wrong dtype or layout never becomes a
+        buffer, so it cannot reach C."""
+        chain = list(range(ctx.max_level + 1))
+        x = residues(ctx, (2,), chain)
+        y = residues(ctx, (), chain)
+        coeffs = np.random.default_rng(0).integers(-(2**40), 2**40, size=ctx.n)
+        with Recording() as rec:
+            be = VectorizedBackend(ctx)
+            got = be.mul_plain_sum(
+                [x[:, :, ::-1], x[::-1]], [coeffs.astype(np.int32), y.T.copy().T], chain
+            )
+        assert rec.calls == ["mul_plain_sum"]
+        want = ReferenceBackend(ctx).mul_plain_sum(
+            [x[:, :, ::-1], x[::-1]], [coeffs.astype(np.int32), y], chain
         )
-        monkeypatch.setattr(be, "_lib", recorded)
-        ref = ReferenceBackend(ctx)
-        x = residues(ctx, (4,), range(ctx.max_level + 1))
-        pick = np.array([3, 0, 2])
-        assert_same_bytes(kernel_outputs(be, ctx), kernel_outputs(ref, ctx))
-        for transform in ("ntt_forward", "ntt_inverse"):
-            got = getattr(be, transform)(x[[2, 0]][:, pick], pick.tolist())
-            want = getattr(ref, transform)(x[[2, 0]][:, pick], pick.tolist())
-            assert got.tobytes() == want.tobytes()
-        assert set(calls) == set(ENTRY_POINTS)
+        assert got.tobytes() == want.tobytes()
+        for bad in (
+            np.zeros(4, dtype=np.int32),
+            np.zeros(4, dtype=np.uint64),
+            np.zeros(4, dtype=np.float64),
+        ):
+            with pytest.raises(TypeError):
+                be._buffer(bad)
+        with pytest.raises(ValueError, match="contiguous"):
+            be._buffer(np.zeros((2, 4), dtype=np.int64)[:, ::2])
+
+
+class Recording:
+    """Builds :class:`VectorizedBackend` instances over a recording
+    ``ffi`` and ``lib``: every ``from_buffer`` is remembered by weak
+    reference only, and every C call checks each pointer argument
+    against the buffers still alive at that moment (after a collection),
+    then runs the real kernel."""
+
+    def __init__(self):
+        self.patch = pytest.MonkeyPatch.context()
+        self.native = backend_mod._native_kernels()
+        self.buffers = []  # (buffer ref, array ref, element ctype, address, size)
+        self.calls = []
+
+    def __enter__(self):
+        ffi = self.native.ffi
+        lib = SimpleNamespace(
+            **{name: self.checking(getattr(self.native.lib, name)) for name in ENTRY_POINTS}
+        )
+        shim = SimpleNamespace(typeof=ffi.typeof, new=ffi.new, from_buffer=self.from_buffer)
+        self.patch.__enter__().setattr(backend_mod, "_native", SimpleNamespace(ffi=shim, lib=lib))
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.__exit__(*exc)
+
+    def from_buffer(self, ctype, array):
+        ffi = self.native.ffi
+        buf = ffi.from_buffer(ctype, array)
+        item = ffi.typeof(buf).item
+        address = int(ffi.cast("intptr_t", buf))
+        self.buffers.append(
+            (weakref.ref(buf), weakref.ref(array), item, address, len(buf) * ffi.sizeof(item))
+        )
+        return buf
+
+    def live_buffer(self, pointer, item):
+        """The recorded, still-alive buffer that is ``pointer`` or that
+        ``pointer`` points into."""
+        ffi = self.native.ffi
+        assert isinstance(pointer, ffi.CData), f"an address, not a buffer: {pointer!r}"
+        address = int(ffi.cast("intptr_t", pointer))
+        live = [(buf(), array(), *rest) for buf, array, *rest in self.buffers]
+        live = [entry for entry in live if entry[0] is not None]
+        for buf, array, kind, start, size in sorted(live, key=lambda e: e[0] is not pointer):
+            if buf is pointer or start <= address < start + size:
+                assert array is not None
+                assert array.dtype == {"int64_t": np.int64, "uint32_t": np.uint32}[kind.cname]
+                assert kind is item, f"{kind.cname} buffer for a {item.cname} parameter"
+                return buf
+        raise AssertionError("a pointer into no live from_buffer object")
+
+    def checking(self, fn):
+        ffi = self.native.ffi
+
+        def call(*args):
+            gc.collect()
+            params = ffi.typeof(fn).args
+            assert len(args) == len(params)
+            for arg, param in zip(args, params):
+                if param.kind != "pointer":  # sizes and flags
+                    assert type(arg) in (int, bool), (fn.__name__, arg)
+                elif param.item.kind == "pointer":  # one pointer per term
+                    assert isinstance(arg, ffi.CData) and len(arg)
+                    for t in range(len(arg)):
+                        self.live_buffer(arg[t], param.item.item)
+                else:
+                    buf = self.live_buffer(arg, param.item)
+                    if ffi.typeof(arg).kind == "array":
+                        assert buf is arg  # the buffer itself, not a copy of its address
+            self.calls.append(fn.__name__)
+            return fn(*args)
+
+        return call
 
 
 class TestBuild:
@@ -315,8 +378,9 @@ class TestBuild:
 
     def test_racing_processes_build_one_whole_library(self, tmp_path):
         """Two fresh interpreters released together build into one empty
-        cache: both load a working library, exactly one ``.so`` is left
-        and no temp file; a third process reuses it without compiling."""
+        cache: both load a working module, exactly one ``.so`` is left
+        and no temp file; a third process reuses it without compiling,
+        and without importing ``cffi`` or ``pycparser``."""
         src = Path(backend_mod.__file__).resolve().parents[2]
         env = dict(
             os.environ,
@@ -337,6 +401,7 @@ class TestBuild:
             "x = np.arange(3 * 64).reshape(3, 64) % ctx._primes_arr[:3, None]\n"
             "want = ReferenceBackend(ctx).ntt_forward(x, [0, 1, 2])\n"
             "assert np.array_equal(be.ntt_forward(x, [0, 1, 2]), want)\n"
+            "assert sys.argv[3:] != ['hit'] or not {'cffi', 'pycparser'} & set(sys.modules)\n"
         )
         warn_error = ["-W", "error::RuntimeWarning"]
 
@@ -362,7 +427,7 @@ class TestBuild:
         assert built.suffix == ".so"
         before = built.stat()
         again = subprocess.run(
-            [sys.executable, *warn_error, "-c", script, str(tmp_path / "ready-c"), str(go)],
+            [sys.executable, *warn_error, "-c", script, str(tmp_path / "ready-c"), str(go), "hit"],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert again.returncode == 0, again.stderr
@@ -371,8 +436,48 @@ class TestBuild:
         assert list((tmp_path / "cache" / "repro").iterdir()) == [built]
 
 
+    def test_cache_name_hashes_the_header_and_the_interpreter(self, monkeypatch, tmp_path):
+        """Interpreters sharing one cache directory never load each
+        other's module: the name and the file change with the extension
+        suffix, and with the header the binding is generated from."""
+        name, path = backend_mod._module_path()
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        assert path.name == name + suffix
+        get_config_var = sysconfig.get_config_var
+        with monkeypatch.context() as m:
+            m.setattr(
+                sysconfig, "get_config_var",
+                lambda key: ".cpython-399-other.so" if key == "EXT_SUFFIX" else get_config_var(key),
+            )
+            other_name, other_path = backend_mod._module_path()
+        assert other_name != name and other_path.name == other_name + ".cpython-399-other.so"
+        header = tmp_path / "_kernels.h"
+        header.write_text(backend_mod._KERNEL_HEADER.read_text() + "\n/* edited */\n")
+        monkeypatch.setattr(backend_mod, "_KERNEL_HEADER", header)
+        edited_name, edited_path = backend_mod._module_path()
+        assert edited_name not in (name, other_name) and edited_path.suffix == path.suffix
+
+    @pytest.mark.parametrize("missing", [("cffi",), ("cffi", "_cffi_backend")])
+    def test_missing_cffi_warns_once_and_falls_back(self, ctx, monkeypatch, tmp_path, missing):
+        """Without ``cffi`` a fresh cache cannot be built, and without its
+        ``_cffi_backend`` no module loads: the process warns once and
+        every ``vectorized`` context runs the reference backend."""
+        monkeypatch.setattr(backend_mod, "_native", None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        for module in missing:
+            monkeypatch.setitem(sys.modules, module, None)  # the import raises
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backends = [CkksContext(ctx.params).backend.name for _ in range(2)]
+            with pytest.raises(RuntimeError, match="could not be built"):
+                VectorizedBackend(ctx)
+        assert backends == ["reference", "reference"]
+        (warning,) = caught
+        assert warning.category is KernelBuildWarning and "cffi" in str(warning.message)
+
+
 def test_threads_sharing_one_backend_get_sequential_bytes(ctx):
-    """ctypes releases the GIL around every C call, and the server runs
+    """Every C call releases the GIL (cffi's default), and the server runs
     several workers on one backend: concurrent calls on different stacks
     must give exactly what the same calls give one after another."""
     be = VectorizedBackend(ctx)
