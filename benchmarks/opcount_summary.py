@@ -16,10 +16,12 @@ that ``tools/check_opcounts.py`` gates against
 ``benchmarks/opcount_baseline.json``: a >2% keyswitch, nonscalar-mult or
 NTT-row regression on any pinned model fails CI.  ``ntt_rows`` is the
 structural meter below the op counts — residue rows through a forward or
-inverse NTT during the forward
-(:class:`repro.ckks.instrumentation.RowCountingBackend`): exact,
-repeatable and backend-invariant, it sees the decompositions and
-divide-by-``P`` descents that ``keyswitches`` cannot tell apart.
+inverse NTT during the forward, booked per kernel call from its shapes by
+:class:`repro.ckks.instrumentation.RowCountingBackend`, which passes every
+call through unchanged, so the metered forward makes the production
+forward's kernel calls: exact, repeatable and backend-invariant, it sees
+the decompositions and divide-by-``P`` descents that ``keyswitches``
+cannot tell apart.
 
 ``--trace-dir DIR`` wraps each measured forward in a
 :class:`repro.obs.TracingEvaluator` and writes one execution trace

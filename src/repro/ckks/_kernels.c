@@ -290,7 +290,7 @@ void tensor(const int64_t *a, const int64_t *b, int64_t *out, int64_t limbs, int
 }
 
 /* ------------------------------------------------------------------ */
-/* plaintext lift: reduce int64 coefficients, optionally forward NTT   */
+/* plaintext lift: reduce int64 coefficients, forward NTT             */
 /* ------------------------------------------------------------------ */
 
 /* x outside [-2^62, 2^62), the fast reduction's range (branch-free) */
@@ -323,11 +323,10 @@ static void reduce_row(const int64_t *c, uint32_t *row, int64_t n, int64_t p, do
 }
 
 /* `coeffs` is (batch, n) of any int64, `out` (batch, limbs, n): limb l
- * reduced mod prime idx[l] and, when `transform`, forward-transformed.
+ * reduced mod prime idx[l] and forward-transformed.
  * Returns 0, or -1 if the scratch row could not be allocated. */
 int lift(const int64_t *coeffs, int64_t *out, int64_t batch, int64_t limbs, int64_t n,
-         const int64_t *idx, const int64_t *ktab, const uint32_t *wtab, int64_t K,
-         int transform)
+         const int64_t *idx, const int64_t *ktab, const uint32_t *wtab, int64_t K)
 {
     const tables tb = {ktab, wtab, K, n};
     uint32_t *row = malloc((size_t)n * sizeof *row);
@@ -338,8 +337,7 @@ int lift(const int64_t *coeffs, int64_t *out, int64_t batch, int64_t limbs, int6
         for (int64_t l = 0; l < limbs; l++) {
             const int64_t k = idx[l], p = ktab[k];
             reduce_row(c, row, n, p, 1.0 / (double)p);
-            if (transform)
-                forward_k(row, tb, k);
+            forward_k(row, tb, k);
             int64_t *o = out + (b * limbs + l) * n;
             for (int64_t j = 0; j < n; j++)
                 o[j] = row[j];
@@ -539,30 +537,9 @@ static void convert_row(const int64_t *y, int64_t *acc, conversion cv, int64_t g
     }
 }
 
-/* Centred approximate base conversion, coefficient domain: `in` is
- * (lead, S, n) canonical residues over the sources (only read), `out`
- * (lead, G, T, n) over the targets.
- * Returns 0, or -1 if the scratch rows could not be allocated. */
-int base_convert(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
-                 const int64_t *plan, const int64_t *ktab)
-{
-    const conversion cv = unpack(plan);
-    int64_t *y = malloc((size_t)(cv.S * n) * sizeof *y);
-    if (y == NULL)
-        return -1;
-    for (int64_t b = 0; b < lead; b++) {
-        centre_sources(in + b * cv.S * n, y, cv, n, ktab);
-        for (int64_t g = 0; g < cv.G; g++)
-            for (int64_t t = 0; t < cv.T; t++)
-                convert_row(y, out + ((b * cv.G + g) * cv.T + t) * n, cv, g, t, n, ktab);
-    }
-    free(y);
-    return 0;
-}
-
-/* Keyswitch digits: the base conversion of `in` ((lead, S, n) chain
- * coefficient rows) with every (lead, G, T, n) output row forward-
- * transformed mod its target prime.
+/* Keyswitch digits: the centred approximate base conversion of `in`
+ * ((lead, S, n) canonical chain coefficient rows, only read) onto
+ * (lead, G, T, n) rows, each forward-transformed mod its target prime.
  * Returns 0, or -1 if the scratch rows could not be allocated. */
 int hoist_decompose(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
                     const int64_t *plan, const int64_t *ktab, const uint32_t *wtab, int64_t K)

@@ -19,8 +19,7 @@ void tensor(const int64_t *a, const int64_t *b, int64_t *out, int64_t limbs, int
             const int64_t *idx, const int64_t *ktab);
 
 int lift(const int64_t *coeffs, int64_t *out, int64_t batch, int64_t limbs, int64_t n,
-         const int64_t *idx, const int64_t *ktab, const uint32_t *wtab, int64_t K,
-         int transform);
+         const int64_t *idx, const int64_t *ktab, const uint32_t *wtab, int64_t K);
 
 int mul_plain_sum(const int64_t *const *cts, const int64_t *const *plains,
                   const int64_t *coeff, int64_t terms, int64_t *out, int64_t limbs,
@@ -29,9 +28,6 @@ int mul_plain_sum(const int64_t *const *cts, const int64_t *const *plains,
 
 int rescale(const int64_t *in, int64_t *out, int64_t batch, int64_t level, int64_t n,
             const int64_t *inv, const int64_t *ktab, const uint32_t *wtab, int64_t K);
-
-int base_convert(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
-                 const int64_t *plan, const int64_t *ktab);
 
 int hoist_decompose(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
                     const int64_t *plan, const int64_t *ktab, const uint32_t *wtab, int64_t K);

@@ -21,7 +21,9 @@ Two implementations ship:
 * :class:`ReferenceBackend` — the spec: one
   :class:`~repro.ckks.ntt.NttPlan` transform per residue row, one
   Python-loop iteration per source prime of a base conversion and per
-  keyswitch digit, a reduction after every term.
+  keyswitch digit, a reduction after every term.  Its per-row kernels
+  (coefficient reduction, base conversion, digit/key inner product) are
+  what the base class's pipelines compose; no caller uses them directly.
 * :class:`VectorizedBackend` — the same arithmetic, one compiled call
   per HE-level step: every pointwise op over a ``(..., limbs, n)``
   stack, the plaintext :meth:`~KernelBackend.lift`, the ciphertext
@@ -56,11 +58,11 @@ is < 2^60 < 2^63; the spec reduces after every product, the C key inner
 product after every 8 (still below 2^63 with the running residue).  The
 C NTTs multiply by Shoup twiddles: a twiddle ``w < p`` carries
 ``floor(w·2^32/p) < 2^32``, lazy butterfly values stay < 4p < 2^32 and
-every quotient product is < 2^64.  The C base conversion multiplies a
-*centred* residue (< 2^29) by a weight (< 2^30) and sums at most 15 of
-those between reductions.  Every other C reduction is a double-precision
-quotient estimate corrected into ``[0, p)``, exact for any
-``|x| < 2^63 − 2^31``.
+every quotient product is < 2^64.  The C base conversion inside the
+decomposition and the descent multiplies a *centred* residue (< 2^29)
+by a weight (< 2^30) and sums at most 15 of those between reductions.
+Every other C reduction is a double-precision quotient estimate
+corrected into ``[0, p)``, exact for any ``|x| < 2^63 − 2^31``.
 
 The compiled module is cached under ``$XDG_CACHE_HOME/repro`` (default
 ``~/.cache/repro``), keyed by a hash of the source, its header, the
@@ -182,36 +184,18 @@ class KernelBackend:
         """Inverse negacyclic NTT of every residue row (same layout)."""
         raise NotImplementedError
 
-    def reduce_coeffs(self, coeffs, prime_indices) -> np.ndarray:
-        """Reduce ``(..., n)`` int64 coefficient vectors into
-        ``(..., limbs, n)`` rows."""
-        raise NotImplementedError
-
-    def base_convert(self, rows, conv) -> np.ndarray:
-        """Centred approximate base conversion, coefficient domain.
-
-        ``rows`` is ``(..., S, n)`` over ``conv.sources``; each group of
-        source primes converts independently onto ``conv.targets``
-        (:class:`~repro.ckks.context.BaseConversion` has the formula),
-        giving ``(..., G, T, n)``.  The keyswitch digit lift and the
-        divide-by-``P`` descent are its two callers.
-        """
-        raise NotImplementedError
-
-    def inner_product(self, digits, key, prime_indices) -> np.ndarray:
-        """``Σ_k digits[k] · key[k]`` mod each basis prime: ``(d, T, n)``
-        tensors in, ``(T, n)`` out."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     # the lift, plaintext product sum, rescale and keyswitch pipelines —
-    # shared: each is a fixed composition of the kernels above, so every
-    # backend inherits the same integer formulas (a backend may fuse one
-    # into a single call that must return the same bytes)
+    # the spec.  Each is a fixed composition of the NTTs and the
+    # pointwise ops; the lift, decomposition, key inner product and
+    # descent also use ReferenceBackend's per-row kernels
+    # (``reduce_coeffs``, ``base_convert``, ``inner_product``), so a
+    # backend without those overrides these four.  An override is one
+    # fused call that must return the same bytes
     # ------------------------------------------------------------------
     def lift(self, coeffs, prime_indices) -> np.ndarray:
         """NTT-form rows of ``(..., n)`` int64 coefficients:
-        ``(..., limbs, n)``, :meth:`reduce_coeffs` then
+        ``(..., limbs, n)``, :meth:`ReferenceBackend.reduce_coeffs` then
         :meth:`ntt_forward` — a plaintext, a noise or a secret entering
         the ring."""
         return self.ntt_forward(self.reduce_coeffs(coeffs, prime_indices), prime_indices)
@@ -327,7 +311,8 @@ class KernelBackend:
 
 
 class ReferenceBackend(KernelBackend):
-    """The spec: one row, one source prime, one digit at a time."""
+    """The spec: one row, one source prime, one digit at a time — the
+    NTTs and the per-row kernels the base class's pipelines compose."""
 
     name = "reference"
 
@@ -346,6 +331,8 @@ class ReferenceBackend(KernelBackend):
         return out
 
     def reduce_coeffs(self, coeffs, prime_indices):
+        """Reduce ``(..., n)`` int64 coefficient vectors into
+        ``(..., limbs, n)`` rows."""
         coeffs = np.asarray(coeffs, dtype=np.int64)
         rows = np.empty(coeffs.shape[:-1] + (len(prime_indices), self.ctx.n), dtype=np.int64)
         for r, idx in enumerate(prime_indices):
@@ -353,6 +340,14 @@ class ReferenceBackend(KernelBackend):
         return rows
 
     def base_convert(self, rows, conv):
+        """Centred approximate base conversion, coefficient domain.
+
+        ``rows`` is ``(..., S, n)`` over ``conv.sources``; each group of
+        source primes converts independently onto ``conv.targets``
+        (:class:`~repro.ckks.context.BaseConversion` has the formula),
+        giving ``(..., G, T, n)``.  The keyswitch digit lift and the
+        divide-by-``P`` descent are its two callers.
+        """
         primes = self.ctx.all_primes
         groups, _, size = conv.weights.shape
         tcol = self._primes_col(conv.targets)
@@ -369,6 +364,8 @@ class ReferenceBackend(KernelBackend):
         return out
 
     def inner_product(self, digits, key, prime_indices):
+        """``Σ_k digits[k] · key[k]`` mod each basis prime: ``(d, T, n)``
+        tensors in, ``(T, n)`` out."""
         pcol = self._primes_col(prime_indices)
         acc = np.zeros(digits.shape[1:], dtype=np.int64)
         for k in range(digits.shape[0]):
@@ -671,7 +668,7 @@ class VectorizedBackend(KernelBackend):
     def ntt_inverse(self, rows, prime_indices):
         return self._ntt(rows, prime_indices, inverse=True)
 
-    def _lift(self, coeffs, prime_indices, transform: bool) -> np.ndarray:
+    def lift(self, coeffs, prime_indices):
         idx = self._indices(prime_indices)
         coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
         n = self.ctx.n
@@ -682,29 +679,9 @@ class VectorizedBackend(KernelBackend):
         self._call(
             self._lib.lift(
                 self._buffer(coeffs), self._buffer(out), math.prod(lead), len(idx), n,
-                idx, self._ktab, self._wtab, self._num_primes, transform,
+                idx, self._ktab, self._wtab, self._num_primes,
             ),
             "lift",
-        )
-        return out
-
-    def reduce_coeffs(self, coeffs, prime_indices):
-        return self._lift(coeffs, prime_indices, transform=False)
-
-    def lift(self, coeffs, prime_indices):
-        return self._lift(coeffs, prime_indices, transform=True)
-
-    def base_convert(self, rows, conv):
-        plan = self._pack(conv)
-        rows = self._stack(rows, plan[0])
-        lead = rows.shape[:-2]
-        out = np.empty(lead + (plan[2], plan[1], self.ctx.n), dtype=np.int64)
-        self._call(
-            self._lib.base_convert(
-                self._buffer(rows), self._buffer(out), math.prod(lead), self.ctx.n,
-                plan, self._ktab,
-            ),
-            "base conversion",
         )
         return out
 

@@ -38,7 +38,7 @@ class BaseConversion(NamedTuple):
     which is the centred value ``[x]_{Q_g}`` plus a multiple ``u·Q_g``,
     ``|u| ≤ |g|/2`` — the *same* integer on every target row, so targets
     may include the group's own primes (where it reproduces ``x_i``).
-    :meth:`KernelBackend.base_convert` is the one place this runs.
+    :meth:`ReferenceBackend.base_convert` is its spec.
     """
 
     sources: tuple        #: prime indices of the input rows

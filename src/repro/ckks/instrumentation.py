@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from repro.ckks.backend import KernelBackend
 from repro.ckks.evaluator import Ciphertext, CkksEvaluator
 
@@ -219,16 +221,29 @@ class RowCountingBackend(KernelBackend):
     """The structural meter below the op counts: NTT rows transformed.
 
     Wraps whichever backend a context has — ``ctx.set_backend(
-    RowCountingBackend(ctx.backend))`` — and counts every residue row
-    that passes through a forward or inverse NTT, delegating each kernel
-    to the wrapped backend untouched (same bytes out, same ``name``).
-    The lift, rescale, decomposition and descent pipelines are the shared
-    compositions it inherits, so their transforms are counted too; steps
-    with no transform in them (pointwise ops, the tensor, the key inner
-    product) go to the wrapped backend whole.  Rows are exact and
-    backend-invariant: they see what ``keyswitch_count`` cannot — how
-    many decompositions and divide-by-``P`` descents a forward really
-    paid.
+    RowCountingBackend(ctx.backend))`` — and hands every call unchanged
+    to the wrapped backend's own entry point (same calls, same bytes,
+    same ``name``).  A call that transforms books its rows from its
+    shapes, never from what the wrapped backend does inside it, so the
+    books are exact and backend-invariant: they see what
+    ``keyswitch_count`` cannot — how many decompositions and
+    divide-by-``P`` descents a forward paid.  Per ciphertext half, a
+    rescale at level ``l`` books one inverse and ``l`` forward rows, a
+    descent α inverse and ``l+1`` forward:
+
+    >>> from repro.ckks import CkksContext, CkksParams
+    >>> ctx = CkksContext(CkksParams(n=64, depth=4, backend="reference"))
+    >>> meter = ctx.set_backend(RowCountingBackend(ctx.backend))
+    >>> level, alpha = ctx.max_level, ctx.alpha
+    >>> level, alpha
+    (4, 2)
+    >>> _ = meter.rescale(np.zeros((level + 1, ctx.n), dtype=np.int64), level)
+    >>> meter.inverse_rows, meter.forward_rows
+    (1, 4)
+    >>> meter.reset()
+    >>> _ = meter.keyswitch_descent(np.zeros((alpha + level + 1, ctx.n), dtype=np.int64), level)
+    >>> meter.inverse_rows, meter.forward_rows
+    (2, 5)
     """
 
     def __init__(self, inner: KernelBackend):
@@ -245,6 +260,11 @@ class RowCountingBackend(KernelBackend):
     def ntt_rows(self) -> int:
         return self.forward_rows + self.inverse_rows
 
+    def _forward(self, out):
+        """Book every row of ``out`` as forward-transformed."""
+        self.forward_rows += out.size // self.ctx.n
+        return out
+
     def ntt_forward(self, rows, prime_indices):
         self.forward_rows += rows.size // self.ctx.n
         return self.inner.ntt_forward(rows, prime_indices)
@@ -253,14 +273,27 @@ class RowCountingBackend(KernelBackend):
         self.inverse_rows += rows.size // self.ctx.n
         return self.inner.ntt_inverse(rows, prime_indices)
 
-    def reduce_coeffs(self, coeffs, prime_indices):
-        return self.inner.reduce_coeffs(coeffs, prime_indices)
+    def lift(self, coeffs, prime_indices):
+        return self._forward(self.inner.lift(coeffs, prime_indices))
 
-    def base_convert(self, rows, conv):
-        return self.inner.base_convert(rows, conv)
+    def mul_plain_sum(self, cts, plains, prime_indices):
+        out = self.inner.mul_plain_sum(cts, plains, prime_indices)
+        lifted = sum(np.ndim(pt) == 1 for pt in plains)  # (n,) coefficients
+        self.forward_rows += lifted * len(prime_indices)
+        return out
 
-    def inner_product(self, digits, key, prime_indices):
-        return self.inner.inner_product(digits, key, prime_indices)
+    def rescale(self, rows, level):
+        out = self._forward(self.inner.rescale(rows, level))
+        self.inverse_rows += out.size // (level * self.ctx.n)  # the dropped rows
+        return out
+
+    def hoist_decompose(self, rows, level):
+        return self._forward(self.inner.hoist_decompose(rows, level))
+
+    def keyswitch_descent(self, acc, level):
+        out = self._forward(self.inner.keyswitch_descent(acc, level))
+        self.inverse_rows += out.size // ((level + 1) * self.ctx.n) * self.ctx.alpha
+        return out
 
     def keyswitch_inner_product(self, digits, key_b, key_a, level, perm=None):
         return self.inner.keyswitch_inner_product(digits, key_b, key_a, level, perm=perm)

@@ -253,33 +253,35 @@ def _analyze(blocks: dict, beta: int, shape: str):
     # balanced: recurse over the position space [0, 2^s)
     state = {"combine": 0, "r_max": -1}
     targets: dict = {}
-
-    def rec(lo: int, span_: int, target):
-        """Depth of the subtree's value (None: no blocks, 0: plaintext);
-        ``target`` is where the parent consumes it (None for the root:
-        the subtree anchors itself)."""
-        if span_ == 1:
-            b = blocks.get(lo)
-            if b is None:
-                return None
-            if not b.terms:
-                return 0
-            targets[lo] = b.depth if target is None else max(b.depth, target)
-            return targets[lo]
-        half = span_ // 2
-        r = half.bit_length() - 1
-        gdepth = beta + r
-        right = rec(lo + half, half, gdepth)
-        if right is None:
-            return rec(lo, half, target)
-        state["combine"] += right > 0
-        state["r_max"] = max(state["r_max"], r)
-        prod = max(gdepth, right) + 1
-        left = rec(lo, half, prod)
-        return max(left or 0, prod)
-
-    depth = rec(0, 1 << maxpos.bit_length(), None)
+    depth = _balanced_depth(blocks, beta, 0, 1 << maxpos.bit_length(), None, targets, state)
     return depth, beta - 1, state["r_max"] + 1, state["combine"], targets
+
+
+def _balanced_depth(blocks: dict, beta: int, lo: int, span_: int, target, targets, state):
+    """Depth of the balanced combine's subtree over ``[lo, lo + span_)``
+    (None: no blocks, 0: plaintext); ``target`` is where the parent
+    consumes it (None for the root: the subtree anchors itself).  Not a
+    closure: one calling itself is a reference cycle holding every
+    candidate's blocks until the cyclic collector runs."""
+    if span_ == 1:
+        b = blocks.get(lo)
+        if b is None:
+            return None
+        if not b.terms:
+            return 0
+        targets[lo] = b.depth if target is None else max(b.depth, target)
+        return targets[lo]
+    half = span_ // 2
+    r = half.bit_length() - 1
+    gdepth = beta + r
+    right = _balanced_depth(blocks, beta, lo + half, half, gdepth, targets, state)
+    if right is None:
+        return _balanced_depth(blocks, beta, lo, half, target, targets, state)
+    state["combine"] += right > 0
+    state["r_max"] = max(state["r_max"], r)
+    prod = max(gdepth, right) + 1
+    left = _balanced_depth(blocks, beta, lo, half, prod, targets, state)
+    return max(left or 0, prod)
 
 
 def plan_poly(poly: OddPolynomial | Polynomial) -> PolyPlan:

@@ -7,7 +7,9 @@ the implementation, so the two cannot drift apart.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.ckks import (
     keygen,
     plan_paf_relu,
 )
+from repro.ckks.backend import VectorizedBackend
 from repro.ckks.instrumentation import CountingEvaluator, RowCountingBackend
 from repro.fhe.toy import compiled_toy_resnet
 from repro.paf import get_paf
@@ -120,3 +123,52 @@ def test_toy_resnet_forward_transforms_the_gated_ntt_rows():
     finally:
         enc.ctx.set_backend(meter.inner)
     assert meter.ntt_rows == want
+
+
+def test_metered_forward_is_the_deployed_forward():
+    """The meter watches the program it meters: a warm toy-ResNet forward
+    under ``RowCountingBackend(VectorizedBackend)`` makes the same
+    compiled-kernel calls, by name and count, as the same forward
+    without it — the fused product sums, rescales, decompositions and
+    descents included — returns the same ciphertext bytes, and books the
+    NTT rows the op-count gate pins."""
+    enc = compiled_toy_resnet()
+    ctx = enc.ctx
+    want_rows = json.loads(OPCOUNTS.read_text())["models"]["toy_resnet"]["ntt_rows"]
+    original = ctx.backend
+    be = VectorizedBackend(ctx)
+    lib, calls = be._lib, Counter()
+
+    def counted(name):
+        fn = getattr(lib, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    be._lib = SimpleNamespace(**{name: counted(name) for name in dir(lib)})
+    meter = RowCountingBackend(be)
+    runs = {}
+    try:
+        ctx.set_backend(be)
+        cts = enc.encrypt_batch_shards([np.random.default_rng(3).normal(size=64)])
+        enc.forward_shards(cts)  # warm: every per-level constant packed
+        for backend in (be, meter):
+            ctx.set_backend(backend)
+            calls.clear()
+            meter.reset()
+            out = enc.forward_shards(cts)
+            runs[backend.__class__.__name__] = (
+                Counter(calls), [(ct.level, ct.scale, ct.data.tobytes()) for ct in out]
+            )
+    finally:
+        ctx.set_backend(original)
+    (plain_calls, plain_out), (metered_calls, metered_out) = runs.values()
+    assert metered_calls == plain_calls
+    assert {"mul_plain_sum", "rescale", "hoist_decompose", "keyswitch_descent"} <= set(
+        metered_calls
+    )
+    assert metered_out == plain_out
+    assert meter.ntt_rows == want_rows

@@ -142,7 +142,6 @@ class TestLift:
             edges += [k - 1, k + 1, -k - 1, -k + 1]
         flat = coeffs.reshape(-1)
         flat[: min(len(edges), flat.size)] = edges[: flat.size]
-        same(vec.reduce_coeffs(coeffs, idx), ref.reduce_coeffs(coeffs, idx))
         same(vec.lift(coeffs, idx), ref.lift(coeffs, idx))
         small = rng.integers(-3, 4, size=n)  # a noise / secret polynomial
         same(vec.lift(small, idx[::-1]), ref.lift(small, idx[::-1]))

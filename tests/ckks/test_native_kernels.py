@@ -44,26 +44,24 @@ def residues(ctx, lead, idx, seed=0):
 
 #: every function of ``_kernels.c``
 ENTRY_POINTS = (
-    "ntt", "lift", "pointwise", "tensor", "mul_plain_sum", "rescale", "base_convert",
-    "hoist_decompose", "inner_product", "keyswitch_descent",
+    "ntt", "lift", "pointwise", "tensor", "mul_plain_sum", "rescale", "hoist_decompose",
+    "inner_product", "keyswitch_descent",
 )
 
 
 def kernel_outputs(be, ctx, seed=0):
-    """Every kernel and every fused step on seeded stacks — one list of
-    arrays to compare byte for byte across backends: both NTTs, both
-    base conversions, each pointwise op (``b`` broadcast), the tensor,
-    the lift, a sum of plaintext products (held coefficients and NTT
-    rows, one reversed pair), the rescale, a decomposition, key inner
-    products (a level's strided key slice, permutation on and off) and a
-    descent."""
+    """Every entry point on seeded stacks — one list of arrays to
+    compare byte for byte across backends: both NTTs, each pointwise op
+    (``b`` broadcast), the tensor, the lift, a sum of plaintext products
+    (held coefficients and NTT rows, one reversed pair), the rescale, a
+    decomposition, key inner products (a level's strided key slice,
+    permutation on and off) and a descent."""
     top = ctx.max_level
     low = top - 1
     chain = list(range(top + 1))
     basis = ctx.keyswitch_basis(top)
     x = residues(ctx, (2,), chain, seed)
     y = residues(ctx, (), chain, seed + 1)
-    special = residues(ctx, (2,), basis[: ctx.alpha], seed + 2)
     keys = residues(ctx, (2, ctx.num_digits(top)), basis, seed + 3)
     low_keys = keys[:, : ctx.num_digits(low), : ctx.alpha + low + 1]
     coeffs = np.random.default_rng(seed).integers(-(2**62), 2**62, size=(3, ctx.n))
@@ -74,15 +72,12 @@ def kernel_outputs(be, ctx, seed=0):
     return [
         be.ntt_forward(x, chain),
         be.ntt_inverse(x, chain),
-        be.base_convert(x[0], ctx.digit_lift(top)),
-        be.base_convert(special, ctx.p_descent(top)),
         be.modadd(x, y, chain),
         be.modsub(x, y, chain),
         be.modneg(x, chain),
         be.modmul(x, y, chain),
         be.modscale(x, y[:, 0], chain),
         be.tensor(x, x[::-1], chain),
-        be.reduce_coeffs(coeffs, chain),
         be.lift(coeffs, basis),
         be.mul_plain_sum([x, x[::-1], x], [coeffs[0], y, coeffs[1]], chain),
         be.rescale(x, top),
@@ -115,13 +110,40 @@ class TestInputChecks:
                 transform(x, [0, 1, len(ctx.all_primes)])  # past the last prime
             with pytest.raises(ValueError):
                 transform(x, [0, 1, -1])
-        conv = ctx.digit_lift(2)
-        with pytest.raises(ValueError):
-            be.base_convert(x[:, :2], conv)  # rows over too few sources
-        with pytest.raises(ValueError):
-            be.base_convert(x, conv._replace(weights=conv.weights[:, :-1]))
-        with pytest.raises(ValueError):
-            be.base_convert(x, conv._replace(inv=conv.inv[:-1]))
+
+    @pytest.mark.parametrize("kind", ["digit_lift", "p_descent"])
+    def test_conversion_constants_are_checked_before_any_call(self, ctx, monkeypatch, kind):
+        """The decomposition (``digit_lift``) and the descent
+        (``p_descent``) pack their base conversion before C sees it:
+        rows over too few sources, weights missing a target and inverses
+        missing a source each raise, and nothing reaches C."""
+        top = ctx.max_level
+        step, rows = {
+            "digit_lift": ("hoist_decompose", residues(ctx, (), range(top + 1))),
+            "p_descent": ("keyswitch_descent", residues(ctx, (2,), ctx.keyswitch_basis(top))),
+        }[kind]
+
+        def no_call(*args):
+            raise AssertionError(f"{step} reached C unchecked")
+
+        good = getattr(ctx, kind)
+        bad = {
+            "rows over too few sources": (rows[..., 1:, :], good),
+            "weights missing a target": (
+                rows, lambda level: good(level)._replace(weights=good(level).weights[:, :-1])
+            ),
+            "inverses missing a source": (
+                rows, lambda level: good(level)._replace(inv=good(level).inv[:-1])
+            ),
+        }
+        for name, (stack, conversion) in bad.items():
+            be = VectorizedBackend(ctx)  # fresh: a backend caches what it packed
+            with monkeypatch.context() as m:
+                m.setattr(be, "_lib", SimpleNamespace(**{step: no_call}))
+                m.setattr(ctx, kind, conversion)
+                with pytest.raises(ValueError):
+                    getattr(be, step)(stack, top)
+                    pytest.fail(name)
 
     def test_fused_steps_check_their_shapes(self, ctx):
         be = VectorizedBackend(ctx)
@@ -191,7 +213,7 @@ class TestInputChecks:
         kept = x.copy()
         be.ntt_forward(x, range(x.shape[-2]))
         be.ntt_inverse(x, range(x.shape[-2]))
-        be.base_convert(x, ctx.digit_lift(ctx.max_level))
+        be.hoist_decompose(x, ctx.max_level)
         assert x.tobytes() == kept.tobytes()
 
     def test_non_contiguous_inputs_match_their_contiguous_copies(self, ctx):
@@ -212,10 +234,9 @@ class TestInputChecks:
             copy = np.ascontiguousarray(view)
             for transform in (be.ntt_forward, be.ntt_inverse):
                 assert transform(view, idx).tobytes() == transform(copy, idx).tobytes(), name
-        conv = ctx.digit_lift(top)
         assert (
-            be.base_convert(wide[0, :, ::2], conv).tobytes()
-            == be.base_convert(x[0], conv).tobytes()
+            be.hoist_decompose(wide[0, :, ::2], top).tobytes()
+            == be.hoist_decompose(x[0], top).tobytes()
         )
 
     def test_c_calls_get_live_buffers_not_addresses(self, ctx):
