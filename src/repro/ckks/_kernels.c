@@ -497,6 +497,20 @@ static void centre_sources(const int64_t *x, int64_t *y, conversion cv, int64_t 
     }
 }
 
+/* y_s = the inverse NTT of x_s mod source prime s, for every source row
+ * s of `x` ((S, n) canonical NTT residues); `row` is n scratch lanes. */
+static void inverse_sources(const int64_t *x, int64_t *y, uint32_t *row, conversion cv,
+                            tables tb)
+{
+    for (int64_t s = 0; s < cv.S; s++) {
+        for (int64_t j = 0; j < tb.n; j++)
+            row[j] = (uint32_t)x[s * tb.n + j];
+        inverse_k(row, tb, cv.src[s]);
+        for (int64_t j = 0; j < tb.n; j++)
+            y[s * tb.n + j] = row[j];
+    }
+}
+
 /* a mod p up to sign, |result| < 2p.  Every caller's |a / p| is below
  * 2^34, so the double quotient estimate is off by at most one. */
 static inline int64_t reduce_lazy(int64_t a, int64_t p, double p_inv)
@@ -537,9 +551,10 @@ static void convert_row(const int64_t *y, int64_t *acc, conversion cv, int64_t g
     }
 }
 
-/* Keyswitch digits: the centred approximate base conversion of `in`
- * ((lead, S, n) canonical chain coefficient rows, only read) onto
- * (lead, G, T, n) rows, each forward-transformed mod its target prime.
+/* Keyswitch digits: `in` is (lead, S, n) canonical NTT rows over the
+ * chain (only read).  Each source row is inverse-transformed and centred,
+ * base-converted onto (lead, G, T, n) rows, and each of those is
+ * forward-transformed mod its target prime.
  * Returns 0, or -1 if the scratch rows could not be allocated. */
 int hoist_decompose(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
                     const int64_t *plan, const int64_t *ktab, const uint32_t *wtab, int64_t K)
@@ -554,7 +569,8 @@ int hoist_decompose(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
         return -1;
     }
     for (int64_t b = 0; b < lead; b++) {
-        centre_sources(in + b * cv.S * n, y, cv, n, ktab);
+        inverse_sources(in + b * cv.S * n, y, row, cv, tb);
+        centre_sources(y, y, cv, n, ktab);
         for (int64_t g = 0; g < cv.G; g++) {
             for (int64_t t = 0; t < cv.T; t++) {
                 int64_t *o = out + ((b * cv.G + g) * cv.T + t) * n;
@@ -652,13 +668,7 @@ int keyswitch_descent(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
     int64_t *delta = y + cv.S * n;
     for (int64_t b = 0; b < lead; b++) {
         const int64_t *x = in + b * (cv.S + cv.T) * n;
-        for (int64_t s = 0; s < cv.S; s++) {
-            for (int64_t j = 0; j < n; j++)
-                row[j] = (uint32_t)x[s * n + j];
-            inverse_k(row, tb, cv.src[s]);
-            for (int64_t j = 0; j < n; j++)
-                y[s * n + j] = row[j];
-        }
+        inverse_sources(x, y, row, cv, tb);
         centre_sources(y, y, cv, n, ktab);
         for (int64_t t = 0; t < cv.T; t++) {
             const int64_t p = ktab[cv.tgt[t]];

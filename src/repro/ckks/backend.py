@@ -12,7 +12,9 @@ and :meth:`~KernelBackend.apply_keyswitch`, itself the composition of
 :meth:`~KernelBackend.keyswitch_inner_product` and
 :meth:`~KernelBackend.keyswitch_descent` (grouped hybrid keyswitching:
 a digit is a group of α chain primes, lifted onto ``α+level+1`` basis
-rows; see :mod:`repro.ckks.keys`).  ``encoder``, ``keys``,
+rows; see :mod:`repro.ckks.keys`).  Every pipeline takes NTT rows in
+and gives NTT rows out: the rows a step must see as coefficients leave
+the NTT domain only inside its call.  ``encoder``, ``keys``,
 ``evaluator``, ``fhe/linear`` and ``fhe/network`` call only the
 interface and never touch a butterfly.
 
@@ -241,19 +243,25 @@ class KernelBackend:
         )
 
     def hoist_decompose(self, rows, level) -> np.ndarray:
-        """Keyswitch digits of coefficient-domain chain ``rows``, in NTT
-        form over the extended basis (special primes, then
-        ``q_0..q_level`` — :meth:`CkksContext.keyswitch_basis`).
+        """Keyswitch digits of the ``(..., level+1, n)`` NTT-form chain
+        ``rows``, in NTT form over the extended basis (special primes,
+        then ``q_0..q_level`` — :meth:`CkksContext.keyswitch_basis`).
 
         A digit is a group of α chain primes lifted onto the whole
-        basis, so the result is ``(ceil((level+1)/α), α+level+1, n)``.
-        This is the Galois-independent half of a keyswitch (one batched
-        base conversion, forward NTTs) — computed once and reused per
-        rotation under hoisting.
+        basis, so the result is ``(..., ceil((level+1)/α), α+level+1,
+        n)``: :meth:`ntt_inverse`, one batched base conversion, then
+        :meth:`ntt_forward`.  This is the expensive half of a keyswitch
+        and it is *independent of the Galois element*: the centred digit
+        decomposition commutes exactly with the automorphism (both act
+        coefficient-wise or by signed coefficient permutation, and odd
+        primes make the centred range symmetric), and the automorphism
+        is a pure NTT-slot permutation
+        (:meth:`CkksContext.galois_ntt_permutation`).  Computing it once
+        and permuting per rotation is rotation *hoisting*.
         """
-        ctx = self.ctx
-        lifted = self.base_convert(rows, ctx.digit_lift(level))
-        return self.ntt_forward(lifted, ctx.keyswitch_basis(level))
+        conv = self.ctx.digit_lift(level)
+        lifted = self.base_convert(self.ntt_inverse(rows, conv.sources), conv)
+        return self.ntt_forward(lifted, self.ctx.keyswitch_basis(level))
 
     def keyswitch_inner_product(self, digits, key_b, key_a, level, perm=None) -> np.ndarray:
         """Inner products of decomposed ``digits`` with the level's two
@@ -295,16 +303,19 @@ class KernelBackend:
             chain,
         )
 
-    def apply_keyswitch(self, digits, key_b, key_a, level, perm=None) -> tuple:
-        """One whole keyswitch: :meth:`keyswitch_inner_product` then
-        :meth:`keyswitch_descent`.  Returns NTT-domain
-        ``(b_rows, a_rows)``, each ``(level+1, n)``.
+    def apply_keyswitch(self, digits, key_b, key_a, level, perm=None) -> np.ndarray:
+        """One whole keyswitch of decomposed ``digits``:
+        :meth:`keyswitch_inner_product` then :meth:`keyswitch_descent`.
+        Returns the NTT-form ``(2, level+1, n)`` pair, ``b`` half first.
+
+        ``perm`` is the per-rotation half of a hoisted Galois
+        application; the digits (:meth:`hoist_decompose`) are shared.
+        Digits ``D_k`` are smaller than ``P``, so after the per-digit key
+        products and the divide-by-``P`` the added noise is
+        ``Σ_k D_k e_k / P`` — a few bits.
         """
-        return tuple(
-            self.keyswitch_descent(
-                self.keyswitch_inner_product(digits, key_b, key_a, level, perm=perm), level
-            )
-        )
+        acc = self.keyswitch_inner_product(digits, key_b, key_a, level, perm=perm)
+        return self.keyswitch_descent(acc, level)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(n={self.ctx.n})"

@@ -13,8 +13,12 @@ Conventions
   one *level* consumed (the paper's multiplication-depth currency).
 * Relinearisation / rotation use grouped hybrid keyswitching (α chain
   primes per digit, α special primes, approximate RNS base conversion —
-  :mod:`repro.ckks.keys`); rescale, rotation and the keyswitch descent
-  stay in the NTT domain except for the rows they drop.
+  :mod:`repro.ckks.keys`): the backend's
+  :meth:`~repro.ckks.backend.KernelBackend.hoist_decompose` then
+  :meth:`~repro.ckks.backend.KernelBackend.apply_keyswitch`.  Every
+  backend pipeline takes NTT rows in and gives NTT rows out; the one
+  coefficient view left here is :meth:`CkksEvaluator._mod_raise`'s,
+  which reinterprets coefficients by definition.
 """
 
 from __future__ import annotations
@@ -225,7 +229,11 @@ class CkksEvaluator:
         self._check_mul(a, b)
         backend, chain = self.ctx.backend, range(a.level + 1)
         d = backend.tensor(a.data, b.data, chain)  # (d0, d1, d2)
-        ks = self._keyswitch(d[2], self.keys.relin, a.level)
+        ks = backend.apply_keyswitch(
+            backend.hoist_decompose(d[2], a.level),
+            *self.keys.relin.stacked_at_level(a.level),
+            a.level,
+        )
         data = backend.modadd(d[:2], ks, chain)
         return Ciphertext(self.ctx, data, a.scale * b.scale, a.level)
 
@@ -311,71 +319,15 @@ class CkksEvaluator:
         In this packing ``ζ_j^{N/2} = i`` for every slot ``j``, so the
         monomial product ``X^{N/2}·c(X)`` (a negacyclic coefficient rotation:
         the wrapped half negates) multiplies all slot values by ``i`` with no
-        level, scale or noise cost.
+        level, scale or noise cost.  The NTT is a ring isomorphism, so that
+        product is one pointwise multiply by the lifted monomial.
         """
         ctx = self.ctx
         backend, chain = ctx.backend, range(a.level + 1)
-        m = ctx.n // 2
-        rows = backend.ntt_inverse(a.data, chain)
-        out = np.empty_like(rows)
-        out[..., m:] = rows[..., :m]
-        out[..., :m] = backend.modneg(rows, chain)[..., m:]
-        return Ciphertext(ctx, backend.ntt_forward(out, chain), a.scale, a.level)
-
-    # ------------------------------------------------------------------
-    # keyswitching (grouped hybrid: α chain primes per digit)
-    # ------------------------------------------------------------------
-    def _keyswitch(self, d: np.ndarray, family, level: int) -> np.ndarray:
-        """Switch the NTT-form chain rows ``d`` at ``level`` through a
-        :class:`KeySwitchFamily`; returns the ``(2, level+1, n)`` (c0, c1)
-        contribution.
-
-        Digits ``D_k = [d]_{G_k}`` (one per group of α chain primes) are
-        smaller than ``P``, so after multiplying by the per-digit keys and
-        dividing by ``P`` the added noise is ``Σ_k D_k e_k / P`` — a few
-        bits.
-        """
-        return self._apply_keyswitch_keys(
-            self._hoist_decompose(d, level), family, level
-        )
-
-    def _hoist_decompose(self, d: np.ndarray, level: int) -> np.ndarray:
-        """Keyswitch digits of the NTT-form chain rows ``d``, in NTT form
-        over the extended basis.
-
-        Returns shape ``(ceil((level+1)/α) digits, α+level+1 basis rows,
-        N)``.  This is the expensive half of a keyswitch (inverse NTTs,
-        the digit lift's base conversion, forward NTTs) and is
-        *independent of the Galois element*: the centred digit
-        decomposition commutes exactly with the automorphism (both act
-        coefficient-wise / by signed coefficient permutation, and odd
-        primes make the centred range symmetric), and the automorphism
-        is a pure NTT-slot permutation
-        (:meth:`CkksContext.galois_ntt_permutation`).  Computing it once
-        and permuting per rotation is rotation *hoisting*.
-
-        The digit pipeline itself is a kernel-backend concern
-        (:meth:`KernelBackend.hoist_decompose`).
-        """
-        backend = self.ctx.backend
-        return backend.hoist_decompose(backend.ntt_inverse(d, range(level + 1)), level)
-
-    def _apply_keyswitch_keys(
-        self, digits: np.ndarray, family, level: int, perm: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Inner product of decomposed digits with a key family, then the
-        divide-by-``P`` descent back onto the chain basis:
-        ``(2, level+1, n)``.
-
-        ``perm`` (an NTT-slot permutation) is applied to every digit first —
-        this is the per-rotation half of a hoisted Galois application.
-        The arithmetic runs in the kernel backend against the level's
-        slice of the family's key tensors.
-        """
-        backend = self.ctx.backend
-        key_b, key_a = family.stacked_at_level(level)
-        acc = backend.keyswitch_inner_product(digits, key_b, key_a, level, perm=perm)
-        return backend.keyswitch_descent(acc, level)
+        monomial = np.zeros(ctx.n, dtype=np.int64)
+        monomial[ctx.n // 2] = 1
+        data = backend.modmul(a.data, backend.lift(monomial, chain), chain)
+        return Ciphertext(ctx, data, a.scale, a.level)
 
     # ------------------------------------------------------------------
     # rotations
@@ -388,8 +340,8 @@ class CkksEvaluator:
         """Hoisted rotations: one keyswitch decomposition, many Galois maps.
 
         Returns ``{step: rotated ciphertext}`` for every requested step.
-        The expensive digit decomposition of ``c1``
-        (:meth:`_hoist_decompose`) is shared across all steps; each
+        The expensive digit decomposition of ``c1`` (the backend's
+        ``hoist_decompose``) is shared across all steps; each
         rotation then only permutes the NTT-form digits, takes the inner
         product with its Galois keys and divides by ``P`` —
         the Halevi-Shoup hoisting structure.  :meth:`rotate` is the
@@ -442,7 +394,7 @@ class CkksEvaluator:
                 continue
             perm = ctx.galois_ntt_permutation(g)
             part = backend.keyswitch_inner_product(
-                self._hoist_decompose(ct.data[1], level),
+                backend.hoist_decompose(ct.data[1], level),
                 *self.keys.galois[g].stacked_at_level(level),
                 level,
                 perm=perm,
@@ -487,11 +439,13 @@ class CkksEvaluator:
             return []
         self._require_galois_keys(elements)
         ctx, backend, chain = self.ctx, self.ctx.backend, range(a.level + 1)
-        digits = self._hoist_decompose(a.data[1], a.level)
+        digits = backend.hoist_decompose(a.data[1], a.level)
         out = []
         for g in elements:
             perm = ctx.galois_ntt_permutation(g)
-            data = self._apply_keyswitch_keys(digits, self.keys.galois[g], a.level, perm=perm)
+            data = backend.apply_keyswitch(
+                digits, *self.keys.galois[g].stacked_at_level(a.level), a.level, perm=perm
+            )
             data[0] = backend.modadd(a.data[0][:, perm], data[0], chain)
             out.append(Ciphertext(ctx, data, a.scale, a.level))
         return out

@@ -229,6 +229,7 @@ class RowCountingBackend(KernelBackend):
     ``keyswitch_count`` cannot — how many decompositions and
     divide-by-``P`` descents a forward paid.  Per ciphertext half, a
     rescale at level ``l`` books one inverse and ``l`` forward rows, a
+    decomposition ``l+1`` inverse and one forward row per digit row, a
     descent α inverse and ``l+1`` forward:
 
     >>> from repro.ckks import CkksContext, CkksParams
@@ -288,7 +289,9 @@ class RowCountingBackend(KernelBackend):
         return out
 
     def hoist_decompose(self, rows, level):
-        return self._forward(self.inner.hoist_decompose(rows, level))
+        out = self._forward(self.inner.hoist_decompose(rows, level))
+        self.inverse_rows += rows.size // self.ctx.n  # every chain row
+        return out
 
     def keyswitch_descent(self, acc, level):
         out = self._forward(self.inner.keyswitch_descent(acc, level))

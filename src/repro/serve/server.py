@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.ckks.instrumentation import CountingEvaluator
 from repro.fhe.network import EncryptedNetwork
+from repro.fhe.packing import unpack_blocks
 from repro.obs import TracingEvaluator
 from repro.serve.faults import FaultInjector, PoisonedRequestError, WorkerCrashError
 from repro.serve.keys import (
@@ -362,16 +363,20 @@ class InferenceServer:
     # ------------------------------------------------------------------
     # batch execution (worker threads)
     # ------------------------------------------------------------------
-    def _check_integrity(self, model_name: str, ct, ev) -> None:
-        """Replica-half guard: block 0's slots ``[size, 2·size)`` must
-        decrypt to ~0 after a linear final layer.  A key-mismatch
-        submission decrypts to uniform garbage there — structurally
-        detectable, unlike the logits themselves."""
+    def _decrypt_checked(self, model_name: str, ct, batch: int, ev) -> np.ndarray:
+        """The batch's ``(batch, C)`` logits from one decryption.
+
+        Replica-half guard: after a linear final layer, block 0's slots
+        ``[size, 2·size)`` — decoded by the same decryption — must read
+        ~0.  A key-mismatch submission decrypts to uniform garbage there,
+        structurally detectable, unlike the logits themselves.
+        """
+        net = self.networks[model_name]
+        num_classes = self._num_classes[model_name]
         tol = self._integrity_tol
         if tol is None or not self._integrity_ok[model_name]:
-            return
-        net = self.networks[model_name]
-        values = ev.decrypt(ct, num_values=2 * net.size)
+            return net.decrypt_logits(ct, num_classes, batch=batch, ev=ev)
+        values = ev.decrypt(ct)  # every slot: the logits and the guard
         guard = np.asarray(values[net.size : 2 * net.size])
         if not np.all(np.isfinite(guard)) or float(np.max(np.abs(guard))) > tol:
             raise KeyMismatchError(
@@ -379,6 +384,7 @@ class InferenceServer:
                 f"|max|={float(np.max(np.abs(guard))):.3g} (> {tol}) — the batch "
                 "was not encrypted under the keys it was evaluated with"
             )
+        return unpack_blocks(values, net.layout, num_classes, batch)
 
     def _fail_batch(self, batch, exc, model_name, client_id, kind) -> None:
         for req in batch:
@@ -425,10 +431,7 @@ class InferenceServer:
                 encrypt_ev = self._mismatch_evaluator(model_name)
             cts = net.encrypt_batch_shards(xs, ev=encrypt_ev)
             ct = net.forward_shards(cts, ev=ev)[0]
-            logits = net.decrypt_logits(
-                ct, self._num_classes[model_name], batch=len(batch), ev=ev
-            )
-            self._check_integrity(model_name, ct, ev)
+            logits = self._decrypt_checked(model_name, ct, len(batch), ev)
         except Exception as exc:
             kind = (
                 "key_mismatch"

@@ -123,6 +123,23 @@ class TestBasicHomomorphism:
         got = ev.decrypt(ev.conjugate(ev.encrypt(x)))
         assert np.abs(got - x).max() < TOL
 
+    def test_mul_by_i_is_the_negacyclic_shift(self, rt, data):
+        """``×i`` is the monomial product ``X^{N/2}·c(X)``: byte-equal to
+        the coefficient oracle (shift by ``N/2``, the wrapped half
+        negated), and twice over it is :meth:`negate`."""
+        ctx, ev = rt
+        x, _ = data
+        ct = ev.rescale(ev.mul_plain(ev.encrypt(x), 0.5))
+        backend, chain = ctx.backend, range(ct.level + 1)
+        m = ctx.n // 2
+        coeffs = backend.ntt_inverse(ct.data, chain)
+        primes = ctx._primes_arr[: ct.level + 1, None]
+        shifted = np.concatenate([-coeffs[..., m:] % primes, coeffs[..., :m]], axis=-1)
+        got = ev._mul_by_i(ct)
+        assert (got.level, got.scale) == (ct.level, ct.scale)
+        assert np.array_equal(got.data, backend.ntt_forward(shifted, chain))
+        assert np.array_equal(ev._mul_by_i(got).data, ev.negate(ct).data)
+
     def test_deep_squaring_chain(self, rt, data):
         ctx, ev = rt
         x, _ = data
@@ -185,7 +202,11 @@ class TestHoistedRotations:
         for step in (1, 3):
             g = ctx.galois_element(step)
             c0g, c1g = backend.ntt_forward(_automorphism_int(coeffs, g) % primes, chain)
-            ks0, ks1 = ev._keyswitch(c1g, ev.keys.galois[g], ct.level)
+            ks0, ks1 = backend.apply_keyswitch(
+                backend.hoist_decompose(c1g, ct.level),
+                *ev.keys.galois[g].stacked_at_level(ct.level),
+                ct.level,
+            )
             got = ev.rotate(ct, step)
             assert np.array_equal(got.data[0], backend.modadd(c0g, ks0, chain))
             assert np.array_equal(got.data[1], ks1)
@@ -296,7 +317,7 @@ class TestSumRotated:
         def no_ring_work(*args, **kwargs):
             raise AssertionError("decomposed before the key check")
 
-        monkeypatch.setattr(ev, "_hoist_decompose", no_ring_work)
+        monkeypatch.setattr(ctx.backend, "hoist_decompose", no_ring_work)
         with pytest.raises(KeyError, match="no Galois key"):
             ev.sum_rotated({1: ct, 7: ct})
 

@@ -125,17 +125,9 @@ def test_toy_resnet_forward_transforms_the_gated_ntt_rows():
     assert meter.ntt_rows == want
 
 
-def test_metered_forward_is_the_deployed_forward():
-    """The meter watches the program it meters: a warm toy-ResNet forward
-    under ``RowCountingBackend(VectorizedBackend)`` makes the same
-    compiled-kernel calls, by name and count, as the same forward
-    without it — the fused product sums, rescales, decompositions and
-    descents included — returns the same ciphertext bytes, and books the
-    NTT rows the op-count gate pins."""
-    enc = compiled_toy_resnet()
-    ctx = enc.ctx
-    want_rows = json.loads(OPCOUNTS.read_text())["models"]["toy_resnet"]["ntt_rows"]
-    original = ctx.backend
+def _counting_kernels(ctx) -> tuple:
+    """A :class:`VectorizedBackend` on ``ctx`` whose every compiled
+    call is tallied by entry-point name in the returned counter."""
     be = VectorizedBackend(ctx)
     lib, calls = be._lib, Counter()
 
@@ -149,6 +141,43 @@ def test_metered_forward_is_the_deployed_forward():
         return call
 
     be._lib = SimpleNamespace(**{name: counted(name) for name in dir(lib)})
+    return be, calls
+
+
+def test_warm_forward_makes_no_standalone_ntt_call():
+    """Every backend pipeline takes NTT rows in and gives NTT rows out:
+    a warmed toy-ResNet forward makes 1,048 compiled calls, and not one
+    of them is a bare NTT (the decompositions inverse-transform their
+    own input)."""
+    enc = compiled_toy_resnet().warm()
+    ctx = enc.ctx
+    original = ctx.backend
+    be, calls = _counting_kernels(ctx)
+    try:
+        ctx.set_backend(be)
+        cts = enc.encrypt_batch_shards([np.random.default_rng(3).normal(size=64)])
+        enc.forward_shards(cts)  # every per-level constant packed
+        calls.clear()
+        enc.forward_shards(cts)
+    finally:
+        ctx.set_backend(original)
+    assert "ntt" not in calls
+    assert sum(calls.values()) == 1048
+    assert calls["hoist_decompose"] == 134
+
+
+def test_metered_forward_is_the_deployed_forward():
+    """The meter watches the program it meters: a warm toy-ResNet forward
+    under ``RowCountingBackend(VectorizedBackend)`` makes the same
+    compiled-kernel calls, by name and count, as the same forward
+    without it — the fused product sums, rescales, decompositions and
+    descents included — returns the same ciphertext bytes, and books the
+    NTT rows the op-count gate pins."""
+    enc = compiled_toy_resnet()
+    ctx = enc.ctx
+    want_rows = json.loads(OPCOUNTS.read_text())["models"]["toy_resnet"]["ntt_rows"]
+    original = ctx.backend
+    be, calls = _counting_kernels(ctx)
     meter = RowCountingBackend(be)
     runs = {}
     try:

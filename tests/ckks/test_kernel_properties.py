@@ -49,6 +49,20 @@ def residues(rng, ctx, lead, idx) -> np.ndarray:
     return rows
 
 
+def digit_coefficients(rng, ctx, lead, level) -> np.ndarray:
+    """Canonical chain coefficient rows at ``level`` (:func:`residues`)
+    where a quarter of each row lands on the centring boundary of its
+    digit: ``x·(Q_g/q)^{-1} = (q-1)/2`` and ``(q+1)/2`` mod ``q``."""
+    rows = residues(rng, ctx, lead, range(level + 1))
+    conv, n = ctx.digit_lift(level), ctx.n
+    for i in range(level + 1):
+        q = ctx.all_primes[i]
+        unit = pow(int(conv.inv[i]), q - 2, q)
+        rows[..., i, : n // 8] = q // 2 * unit % q
+        rows[..., i, n // 8 : n // 4] = (q // 2 + 1) * unit % q
+    return rows
+
+
 def same(got, want) -> None:
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape
@@ -214,22 +228,19 @@ class TestRescaleAndKeyswitch:
     @given(contexts, st.sampled_from([(), (2,)]), st.data())
     @settings(max_examples=20, deadline=None)
     def test_hoist_decompose(self, case, lead, data):
+        """NTT rows in: ``hoist_decompose(ntt_forward(c), l)`` is the
+        coefficient-domain digit lift of ``c`` — the spec's base
+        conversion, then forward NTTs over the extended basis."""
         n, depth, dnum, seed = case
         ctx, vec, ref = backends(n, depth, dnum)
-        rng = np.random.default_rng(seed)
         level = data.draw(st.integers(0, ctx.max_level))
-        rows = residues(rng, ctx, lead, range(level + 1))
-        # a quarter of each row lands on the centring boundary of its
-        # digit: x·(Q_g/q)^{-1} = (q-1)/2 and (q+1)/2 mod q
-        conv = ctx.digit_lift(level)
-        for i in range(level + 1):
-            q = ctx.all_primes[i]
-            unit = pow(int(conv.inv[i]), q - 2, q)
-            rows[..., i, : n // 8] = q // 2 * unit % q
-            rows[..., i, n // 8 : n // 4] = (q // 2 + 1) * unit % q
+        coeffs = digit_coefficients(np.random.default_rng(seed), ctx, lead, level)
+        basis = ctx.keyswitch_basis(level)
+        want = ref.ntt_forward(ref.base_convert(coeffs, ctx.digit_lift(level)), basis)
+        rows = ref.ntt_forward(coeffs, range(level + 1))
         got = vec.hoist_decompose(rows, level)
         same(got, ref.hoist_decompose(rows, level))
-        basis = ctx.keyswitch_basis(level)
+        same(got, want)
         assert got.shape[-3:] == (ctx.num_digits(level), len(basis), n)
 
     @given(contexts, st.booleans(), st.data())

@@ -101,8 +101,8 @@ class TestKeyswitchKernelConformance:
                     "hoist_decompose": digits,
                     "keyswitch_inner_product": acc,
                     "keyswitch_descent": be.keyswitch_descent(acc, level),
-                    "apply_keyswitch": np.stack(
-                        be.apply_keyswitch(digits, key_b, key_a, level, perm=perm)
+                    "apply_keyswitch": be.apply_keyswitch(
+                        digits, key_b, key_a, level, perm=perm
                     ),
                     "rescale": be.rescale(np.stack([rows, more]), level) if level else None,
                 }
@@ -142,7 +142,7 @@ class TestKeyswitchKernelConformance:
                     acc = be.keyswitch_inner_product(digits, key_b, key_a, level, perm=p)
                     whole = be.apply_keyswitch(digits, key_b, key_a, level, perm=p)
                     assert np.array_equal(
-                        np.stack(whole), be.keyswitch_descent(acc, level)
+                        whole, be.keyswitch_descent(acc, level)
                     ), f"{name}, level {level}"
                 other = be.keyswitch_inner_product(
                     be.hoist_decompose(more, level), key_b, key_a, level
@@ -166,7 +166,8 @@ def test_decomposition_forward_ntt_rows_are_linear_in_dnum():
     """O(L·dnum), counted: at every level of the toy transformer's chain
     a decomposition forward-transforms ``ceil((l+1)/α)·(l+1+α)`` rows and
     never more — ``(3, 46, 512)`` at the top, where one digit per chain
-    prime lifted 34 digits onto 35 rows."""
+    prime lifted 34 digits onto 35 rows — and inverse-transforms its
+    ``l+1`` NTT input rows."""
     ctx = CkksContext(TOY_TRANSFORMER_PARAMS)
     be = RowCountingBackend(ctx.backend)
     rng = np.random.default_rng(12)
@@ -176,7 +177,7 @@ def test_decomposition_forward_ntt_rows_are_linear_in_dnum():
         digits = be.hoist_decompose(rng.integers(0, primes, size=(level + 1, ctx.n)), level)
         bound = -(-(level + 1) // ctx.alpha) * (level + 1 + ctx.alpha)
         assert be.forward_rows == digits.shape[0] * digits.shape[1] <= bound
-        assert be.inverse_rows == 0
+        assert be.inverse_rows == level + 1
     assert digits.shape == (3, 46, 512)
 
 

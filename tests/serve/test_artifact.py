@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksEvaluator, PlaintextStore
+from repro.ckks.backend import KernelBackend, VectorizedBackend
 from repro.ckks.encoder import CkksEncoder, Plaintext
 from repro.fhe import toy as toy_models
 from repro.fhe.network import compile_network
@@ -146,10 +147,12 @@ class TestOnePath:
         def tripwire(*args, **kwargs):
             raise AssertionError("the plaintext fill left the shadow")
 
-        # the real evaluator's ring work; a shadow overrides or never
-        # reaches each of these
-        for op in ("encrypt", "mul", "_galois_many", "_keyswitch"):
+        # the real evaluator's ring work and every backend's keyswitch
+        # decomposition; a shadow overrides or never reaches each of these
+        for op in ("encrypt", "mul", "_galois_many"):
             monkeypatch.setattr(CkksEvaluator, op, tripwire)
+        for backend in (KernelBackend, VectorizedBackend):
+            monkeypatch.setattr(backend, "hoist_decompose", tripwire)
         monkeypatch.setattr("repro.ckks.evaluator.Ciphertext", tripwire)
         enc = served.build().warm()
         assert set(enc.plaintexts._entries) == set(served.enc.plaintexts._entries)

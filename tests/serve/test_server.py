@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ckks import Plaintext
+from repro.ckks import CkksEvaluator, Plaintext
 from repro.nn import Tensor, no_grad
 from repro.serve import DEFAULT_MODEL, InferenceServer, ModelArtifact
 
@@ -182,6 +182,31 @@ class TestTracedServing:
             traced = srv.predict(x, timeout=60.0)
         np.testing.assert_allclose(plain.logits, traced.logits, atol=1e-3)
         assert plain.prediction == traced.prediction
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_a_batch_decrypts_once(toy, monkeypatch, trace):
+    """The logits and the replica-half guard come from one decryption
+    per batch — and a traced batch books that one ``decrypt``."""
+    _, enc = toy
+    calls = []
+    decrypt = CkksEvaluator.decrypt
+
+    def counted(self, ct, num_values=None):
+        calls.append(num_values)
+        return decrypt(self, ct, num_values)
+
+    monkeypatch.setattr(CkksEvaluator, "decrypt", counted)
+    x = np.linspace(-1, 1, 8)
+    with InferenceServer(enc, num_classes=3, max_wait_ms=20, trace=trace) as srv:
+        res = srv.predict(x, timeout=60.0)
+    assert len(calls) == 1
+    assert res.batch_size == 1
+    np.testing.assert_allclose(
+        res.logits, enc.decrypt_logits(enc.forward(enc.encrypt_input(x)), 3), atol=1e-3
+    )
+    if trace:
+        assert srv.metrics.snapshot()["he_ops"]["decrypt"] == 1
 
 
 class TestMultiTenantServing:

@@ -6,8 +6,10 @@
 Imports every public ``repro`` module, collects its public surface —
 ``__all__`` when declared, otherwise every public top-level name defined
 in (or deliberately re-exported into) the module, plus the public
-methods of every ``repro``-defined class — and diffs it against the
-checked-in snapshot:
+methods of every ``repro``-defined class, inherited ones included (over
+the ``repro``-defined classes of its MRO, so overriding a method or
+moving it between a base and a subclass leaves the surface alone) — and
+diffs it against the checked-in snapshot:
 
 * a name present in the snapshot but missing from the import is a
   **removal** — an API break someone's code downstream will hit — and
@@ -70,14 +72,24 @@ def module_surface(module) -> list:
         surface.append(name)
         obj = getattr(module, name, None)
         if inspect.isclass(obj) and obj.__module__.startswith("repro"):
-            for attr, member in sorted(vars(obj).items()):
-                if attr.startswith("_"):
-                    continue
-                if callable(member) or isinstance(
-                    member, (classmethod, staticmethod, property)
-                ):
-                    surface.append(f"{name}.{attr}")
+            surface.extend(f"{name}.{attr}" for attr in class_surface(obj))
     return surface
+
+
+def class_surface(cls) -> list:
+    """Sorted public methods and properties of a class, each as the
+    nearest ``repro``-defined class of its MRO defines it."""
+    members: dict = {}
+    for klass in cls.__mro__:
+        if klass.__module__.startswith("repro"):
+            for attr, member in vars(klass).items():
+                members.setdefault(attr, member)
+    return sorted(
+        attr
+        for attr, member in members.items()
+        if not attr.startswith("_")
+        and (callable(member) or isinstance(member, (classmethod, staticmethod, property)))
+    )
 
 
 def collect() -> dict:
