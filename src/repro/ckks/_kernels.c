@@ -8,11 +8,12 @@
  * cdef.  Python validates every shape,
  * index and dtype before a call; the functions trust their arguments.
  *
- * Every entry point is one whole HE-level step (a pointwise op over a
- * residue stack, a plaintext lift, a sum of plaintext products, a
- * rescale, a keyswitch digit decomposition, key inner product or
- * descent) against two per-context
- * tables, indexed by position in ctx.all_primes (K primes, ring size n):
+ * Every entry point is one whole HE-level step (an NTT or a pointwise op
+ * over a residue stack, a plaintext lift, a sum of plaintext products, a
+ * key inner product, or a basis change: mod_up -- the keyswitch digit
+ * decomposition, a ModRaise -- or mod_down -- a rescale, the keyswitch
+ * descent) against two per-context tables, indexed by position in
+ * ctx.all_primes (K primes, ring size n):
  *
  *   ktab  int64  (2, K):     the primes, then n^{-1} mod each prime;
  *   wtab  uint32 (4, K, n):  bit-reversed forward twiddles, their Shoup
@@ -406,63 +407,15 @@ int mul_plain_sum(const int64_t *const *cts, const int64_t *const *plains,
 }
 
 /* ------------------------------------------------------------------ */
-/* rescale: divide by the top chain prime, NTT domain in and out       */
-/* ------------------------------------------------------------------ */
-
-/* `in` is (batch, level+1, n) NTT rows over chain primes 0..level, `out`
- * (batch, level, n); inv[j] = q_level^{-1} mod q_j.  The dropped row is
- * inverse-transformed, centred, reduced and forward-transformed onto
- * every kept prime, then subtracted and scaled on NTT residues.
- * Returns 0, or -1 if the scratch rows could not be allocated. */
-int rescale(const int64_t *in, int64_t *out, int64_t batch, int64_t level, int64_t n,
-            const int64_t *inv, const int64_t *ktab, const uint32_t *wtab, int64_t K)
-{
-    const tables tb = {ktab, wtab, K, n};
-    const int64_t q_last = ktab[level], half = q_last / 2;
-    uint32_t *row = malloc((size_t)n * sizeof *row);
-    int64_t *centred = malloc((size_t)n * sizeof *centred);
-    if (row == NULL || centred == NULL) {
-        free(row);
-        free(centred);
-        return -1;
-    }
-    for (int64_t b = 0; b < batch; b++) {
-        const int64_t *x = in + b * (level + 1) * n;
-        for (int64_t j = 0; j < n; j++)
-            row[j] = (uint32_t)x[level * n + j];
-        inverse_k(row, tb, level);
-        for (int64_t j = 0; j < n; j++)
-            centred[j] = (row[j] > half) ? (int64_t)row[j] - q_last : (int64_t)row[j];
-        for (int64_t l = 0; l < level; l++) {
-            const int64_t p = ktab[l];
-            const double p_inv = 1.0 / (double)p;
-            for (int64_t j = 0; j < n; j++)
-                row[j] = (uint32_t)reduce(centred[j], p, p_inv);
-            forward_k(row, tb, l);
-            const uint32_t w = (uint32_t)inv[l], w_shoup = shoup_quotient(w, (uint32_t)p);
-            const int64_t *xl = x + l * n;
-            int64_t *o = out + (b * level + l) * n;
-            for (int64_t j = 0; j < n; j++) {
-                int64_t d = xl[j] - row[j];
-                d += (d < 0) ? p : 0;
-                uint32_t r = shoup_mul((uint32_t)d, w, w_shoup, (uint32_t)p);
-                o[j] = r - ((r >= p) ? p : 0);
-            }
-        }
-    }
-    free(row);
-    free(centred);
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* centred approximate base conversion and the keyswitch pipelines     */
+/* basis change: centred approximate base conversion, ModUp, ModDown   */
 /* ------------------------------------------------------------------ */
 
 /* A packed repro.ckks.context.BaseConversion: one int64 array
  *   [S, T, G, size, sources[S], targets[T], inv[S], weights[G*T*size]]
  * (source s = g*size + pos belongs to group g; weights zero-padded),
- * followed for a keyswitch descent by P^{-1} mod each target. */
+ * followed for a ModDown by the input row of its first source (0 when
+ * the dropped rows lead, T when they trail the kept ones) and the
+ * sources' product inverted mod each target. */
 typedef struct {
     int64_t S, T, G, size;
     const int64_t *src, *tgt, *inv, *weights, *tail;
@@ -479,35 +432,30 @@ static conversion unpack(const int64_t *plan)
     return c;
 }
 
-/* y_s = centred([x_s * inv_s]_{q_s}) for every source row s of `x`
- * ((S, n) canonical residues); y may alias x. */
-static void centre_sources(const int64_t *x, int64_t *y, conversion cv, int64_t n,
-                           const int64_t *ktab)
+/* y_s = centred([INTT(x_s) * inv_s]_{q_s}) for every source row s of `x`
+ * ((S, n) canonical NTT residues, only read); `row` is n scratch lanes. */
+static inline __attribute__((always_inline)) void
+centred_sources(const int64_t *x, int64_t *y, uint32_t *row, conversion cv, tables tb)
 {
+    const int64_t n = tb.n;
     for (int64_t s = 0; s < cv.S; s++) {
-        const uint32_t q = (uint32_t)ktab[cv.src[s]], half = q / 2, w = (uint32_t)cv.inv[s];
+        const int64_t k = cv.src[s];
+        const uint32_t q = (uint32_t)tb.ktab[k], half = q / 2, w = (uint32_t)cv.inv[s];
         const uint32_t w_shoup = shoup_quotient(w, q);
-        const int64_t *xs = x + s * n;
+        for (int64_t j = 0; j < n; j++)
+            row[j] = (uint32_t)x[s * n + j];
+        inverse_k(row, tb, k);
         int64_t *ys = y + s * n;
+        if (w == 1) { /* a one-prime group's inverse: nothing to multiply */
+            for (int64_t j = 0; j < n; j++)
+                ys[j] = (row[j] > half) ? (int64_t)row[j] - q : (int64_t)row[j];
+            continue;
+        }
         for (int64_t j = 0; j < n; j++) {
-            uint32_t r = shoup_mul((uint32_t)xs[j], w, w_shoup, q);
+            uint32_t r = shoup_mul(row[j], w, w_shoup, q);
             r -= (r >= q) ? q : 0;
             ys[j] = (r > half) ? (int64_t)r - q : (int64_t)r;
         }
-    }
-}
-
-/* y_s = the inverse NTT of x_s mod source prime s, for every source row
- * s of `x` ((S, n) canonical NTT residues); `row` is n scratch lanes. */
-static void inverse_sources(const int64_t *x, int64_t *y, uint32_t *row, conversion cv,
-                            tables tb)
-{
-    for (int64_t s = 0; s < cv.S; s++) {
-        for (int64_t j = 0; j < tb.n; j++)
-            row[j] = (uint32_t)x[s * tb.n + j];
-        inverse_k(row, tb, cv.src[s]);
-        for (int64_t j = 0; j < tb.n; j++)
-            y[s * tb.n + j] = row[j];
     }
 }
 
@@ -518,46 +466,54 @@ static inline int64_t reduce_lazy(int64_t a, int64_t p, double p_inv)
     return a - (int64_t)((double)a * p_inv) * p;
 }
 
-/* acc = sum over group g's sources of y_s * weight, canonical mod target
- * t.  A centred residue (|y| <= q/2 < 2^29) times a weight (< 2^30) is
- * < 2^59 in magnitude, so 15 products plus a lazily reduced (|acc| < 2p
- * < 2^31) accumulator stay below 2^63; and since every weight is below
- * its target p, |acc / p| < 15 * 2^29 + 2 < 2^34 whenever it is reduced. */
-static void convert_row(const int64_t *y, int64_t *acc, conversion cv, int64_t g, int64_t t,
-                        int64_t n, const int64_t *ktab)
+/* row = sum over group g's sources of y_s * weight, canonical mod target
+ * t, summed in `acc` (n scratch lanes).  A centred residue (|y| <= q/2 <
+ * 2^29) times a weight (< 2^30) is < 2^59 in magnitude, so 15 products
+ * plus a lazily reduced (|acc| < 2p < 2^31) accumulator stay below
+ * 2^63 - 2^31, the range of reduce; and since every weight is below its
+ * target p, |acc / p| < 15 * 2^29 + 2 < 2^34 whenever it is reduced. */
+static inline __attribute__((always_inline)) void
+convert_row(const int64_t *y, int64_t *acc, uint32_t *row, conversion cv, int64_t g, int64_t t,
+            tables tb)
 {
     enum { CHUNK = 15 };
-    const int64_t first = g * cv.size;
+    const int64_t n = tb.n, first = g * cv.size;
     const int64_t count = (cv.S - first < cv.size) ? cv.S - first : cv.size;
-    const int64_t pt = ktab[cv.tgt[t]], *wt = cv.weights + (g * cv.T + t) * cv.size;
+    const int64_t pt = tb.ktab[cv.tgt[t]], *wt = cv.weights + (g * cv.T + t) * cv.size;
     const double pt_inv = 1.0 / (double)pt;
-    for (int64_t j = 0; j < n; j++)
-        acc[j] = 0;
-    for (int64_t c = 0; c < count; c += CHUNK) {
-        const int64_t stop = (c + CHUNK < count) ? c + CHUNK : count;
-        for (int64_t pos = c; pos < stop; pos++) {
-            const int64_t wv = wt[pos], *ys = y + (first + pos) * n;
+    const int64_t *ys = y + first * n;
+    if (count == 1) { /* a one-prime group (a rescale, a ModRaise): no sum */
+        const int64_t w = wt[0]; /* its cofactor, 1, when well formed */
+        if (w == 1)
             for (int64_t j = 0; j < n; j++)
-                acc[j] += ys[j] * wv;
-        }
+                row[j] = (uint32_t)reduce(ys[j], pt, pt_inv);
+        else
+            for (int64_t j = 0; j < n; j++)
+                row[j] = (uint32_t)reduce(ys[j] * w, pt, pt_inv);
+        return;
+    }
+    for (int64_t j = 0; j < n; j++)
+        acc[j] = ys[j] * wt[0];
+    for (int64_t pos = 1; pos < count; pos++) {
+        if (pos % CHUNK == 0)
+            for (int64_t j = 0; j < n; j++)
+                acc[j] = reduce_lazy(acc[j], pt, pt_inv);
+        const int64_t wv = wt[pos], *yp = ys + pos * n;
         for (int64_t j = 0; j < n; j++)
-            acc[j] = reduce_lazy(acc[j], pt, pt_inv);
+            acc[j] += yp[j] * wv;
     }
-    for (int64_t j = 0; j < n; j++) {
-        int64_t r = acc[j];
-        r += (r < 0) ? pt : 0;
-        r += (r < 0) ? pt : 0;
-        acc[j] = r - ((r >= pt) ? pt : 0);
-    }
+    for (int64_t j = 0; j < n; j++)
+        row[j] = (uint32_t)reduce(acc[j], pt, pt_inv);
 }
 
-/* Keyswitch digits: `in` is (lead, S, n) canonical NTT rows over the
- * chain (only read).  Each source row is inverse-transformed and centred,
- * base-converted onto (lead, G, T, n) rows, and each of those is
- * forward-transformed mod its target prime.
+/* ModUp: `in` is (lead, S, n) canonical NTT rows over the conversion's
+ * sources (only read), `out` (lead, G, T, n).  Each source row is
+ * inverse-transformed and centred, each group base-converted onto every
+ * target, and each converted row forward-transformed mod its target:
+ * the keyswitch digit decomposition, or a ModRaise from q_0.
  * Returns 0, or -1 if the scratch rows could not be allocated. */
-int hoist_decompose(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
-                    const int64_t *plan, const int64_t *ktab, const uint32_t *wtab, int64_t K)
+int mod_up(const int64_t *in, int64_t *out, int64_t lead, int64_t n, const int64_t *plan,
+           const int64_t *ktab, const uint32_t *wtab, int64_t K)
 {
     const tables tb = {ktab, wtab, K, n};
     const conversion cv = unpack(plan);
@@ -569,14 +525,11 @@ int hoist_decompose(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
         return -1;
     }
     for (int64_t b = 0; b < lead; b++) {
-        inverse_sources(in + b * cv.S * n, y, row, cv, tb);
-        centre_sources(y, y, cv, n, ktab);
+        centred_sources(in + b * cv.S * n, y, row, cv, tb);
         for (int64_t g = 0; g < cv.G; g++) {
             for (int64_t t = 0; t < cv.T; t++) {
                 int64_t *o = out + ((b * cv.G + g) * cv.T + t) * n;
-                convert_row(y, o, cv, g, t, n, ktab);
-                for (int64_t j = 0; j < n; j++)
-                    row[j] = (uint32_t)o[j];
+                convert_row(y, o, row, cv, g, t, tb);
                 forward_k(row, tb, cv.tgt[t]);
                 for (int64_t j = 0; j < n; j++)
                     o[j] = row[j];
@@ -645,40 +598,38 @@ int inner_product(const int64_t *digits, const int64_t *key_b, const int64_t *ke
     return 0;
 }
 
-/* The divide-by-P descent: `in` is (lead, S+T, n) NTT rows over the
- * plan's sources (the special primes) then its targets (the chain), `out`
- * (lead, T, n).  The S special rows are inverse-transformed and
- * base-converted (one group) onto every target; each converted row is
- * forward-transformed, subtracted from the target row and scaled by
- * P^{-1} (the plan's tail) on NTT residues.
+/* ModDown: `in` is (lead, S+T, n) canonical NTT rows, the conversion's
+ * sources (dropped) and its targets (kept), `out` (lead, T, n).  The
+ * dropped rows sit where the conversion's tail puts them: first for the
+ * keyswitch descent's special primes, last for a rescale's top chain
+ * prime.  They are inverse-transformed, centred and base-converted (one
+ * group) onto every target; each converted row is forward-transformed,
+ * subtracted from its kept row and scaled by the sources' inverted
+ * product on NTT residues.
  * Returns 0, or -1 if the scratch rows could not be allocated. */
-int keyswitch_descent(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
-                      const int64_t *plan, const int64_t *ktab, const uint32_t *wtab,
-                      int64_t K)
+int mod_down(const int64_t *in, int64_t *out, int64_t lead, int64_t n, const int64_t *plan,
+             const int64_t *ktab, const uint32_t *wtab, int64_t K)
 {
     const tables tb = {ktab, wtab, K, n};
     const conversion cv = unpack(plan);
-    int64_t *y = malloc((size_t)((cv.S + 1) * n) * sizeof *y);
+    const int64_t drop = cv.tail[0], keep = drop ? 0 : cv.S, *divisor_inv = cv.tail + 1;
+    int64_t *y = malloc((size_t)(cv.S * n) * sizeof *y);
     uint32_t *row = malloc((size_t)n * sizeof *row);
     if (y == NULL || row == NULL) {
         free(y);
         free(row);
         return -1;
     }
-    int64_t *delta = y + cv.S * n;
     for (int64_t b = 0; b < lead; b++) {
         const int64_t *x = in + b * (cv.S + cv.T) * n;
-        inverse_sources(x, y, row, cv, tb);
-        centre_sources(y, y, cv, n, ktab);
+        centred_sources(x + drop * n, y, row, cv, tb);
         for (int64_t t = 0; t < cv.T; t++) {
             const int64_t p = ktab[cv.tgt[t]];
-            convert_row(y, delta, cv, 0, t, n, ktab);
-            for (int64_t j = 0; j < n; j++)
-                row[j] = (uint32_t)delta[j];
-            forward_k(row, tb, cv.tgt[t]);
-            const uint32_t w = (uint32_t)cv.tail[t], w_shoup = shoup_quotient(w, (uint32_t)p);
-            const int64_t *xt = x + (cv.S + t) * n;
             int64_t *o = out + (b * cv.T + t) * n;
+            convert_row(y, o, row, cv, 0, t, tb);
+            forward_k(row, tb, cv.tgt[t]);
+            const uint32_t w = (uint32_t)divisor_inv[t], w_shoup = shoup_quotient(w, (uint32_t)p);
+            const int64_t *xt = x + (keep + t) * n;
             for (int64_t j = 0; j < n; j++) {
                 int64_t d = xt[j] - row[j];
                 d += (d < 0) ? p : 0;

@@ -26,17 +26,13 @@ int mul_plain_sum(const int64_t *const *cts, const int64_t *const *plains,
                   int64_t n, const int64_t *idx, const int64_t *ktab, const uint32_t *wtab,
                   int64_t K);
 
-int rescale(const int64_t *in, int64_t *out, int64_t batch, int64_t level, int64_t n,
-            const int64_t *inv, const int64_t *ktab, const uint32_t *wtab, int64_t K);
-
-int hoist_decompose(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
-                    const int64_t *plan, const int64_t *ktab, const uint32_t *wtab, int64_t K);
+int mod_up(const int64_t *in, int64_t *out, int64_t lead, int64_t n, const int64_t *plan,
+           const int64_t *ktab, const uint32_t *wtab, int64_t K);
 
 int inner_product(const int64_t *digits, const int64_t *key_b, const int64_t *key_a,
                   int64_t *out, int64_t D, int64_t T, int64_t n, int64_t key_stride,
                   const int64_t *perm, int use_perm, const int64_t *idx,
                   const int64_t *ktab);
 
-int keyswitch_descent(const int64_t *in, int64_t *out, int64_t lead, int64_t n,
-                      const int64_t *plan, const int64_t *ktab, const uint32_t *wtab,
-                      int64_t K);
+int mod_down(const int64_t *in, int64_t *out, int64_t lead, int64_t n, const int64_t *plan,
+             const int64_t *ktab, const uint32_t *wtab, int64_t K);

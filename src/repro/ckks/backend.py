@@ -5,18 +5,24 @@ exact modular-integer kernels over ``(limbs, n)`` int64 residue rows —
 a ciphertext half, a plaintext, a key or a secret, each over a basis its
 caller knows: negacyclic NTTs, pointwise modular arithmetic, the
 centred approximate base conversion and the keyswitch digit/key inner
-product.  :class:`KernelBackend` names that seam and
-composes the kernels into the pipelines everything above it calls
-— :meth:`~KernelBackend.rescale`, :meth:`~KernelBackend.hoist_decompose`
-and :meth:`~KernelBackend.apply_keyswitch`, itself the composition of
-:meth:`~KernelBackend.keyswitch_inner_product` and
-:meth:`~KernelBackend.keyswitch_descent` (grouped hybrid keyswitching:
-a digit is a group of α chain primes, lifted onto ``α+level+1`` basis
-rows; see :mod:`repro.ckks.keys`).  Every pipeline takes NTT rows in
-and gives NTT rows out: the rows a step must see as coefficients leave
-the NTT domain only inside its call.  ``encoder``, ``keys``,
-``evaluator``, ``fhe/linear`` and ``fhe/network`` call only the
-interface and never touch a butterfly.
+product.  :class:`KernelBackend` names that seam and composes the
+kernels into the pipelines everything above it calls.  A basis change
+is one of two steps, each over the
+:class:`~repro.ckks.context.BaseConversion` it runs:
+:meth:`~KernelBackend.mod_up` (convert source rows onto more primes)
+and :meth:`~KernelBackend.mod_down` (drop source rows and divide the
+kept ones by their product).  The pipelines are one-liners over them —
+:meth:`~KernelBackend.rescale` is a one-prime ModDown,
+:meth:`~KernelBackend.hoist_decompose` the digit ModUp and
+:meth:`~KernelBackend.keyswitch_descent` the divide-by-``P`` ModDown —
+and :meth:`~KernelBackend.apply_keyswitch` is
+:meth:`~KernelBackend.keyswitch_inner_product` then the descent
+(grouped hybrid keyswitching: a digit is a group of α chain primes,
+lifted onto ``α+level+1`` basis rows; see :mod:`repro.ckks.keys`).
+Every pipeline takes NTT rows in and gives NTT rows out: the rows a step
+must see as coefficients leave the NTT domain only inside its call.
+``encoder``, ``keys``, ``evaluator``, ``fhe/linear`` and ``fhe/network``
+call only the interface and never touch a butterfly.
 
 Two implementations ship:
 
@@ -29,11 +35,10 @@ Two implementations ship:
 * :class:`VectorizedBackend` — the same arithmetic, one compiled call
   per HE-level step: every pointwise op over a ``(..., limbs, n)``
   stack, the plaintext :meth:`~KernelBackend.lift`, the ciphertext
-  tensor, a matvec's :meth:`~KernelBackend.mul_plain_sum`,
-  :meth:`~KernelBackend.rescale`,
-  :meth:`~KernelBackend.hoist_decompose`, the key inner product (Galois
-  gather included, both key halves at once) and the descent are each
-  one function of ``_kernels.c`` (built with the system ``cc`` on first
+  tensor, a matvec's :meth:`~KernelBackend.mul_plain_sum`, the key
+  inner product (Galois gather included, both key halves at once),
+  :meth:`~KernelBackend.mod_up` and :meth:`~KernelBackend.mod_down` are
+  each one function of ``_kernels.c`` (built with the system ``cc`` on first
   use into a cffi extension module), run against two tables stacked
   once per context.
 
@@ -60,8 +65,8 @@ is < 2^60 < 2^63; the spec reduces after every product, the C key inner
 product after every 8 (still below 2^63 with the running residue).  The
 C NTTs multiply by Shoup twiddles: a twiddle ``w < p`` carries
 ``floor(w·2^32/p) < 2^32``, lazy butterfly values stay < 4p < 2^32 and
-every quotient product is < 2^64.  The C base conversion inside the
-decomposition and the descent multiplies a *centred* residue (< 2^29)
+every quotient product is < 2^64.  The C base conversion inside
+ModUp and ModDown multiplies a *centred* residue (< 2^29)
 by a weight (< 2^30) and sums at most 15 of those between reductions.
 Every other C reduction is a double-precision quotient estimate
 corrected into ``[0, p)``, exact for any ``|x| < 2^63 − 2^31``.
@@ -187,13 +192,13 @@ class KernelBackend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # the lift, plaintext product sum, rescale and keyswitch pipelines —
-    # the spec.  Each is a fixed composition of the NTTs and the
-    # pointwise ops; the lift, decomposition, key inner product and
-    # descent also use ReferenceBackend's per-row kernels
-    # (``reduce_coeffs``, ``base_convert``, ``inner_product``), so a
-    # backend without those overrides these four.  An override is one
-    # fused call that must return the same bytes
+    # the lift, plaintext product sum and the two basis changes — the
+    # spec.  Each is a fixed composition of the NTTs and the pointwise
+    # ops; the lift, ModUp, ModDown and key inner product also use
+    # ReferenceBackend's per-row kernels (``reduce_coeffs``,
+    # ``base_convert``, ``inner_product``), so a backend without those
+    # overrides these four.  An override is one fused call that must
+    # return the same bytes
     # ------------------------------------------------------------------
     def lift(self, coeffs, prime_indices) -> np.ndarray:
         """NTT-form rows of ``(..., n)`` int64 coefficients:
@@ -219,38 +224,74 @@ class KernelBackend:
             acc = term if acc is None else self.modadd(acc, term, prime_indices)
         return acc
 
-    def rescale(self, rows, level) -> np.ndarray:
-        """Rescale descent, NTT domain in and out: divide
-        ``(..., level+1, n)`` chain rows by ``q_level`` with centred
-        rounding, returning the ``(..., level, n)`` rows of the level
-        below.
+    def mod_up(self, rows, conv) -> np.ndarray:
+        """ModUp: ``(..., S, n)`` NTT rows over ``conv.sources`` to
+        ``(..., G, T, n)`` NTT rows over ``conv.targets``, one block per
+        source group (:class:`~repro.ckks.context.BaseConversion`):
+        :meth:`ntt_inverse`, :meth:`ReferenceBackend.base_convert`, then
+        :meth:`ntt_forward`.  Block ``g`` holds the group's centred value
+        (up to a small multiple of its modulus) on every target."""
+        coeffs = self.ntt_inverse(rows, conv.sources)
+        return self.ntt_forward(self.base_convert(coeffs, conv), conv.targets)
 
-        Only the dropped row leaves the NTT domain: it is
-        inverse-transformed, centred, reduced onto ``q_0..q_{level-1}``
-        and forward-transformed, and the subtract-and-scale happens on
-        NTT residues (the transform is linear mod each prime, so this is
-        the coefficient-domain descent residue for residue).
+    def mod_down(self, rows, conv) -> np.ndarray:
+        """ModDown: drop ``conv``'s source rows and divide the kept
+        target rows by the sources' product with centred rounding —
+        ``(..., S+T, n)`` NTT rows to ``(..., T, n)`` over
+        ``conv.targets``, for a conversion of one source group.  The
+        dropped rows lead when they are special primes (the order of
+        :meth:`CkksContext.keyswitch_basis`) and trail otherwise, as a
+        chain stack ends with its top prime.
+
+        Only the dropped rows leave the NTT domain: they are base-
+        converted onto the targets, forward-transformed, and subtracted
+        and scaled by ``conv.divisor_inv`` on NTT residues (the transform
+        is linear mod each prime, so this is the coefficient-domain
+        descent residue for residue).
         """
-        q_last = self.ctx.q_chain[level]
-        chain = list(range(level))
-        last = self.ntt_inverse(rows[..., level : level + 1, :], [level])
-        centered = np.where(last > q_last // 2, last - q_last, last)
-        delta = self.ntt_forward(centered % self._primes_col(chain), chain)
+        drop, keep = self._mod_down_rows(conv)
+        dropped = rows[..., drop : drop + len(conv.sources), :]
+        kept = rows[..., keep : keep + len(conv.targets), :]
+        coeffs = self.ntt_inverse(dropped, conv.sources)
+        delta = self.ntt_forward(self.base_convert(coeffs, conv)[..., 0, :, :], conv.targets)
         return self.modscale(
-            self.modsub(rows[..., :level, :], delta, chain),
-            self.ctx.rescale_inverses(level),
-            chain,
+            self.modsub(kept, delta, conv.targets), conv.divisor_inv, conv.targets
         )
+
+    def _mod_down_rows(self, conv) -> tuple:
+        """The first input rows of a :meth:`mod_down` over ``conv``'s
+        dropped and kept rows; ``ValueError`` if it cannot run one."""
+        divisor_inv = conv.divisor_inv
+        if (
+            len(conv.weights) != 1
+            or not conv.sources
+            or not conv.targets
+            or divisor_inv is None
+            or np.shape(divisor_inv) != (len(conv.targets),)
+        ):
+            raise ValueError(
+                "a ModDown converts one group of sources onto other primes, "
+                "and divides those by the sources' product"
+            )
+        if conv.sources[0] >= len(self.ctx.q_chain):  # special primes lead
+            return 0, len(conv.sources)
+        return len(conv.targets), 0
+
+    def rescale(self, rows, level) -> np.ndarray:
+        """Divide ``(..., level+1, n)`` NTT chain rows by ``q_level``
+        with centred rounding: the ``(..., level, n)`` rows of the level
+        below — a one-prime :meth:`mod_down`."""
+        return self.mod_down(rows, self.ctx._conversions(level).rescale)
 
     def hoist_decompose(self, rows, level) -> np.ndarray:
         """Keyswitch digits of the ``(..., level+1, n)`` NTT-form chain
         ``rows``, in NTT form over the extended basis (special primes,
-        then ``q_0..q_level`` — :meth:`CkksContext.keyswitch_basis`).
+        then ``q_0..q_level`` — :meth:`CkksContext.keyswitch_basis`): the
+        :meth:`mod_up` of :meth:`CkksContext.digit_lift`.
 
         A digit is a group of α chain primes lifted onto the whole
         basis, so the result is ``(..., ceil((level+1)/α), α+level+1,
-        n)``: :meth:`ntt_inverse`, one batched base conversion, then
-        :meth:`ntt_forward`.  This is the expensive half of a keyswitch
+        n)``.  This is the expensive half of a keyswitch
         and it is *independent of the Galois element*: the centred digit
         decomposition commutes exactly with the automorphism (both act
         coefficient-wise or by signed coefficient permutation, and odd
@@ -259,9 +300,7 @@ class KernelBackend:
         (:meth:`CkksContext.galois_ntt_permutation`).  Computing it once
         and permuting per rotation is rotation *hoisting*.
         """
-        conv = self.ctx.digit_lift(level)
-        lifted = self.base_convert(self.ntt_inverse(rows, conv.sources), conv)
-        return self.ntt_forward(lifted, self.ctx.keyswitch_basis(level))
+        return self.mod_up(rows, self.ctx._conversions(level).lift)
 
     def keyswitch_inner_product(self, digits, key_b, key_a, level, perm=None) -> np.ndarray:
         """Inner products of decomposed ``digits`` with the level's two
@@ -285,23 +324,9 @@ class KernelBackend:
 
     def keyswitch_descent(self, acc, level) -> np.ndarray:
         """The divide-by-``P`` descent: ``(..., α+level+1, n)`` NTT rows
-        over the extended basis to ``(..., level+1, n)`` over the chain.
-
-        Only the α special rows leave the NTT domain: ``[x]_P`` is base-
-        converted onto ``q_0..q_level``, forward-transformed, and
-        subtracted and scaled by ``P^{-1}`` on NTT residues.
-        """
-        ctx = self.ctx
-        alpha = ctx.alpha
-        basis = ctx.keyswitch_basis(level)
-        chain = basis[alpha:]
-        special = self.ntt_inverse(acc[..., :alpha, :], basis[:alpha])
-        delta = self.base_convert(special, ctx.p_descent(level))[..., 0, :, :]
-        return self.modscale(
-            self.modsub(acc[..., alpha:, :], self.ntt_forward(delta, chain), chain),
-            ctx.p_inverses(level),
-            chain,
-        )
+        over the extended basis to ``(..., level+1, n)`` over the chain —
+        the :meth:`mod_down` of :meth:`CkksContext.p_descent`."""
+        return self.mod_down(acc, self.ctx._conversions(level).descent)
 
     def apply_keyswitch(self, digits, key_b, key_a, level, perm=None) -> np.ndarray:
         """One whole keyswitch of decomposed ``digits``:
@@ -523,9 +548,9 @@ def _shoup(w, primes) -> np.ndarray:
 class VectorizedBackend(KernelBackend):
     """Compiled kernels: one C call per HE-level step.
 
-    Every pointwise op, plaintext lift, plaintext product sum, rescale,
-    digit decomposition, key inner product (with its Galois gather) and
-    divide-by-``P`` descent is one call into ``_kernels.c`` (built on
+    Every NTT, pointwise op, plaintext lift, plaintext product sum, key
+    inner product (with its Galois gather), ModUp and ModDown is one
+    call into ``_kernels.c`` (built on
     first use; see :func:`_native_kernels`) over a whole
     ``(..., limbs, n)`` stack,
     against two tables stacked once per context: an int64 ``(2, K)``
@@ -569,8 +594,8 @@ class VectorizedBackend(KernelBackend):
                  psi_inv.astype(np.uint32), _shoup(psi_inv, primes)]
             ),
         )
-        #: validated prime-index sets and packed per-level conversions as
-        #: the buffers C reads, built on first use (private: never written
+        #: validated prime-index sets and packed conversions as the
+        #: buffers C reads, built on first use (private: never written
         #: once cached)
         self._index_sets: dict = {}
         self._conversions: dict = {}
@@ -618,7 +643,7 @@ class VectorizedBackend(KernelBackend):
     def _pack(self, conv, tail=()):
         """One int64 buffer holding a :class:`BaseConversion` the way
         ``_kernels.c`` reads it: ``[S, T, G, size, sources, targets, inv,
-        weights]``, then ``tail`` (the descent's ``P⁻¹`` per target)."""
+        weights]``, then ``tail``."""
         sources = self._index_array(conv.sources)
         targets = self._index_array(conv.targets)
         inv = np.asarray(conv.inv, dtype=np.int64)
@@ -637,21 +662,18 @@ class VectorizedBackend(KernelBackend):
         plan = np.concatenate([head, sources, targets, inv, weights.ravel(), tail])
         return self._buffer(plan.astype(np.int64))
 
-    def _conversion(self, kind: str, level: int):
-        """The packed digit lift (``"lift"``) or ``P`` descent
-        (``"descent"``, with ``P⁻¹`` mod each chain prime) of ``level``."""
-        plan = self._conversions.get((kind, level))
-        if plan is None:
-            ctx = self.ctx
-            if kind == "lift":
-                plan = self._pack(ctx.digit_lift(level))
-            else:
-                conv = ctx.p_descent(level)
-                if conv.weights.shape[0] != 1:
-                    raise ValueError("the P descent converts one group of special primes")
-                plan = self._pack(conv, ctx.p_inverses(level))
-            self._conversions[(kind, level)] = plan
-        return plan
+    def _conversion(self, conv, down: bool = False):
+        """``conv`` packed for C once per conversion object (the context
+        caches its own per level).  For a ModDown (``down``) the tail is
+        the input row of its first dropped row, then its divisor
+        inverses."""
+        key = (id(conv), down)
+        held = self._conversions.get(key)
+        if held is None:
+            tail = [self._mod_down_rows(conv)[0], *conv.divisor_inv] if down else ()
+            # the entry holds ``conv``, so no other object takes its id
+            held = self._conversions[key] = (conv, self._pack(conv, tail))
+        return held[1]
 
     def _call(self, status: int, what: str) -> None:
         if status:
@@ -787,35 +809,34 @@ class VectorizedBackend(KernelBackend):
         return out
 
     # ------------------------------------------------------------------
-    # the rescale and keyswitch pipelines, one call each
+    # the two basis changes, one call each
     # ------------------------------------------------------------------
-    def rescale(self, rows, level):
-        if not 1 <= level < len(self.ctx.q_chain):
-            raise ValueError(f"no rescale below chain level {level}")
-        rows = self._stack(rows, level + 1)
-        lead = rows.shape[:-2]
-        out = np.empty(lead + (level, self.ctx.n), dtype=np.int64)
-        self._call(
-            self._lib.rescale(
-                self._buffer(rows), self._buffer(out), math.prod(lead), level, self.ctx.n,
-                self._buffer(self.ctx.rescale_inverses(level)), self._ktab, self._wtab,
-                self._num_primes,
-            ),
-            "rescale",
-        )
-        return out
-
-    def hoist_decompose(self, rows, level):
-        plan = self._conversion("lift", level)
+    def mod_up(self, rows, conv):
+        plan = self._conversion(conv)
         rows = self._stack(rows, plan[0])
         lead = rows.shape[:-2]
         out = np.empty(lead + (plan[2], plan[1], self.ctx.n), dtype=np.int64)
         self._call(
-            self._lib.hoist_decompose(
+            self._lib.mod_up(
                 self._buffer(rows), self._buffer(out), math.prod(lead), self.ctx.n,
                 plan, self._ktab, self._wtab, self._num_primes,
             ),
-            "digit decomposition",
+            "ModUp",
+        )
+        return out
+
+    def mod_down(self, rows, conv):
+        plan = self._conversion(conv, down=True)
+        dropped, kept = plan[0], plan[1]
+        rows = self._stack(rows, dropped + kept)
+        lead = rows.shape[:-2]
+        out = np.empty(lead + (kept, self.ctx.n), dtype=np.int64)
+        self._call(
+            self._lib.mod_down(
+                self._buffer(rows), self._buffer(out), math.prod(lead), self.ctx.n,
+                plan, self._ktab, self._wtab, self._num_primes,
+            ),
+            "ModDown",
         )
         return out
 
@@ -877,21 +898,6 @@ class VectorizedBackend(KernelBackend):
                 raise ValueError("a key's rows lie outside the array that owns them")
             pointers.append(whole + offset)
         return pointers, wholes, stride
-
-    def keyswitch_descent(self, acc, level):
-        plan = self._conversion("descent", level)
-        special, chain = plan[0], plan[1]
-        acc = self._stack(acc, special + chain)
-        lead = acc.shape[:-2]
-        out = np.empty(lead + (chain, self.ctx.n), dtype=np.int64)
-        self._call(
-            self._lib.keyswitch_descent(
-                self._buffer(acc), self._buffer(out), math.prod(lead), self.ctx.n,
-                plan, self._ktab, self._wtab, self._num_primes,
-            ),
-            "keyswitch descent",
-        )
-        return out
 
 
 # ----------------------------------------------------------------------

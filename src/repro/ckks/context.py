@@ -39,12 +39,28 @@ class BaseConversion(NamedTuple):
     ``|u| ≤ |g|/2`` — the *same* integer on every target row, so targets
     may include the group's own primes (where it reproduces ``x_i``).
     :meth:`ReferenceBackend.base_convert` is its spec.
+
+    A conversion whose targets are disjoint from its sources also
+    carries ``divisor_inv``, so it can run as a ModDown
+    (:meth:`KernelBackend.mod_down`): drop the source rows and divide
+    the kept rows by the sources' product.
     """
 
     sources: tuple        #: prime indices of the input rows
     targets: tuple        #: prime indices of the output rows
     inv: np.ndarray       #: ``(S,)``: ``(Q_g/q_i)^{-1} mod q_i``
     weights: np.ndarray   #: ``(G, T, α)``: ``(Q_g/q_i) mod p_t``, zero-padded
+    #: ``(T,)``: ``(Π sources)^{-1} mod p_t``; ``None`` when a target is a source
+    divisor_inv: np.ndarray | None = None
+
+
+class _LevelConversions(NamedTuple):
+    """The base conversions of one chain level (:meth:`CkksContext._conversions`)."""
+
+    lift: BaseConversion       #: ModUp: chain rows -> one digit per α-group
+    descent: BaseConversion    #: ModDown: the special rows, divided away
+    rescale: BaseConversion    #: ModDown: the top chain row, divided away
+    mod_raise: BaseConversion  #: ModUp: ``q_0`` -> the chain up to the level
 
 
 @dataclass(frozen=True)
@@ -107,7 +123,13 @@ class CkksParams:
 
 
 class CkksContext:
-    """Precomputed modulus chain, NTT plans and RNS constants."""
+    """Precomputed modulus chain, NTT plans and RNS constants.
+
+    The RNS constants are base conversions, cached per level: the digit
+    lift and the ``q_0`` → chain ModRaise that the backend's ``mod_up``
+    runs, and the divide-by-``P`` descent and the rescale that its
+    ``mod_down`` runs (each ModDown carrying its divisor's inverses).
+    """
 
     def __init__(self, params: CkksParams):
         self.params = params
@@ -149,36 +171,19 @@ class CkksContext:
         self.plans = [NttPlan.get(n, p) for p in self.all_primes]
         self.scale = float(2**params.scale_bits)
 
-        arr = np.array(self.all_primes, dtype=np.int64)
-        self._primes_arr = arr
-        # q_j^{-1} mod q_i tables are built lazily where needed; the two
-        # heavily-used constant families are precomputed here:
-        # (a) rescale: q_last^{-1} mod q_j for every prefix length
-        self._rescale_inv = {}
-        for level in range(1, len(self.q_chain)):
-            q_last = self.q_chain[level]
-            self._rescale_inv[level] = np.array(
-                [pow(q_last, p - 2, p) for p in self.q_chain[:level]], dtype=np.int64
-            )
-        # (b) keyswitch: P^{-1} mod q_j, and the per-level base
-        # conversions of the digit lift and the divide-by-P descent
-        # (lazy: the partial last group's constants depend on the level)
-        p_special = math.prod(self.special_primes)
-        self._p_inv = np.array(
-            [pow(p_special % p, p - 2, p) for p in self.q_chain], dtype=np.int64
-        )
-        self._digit_lifts: dict = {}
-        self._p_descents: dict = {}
-        # (c) Galois automorphisms as NTT-domain permutations (lazy per g)
+        self._primes_arr = np.array(self.all_primes, dtype=np.int64)
+        # (a) the base conversions of each level, built on first use
+        self._level_conversions: dict = {}
+        # (b) Galois automorphisms as NTT-domain permutations (lazy per g)
         self._galois_perms: dict = {}
         self._bitrev = _bit_reverse_indices(n)
-        # (d) the canonical per-level scale schedule, from Δ at the top
+        # (c) the canonical per-level scale schedule, from Δ at the top
         s = self.scale
         self._canonical_scales = {self.max_level: s}
         for level in range(self.max_level, 0, -1):
             s = s * s / self.q_chain[level]
             self._canonical_scales[level - 1] = s
-        # (e) the slot orbit 5^j mod 2N, j < N/2: slot j sits at the root
+        # (d) the slot orbit 5^j mod 2N, j < N/2: slot j sits at the root
         # ω^{5^j} (ω = exp(iπ/N)), and rotation by j is X -> X^{5^j}
         self._orbit = np.empty(self.slots, dtype=np.int64)
         e = 1
@@ -216,14 +221,6 @@ class CkksContext:
         """
         return self._canonical_scales[level]
 
-    def rescale_inverses(self, level: int) -> np.ndarray:
-        """q_level^{-1} mod q_j for j < level."""
-        return self._rescale_inv[level]
-
-    def p_inverses(self, level: int) -> np.ndarray:
-        """P^{-1} mod q_j for j <= level (P the special-prime product)."""
-        return self._p_inv[: level + 1]
-
     # ------------------------------------------------------------------
     # grouped hybrid keyswitching: digits, bases, conversion constants
     # ------------------------------------------------------------------
@@ -242,40 +239,59 @@ class CkksContext:
 
     def base_conversion(self, sources, targets, group_size: int) -> BaseConversion:
         """Constants converting residues over ``sources`` (consecutive
-        groups of ``group_size`` primes) onto ``targets``."""
+        groups of ``group_size`` primes) onto ``targets``; with no target
+        among the sources, also the inverse of their product mod each
+        target (a ModDown's divisor)."""
         sources, targets = tuple(sources), tuple(targets)
+        primes = self.all_primes
         groups = [
             sources[k : k + group_size] for k in range(0, len(sources), group_size)
         ]
         inv = []
         weights = np.zeros((len(groups), len(targets), group_size), dtype=np.int64)
         for g, group in enumerate(groups):
-            q_group = math.prod(self.all_primes[i] for i in group)
+            q_group = math.prod(primes[i] for i in group)
             for pos, i in enumerate(group):
-                q_i = self.all_primes[i]
+                q_i = primes[i]
                 cofactor = q_group // q_i
                 inv.append(pow(cofactor % q_i, q_i - 2, q_i))
-                weights[g, :, pos] = [cofactor % self.all_primes[t] for t in targets]
-        return BaseConversion(sources, targets, np.array(inv, dtype=np.int64), weights)
+                weights[g, :, pos] = [cofactor % primes[t] for t in targets]
+        divisor_inv = None
+        if not set(sources) & set(targets):
+            divisor = math.prod(primes[i] for i in sources)
+            divisor_inv = np.array(
+                [pow(divisor % primes[t], -1, primes[t]) for t in targets], dtype=np.int64
+            )
+        return BaseConversion(
+            sources, targets, np.array(inv, dtype=np.int64), weights, divisor_inv
+        )
+
+    def _conversions(self, level: int) -> _LevelConversions:
+        """The base conversions of ``level``, cached per level (the
+        partial last group's constants depend on it).  Level 0 has no
+        rescale: its conversion keeps no row, which ``mod_down`` refuses."""
+        convs = self._level_conversions.get(level)
+        if convs is None:
+            if not 0 <= level <= self.max_level:
+                raise ValueError(f"no chain level {level} (max {self.max_level})")
+            basis = self.keyswitch_basis(level)
+            chain = range(level + 1)
+            convs = self._level_conversions[level] = _LevelConversions(
+                lift=self.base_conversion(chain, basis, self.alpha),
+                descent=self.base_conversion(basis[: self.alpha], chain, self.alpha),
+                rescale=self.base_conversion([level], range(level), 1),
+                mod_raise=self.base_conversion([0], chain, 1),
+            )
+        return convs
 
     def digit_lift(self, level: int) -> BaseConversion:
         """Chain rows ``q_0..q_level`` -> one lifted digit per α-group
-        over :meth:`keyswitch_basis` — cached per level."""
-        conv = self._digit_lifts.get(level)
-        if conv is None:
-            conv = self._digit_lifts[level] = self.base_conversion(
-                range(level + 1), self.keyswitch_basis(level), self.alpha
-            )
-        return conv
+        over :meth:`keyswitch_basis`."""
+        return self._conversions(level).lift
 
     def p_descent(self, level: int) -> BaseConversion:
-        """Special rows -> ``[x]_P`` on ``q_0..q_level`` — cached per level."""
-        conv = self._p_descents.get(level)
-        if conv is None:
-            conv = self._p_descents[level] = self.base_conversion(
-                self.keyswitch_basis(level)[: self.alpha], range(level + 1), self.alpha
-            )
-        return conv
+        """Special rows -> ``[x]_P`` on ``q_0..q_level``, ``P⁻¹`` included."""
+        return self._conversions(level).descent
 
     def galois_element(self, step: int) -> int:
         """The Galois element ``5^step mod 2N`` that rotates the slot

@@ -16,9 +16,12 @@ Conventions
   :mod:`repro.ckks.keys`): the backend's
   :meth:`~repro.ckks.backend.KernelBackend.hoist_decompose` then
   :meth:`~repro.ckks.backend.KernelBackend.apply_keyswitch`.  Every
-  backend pipeline takes NTT rows in and gives NTT rows out; the one
-  coefficient view left here is :meth:`CkksEvaluator._mod_raise`'s,
-  which reinterprets coefficients by definition.
+  backend pipeline takes NTT rows in and gives NTT rows out, so the
+  evaluator makes no NTT call of its own: a rescale and the keyswitch
+  descent are ModDowns, the digit decomposition and
+  :meth:`CkksEvaluator._mod_raise` ModUps
+  (:meth:`~repro.ckks.backend.KernelBackend.mod_up`,
+  :meth:`~repro.ckks.backend.KernelBackend.mod_down`).
 """
 
 from __future__ import annotations
@@ -304,13 +307,11 @@ class CkksEvaluator:
         return Ciphertext(self.ctx, data, scale, level)
 
     def _mod_raise(self, a: Ciphertext, level: int) -> Ciphertext:
-        """Lift the centred ``q0`` residues of ``a`` onto the chain up to ``level``."""
+        """Lift the centred ``q0`` residues of ``a`` onto the chain up to
+        ``level``: one ModUp from ``q_0``."""
         ctx = self.ctx
-        q0 = ctx.q_chain[0]
-        half = q0 // 2
-        residues = ctx.backend.ntt_inverse(a.data, range(a.level + 1))[:, 0]
-        centred = ((residues + half) % q0) - half
-        data = ctx.backend.lift(centred, range(level + 1))
+        conv = ctx._conversions(level).mod_raise
+        data = ctx.backend.mod_up(a.data[:, :1], conv)[:, 0]
         return Ciphertext(ctx, data, a.scale, level)
 
     def _mul_by_i(self, a: Ciphertext) -> Ciphertext:

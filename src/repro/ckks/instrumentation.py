@@ -16,6 +16,7 @@ either way.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -227,10 +228,15 @@ class RowCountingBackend(KernelBackend):
     shapes, never from what the wrapped backend does inside it, so the
     books are exact and backend-invariant: they see what
     ``keyswitch_count`` cannot — how many decompositions and
-    divide-by-``P`` descents a forward paid.  Per ciphertext half, a
-    rescale at level ``l`` books one inverse and ``l`` forward rows, a
-    decomposition ``l+1`` inverse and one forward row per digit row, a
-    descent α inverse and ``l+1`` forward:
+    divide-by-``P`` descents a forward paid.  Every basis change is a
+    :meth:`~KernelBackend.mod_up` or a :meth:`~KernelBackend.mod_down`,
+    booked from its conversion's shape: per leading entry (a ciphertext
+    half, say), a ModUp of ``S`` sources onto ``G`` groups of ``T``
+    targets books ``S`` inverse and ``G·T`` forward rows, a ModDown
+    ``S`` inverse and ``T`` forward.  So a rescale at level ``l`` books
+    one inverse and ``l`` forward rows, a decomposition ``l+1`` inverse
+    and one forward row per digit row, a descent α inverse and ``l+1``
+    forward:
 
     >>> from repro.ckks import CkksContext, CkksParams
     >>> ctx = CkksContext(CkksParams(n=64, depth=4, backend="reference"))
@@ -283,19 +289,14 @@ class RowCountingBackend(KernelBackend):
         self.forward_rows += lifted * len(prime_indices)
         return out
 
-    def rescale(self, rows, level):
-        out = self._forward(self.inner.rescale(rows, level))
-        self.inverse_rows += out.size // (level * self.ctx.n)  # the dropped rows
+    def mod_up(self, rows, conv):
+        out = self._forward(self.inner.mod_up(rows, conv))
+        self.inverse_rows += math.prod(out.shape[:-3]) * len(conv.sources)
         return out
 
-    def hoist_decompose(self, rows, level):
-        out = self._forward(self.inner.hoist_decompose(rows, level))
-        self.inverse_rows += rows.size // self.ctx.n  # every chain row
-        return out
-
-    def keyswitch_descent(self, acc, level):
-        out = self._forward(self.inner.keyswitch_descent(acc, level))
-        self.inverse_rows += out.size // ((level + 1) * self.ctx.n) * self.ctx.alpha
+    def mod_down(self, rows, conv):
+        out = self._forward(self.inner.mod_down(rows, conv))
+        self.inverse_rows += math.prod(out.shape[:-2]) * len(conv.sources)
         return out
 
     def keyswitch_inner_product(self, digits, key_b, key_a, level, perm=None):

@@ -16,6 +16,8 @@ compiled network (``docs/bootstrapping.md``):
   be bit-identical across registered kernel backends.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,10 +29,12 @@ from repro.ckks.bootstrap import (
     RefreshPrecisionError,
     coeff_to_slot,
     eval_mod,
+    mod_raise,
     plan_refresh,
     refresh,
     slot_to_coeff,
 )
+from repro.ckks.evaluator import Ciphertext
 
 # q0/scale = 2^4: comfortably past evalmod's >= 8 floor, and depth 14
 # covers the n=32 pipeline (CtS 2 + cos 4 + 5 double angles + StC 1 = 12)
@@ -243,6 +247,49 @@ class TestRefreshCostModel:
         clean = refresh(ev, low, plan_refresh(ctx, method="evalmod"))
         assert (out.level, out.scale) == (clean.level, clean.scale)
         assert np.array_equal(out.data, clean.data)
+
+
+class TestModRaise:
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_mod_raise_is_the_centred_lift_of_q0(self, backend):
+        """ModRaise (one ModUp from ``q_0``) gives the bytes of its
+        spelling: the ``q_0`` row inverse-transformed, centred, and
+        lifted onto the chain — at every target level, with coefficients
+        on the centring boundary."""
+        ctx, ev, _ = runtime(16)
+        orig = ctx.backend.name
+        try:
+            be = ctx.set_backend(backend)
+            q0 = ctx.q_chain[0]
+            coeffs = np.random.default_rng(3).integers(0, q0, size=(2, ctx.n))
+            coeffs[:, :4] = [0, q0 // 2, q0 // 2 + 1, q0 - 1]
+            ct = Ciphertext(ctx, be.ntt_forward(coeffs[:, None, :], [0]), 1.0, 0)
+            for level in range(ctx.max_level + 1):
+                residues = be.ntt_inverse(ct.data, [0])[:, 0]
+                centred = ((residues + q0 // 2) % q0) - q0 // 2
+                want = be.lift(centred, range(level + 1))
+                got = mod_raise(ev, ct, level)
+                assert (got.level, got.scale) == (level, ct.scale)
+                assert got.data.tobytes() == want.tobytes()
+        finally:
+            ctx.set_backend(orig)
+
+    def test_evalmod_refresh_makes_no_ntt_call_from_the_evaluator(self, monkeypatch):
+        """Every NTT a refresh needs runs inside a backend pipeline or
+        the encoder: ``evaluator.py`` itself calls neither transform."""
+        ctx, ev, plan = runtime(16)
+        be = ctx.backend
+        callers = []
+        for name in ("ntt_forward", "ntt_inverse"):
+            def spy(*args, _real=getattr(be, name), **kwargs):
+                callers.append(sys._getframe(1).f_code.co_filename)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(be, name, spy)
+        v = np.random.default_rng(5).uniform(-1.0, 1.0, ctx.slots)
+        refresh(ev, ev.mod_switch_to(ev.encrypt(v), 1), plan)
+        assert any(f.endswith("encoder.py") for f in callers)  # the spy sees calls
+        assert not [f for f in callers if f.endswith("evaluator.py")]
 
 
 class TestRefreshBackendConformance:

@@ -1,15 +1,16 @@
 """Property-based tests for every compiled HE-op entry point (hypothesis).
 
 :class:`VectorizedBackend` runs each pointwise op, the ciphertext tensor,
-the plaintext lift, a sum of plaintext products, the rescale, the digit
-decomposition, the key inner product and the divide-by-``P`` descent as
-one C call.  Each is held
+the plaintext lift, a sum of plaintext products, the key inner product
+and the two basis changes, ModUp and ModDown (which the rescale, the
+digit decomposition and the divide-by-``P`` descent are), as one C
+call.  Each is held
 byte-equal here to the spec — the same method on
 :class:`ReferenceBackend`, i.e. the base-class composition over the
 per-row kernels — over hypothesis-drawn ring sizes 8–2048, chain
-shapes, levels (partial last digit groups included), batch and
-broadcast shapes, non-contiguous views and Galois permutations on and
-off.  About half of the drawn residue rows are all ``0`` or all
+shapes, levels (partial last digit groups included), base conversions,
+batch and broadcast shapes, non-contiguous views and Galois
+permutations on and off.  About half of the drawn residue rows are all ``0`` or all
 ``p − 1``, the two ends of the canonical range.  Everything is exact
 integer arithmetic: every assertion is equality.
 """
@@ -17,6 +18,7 @@ integer arithmetic: every assertion is equality.
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +80,38 @@ contexts = st.tuples(
 )
 #: leading batch shapes of a residue stack
 leads = st.sampled_from([(), (1,), (2,), (3,), (2, 2)])
+#: ``contexts``, or one with 18 special primes: a descent group longer
+#: than the 15 products the C conversion sums between reductions
+wide_contexts = st.one_of(
+    contexts,
+    st.tuples(st.sampled_from([8, 64]), st.just(17), st.just(1), st.integers(0, 2**32 - 1)),
+)
+
+
+def drawn_conversion(data, ctx, down: bool):
+    """A base conversion over drawn primes of ``ctx``: sources in any
+    order, grouped by a drawn size, onto any targets — for a ModDown
+    (``down``), one group onto primes outside it."""
+    every = list(range(len(ctx.all_primes)))
+    sources = data.draw(
+        st.lists(st.sampled_from(every), min_size=1, max_size=len(every) - down, unique=True)
+    )
+    rest = [i for i in every if i not in sources] if down else every
+    targets = data.draw(st.lists(st.sampled_from(rest), min_size=1, unique=True))
+    size = len(sources) if down else data.draw(st.integers(1, len(sources)))
+    return ctx.base_conversion(sources, targets, size)
+
+
+def rescale_oracle(ref, ctx, rows, level) -> np.ndarray:
+    """A rescale spelt out: the top row inverse-transformed and centred,
+    reduced and forward-transformed onto the rest, subtracted, and
+    scaled by ``q_level⁻¹``."""
+    q, chain = ctx.q_chain[level], list(range(level))
+    top = ref.ntt_inverse(rows[..., level : level + 1, :], [level])
+    centred = np.where(top > q // 2, top - q, top)
+    delta = ref.ntt_forward(centred % ctx._primes_arr[chain][:, None], chain)
+    inverses = np.array([pow(q, -1, p) for p in ctx.q_chain[:level]], dtype=np.int64)
+    return ref.modscale(ref.modsub(rows[..., :level, :], delta, chain), inverses, chain)
 
 
 class TestPointwise:
@@ -277,3 +311,62 @@ class TestRescaleAndKeyswitch:
         level = data.draw(st.integers(0, ctx.max_level))
         acc = residues(rng, ctx, lead, ctx.keyswitch_basis(level))
         same(vec.keyswitch_descent(acc, level), ref.keyswitch_descent(acc, level))
+
+
+class TestBasisChange:
+    """``mod_up`` and ``mod_down`` over drawn conversions and the four
+    in-tree shapes: the digit lift, the ``P`` descent, the trailing
+    one-prime rescale and the ``q_0`` → chain ModRaise."""
+
+    @given(wide_contexts, st.sampled_from([(), (2,)]), st.sampled_from(["drawn", "lift", "mod_raise"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mod_up(self, case, lead, shape, data):
+        n, depth, dnum, seed = case
+        ctx, vec, ref = backends(n, depth, dnum)
+        level = data.draw(st.integers(0, ctx.max_level))
+        if shape == "drawn":
+            conv = drawn_conversion(data, ctx, down=False)
+        else:
+            conv = getattr(ctx._conversions(level), shape)
+        rows = residues(np.random.default_rng(seed), ctx, lead, conv.sources)
+        got = vec.mod_up(rows, conv)
+        same(got, ref.mod_up(rows, conv))
+        assert got.shape == lead + (len(conv.weights), len(conv.targets), n)
+
+    @given(wide_contexts, leads, st.sampled_from(["drawn", "descent", "rescale"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mod_down(self, case, lead, shape, data):
+        """The dropped rows lead the input when they are special primes
+        and trail it otherwise; a rescale is also its own spelling."""
+        n, depth, dnum, seed = case
+        ctx, vec, ref = backends(n, depth, dnum)
+        level = data.draw(st.integers(shape == "rescale", ctx.max_level))
+        if shape == "drawn":
+            conv = drawn_conversion(data, ctx, down=True)
+        else:
+            conv = getattr(ctx._conversions(level), shape)
+        sources, targets = list(conv.sources), list(conv.targets)
+        special_first = sources[0] >= len(ctx.q_chain)
+        basis = sources + targets if special_first else targets + sources
+        rows = residues(np.random.default_rng(seed), ctx, lead, basis)
+        got = vec.mod_down(rows, conv)
+        same(got, ref.mod_down(rows, conv))
+        assert got.shape == lead + (len(targets), n)
+        if shape == "rescale":
+            same(got, rescale_oracle(ref, ctx, rows, level))
+
+    def test_mod_down_refuses_what_it_cannot_divide(self):
+        """A ModDown needs one source group and targets outside it:
+        several groups, no target, or a target among the sources (no
+        divisor inverse) raise on both backends."""
+        ctx, vec, ref = backends(64, 5, 2)
+        top = ctx.max_level
+        x = residues(np.random.default_rng(0), ctx, (), range(top + 1))
+        for conv in (
+            ctx.base_conversion([top - 1, top], range(top - 1), 1),  # two groups
+            ctx.base_conversion([top], [], 1),  # nothing kept
+            ctx.base_conversion([top - 1, top], range(top), 2),  # q_{top-1} both
+        ):
+            for be in (vec, ref):
+                with pytest.raises(ValueError):
+                    be.mod_down(x[: len(conv.sources) + len(conv.targets)], conv)

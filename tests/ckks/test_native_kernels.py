@@ -44,8 +44,7 @@ def residues(ctx, lead, idx, seed=0):
 
 #: every function of ``_kernels.c``
 ENTRY_POINTS = (
-    "ntt", "lift", "pointwise", "tensor", "mul_plain_sum", "rescale", "hoist_decompose",
-    "inner_product", "keyswitch_descent",
+    "ntt", "lift", "pointwise", "tensor", "mul_plain_sum", "mod_up", "inner_product", "mod_down",
 )
 
 
@@ -111,36 +110,48 @@ class TestInputChecks:
             with pytest.raises(ValueError):
                 transform(x, [0, 1, -1])
 
-    @pytest.mark.parametrize("kind", ["digit_lift", "p_descent"])
+    @pytest.mark.parametrize("kind", ["lift", "descent", "rescale"])
     def test_conversion_constants_are_checked_before_any_call(self, ctx, monkeypatch, kind):
-        """The decomposition (``digit_lift``) and the descent
-        (``p_descent``) pack their base conversion before C sees it:
-        rows over too few sources, weights missing a target and inverses
-        missing a source each raise, and nothing reaches C."""
+        """The decomposition (its level's ``lift``), the descent
+        (``descent``) and the rescale (``rescale``) pack their base
+        conversion before C sees it: rows over too few sources, weights
+        missing a target, inverses missing a source and (a ModDown)
+        divisor inverses missing a target each raise, and nothing
+        reaches C."""
         top = ctx.max_level
-        step, rows = {
-            "digit_lift": ("hoist_decompose", residues(ctx, (), range(top + 1))),
-            "p_descent": ("keyswitch_descent", residues(ctx, (2,), ctx.keyswitch_basis(top))),
+        step, entry, rows = {
+            "lift": ("hoist_decompose", "mod_up", residues(ctx, (), range(top + 1))),
+            "descent": ("keyswitch_descent", "mod_down", residues(ctx, (2,), ctx.keyswitch_basis(top))),
+            "rescale": ("rescale", "mod_down", residues(ctx, (2,), range(top + 1))),
         }[kind]
 
         def no_call(*args):
             raise AssertionError(f"{step} reached C unchecked")
 
-        good = getattr(ctx, kind)
+        good = ctx._conversions
+
+        def corrupt(field, cut):
+            def conversions(level):
+                convs = good(level)
+                conv = getattr(convs, kind)
+                return convs._replace(**{kind: conv._replace(**{field: cut(conv)})})
+
+            return conversions
+
         bad = {
             "rows over too few sources": (rows[..., 1:, :], good),
-            "weights missing a target": (
-                rows, lambda level: good(level)._replace(weights=good(level).weights[:, :-1])
-            ),
-            "inverses missing a source": (
-                rows, lambda level: good(level)._replace(inv=good(level).inv[:-1])
-            ),
+            "weights missing a target": (rows, corrupt("weights", lambda c: c.weights[:, :-1])),
+            "inverses missing a source": (rows, corrupt("inv", lambda c: c.inv[:-1])),
         }
-        for name, (stack, conversion) in bad.items():
+        if entry == "mod_down":
+            bad["divisor inverses missing a target"] = (
+                rows, corrupt("divisor_inv", lambda c: c.divisor_inv[:-1])
+            )
+        for name, (stack, conversions) in bad.items():
             be = VectorizedBackend(ctx)  # fresh: a backend caches what it packed
             with monkeypatch.context() as m:
-                m.setattr(be, "_lib", SimpleNamespace(**{step: no_call}))
-                m.setattr(ctx, kind, conversion)
+                m.setattr(be, "_lib", SimpleNamespace(**{entry: no_call}))
+                m.setattr(ctx, "_conversions", conversions)
                 with pytest.raises(ValueError):
                     getattr(be, step)(stack, top)
                     pytest.fail(name)

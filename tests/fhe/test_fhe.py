@@ -290,6 +290,26 @@ class TestLatencyHarness:
         assert micros["ct_mult"] >= 0.05
         assert micros["rescale"] > 0
 
+    def test_hoisted_rotation_is_priced_from_the_batch_and_its_decomposition(
+        self, monkeypatch
+    ):
+        """``hoist_decompose`` is timed on its own call and
+        ``rotate_hoisted`` is the 8-step batch less it, per step — not a
+        difference against a one-step batch: a ``rotate_many`` whose one
+        step costs more than eight leaves the hoisted rotation priced."""
+        rotate_many = CkksEvaluator.rotate_many
+
+        def slow_single_step(ev, a, steps):
+            steps = list(steps)
+            if len(steps) == 1:
+                time.sleep(0.05)
+            return rotate_many(ev, a, steps)
+
+        monkeypatch.setattr(CkksEvaluator, "rotate_many", slow_single_step)
+        micros = measure_op_micros(CkksParams(n=64, scale_bits=25, depth=2), repeats=3)
+        assert micros["hoist_decompose"] > 0
+        assert micros["rotate_hoisted"] > 0
+
     def test_shared_runtime_is_keyed_on_the_whole_parameter_set(self):
         """Params differing only in ``backend`` must not share the first
         one's evaluator — ``measure_op_micros`` would time the wrong
